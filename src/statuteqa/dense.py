@@ -272,10 +272,16 @@ def dense_retrieve_topk(
     k: int,
     tok: TokenizerConfig | None = None,
 ) -> list[tuple[str, float]]:
-    """Exhaustive scan of all articles, ranked by max sentence cosine."""
+    """Exhaustive scan of all articles, ranked by max sentence cosine.
+
+    A question that embeds to the zero vector (one that cleans to no
+    tokens) has no cosine with anything and retrieves nothing.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
     question_vector = embed_question(index, question, tok)
+    if not np.any(question_vector):
+        return []
     scored = [
         (article_id, quickview_dense_score(index, question_vector, article_id))
         for article_id in index.vectors

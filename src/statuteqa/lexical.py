@@ -1,28 +1,50 @@
-"""Fielded inverted index over article titles and contents, scored with BM25.
+"""Fielded BM25 over article titles and contents, as precomputed impact matrices.
 
 The quickview lexical score of an article is a weighted sum of two
 whole-field BM25 scores: ``alpha * bm25(title) + beta * bm25(content)``.
-Field statistics (document count, average length, per-article length) are
-kept per field; articles without a title are simply absent from the title
-field.
+
+Each field is held as one CSR term×article matrix. Row ``r`` lists the
+articles containing term ``r`` (rows in sorted term order), with the term
+frequency and the BM25 impact ``idf·tf·(k1+1)/(tf+norm)`` of each entry,
+where ``norm = k1·(1 - b + b·len/avgdl)``. Columns number the indexed
+articles in sorted article-id order (Python string order), so ascending
+column is ascending id and column order breaks score ties the way the
+ranking contract asks. Per-article token counts and distinct-term counts
+are arrays over the same columns; an article absent from a field (an
+untitled article, say) has length 0 there.
+
+``score_query`` is the one place query-time BM25 is computed: it adds the
+rows of the query's tokens, in query order and once per occurrence, into
+float64 accumulators that start at 0.0. Each article thus receives the
+same additions, in the same order, as a per-article loop over the query
+tokens, and each impact is computed with the same operations in the same
+order as the scalar formula (idf with ``math.log``), so the sums are equal
+bit for bit to that loop's.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from .corpus import Article, TokenizerConfig, clean_text, tokenize
 
 __all__ = [
-    "FieldStats",
+    "FieldMatrix",
     "Bm25Params",
     "QuickviewConfig",
     "LexIndex",
+    "QueryScores",
     "build_lex_index",
+    "score_query",
     "idf",
     "bm25",
     "quickview_lex_score",
@@ -66,34 +88,130 @@ class QuickviewConfig:
 
 
 @dataclass(frozen=True)
-class FieldStats:
-    field: str
+class FieldMatrix:
+    """One field's postings and statistics over the index's article columns."""
+
+    terms: Mapping[str, int]  # term -> row; rows in sorted term order
+    indptr: np.ndarray  # int64, rows + 1; row r is entries indptr[r]:indptr[r+1]
+    columns: np.ndarray  # int32 article column of each entry, ascending in a row
+    tf: np.ndarray  # int32 term frequency of each entry
+    impact: np.ndarray  # float64 idf·tf·(k1+1)/(tf+norm) of each entry
+    lengths: np.ndarray  # int64 tokens per article column; 0 = absent
+    distinct: np.ndarray  # int64 distinct terms per article column
+    article_ids: Sequence[str]  # column -> article id, shared by both fields
     doc_count: int
     avgdl: float
-    doc_len: Mapping[str, int]
+
+    @property
+    def doc_len(self) -> dict[str, int]:
+        """Article id -> token count, for the articles present in the field."""
+        present = np.flatnonzero(self.lengths)
+        return {self.article_ids[c]: int(self.lengths[c]) for c in present}
+
+    def row(self, term: str) -> slice | None:
+        r = self.terms.get(term)
+        if r is None:
+            return None
+        return slice(int(self.indptr[r]), int(self.indptr[r + 1]))
 
 
 @dataclass(frozen=True)
 class LexIndex:
-    """Immutable after build; safe for concurrent readers."""
+    """Both fields' BM25 impact matrices over one set of article columns.
 
-    title_stats: FieldStats
-    content_stats: FieldStats
-    # field -> term -> article_id -> term frequency
-    postings: Mapping[str, Mapping[str, Mapping[str, int]]]
+    Column ``c`` is ``article_ids[c]``, the ids sorted in Python string
+    order, so a stable sort on column breaks score ties by ascending id.
+    Each field stores the impact ``idf·tf·(k1+1)/(tf+norm)`` of every
+    posting, computed elementwise with the scalar formula's operations in
+    its order, so a query's per-article sum of impacts, taken in query
+    order from 0.0 (see ``score_query``), equals the per-article BM25 loop
+    bit for bit. Immutable after build; safe for concurrent readers.
+    """
+
+    article_ids: tuple[str, ...]  # sorted; position = matrix column
+    column: Mapping[str, int]  # article id -> column
+    title: FieldMatrix
+    content: FieldMatrix
     params: Bm25Params
     tokenizer_fingerprint: str
 
-    def stats(self, field: str) -> FieldStats:
+    def stats(self, field: str) -> FieldMatrix:
         if field == "title":
-            return self.title_stats
+            return self.title
         if field == "content":
-            return self.content_stats
+            return self.content
         raise ValueError(f"unknown field: {field!r}")
 
-    def article_ids(self) -> list[str]:
-        ids = set(self.content_stats.doc_len) | set(self.title_stats.doc_len)
-        return sorted(ids)
+
+def _idf(big_n: int, n: int) -> float:
+    return math.log(1.0 + (big_n - n + 0.5) / (n + 0.5))
+
+
+def _field_matrix(
+    postings: Mapping[str, Sequence[Sequence]],
+    doc_len: Mapping[str, int],
+    avgdl: float,
+    column: Mapping[str, int],
+    article_ids: Sequence[str],
+    params: Bm25Params,
+) -> FieldMatrix:
+    """CSR matrix from ``term -> [(article_id, tf), ...]`` in sorted order.
+
+    Build and load both come through here, so they produce the same arrays.
+    """
+    n_cols = len(article_ids)
+    lengths = np.zeros(n_cols, dtype=np.int64)
+    for article_id, length in doc_len.items():
+        lengths[column[article_id]] = length
+    df = np.fromiter(map(len, postings.values()), np.int64, len(postings))
+    indptr = np.zeros(len(postings) + 1, dtype=np.int64)
+    np.cumsum(df, out=indptr[1:])
+    nnz = int(indptr[-1])
+    entries = list(chain.from_iterable(postings.values()))
+    ids = map(itemgetter(0), entries)
+    cols = np.fromiter(map(column.__getitem__, ids), np.int32, nnz)
+    tf = np.fromiter(map(itemgetter(1), entries), np.int32, nnz)
+
+    big_n = len(doc_len)
+    idf_rows = np.array([_idf(big_n, n) for n in df.tolist()], dtype=np.float64)
+    k1, b = params.k1, params.b
+    tf_f = tf.astype(np.float64)
+    norm = k1 * (1.0 - b + b * lengths[cols] / avgdl)
+    impact = np.repeat(idf_rows, df) * tf_f * (k1 + 1.0) / (tf_f + norm)
+    return FieldMatrix(
+        terms={term: r for r, term in enumerate(postings)},
+        indptr=indptr,
+        columns=cols,
+        tf=tf,
+        impact=impact,
+        lengths=lengths,
+        distinct=np.bincount(cols, minlength=n_cols),
+        article_ids=article_ids,
+        doc_count=big_n,
+        avgdl=avgdl,
+    )
+
+
+def _assemble(
+    records: Mapping[str, tuple[Mapping, Mapping, float]],
+    params: Bm25Params,
+    tokenizer_fingerprint: str,
+) -> LexIndex:
+    """Index from per-field ``(postings, doc_len, avgdl)``."""
+    article_ids = tuple(sorted(set().union(*(r[1] for r in records.values()))))
+    column = {article_id: c for c, article_id in enumerate(article_ids)}
+    fields = {
+        field: _field_matrix(postings, doc_len, avgdl, column, article_ids, params)
+        for field, (postings, doc_len, avgdl) in records.items()
+    }
+    return LexIndex(
+        article_ids=article_ids,
+        column=column,
+        title=fields["title"],
+        content=fields["content"],
+        params=params,
+        tokenizer_fingerprint=tokenizer_fingerprint,
+    )
 
 
 def _field_tokens(article: Article, field: str, tok: TokenizerConfig) -> list[str]:
@@ -123,39 +241,68 @@ def build_lex_index(
             raise ValueError(f"duplicate article id {article.article_id!r}")
         seen.add(article.article_id)
 
-    postings: dict[str, dict[str, dict[str, int]]] = {f: {} for f in FIELDS}
-    doc_len: dict[str, dict[str, int]] = {f: {} for f in FIELDS}
-    for article in articles:
-        for field in FIELDS:
+    records = {}
+    ordered = sorted(articles, key=lambda a: a.article_id)
+    for field in FIELDS:
+        postings: dict[str, list[tuple[str, int]]] = {}
+        doc_len: dict[str, int] = {}
+        for article in ordered:
             tokens = _field_tokens(article, field, tok)
             if not tokens:
                 continue
-            doc_len[field][article.article_id] = len(tokens)
-            field_postings = postings[field]
-            for token in tokens:
-                entry = field_postings.setdefault(token, {})
-                entry[article.article_id] = entry.get(article.article_id, 0) + 1
+            doc_len[article.article_id] = len(tokens)
+            for token, count in Counter(tokens).items():
+                postings.setdefault(token, []).append((article.article_id, count))
+        avgdl = sum(doc_len.values()) / len(doc_len) if doc_len else 0.0
+        records[field] = (dict(sorted(postings.items())), doc_len, avgdl)
+    return _assemble(records, params, tok.fingerprint())
 
-    def stats(field: str) -> FieldStats:
-        lengths = doc_len[field]
-        count = len(lengths)
-        avgdl = sum(lengths.values()) / count if count else 0.0
-        return FieldStats(field=field, doc_count=count, avgdl=avgdl, doc_len=lengths)
 
-    return LexIndex(
-        title_stats=stats("title"),
-        content_stats=stats("content"),
-        postings=postings,
-        params=params,
-        tokenizer_fingerprint=tok.fingerprint(),
-    )
+@dataclass(frozen=True)
+class QueryScores:
+    """Per-field BM25 and matched distinct query terms for every column."""
+
+    bm25: Mapping[str, np.ndarray]  # field -> float64 per article column
+    matched: Mapping[str, np.ndarray]  # field -> int64 per article column
+
+
+def score_query(index: LexIndex, query: Sequence[str]) -> QueryScores:
+    """One pass over the query's rows in both fields.
+
+    BM25 takes each token's row once per occurrence, in query order, and
+    ``np.bincount`` adds the entries into zeroed float64 accumulators in
+    that order; ``matched`` counts the distinct query terms each article
+    contains.
+    """
+    n_cols = len(index.article_ids)
+    bm25_by_field, matched_by_field = {}, {}
+    for field in FIELDS:
+        matrix = index.stats(field)
+        rows = {token: matrix.row(token) for token in query}
+        occurrences = [rows[token] for token in query if rows[token] is not None]
+        distinct = [row for row in rows.values() if row is not None]
+        # astype: with no occurrences bincount returns integer zeros
+        bm25_by_field[field] = np.bincount(
+            _concat(matrix.columns, occurrences),
+            weights=_concat(matrix.impact, occurrences),
+            minlength=n_cols,
+        ).astype(np.float64, copy=False)
+        matched_by_field[field] = np.bincount(
+            _concat(matrix.columns, distinct), minlength=n_cols
+        )
+    return QueryScores(bm25=bm25_by_field, matched=matched_by_field)
+
+
+def _concat(values: np.ndarray, rows: Sequence[slice]) -> np.ndarray:
+    return np.concatenate([values[row] for row in rows] or [values[:0]])
 
 
 def idf(index: LexIndex, field: str, term: str) -> float:
     """Inverse document frequency: ln(1 + (N - n + 0.5) / (n + 0.5))."""
-    n = len(index.postings[field].get(term, ()))
-    big_n = index.stats(field).doc_count
-    return math.log(1.0 + (big_n - n + 0.5) / (n + 0.5))
+    matrix = index.stats(field)
+    row = matrix.row(term)
+    n = 0 if row is None else row.stop - row.start
+    return _idf(matrix.doc_count, n)
 
 
 def bm25(index: LexIndex, field: str, query: Sequence[str], article_id: str) -> float:
@@ -164,23 +311,11 @@ def bm25(index: LexIndex, field: str, query: Sequence[str], article_id: str) -> 
     Repeated query tokens contribute once per occurrence. Articles unknown
     to the field score 0.
     """
-    stats = index.stats(field)
-    length = stats.doc_len.get(article_id)
-    if length is None:
+    index.stats(field)  # rejects an unknown field
+    column = index.column.get(article_id)
+    if column is None:
         return 0.0
-    k1, b = index.params.k1, index.params.b
-    norm = k1 * (1.0 - b + b * length / stats.avgdl)
-    field_postings = index.postings[field]
-    score = 0.0
-    for token in query:
-        entry = field_postings.get(token)
-        if not entry:
-            continue
-        tf = entry.get(article_id)
-        if not tf:
-            continue
-        score += idf(index, field, token) * tf * (k1 + 1.0) / (tf + norm)
-    return score
+    return float(score_query(index, query).bm25[field][column])
 
 
 def quickview_lex_score(
@@ -213,23 +348,19 @@ def retrieve_topk(
     if k < 1:
         raise ValueError("k must be >= 1")
     cfg = cfg or QuickviewConfig()
-    candidates: set[str] = set()
-    for field in FIELDS:
-        weight = cfg.alpha if field == "title" else cfg.beta
-        if not weight:
-            continue
-        field_postings = index.postings[field]
-        for token in set(query):
-            entry = field_postings.get(token)
-            if entry:
-                candidates.update(entry)
-    scored = [
-        (article_id, score)
-        for article_id in candidates
-        if (score := quickview_lex_score(index, query, article_id, cfg)) > 0.0
-    ]
-    scored.sort(key=lambda item: (-item[1], item[0]))
-    return scored[:k]
+    field_scores = score_query(index, query).bm25
+    scores = np.zeros(len(index.article_ids), dtype=np.float64)
+    if cfg.alpha:
+        scores += cfg.alpha * field_scores["title"]
+    if cfg.beta:
+        scores += cfg.beta * field_scores["content"]
+    hits = np.flatnonzero(scores > 0.0)
+    if hits.size > k:
+        values = scores[hits]
+        kth = values[np.argpartition(values, -k)[-k]]
+        hits = hits[values >= kth]  # keeps every tie at the k-th score
+    top = hits[np.lexsort((hits, -scores[hits]))[:k]]
+    return [(index.article_ids[c], float(scores[c])) for c in top.tolist()]
 
 
 def save_lex_index(index: LexIndex, path: str | Path) -> None:
@@ -244,15 +375,18 @@ def save_lex_index(index: LexIndex, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(json.dumps(header, sort_keys=True) + "\n")
         for field in FIELDS:
-            stats = index.stats(field)
+            matrix = index.stats(field)
+            ids = [index.article_ids[c] for c in matrix.columns.tolist()]
+            tf = matrix.tf.tolist()
+            bounds = matrix.indptr.tolist()
             record = {
                 "field": field,
-                "doc_count": stats.doc_count,
-                "avgdl": stats.avgdl,
-                "doc_len": dict(sorted(stats.doc_len.items())),
+                "doc_count": matrix.doc_count,
+                "avgdl": matrix.avgdl,
+                "doc_len": matrix.doc_len,
                 "postings": {
-                    term: sorted(entry.items())
-                    for term, entry in sorted(index.postings[field].items())
+                    term: list(zip(ids[start:stop], tf[start:stop]))
+                    for term, start, stop in zip(matrix.terms, bounds, bounds[1:])
                 },
             }
             handle.write(json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n")
@@ -274,27 +408,17 @@ def load_lex_index(
                 f"{path}: tokenizer fingerprint mismatch "
                 f"(index {fingerprint}, expected {expected_fingerprint})"
             )
-        stats: dict[str, FieldStats] = {}
-        postings: dict[str, dict[str, dict[str, int]]] = {}
+        records = {}
         for line in handle:
             record = json.loads(line)
-            field = record["field"]
-            stats[field] = FieldStats(
-                field=field,
-                doc_count=record["doc_count"],
-                avgdl=record["avgdl"],
-                doc_len=record["doc_len"],
+            records[record["field"]] = (
+                record["postings"],
+                record["doc_len"],
+                record["avgdl"],
             )
-            postings[field] = {
-                term: dict(entry) for term, entry in record["postings"].items()
-            }
     for field in FIELDS:
-        if field not in stats:
+        if field not in records:
             raise ValueError(f"{path}: missing field record {field!r}")
-    return LexIndex(
-        title_stats=stats["title"],
-        content_stats=stats["content"],
-        postings=postings,
-        params=Bm25Params(k1=header["k1"], b=header["b"]),
-        tokenizer_fingerprint=fingerprint,
+    return _assemble(
+        records, Bm25Params(k1=header["k1"], b=header["b"]), fingerprint
     )

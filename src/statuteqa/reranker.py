@@ -18,6 +18,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import groupby
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -25,7 +26,7 @@ import numpy as np
 
 from .corpus import Article, TokenizerConfig, clean_text, tokenize
 from .dense import DenseIndex, embed, quickview_dense_score
-from .lexical import LexIndex, bm25
+from .lexical import LexIndex, QueryScores, score_query
 from .lineproto import LineProtocolClient, ProtocolError
 from .weak_label import TrainingExample
 
@@ -35,6 +36,8 @@ __all__ = [
     "LinearModel",
     "TrainConfig",
     "FeatureExtractor",
+    "QuestionView",
+    "question_view",
     "extract_features",
     "predict",
     "mean_cross_entropy",
@@ -71,10 +74,39 @@ def _saturate(score: float) -> float:
     return score / (1.0 + score)
 
 
-def _jaccard(a: set[str], b: set[str]) -> float:
-    if not a and not b:
+def _jaccard(matched: int, question_terms: int, article_terms: int) -> float:
+    """|q ∩ A| / |q ∪ A| from set sizes; 0 when the article field is empty."""
+    if not article_terms:
         return 0.0
-    return len(a & b) / len(a | b)
+    return matched / (question_terms + article_terms - matched)
+
+
+@dataclass(frozen=True)
+class QuestionView:
+    """What the features need from one question, computed once per question."""
+
+    length: int  # question tokens
+    distinct: int  # distinct question tokens
+    vector: np.ndarray  # question embedding
+    lexical: QueryScores  # per-field BM25 and matched terms of every article
+
+
+def question_view(
+    question: str,
+    lex: LexIndex,
+    dense: DenseIndex,
+    tok: TokenizerConfig | None = None,
+) -> QuestionView:
+    """Tokenize, embed and score the question against every article once."""
+    if dense.embedder is None:
+        raise ValueError("dense index has no runtime embedder attached")
+    tokens = tokenize(clean_text(question), tok or TokenizerConfig())
+    return QuestionView(
+        length=len(tokens),
+        distinct=len(set(tokens)),
+        vector=embed(dense.embedder, tokens),
+        lexical=score_query(lex, tokens),
+    )
 
 
 def extract_features(
@@ -83,43 +115,51 @@ def extract_features(
     lex: LexIndex,
     dense: DenseIndex,
     tok: TokenizerConfig | None = None,
-    question_vector: np.ndarray | None = None,
+    view: QuestionView | None = None,
 ) -> np.ndarray:
     """Feature vector for one question/article pair.
 
-    Raises if the article is absent from either index. A missing title
-    zeroes the title features.
+    ``view`` is the question's precomputed :class:`QuestionView`; without
+    it one is computed here. Article-side values come from the lexical
+    index, so no article text is tokenized. Raises if the article is
+    absent from either index. A missing title zeroes the title features.
     """
-    tok = tok or TokenizerConfig()
-    q_tokens = tokenize(clean_text(question), tok)
-    if article.article_id not in lex.content_stats.doc_len:
+    column = lex.column.get(article.article_id)
+    if column is None or not lex.content.lengths[column]:
         raise ValueError(f"article {article.article_id!r} not in lexical index")
     if article.article_id not in dense.vectors:
         raise ValueError(f"article {article.article_id!r} not in dense index")
-    if question_vector is None:
-        if dense.embedder is None:
-            raise ValueError("dense index has no runtime embedder attached")
-        question_vector = embed(dense.embedder, q_tokens)
-
-    content_tokens = tokenize(clean_text(article.content), tok)
-    title_tokens = (
-        tokenize(clean_text(article.title), tok) if article.title is not None else []
-    )
+    if view is None:
+        view = question_view(question, lex, dense, tok)
+    scores = view.lexical
 
     features = np.empty(NUM_FEATURES, dtype=np.float64)
-    features[0] = _saturate(bm25(lex, "title", q_tokens, article.article_id))
-    features[1] = _saturate(bm25(lex, "content", q_tokens, article.article_id))
-    features[2] = quickview_dense_score(dense, question_vector, article.article_id)
-    features[3] = _jaccard(set(q_tokens), set(title_tokens)) if title_tokens else 0.0
-    features[4] = _jaccard(set(q_tokens), set(content_tokens))
-    features[5] = math.log1p(len(q_tokens))
-    features[6] = math.log1p(lex.content_stats.doc_len[article.article_id])
+    features[0] = _saturate(scores.bm25["title"][column])
+    features[1] = _saturate(scores.bm25["content"][column])
+    features[2] = quickview_dense_score(dense, view.vector, article.article_id)
+    features[3] = _jaccard(
+        int(scores.matched["title"][column]),
+        view.distinct,
+        int(lex.title.distinct[column]),
+    )
+    features[4] = _jaccard(
+        int(scores.matched["content"][column]),
+        view.distinct,
+        int(lex.content.distinct[column]),
+    )
+    features[5] = math.log1p(view.length)
+    features[6] = math.log1p(lex.content.lengths[column])
     features[7] = 1.0
     return features
 
 
 class FeatureExtractor:
-    """Feature source bound to a corpus and its indexes."""
+    """Feature source bound to a corpus and its indexes.
+
+    Holds no per-question state: each caller computes a question's view
+    and drops it when done, so memory does not grow with the questions
+    asked.
+    """
 
     def __init__(
         self,
@@ -132,20 +172,13 @@ class FeatureExtractor:
         self.lex = lex
         self.dense = dense
         self.tok = tok or TokenizerConfig()
-        self._question_vectors: dict[str, np.ndarray] = {}
 
-    def question_vector(self, question: str) -> np.ndarray:
-        # cache writes may race under concurrent scoring; embedding is
-        # deterministic, so racing writers store identical vectors
-        vec = self._question_vectors.get(question)
-        if vec is None:
-            if self.dense.embedder is None:
-                raise ValueError("dense index has no runtime embedder attached")
-            vec = embed(self.dense.embedder, tokenize(clean_text(question), self.tok))
-            self._question_vectors[question] = vec
-        return vec
+    def question_view(self, question: str) -> QuestionView:
+        return question_view(question, self.lex, self.dense, self.tok)
 
-    def features(self, question: str, article_id: str) -> np.ndarray:
+    def features(
+        self, question: str, article_id: str, view: QuestionView | None = None
+    ) -> np.ndarray:
         article = self.by_id.get(article_id)
         if article is None:
             raise ValueError(f"unknown article id {article_id!r}")
@@ -155,13 +188,19 @@ class FeatureExtractor:
             self.lex,
             self.dense,
             self.tok,
-            question_vector=self.question_vector(question),
+            view=view,
         )
 
     def matrix(
         self, examples: Sequence[TrainingExample]
     ) -> tuple[np.ndarray, np.ndarray]:
-        x = np.vstack([self.features(ex.question, ex.article_id) for ex in examples])
+        """Feature rows in example order; one question view per distinct question."""
+        x = np.empty((len(examples), NUM_FEATURES), dtype=np.float64)
+        by_question = sorted(range(len(examples)), key=lambda i: examples[i].question)
+        for question, group in groupby(by_question, key=lambda i: examples[i].question):
+            view = self.question_view(question)
+            for i in group:
+                x[i] = self.features(question, examples[i].article_id, view)
         y = np.asarray([ex.label for ex in examples], dtype=np.float64)
         return x, y
 
@@ -352,8 +391,9 @@ class ModelScorer:
         return f"linear:{digest}"
 
     def score_batch(self, question: str, candidates: Sequence[Article]) -> list[float]:
+        view = self.extractor.question_view(question)
         return [
-            predict(self.model, self.extractor.features(question, a.article_id))
+            predict(self.model, self.extractor.features(question, a.article_id, view))
             for a in candidates
         ]
 

@@ -82,3 +82,23 @@ class BruteForceBm25:
                 / (tf + self.k1 * (1.0 - self.b + self.b * dl / self.avgdl))
             )
         return score
+
+
+def oracle_topk(title, content, query, k, alpha, beta):
+    """Quickview top-k by scoring every article with ``BruteForceBm25``.
+
+    ``title`` and ``content`` are the two fields' BruteForceBm25. A zero
+    boost skips its field; only positive scores are kept, ordered by
+    descending score then ascending article id.
+    """
+    scored = []
+    for article_id in sorted(set(title.docs) | set(content.docs)):
+        score = 0.0
+        if alpha:
+            score += alpha * title.score(query, article_id)
+        if beta:
+            score += beta * content.score(query, article_id)
+        if score > 0.0:
+            scored.append((article_id, score))
+    scored.sort(key=lambda item: (-item[1], item[0]))
+    return scored[:k]

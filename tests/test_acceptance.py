@@ -10,7 +10,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from bm25_oracle import BruteForceBm25
+from bm25_oracle import BruteForceBm25, oracle_topk
 from conftest import field_token_lists
 from statuteqa.corpus import Article, TokenizerConfig, clean_text, iter_articles, tokenize
 from statuteqa.dense import HashedProjectionEmbedder, build_dense_index
@@ -78,7 +78,9 @@ def _random_corpus(rng, n_articles, vocab_size=40):
 
 
 def test_c1_bm25_oracle_equivalence():
-    with criterion("C1 BM25 oracle equivalence (<=50 articles, <=200 queries, 1e-9)"):
+    with criterion(
+        "C1 BM25 oracle equivalence (<=50 articles, <=200 queries, 1e-9; top-k exact)"
+    ):
         started = time.perf_counter()
         rng = random.Random(42)
         vocab = [f"term{i}" for i in range(40)]
@@ -96,6 +98,10 @@ def test_c1_bm25_oracle_equivalence():
                         expected = oracles[field].score(query, article.article_id)
                         got = bm25(index, field, query, article.article_id)
                         assert abs(got - expected) <= 1e-9
+                k = rng.randint(1, corpus_size)
+                assert retrieve_topk(index, query, k, QuickviewConfig()) == oracle_topk(
+                    oracles["title"], oracles["content"], query, k, 1.5, 1.0
+                )
         elapsed = time.perf_counter() - started
         assert elapsed < 5.0, f"oracle sweep took {elapsed:.2f}s"
 

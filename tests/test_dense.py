@@ -118,6 +118,7 @@ def test_dense_retrieve_topk(tiny_articles):
     assert ranked[0][0] == "d1#1"
     everything = dense_retrieve_topk(index, "law", 50)
     assert len(everything) == 3
+    assert dense_retrieve_topk(index, "???", 5) == []  # zero question vector
     with pytest.raises(ValueError):
         dense_retrieve_topk(index, "law", 0)
 

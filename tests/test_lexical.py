@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from bm25_oracle import oracle_bm25, oracle_quickview
+from bm25_oracle import BruteForceBm25, oracle_bm25, oracle_quickview, oracle_topk
 from conftest import field_token_lists
 from statuteqa.corpus import Article, TokenizerConfig, clean_text, tokenize
 from statuteqa.lexical import (
@@ -21,12 +21,12 @@ from statuteqa.lexical import (
 
 
 def test_build_field_stats(tiny_lex):
-    assert tiny_lex.content_stats.doc_count == 3
-    assert tiny_lex.content_stats.avgdl == 7.0
-    assert tiny_lex.content_stats.doc_len == {"d1#1": 8, "d1#2": 8, "d2#1": 5}
-    assert tiny_lex.title_stats.doc_count == 2
-    assert tiny_lex.title_stats.avgdl == 2.5
-    assert "d1#2" not in tiny_lex.title_stats.doc_len  # untitled
+    assert tiny_lex.stats("content").doc_count == 3
+    assert tiny_lex.stats("content").avgdl == 7.0
+    assert tiny_lex.stats("content").doc_len == {"d1#1": 8, "d1#2": 8, "d2#1": 5}
+    assert tiny_lex.stats("title").doc_count == 2
+    assert tiny_lex.stats("title").avgdl == 2.5
+    assert "d1#2" not in tiny_lex.stats("title").doc_len  # untitled
 
 
 def test_build_errors(tiny_articles):
@@ -154,9 +154,43 @@ def test_retrieve_tie_broken_by_id():
     assert ranked[0][1] == ranked[1][1]
 
 
+# Ties, untitled articles and ids whose string order ("d1#10" < "d1#2")
+# differs from their numeric order.
+TIE_ARTICLES = (
+    Article("d1#1", "d1", "Deposit Rules", "Rent deposit rules apply."),
+    Article("d1#2", "d1", None, "Rent deposit."),
+    Article("d1#10", "d1", None, "Rent deposit."),
+    Article("d1#11", "d1", None, "Rent deposit."),
+    Article("d2#1", "d2", "Rent", "The tenant pays rent, rent and more rent."),
+    Article("d2#3", "d2", "Notice of Rent", "A notice period of one month."),
+)
+
+
+@pytest.mark.parametrize(
+    "query, k, alpha, beta",
+    [
+        (["rent", "zebra", "rent", "deposit"], 10, 1.5, 1.0),  # repeats, OOV
+        (["rent", "notice"], 10, 0.0, 1.0),  # alpha = 0
+        (["rent", "notice"], 10, 1.5, 0.0),  # beta = 0: untitled score 0
+        (["deposit"], 2, 1.5, 1.0),  # a three-way tie across the k-th score
+        (["deposit"], 3, 1.5, 1.0),
+        (["notice", "month"], 50, 1.5, 1.0),  # k above the positive count
+        ([], 5, 1.5, 1.0),  # empty query
+    ],
+)
+def test_retrieve_topk_equals_oracle_exactly(query, k, alpha, beta):
+    index = build_lex_index(TIE_ARTICLES)
+    title = BruteForceBm25(field_token_lists(TIE_ARTICLES, "title"))
+    content = BruteForceBm25(field_token_lists(TIE_ARTICLES, "content"))
+    got = retrieve_topk(index, query, k, QuickviewConfig(alpha, beta))
+    assert got == oracle_topk(title, content, query, k, alpha, beta)
+    if query == ["deposit"]:
+        assert [a for a, _ in got] == ["d1#1", "d1#10", "d1#11"][:k]
+
+
 def test_retrieve_prefix_property(synth):
     rng = random.Random(3)
-    vocab = sorted(synth.lex.postings["content"])
+    vocab = sorted(synth.lex.stats("content").terms)
     for _ in range(20):
         query = rng.sample(vocab, k=3)
         small = retrieve_topk(synth.lex, query, 5)
@@ -200,6 +234,10 @@ def test_save_load_round_trip(tiny_articles, tiny_lex, tmp_path):
             assert bm25(loaded, field, query, article.article_id) == bm25(
                 tiny_lex, field, query, article.article_id
             )
+    assert retrieve_topk(loaded, query, 3) == retrieve_topk(tiny_lex, query, 3)
+    again = tmp_path / "again.jsonl"
+    save_lex_index(loaded, again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_save_deterministic_bytes(tiny_lex, tmp_path):

@@ -185,3 +185,11 @@ def test_train_gold_only_mode(workspace):
     assert main(base + ["train", "--mode", "gold-only", "--model-path", str(out)]) == 0
     record = json.loads(out.read_text())
     assert record["metadata"]["stage"] == "gold_only"
+
+
+def test_dense_question_without_tokens_has_no_candidates(synth):
+    cfg = PipelineConfig(quickview_source="dense", top_k=10)
+    pipeline = Pipeline(cfg, synth.articles, synth.lex, synth.dense, synth.scorer)
+    answer = pipeline.answer("q-empty", "???")
+    assert answer.no_candidates
+    assert answer.returned == ()

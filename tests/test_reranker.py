@@ -1,9 +1,12 @@
 import math
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
 
-from statuteqa.corpus import Article, TokenizerConfig
+from bm25_oracle import BruteForceBm25
+from conftest import field_token_lists
+from statuteqa.corpus import Article, TokenizerConfig, clean_text, tokenize
 from statuteqa.dense import HashedProjectionEmbedder, build_dense_index, cosine, embed
 from statuteqa.lexical import build_lex_index
 from statuteqa.reranker import (
@@ -17,6 +20,7 @@ from statuteqa.reranker import (
     load_model,
     mean_cross_entropy,
     predict,
+    question_view,
     save_model,
     score_candidates,
     train_stage,
@@ -84,6 +88,55 @@ def test_features_bounded(tiny_setup, synth):
             for i in (0, 1, 3, 4):
                 assert 0.0 <= f[i] <= 1.0
             assert -1.0 <= f[2] <= 1.0
+
+
+def _saturate(score):
+    return score / (1.0 + score)
+
+
+def test_precomputed_view_matches_text_reference(synth):
+    """Features from a shared question view equal features computed alone,
+    and both equal the text-based reference: oracle BM25 and set Jaccard."""
+    title = BruteForceBm25(field_token_lists(synth.articles, "title"))
+    content = BruteForceBm25(field_token_lists(synth.articles, "content"))
+    for query in synth.queries[:5]:
+        question = query.question
+        view = question_view(question, synth.lex, synth.dense, synth.tok)
+        q_tokens = tokenize(clean_text(question), synth.tok)
+        for article in synth.articles[::7]:
+            alone = extract_features(
+                question, article, synth.lex, synth.dense, synth.tok
+            )
+            shared = extract_features(
+                question, article, synth.lex, synth.dense, synth.tok, view=view
+            )
+            assert np.array_equal(alone, shared)
+
+            a_title = set(title.docs.get(article.article_id, ()))
+            a_content = set(content.docs[article.article_id])
+            q = set(q_tokens)
+            assert shared[0] == _saturate(title.score(q_tokens, article.article_id))
+            assert shared[1] == _saturate(content.score(q_tokens, article.article_id))
+            title_jaccard = len(q & a_title) / len(q | a_title) if a_title else 0.0
+            assert shared[3] == title_jaccard
+            assert shared[4] == len(q & a_content) / len(q | a_content)
+            assert shared[6] == math.log1p(len(content.docs[article.article_id]))
+
+
+def test_extractor_keeps_no_per_question_state(synth):
+    extractor = FeatureExtractor(synth.articles, synth.lex, synth.dense, synth.tok)
+    before = {
+        name: dict(value) if isinstance(value, Mapping) else value
+        for name, value in vars(extractor).items()
+    }
+    scorer = ModelScorer(synth.model, extractor)
+    for query in synth.queries[:6]:
+        score_candidates(scorer, query.question, synth.articles[:4])
+    after = vars(extractor)
+    assert after.keys() == before.keys()
+    for name, value in after.items():
+        if isinstance(value, Mapping):
+            assert value == before[name], f"{name} grew while answering"
 
 
 def test_unknown_article_rejected(tiny_setup):
