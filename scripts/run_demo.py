@@ -40,8 +40,8 @@ def main() -> int:
 
     config = {
         "corpus_path": str(workdir / "corpus.jsonl"),
-        "lex_index_path": str(workdir / "lex_index.jsonl"),
-        "dense_index_path": str(workdir / "dense_index.jsonl"),
+        "lex_index_path": str(workdir / "lex_index.bin"),
+        "dense_index_path": str(workdir / "dense_index.bin"),
         "model_path": str(workdir / "model.json"),
         "weak_dataset_path": str(workdir / "weak_dataset.jsonl"),
         "gold_path": str(workdir / "gold_queries.jsonl"),

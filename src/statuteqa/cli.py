@@ -21,7 +21,13 @@ from .dense import build_dense_index, load_dense_index, save_dense_index
 from .ensemble import answer_set_to_json
 from .evaluation import load_gold_file, run_eval, save_report, split_train_valid
 from .lexical import build_lex_index, load_lex_index, retrieve_topk, save_lex_index
-from .pipeline import CONFIG_ENV_VAR, Pipeline, PipelineConfig, question_id_for
+from .pipeline import (
+    CONFIG_ENV_VAR,
+    Pipeline,
+    PipelineConfig,
+    question_id_for,
+    require_same_corpus,
+)
 from .reranker import (
     FeatureExtractor,
     save_model,
@@ -40,17 +46,41 @@ from .weak_label import (
 LOCK_FILE_NAME = ".statuteqa.lock"
 
 
+def _holder_exited(lock_path: Path) -> bool:
+    """True when the lock file names a pid that no longer exists."""
+    try:
+        pid = int(lock_path.read_text())
+        if pid < 1:
+            return False
+        os.kill(pid, 0)  # signal 0 only checks that the process exists
+    except ProcessLookupError:
+        return True
+    except (OSError, ValueError):  # unreadable, not a pid, or another user's
+        return False
+    return False
+
+
 @contextlib.contextmanager
 def _exclusive_lock(directory: Path):
-    """index/train are exclusive single-process operations."""
+    """index/train are exclusive single-process operations.
+
+    The lock file records the holder's pid. A lock left by a process that
+    no longer exists is taken over; any other existing lock blocks. (Two
+    runs that find the same stale lock at the same moment may both take
+    it over.)
+    """
     directory.mkdir(parents=True, exist_ok=True)
     lock_path = directory / LOCK_FILE_NAME
+    flags = os.O_CREAT | os.O_EXCL | os.O_WRONLY
     try:
-        fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        fd = os.open(lock_path, flags)
     except FileExistsError:
-        raise RuntimeError(
-            f"lock file {lock_path} exists; another index/train run may be active"
-        ) from None
+        if not _holder_exited(lock_path):
+            raise RuntimeError(
+                f"lock file {lock_path} exists; another index/train run may be active"
+            ) from None
+        lock_path.unlink(missing_ok=True)
+        fd = os.open(lock_path, flags)  # FileExistsError: another run took it first
     try:
         os.write(fd, str(os.getpid()).encode())
         os.close(fd)
@@ -191,6 +221,7 @@ def _cmd_train(cfg: PipelineConfig, mode: str) -> int:
     dense = load_dense_index(
         cfg.dense_index_path, expected_fingerprint=cfg.make_embedder().fingerprint()
     )
+    require_same_corpus(cfg, articles, lex, dense)
     extractor = FeatureExtractor(articles, lex, dense, tok)
 
     gold_queries = load_gold_file(cfg.gold_path)

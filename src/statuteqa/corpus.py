@@ -26,6 +26,7 @@ __all__ = [
     "parse_corpus",
     "load_corpus_file",
     "write_corpus_file",
+    "corpus_digest",
 ]
 
 PHRASE_JOINER = "_"
@@ -229,3 +230,16 @@ def write_corpus_file(docs: Iterable[LegalDocument], path: str | Path) -> None:
 def iter_articles(docs: Iterable[LegalDocument]) -> Iterator[Article]:
     for doc in docs:
         yield from doc.articles
+
+
+def corpus_digest(articles: Iterable[Article]) -> str:
+    """sha256 over each article's (id, title, content), in article-id order.
+
+    Indexes record the digest of the articles they were built from, so an
+    index can be matched against the corpus it is loaded with.
+    """
+    digest = hashlib.sha256()
+    for article in sorted(articles, key=lambda a: a.article_id):
+        record = [article.article_id, article.title, article.content]
+        digest.update(json.dumps(record, ensure_ascii=False).encode("utf-8") + b"\n")
+    return digest.hexdigest()

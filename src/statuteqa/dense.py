@@ -13,26 +13,32 @@ through the external embedder line protocol.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Protocol, Sequence
 
 import numpy as np
 
-from .corpus import Article, TokenizerConfig, clean_text, split_sentences, tokenize
+from . import indexfile
+from .corpus import (
+    Article,
+    TokenizerConfig,
+    clean_text,
+    corpus_digest,
+    split_sentences,
+    tokenize,
+)
 from .lineproto import LineProtocolClient, ProtocolError
 
 __all__ = [
     "Embedder",
     "HashedProjectionEmbedder",
     "ExternalEmbedder",
-    "SentenceVector",
     "DenseIndex",
     "embed",
     "build_dense_index",
-    "cosine",
     "quickview_dense_score",
     "dense_retrieve_topk",
     "save_dense_index",
@@ -40,7 +46,8 @@ __all__ = [
 ]
 
 DENSE_INDEX_FORMAT = "statuteqa.denseindex"
-DENSE_INDEX_VERSION = 1
+DENSE_INDEX_VERSION = 2
+_LAYOUT = {"offsets": (np.int64, 1), "matrix": (np.float64, 2)}
 
 DEFAULT_DIMENSION = 300
 
@@ -146,28 +153,28 @@ def embed(embedder: Embedder, tokens: Sequence[str]) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SentenceVector:
-    article_id: str
-    sentence_index: int
-    vector: np.ndarray  # L2-normalized or all-zero
-
-
-@dataclass(frozen=True)
 class DenseIndex:
-    """Per-article sentence vector matrices; immutable after build."""
+    """Every indexed article's sentence vectors as rows of one matrix.
+
+    Article ``i`` is ``article_ids[i]`` (sorted) and owns matrix rows
+    ``offsets[i]:offsets[i + 1]``, in sentence order; every indexed
+    article has at least one row. Rows are unit or zero vectors.
+    Immutable after build; safe for concurrent readers.
+    """
 
     embedder_fingerprint: str
     dimension: int
-    # article_id -> (n_sentences, dimension) matrix, rows in sentence order
-    vectors: Mapping[str, np.ndarray]
+    article_ids: tuple[str, ...]
+    offsets: np.ndarray  # int64, articles + 1
+    matrix: np.ndarray  # C-contiguous float64, (sentences, dimension)
+    corpus_digest: str  # corpus.corpus_digest of the articles given to build
     embedder: Embedder | None = None
     embedder_spec: dict | None = None
+    row: Mapping[str, int] = dataclasses.field(init=False, repr=False, compare=False)
 
-    def sentence_count(self, article_id: str) -> int:
-        return int(self.vectors[article_id].shape[0])
-
-    def article_ids(self) -> list[str]:
-        return sorted(self.vectors)
+    def __post_init__(self) -> None:
+        row = {article_id: i for i, article_id in enumerate(self.article_ids)}
+        object.__setattr__(self, "row", row)
 
 
 def build_dense_index(
@@ -186,26 +193,28 @@ def build_dense_index(
     tok = tok or TokenizerConfig()
 
     seen: set[str] = set()
-    vectors: dict[str, np.ndarray] = {}
-    excluded = 0
     for article in articles:
         if article.article_id in seen:
             raise ValueError(f"duplicate article id {article.article_id!r}")
         seen.add(article.article_id)
-        rows = []
-        for sentence in split_sentences(article.content):
-            tokens = tokenize(clean_text(sentence), tok)
-            if not tokens:
-                continue
-            vec = embed(embedder, tokens)
-            norm = float(np.linalg.norm(vec))
-            if norm > 0.0:
-                vec = vec / norm  # stored rows are unit or zero vectors
-            rows.append(vec)
-        if not rows:
-            excluded += 1
-            continue
-        vectors[article.article_id] = np.vstack(rows)
+
+    article_ids, counts, sentences = [], [], []
+    for article in sorted(articles, key=lambda a: a.article_id):
+        tokenized = [
+            tokens
+            for sentence in split_sentences(article.content)
+            if (tokens := tokenize(clean_text(sentence), tok))
+        ]
+        if tokenized:
+            article_ids.append(article.article_id)
+            counts.append(len(tokenized))
+            sentences.extend(tokenized)
+    offsets = np.cumsum([0, *counts], dtype=np.int64)
+    matrix = np.zeros((len(sentences), embedder.dimension), dtype=np.float64)
+    for r, tokens in enumerate(sentences):
+        vec = embed(embedder, tokens)
+        norm = float(np.linalg.norm(vec))
+        matrix[r] = vec / norm if norm > 0.0 else vec  # unit or zero rows
 
     spec = None
     if isinstance(embedder, HashedProjectionEmbedder):
@@ -217,32 +226,22 @@ def build_dense_index(
     index = DenseIndex(
         embedder_fingerprint=embedder.fingerprint(),
         dimension=embedder.dimension,
-        vectors=vectors,
+        article_ids=tuple(article_ids),
+        offsets=offsets,
+        matrix=matrix,
+        corpus_digest=corpus_digest(articles),
         embedder=embedder,
         embedder_spec=spec,
     )
-    return index, excluded
-
-
-def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine similarity; 0 when either vector has zero norm."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape:
-        raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    return float(np.dot(u, v) / (nu * nv))
+    return index, len(articles) - len(article_ids)
 
 
 def quickview_dense_score(
     index: DenseIndex, question_vector: np.ndarray, article_id: str
 ) -> float:
     """Maximum cosine between the question vector and the article's sentences."""
-    matrix = index.vectors.get(article_id)
-    if matrix is None:
+    i = index.row.get(article_id)
+    if i is None:
         raise KeyError(f"article {article_id!r} not in dense index")
     question_vector = np.asarray(question_vector, dtype=np.float64)
     if question_vector.shape != (index.dimension,):
@@ -253,7 +252,8 @@ def quickview_dense_score(
     if qnorm == 0.0:
         return 0.0
     # Sentence rows are unit or zero vectors, so row dot / qnorm is the cosine.
-    sims = matrix @ (question_vector / qnorm)
+    sentences = index.matrix[index.offsets[i] : index.offsets[i + 1]]
+    sims = sentences @ (question_vector / qnorm)
     return float(np.max(sims))
 
 
@@ -274,44 +274,38 @@ def dense_retrieve_topk(
 ) -> list[tuple[str, float]]:
     """Exhaustive scan of all articles, ranked by max sentence cosine.
 
-    A question that embeds to the zero vector (one that cleans to no
-    tokens) has no cosine with anything and retrieves nothing.
+    One matrix-vector product gives every sentence's cosine and
+    ``np.maximum.reduceat`` takes each article's maximum over its rows;
+    ties break by ascending article id. A question that embeds to the
+    zero vector (one that cleans to no tokens) has no cosine with anything
+    and retrieves nothing.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     question_vector = embed_question(index, question, tok)
     if not np.any(question_vector):
         return []
-    scored = [
-        (article_id, quickview_dense_score(index, question_vector, article_id))
-        for article_id in index.vectors
-    ]
-    scored.sort(key=lambda item: (-item[1], item[0]))
-    return scored[:k]
+    qnorm = float(np.linalg.norm(question_vector))
+    sims = index.matrix @ (question_vector / qnorm)
+    scores = np.maximum.reduceat(sims, index.offsets[:-1])
+    top = np.argsort(-scores, kind="stable")[:k]  # positions are in id order
+    return [(index.article_ids[i], float(scores[i])) for i in top.tolist()]
 
 
 def save_dense_index(index: DenseIndex, path: str | Path) -> None:
-    """Persist as line-delimited JSON with a version header. Deterministic."""
+    """Persist the offsets and the sentence matrix (see ``indexfile``).
+
+    Deterministic: equal indexes save to equal bytes.
+    """
     header = {
-        "format": DENSE_INDEX_FORMAT,
-        "version": DENSE_INDEX_VERSION,
         "embedder_fingerprint": index.embedder_fingerprint,
+        "corpus_digest": index.corpus_digest,
         "dimension": index.dimension,
         "embedder_spec": index.embedder_spec,
+        "article_ids": list(index.article_ids),
     }
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(header, sort_keys=True) + "\n")
-        for article_id in sorted(index.vectors):
-            matrix = index.vectors[article_id]
-            for sentence_index in range(matrix.shape[0]):
-                record = {
-                    "article_id": article_id,
-                    "sentence_index": sentence_index,
-                    "vector": [float(x) for x in matrix[sentence_index]],
-                }
-                handle.write(
-                    json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n"
-                )
+    arrays = {"offsets": index.offsets, "matrix": index.matrix}
+    indexfile.save(path, DENSE_INDEX_FORMAT, DENSE_INDEX_VERSION, header, arrays)
 
 
 def load_dense_index(
@@ -325,25 +319,17 @@ def load_dense_index(
     externally embedded indexes require a matching ``embedder`` argument to
     answer new questions.
     """
-    with open(path, encoding="utf-8") as handle:
-        header = json.loads(handle.readline())
-        if header.get("format") != DENSE_INDEX_FORMAT:
-            raise ValueError(f"{path}: not a dense index file")
-        if header.get("version") != DENSE_INDEX_VERSION:
-            raise ValueError(f"{path}: unsupported version {header.get('version')}")
-        fingerprint = header["embedder_fingerprint"]
-        dimension = header["dimension"]
-        if expected_fingerprint is not None and fingerprint != expected_fingerprint:
-            raise ValueError(
-                f"{path}: embedder fingerprint mismatch "
-                f"(index {fingerprint}, expected {expected_fingerprint})"
-            )
-        rows: dict[str, list[tuple[int, list[float]]]] = {}
-        for line in handle:
-            record = json.loads(line)
-            rows.setdefault(record["article_id"], []).append(
-                (record["sentence_index"], record["vector"])
-            )
+    header, arrays = indexfile.load(
+        path, DENSE_INDEX_FORMAT, DENSE_INDEX_VERSION, _LAYOUT,
+        {"embedder_fingerprint": expected_fingerprint},
+    )
+    fingerprint = header["embedder_fingerprint"]
+    dimension = header["dimension"]
+    ids = header["article_ids"]
+    offsets, matrix = arrays["offsets"], arrays["matrix"]
+    indexfile.require_offsets(path, "offsets", offsets, len(ids), len(matrix))
+    width = f"matrix width {matrix.shape[1]} differs from dimension {dimension}"
+    indexfile.require(matrix.shape[1] == dimension, path, width)
 
     spec = header.get("embedder_spec")
     if embedder is None and spec and spec.get("kind") == "hashed_projection":
@@ -355,17 +341,13 @@ def load_dense_index(
             f"embedder fingerprint mismatch "
             f"(index {fingerprint}, embedder {embedder.fingerprint()})"
         )
-
-    vectors = {
-        article_id: np.asarray(
-            [vec for _, vec in sorted(items)], dtype=np.float64
-        )
-        for article_id, items in rows.items()
-    }
     return DenseIndex(
         embedder_fingerprint=fingerprint,
         dimension=dimension,
-        vectors=vectors,
+        article_ids=tuple(ids),
+        offsets=offsets,
+        matrix=matrix,
+        corpus_digest=header["corpus_digest"],
         embedder=embedder,
         embedder_spec=spec,
     )

@@ -24,18 +24,18 @@ bit for bit to that loop's.
 
 from __future__ import annotations
 
-import json
+import dataclasses
 import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
-from operator import itemgetter
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Article, TokenizerConfig, clean_text, tokenize
+from . import indexfile
+from .corpus import Article, TokenizerConfig, clean_text, corpus_digest, tokenize
 
 __all__ = [
     "FieldMatrix",
@@ -56,7 +56,13 @@ __all__ = [
 FIELDS = ("title", "content")
 
 LEX_INDEX_FORMAT = "statuteqa.lexindex"
-LEX_INDEX_VERSION = 1
+LEX_INDEX_VERSION = 2
+
+# The FieldMatrix arrays an index file holds for each field, with their dtypes
+_SAVED = {"indptr": np.int64, "columns": np.int32, "tf": np.int32, "lengths": np.int64}
+_LAYOUT = {
+    f"{field}.{name}": (dtype, 1) for field in FIELDS for name, dtype in _SAVED.items()
+}
 
 
 @dataclass(frozen=True)
@@ -98,15 +104,8 @@ class FieldMatrix:
     impact: np.ndarray  # float64 idf·tf·(k1+1)/(tf+norm) of each entry
     lengths: np.ndarray  # int64 tokens per article column; 0 = absent
     distinct: np.ndarray  # int64 distinct terms per article column
-    article_ids: Sequence[str]  # column -> article id, shared by both fields
     doc_count: int
     avgdl: float
-
-    @property
-    def doc_len(self) -> dict[str, int]:
-        """Article id -> token count, for the articles present in the field."""
-        present = np.flatnonzero(self.lengths)
-        return {self.article_ids[c]: int(self.lengths[c]) for c in present}
 
     def row(self, term: str) -> slice | None:
         r = self.terms.get(term)
@@ -129,11 +128,16 @@ class LexIndex:
     """
 
     article_ids: tuple[str, ...]  # sorted; position = matrix column
-    column: Mapping[str, int]  # article id -> column
     title: FieldMatrix
     content: FieldMatrix
     params: Bm25Params
     tokenizer_fingerprint: str
+    corpus_digest: str  # corpus.corpus_digest of the articles indexed
+    column: Mapping[str, int] = dataclasses.field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        column = {article_id: c for c, article_id in enumerate(self.article_ids)}
+        object.__setattr__(self, "column", column)
 
     def stats(self, field: str) -> FieldMatrix:
         if field == "title":
@@ -148,69 +152,35 @@ def _idf(big_n: int, n: int) -> float:
 
 
 def _field_matrix(
-    postings: Mapping[str, Sequence[Sequence]],
-    doc_len: Mapping[str, int],
-    avgdl: float,
-    column: Mapping[str, int],
-    article_ids: Sequence[str],
+    terms: Sequence[str],
+    indptr: np.ndarray,
+    columns: np.ndarray,
+    tf: np.ndarray,
+    lengths: np.ndarray,
     params: Bm25Params,
 ) -> FieldMatrix:
-    """CSR matrix from ``term -> [(article_id, tf), ...]`` in sorted order.
+    """Impacts and per-column statistics of one field's CSR postings.
 
     Build and load both come through here, so they produce the same arrays.
     """
-    n_cols = len(article_ids)
-    lengths = np.zeros(n_cols, dtype=np.int64)
-    for article_id, length in doc_len.items():
-        lengths[column[article_id]] = length
-    df = np.fromiter(map(len, postings.values()), np.int64, len(postings))
-    indptr = np.zeros(len(postings) + 1, dtype=np.int64)
-    np.cumsum(df, out=indptr[1:])
-    nnz = int(indptr[-1])
-    entries = list(chain.from_iterable(postings.values()))
-    ids = map(itemgetter(0), entries)
-    cols = np.fromiter(map(column.__getitem__, ids), np.int32, nnz)
-    tf = np.fromiter(map(itemgetter(1), entries), np.int32, nnz)
-
-    big_n = len(doc_len)
+    df = np.diff(indptr)
+    big_n = int(np.count_nonzero(lengths))
+    avgdl = int(lengths.sum()) / big_n if big_n else 0.0
     idf_rows = np.array([_idf(big_n, n) for n in df.tolist()], dtype=np.float64)
     k1, b = params.k1, params.b
     tf_f = tf.astype(np.float64)
-    norm = k1 * (1.0 - b + b * lengths[cols] / avgdl)
+    norm = k1 * (1.0 - b + b * lengths[columns] / avgdl)
     impact = np.repeat(idf_rows, df) * tf_f * (k1 + 1.0) / (tf_f + norm)
     return FieldMatrix(
-        terms={term: r for r, term in enumerate(postings)},
+        terms={term: r for r, term in enumerate(terms)},
         indptr=indptr,
-        columns=cols,
+        columns=columns,
         tf=tf,
         impact=impact,
         lengths=lengths,
-        distinct=np.bincount(cols, minlength=n_cols),
-        article_ids=article_ids,
+        distinct=np.bincount(columns, minlength=len(lengths)),
         doc_count=big_n,
         avgdl=avgdl,
-    )
-
-
-def _assemble(
-    records: Mapping[str, tuple[Mapping, Mapping, float]],
-    params: Bm25Params,
-    tokenizer_fingerprint: str,
-) -> LexIndex:
-    """Index from per-field ``(postings, doc_len, avgdl)``."""
-    article_ids = tuple(sorted(set().union(*(r[1] for r in records.values()))))
-    column = {article_id: c for c, article_id in enumerate(article_ids)}
-    fields = {
-        field: _field_matrix(postings, doc_len, avgdl, column, article_ids, params)
-        for field, (postings, doc_len, avgdl) in records.items()
-    }
-    return LexIndex(
-        article_ids=article_ids,
-        column=column,
-        title=fields["title"],
-        content=fields["content"],
-        params=params,
-        tokenizer_fingerprint=tokenizer_fingerprint,
     )
 
 
@@ -228,7 +198,8 @@ def build_lex_index(
     """Index title and content tokens of every article.
 
     Title tokens are indexed only when a title is present; a field whose
-    cleaned text has no tokens leaves the article out of that field.
+    cleaned text has no tokens leaves the article out of that field, and
+    an article with no tokens in either field gets no column.
     """
     if not articles:
         raise ValueError("empty corpus")
@@ -241,21 +212,31 @@ def build_lex_index(
             raise ValueError(f"duplicate article id {article.article_id!r}")
         seen.add(article.article_id)
 
-    records = {}
     ordered = sorted(articles, key=lambda a: a.article_id)
+    tokens = {f: [_field_tokens(a, f, tok) for a in ordered] for f in FIELDS}
+    kept = [i for i in range(len(ordered)) if any(tokens[f][i] for f in FIELDS)]
+    matrices = {}
     for field in FIELDS:
-        postings: dict[str, list[tuple[str, int]]] = {}
-        doc_len: dict[str, int] = {}
-        for article in ordered:
-            tokens = _field_tokens(article, field, tok)
-            if not tokens:
-                continue
-            doc_len[article.article_id] = len(tokens)
-            for token, count in Counter(tokens).items():
-                postings.setdefault(token, []).append((article.article_id, count))
-        avgdl = sum(doc_len.values()) / len(doc_len) if doc_len else 0.0
-        records[field] = (dict(sorted(postings.items())), doc_len, avgdl)
-    return _assemble(records, params, tok.fingerprint())
+        postings: dict[str, list[tuple[int, int]]] = {}
+        lengths = np.zeros(len(kept), dtype=np.int64)
+        for column, i in enumerate(kept):
+            lengths[column] = len(tokens[field][i])
+            for token, count in Counter(tokens[field][i]).items():
+                postings.setdefault(token, []).append((column, count))
+        terms = sorted(postings)
+        indptr = np.cumsum([0, *(len(postings[t]) for t in terms)], dtype=np.int64)
+        entries = [entry for term in terms for entry in postings[term]]
+        flat = np.fromiter(chain.from_iterable(entries), np.int32, 2 * len(entries))
+        columns, tf = flat.reshape(-1, 2).T.copy()  # two contiguous rows
+        matrices[field] = _field_matrix(terms, indptr, columns, tf, lengths, params)
+    return LexIndex(
+        article_ids=tuple(ordered[i].article_id for i in kept),
+        title=matrices["title"],
+        content=matrices["content"],
+        params=params,
+        tokenizer_fingerprint=tok.fingerprint(),
+        corpus_digest=corpus_digest(articles),
+    )
 
 
 @dataclass(frozen=True)
@@ -364,61 +345,54 @@ def retrieve_topk(
 
 
 def save_lex_index(index: LexIndex, path: str | Path) -> None:
-    """Persist as line-delimited JSON with a version header. Deterministic."""
+    """Persist both fields' postings and lengths (see ``indexfile``).
+
+    Deterministic. Load recomputes the impacts and per-column statistics
+    with the function build uses, so they are equal bit for bit.
+    """
     header = {
-        "format": LEX_INDEX_FORMAT,
-        "version": LEX_INDEX_VERSION,
         "tokenizer_fingerprint": index.tokenizer_fingerprint,
+        "corpus_digest": index.corpus_digest,
         "k1": index.params.k1,
         "b": index.params.b,
+        "article_ids": list(index.article_ids),
+        "terms": {field: list(index.stats(field).terms) for field in FIELDS},
     }
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(header, sort_keys=True) + "\n")
-        for field in FIELDS:
-            matrix = index.stats(field)
-            ids = [index.article_ids[c] for c in matrix.columns.tolist()]
-            tf = matrix.tf.tolist()
-            bounds = matrix.indptr.tolist()
-            record = {
-                "field": field,
-                "doc_count": matrix.doc_count,
-                "avgdl": matrix.avgdl,
-                "doc_len": matrix.doc_len,
-                "postings": {
-                    term: list(zip(ids[start:stop], tf[start:stop]))
-                    for term, start, stop in zip(matrix.terms, bounds, bounds[1:])
-                },
-            }
-            handle.write(json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n")
+    arrays = {
+        f"{field}.{name}": getattr(index.stats(field), name)
+        for field in FIELDS
+        for name in _SAVED
+    }
+    indexfile.save(path, LEX_INDEX_FORMAT, LEX_INDEX_VERSION, header, arrays)
 
 
 def load_lex_index(
     path: str | Path, expected_fingerprint: str | None = None
 ) -> LexIndex:
     """Load a persisted index; verify the tokenizer fingerprint if given."""
-    with open(path, encoding="utf-8") as handle:
-        header = json.loads(handle.readline())
-        if header.get("format") != LEX_INDEX_FORMAT:
-            raise ValueError(f"{path}: not a lexical index file")
-        if header.get("version") != LEX_INDEX_VERSION:
-            raise ValueError(f"{path}: unsupported version {header.get('version')}")
-        fingerprint = header["tokenizer_fingerprint"]
-        if expected_fingerprint is not None and fingerprint != expected_fingerprint:
-            raise ValueError(
-                f"{path}: tokenizer fingerprint mismatch "
-                f"(index {fingerprint}, expected {expected_fingerprint})"
-            )
-        records = {}
-        for line in handle:
-            record = json.loads(line)
-            records[record["field"]] = (
-                record["postings"],
-                record["doc_len"],
-                record["avgdl"],
-            )
+    header, arrays = indexfile.load(
+        path, LEX_INDEX_FORMAT, LEX_INDEX_VERSION, _LAYOUT,
+        {"tokenizer_fingerprint": expected_fingerprint},
+    )
+    ids = header["article_ids"]
+    params = Bm25Params(k1=header["k1"], b=header["b"])
+    matrices = {}
     for field in FIELDS:
-        if field not in records:
-            raise ValueError(f"{path}: missing field record {field!r}")
-    return _assemble(
-        records, Bm25Params(k1=header["k1"], b=header["b"]), fingerprint
+        terms = header["terms"][field]
+        indptr, columns, tf, lengths = (arrays[f"{field}.{name}"] for name in _SAVED)
+        indexfile.require_offsets(path, f"{field} indptr", indptr, len(terms), len(tf))
+        agree = (
+            len(columns) == len(tf)
+            and len(lengths) == len(ids)
+            and bool(np.all((columns >= 0) & (columns < len(ids))))
+        )
+        indexfile.require(agree, path, f"{field} postings disagree with the header")
+        matrices[field] = _field_matrix(terms, indptr, columns, tf, lengths, params)
+    return LexIndex(
+        article_ids=tuple(ids),
+        title=matrices["title"],
+        content=matrices["content"],
+        params=params,
+        tokenizer_fingerprint=header["tokenizer_fingerprint"],
+        corpus_digest=header["corpus_digest"],
     )

@@ -41,13 +41,24 @@ class LineProtocolClient:
         self._lock = threading.Lock()  # batches are serialized per child
 
     def call(self, requests: Sequence[dict]) -> list[dict]:
-        """Send a batch of request objects; returns responses in order."""
+        """Send a batch of request objects; returns responses in order.
+
+        After a failed batch (timeout, malformed or missing reply) replies
+        may still be in flight and would be read as the next batch's, so
+        the child is killed and every later call raises ``ProtocolError``.
+        """
         with self._lock:
-            return self._call_locked(requests)
+            try:
+                return self._call_locked(requests)
+            except ProtocolError:
+                self._proc.kill()
+                self._proc.wait()
+                self._buffer = b""
+                raise
 
     def _call_locked(self, requests: Sequence[dict]) -> list[dict]:
         if self._proc.poll() is not None:
-            raise ProtocolError(f"{self.command!r} exited before the batch")
+            raise ProtocolError(f"{self.command!r} is not running")
         payload = b"".join(
             json.dumps(req, ensure_ascii=False).encode("utf-8") + b"\n"
             for req in requests

@@ -14,7 +14,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from .corpus import Article, TokenizerConfig, iter_articles, load_corpus_file
+from .corpus import (
+    Article,
+    TokenizerConfig,
+    corpus_digest,
+    iter_articles,
+    load_corpus_file,
+)
 from .dense import (
     DenseIndex,
     ExternalEmbedder,
@@ -39,7 +45,7 @@ from .reranker import (
 )
 from .weak_label import WeakGenConfig
 
-__all__ = ["PipelineConfig", "Pipeline", "question_id_for"]
+__all__ = ["PipelineConfig", "Pipeline", "question_id_for", "require_same_corpus"]
 
 CONFIG_ENV_VAR = "STATUTEQA_CONFIG"
 
@@ -48,8 +54,8 @@ CONFIG_ENV_VAR = "STATUTEQA_CONFIG"
 class PipelineConfig:
     # paths
     corpus_path: str = "corpus.jsonl"
-    lex_index_path: str = "lex_index.jsonl"
-    dense_index_path: str = "dense_index.jsonl"
+    lex_index_path: str = "lex_index.bin"
+    dense_index_path: str = "dense_index.bin"
     model_path: str = "model.json"
     weak_dataset_path: str = "weak_dataset.jsonl"
     gold_path: str = "gold_queries.jsonl"
@@ -151,6 +157,20 @@ def question_id_for(question: str) -> str:
     return "q" + hashlib.sha1(question.encode("utf-8")).hexdigest()[:8]
 
 
+def require_same_corpus(
+    cfg: PipelineConfig, articles: Sequence[Article], lex: LexIndex, dense: DenseIndex
+) -> None:
+    """Reject indexes whose recorded corpus digest is not that of ``articles``."""
+    digest = corpus_digest(articles)
+    for path, index in ((cfg.lex_index_path, lex), (cfg.dense_index_path, dense)):
+        if index.corpus_digest != digest:
+            raise ValueError(
+                f"{path}: index built from a different corpus "
+                f"(index {index.corpus_digest[:16]}, "
+                f"{cfg.corpus_path} {digest[:16]})"
+            )
+
+
 class Pipeline:
     """Loaded corpus, indexes, and scorer behind one answer() call."""
 
@@ -184,6 +204,7 @@ class Pipeline:
                 cfg.dense_index_path,
                 expected_fingerprint=cfg.make_embedder().fingerprint(),
             )
+        require_same_corpus(cfg, articles, lex, dense)
 
         if cfg.external_scorer_cmd:
             scorer = ExternalScorer(
@@ -223,6 +244,7 @@ class Pipeline:
         info = {
             "tokenizer": self.lex.tokenizer_fingerprint,
             "embedder": self.dense.embedder_fingerprint,
+            "corpus": self.lex.corpus_digest,
         }
         if hasattr(self.scorer, "fingerprint"):
             info["scorer"] = self.scorer.fingerprint()

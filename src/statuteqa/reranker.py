@@ -127,7 +127,7 @@ def extract_features(
     column = lex.column.get(article.article_id)
     if column is None or not lex.content.lengths[column]:
         raise ValueError(f"article {article.article_id!r} not in lexical index")
-    if article.article_id not in dense.vectors:
+    if article.article_id not in dense.row:
         raise ValueError(f"article {article.article_id!r} not in dense index")
     if view is None:
         view = question_view(question, lex, dense, tok)

@@ -1,0 +1,33 @@
+"""Reference max-cosine arithmetic for the dense index tests."""
+
+import numpy as np
+
+
+def cosine(u: np.ndarray, v: np.ndarray) -> float:
+    """Cosine similarity; 0 when either vector has zero norm."""
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    if u.shape != v.shape:
+        raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
+    nu = float(np.linalg.norm(u))
+    nv = float(np.linalg.norm(v))
+    if nu == 0.0 or nv == 0.0:
+        return 0.0
+    return float(np.dot(u, v) / (nu * nv))
+
+
+def sentence_rows(index, article_id: str) -> np.ndarray:
+    """The article's rows of the index's sentence matrix."""
+    i = index.row[article_id]
+    return index.matrix[index.offsets[i] : index.offsets[i + 1]]
+
+
+def per_article_topk(index, question_vector: np.ndarray, k: int):
+    """Max cosine by a loop over separately copied per-article matrices."""
+    qnorm = float(np.linalg.norm(question_vector))
+    scored = [
+        (a, float(np.max(sentence_rows(index, a).copy() @ (question_vector / qnorm))))
+        for a in index.article_ids
+    ]
+    scored.sort(key=lambda item: (-item[1], item[0]))
+    return scored[:k]

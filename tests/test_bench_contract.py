@@ -5,11 +5,13 @@ attribute, and ``perfbench/run.py`` divides reranker time by the number of
 ``extract_features`` calls. A refactor that renames one of those
 functions, or stops calling ``extract_features`` once per candidate or
 ``retrieve_topk`` from ``rank_and_select``, would break the traced run
-without failing any other test. The tracer file is only read here.
+without failing any other test. The tracer file is only read here, and
+the benchmark's self-test is run as it is.
 """
 
 import importlib
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 
@@ -17,7 +19,8 @@ from statuteqa import ensemble, reranker
 from statuteqa.ensemble import EnsembleConfig, rank_and_select
 from statuteqa.lexical import QuickviewConfig
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def test_every_tracing_boundary_resolves(monkeypatch):
@@ -61,3 +64,12 @@ def test_rank_and_select_calls_retrieve_topk(synth, monkeypatch):
         EnsembleConfig(top_k=10), quickview_cfg=QuickviewConfig(), tok=synth.tok,
     )
     assert len(calls) == 1
+
+
+def test_bench_selftest_passes():
+    """The benchmark's own toy-size self-test, traced and untraced (~20 s)."""
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "selftest.py")],
+        cwd=ROOT, capture_output=True, text=True, timeout=600,
+    )
+    assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-4000:]

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from dense_oracle import cosine, per_article_topk, sentence_rows
 from statuteqa.corpus import Article, clean_text, split_sentences, tokenize
 from statuteqa.dense import (
     HashedProjectionEmbedder,
     build_dense_index,
-    cosine,
     dense_retrieve_topk,
     embed,
     load_dense_index,
@@ -61,11 +61,10 @@ def test_build_counts_sentences(tiny_articles):
     index, excluded = build_dense_index(tiny_articles, EMB)
     assert excluded == 0
     # hand count: 2 + 2 + 1 sentences
-    assert index.sentence_count("d1#1") == 2
-    assert index.sentence_count("d1#2") == 2
-    assert index.sentence_count("d2#1") == 1
-    total = sum(m.shape[0] for m in index.vectors.values())
-    assert total == 5
+    assert index.article_ids == ("d1#1", "d1#2", "d2#1")
+    assert index.offsets.tolist() == [0, 2, 4, 5]
+    assert index.matrix.shape == (5, 64)
+    assert index.matrix.flags.c_contiguous
 
 
 def test_build_excludes_unembeddable_articles():
@@ -75,7 +74,7 @@ def test_build_excludes_unembeddable_articles():
     ]
     index, excluded = build_dense_index(articles, EMB)
     assert excluded == 1
-    assert "b" not in index.vectors
+    assert index.article_ids == ("a",)
 
 
 def test_build_errors():
@@ -88,7 +87,7 @@ def test_quickview_dense_score_is_max_of_sentence_cosines(tiny_articles):
     question_vector = embed(EMB, ["land", "registry", "records"])
     for article in tiny_articles:
         explicit = max(
-            cosine(question_vector, row) for row in index.vectors[article.article_id]
+            cosine(question_vector, row) for row in sentence_rows(index, article.article_id)
         )
         got = quickview_dense_score(index, question_vector, article.article_id)
         assert got == pytest.approx(explicit, abs=1e-12)
@@ -133,12 +132,23 @@ def test_dense_retrieve_ties_break_by_id():
     assert [article_id for article_id, _ in ranked] == ["a", "b"]
 
 
+def test_matrix_scan_equals_per_article_loop(synth):
+    """One matvec and a segment max give the loop's scores and order exactly."""
+    questions = [q.question for q in synth.queries[:40]] + ["of", "civil law code"]
+    for question in questions:
+        vector = embed(synth.embedder, tokenize(clean_text(question)))
+        want = per_article_topk(synth.dense, vector, 60)
+        assert dense_retrieve_topk(synth.dense, question, 60) == want
+        for article_id, score in want:
+            assert quickview_dense_score(synth.dense, vector, article_id) == score
+
+
 def test_max_pool_dominance(tiny_articles):
     index, _ = build_dense_index(tiny_articles, EMB)
     question_vector = embed(EMB, ["civil", "code"])
     for article in tiny_articles:
         score = quickview_dense_score(index, question_vector, article.article_id)
-        for row in index.vectors[article.article_id]:
+        for row in sentence_rows(index, article.article_id):
             assert score >= cosine(question_vector, row) - 1e-12
 
 
@@ -159,33 +169,38 @@ def test_adding_sentence_never_decreases_score(tiny_articles):
 def test_reindex_reproduces_bit_identical_vectors(tiny_articles):
     first, _ = build_dense_index(tiny_articles, EMB)
     second, _ = build_dense_index(tiny_articles, HashedProjectionEmbedder(64, 0))
-    for article_id, matrix in first.vectors.items():
-        assert np.array_equal(matrix, second.vectors[article_id])
+    assert first.article_ids == second.article_ids
+    assert np.array_equal(first.offsets, second.offsets)
+    assert np.array_equal(first.matrix, second.matrix)
 
 
 def test_stored_vectors_satisfy_norm_invariant(synth):
-    for matrix in synth.dense.vectors.values():
-        norms = np.linalg.norm(matrix, axis=1)
-        for norm in norms:
-            assert norm == 0.0 or abs(norm - 1.0) <= 1e-9
+    for norm in np.linalg.norm(synth.dense.matrix, axis=1):
+        assert norm == 0.0 or abs(norm - 1.0) <= 1e-9
 
 
 def test_save_load_round_trip(tiny_articles, tmp_path):
     index, _ = build_dense_index(tiny_articles, EMB)
-    path = tmp_path / "dense.jsonl"
+    path = tmp_path / "dense.bin"
     save_dense_index(index, path)
     loaded = load_dense_index(path)
     assert loaded.embedder_fingerprint == index.embedder_fingerprint
-    for article_id, matrix in index.vectors.items():
-        assert np.allclose(loaded.vectors[article_id], matrix, atol=0)
+    assert loaded.article_ids == index.article_ids
+    assert loaded.corpus_digest == index.corpus_digest
+    assert np.array_equal(loaded.offsets, index.offsets)
+    assert np.array_equal(loaded.matrix, index.matrix)
+    assert loaded.matrix.flags.c_contiguous
     # reconstructed embedder answers questions identically
     ranked = dense_retrieve_topk(loaded, "Breach causes damages", 1)
     assert ranked[0][0] == "d1#1"
+    again = tmp_path / "again.bin"
+    save_dense_index(loaded, again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_save_deterministic_bytes(tiny_articles, tmp_path):
     index, _ = build_dense_index(tiny_articles, EMB)
-    p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
     save_dense_index(index, p1)
     save_dense_index(index, p2)
     assert p1.read_bytes() == p2.read_bytes()
@@ -193,7 +208,7 @@ def test_save_deterministic_bytes(tiny_articles, tmp_path):
 
 def test_load_fingerprint_mismatch(tiny_articles, tmp_path):
     index, _ = build_dense_index(tiny_articles, EMB)
-    path = tmp_path / "dense.jsonl"
+    path = tmp_path / "dense.bin"
     save_dense_index(index, path)
     with pytest.raises(ValueError, match="fingerprint mismatch"):
         load_dense_index(path, expected_fingerprint="ffffffffffffffff")

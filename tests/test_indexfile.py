@@ -1,0 +1,160 @@
+"""Index files are checked on load: anything but a well-formed file of the
+current format raises ValueError naming the path, and no array is ever
+unpickled."""
+
+import gzip
+import json
+
+import numpy as np
+import pytest
+
+from statuteqa import indexfile
+from statuteqa.corpus import TokenizerConfig
+from statuteqa.dense import (
+    HashedProjectionEmbedder,
+    build_dense_index,
+    load_dense_index,
+    save_dense_index,
+)
+from statuteqa.lexical import build_lex_index, load_lex_index, save_lex_index
+
+KINDS = ("lex", "dense")
+SPRUNG = []
+
+
+def _spring():
+    SPRUNG.append("unpickled")
+
+
+class Trap:
+    """Unpickling an instance calls ``_spring``."""
+
+    def __reduce__(self):
+        return (_spring, ())
+
+
+@pytest.fixture(scope="module")
+def indexes(tiny_articles):
+    lex = build_lex_index(tiny_articles, TokenizerConfig())
+    dense, _ = build_dense_index(tiny_articles, HashedProjectionEmbedder(64, 0))
+    return {
+        "lex": (lex, save_lex_index, load_lex_index),
+        "dense": (dense, save_dense_index, load_dense_index),
+    }
+
+
+def _saved(indexes, kind, tmp_path):
+    index, save, load = indexes[kind]
+    path = tmp_path / f"{kind}.bin"
+    save(index, path)
+    return path, load
+
+
+def _read(path):
+    with gzip.open(path, "rb") as stream:
+        header = json.loads(stream.readline())
+        arrays = {name: np.lib.format.read_array(stream) for name in header["arrays"]}
+    return header, arrays
+
+
+def _write(path, header, arrays):
+    indexfile.save(path, header["format"], header["version"], header, arrays)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_parent_json_lines_index_is_rejected(kind, indexes, tmp_path):
+    _, _, load = indexes[kind]
+    path = tmp_path / f"{kind}.jsonl"
+    header = {"format": f"statuteqa.{kind}index", "version": 1}
+    path.write_text(json.dumps(header) + "\n" + json.dumps({"field": "title"}) + "\n")
+    with pytest.raises(ValueError, match=f"{kind}.jsonl: Not a gzipped file"):
+        load(path)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_wrong_format_or_version_is_rejected(kind, indexes, tmp_path):
+    path, load = _saved(indexes, kind, tmp_path)
+    other = "dense" if kind == "lex" else "lex"
+    other_path, _ = _saved(indexes, other, tmp_path)
+    with pytest.raises(ValueError, match=f"{other}.bin: format mismatch"):
+        load(other_path)
+    header, arrays = _read(path)
+    _write(path, {**header, "version": 1}, arrays)
+    with pytest.raises(ValueError, match=f"{kind}.bin: version mismatch .index 1, expected 2"):
+        load(path)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_truncated_file_is_rejected(kind, indexes, tmp_path):
+    path, load = _saved(indexes, kind, tmp_path)
+    whole = path.read_bytes()
+    for size in (0, 10, len(whole) // 2, len(whole) - 1):
+        path.write_bytes(whole[:size])
+        with pytest.raises(ValueError, match=f"{kind}.bin: "):
+            load(path)
+
+
+def test_object_array_is_never_unpickled(indexes, tmp_path):
+    path, load = _saved(indexes, "dense", tmp_path)
+    header, arrays = _read(path)
+    with pytest.raises(ValueError, match="allow_pickle"):
+        _write(path, header, {**arrays, "matrix": np.array([Trap()], dtype=object)})
+    trap = np.array([Trap()], dtype=object)
+    with gzip.open(path, "wb") as out:
+        out.write(json.dumps(header).encode("utf-8") + b"\n")
+        np.lib.format.write_array(out, arrays["offsets"])
+        np.lib.format.write_array(out, trap, allow_pickle=True)
+    with pytest.raises(ValueError, match="dense.bin: .*allow_pickle=False"):
+        load(path)
+    assert SPRUNG == []
+
+
+def _set(name, make):
+    def edit(arrays):
+        arrays[name] = make(arrays[name])
+
+    return edit
+
+
+def _last_plus_one(a):
+    return a + (np.arange(len(a)) == len(a) - 1)
+
+
+# case -> (index kind, array, edit, expected message)
+DISAGREEMENTS = {
+    "offsets not increasing": (
+        "dense", "offsets", lambda a: np.array([0, 3, 2, 5]), "offsets must rise"
+    ),
+    "offsets past the rows": ("dense", "offsets", _last_plus_one, "offsets must rise"),
+    "matrix width": ("dense", "matrix", lambda a: a[:, :63], "width 63 differs from dimension"),
+    "offsets dtype": ("dense", "offsets", lambda a: a.astype(np.int32), "offsets is not 1-d int64"),
+    "column out of range": (
+        "lex", "content.columns", lambda a: np.where(a == 0, 3, a).astype(np.int32),
+        "content postings disagree",
+    ),
+    "negative column": ("lex", "title.columns", lambda a: a - 1, "title postings"),
+    "indptr past the postings": (
+        "lex", "content.indptr", _last_plus_one, "content indptr must rise"
+    ),
+    "lengths short": ("lex", "content.lengths", lambda a: a[:-1], "content postings"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DISAGREEMENTS))
+def test_arrays_that_disagree_with_the_header_are_rejected(case, indexes, tmp_path):
+    kind, name, edit, message = DISAGREEMENTS[case]
+    path, load = _saved(indexes, kind, tmp_path)
+    header, arrays = _read(path)
+    arrays[name] = edit(arrays[name])
+    _write(path, header, arrays)
+    with pytest.raises(ValueError, match=f"{kind}.bin: .*{message}"):
+        load(path)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_saved_file_is_one_gzip_stream_without_name_or_time(kind, indexes, tmp_path):
+    path, _ = _saved(indexes, kind, tmp_path)
+    raw = path.read_bytes()
+    assert raw[:2] == b"\x1f\x8b"
+    assert raw[3] == 0  # no FNAME (or other optional) header field
+    assert raw[4:8] == b"\0\0\0\0"  # mtime 0

@@ -23,10 +23,11 @@ from statuteqa.lexical import (
 def test_build_field_stats(tiny_lex):
     assert tiny_lex.stats("content").doc_count == 3
     assert tiny_lex.stats("content").avgdl == 7.0
-    assert tiny_lex.stats("content").doc_len == {"d1#1": 8, "d1#2": 8, "d2#1": 5}
+    assert tiny_lex.article_ids == ("d1#1", "d1#2", "d2#1")
+    assert tiny_lex.stats("content").lengths.tolist() == [8, 8, 5]
     assert tiny_lex.stats("title").doc_count == 2
     assert tiny_lex.stats("title").avgdl == 2.5
-    assert "d1#2" not in tiny_lex.stats("title").doc_len  # untitled
+    assert tiny_lex.stats("title").lengths.tolist() == [3, 0, 2]  # d1#2 untitled
 
 
 def test_build_errors(tiny_articles):
@@ -225,7 +226,7 @@ def test_content_monotonic_in_term_frequency(tiny_articles):
 
 
 def test_save_load_round_trip(tiny_articles, tiny_lex, tmp_path):
-    path = tmp_path / "lex.jsonl"
+    path = tmp_path / "lex.bin"
     save_lex_index(tiny_lex, path)
     loaded = load_lex_index(path, expected_fingerprint=TokenizerConfig().fingerprint())
     query = ["civil", "law", "contracts"]
@@ -235,20 +236,20 @@ def test_save_load_round_trip(tiny_articles, tiny_lex, tmp_path):
                 tiny_lex, field, query, article.article_id
             )
     assert retrieve_topk(loaded, query, 3) == retrieve_topk(tiny_lex, query, 3)
-    again = tmp_path / "again.jsonl"
+    again = tmp_path / "again.bin"
     save_lex_index(loaded, again)
     assert again.read_bytes() == path.read_bytes()
 
 
 def test_save_deterministic_bytes(tiny_lex, tmp_path):
-    p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
     save_lex_index(tiny_lex, p1)
     save_lex_index(tiny_lex, p2)
     assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_load_fingerprint_mismatch(tiny_lex, tmp_path):
-    path = tmp_path / "lex.jsonl"
+    path = tmp_path / "lex.bin"
     save_lex_index(tiny_lex, path)
     with pytest.raises(ValueError, match="fingerprint mismatch"):
         load_lex_index(path, expected_fingerprint="0000000000000000")

@@ -1,10 +1,13 @@
+import dataclasses
 import json
+import os
+import subprocess
 import sys
 
 import pytest
 
 from statuteqa.cli import main
-from statuteqa.corpus import write_corpus_file
+from statuteqa.corpus import LegalDocument, load_corpus_file, write_corpus_file
 from statuteqa.evaluation import write_gold_file
 from statuteqa.pipeline import Pipeline, PipelineConfig, question_id_for
 from statuteqa.synth import synthetic_corpus, title_gold_queries
@@ -20,8 +23,8 @@ def workspace(tmp_path_factory):
     write_gold_file(queries, root / "gold_queries.jsonl")
     config = {
         "corpus_path": str(root / "corpus.jsonl"),
-        "lex_index_path": str(root / "lex_index.jsonl"),
-        "dense_index_path": str(root / "dense_index.jsonl"),
+        "lex_index_path": str(root / "lex_index.bin"),
+        "dense_index_path": str(root / "dense_index.bin"),
         "model_path": str(root / "model.json"),
         "weak_dataset_path": str(root / "weak_dataset.jsonl"),
         "gold_path": str(root / "gold_queries.jsonl"),
@@ -58,11 +61,11 @@ def test_missing_corpus_is_runtime_error(tmp_path, capsys):
 
 def test_index_rerun_is_byte_identical(workspace):
     root, base, _ = workspace
-    lex_before = (root / "lex_index.jsonl").read_bytes()
-    dense_before = (root / "dense_index.jsonl").read_bytes()
+    lex_before = (root / "lex_index.bin").read_bytes()
+    dense_before = (root / "dense_index.bin").read_bytes()
     assert main(base + ["index"]) == 0
-    assert (root / "lex_index.jsonl").read_bytes() == lex_before
-    assert (root / "dense_index.jsonl").read_bytes() == dense_before
+    assert (root / "lex_index.bin").read_bytes() == lex_before
+    assert (root / "dense_index.bin").read_bytes() == dense_before
 
 
 def test_weaklabel_rerun_is_byte_identical(workspace):
@@ -81,6 +84,22 @@ def test_lock_file_blocks_concurrent_index(workspace, capsys):
         assert "lock" in capsys.readouterr().err
     finally:
         lock.unlink()
+
+
+def test_lock_left_by_exited_process_is_taken_over(workspace, capsys):
+    root, base, _ = workspace
+    lock = root / ".statuteqa.lock"
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()
+    try:
+        lock.write_text(str(child.pid))
+        assert main(base + ["index"]) == 0
+        assert not lock.exists()
+        lock.write_text(str(os.getpid()))  # a live holder still blocks
+        assert main(base + ["index"]) == 1
+        assert "lock" in capsys.readouterr().err
+    finally:
+        lock.unlink(missing_ok=True)
 
 
 def test_query_prints_gold_first(workspace, capsys):
@@ -177,6 +196,24 @@ def test_pipeline_load_rejects_stale_index(workspace):
     stale = PipelineConfig(**{**cfg.__dict__, "embedder_seed": 99})
     with pytest.raises(ValueError, match="fingerprint mismatch"):
         Pipeline.load(stale)
+
+
+def test_index_of_an_edited_corpus_is_rejected(workspace, tmp_path, capsys):
+    root, base, _ = workspace
+    docs, _ = load_corpus_file(root / "corpus.jsonl")
+    first, *rest = docs[0].articles
+    edited = dataclasses.replace(first, content=first.content + " Amended.")
+    docs[0] = LegalDocument(docs[0].doc_id, (edited, *rest))
+    corpus = tmp_path / "corpus.jsonl"
+    write_corpus_file(docs, corpus)
+    cfg = PipelineConfig.from_file(root / "config.json")
+    with pytest.raises(ValueError, match="different corpus"):
+        Pipeline.load(dataclasses.replace(cfg, corpus_path=str(corpus)))
+    model = tmp_path / "model.json"
+    flags = ["--corpus-path", str(corpus), "--model-path", str(model)]
+    assert main(base + ["train", *flags]) == 1
+    assert "different corpus" in capsys.readouterr().err
+    assert not model.exists()
 
 
 def test_train_gold_only_mode(workspace):

@@ -1,11 +1,12 @@
 import sys
+import time
 
 import numpy as np
 import pytest
 
 from statuteqa.corpus import Article
 from statuteqa.dense import ExternalEmbedder
-from statuteqa.lineproto import ProtocolError
+from statuteqa.lineproto import LineProtocolClient, ProtocolError
 from statuteqa.reranker import ExternalScorer, score_candidates
 
 CANDIDATES = [
@@ -93,3 +94,23 @@ def test_external_embedder_fingerprint_depends_on_name(scripts_dir):
     with ExternalEmbedder(cmd, dimension=8, name="model-a") as a:
         with ExternalEmbedder(cmd, dimension=8, name="model-b") as b:
             assert a.fingerprint() != b.fingerprint()
+
+
+LATE_ECHO = (
+    "import json, sys, time\n"
+    "for line in sys.stdin:\n"
+    "    time.sleep(0.5)\n"
+    "    print(json.dumps({'echo': json.loads(line)['n']}), flush=True)\n"
+)
+
+
+def test_late_reply_is_never_read_by_the_next_batch():
+    client = LineProtocolClient([sys.executable, "-c", LATE_ECHO], timeout=0.2)
+    try:
+        with pytest.raises(ProtocolError, match="timed out"):
+            client.call([{"n": 1}])
+        time.sleep(0.6)  # the late reply to n=1 has been written by now
+        with pytest.raises(ProtocolError, match="not running"):
+            client.call([{"n": 2}])
+    finally:
+        client.close()

@@ -7,7 +7,8 @@ import pytest
 from bm25_oracle import BruteForceBm25
 from conftest import field_token_lists
 from statuteqa.corpus import Article, TokenizerConfig, clean_text, tokenize
-from statuteqa.dense import HashedProjectionEmbedder, build_dense_index, cosine, embed
+from dense_oracle import cosine, sentence_rows
+from statuteqa.dense import HashedProjectionEmbedder, build_dense_index, embed
 from statuteqa.lexical import build_lex_index
 from statuteqa.reranker import (
     NUM_FEATURES,
@@ -69,7 +70,9 @@ def test_fixture_pair_hand_computation(tiny_setup):
     assert f[0] == pytest.approx(0.6015659322371294, abs=1e-12)
     assert f[1] == pytest.approx(0.7691562600624373, abs=1e-12)
     question_vector = embed(EMB, question.split())
-    expected_f3 = max(cosine(question_vector, row) for row in dense.vectors["d2#1"])
+    expected_f3 = max(
+        cosine(question_vector, row) for row in sentence_rows(dense, "d2#1")
+    )
     assert f[2] == pytest.approx(expected_f3, abs=1e-12)
     assert f[3] == pytest.approx(2 / 3)
     assert f[4] == pytest.approx(3 / 5)

@@ -6,7 +6,7 @@ import urllib.request
 
 import pytest
 
-from statuteqa.corpus import write_corpus_file
+from statuteqa.corpus import corpus_digest, write_corpus_file
 from statuteqa.dense import HashedProjectionEmbedder, build_dense_index, save_dense_index
 from statuteqa.evaluation import write_gold_file
 from statuteqa.lexical import build_lex_index, save_lex_index
@@ -33,8 +33,8 @@ def service(tmp_path_factory, request):
     lex = build_lex_index(articles, tok)
     embedder = HashedProjectionEmbedder(dimension=64, seed=0)
     dense, _ = build_dense_index(articles, embedder, tok)
-    save_lex_index(lex, root / "lex.jsonl")
-    save_dense_index(dense, root / "dense.jsonl")
+    save_lex_index(lex, root / "lex.bin")
+    save_dense_index(dense, root / "dense.bin")
     extractor = FeatureExtractor(articles, lex, dense, tok)
     weak = generate_weak_dataset(articles, WeakGenConfig(4, 0))
     model = train_stage(zero_model(), weak, [], TrainConfig(epochs=15), extractor)
@@ -42,8 +42,8 @@ def service(tmp_path_factory, request):
 
     cfg = PipelineConfig(
         corpus_path=str(root / "corpus.jsonl"),
-        lex_index_path=str(root / "lex.jsonl"),
-        dense_index_path=str(root / "dense.jsonl"),
+        lex_index_path=str(root / "lex.bin"),
+        dense_index_path=str(root / "dense.bin"),
         model_path=str(root / "model.json"),
         embedder_dimension=64,
         top_k=10,
@@ -79,6 +79,7 @@ def test_healthz(service):
     assert payload["status"] == "ok"
     assert payload["tokenizer"] == pipeline.lex.tokenizer_fingerprint
     assert payload["embedder"] == pipeline.dense.embedder_fingerprint
+    assert payload["corpus"] == corpus_digest(pipeline.articles)
 
 
 def test_answer_empty_question_is_400(service):
