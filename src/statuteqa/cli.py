@@ -16,17 +16,18 @@ import sys
 from pathlib import Path
 
 from . import server as server_mod
-from .corpus import clean_text, iter_articles, load_corpus_file, tokenize
-from .dense import build_dense_index, load_dense_index, save_dense_index
+from .corpus import iter_articles, load_corpus_file
+from .dense import build_dense_index, save_dense_index
 from .ensemble import answer_set_to_json
 from .evaluation import load_gold_file, run_eval, save_report, split_train_valid
-from .lexical import build_lex_index, load_lex_index, retrieve_topk, save_lex_index
+from .lexical import build_lex_index, save_lex_index
 from .pipeline import (
     CONFIG_ENV_VAR,
     Pipeline,
     PipelineConfig,
+    close_all,
+    load_artifacts,
     question_id_for,
-    require_same_corpus,
 )
 from .reranker import (
     FeatureExtractor,
@@ -184,8 +185,11 @@ def _cmd_index(cfg: PipelineConfig) -> int:
         lex = build_lex_index(articles, tok, cfg.bm25_params())
         save_lex_index(lex, cfg.lex_index_path)
         embedder = cfg.make_embedder()
-        dense, excluded = build_dense_index(articles, embedder, tok)
-        save_dense_index(dense, cfg.dense_index_path)
+        try:
+            dense, excluded = build_dense_index(articles, embedder, tok)
+            save_dense_index(dense, cfg.dense_index_path)
+        finally:
+            close_all(embedder)
     print(
         f"indexed {stats.documents} documents, {stats.articles} articles "
         f"({stats.titled} titled, {stats.missing_title} untitled, "
@@ -214,48 +218,43 @@ def _cmd_weaklabel(cfg: PipelineConfig) -> int:
 
 
 def _cmd_train(cfg: PipelineConfig, mode: str) -> int:
-    docs, _ = load_corpus_file(cfg.corpus_path)
-    articles = list(iter_articles(docs))
-    tok = cfg.tokenizer_config()
-    lex = load_lex_index(cfg.lex_index_path, expected_fingerprint=tok.fingerprint())
-    dense = load_dense_index(
-        cfg.dense_index_path, expected_fingerprint=cfg.make_embedder().fingerprint()
-    )
-    require_same_corpus(cfg, articles, lex, dense)
-    extractor = FeatureExtractor(articles, lex, dense, tok)
+    articles, lex, dense = load_artifacts(cfg)
+    try:
+        extractor = FeatureExtractor(articles, lex, dense, cfg.tokenizer_config())
+        gold_queries = load_gold_file(cfg.gold_path)
+        train_queries, valid_queries = split_train_valid(
+            gold_queries, cfg.split_ratio, cfg.split_seed
+        )
+        weak_cfg = cfg.weak_config()
+        gold_train = generate_gold_examples(
+            [(q.question, sorted(q.gold_article_ids)) for q in train_queries],
+            articles,
+            weak_cfg,
+        )
+        gold_valid = generate_gold_examples(
+            [(q.question, sorted(q.gold_article_ids)) for q in valid_queries],
+            articles,
+            dataclasses.replace(weak_cfg, rng_seed=weak_cfg.rng_seed + 1),
+        )
 
-    gold_queries = load_gold_file(cfg.gold_path)
-    train_queries, valid_queries = split_train_valid(
-        gold_queries, cfg.split_ratio, cfg.split_seed
-    )
-    weak_cfg = cfg.weak_config()
-    gold_train = generate_gold_examples(
-        [(q.question, sorted(q.gold_article_ids)) for q in train_queries],
-        articles,
-        weak_cfg,
-    )
-    gold_valid = generate_gold_examples(
-        [(q.question, sorted(q.gold_article_ids)) for q in valid_queries],
-        articles,
-        dataclasses.replace(weak_cfg, rng_seed=weak_cfg.rng_seed + 1),
-    )
-
-    train_cfg = cfg.train_config()
-    with _exclusive_lock(Path(cfg.model_path).resolve().parent):
-        if mode == "two-stage":
-            weak = read_dataset(cfg.weak_dataset_path)
-            model = train_two_stage(weak, gold_train, gold_valid, train_cfg, extractor)
-        elif mode == "weak-only":
-            weak = read_dataset(cfg.weak_dataset_path)
-            model = train_stage(
-                zero_model(), weak, gold_valid, train_cfg, extractor, stage="weak_only"
-            )
-        else:
-            model = train_stage(
-                zero_model(), gold_train, gold_valid, train_cfg, extractor,
-                stage="gold_only",
-            )
-        save_model(model, cfg.model_path)
+        train_cfg = cfg.train_config()
+        with _exclusive_lock(Path(cfg.model_path).resolve().parent):
+            if mode == "two-stage":
+                weak = read_dataset(cfg.weak_dataset_path)
+                model = train_two_stage(weak, gold_train, gold_valid, train_cfg, extractor)
+            elif mode == "weak-only":
+                weak = read_dataset(cfg.weak_dataset_path)
+                model = train_stage(
+                    zero_model(), weak, gold_valid, train_cfg, extractor, stage="weak_only"
+                )
+            else:
+                model = train_stage(
+                    zero_model(), gold_train, gold_valid, train_cfg, extractor,
+                    stage="gold_only",
+                )
+            save_model(model, cfg.model_path)
+    finally:
+        close_all(dense.embedder)
 
     best = model.metadata.get("best_val_loss")
     best_text = f"{best:.4f}" if isinstance(best, float) else "n/a"
@@ -311,32 +310,19 @@ def _cmd_eval(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     queries = load_gold_file(cfg.gold_path)
     if do_end_to_end:
         pipeline = Pipeline.load(cfg)
-        answer = pipeline.answer
-        quickview = (
-            (lambda q: pipeline.quickview_rank(q, max(ks))) if do_quickview else None
-        )
-    else:
-        # quickview-only evaluation does not need the trained model
-        tok = cfg.tokenizer_config()
-        lex = load_lex_index(cfg.lex_index_path, expected_fingerprint=tok.fingerprint())
-
-        def quickview(question: str):
-            tokens = tokenize(clean_text(question), tok)
-            return retrieve_topk(lex, tokens, max(ks), cfg.quickview_config())
-
-        answer = None
-        pipeline = None
-
+    else:  # quickview recall needs no scorer
+        pipeline = Pipeline(cfg, *load_artifacts(cfg), scorer=None)
     try:
         report = run_eval(
             queries,
             ks=ks if do_quickview else (),
-            quickview_rank=quickview,
-            answer=answer,
+            quickview_rank=(
+                (lambda q: pipeline.quickview_rank(q, max(ks))) if do_quickview else None
+            ),
+            answer=pipeline.answer if do_end_to_end else None,
         )
     finally:
-        if pipeline is not None:
-            pipeline.close()
+        pipeline.close()
 
     for k in ks if do_quickview else []:
         print(f"Recall@{k}: {report.recall_at_k[k]:.4f}")

@@ -159,6 +159,7 @@ class DenseIndex:
     Article ``i`` is ``article_ids[i]`` (sorted) and owns matrix rows
     ``offsets[i]:offsets[i + 1]``, in sentence order; every indexed
     article has at least one row. Rows are unit or zero vectors.
+    ``embedder`` embeds questions; its fingerprint is the index's.
     Immutable after build; safe for concurrent readers.
     """
 
@@ -168,8 +169,7 @@ class DenseIndex:
     offsets: np.ndarray  # int64, articles + 1
     matrix: np.ndarray  # C-contiguous float64, (sentences, dimension)
     corpus_digest: str  # corpus.corpus_digest of the articles given to build
-    embedder: Embedder | None = None
-    embedder_spec: dict | None = None
+    embedder: Embedder
     row: Mapping[str, int] = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -216,13 +216,6 @@ def build_dense_index(
         norm = float(np.linalg.norm(vec))
         matrix[r] = vec / norm if norm > 0.0 else vec  # unit or zero rows
 
-    spec = None
-    if isinstance(embedder, HashedProjectionEmbedder):
-        spec = {
-            "kind": "hashed_projection",
-            "dimension": embedder.dimension,
-            "seed": embedder.seed,
-        }
     index = DenseIndex(
         embedder_fingerprint=embedder.fingerprint(),
         dimension=embedder.dimension,
@@ -231,7 +224,6 @@ def build_dense_index(
         matrix=matrix,
         corpus_digest=corpus_digest(articles),
         embedder=embedder,
-        embedder_spec=spec,
     )
     return index, len(articles) - len(article_ids)
 
@@ -257,15 +249,6 @@ def quickview_dense_score(
     return float(np.max(sims))
 
 
-def embed_question(
-    index: DenseIndex, question: str, tok: TokenizerConfig | None = None
-) -> np.ndarray:
-    """Embed a question as a single unit with the index's embedder."""
-    if index.embedder is None:
-        raise ValueError("dense index has no runtime embedder attached")
-    return embed(index.embedder, tokenize(clean_text(question), tok))
-
-
 def dense_retrieve_topk(
     index: DenseIndex,
     question: str,
@@ -282,7 +265,7 @@ def dense_retrieve_topk(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    question_vector = embed_question(index, question, tok)
+    question_vector = embed(index.embedder, tokenize(clean_text(question), tok))
     if not np.any(question_vector):
         return []
     qnorm = float(np.linalg.norm(question_vector))
@@ -301,46 +284,29 @@ def save_dense_index(index: DenseIndex, path: str | Path) -> None:
         "embedder_fingerprint": index.embedder_fingerprint,
         "corpus_digest": index.corpus_digest,
         "dimension": index.dimension,
-        "embedder_spec": index.embedder_spec,
         "article_ids": list(index.article_ids),
     }
     arrays = {"offsets": index.offsets, "matrix": index.matrix}
     indexfile.save(path, DENSE_INDEX_FORMAT, DENSE_INDEX_VERSION, header, arrays)
 
 
-def load_dense_index(
-    path: str | Path,
-    embedder: Embedder | None = None,
-    expected_fingerprint: str | None = None,
-) -> DenseIndex:
-    """Load a persisted dense index.
+def load_dense_index(path: str | Path, embedder: Embedder) -> DenseIndex:
+    """Load a persisted dense index built with ``embedder``.
 
-    Hashed-projection indexes rebuild their embedder from the stored spec;
-    externally embedded indexes require a matching ``embedder`` argument to
-    answer new questions.
+    The file must record ``embedder``'s fingerprint; the loaded index
+    embeds questions with it.
     """
+    fingerprint = embedder.fingerprint()
     header, arrays = indexfile.load(
         path, DENSE_INDEX_FORMAT, DENSE_INDEX_VERSION, _LAYOUT,
-        {"embedder_fingerprint": expected_fingerprint},
+        {"embedder_fingerprint": fingerprint},
     )
-    fingerprint = header["embedder_fingerprint"]
     dimension = header["dimension"]
     ids = header["article_ids"]
     offsets, matrix = arrays["offsets"], arrays["matrix"]
     indexfile.require_offsets(path, "offsets", offsets, len(ids), len(matrix))
     width = f"matrix width {matrix.shape[1]} differs from dimension {dimension}"
     indexfile.require(matrix.shape[1] == dimension, path, width)
-
-    spec = header.get("embedder_spec")
-    if embedder is None and spec and spec.get("kind") == "hashed_projection":
-        embedder = HashedProjectionEmbedder(
-            dimension=spec["dimension"], seed=spec["seed"]
-        )
-    if embedder is not None and embedder.fingerprint() != fingerprint:
-        raise ValueError(
-            f"embedder fingerprint mismatch "
-            f"(index {fingerprint}, embedder {embedder.fingerprint()})"
-        )
     return DenseIndex(
         embedder_fingerprint=fingerprint,
         dimension=dimension,
@@ -349,5 +315,4 @@ def load_dense_index(
         matrix=matrix,
         corpus_digest=header["corpus_digest"],
         embedder=embedder,
-        embedder_spec=spec,
     )

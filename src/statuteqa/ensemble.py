@@ -26,6 +26,7 @@ __all__ = [
     "minmax_normalize",
     "combine",
     "select_answer_set",
+    "quickview_topk",
     "rank_and_select",
     "answer_set_to_json",
 ]
@@ -121,6 +122,27 @@ def select_answer_set(
     return [c for c in ordered if best - c.combined < threshold or c.combined == best]
 
 
+def quickview_topk(
+    question: str,
+    k: int,
+    source: str,
+    lex: LexIndex,
+    dense: DenseIndex | None,
+    quickview_cfg: QuickviewConfig | None = None,
+    tok: TokenizerConfig | None = None,
+) -> list[tuple[str, float]]:
+    """The ``k`` best (article id, score) of the ``source`` quickview.
+
+    ``source`` is ``"lexical"`` (fielded BM25) or ``"dense"`` (max
+    sentence cosine), as in ``EnsembleConfig.quickview_source``.
+    """
+    if source == "dense":
+        if dense is None:
+            raise ValueError("dense quickview requested but no dense index given")
+        return dense_retrieve_topk(dense, question, k, tok)
+    return retrieve_topk(lex, tokenize(clean_text(question), tok), k, quickview_cfg)
+
+
 def rank_and_select(
     question_id: str,
     question: str,
@@ -138,14 +160,9 @@ def rank_and_select(
     quickview candidate scores above zero the answer set is empty and
     flagged, which is distinct from selecting the best candidate.
     """
-    tok = tok or TokenizerConfig()
-    if cfg.quickview_source == "dense":
-        if dense is None:
-            raise ValueError("dense quickview requested but no dense index given")
-        ranked = dense_retrieve_topk(dense, question, cfg.top_k, tok)
-    else:
-        tokens = tokenize(clean_text(question), tok)
-        ranked = retrieve_topk(lex, tokens, cfg.top_k, quickview_cfg)
+    ranked = quickview_topk(
+        question, cfg.top_k, cfg.quickview_source, lex, dense, quickview_cfg, tok
+    )
     if not ranked:
         return AnswerSet(question_id=question_id, returned=(), no_candidates=True)
 

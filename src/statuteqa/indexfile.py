@@ -35,8 +35,8 @@ def load(path, fmt: str, version: int, layout: dict, expected: dict):
 
     Raises ``ValueError`` naming ``path`` for a file that is not gzip or is
     truncated; that has another format, version or set of arrays, or a
-    header value other than a non-None one in ``expected``; or whose
-    arrays or article ids are malformed.
+    header value other than one in ``expected``; or whose arrays or
+    article ids are malformed.
     """
     wanted = {"format": fmt, "version": version, "arrays": list(layout), **expected}
     try:
@@ -45,7 +45,7 @@ def load(path, fmt: str, version: int, layout: dict, expected: dict):
             if not isinstance(header, dict):
                 raise ValueError("no header line")
             for key, value in wanted.items():
-                if value is not None and header.get(key) != value:
+                if header.get(key) != value:
                     name, found = key.replace("_", " "), header.get(key)
                     raise ValueError(f"{name} mismatch (index {found}, expected {value})")
             read = np.lib.format.read_array

@@ -366,10 +366,8 @@ def save_lex_index(index: LexIndex, path: str | Path) -> None:
     indexfile.save(path, LEX_INDEX_FORMAT, LEX_INDEX_VERSION, header, arrays)
 
 
-def load_lex_index(
-    path: str | Path, expected_fingerprint: str | None = None
-) -> LexIndex:
-    """Load a persisted index; verify the tokenizer fingerprint if given."""
+def load_lex_index(path: str | Path, expected_fingerprint: str) -> LexIndex:
+    """Load a persisted index built with the tokenizer of this fingerprint."""
     header, arrays = indexfile.load(
         path, LEX_INDEX_FORMAT, LEX_INDEX_VERSION, _LAYOUT,
         {"tokenizer_fingerprint": expected_fingerprint},

@@ -27,15 +27,8 @@ from .dense import (
     HashedProjectionEmbedder,
     load_dense_index,
 )
-from .ensemble import AnswerSet, EnsembleConfig, rank_and_select
-from .lexical import (
-    Bm25Params,
-    LexIndex,
-    QuickviewConfig,
-    load_lex_index,
-    retrieve_topk,
-)
-from .corpus import clean_text, tokenize
+from .ensemble import AnswerSet, EnsembleConfig, quickview_topk, rank_and_select
+from .lexical import Bm25Params, LexIndex, QuickviewConfig, load_lex_index
 from .reranker import (
     ExternalScorer,
     FeatureExtractor,
@@ -45,7 +38,7 @@ from .reranker import (
 )
 from .weak_label import WeakGenConfig
 
-__all__ = ["PipelineConfig", "Pipeline", "question_id_for", "require_same_corpus"]
+__all__ = ["PipelineConfig", "Pipeline", "question_id_for", "load_artifacts", "close_all"]
 
 CONFIG_ENV_VAR = "STATUTEQA_CONFIG"
 
@@ -157,22 +150,50 @@ def question_id_for(question: str) -> str:
     return "q" + hashlib.sha1(question.encode("utf-8")).hexdigest()[:8]
 
 
-def require_same_corpus(
-    cfg: PipelineConfig, articles: Sequence[Article], lex: LexIndex, dense: DenseIndex
-) -> None:
-    """Reject indexes whose recorded corpus digest is not that of ``articles``."""
-    digest = corpus_digest(articles)
-    for path, index in ((cfg.lex_index_path, lex), (cfg.dense_index_path, dense)):
-        if index.corpus_digest != digest:
-            raise ValueError(
-                f"{path}: index built from a different corpus "
-                f"(index {index.corpus_digest[:16]}, "
-                f"{cfg.corpus_path} {digest[:16]})"
-            )
+def close_all(*resources) -> None:
+    """Close each resource that has a ``close`` (external child processes)."""
+    for resource in resources:
+        close = getattr(resource, "close", None)
+        if callable(close):
+            close()
+
+
+def load_artifacts(cfg: PipelineConfig) -> tuple[list[Article], LexIndex, DenseIndex]:
+    """The corpus and both indexes, checked against the config and each other.
+
+    Every command that reads the indexes loads them here. The lexical
+    index must record the configured tokenizer, the dense index the
+    configured embedder (which it then uses for questions), and both the
+    corpus's digest. The caller owns ``dense.embedder`` and closes it;
+    when loading fails it is closed here.
+    """
+    docs, _ = load_corpus_file(cfg.corpus_path)
+    articles = list(iter_articles(docs))
+    lex = load_lex_index(cfg.lex_index_path, cfg.tokenizer_config().fingerprint())
+    embedder = cfg.make_embedder()
+    try:
+        dense = load_dense_index(cfg.dense_index_path, embedder)
+        digest = corpus_digest(articles)
+        for path, index in ((cfg.lex_index_path, lex), (cfg.dense_index_path, dense)):
+            if index.corpus_digest != digest:
+                raise ValueError(
+                    f"{path}: index built from a different corpus "
+                    f"(index {index.corpus_digest[:16]}, "
+                    f"{cfg.corpus_path} {digest[:16]})"
+                )
+    except BaseException:
+        close_all(embedder)
+        raise
+    return articles, lex, dense
 
 
 class Pipeline:
-    """Loaded corpus, indexes, and scorer behind one answer() call."""
+    """Loaded corpus, indexes, and scorer behind one answer() call.
+
+    The pipeline owns ``scorer`` and ``dense.embedder`` and closes them in
+    ``close``, or at once if ``cfg`` holds invalid fusion or quickview
+    settings. ``scorer`` may be None for quickview-only use.
+    """
 
     def __init__(
         self,
@@ -182,6 +203,12 @@ class Pipeline:
         dense: DenseIndex,
         scorer,
     ) -> None:
+        try:
+            self.ensemble_cfg = cfg.ensemble_config()
+            self.quickview_cfg = cfg.quickview_config()
+        except ValueError:
+            close_all(scorer, dense.embedder)
+            raise
         self.cfg = cfg
         self.articles = list(articles)
         self.by_id = {a.article_id: a for a in self.articles}
@@ -192,40 +219,32 @@ class Pipeline:
 
     @classmethod
     def load(cls, cfg: PipelineConfig) -> "Pipeline":
-        docs, _ = load_corpus_file(cfg.corpus_path)
-        articles = list(iter_articles(docs))
-        tok = cfg.tokenizer_config()
-        lex = load_lex_index(cfg.lex_index_path, expected_fingerprint=tok.fingerprint())
-
-        if cfg.external_embedder_cmd:
-            dense = load_dense_index(cfg.dense_index_path, embedder=cfg.make_embedder())
-        else:
-            dense = load_dense_index(
-                cfg.dense_index_path,
-                expected_fingerprint=cfg.make_embedder().fingerprint(),
-            )
-        require_same_corpus(cfg, articles, lex, dense)
-
-        if cfg.external_scorer_cmd:
-            scorer = ExternalScorer(
-                cfg.external_scorer_cmd, timeout=cfg.external_scorer_timeout
-            )
-        else:
-            model = load_model(cfg.model_path)
-            extractor = FeatureExtractor(articles, lex, dense, tok)
-            scorer = ModelScorer(model, extractor)
+        articles, lex, dense = load_artifacts(cfg)
+        try:
+            if cfg.external_scorer_cmd:
+                scorer = ExternalScorer(
+                    cfg.external_scorer_cmd, timeout=cfg.external_scorer_timeout
+                )
+            else:
+                model = load_model(cfg.model_path)
+                extractor = FeatureExtractor(articles, lex, dense, cfg.tokenizer_config())
+                scorer = ModelScorer(model, extractor)
+        except BaseException:
+            close_all(dense.embedder)
+            raise
         return cls(cfg, articles, lex, dense, scorer)
 
-    def quickview_rank(self, question: str, k: int | None = None) -> list[tuple[str, float]]:
-        tokens = tokenize(clean_text(question), self.tok)
-        return retrieve_topk(
-            self.lex, tokens, k or self.cfg.top_k, self.cfg.quickview_config()
+    def quickview_rank(self, question: str, k: int) -> list[tuple[str, float]]:
+        """The ``k`` best candidates of the configured quickview."""
+        return quickview_topk(
+            question, k, self.ensemble_cfg.quickview_source, self.lex, self.dense,
+            self.quickview_cfg, self.tok,
         )
 
     def answer(
         self, question_id: str, question: str, top_k: int | None = None
     ) -> AnswerSet:
-        ensemble_cfg = self.cfg.ensemble_config()
+        ensemble_cfg = self.ensemble_cfg
         if top_k is not None:
             ensemble_cfg = dataclasses.replace(ensemble_cfg, top_k=top_k)
         return rank_and_select(
@@ -235,7 +254,7 @@ class Pipeline:
             self.scorer,
             self.by_id,
             ensemble_cfg,
-            quickview_cfg=self.cfg.quickview_config(),
+            quickview_cfg=self.quickview_cfg,
             tok=self.tok,
             dense=self.dense,
         )
@@ -251,7 +270,4 @@ class Pipeline:
         return info
 
     def close(self) -> None:
-        for obj in (self.scorer, self.dense.embedder):
-            close = getattr(obj, "close", None)
-            if callable(close):
-                close()
+        close_all(self.scorer, self.dense.embedder)

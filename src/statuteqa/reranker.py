@@ -98,8 +98,6 @@ def question_view(
     tok: TokenizerConfig | None = None,
 ) -> QuestionView:
     """Tokenize, embed and score the question against every article once."""
-    if dense.embedder is None:
-        raise ValueError("dense index has no runtime embedder attached")
     tokens = tokenize(clean_text(question), tok or TokenizerConfig())
     return QuestionView(
         length=len(tokens),

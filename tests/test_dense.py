@@ -1,8 +1,12 @@
+import gzip
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from dense_oracle import cosine, per_article_topk, sentence_rows
+from statuteqa import indexfile
 from statuteqa.corpus import Article, clean_text, split_sentences, tokenize
 from statuteqa.dense import (
     HashedProjectionEmbedder,
@@ -183,14 +187,14 @@ def test_save_load_round_trip(tiny_articles, tmp_path):
     index, _ = build_dense_index(tiny_articles, EMB)
     path = tmp_path / "dense.bin"
     save_dense_index(index, path)
-    loaded = load_dense_index(path)
+    loaded = load_dense_index(path, EMB)
     assert loaded.embedder_fingerprint == index.embedder_fingerprint
     assert loaded.article_ids == index.article_ids
     assert loaded.corpus_digest == index.corpus_digest
     assert np.array_equal(loaded.offsets, index.offsets)
     assert np.array_equal(loaded.matrix, index.matrix)
     assert loaded.matrix.flags.c_contiguous
-    # reconstructed embedder answers questions identically
+    # the loaded index answers questions with the given embedder
     ranked = dense_retrieve_topk(loaded, "Breach causes damages", 1)
     assert ranked[0][0] == "d1#1"
     again = tmp_path / "again.bin"
@@ -211,6 +215,23 @@ def test_load_fingerprint_mismatch(tiny_articles, tmp_path):
     path = tmp_path / "dense.bin"
     save_dense_index(index, path)
     with pytest.raises(ValueError, match="fingerprint mismatch"):
-        load_dense_index(path, expected_fingerprint="ffffffffffffffff")
+        load_dense_index(path, HashedProjectionEmbedder(32, seed=0))
     with pytest.raises(ValueError, match="fingerprint mismatch"):
-        load_dense_index(path, embedder=HashedProjectionEmbedder(64, seed=9))
+        load_dense_index(path, HashedProjectionEmbedder(64, seed=9))
+
+
+def test_file_with_an_embedder_spec_header_still_loads(tiny_articles, tmp_path):
+    """Files written before the header lost its ``embedder_spec`` key load."""
+    index, _ = build_dense_index(tiny_articles, EMB)
+    path = tmp_path / "dense.bin"
+    save_dense_index(index, path)
+    with gzip.open(path, "rb") as stream:
+        header = json.loads(stream.readline())
+    header.pop("embedder_spec", None)
+    header["embedder_spec"] = {"kind": "hashed_projection", "dimension": 64, "seed": 0}
+    arrays = {"offsets": index.offsets, "matrix": index.matrix}
+    indexfile.save(path, header["format"], header["version"], header, arrays)
+    loaded = load_dense_index(path, EMB)
+    assert loaded.embedder is EMB
+    assert np.array_equal(loaded.matrix, index.matrix)
+    assert dense_retrieve_topk(loaded, "Breach causes damages", 1)[0][0] == "d1#1"

@@ -2,6 +2,7 @@
 current format raises ValueError naming the path, and no array is ever
 unpickled."""
 
+import functools
 import gzip
 import json
 
@@ -35,11 +36,16 @@ class Trap:
 
 @pytest.fixture(scope="module")
 def indexes(tiny_articles):
-    lex = build_lex_index(tiny_articles, TokenizerConfig())
-    dense, _ = build_dense_index(tiny_articles, HashedProjectionEmbedder(64, 0))
+    tok, embedder = TokenizerConfig(), HashedProjectionEmbedder(64, 0)
+    lex = build_lex_index(tiny_articles, tok)
+    dense, _ = build_dense_index(tiny_articles, embedder)
     return {
-        "lex": (lex, save_lex_index, load_lex_index),
-        "dense": (dense, save_dense_index, load_dense_index),
+        "lex": (lex, save_lex_index, functools.partial(
+            load_lex_index, expected_fingerprint=tok.fingerprint()
+        )),
+        "dense": (dense, save_dense_index, functools.partial(
+            load_dense_index, embedder=embedder
+        )),
     }
 
 

@@ -6,9 +6,16 @@ import sys
 
 import pytest
 
+from statuteqa import dense, lineproto, reranker
 from statuteqa.cli import main
-from statuteqa.corpus import LegalDocument, load_corpus_file, write_corpus_file
-from statuteqa.evaluation import write_gold_file
+from statuteqa.corpus import (
+    LegalDocument,
+    TokenizerConfig,
+    iter_articles,
+    load_corpus_file,
+    write_corpus_file,
+)
+from statuteqa.evaluation import load_gold_file, recall_at_k, write_gold_file
 from statuteqa.pipeline import Pipeline, PipelineConfig, question_id_for
 from statuteqa.synth import synthetic_corpus, title_gold_queries
 
@@ -214,6 +221,11 @@ def test_index_of_an_edited_corpus_is_rejected(workspace, tmp_path, capsys):
     assert main(base + ["train", *flags]) == 1
     assert "different corpus" in capsys.readouterr().err
     assert not model.exists()
+    report = tmp_path / "report.json"
+    flags = ["--corpus-path", str(corpus), "--report-path", str(report)]
+    assert main(base + ["eval", "--quickview", *flags]) == 1
+    assert "different corpus" in capsys.readouterr().err
+    assert not report.exists()
 
 
 def test_train_gold_only_mode(workspace):
@@ -230,3 +242,136 @@ def test_dense_question_without_tokens_has_no_candidates(synth):
     answer = pipeline.answer("q-empty", "???")
     assert answer.no_candidates
     assert answer.returned == ()
+
+
+def test_invalid_fusion_settings_fail_at_load(workspace):
+    root, _, _ = workspace
+    cfg = PipelineConfig.from_file(root / "config.json")
+    with pytest.raises(ValueError, match="gamma"):
+        Pipeline.load(dataclasses.replace(cfg, gamma=2.0))
+    with pytest.raises(ValueError, match="quickview_source"):
+        Pipeline.load(dataclasses.replace(cfg, quickview_source="bm25"))
+    with pytest.raises(ValueError, match="boost weights"):
+        Pipeline.load(dataclasses.replace(cfg, alpha=-1.0))
+
+
+def _dense_recall(root, ks):
+    """Mean Recall@k of dense quickview, from an index built here."""
+    docs, _ = load_corpus_file(root / "corpus.jsonl")
+    index, _ = dense.build_dense_index(
+        list(iter_articles(docs)), dense.HashedProjectionEmbedder(64, 0)
+    )
+    queries = load_gold_file(root / "gold_queries.jsonl")
+    recall = {}
+    for k in ks:
+        ranked = [
+            [a for a, _ in dense.dense_retrieve_topk(index, q.question, k, TokenizerConfig())]
+            for q in queries
+        ]
+        hits = [recall_at_k(r, q.gold_article_ids, k) for r, q in zip(ranked, queries)]
+        recall[str(k)] = sum(hits) / len(hits)
+    return recall
+
+
+@pytest.mark.parametrize("mode", [["--quickview"], []])
+def test_eval_reports_the_configured_quickview_recall(workspace, tmp_path, mode):
+    root, _, _ = workspace
+    cfg = json.loads((root / "config.json").read_text())
+    cfg.update(quickview_source="dense", report_path=str(tmp_path / "report.json"))
+    (tmp_path / "config.json").write_text(json.dumps(cfg))
+    base = ["--config", str(tmp_path / "config.json")]
+    assert main(base + ["eval", *mode, "--k", "1,5"]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    expected = _dense_recall(root, (1, 5))
+    assert expected["1"] < 1.0  # lexical quickview gets 1.0 on these questions
+    assert report["recall_at_k"] == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.fixture
+def children(monkeypatch):
+    """Every line-protocol client started, by the embedder or the scorer."""
+    started = []
+
+    class Recording(lineproto.LineProtocolClient):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append(self)
+
+    monkeypatch.setattr(dense, "LineProtocolClient", Recording)
+    monkeypatch.setattr(reranker, "LineProtocolClient", Recording)
+    return started
+
+
+def _running(children):
+    return [c.command for c in children if c._proc.poll() is None]
+
+
+@pytest.fixture(scope="module")
+def external_ws(tmp_path_factory, scripts_dir):
+    """Config and inputs for a pipeline with an external embedder and scorer."""
+    root = tmp_path_factory.mktemp("external_ws")
+    docs = synthetic_corpus(30, seed=1)
+    write_corpus_file(docs, root / "corpus.jsonl")
+    write_gold_file(title_gold_queries(docs), root / "gold_queries.jsonl")
+    config = {
+        "corpus_path": str(root / "corpus.jsonl"),
+        "lex_index_path": str(root / "lex_index.bin"),
+        "dense_index_path": str(root / "dense_index.bin"),
+        "model_path": str(root / "model.json"),
+        "weak_dataset_path": str(root / "weak_dataset.jsonl"),
+        "gold_path": str(root / "gold_queries.jsonl"),
+        "report_path": str(root / "eval_report.json"),
+        "embedder_dimension": 8,
+        "external_embedder_cmd": [
+            sys.executable, str(scripts_dir / "echo_embedder.py"), "--dim", "8"
+        ],
+        "external_scorer_cmd": [sys.executable, str(scripts_dir / "echo_scorer.py")],
+        "top_k": 10,
+        "epochs": 3,
+    }
+    (root / "config.json").write_text(json.dumps(config))
+    return root, ["--config", str(root / "config.json")]
+
+
+def test_external_embedder_and_scorer_chain(external_ws, children, capsys):
+    root, base = external_ws
+    question = load_gold_file(root / "gold_queries.jsonl")[0].question
+    commands = (
+        ["index"],
+        ["weaklabel"],
+        ["train"],
+        ["query", "--question", question, "--json"],
+        ["eval", "--k", "1,5"],
+    )
+    codes, left_running = {}, {}
+    for command in commands:
+        codes[command[0]] = main(base + command)
+        left_running[command[0]] = _running(children)
+    assert codes == dict.fromkeys(codes, 0), capsys.readouterr().err
+    assert left_running == dict.fromkeys(codes, [])
+    assert children  # the embedder and scorer really ran as children
+
+
+def test_rejected_load_closes_the_embedder_child(external_ws, children, tmp_path):
+    root, base = external_ws
+    assert main(base + ["index"]) == 0
+    cfg = PipelineConfig.from_file(root / "config.json")
+    docs, _ = load_corpus_file(root / "corpus.jsonl")
+    first, *rest = docs[0].articles
+    docs[0] = LegalDocument(
+        docs[0].doc_id, (dataclasses.replace(first, title="Amended"), *rest)
+    )
+    write_corpus_file(docs, tmp_path / "corpus.jsonl")
+    rejected = {
+        "different corpus": {"corpus_path": str(tmp_path / "corpus.jsonl")},
+        "gamma": {"gamma": 2.0},
+        "cannot start": {"external_scorer_cmd": [str(tmp_path / "no-such-scorer")]},
+        "model.json": {
+            "external_scorer_cmd": None, "model_path": str(tmp_path / "model.json")
+        },
+    }
+    for message, change in rejected.items():
+        with pytest.raises((ValueError, OSError, RuntimeError), match=message):
+            Pipeline.load(dataclasses.replace(cfg, **change))
+        assert _running(children) == [], message
+    assert len(children) >= 1 + len(rejected)
