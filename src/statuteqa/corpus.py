@@ -99,6 +99,11 @@ def clean_text(raw: str) -> str:
     return "".join(out)
 
 
+def _has_text(raw: str) -> bool:
+    """Whether ``clean_text(raw)`` is non-empty, without building it."""
+    return any(ch.isalpha() or ch.isdecimal() for ch in raw.lower())
+
+
 def tokenize(text: str, cfg: TokenizerConfig | None = None) -> list[str]:
     """Split cleaned text into tokens, merging lexicon phrases if configured."""
     tokens = text.split()
@@ -191,10 +196,10 @@ def parse_corpus(lines: Iterable[str]) -> tuple[list[LegalDocument], ParseStats]
             if not isinstance(content, str):
                 raise CorpusFormatError(f"line {lineno}: content must be a string")
 
-            if not clean_text(content):
+            if not _has_text(content):
                 stats.dropped_empty_content += 1
                 continue
-            if title is not None and not clean_text(title):
+            if title is not None and not _has_text(title):
                 title = None
             kept.append(Article(article_id, doc_id, title, content))
             stats.articles += 1

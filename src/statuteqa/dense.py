@@ -17,7 +17,7 @@ import dataclasses
 import hashlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Protocol, Sequence
+from typing import Iterable, Mapping, Protocol, Sequence
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .corpus import (
     split_sentences,
     tokenize,
 )
-from .lineproto import LineProtocolClient, ProtocolError
+from .lineproto import LineProtocolClient, ProtocolError, finite_real
 
 __all__ = [
     "Embedder",
@@ -50,6 +50,7 @@ DENSE_INDEX_VERSION = 2
 _LAYOUT = {"offsets": (np.int64, 1), "matrix": (np.float64, 2)}
 
 DEFAULT_DIMENSION = 300
+_GATHER_ROWS = 64  # sentence rows copied at a time to score a candidate batch
 
 
 class Embedder(Protocol):
@@ -129,12 +130,13 @@ class ExternalEmbedder:
         vectors = []
         for response in responses:
             vector = response.get("vector")
-            if not isinstance(vector, list) or len(vector) != self.dimension:
+            reals = [finite_real(v) for v in vector] if isinstance(vector, list) else []
+            if len(reals) != self.dimension or None in reals:
                 raise ProtocolError(
-                    f"external embedder returned a malformed vector "
-                    f"(expected {self.dimension} reals)"
+                    f"external embedder {self._name!r} returned a malformed vector "
+                    f"(expected {self.dimension} finite reals)"
                 )
-            vectors.append(np.asarray(vector, dtype=np.float64))
+            vectors.append(np.asarray(reals, dtype=np.float64))
         return vectors
 
     def close(self) -> None:
@@ -228,25 +230,36 @@ def build_dense_index(
     return index, len(articles) - len(article_ids)
 
 
+def _max_cosine(blocks: Iterable, vector: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Max cosine with ``vector`` over each run of unit or zero rows; ``blocks``
+    yields the rows in order, and non-empty run ``j`` starts at row
+    ``starts[j]``. A zero vector scores 0."""
+    qnorm = float(np.linalg.norm(vector))
+    if qnorm == 0.0:
+        return np.zeros(len(starts))
+    unit = vector / qnorm
+    sims = [np.zeros(0), *(block @ unit for block in blocks)]
+    return np.maximum.reduceat(np.concatenate(sims), starts)
+
+
 def quickview_dense_score(
-    index: DenseIndex, question_vector: np.ndarray, article_id: str
-) -> float:
-    """Maximum cosine between the question vector and the article's sentences."""
-    i = index.row.get(article_id)
-    if i is None:
-        raise KeyError(f"article {article_id!r} not in dense index")
+    index: DenseIndex, question_vector: np.ndarray, article_ids: Sequence[str]
+) -> np.ndarray:
+    """Each listed article's max sentence cosine, in list order. Rows are copied
+    ``_GATHER_ROWS`` at a time, so concurrent answers hold small copies."""
+    positions = np.array([index.row[a] for a in article_ids], dtype=np.int64)
     question_vector = np.asarray(question_vector, dtype=np.float64)
     if question_vector.shape != (index.dimension,):
         raise ValueError(
             f"dimension mismatch: {question_vector.shape} vs ({index.dimension},)"
         )
-    qnorm = float(np.linalg.norm(question_vector))
-    if qnorm == 0.0:
-        return 0.0
-    # Sentence rows are unit or zero vectors, so row dot / qnorm is the cosine.
-    sentences = index.matrix[index.offsets[i] : index.offsets[i + 1]]
-    sims = sentences @ (question_vector / qnorm)
-    return float(np.max(sims))
+    first = index.offsets[positions]
+    counts = index.offsets[positions + 1] - first
+    starts = np.cumsum(counts) - counts  # each article's first gathered row
+    rows = np.repeat(first - starts, counts) + np.arange(counts.sum())
+    chunks = range(0, len(rows), _GATHER_ROWS)
+    blocks = (index.matrix[rows[i : i + _GATHER_ROWS]] for i in chunks)
+    return _max_cosine(blocks, question_vector, starts)
 
 
 def dense_retrieve_topk(
@@ -268,9 +281,7 @@ def dense_retrieve_topk(
     question_vector = embed(index.embedder, tokenize(clean_text(question), tok))
     if not np.any(question_vector):
         return []
-    qnorm = float(np.linalg.norm(question_vector))
-    sims = index.matrix @ (question_vector / qnorm)
-    scores = np.maximum.reduceat(sims, index.offsets[:-1])
+    scores = _max_cosine([index.matrix], question_vector, index.offsets[:-1])
     top = np.argsort(-scores, kind="stable")[:k]  # positions are in id order
     return [(index.article_ids[i], float(scores[i])) for i in top.tolist()]
 

@@ -8,6 +8,7 @@ adapters.
 from __future__ import annotations
 
 import json
+import math
 import os
 import select
 import subprocess
@@ -15,11 +16,26 @@ import threading
 import time
 from typing import Sequence
 
-__all__ = ["ProtocolError", "LineProtocolClient"]
+__all__ = ["ProtocolError", "LineProtocolClient", "finite_real"]
 
 
 class ProtocolError(RuntimeError):
     """Child process unreachable, timed out, or sent a malformed response."""
+
+
+def finite_real(value: object) -> float | None:
+    """``value`` as a float if it is a finite JSON number, else None.
+
+    Booleans, strings, null, NaN, infinities and integers too large for a
+    float are not finite reals.
+    """
+    if type(value) not in (int, float):
+        return None
+    try:
+        number = float(value)
+    except OverflowError:
+        return None
+    return number if math.isfinite(number) else None
 
 
 class LineProtocolClient:

@@ -27,7 +27,7 @@ import numpy as np
 from .corpus import Article, TokenizerConfig, clean_text, tokenize
 from .dense import DenseIndex, embed, quickview_dense_score
 from .lexical import LexIndex, QueryScores, score_query
-from .lineproto import LineProtocolClient, ProtocolError
+from .lineproto import LineProtocolClient, ProtocolError, finite_real
 from .weak_label import TrainingExample
 
 __all__ = [
@@ -46,7 +46,6 @@ __all__ = [
     "train_two_stage",
     "ModelScorer",
     "ExternalScorer",
-    "score_candidates",
     "zero_model",
     "save_model",
     "load_model",
@@ -108,33 +107,23 @@ def question_view(
 
 
 def extract_features(
-    question: str,
-    article: Article,
-    lex: LexIndex,
-    dense: DenseIndex,
-    tok: TokenizerConfig | None = None,
-    view: QuestionView | None = None,
+    view: QuestionView, article: Article, lex: LexIndex, dense_score: float
 ) -> np.ndarray:
-    """Feature vector for one question/article pair.
+    """Feature vector for one article under a question's view.
 
-    ``view`` is the question's precomputed :class:`QuestionView`; without
-    it one is computed here. Article-side values come from the lexical
-    index, so no article text is tokenized. Raises if the article is
-    absent from either index. A missing title zeroes the title features.
+    ``dense_score`` is the article's max sentence cosine with the question;
+    the rest comes from the lexical index (no article text is tokenized),
+    which must hold the article. A missing title zeroes the title features.
     """
     column = lex.column.get(article.article_id)
     if column is None or not lex.content.lengths[column]:
         raise ValueError(f"article {article.article_id!r} not in lexical index")
-    if article.article_id not in dense.row:
-        raise ValueError(f"article {article.article_id!r} not in dense index")
-    if view is None:
-        view = question_view(question, lex, dense, tok)
     scores = view.lexical
 
     features = np.empty(NUM_FEATURES, dtype=np.float64)
     features[0] = _saturate(scores.bm25["title"][column])
     features[1] = _saturate(scores.bm25["content"][column])
-    features[2] = quickview_dense_score(dense, view.vector, article.article_id)
+    features[2] = dense_score
     features[3] = _jaccard(
         int(scores.matched["title"][column]),
         view.distinct,
@@ -154,7 +143,7 @@ def extract_features(
 class FeatureExtractor:
     """Feature source bound to a corpus and its indexes.
 
-    Holds no per-question state: each caller computes a question's view
+    Holds no per-question state: each call computes the question's view
     and drops it when done, so memory does not grow with the questions
     asked.
     """
@@ -171,34 +160,32 @@ class FeatureExtractor:
         self.dense = dense
         self.tok = tok or TokenizerConfig()
 
-    def question_view(self, question: str) -> QuestionView:
-        return question_view(question, self.lex, self.dense, self.tok)
-
-    def features(
-        self, question: str, article_id: str, view: QuestionView | None = None
-    ) -> np.ndarray:
-        article = self.by_id.get(article_id)
-        if article is None:
-            raise ValueError(f"unknown article id {article_id!r}")
-        return extract_features(
-            question,
-            article,
-            self.lex,
-            self.dense,
-            self.tok,
-            view=view,
-        )
+    def rows(self, question: str, articles: Sequence[Article]) -> np.ndarray:
+        """Feature rows in article order; raises for an article outside an index."""
+        view = question_view(question, self.lex, self.dense, self.tok)
+        ids = [a.article_id for a in articles]
+        try:
+            dense_scores = quickview_dense_score(self.dense, view.vector, ids)
+        except KeyError as exc:
+            raise ValueError(f"article {exc.args[0]!r} not in dense index") from None
+        x = np.empty((len(articles), NUM_FEATURES), dtype=np.float64)
+        for i, (article, dense_score) in enumerate(zip(articles, dense_scores)):
+            x[i] = extract_features(view, article, self.lex, dense_score)
+        return x
 
     def matrix(
         self, examples: Sequence[TrainingExample]
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Feature rows in example order; one question view per distinct question."""
+        """Feature rows in example order; one ``rows`` call per distinct question."""
         x = np.empty((len(examples), NUM_FEATURES), dtype=np.float64)
         by_question = sorted(range(len(examples)), key=lambda i: examples[i].question)
         for question, group in groupby(by_question, key=lambda i: examples[i].question):
-            view = self.question_view(question)
-            for i in group:
-                x[i] = self.features(question, examples[i].article_id, view)
+            group = list(group)
+            try:
+                articles = [self.by_id[examples[i].article_id] for i in group]
+            except KeyError as exc:
+                raise ValueError(f"unknown article id {exc.args[0]!r}") from None
+            x[group] = self.rows(question, articles)
         y = np.asarray([ex.label for ex in examples], dtype=np.float64)
         return x, y
 
@@ -389,10 +376,8 @@ class ModelScorer:
         return f"linear:{digest}"
 
     def score_batch(self, question: str, candidates: Sequence[Article]) -> list[float]:
-        view = self.extractor.question_view(question)
         return [
-            predict(self.model, self.extractor.features(question, a.article_id, view))
-            for a in candidates
+            predict(self.model, row) for row in self.extractor.rows(question, candidates)
         ]
 
 
@@ -422,13 +407,13 @@ class ExternalScorer:
             ) from exc
         scores = []
         for response in responses:
-            score = response.get("score")
-            if not isinstance(score, (int, float)) or not 0.0 <= float(score) <= 1.0:
+            score = finite_real(response.get("score"))
+            if score is None or not 0.0 <= score <= 1.0:
                 raise ProtocolError(
-                    f"external scorer sent a malformed score for batch {batch_ids}: "
-                    f"{response!r}"
+                    f"external scorer {self._name!r} sent a malformed score for "
+                    f"batch {batch_ids}: {response!r}"
                 )
-            scores.append(float(score))
+            scores.append(score)
         return scores
 
     def close(self) -> None:
@@ -439,18 +424,6 @@ class ExternalScorer:
 
     def __exit__(self, *exc: object) -> None:
         self.close()
-
-
-def score_candidates(
-    scorer: ModelScorer | ExternalScorer,
-    question: str,
-    candidates: Sequence[Article],
-) -> list[tuple[str, float]]:
-    """One supervised score per candidate, input order preserved."""
-    if not candidates:
-        raise ValueError("candidates must be non-empty")
-    scores = scorer.score_batch(question, candidates)
-    return list(zip((a.article_id for a in candidates), scores))
 
 
 def save_model(model: LinearModel, path: str | Path) -> None:

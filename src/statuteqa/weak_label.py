@@ -55,24 +55,43 @@ class WeakGenConfig:
             raise ValueError("negative_ratio must be >= 1")
 
 
+def _positions(pool: Sequence[str]) -> dict[str, list[int]]:
+    """Each article id's positions in the pool, ascending."""
+    where: dict[str, list[int]] = {}
+    for position, article_id in enumerate(pool):
+        where.setdefault(article_id, []).append(position)
+    return where
+
+
 def _sample_negatives(
     question: str,
-    exclude: set[str],
+    excluded: Sequence[int],
     pool: Sequence[str],
     count: int,
     rng: random.Random,
     origin: str,
 ) -> list[TrainingExample]:
-    candidates = [article_id for article_id in pool if article_id not in exclude]
-    if len(candidates) < count:
+    """``count`` ids sampled from the pool without its ``excluded`` positions.
+
+    ``random.Random.sample`` uses only its population's length and indexes
+    into it, so sampling ``range(available)`` and shifting each index past
+    the excluded positions (ascending) draws the same ids in the same order
+    as sampling the filtered list, without building that list.
+    """
+    available = len(pool) - len(excluded)
+    if available < count:
         raise ValueError(
             f"corpus too small: need {count} negative candidates, "
-            f"have {len(candidates)}"
+            f"have {available}"
         )
-    return [
-        TrainingExample(question, article_id, 0, origin)
-        for article_id in rng.sample(candidates, count)
-    ]
+    examples = []
+    for index in rng.sample(range(available), count):
+        for position in excluded:
+            if index < position:
+                break
+            index += 1
+        examples.append(TrainingExample(question, pool[index], 0, origin))
+    return examples
 
 
 def generate_weak_dataset(
@@ -91,6 +110,7 @@ def generate_weak_dataset(
             f"({len(articles)} < {cfg.negative_ratio + 1})"
         )
     pool = [a.article_id for a in articles]
+    where = _positions(pool)
     rng = random.Random(cfg.rng_seed)
     examples: list[TrainingExample] = []
     for article in articles:
@@ -100,10 +120,9 @@ def generate_weak_dataset(
         if not question:
             continue
         examples.append(TrainingExample(question, article.article_id, 1, "weak"))
+        excluded = where[article.article_id]
         examples.extend(
-            _sample_negatives(
-                question, {article.article_id}, pool, cfg.negative_ratio, rng, "weak"
-            )
+            _sample_negatives(question, excluded, pool, cfg.negative_ratio, rng, "weak")
         )
     return examples
 
@@ -121,6 +140,7 @@ def generate_gold_examples(
     """
     cfg = cfg or WeakGenConfig()
     pool = [a.article_id for a in articles]
+    where = _positions(pool)
     rng = random.Random(cfg.rng_seed)
     examples: list[TrainingExample] = []
     for question, gold_ids in question_gold_pairs:
@@ -129,9 +149,10 @@ def generate_gold_examples(
             raise ValueError(f"question {question!r} has an empty gold set")
         for article_id in gold:
             examples.append(TrainingExample(question, article_id, 1, "gold"))
+        excluded = sorted(i for a in set(gold) for i in where.get(a, ()))
         examples.extend(
             _sample_negatives(
-                question, set(gold), pool, cfg.negative_ratio * len(gold), rng, "gold"
+                question, excluded, pool, cfg.negative_ratio * len(gold), rng, "gold"
             )
         )
     return examples

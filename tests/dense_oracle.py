@@ -22,6 +22,16 @@ def sentence_rows(index, article_id: str) -> np.ndarray:
     return index.matrix[index.offsets[i] : index.offsets[i + 1]]
 
 
+def per_article_max_cosine(index, question_vector: np.ndarray, article_ids) -> np.ndarray:
+    """Each listed article's max cosine by a loop over its rows, one at a time."""
+    return np.array(
+        [
+            max(cosine(question_vector, row) for row in sentence_rows(index, a))
+            for a in article_ids
+        ]
+    )
+
+
 def per_article_topk(index, question_vector: np.ndarray, k: int):
     """Max cosine by a loop over separately copied per-article matrices."""
     qnorm = float(np.linalg.norm(question_vector))

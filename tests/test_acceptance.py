@@ -362,15 +362,16 @@ def test_c11_protocol_conformance(scripts_dir):
         import sys as _sys
 
         from statuteqa.dense import ExternalEmbedder
-        from statuteqa.reranker import ExternalScorer, score_candidates
+        from statuteqa.reranker import ExternalScorer
 
         candidates = [
             Article(f"p{i}", "d", f"Title {i}", f"Content body {i}.") for i in range(5)
         ]
         cmd = [_sys.executable, str(scripts_dir / "echo_scorer.py")]
+        ids = [c.article_id for c in candidates]
         with ExternalScorer(cmd) as scorer:
-            forward = score_candidates(scorer, "question", candidates)
-            backward = score_candidates(scorer, "question", candidates[::-1])
+            forward = list(zip(ids, scorer.score_batch("question", candidates)))
+            backward = zip(ids[::-1], scorer.score_batch("question", candidates[::-1]))
         assert [a for a, _ in forward] == [c.article_id for c in candidates]
         assert dict(forward) == dict(backward)
         assert len({s for _, s in forward}) == len(candidates)

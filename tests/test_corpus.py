@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from statuteqa.corpus import (
     CorpusFormatError,
@@ -175,6 +175,46 @@ def test_parse_corpus_drops_empty_cleaned_content():
     assert stats.missing_title == 1
     assert docs[0].articles[0].article_id == "b"
     assert docs[0].articles[0].title is None
+
+
+# Superscripts and fractions are digits but not decimals; U+0130 lowercases
+# to "i" plus the combining dot U+0307, which alone is not a letter.
+TEXT_CASES = {
+    "m²": True,
+    "²": False,
+    "½": False,
+    "٣": True,  # Arabic-Indic three is a decimal
+    "İ": True,
+    "\u0307": False,
+    "_": False,
+}
+
+
+def _parse_one(title, content):
+    article = {"article_id": "a", "title": title, "content": content}
+    record = {"doc_id": "d", "articles": [article]}
+    docs, stats = parse_corpus([json.dumps(record)])
+    return list(iter_articles(docs)), stats
+
+
+@pytest.mark.parametrize("raw, has_text", TEXT_CASES.items())
+def test_parse_corpus_keeps_text_with_a_letter_or_decimal(raw, has_text):
+    articles, stats = _parse_one(raw, raw)
+    assert stats.dropped_empty_content == (not has_text)
+    articles, _ = _parse_one(raw, "body")
+    assert articles[0].title == (raw if has_text else None)
+
+
+@given(st.text())
+@example("")
+def test_parse_corpus_keeps_exactly_what_cleans_to_text(raw):
+    """Emptiness is tested without cleaning; it must agree with clean_text."""
+    cleans_to_text = bool(clean_text(raw))
+    articles, stats = _parse_one(raw, raw)
+    assert stats.dropped_empty_content == (not cleans_to_text)
+    assert [a.content for a in articles] == ([raw] if cleans_to_text else [])
+    articles, _ = _parse_one(raw, "body")
+    assert articles[0].title == (raw if cleans_to_text else None)
 
 
 def test_corpus_file_round_trip(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 from bm25_oracle import BruteForceBm25
 from conftest import field_token_lists
 from statuteqa.corpus import Article, TokenizerConfig, clean_text, tokenize
-from dense_oracle import cosine, sentence_rows
+from dense_oracle import cosine, per_article_max_cosine, sentence_rows
 from statuteqa.dense import HashedProjectionEmbedder, build_dense_index, embed
 from statuteqa.lexical import build_lex_index
 from statuteqa.reranker import (
@@ -17,13 +17,10 @@ from statuteqa.reranker import (
     ModelScorer,
     TrainConfig,
     cross_entropy_gradient,
-    extract_features,
     load_model,
     mean_cross_entropy,
     predict,
-    question_view,
     save_model,
-    score_candidates,
     train_stage,
     train_two_stage,
     zero_model,
@@ -42,31 +39,31 @@ def tiny_setup(tiny_articles):
 
 
 def test_zero_overlap_features(tiny_setup):
-    articles, lex, dense, _ = tiny_setup
-    f = extract_features("zebra quark synergy", articles[0], lex, dense)
+    articles, _, _, extractor = tiny_setup
+    f = extractor.rows("zebra quark synergy", [articles[0]])[0]
     assert f[0] == f[1] == f[3] == f[4] == 0.0
     assert abs(f[2]) < 0.75  # hashed vectors are nearly orthogonal, not exactly
     assert f[7] == 1.0
 
 
 def test_question_equal_to_title_gives_unit_jaccard(tiny_setup):
-    articles, lex, dense, _ = tiny_setup
-    f = extract_features("Law of Contracts", articles[0], lex, dense)
+    articles, _, _, extractor = tiny_setup
+    f = extractor.rows("Law of Contracts", [articles[0]])[0]
     assert f[3] == 1.0
 
 
 def test_missing_title_zeroes_title_features(tiny_setup):
-    articles, lex, dense, _ = tiny_setup
+    articles, _, _, extractor = tiny_setup
     untitled = articles[1]
-    f = extract_features("property law", untitled, lex, dense)
+    f = extractor.rows("property law", [untitled])[0]
     assert f[0] == 0.0 and f[3] == 0.0
     assert f[1] > 0.0
 
 
 def test_fixture_pair_hand_computation(tiny_setup):
-    articles, lex, dense, _ = tiny_setup
+    articles, _, dense, extractor = tiny_setup
     question = "civil code obligations"
-    f = extract_features(question, articles[2], lex, dense)
+    f = extractor.rows(question, [articles[2]])[0]
     assert f[0] == pytest.approx(0.6015659322371294, abs=1e-12)
     assert f[1] == pytest.approx(0.7691562600624373, abs=1e-12)
     question_vector = embed(EMB, question.split())
@@ -82,11 +79,10 @@ def test_fixture_pair_hand_computation(tiny_setup):
 
 
 def test_features_bounded(tiny_setup, synth):
-    articles, lex, dense, _ = tiny_setup
+    articles, _, _, extractor = tiny_setup
     questions = ["civil code", "law of contracts", "land registry records titles"]
     for question in questions:
-        for article in articles:
-            f = extract_features(question, article, lex, dense)
+        for f in extractor.rows(question, articles):
             assert np.all(np.isfinite(f))
             for i in (0, 1, 3, 4):
                 assert 0.0 <= f[i] <= 1.0
@@ -98,22 +94,26 @@ def _saturate(score):
 
 
 def test_precomputed_view_matches_text_reference(synth):
-    """Features from a shared question view equal features computed alone,
-    and both equal the text-based reference: oracle BM25 and set Jaccard."""
+    """Rows built from one view of the question equal the text-based
+    reference: oracle BM25 and set Jaccard exactly, the max cosine of a
+    per-article loop within 1e-12. A one-article batch gives the same row."""
     title = BruteForceBm25(field_token_lists(synth.articles, "title"))
     content = BruteForceBm25(field_token_lists(synth.articles, "content"))
+    batch = synth.articles[::7]
+    lexical = [0, 1, 3, 4, 5, 6, 7]  # every feature but the dense cosine
     for query in synth.queries[:5]:
         question = query.question
-        view = question_view(question, synth.lex, synth.dense, synth.tok)
+        rows = synth.extractor.rows(question, batch)
         q_tokens = tokenize(clean_text(question), synth.tok)
-        for article in synth.articles[::7]:
-            alone = extract_features(
-                question, article, synth.lex, synth.dense, synth.tok
-            )
-            shared = extract_features(
-                question, article, synth.lex, synth.dense, synth.tok, view=view
-            )
-            assert np.array_equal(alone, shared)
+        vector = embed(synth.embedder, q_tokens)
+        cosines = per_article_max_cosine(
+            synth.dense, vector, [a.article_id for a in batch]
+        )
+        for article, shared, max_cosine in zip(batch, rows, cosines):
+            alone = synth.extractor.rows(question, [article])[0]
+            assert np.array_equal(alone[lexical], shared[lexical])
+            assert alone[2] == pytest.approx(shared[2], abs=1e-12)
+            assert shared[2] == pytest.approx(max_cosine, abs=1e-12)
 
             a_title = set(title.docs.get(article.article_id, ()))
             a_content = set(content.docs[article.article_id])
@@ -134,7 +134,7 @@ def test_extractor_keeps_no_per_question_state(synth):
     }
     scorer = ModelScorer(synth.model, extractor)
     for query in synth.queries[:6]:
-        score_candidates(scorer, query.question, synth.articles[:4])
+        scorer.score_batch(query.question, synth.articles[:4])
     after = vars(extractor)
     assert after.keys() == before.keys()
     for name, value in after.items():
@@ -143,10 +143,26 @@ def test_extractor_keeps_no_per_question_state(synth):
 
 
 def test_unknown_article_rejected(tiny_setup):
-    articles, lex, dense, _ = tiny_setup
+    articles, _, _, extractor = tiny_setup
     ghost = Article("ghost", "d9", None, "never indexed.")
     with pytest.raises(ValueError, match="not in"):
-        extract_features("anything", ghost, lex, dense)
+        extractor.rows("anything", [ghost])
+
+
+@pytest.mark.parametrize(
+    "lex_count, dense_count, missing",
+    [(3, 2, "not in dense index"), (2, 3, "not in lexical index")],
+)
+def test_article_outside_one_index_rejected(
+    tiny_articles, lex_count, dense_count, missing
+):
+    lex = build_lex_index(tiny_articles[:lex_count], TokenizerConfig())
+    dense, _ = build_dense_index(tiny_articles[:dense_count], EMB)
+    extractor = FeatureExtractor(tiny_articles, lex, dense, TokenizerConfig())
+    with pytest.raises(ValueError, match=missing):
+        extractor.rows("civil code", tiny_articles)
+    with pytest.raises(ValueError, match=missing):
+        extractor.matrix([TrainingExample("civil code", "d2#1", 1, "weak")])
 
 
 def test_predict_values():
@@ -278,25 +294,25 @@ def test_two_stage_rejects_empty_datasets():
         train_two_stage(_toy_examples(), [], [], cfg, ToyExtractor())
 
 
-def test_score_candidates_order_and_permutation(synth):
+def test_score_batch_order_and_permutation(synth):
     question = synth.queries[0].question
     candidates = synth.articles[:6]
-    scored = score_candidates(synth.scorer, question, candidates)
-    assert [article_id for article_id, _ in scored] == [a.article_id for a in candidates]
-    reversed_scored = score_candidates(synth.scorer, question, candidates[::-1])
+    ids = [a.article_id for a in candidates]
+    scored = list(zip(ids, synth.scorer.score_batch(question, candidates)))
+    assert [article_id for article_id, _ in scored] == ids
+    reversed_scored = zip(ids[::-1], synth.scorer.score_batch(question, candidates[::-1]))
     assert dict(scored) == dict(reversed_scored)
-    single = score_candidates(synth.scorer, question, candidates[:1])
+    single = synth.scorer.score_batch(question, candidates[:1])
     assert len(single) == 1
-    with pytest.raises(ValueError):
-        score_candidates(synth.scorer, question, [])
+    assert synth.scorer.score_batch(question, []) == []
 
 
 def test_model_scorer_matches_predict(synth):
     question = synth.queries[3].question
     article = synth.articles[0]
     scorer = ModelScorer(synth.model, synth.extractor)
-    [(_, score)] = score_candidates(scorer, question, [article])
-    features = synth.extractor.features(question, article.article_id)
+    [score] = scorer.score_batch(question, [article])
+    features = synth.extractor.rows(question, [article])[0]
     assert score == predict(synth.model, features)
 
 

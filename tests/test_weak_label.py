@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -157,3 +158,66 @@ def test_dataset_file_round_trip(tmp_path):
     path = tmp_path / "weak.jsonl"
     write_dataset(examples, path)
     assert read_dataset(path) == examples
+
+
+def _filtered_list_negatives(question, exclude, pool, count, rng, origin):
+    """The sampler as first written: O(N) per call, rebuilding the pool."""
+    candidates = [article_id for article_id in pool if article_id not in exclude]
+    if len(candidates) < count:
+        raise ValueError("corpus too small")
+    return [
+        TrainingExample(question, article_id, 0, origin)
+        for article_id in rng.sample(candidates, count)
+    ]
+
+
+def _reference_weak(articles, cfg):
+    pool = [a.article_id for a in articles]
+    rng = random.Random(cfg.rng_seed)
+    examples = []
+    for article in articles:
+        question = clean_text(article.title or "")
+        if question:
+            examples.append(TrainingExample(question, article.article_id, 1, "weak"))
+            examples += _filtered_list_negatives(
+                question, {article.article_id}, pool, cfg.negative_ratio, rng, "weak"
+            )
+    return examples
+
+
+def _reference_gold(pairs, articles, cfg):
+    pool = [a.article_id for a in articles]
+    rng = random.Random(cfg.rng_seed)
+    examples = []
+    for question, gold in pairs:
+        examples += [TrainingExample(question, a, 1, "gold") for a in gold]
+        examples += _filtered_list_negatives(
+            question, set(gold), pool, cfg.negative_ratio * len(gold), rng, "gold"
+        )
+    return examples
+
+
+@pytest.mark.parametrize("n", [5, 9, 30, 400])
+@pytest.mark.parametrize("seed", [0, 1, 7, 12345])
+def test_weak_sampling_draws_the_filtered_list_stream(n, seed):
+    """Index shifting gives the examples of sampling the rebuilt pool list."""
+    articles = _titled_articles(n, untitled={2, 3})
+    cfg = WeakGenConfig(4, seed)
+    assert generate_weak_dataset(articles, cfg) == _reference_weak(articles, cfg)
+
+
+@pytest.mark.parametrize("n", [12, 40, 400])
+@pytest.mark.parametrize("seed", [0, 3, 99])
+def test_gold_sampling_draws_the_filtered_list_stream(n, seed):
+    """Gold sets of several ids, repeated ids and ids outside the corpus."""
+    articles = _titled_articles(n)
+    rng = random.Random(seed)
+    ids = [a.article_id for a in articles]
+    pairs = [
+        (f"question {i}", rng.sample(ids, rng.randint(1, 2)) + extra)
+        for i, extra in enumerate([[], ["a00"], ["ghost"], [], ["a01", "a01"]])
+    ]
+    cfg = WeakGenConfig(2, seed)
+    assert generate_gold_examples(pairs, articles, cfg) == _reference_gold(
+        pairs, articles, cfg
+    )
