@@ -247,7 +247,9 @@ def quickview_dense_score(
 ) -> np.ndarray:
     """Each listed article's max sentence cosine, in list order. Rows are copied
     ``_GATHER_ROWS`` at a time, so concurrent answers hold small copies."""
-    positions = np.array([index.row[a] for a in article_ids], dtype=np.int64)
+    positions = np.fromiter(
+        map(index.row.__getitem__, article_ids), dtype=np.int64, count=len(article_ids)
+    )
     question_vector = np.asarray(question_vector, dtype=np.float64)
     if question_vector.shape != (index.dimension,):
         raise ValueError(

@@ -5,6 +5,11 @@ candidate list, combined as ``gamma * quickview + (1 - gamma) * supervised``,
 and the answer set is every candidate whose combined score lies strictly
 within ``threshold`` of the best candidate. The best candidate (and any
 exact ties with it) is always returned.
+
+Scores are arrays over the candidate list: normalization, fusion and
+selection are elementwise, with the operations of the scalar rules in
+their order, and a ``RankedCandidate`` is built only for a returned
+article.
 """
 
 from __future__ import annotations
@@ -12,6 +17,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from .corpus import Article, TokenizerConfig, clean_text, tokenize
 from .dense import DenseIndex, dense_retrieve_topk
@@ -90,36 +97,45 @@ class AnswerSet:
     no_candidates: bool = False
 
 
-def minmax_normalize(scores: Sequence[float]) -> list[float]:
-    """(s - min) / (max - min); a constant list maps to all ones."""
-    if not scores:
+def minmax_normalize(scores: Sequence[float] | np.ndarray) -> np.ndarray:
+    """(s - min) / (max - min) as float64; a constant list maps to all ones."""
+    scores = np.asarray(scores, dtype=np.float64)
+    if not scores.size:
         raise ValueError("cannot normalize an empty score list")
-    low = min(scores)
-    high = max(scores)
+    low = scores.min()
+    high = scores.max()
     if high == low:
-        return [1.0] * len(scores)
-    span = high - low
-    return [(s - low) / span for s in scores]
+        return np.ones_like(scores)
+    return (scores - low) / (high - low)
 
 
-def combine(qs_norm: float, ss_norm: float, gamma: float) -> float:
-    """gamma-weighted sum of the normalized quickview and supervised scores."""
+def combine(
+    qs_norm: float | np.ndarray, ss_norm: float | np.ndarray, gamma: float
+) -> float | np.ndarray:
+    """gamma-weighted sum of the normalized quickview and supervised scores,
+    of two floats or elementwise of two arrays."""
     return gamma * qs_norm + (1.0 - gamma) * ss_norm
 
 
 def select_answer_set(
-    candidates: Sequence[RankedCandidate], threshold: float
-) -> list[RankedCandidate]:
-    """Candidates within ``threshold`` (strict) of the best combined score.
+    article_ids: Sequence[str], combined: np.ndarray, threshold: float
+) -> np.ndarray:
+    """Positions of the candidates within ``threshold`` (strict) of the best
+    combined score, ordered by descending combined score, ties by ascending id.
 
     The best candidate and exact ties with it are always selected, so a
     zero threshold returns exactly the top combined score group.
     """
-    if not candidates:
-        return []
-    ordered = sorted(candidates, key=lambda c: (-c.combined, c.article_id))
-    best = ordered[0].combined
-    return [c for c in ordered if best - c.combined < threshold or c.combined == best]
+    combined = np.asarray(combined, dtype=np.float64)
+    if not combined.size:
+        return np.zeros(0, dtype=np.intp)
+    n = len(article_ids)
+    id_rank = np.empty(n, dtype=np.intp)
+    id_rank[sorted(range(n), key=article_ids.__getitem__)] = np.arange(n)
+    order = np.lexsort((id_rank, -combined))
+    ordered = combined[order]
+    best = ordered[0]
+    return order[(best - ordered < threshold) | (ordered == best)]
 
 
 def quickview_topk(
@@ -166,27 +182,27 @@ def rank_and_select(
     if not ranked:
         return AnswerSet(question_id=question_id, returned=(), no_candidates=True)
 
-    candidate_articles = [articles_by_id[article_id] for article_id, _ in ranked]
-    qs_raw = [score for _, score in ranked]
-    ss_raw = [float(s) for s in scorer.score_batch(question, candidate_articles)]
+    ids, qs = zip(*ranked)
+    candidate_articles = list(map(articles_by_id.__getitem__, ids))
+    qs_raw = np.array(qs, dtype=np.float64)
+    ss_raw = np.asarray(
+        scorer.score_batch(question, candidate_articles), dtype=np.float64
+    )
+    if ss_raw.shape != qs_raw.shape:
+        raise ValueError(
+            f"scorer returned {ss_raw.shape} scores for {len(ids)} candidates"
+        )
     qs_norm = minmax_normalize(qs_raw)
     ss_norm = minmax_normalize(ss_raw)
+    combined = combine(qs_norm, ss_norm, cfg.gamma)
 
-    candidates = [
-        RankedCandidate(
-            article_id=article_id,
-            qs_raw=qs,
-            qs_norm=qn,
-            ss_raw=ss,
-            ss_norm=sn,
-            combined=combine(qn, sn, cfg.gamma),
-        )
-        for (article_id, _), qs, qn, ss, sn in zip(
-            ranked, qs_raw, qs_norm, ss_raw, ss_norm
-        )
-    ]
-    returned = select_answer_set(candidates, cfg.effective_threshold())
-    return AnswerSet(question_id=question_id, returned=tuple(returned))
+    keep = select_answer_set(ids, combined, cfg.effective_threshold())
+    table = np.column_stack((qs_raw, qs_norm, ss_raw, ss_norm, combined))
+    returned = tuple(
+        RankedCandidate(ids[i], *row)
+        for i, row in zip(keep.tolist(), table[keep].tolist())
+    )
+    return AnswerSet(question_id=question_id, returned=returned)
 
 
 def answer_set_to_json(answer: AnswerSet) -> str:

@@ -13,13 +13,14 @@ ranking contract asks. Per-article token counts and distinct-term counts
 are arrays over the same columns; an article absent from a field (an
 untitled article, say) has length 0 there.
 
-``score_query`` is the one place query-time BM25 is computed: it adds the
-rows of the query's tokens, in query order and once per occurrence, into
-float64 accumulators that start at 0.0. Each article thus receives the
-same additions, in the same order, as a per-article loop over the query
-tokens, and each impact is computed with the same operations in the same
-order as the scalar formula (idf with ``math.log``), so the sums are equal
-bit for bit to that loop's.
+Query-time BM25 is a sum of impacts taken in query order, once per token
+occurrence, into float64 accumulators that start at 0.0. ``score_query``
+takes it for every article (the quickview); ``score_columns`` takes it for
+a few given article columns only (the reranker's features). Each article
+thus receives the same additions, in the same order, as a per-article loop
+over the query tokens, and each impact is computed with the same
+operations in the same order as the scalar formula (idf with
+``math.log``), so both functions equal that loop bit for bit.
 """
 
 from __future__ import annotations
@@ -42,9 +43,9 @@ __all__ = [
     "Bm25Params",
     "QuickviewConfig",
     "LexIndex",
-    "QueryScores",
     "build_lex_index",
     "score_query",
+    "score_columns",
     "idf",
     "bm25",
     "quickview_lex_score",
@@ -239,39 +240,58 @@ def build_lex_index(
     )
 
 
-@dataclass(frozen=True)
-class QueryScores:
-    """Per-field BM25 and matched distinct query terms for every column."""
+def score_query(index: LexIndex, query: Sequence[str]) -> dict[str, np.ndarray]:
+    """Per-field BM25 of every article column, in one pass over the query's rows.
 
-    bm25: Mapping[str, np.ndarray]  # field -> float64 per article column
-    matched: Mapping[str, np.ndarray]  # field -> int64 per article column
-
-
-def score_query(index: LexIndex, query: Sequence[str]) -> QueryScores:
-    """One pass over the query's rows in both fields.
-
-    BM25 takes each token's row once per occurrence, in query order, and
+    Each token's row is taken once per occurrence, in query order, and
     ``np.bincount`` adds the entries into zeroed float64 accumulators in
-    that order; ``matched`` counts the distinct query terms each article
-    contains.
+    that order.
     """
     n_cols = len(index.article_ids)
-    bm25_by_field, matched_by_field = {}, {}
+    bm25_by_field = {}
     for field in FIELDS:
         matrix = index.stats(field)
         rows = {token: matrix.row(token) for token in query}
         occurrences = [rows[token] for token in query if rows[token] is not None]
-        distinct = [row for row in rows.values() if row is not None]
         # astype: with no occurrences bincount returns integer zeros
         bm25_by_field[field] = np.bincount(
             _concat(matrix.columns, occurrences),
             weights=_concat(matrix.impact, occurrences),
             minlength=n_cols,
         ).astype(np.float64, copy=False)
-        matched_by_field[field] = np.bincount(
-            _concat(matrix.columns, distinct), minlength=n_cols
-        )
-    return QueryScores(bm25=bm25_by_field, matched=matched_by_field)
+    return bm25_by_field
+
+
+def score_columns(
+    matrix: FieldMatrix, query: Sequence[str], columns: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """One field's BM25 and matched distinct query terms at the given columns.
+
+    ``columns`` may be in any order and repeat. Each distinct query token
+    finds the columns in its row with ``np.searchsorted``; its impact there,
+    or 0.0, is then added once per occurrence, in query order, into zeroed
+    float64 accumulators, so each value equals ``score_query``'s bit for bit
+    without a pass over the other articles.
+    """
+    columns = np.asarray(columns, dtype=matrix.columns.dtype)
+    matched = np.zeros(len(columns), dtype=np.int64)
+    impacts = {}
+    for token in dict.fromkeys(query):
+        row = matrix.row(token)
+        if row is None:
+            continue
+        row_columns = matrix.columns[row]
+        at = row_columns.searchsorted(columns)
+        # a position past the row's end clips to its last entry, which is
+        # smaller than the column sought, so it is no hit
+        hit = row_columns.take(at, mode="clip") == columns
+        matched += hit
+        impacts[token] = np.where(hit, matrix.impact[row].take(at, mode="clip"), 0.0)
+    scores = np.zeros(len(columns), dtype=np.float64)
+    for token in query:
+        if token in impacts:
+            scores += impacts[token]
+    return scores, matched
 
 
 def _concat(values: np.ndarray, rows: Sequence[slice]) -> np.ndarray:
@@ -296,7 +316,7 @@ def bm25(index: LexIndex, field: str, query: Sequence[str], article_id: str) -> 
     column = index.column.get(article_id)
     if column is None:
         return 0.0
-    return float(score_query(index, query).bm25[field][column])
+    return float(score_query(index, query)[field][column])
 
 
 def quickview_lex_score(
@@ -329,7 +349,7 @@ def retrieve_topk(
     if k < 1:
         raise ValueError("k must be >= 1")
     cfg = cfg or QuickviewConfig()
-    field_scores = score_query(index, query).bm25
+    field_scores = score_query(index, query)
     scores = np.zeros(len(index.article_ids), dtype=np.float64)
     if cfg.alpha:
         scores += cfg.alpha * field_scores["title"]

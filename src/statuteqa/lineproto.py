@@ -68,7 +68,7 @@ class LineProtocolClient:
                 return self._call_locked(requests)
             except ProtocolError:
                 self._proc.kill()
-                self._proc.wait()
+                self.close()
                 self._buffer = b""
                 raise
 
@@ -123,13 +123,15 @@ class LineProtocolClient:
             self._buffer += chunk
 
     def close(self) -> None:
-        if self._proc.poll() is None:
-            try:
-                self._proc.stdin.close()
-            except OSError:
-                pass
-            try:
-                self._proc.wait(timeout=5)
-            except subprocess.TimeoutExpired:
-                self._proc.kill()
-                self._proc.wait()
+        """End the child (EOF on its stdin, then a kill after 5 s) and close
+        both of its pipes. Safe to call more than once."""
+        try:
+            self._proc.stdin.close()
+        except OSError:  # unflushed bytes to a child that has exited
+            pass
+        try:
+            self._proc.wait(timeout=5)
+        except subprocess.TimeoutExpired:
+            self._proc.kill()
+            self._proc.wait()
+        self._proc.stdout.close()

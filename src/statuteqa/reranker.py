@@ -18,7 +18,8 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import groupby
+from itertools import groupby, repeat
+from operator import attrgetter
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -26,7 +27,7 @@ import numpy as np
 
 from .corpus import Article, TokenizerConfig, clean_text, tokenize
 from .dense import DenseIndex, embed, quickview_dense_score
-from .lexical import LexIndex, QueryScores, score_query
+from .lexical import LexIndex, score_columns
 from .lineproto import LineProtocolClient, ProtocolError, finite_real
 from .weak_label import TrainingExample
 
@@ -39,7 +40,6 @@ __all__ = [
     "QuestionView",
     "question_view",
     "extract_features",
-    "predict",
     "mean_cross_entropy",
     "cross_entropy_gradient",
     "train_stage",
@@ -69,75 +69,64 @@ MODEL_VERSION = 1
 _PROB_EPS = 1e-12
 
 
-def _saturate(score: float) -> float:
+def _saturate(score: np.ndarray) -> np.ndarray:
     return score / (1.0 + score)
 
 
-def _jaccard(matched: int, question_terms: int, article_terms: int) -> float:
-    """|q ∩ A| / |q ∪ A| from set sizes; 0 when the article field is empty."""
-    if not article_terms:
-        return 0.0
-    return matched / (question_terms + article_terms - matched)
+def _jaccard(
+    matched: np.ndarray, question_terms: int, article_terms: np.ndarray
+) -> np.ndarray:
+    """|q ∩ A| / |q ∪ A| from set sizes; 0 where the article field is empty."""
+    union = question_terms + article_terms - matched
+    return np.divide(matched, union, out=np.zeros(len(matched)), where=article_terms > 0)
 
 
 @dataclass(frozen=True)
 class QuestionView:
     """What the features need from one question, computed once per question."""
 
-    length: int  # question tokens
-    distinct: int  # distinct question tokens
+    tokens: tuple[str, ...]  # cleaned question tokens, in order
     vector: np.ndarray  # question embedding
-    lexical: QueryScores  # per-field BM25 and matched terms of every article
 
 
 def question_view(
-    question: str,
-    lex: LexIndex,
-    dense: DenseIndex,
-    tok: TokenizerConfig | None = None,
+    question: str, dense: DenseIndex, tok: TokenizerConfig | None = None
 ) -> QuestionView:
-    """Tokenize, embed and score the question against every article once."""
+    """Tokenize and embed the question once."""
     tokens = tokenize(clean_text(question), tok or TokenizerConfig())
-    return QuestionView(
-        length=len(tokens),
-        distinct=len(set(tokens)),
-        vector=embed(dense.embedder, tokens),
-        lexical=score_query(lex, tokens),
-    )
+    return QuestionView(tokens=tuple(tokens), vector=embed(dense.embedder, tokens))
 
 
 def extract_features(
-    view: QuestionView, article: Article, lex: LexIndex, dense_score: float
+    view: QuestionView,
+    columns: np.ndarray,
+    dense_scores: np.ndarray,
+    lex: LexIndex,
+    log_content_len: np.ndarray,
 ) -> np.ndarray:
-    """Feature vector for one article under a question's view.
+    """The (k, NUM_FEATURES) feature matrix of the articles at lexical ``columns``.
 
-    ``dense_score`` is the article's max sentence cosine with the question;
-    the rest comes from the lexical index (no article text is tokenized),
-    which must hold the article. A missing title zeroes the title features.
+    ``dense_scores`` are the articles' max sentence cosines with the
+    question and ``log_content_len`` is ``math.log1p`` of every lexical
+    column's content length. BM25 and matched terms are taken at these
+    columns only (no article text is tokenized). Each feature is one
+    column, computed elementwise with the scalar formula's operations in
+    its order, so a row does not depend on the other articles in the
+    batch. A missing title zeroes the title features.
     """
-    column = lex.column.get(article.article_id)
-    if column is None or not lex.content.lengths[column]:
-        raise ValueError(f"article {article.article_id!r} not in lexical index")
-    scores = view.lexical
-
-    features = np.empty(NUM_FEATURES, dtype=np.float64)
-    features[0] = _saturate(scores.bm25["title"][column])
-    features[1] = _saturate(scores.bm25["content"][column])
-    features[2] = dense_score
-    features[3] = _jaccard(
-        int(scores.matched["title"][column]),
-        view.distinct,
-        int(lex.title.distinct[column]),
-    )
-    features[4] = _jaccard(
-        int(scores.matched["content"][column]),
-        view.distinct,
-        int(lex.content.distinct[column]),
-    )
-    features[5] = math.log1p(view.length)
-    features[6] = math.log1p(lex.content.lengths[column])
-    features[7] = 1.0
-    return features
+    distinct = len(set(view.tokens))
+    title_bm25, title_matched = score_columns(lex.title, view.tokens, columns)
+    content_bm25, content_matched = score_columns(lex.content, view.tokens, columns)
+    x = np.empty((len(columns), NUM_FEATURES), dtype=np.float64)
+    x[:, 0] = _saturate(title_bm25)
+    x[:, 1] = _saturate(content_bm25)
+    x[:, 2] = dense_scores
+    x[:, 3] = _jaccard(title_matched, distinct, lex.title.distinct[columns])
+    x[:, 4] = _jaccard(content_matched, distinct, lex.content.distinct[columns])
+    x[:, 5] = math.log1p(len(view.tokens))
+    x[:, 6] = log_content_len[columns]
+    x[:, 7] = 1.0
+    return x
 
 
 class FeatureExtractor:
@@ -159,19 +148,30 @@ class FeatureExtractor:
         self.lex = lex
         self.dense = dense
         self.tok = tok or TokenizerConfig()
+        # math.log1p, not np.log1p, whose last bits may differ
+        self.log_content_len = np.array(
+            [math.log1p(n) for n in lex.content.lengths.tolist()], dtype=np.float64
+        )
 
     def rows(self, question: str, articles: Sequence[Article]) -> np.ndarray:
         """Feature rows in article order; raises for an article outside an index."""
-        view = question_view(question, self.lex, self.dense, self.tok)
-        ids = [a.article_id for a in articles]
+        view = question_view(question, self.dense, self.tok)
+        ids = list(map(attrgetter("article_id"), articles))
         try:
             dense_scores = quickview_dense_score(self.dense, view.vector, ids)
         except KeyError as exc:
             raise ValueError(f"article {exc.args[0]!r} not in dense index") from None
-        x = np.empty((len(articles), NUM_FEATURES), dtype=np.float64)
-        for i, (article, dense_score) in enumerate(zip(articles, dense_scores)):
-            x[i] = extract_features(view, article, self.lex, dense_score)
-        return x
+        columns = np.fromiter(
+            map(self.lex.column.get, ids, repeat(-1)), dtype=np.int64, count=len(ids)
+        )
+        indexed = columns >= 0
+        indexed[indexed] = self.lex.content.lengths[columns[indexed]] > 0
+        if not indexed.all():
+            missing = ids[int(np.argmin(indexed))]
+            raise ValueError(f"article {missing!r} not in lexical index")
+        return extract_features(
+            view, columns, dense_scores, self.lex, self.log_content_len
+        )
 
     def matrix(
         self, examples: Sequence[TrainingExample]
@@ -239,11 +239,17 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def predict(model: LinearModel, features: np.ndarray) -> float:
-    """Relevance probability sigmoid(w . f), clamped to the open unit interval."""
-    z = float(np.dot(model.weights, features))
-    p = 1.0 / (1.0 + math.exp(-z)) if z >= 0 else math.exp(z) / (1.0 + math.exp(z))
-    return min(max(p, _PROB_EPS), 1.0 - _PROB_EPS)
+def _logits(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """w . f of each row, summed in feature order one column at a time.
+
+    A row's logit then depends only on that row, not on its position in
+    the batch. ``x @ w`` does not promise that: the BLAS kernel may round
+    identical rows differently by position, which breaks exact ties.
+    """
+    z = x[:, 0] * weights[0]
+    for j in range(1, NUM_FEATURES):
+        z += x[:, j] * weights[j]
+    return z
 
 
 def mean_cross_entropy(weights: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
@@ -376,9 +382,10 @@ class ModelScorer:
         return f"linear:{digest}"
 
     def score_batch(self, question: str, candidates: Sequence[Article]) -> list[float]:
-        return [
-            predict(self.model, row) for row in self.extractor.rows(question, candidates)
-        ]
+        """Relevance probability sigmoid(w . f) of each candidate, in order,
+        clamped to the open unit interval."""
+        z = _logits(self.model.weights, self.extractor.rows(question, candidates))
+        return np.clip(_sigmoid(z), _PROB_EPS, 1.0 - _PROB_EPS).tolist()
 
 
 class ExternalScorer:

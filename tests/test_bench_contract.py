@@ -2,11 +2,12 @@
 
 ``perfbench/tracing.py`` replaces package functions named by module and
 attribute, and ``perfbench/run.py`` divides reranker time by the number of
-``extract_features`` calls. A refactor that renames one of those
-functions, or stops calling ``extract_features`` once per candidate or
-``retrieve_topk`` from ``rank_and_select``, would break the traced run
-without failing any other test. The tracer file is only read here, and
-the benchmark's self-test is run as it is.
+``extract_features`` calls, one per scored batch. A refactor that renames
+one of those functions, or stops calling ``extract_features`` once per
+batch through its module-level name or ``retrieve_topk`` from
+``rank_and_select``, would break the traced run without failing any other
+test. The tracer file is only read here, and the benchmark's self-test is
+run as it is.
 """
 
 import importlib
@@ -49,11 +50,12 @@ def _counting(monkeypatch, module, name):
     return calls
 
 
-def test_score_batch_extracts_features_once_per_candidate(synth, monkeypatch):
+def test_score_batch_extracts_features_once_per_batch(synth, monkeypatch):
     calls = _counting(monkeypatch, reranker, "extract_features")
     candidates = synth.articles[:7]
     synth.scorer.score_batch(synth.queries[0].question, candidates)
-    assert [args[1].article_id for args in calls] == [a.article_id for a in candidates]
+    [(_, columns, *_)] = calls
+    assert columns.tolist() == [synth.lex.column[a.article_id] for a in candidates]
 
 
 def test_rank_and_select_calls_retrieve_topk(synth, monkeypatch):

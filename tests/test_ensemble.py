@@ -3,6 +3,7 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
+import fusion_oracle
 from statuteqa.corpus import clean_text, tokenize
 from statuteqa.lexical import QuickviewConfig, retrieve_topk
 from statuteqa.ensemble import (
@@ -23,10 +24,17 @@ def _candidate(article_id, combined):
     return RankedCandidate(article_id, 0.0, 0.0, 0.0, 0.0, combined)
 
 
+def _select(candidates, threshold):
+    """``select_answer_set`` on the candidates' ids and combined scores."""
+    ids = [c.article_id for c in candidates]
+    keep = select_answer_set(ids, [c.combined for c in candidates], threshold)
+    return [candidates[i] for i in keep]
+
+
 def test_minmax_examples():
-    assert minmax_normalize([2, 4, 6]) == [0.0, 0.5, 1.0]
-    assert minmax_normalize([5]) == [1.0]
-    assert minmax_normalize([3, 3, 3]) == [1.0, 1.0, 1.0]
+    assert minmax_normalize([2, 4, 6]).tolist() == [0.0, 0.5, 1.0]
+    assert minmax_normalize([5]).tolist() == [1.0]
+    assert minmax_normalize([3, 3, 3]).tolist() == [1.0, 1.0, 1.0]
     with pytest.raises(ValueError):
         minmax_normalize([])
 
@@ -49,25 +57,25 @@ def test_combine_examples():
 
 def test_selection_rule_example():
     candidates = [_candidate(c, s) for c, s in zip("abcd", [1.0, 0.8, 0.7, 0.5])]
-    returned = select_answer_set(candidates, 0.26)
+    returned = _select(candidates, 0.26)
     assert [c.article_id for c in returned] == ["a", "b"]
 
 
 def test_selection_threshold_zero_keeps_top_and_exact_ties():
     candidates = [_candidate("b", 1.0), _candidate("a", 1.0), _candidate("c", 0.99)]
-    returned = select_answer_set(candidates, 0.0)
+    returned = _select(candidates, 0.0)
     assert [c.article_id for c in returned] == ["a", "b"]
 
 
 def test_selection_strict_inequality_at_exact_gap():
     candidates = [_candidate("a", 1.0), _candidate("b", 0.75)]
-    assert len(select_answer_set(candidates, 0.25)) == 1  # gap == threshold: excluded
-    assert len(select_answer_set(candidates, 0.2500001)) == 2
+    assert len(_select(candidates, 0.25)) == 1  # gap == threshold: excluded
+    assert len(_select(candidates, 0.2500001)) == 2
 
 
 def test_selection_size_monotone_in_threshold():
     candidates = [_candidate(f"c{i}", 1.0 - i * 0.07) for i in range(10)]
-    sizes = [len(select_answer_set(candidates, t / 20)) for t in range(21)]
+    sizes = [len(_select(candidates, t / 20)) for t in range(21)]
     assert sizes == sorted(sizes)
     assert all(size >= 1 for size in sizes)
 
@@ -80,8 +88,8 @@ def test_selection_size_monotone_in_threshold():
 def test_selection_properties_random(combined, t1, t2):
     candidates = [_candidate(f"c{i:02d}", s) for i, s in enumerate(combined)]
     low, high = sorted((t1, t2))
-    small = select_answer_set(candidates, low)
-    large = select_answer_set(candidates, high)
+    small = _select(candidates, low)
+    large = _select(candidates, high)
     assert len(small) >= 1  # top candidate always returned
     assert len(small) <= len(large)
     best = max(combined)
@@ -226,3 +234,74 @@ def test_answer_set_json_shape():
         "question_id": "q1",
         "returned": [{"article_id": "a", "qs": 1.0, "ss": 1.0, "combined": 1.0}],
     }
+
+
+def _ranked_ids(synth, question, k=10):
+    return [a for a, _ in retrieve_topk(synth.lex, tokenize(clean_text(question), synth.tok), k)]
+
+
+def _both(synth, question, scorer, cfg):
+    """rank_and_select and the list-based reference on the same inputs."""
+    args = ("q", question, synth.lex, scorer, synth.by_id, cfg)
+    got = rank_and_select(*args, quickview_cfg=QuickviewConfig(), tok=synth.tok)
+    want = fusion_oracle.rank_and_select(*args, QuickviewConfig(), synth.tok)
+    return got, want
+
+
+def _assert_same(got, want):
+    assert [c.article_id for c in got.returned] == [c.article_id for c in want.returned]
+    assert [c.combined.hex() for c in got.returned] == [c.combined.hex() for c in want.returned]
+    assert got == want
+
+
+def test_rank_and_select_matches_list_reference(synth):
+    """Array fusion and selection equal the list-based reference exactly,
+    for the trained scorer and for table scores with many exact ties."""
+    for query in synth.queries[:25]:
+        ranked = _ranked_ids(synth, query.question, 50)
+        coarse = LookupScorer({a: round((i * 7 % 5) / 4, 2) for i, a in enumerate(ranked)})
+        for scorer in (synth.scorer, coarse, ConstantScorer(0.3)):
+            for gamma in (0.0, 0.3, 0.5, 1.0):
+                for threshold in (0.0, 0.26, 0.5, 1.1):
+                    cfg = EnsembleConfig(gamma=gamma, top_k=50, threshold=threshold)
+                    _assert_same(*_both(synth, query.question, scorer, cfg))
+
+
+def test_rank_and_select_breaks_exact_ties_by_id(synth):
+    question = synth.queries[2].question
+    ranked = _ranked_ids(synth, question)
+    tied = sorted(ranked)[-3:]  # tie the three largest ids at the top score
+    scorer = LookupScorer({a: 0.9 for a in tied}, default=0.1)
+    got, want = _both(synth, question, scorer, EnsembleConfig(gamma=0.0, top_k=10, threshold=0.0))
+    _assert_same(got, want)
+    assert [c.article_id for c in got.returned] == tied
+
+
+def test_rank_and_select_gap_equal_to_threshold(synth):
+    question = synth.queries[2].question
+    first, second = _ranked_ids(synth, question)[-2:]
+    scorer = LookupScorer({first: 1.0, second: 0.75}, default=0.5)  # ss_norm 1, 0.5, 0
+    for threshold, size in ((0.5, 1), (0.5000001, 2)):
+        cfg = EnsembleConfig(gamma=0.0, top_k=10, threshold=threshold)
+        got, want = _both(synth, question, scorer, cfg)
+        _assert_same(got, want)
+        assert [c.article_id for c in got.returned] == [first, second][:size]
+
+
+def test_rank_and_select_constant_scores(synth):
+    question = synth.queries[4].question
+    got, want = _both(synth, question, ConstantScorer(0.7), EnsembleConfig(gamma=0.4, top_k=10))
+    _assert_same(got, want)
+    assert all(c.ss_norm == 1.0 for c in got.returned)
+
+
+def test_rank_and_select_rejects_a_short_score_list(synth):
+    class OneScore:
+        def score_batch(self, question, candidates):
+            return [0.5]
+
+    with pytest.raises(ValueError, match="scores for"):
+        rank_and_select(
+            "q", synth.queries[0].question, synth.lex, OneScore(), synth.by_id,
+            EnsembleConfig(top_k=10), tok=synth.tok,
+        )

@@ -2,7 +2,9 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bm25_oracle import BruteForceBm25, oracle_bm25, oracle_quickview, oracle_topk
 from conftest import field_token_lists
@@ -17,6 +19,8 @@ from statuteqa.lexical import (
     quickview_lex_score,
     retrieve_topk,
     save_lex_index,
+    score_columns,
+    score_query,
 )
 
 
@@ -111,6 +115,42 @@ def test_bm25_matches_oracle_randomized():
             assert bm25(index, field, query, article.article_id) == pytest.approx(
                 expected, abs=1e-9
             )
+
+
+_WORDS = st.sampled_from([f"w{i}" for i in range(8)])
+
+
+@st.composite
+def _corpus_query_columns(draw):
+    """Articles (some untitled), a query with repeats and out-of-vocabulary
+    tokens, and article columns in any order with repeats."""
+    n = draw(st.integers(1, 8))
+    articles = [
+        Article(
+            f"a{i}",
+            "d",
+            draw(st.none() | st.lists(_WORDS, min_size=1, max_size=4).map(" ".join)),
+            " ".join(draw(st.lists(_WORDS, min_size=1, max_size=12))),
+        )
+        for i in range(n)
+    ]
+    query = draw(st.lists(_WORDS | st.sampled_from(["oov", "zz"]), max_size=8))
+    columns = draw(st.lists(st.integers(0, n - 1), max_size=12))
+    return articles, query, columns
+
+
+@settings(max_examples=200, deadline=None)
+@given(_corpus_query_columns())
+def test_score_columns_equals_score_query_bit_for_bit(case):
+    articles, query, columns = case
+    index = build_lex_index(articles)
+    whole = score_query(index, query)
+    for field in ("title", "content"):
+        tokens = field_token_lists(articles, field)
+        scores, matched = score_columns(index.stats(field), query, np.array(columns, dtype=int))
+        assert scores.tobytes() == whole[field][columns].tobytes()
+        want = [len(set(query) & set(tokens[index.article_ids[c]])) for c in columns]
+        assert matched.tolist() == want
 
 
 def test_quickview_composition(tiny_articles, tiny_lex):

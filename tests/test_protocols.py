@@ -1,5 +1,7 @@
+import gc
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +10,9 @@ from statuteqa.corpus import Article
 from statuteqa.dense import ExternalEmbedder
 from statuteqa.lineproto import LineProtocolClient, ProtocolError
 from statuteqa.reranker import ExternalScorer
+
+# A child's pipe left open is a leaked file descriptor per adapter
+pytestmark = pytest.mark.filterwarnings("error::ResourceWarning")
 
 CANDIDATES = [
     Article("a1", "d1", "First title", "First content body."),
@@ -168,3 +173,20 @@ def test_external_scorer_rejects_scores_that_are_not_finite_reals(value):
 def test_external_scorer_accepts_integer_scores():
     with ExternalScorer(replying('{"score": 1}'), timeout=5) as scorer:
         assert scorer.score_batch("q", CANDIDATES[:2]) == [1.0, 1.0]
+
+
+def test_closed_and_killed_clients_close_both_pipes():
+    """No pipe is left to the garbage collector: not by ``close`` after a
+    batch, nor by the kill after a malformed reply."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        closed = LineProtocolClient(replying('{"ok": 1}'), timeout=5)
+        assert closed.call([{"n": 1}]) == [{"ok": 1}]
+        closed.close()
+        killed = LineProtocolClient(replying("not json"), timeout=5)
+        with pytest.raises(ProtocolError, match="non-JSON"):
+            killed.call([{"n": 1}])  # kills the child; no close() follows
+        del closed, killed
+        gc.collect()
+    leaks = [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)]
+    assert leaks == []

@@ -1,11 +1,14 @@
 import math
+import random
 from collections.abc import Mapping
 
 import numpy as np
 import pytest
 
+import feature_oracle
 from bm25_oracle import BruteForceBm25
 from conftest import field_token_lists
+from feature_oracle import predict
 from statuteqa.corpus import Article, TokenizerConfig, clean_text, tokenize
 from dense_oracle import cosine, per_article_max_cosine, sentence_rows
 from statuteqa.dense import HashedProjectionEmbedder, build_dense_index, embed
@@ -17,9 +20,9 @@ from statuteqa.reranker import (
     ModelScorer,
     TrainConfig,
     cross_entropy_gradient,
+    _logits,
     load_model,
     mean_cross_entropy,
-    predict,
     save_model,
     train_stage,
     train_two_stage,
@@ -124,6 +127,65 @@ def test_precomputed_view_matches_text_reference(synth):
             assert shared[3] == title_jaccard
             assert shared[4] == len(q & a_content) / len(q | a_content)
             assert shared[6] == math.log1p(len(content.docs[article.article_id]))
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+def test_feature_rows_equal_per_article_oracle(synth, tiny_setup):
+    """The batched feature matrix equals the per-article rows bit for bit,
+    untitled articles and repeated articles included."""
+    articles, _, _, extractor = tiny_setup
+    for question in ["civil code", "law of law contracts", "zebra", ""]:
+        batch = articles[::-1] + articles[:1]
+        want = feature_oracle.rows(extractor, question, batch)
+        assert _bits(extractor.rows(question, batch)) == _bits(want)
+    batches = [synth.articles, synth.articles[::-3], synth.articles[5:6]]
+    for query in synth.queries[:10]:
+        for batch in batches:
+            want = feature_oracle.rows(synth.extractor, query.question, batch)
+            assert _bits(synth.extractor.rows(query.question, batch)) == _bits(want)
+
+
+def test_training_matrix_equals_per_article_oracle(synth):
+    x, y = synth.extractor.matrix(synth.weak)
+    assert x.shape == (len(synth.weak), NUM_FEATURES)
+    assert _bits(x) == _bits(feature_oracle.matrix(synth.extractor, synth.weak))
+    assert y.tolist() == [ex.label for ex in synth.weak]
+
+
+def test_logits_equal_sequential_python_sum(synth):
+    """Each logit equals w . f summed as Python floats in feature order, on
+    real feature rows and on random rows where ``x @ w`` rounds differently."""
+    x = synth.extractor.rows(synth.queries[0].question, synth.articles)
+    rng = np.random.default_rng(3)
+    cases = [(synth.model, x)] + [
+        (LinearModel(rng.normal(size=NUM_FEATURES)), rng.normal(size=(2000, NUM_FEATURES)))
+        for _ in range(5)
+    ]
+    for model, rows in cases:
+        got = _logits(model.weights, rows).tolist()
+        assert got == [feature_oracle.logit(model, row) for row in rows]
+
+
+def test_score_batch_is_batch_independent(synth):
+    """A candidate's score has the same bits whatever batch it is scored in:
+    permuted, a subset, with duplicates or alone."""
+    rng = random.Random(4)
+    candidates = synth.articles[:40]
+    for query in synth.queries[:5]:
+        question = query.question
+        full = dict(zip(candidates, synth.scorer.score_batch(question, candidates)))
+        shuffled = rng.sample(candidates, len(candidates))
+        batches = [shuffled, candidates[::3], candidates + candidates[:7], candidates[9:10]]
+        for batch in batches:
+            scores = synth.scorer.score_batch(question, batch)
+            assert [s.hex() for s in scores] == [full[a].hex() for a in batch]
+        for article in candidates[:5]:
+            [alone] = synth.scorer.score_batch(question, [article])
+            assert alone.hex() == full[article].hex()
+            assert alone == predict(synth.model, synth.extractor.rows(question, [article])[0])
 
 
 def test_extractor_keeps_no_per_question_state(synth):
