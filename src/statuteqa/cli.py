@@ -220,7 +220,7 @@ def _cmd_weaklabel(cfg: PipelineConfig) -> int:
 def _cmd_train(cfg: PipelineConfig, mode: str) -> int:
     articles, lex, dense = load_artifacts(cfg)
     try:
-        extractor = FeatureExtractor(articles, lex, dense, cfg.tokenizer_config())
+        extractor = FeatureExtractor(lex, dense, cfg.tokenizer_config())
         gold_queries = load_gold_file(cfg.gold_path)
         train_queries, valid_queries = split_train_valid(
             gold_queries, cfg.split_ratio, cfg.split_seed
@@ -302,35 +302,42 @@ def _cmd_eval(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     try:
         ks = sorted({int(part) for part in args.k.split(",") if part.strip()})
     except ValueError:
-        print(f"invalid --k list: {args.k!r}", file=sys.stderr)
+        ks = []
+    if not ks or ks[0] < 1:
+        print(f"invalid --k list: {args.k!r} (cutoffs >= 1)", file=sys.stderr)
         return 2
     do_quickview = args.quickview or not args.end_to_end
     do_end_to_end = args.end_to_end or not args.quickview
+    ks = ks if do_quickview else []
 
     queries = load_gold_file(cfg.gold_path)
     if do_end_to_end:
         pipeline = Pipeline.load(cfg)
     else:  # quickview recall needs no scorer
         pipeline = Pipeline(cfg, *load_artifacts(cfg), scorer=None)
+    # one quickview per question, deep enough for every cutoff and the answer
+    depth = max([*ks, cfg.top_k] if do_end_to_end else ks)
     try:
         report = run_eval(
             queries,
-            ks=ks if do_quickview else (),
-            quickview_rank=(
-                (lambda q: pipeline.quickview_rank(q, max(ks))) if do_quickview else None
-            ),
-            answer=pipeline.answer if do_end_to_end else None,
+            lambda question: pipeline.quickview_rank(question, depth),
+            ks=ks,
+            answer=pipeline.answer_ranked if do_end_to_end else None,
         )
     finally:
         pipeline.close()
 
-    for k in ks if do_quickview else []:
-        print(f"Recall@{k}: {report.recall_at_k[k]:.4f}")
+    def show(value: float | None, spec: str) -> str:
+        return "n/a" if value is None else format(value, spec)
+
+    for k in ks:
+        print(f"Recall@{k}: {show(report.recall_at_k.get(k), '.4f')}")
     if do_end_to_end:
-        print(f"Precision: {report.mean_precision:.4f}")
-        print(f"Recall: {report.mean_recall:.4f}")
-        print(f"F2: {report.f2:.4f}")
-    print(f"Mean latency: {report.mean_latency_ms:.2f} ms over {report.queries} queries")
+        print(f"Precision: {show(report.mean_precision, '.4f')}")
+        print(f"Recall: {show(report.mean_recall, '.4f')}")
+        print(f"F2: {show(report.f2, '.4f')}")
+    latency = show(report.mean_latency_ms, ".2f")
+    print(f"Mean latency: {latency} ms over {report.queries} queries")
     save_report(report, cfg.report_path)
     print(f"report written to {cfg.report_path}")
     if report.failures:
@@ -352,8 +359,8 @@ def _cmd_serve(cfg: PipelineConfig, bind: str) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = _load_config(args)
     try:
+        cfg = _load_config(args)
         if args.command == "index":
             return _cmd_index(cfg)
         if args.command == "weaklabel":

@@ -13,11 +13,10 @@ through the external embedder line protocol.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Protocol, Sequence
+from typing import Iterable, Protocol, Sequence
 
 import numpy as np
 
@@ -160,7 +159,8 @@ class DenseIndex:
 
     Article ``i`` is ``article_ids[i]`` (sorted) and owns matrix rows
     ``offsets[i]:offsets[i + 1]``, in sentence order; every indexed
-    article has at least one row. Rows are unit or zero vectors.
+    article has at least one row. Position ``i`` is also the article's
+    lexical column. Rows are unit or zero vectors.
     ``embedder`` embeds questions; its fingerprint is the index's.
     Immutable after build; safe for concurrent readers.
     """
@@ -172,11 +172,6 @@ class DenseIndex:
     matrix: np.ndarray  # C-contiguous float64, (sentences, dimension)
     corpus_digest: str  # corpus.corpus_digest of the articles given to build
     embedder: Embedder
-    row: Mapping[str, int] = dataclasses.field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        row = {article_id: i for i, article_id in enumerate(self.article_ids)}
-        object.__setattr__(self, "row", row)
 
 
 def build_dense_index(
@@ -243,13 +238,11 @@ def _max_cosine(blocks: Iterable, vector: np.ndarray, starts: np.ndarray) -> np.
 
 
 def quickview_dense_score(
-    index: DenseIndex, question_vector: np.ndarray, article_ids: Sequence[str]
+    index: DenseIndex, question_vector: np.ndarray, positions: np.ndarray
 ) -> np.ndarray:
-    """Each listed article's max sentence cosine, in list order. Rows are copied
-    ``_GATHER_ROWS`` at a time, so concurrent answers hold small copies."""
-    positions = np.fromiter(
-        map(index.row.__getitem__, article_ids), dtype=np.int64, count=len(article_ids)
-    )
+    """Max sentence cosine of the articles at ``positions``, in order. Rows are
+    copied ``_GATHER_ROWS`` at a time, so concurrent answers hold small copies."""
+    positions = np.asarray(positions, dtype=np.int64)
     question_vector = np.asarray(question_vector, dtype=np.float64)
     if question_vector.shape != (index.dimension,):
         raise ValueError(

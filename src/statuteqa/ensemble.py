@@ -35,6 +35,7 @@ __all__ = [
     "select_answer_set",
     "quickview_topk",
     "rank_and_select",
+    "fuse_and_select",
     "answer_set_to_json",
 ]
 
@@ -170,15 +171,29 @@ def rank_and_select(
     tok: TokenizerConfig | None = None,
     dense: DenseIndex | None = None,
 ) -> AnswerSet:
-    """Full per-question pipeline: retrieve, score, normalize, fuse, select.
-
-    ``scorer`` is anything with ``score_batch(question, articles)``. When no
-    quickview candidate scores above zero the answer set is empty and
-    flagged, which is distinct from selecting the best candidate.
-    """
+    """Full per-question pipeline: retrieve, then ``fuse_and_select``."""
     ranked = quickview_topk(
         question, cfg.top_k, cfg.quickview_source, lex, dense, quickview_cfg, tok
     )
+    return fuse_and_select(question_id, question, ranked, scorer, articles_by_id, cfg)
+
+
+def fuse_and_select(
+    question_id: str,
+    question: str,
+    ranked: Sequence[tuple[str, float]],
+    scorer,
+    articles_by_id: Mapping[str, Article],
+    cfg: EnsembleConfig,
+) -> AnswerSet:
+    """Score, normalize, fuse and select over a quickview ranking.
+
+    ``ranked`` is the (article id, quickview score) list of the candidates
+    and ``scorer`` is anything with ``score_batch(question, articles)``.
+    When no quickview candidate scored above zero (``ranked`` is empty) the
+    answer set is empty and flagged, which is distinct from selecting the
+    best candidate.
+    """
     if not ranked:
         return AnswerSet(question_id=question_id, returned=(), no_candidates=True)
 

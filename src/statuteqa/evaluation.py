@@ -98,7 +98,7 @@ class EvalReport:
     mean_precision: float | None = None
     mean_recall: float | None = None
     f2: float | None = None
-    mean_latency_ms: float = 0.0
+    mean_latency_ms: float | None = None
     queries: int = 0
     failures: int = 0
     per_query: list[dict] = field(default_factory=list)
@@ -118,19 +118,20 @@ class EvalReport:
 
 def run_eval(
     queries: Sequence[GoldQuery],
+    quickview_rank: Callable[[str], Sequence[tuple[str, float]]],
     ks: Sequence[int] = (),
-    quickview_rank: Callable[[str], Sequence[tuple[str, float]]] | None = None,
-    answer: Callable[[str, str], AnswerSet] | None = None,
+    answer: Callable[[str, str, Sequence[tuple[str, float]]], AnswerSet] | None = None,
 ) -> EvalReport:
     """Evaluate quickview recall and/or end-to-end answer sets per query.
 
+    ``quickview_rank`` ranks each query once; Recall@k for each k in ``ks``
+    and ``answer(question_id, question, ranking)`` both read that ranking.
     A query whose pipeline call raises is marked failed and skipped from
-    the aggregates; evaluation continues.
+    the aggregates; evaluation continues. Aggregates stay None when every
+    query failed.
     """
-    if quickview_rank is None and answer is None:
-        raise ValueError("nothing to evaluate: no quickview ranker, no answerer")
-    if quickview_rank is not None and not ks:
-        raise ValueError("quickview evaluation needs at least one k")
+    if not ks and answer is None:
+        raise ValueError("nothing to evaluate: no recall cutoffs, no answerer")
 
     report = EvalReport(queries=len(queries))
     recall_sums = {k: 0.0 for k in ks}
@@ -143,14 +144,15 @@ def run_eval(
         row: dict = {"question_id": query.question_id}
         started = time.perf_counter()
         try:
-            if quickview_rank is not None:
-                ranked_ids = [a for a, _ in quickview_rank(query.question)]
+            ranked = quickview_rank(query.question)
+            if ks:
+                ranked_ids = [a for a, _ in ranked]
                 row["recall_at_k"] = {
                     str(k): recall_at_k(ranked_ids, query.gold_article_ids, k)
                     for k in ks
                 }
             if answer is not None:
-                answer_set = answer(query.question_id, query.question)
+                answer_set = answer(query.question_id, query.question, ranked)
                 p, r = precision_recall(answer_set, query.gold_article_ids)
                 row["precision"] = p
                 row["recall"] = r
@@ -175,8 +177,7 @@ def run_eval(
 
     if evaluated:
         report.mean_latency_ms = latency_sum / evaluated
-        if quickview_rank is not None:
-            report.recall_at_k = {k: recall_sums[k] / evaluated for k in ks}
+        report.recall_at_k = {k: recall_sums[k] / evaluated for k in ks}
         if answer is not None:
             report.mean_precision = precision_sum / evaluated
             report.mean_recall = recall_sum / evaluated

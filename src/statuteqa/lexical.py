@@ -9,9 +9,10 @@ frequency and the BM25 impact ``idf·tf·(k1+1)/(tf+norm)`` of each entry,
 where ``norm = k1·(1 - b + b·len/avgdl)``. Columns number the indexed
 articles in sorted article-id order (Python string order), so ascending
 column is ascending id and column order breaks score ties the way the
-ranking contract asks. Per-article token counts and distinct-term counts
-are arrays over the same columns; an article absent from a field (an
-untitled article, say) has length 0 there.
+ranking contract asks. An article has a column when its content has
+tokens, the rule the dense index keeps articles by, so both indexes number
+the same articles alike. Per-article token counts and distinct-term counts
+are arrays over the same columns; an untitled article has title length 0.
 
 Query-time BM25 is a sum of impacts taken in query order, once per token
 occurrence, into float64 accumulators that start at 0.0. ``score_query``
@@ -46,9 +47,7 @@ __all__ = [
     "build_lex_index",
     "score_query",
     "score_columns",
-    "idf",
     "bm25",
-    "quickview_lex_score",
     "retrieve_topk",
     "save_lex_index",
     "load_lex_index",
@@ -196,11 +195,10 @@ def build_lex_index(
     tok: TokenizerConfig | None = None,
     params: Bm25Params | None = None,
 ) -> LexIndex:
-    """Index title and content tokens of every article.
+    """Index title and content tokens of every article whose content has tokens.
 
-    Title tokens are indexed only when a title is present; a field whose
-    cleaned text has no tokens leaves the article out of that field, and
-    an article with no tokens in either field gets no column.
+    An article whose cleaned content has no tokens gets no column, whatever
+    its title; title tokens are indexed only when a title is present.
     """
     if not articles:
         raise ValueError("empty corpus")
@@ -215,7 +213,7 @@ def build_lex_index(
 
     ordered = sorted(articles, key=lambda a: a.article_id)
     tokens = {f: [_field_tokens(a, f, tok) for a in ordered] for f in FIELDS}
-    kept = [i for i in range(len(ordered)) if any(tokens[f][i] for f in FIELDS)]
+    kept = [i for i, content in enumerate(tokens["content"]) if content]
     matrices = {}
     for field in FIELDS:
         postings: dict[str, list[tuple[int, int]]] = {}
@@ -298,14 +296,6 @@ def _concat(values: np.ndarray, rows: Sequence[slice]) -> np.ndarray:
     return np.concatenate([values[row] for row in rows] or [values[:0]])
 
 
-def idf(index: LexIndex, field: str, term: str) -> float:
-    """Inverse document frequency: ln(1 + (N - n + 0.5) / (n + 0.5))."""
-    matrix = index.stats(field)
-    row = matrix.row(term)
-    n = 0 if row is None else row.stop - row.start
-    return _idf(matrix.doc_count, n)
-
-
 def bm25(index: LexIndex, field: str, query: Sequence[str], article_id: str) -> float:
     """BM25 score of one article's field against the query token sequence.
 
@@ -317,22 +307,6 @@ def bm25(index: LexIndex, field: str, query: Sequence[str], article_id: str) -> 
     if column is None:
         return 0.0
     return float(score_query(index, query)[field][column])
-
-
-def quickview_lex_score(
-    index: LexIndex,
-    query: Sequence[str],
-    article_id: str,
-    cfg: QuickviewConfig | None = None,
-) -> float:
-    """alpha * title BM25 + beta * content BM25; a missing title contributes 0."""
-    cfg = cfg or QuickviewConfig()
-    score = 0.0
-    if cfg.alpha:
-        score += cfg.alpha * bm25(index, "title", query, article_id)
-    if cfg.beta:
-        score += cfg.beta * bm25(index, "content", query, article_id)
-    return score
 
 
 def retrieve_topk(

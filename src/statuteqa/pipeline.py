@@ -27,7 +27,13 @@ from .dense import (
     HashedProjectionEmbedder,
     load_dense_index,
 )
-from .ensemble import AnswerSet, EnsembleConfig, quickview_topk, rank_and_select
+from .ensemble import (
+    AnswerSet,
+    EnsembleConfig,
+    fuse_and_select,
+    quickview_topk,
+    rank_and_select,
+)
 from .lexical import Bm25Params, LexIndex, QuickviewConfig, load_lex_index
 from .reranker import (
     ExternalScorer,
@@ -94,10 +100,13 @@ class PipelineConfig:
             raw = json.load(handle)
         if not isinstance(raw, dict):
             raise ValueError(f"{path}: config must be a JSON object")
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(raw) - known
+        types = {f.name: f.type for f in dataclasses.fields(cls)}
+        unknown = set(raw) - set(types)
         if unknown:
             raise ValueError(f"{path}: unknown config keys: {sorted(unknown)}")
+        for key, value in raw.items():
+            if not _has_type(value, types[key]):
+                raise ValueError(f"{path}: {key} must be {types[key]}, not {value!r}")
         return cls(**raw)
 
     def tokenizer_config(self) -> TokenizerConfig:
@@ -143,6 +152,19 @@ class PipelineConfig:
         return HashedProjectionEmbedder(
             dimension=self.embedder_dimension, seed=self.embedder_seed
         )
+
+
+def _has_type(value, annotation: str) -> bool:
+    """Whether a JSON value fits a config field's annotation; an int is a
+    float, a bool is not a number."""
+    if annotation.endswith(" | None"):
+        return value is None or _has_type(value, annotation.removesuffix(" | None"))
+    if annotation == "list[str]":
+        return isinstance(value, list) and all(isinstance(v, str) for v in value)
+    if isinstance(value, bool):
+        return False
+    kinds = {"int": int, "float": (int, float), "str": str}
+    return isinstance(value, kinds[annotation])
 
 
 def question_id_for(question: str) -> str:
@@ -227,7 +249,7 @@ class Pipeline:
                 )
             else:
                 model = load_model(cfg.model_path)
-                extractor = FeatureExtractor(articles, lex, dense, cfg.tokenizer_config())
+                extractor = FeatureExtractor(lex, dense, cfg.tokenizer_config())
                 scorer = ModelScorer(model, extractor)
         except BaseException:
             close_all(dense.embedder)
@@ -257,6 +279,19 @@ class Pipeline:
             quickview_cfg=self.quickview_cfg,
             tok=self.tok,
             dense=self.dense,
+        )
+
+    def answer_ranked(
+        self, question_id: str, question: str, ranked: Sequence[tuple[str, float]]
+    ) -> AnswerSet:
+        """``answer`` from a ranking of ``quickview_rank`` at least ``top_k`` deep.
+
+        The quickview is a total order, so the ranking's ``top_k`` prefix is
+        the candidate list ``answer`` would rank.
+        """
+        cfg = self.ensemble_cfg
+        return fuse_and_select(
+            question_id, question, ranked[: cfg.top_k], self.scorer, self.by_id, cfg
         )
 
     def fingerprints(self) -> dict[str, str]:

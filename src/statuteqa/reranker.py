@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from itertools import groupby, repeat
 from operator import attrgetter
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -37,8 +37,6 @@ __all__ = [
     "LinearModel",
     "TrainConfig",
     "FeatureExtractor",
-    "QuestionView",
-    "question_view",
     "extract_features",
     "mean_cross_entropy",
     "cross_entropy_gradient",
@@ -81,24 +79,8 @@ def _jaccard(
     return np.divide(matched, union, out=np.zeros(len(matched)), where=article_terms > 0)
 
 
-@dataclass(frozen=True)
-class QuestionView:
-    """What the features need from one question, computed once per question."""
-
-    tokens: tuple[str, ...]  # cleaned question tokens, in order
-    vector: np.ndarray  # question embedding
-
-
-def question_view(
-    question: str, dense: DenseIndex, tok: TokenizerConfig | None = None
-) -> QuestionView:
-    """Tokenize and embed the question once."""
-    tokens = tokenize(clean_text(question), tok or TokenizerConfig())
-    return QuestionView(tokens=tuple(tokens), vector=embed(dense.embedder, tokens))
-
-
 def extract_features(
-    view: QuestionView,
+    tokens: Sequence[str],
     columns: np.ndarray,
     dense_scores: np.ndarray,
     lex: LexIndex,
@@ -106,45 +88,48 @@ def extract_features(
 ) -> np.ndarray:
     """The (k, NUM_FEATURES) feature matrix of the articles at lexical ``columns``.
 
-    ``dense_scores`` are the articles' max sentence cosines with the
-    question and ``log_content_len`` is ``math.log1p`` of every lexical
-    column's content length. BM25 and matched terms are taken at these
+    ``tokens`` are the cleaned question tokens in order, ``dense_scores``
+    the articles' max sentence cosines with the question, and
+    ``log_content_len`` is ``math.log1p`` of every lexical column's
+    content length. BM25 and matched terms are taken at these
     columns only (no article text is tokenized). Each feature is one
     column, computed elementwise with the scalar formula's operations in
     its order, so a row does not depend on the other articles in the
     batch. A missing title zeroes the title features.
     """
-    distinct = len(set(view.tokens))
-    title_bm25, title_matched = score_columns(lex.title, view.tokens, columns)
-    content_bm25, content_matched = score_columns(lex.content, view.tokens, columns)
+    distinct = len(set(tokens))
+    title_bm25, title_matched = score_columns(lex.title, tokens, columns)
+    content_bm25, content_matched = score_columns(lex.content, tokens, columns)
     x = np.empty((len(columns), NUM_FEATURES), dtype=np.float64)
     x[:, 0] = _saturate(title_bm25)
     x[:, 1] = _saturate(content_bm25)
     x[:, 2] = dense_scores
     x[:, 3] = _jaccard(title_matched, distinct, lex.title.distinct[columns])
     x[:, 4] = _jaccard(content_matched, distinct, lex.content.distinct[columns])
-    x[:, 5] = math.log1p(len(view.tokens))
+    x[:, 5] = math.log1p(len(tokens))
     x[:, 6] = log_content_len[columns]
     x[:, 7] = 1.0
     return x
 
 
 class FeatureExtractor:
-    """Feature source bound to a corpus and its indexes.
+    """Feature source bound to a lexical and a dense index of the same articles.
 
-    Holds no per-question state: each call computes the question's view
-    and drops it when done, so memory does not grow with the questions
-    asked.
+    The two indexes number their articles alike (lexical column = dense
+    position), so candidate ids are mapped to columns once per batch.
+    Holds no per-question state: each call tokenizes and embeds the
+    question and drops them when done, so memory does not grow with the
+    questions asked.
     """
 
     def __init__(
-        self,
-        articles: Sequence[Article],
-        lex: LexIndex,
-        dense: DenseIndex,
-        tok: TokenizerConfig | None = None,
+        self, lex: LexIndex, dense: DenseIndex, tok: TokenizerConfig | None = None
     ) -> None:
-        self.by_id: Mapping[str, Article] = {a.article_id: a for a in articles}
+        if lex.article_ids != dense.article_ids:
+            raise ValueError(
+                "the lexical and dense indexes cover different articles "
+                f"({len(lex.article_ids)} and {len(dense.article_ids)})"
+            )
         self.lex = lex
         self.dense = dense
         self.tok = tok or TokenizerConfig()
@@ -153,24 +138,20 @@ class FeatureExtractor:
             [math.log1p(n) for n in lex.content.lengths.tolist()], dtype=np.float64
         )
 
-    def rows(self, question: str, articles: Sequence[Article]) -> np.ndarray:
-        """Feature rows in article order; raises for an article outside an index."""
-        view = question_view(question, self.dense, self.tok)
-        ids = list(map(attrgetter("article_id"), articles))
-        try:
-            dense_scores = quickview_dense_score(self.dense, view.vector, ids)
-        except KeyError as exc:
-            raise ValueError(f"article {exc.args[0]!r} not in dense index") from None
+    def rows(self, question: str, article_ids: Sequence[str]) -> np.ndarray:
+        """Feature rows in id order; raises for an id outside the indexes."""
         columns = np.fromiter(
-            map(self.lex.column.get, ids, repeat(-1)), dtype=np.int64, count=len(ids)
+            map(self.lex.column.get, article_ids, repeat(-1)),
+            dtype=np.int64, count=len(article_ids),
         )
-        indexed = columns >= 0
-        indexed[indexed] = self.lex.content.lengths[columns[indexed]] > 0
-        if not indexed.all():
-            missing = ids[int(np.argmin(indexed))]
-            raise ValueError(f"article {missing!r} not in lexical index")
+        if columns.size and columns.min() < 0:
+            missing = article_ids[int(np.argmin(columns))]
+            raise ValueError(f"article {missing!r} not in the indexes")
+        tokens = tokenize(clean_text(question), self.tok)
+        vector = embed(self.dense.embedder, tokens)
+        dense_scores = quickview_dense_score(self.dense, vector, columns)
         return extract_features(
-            view, columns, dense_scores, self.lex, self.log_content_len
+            tokens, columns, dense_scores, self.lex, self.log_content_len
         )
 
     def matrix(
@@ -181,11 +162,7 @@ class FeatureExtractor:
         by_question = sorted(range(len(examples)), key=lambda i: examples[i].question)
         for question, group in groupby(by_question, key=lambda i: examples[i].question):
             group = list(group)
-            try:
-                articles = [self.by_id[examples[i].article_id] for i in group]
-            except KeyError as exc:
-                raise ValueError(f"unknown article id {exc.args[0]!r}") from None
-            x[group] = self.rows(question, articles)
+            x[group] = self.rows(question, [examples[i].article_id for i in group])
         y = np.asarray([ex.label for ex in examples], dtype=np.float64)
         return x, y
 
@@ -384,7 +361,8 @@ class ModelScorer:
     def score_batch(self, question: str, candidates: Sequence[Article]) -> list[float]:
         """Relevance probability sigmoid(w . f) of each candidate, in order,
         clamped to the open unit interval."""
-        z = _logits(self.model.weights, self.extractor.rows(question, candidates))
+        ids = list(map(attrgetter("article_id"), candidates))
+        z = _logits(self.model.weights, self.extractor.rows(question, ids))
         return np.clip(_sigmoid(z), _PROB_EPS, 1.0 - _PROB_EPS).tolist()
 
 
@@ -449,6 +427,11 @@ def save_model(model: LinearModel, path: str | Path) -> None:
 def load_model(path: str | Path) -> LinearModel:
     with open(path, encoding="utf-8") as handle:
         payload = json.load(handle)
-    if payload.get("format") != MODEL_FORMAT:
+    if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
         raise ValueError(f"{path}: not a model file")
+    version = payload.get("version")
+    if type(version) is not int or version != MODEL_VERSION:  # JSON true equals 1 in Python
+        raise ValueError(f"{path}: model version {version!r}, expected {MODEL_VERSION}")
+    if payload.get("feature_names") != list(FEATURE_NAMES):
+        raise ValueError(f"{path}: model features differ from {list(FEATURE_NAMES)}")
     return LinearModel(np.asarray(payload["weights"]), payload.get("metadata", {}))

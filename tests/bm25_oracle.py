@@ -8,6 +8,13 @@ as the ground truth the engine must match.
 import math
 
 
+def oracle_idf(field_tokens, term):
+    """ln(1 + (N - n + 0.5) / (n + 0.5)) over the articles present in the field."""
+    docs = [t for t in field_tokens.values() if t]
+    n = sum(1 for t in docs if term in t)
+    return math.log(1.0 + (len(docs) - n + 0.5) / (n + 0.5))
+
+
 def oracle_bm25(field_tokens, query, article_id, k1=1.2, b=0.75):
     """Score one article's field from raw token lists.
 
@@ -26,8 +33,7 @@ def oracle_bm25(field_tokens, query, article_id, k1=1.2, b=0.75):
         tf = tokens.count(term)
         if tf == 0:
             continue
-        n = sum(1 for t in docs.values() if term in t)
-        idf = math.log(1.0 + (big_n - n + 0.5) / (n + 0.5))
+        idf = oracle_idf(docs, term)
         score += idf * tf * (k1 + 1.0) / (tf + k1 * (1.0 - b + b * dl / avgdl))
     return score
 

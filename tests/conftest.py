@@ -62,7 +62,7 @@ class SynthBundle:
         self.lex = build_lex_index(self.articles, self.tok)
         self.embedder = HashedProjectionEmbedder(dimension=128, seed=0)
         self.dense, _ = build_dense_index(self.articles, self.embedder, self.tok)
-        self.extractor = FeatureExtractor(self.articles, self.lex, self.dense, self.tok)
+        self.extractor = FeatureExtractor(self.lex, self.dense, self.tok)
         self.queries = title_gold_queries(self.docs)
         self.weak = generate_weak_dataset(self.articles, WeakGenConfig(4, 0))
 

@@ -18,7 +18,7 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
 
 def sentence_rows(index, article_id: str) -> np.ndarray:
     """The article's rows of the index's sentence matrix."""
-    i = index.row[article_id]
+    i = index.article_ids.index(article_id)
     return index.matrix[index.offsets[i] : index.offsets[i + 1]]
 
 

@@ -43,11 +43,11 @@ def whole_corpus_scores(lex, tokens):
     return bm25, matched
 
 
-def extract_features(tokens, bm25, matched, article, lex, dense_score):
+def extract_features(tokens, bm25, matched, article_id, lex, dense_score):
     """One article's feature row under a question's whole-corpus scores."""
-    column = lex.column.get(article.article_id)
+    column = lex.column.get(article_id)
     if column is None or not lex.content.lengths[column]:
-        raise ValueError(f"article {article.article_id!r} not in lexical index")
+        raise ValueError(f"article {article_id!r} not in lexical index")
     distinct = len(set(tokens))
     features = np.empty(NUM_FEATURES, dtype=np.float64)
     features[0] = _saturate(bm25["title"][column])
@@ -65,16 +65,17 @@ def extract_features(tokens, bm25, matched, article, lex, dense_score):
     return features
 
 
-def rows(extractor, question, articles):
-    """``FeatureExtractor.rows`` as a loop over the articles."""
+def rows(extractor, question, article_ids):
+    """``FeatureExtractor.rows`` as a loop over the articles; the dense
+    positions are looked up in the dense index's own id list."""
     tokens = tokenize(clean_text(question), extractor.tok)
     vector = embed(extractor.dense.embedder, tokens)
     bm25, matched = whole_corpus_scores(extractor.lex, tokens)
-    ids = [a.article_id for a in articles]
-    dense_scores = quickview_dense_score(extractor.dense, vector, ids)
-    x = np.empty((len(articles), NUM_FEATURES), dtype=np.float64)
-    for i, (article, dense_score) in enumerate(zip(articles, dense_scores)):
-        x[i] = extract_features(tokens, bm25, matched, article, extractor.lex, dense_score)
+    positions = [extractor.dense.article_ids.index(a) for a in article_ids]
+    dense_scores = quickview_dense_score(extractor.dense, vector, positions)
+    x = np.empty((len(article_ids), NUM_FEATURES), dtype=np.float64)
+    for i, (article_id, dense_score) in enumerate(zip(article_ids, dense_scores)):
+        x[i] = extract_features(tokens, bm25, matched, article_id, extractor.lex, dense_score)
     return x
 
 
@@ -84,8 +85,7 @@ def matrix(extractor, examples):
     by_question = sorted(range(len(examples)), key=lambda i: examples[i].question)
     for question, group in groupby(by_question, key=lambda i: examples[i].question):
         group = list(group)
-        articles = [extractor.by_id[examples[i].article_id] for i in group]
-        x[group] = rows(extractor, question, articles)
+        x[group] = rows(extractor, question, [examples[i].article_id for i in group])
     return x
 
 

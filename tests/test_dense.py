@@ -20,6 +20,11 @@ from statuteqa.dense import (
 
 EMB = HashedProjectionEmbedder(dimension=64, seed=0)
 
+def positions(index, article_ids):
+    """The articles' positions in the index (their lexical columns)."""
+    return [index.article_ids.index(article_id) for article_id in article_ids]
+
+
 tokens_strategy = st.lists(st.text(alphabet="abcdefg", min_size=1, max_size=5), max_size=8)
 
 
@@ -93,24 +98,26 @@ def test_quickview_dense_score_is_max_of_sentence_cosines(tiny_articles):
         explicit = max(
             cosine(question_vector, row) for row in sentence_rows(index, article.article_id)
         )
-        got = quickview_dense_score(index, question_vector, [article.article_id])[0]
+        got = quickview_dense_score(
+            index, question_vector, positions(index, [article.article_id])
+        )[0]
         assert got == pytest.approx(explicit, abs=1e-12)
 
 
 def test_quickview_dense_score_edge_cases(tiny_articles):
     index, _ = build_dense_index(tiny_articles, EMB)
-    assert quickview_dense_score(index, np.zeros(64), ["d1#1"])[0] == 0.0
-    with pytest.raises(KeyError):
-        quickview_dense_score(index, np.zeros(64), ["missing"])
+    assert quickview_dense_score(index, np.zeros(64), [0])[0] == 0.0
+    with pytest.raises(IndexError):
+        quickview_dense_score(index, np.zeros(64), [len(index.article_ids)])
     with pytest.raises(ValueError, match="dimension mismatch"):
-        quickview_dense_score(index, np.zeros(65), ["d1#1"])
+        quickview_dense_score(index, np.zeros(65), [0])
 
 
 def test_verbatim_sentence_scores_one(tiny_articles):
     index, _ = build_dense_index(tiny_articles, EMB)
     sentence = split_sentences(tiny_articles[0].content)[1]  # "Breach causes damages."
     question_vector = embed(EMB, tokenize(clean_text(sentence)))
-    assert quickview_dense_score(index, question_vector, ["d1#1"])[0] == pytest.approx(
+    assert quickview_dense_score(index, question_vector, [0])[0] == pytest.approx(
         1.0, abs=1e-9
     )
 
@@ -144,7 +151,8 @@ def test_matrix_scan_equals_per_article_loop(synth):
         want = per_article_topk(synth.dense, vector, 60)
         assert dense_retrieve_topk(synth.dense, question, 60) == want
         for article_id, score in want:
-            assert quickview_dense_score(synth.dense, vector, [article_id])[0] == score
+            [at] = positions(synth.dense, [article_id])
+            assert quickview_dense_score(synth.dense, vector, [at])[0] == score
 
 
 def test_batched_score_matches_per_article_loop(synth):
@@ -155,11 +163,11 @@ def test_batched_score_matches_per_article_loop(synth):
     for query in synth.queries[:20]:
         vector = embed(synth.embedder, tokenize(clean_text(query.question)))
         batch = [ids[i] for i in rng.integers(0, len(ids), 60)] + ids[:3] * 2
-        got = quickview_dense_score(synth.dense, vector, batch)
+        got = quickview_dense_score(synth.dense, vector, positions(synth.dense, batch))
         assert got.shape == (len(batch),)
         want = per_article_max_cosine(synth.dense, vector, batch)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-    zero = quickview_dense_score(synth.dense, np.zeros(synth.dense.dimension), ids[:4])
+    zero = quickview_dense_score(synth.dense, np.zeros(synth.dense.dimension), range(4))
     assert np.array_equal(zero, np.zeros(4))
     empty = quickview_dense_score(synth.dense, vector, [])
     assert empty.shape == (0,)
@@ -169,7 +177,8 @@ def test_max_pool_dominance(tiny_articles):
     index, _ = build_dense_index(tiny_articles, EMB)
     question_vector = embed(EMB, ["civil", "code"])
     for article in tiny_articles:
-        score = quickview_dense_score(index, question_vector, [article.article_id])[0]
+        [at] = positions(index, [article.article_id])
+        score = quickview_dense_score(index, question_vector, [at])[0]
         for row in sentence_rows(index, article.article_id):
             assert score >= cosine(question_vector, row) - 1e-12
 
@@ -182,9 +191,10 @@ def test_adding_sentence_never_decreases_score(tiny_articles):
     ]
     after, _ = build_dense_index(extended, EMB)
     question_vector = embed(EMB, ["closing", "clause"])
-    ids = [article.article_id for article in tiny_articles]
-    grown = quickview_dense_score(after, question_vector, ids)
-    assert np.all(grown >= quickview_dense_score(before, question_vector, ids) - 1e-12)
+    assert after.article_ids == before.article_ids
+    at = positions(before, [article.article_id for article in tiny_articles])
+    grown = quickview_dense_score(after, question_vector, at)
+    assert np.all(grown >= quickview_dense_score(before, question_vector, at) - 1e-12)
 
 
 def test_reindex_reproduces_bit_identical_vectors(tiny_articles):

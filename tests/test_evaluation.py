@@ -95,14 +95,14 @@ def _fake_quickview(question):
     return [(f"a{(n + offset) % 5}", 1.0 - 0.1 * offset) for offset in range(3)]
 
 
-def _fake_answer(question_id, question):
+def _fake_answer(question_id, question, ranked):
     n = int(question.split()[-1])
     return _answer(question_id, [f"a{n}", f"a{(n + 1) % 5}"])
 
 
 def test_run_eval_report_contents():
     queries = _queries(5)
-    report = run_eval(queries, ks=(1, 2, 3), quickview_rank=_fake_quickview, answer=_fake_answer)
+    report = run_eval(queries, _fake_quickview, ks=(1, 2, 3), answer=_fake_answer)
     assert sorted(report.recall_at_k) == [1, 2, 3]
     assert report.recall_at_k[1] == 1.0  # fake ranker puts gold first
     assert report.mean_precision == pytest.approx(0.5)
@@ -114,19 +114,47 @@ def test_run_eval_report_contents():
 
 
 def test_run_eval_requires_some_work():
-    with pytest.raises(ValueError):
-        run_eval(_queries(2))
-    with pytest.raises(ValueError):
-        run_eval(_queries(2), ks=(), quickview_rank=_fake_quickview)
+    with pytest.raises(ValueError, match="nothing to evaluate"):
+        run_eval(_queries(2), _fake_quickview)
+    with pytest.raises(ValueError, match="nothing to evaluate"):
+        run_eval(_queries(2), _fake_quickview, ks=(), answer=None)
+
+
+def test_run_eval_ranks_each_query_once_for_both_metrics():
+    rankings, seen = [], []
+
+    def rank(question):
+        rankings.append(_fake_quickview(question))
+        return rankings[-1]
+
+    def answer(question_id, question, ranked):
+        seen.append(ranked)
+        return _fake_answer(question_id, question, ranked)
+
+    report = run_eval(_queries(5), rank, ks=(1, 3), answer=answer)
+    assert report.failures == 0
+    assert len(rankings) == 5
+    assert all(got is want for got, want in zip(seen, rankings, strict=True))
+
+
+def test_run_eval_with_every_query_failed_has_no_aggregates():
+    def failing(question_id, question, ranked):
+        raise RuntimeError("down")
+
+    report = run_eval(_queries(3), _fake_quickview, ks=(1, 2), answer=failing)
+    assert report.failures == report.queries == 3
+    assert report.recall_at_k == {}
+    assert report.mean_precision is report.mean_recall is report.f2 is None
+    assert report.mean_latency_ms is None
 
 
 def test_run_eval_marks_failures_and_continues():
-    def flaky_answer(question_id, question):
+    def flaky_answer(question_id, question, ranked):
         if question.endswith("2"):
             raise RuntimeError("boom")
-        return _fake_answer(question_id, question)
+        return _fake_answer(question_id, question, ranked)
 
-    report = run_eval(_queries(4), answer=flaky_answer)
+    report = run_eval(_queries(4), _fake_quickview, answer=flaky_answer)
     assert report.failures == 1
     failed = [row for row in report.per_query if row.get("failed")]
     assert len(failed) == 1 and "boom" in failed[0]["error"]
@@ -135,8 +163,8 @@ def test_run_eval_marks_failures_and_continues():
 
 def test_run_eval_deterministic_apart_from_latency():
     queries = _queries(5)
-    r1 = run_eval(queries, ks=(1, 2), quickview_rank=_fake_quickview, answer=_fake_answer)
-    r2 = run_eval(queries, ks=(1, 2), quickview_rank=_fake_quickview, answer=_fake_answer)
+    r1 = run_eval(queries, _fake_quickview, ks=(1, 2), answer=_fake_answer)
+    r2 = run_eval(queries, _fake_quickview, ks=(1, 2), answer=_fake_answer)
     def strip(report):
         d = report.to_dict()
         d.pop("mean_latency_ms")
@@ -151,10 +179,10 @@ def test_metric_paths_agree():
     queries = _queries(5)
     k = 2
 
-    def topk_answer(question_id, question):
-        return _answer(question_id, [a for a, _ in _fake_quickview(question)[:k]])
+    def topk_answer(question_id, question, ranked):
+        return _answer(question_id, [a for a, _ in ranked[:k]])
 
-    report = run_eval(queries, ks=(k,), quickview_rank=_fake_quickview, answer=topk_answer)
+    report = run_eval(queries, _fake_quickview, ks=(k,), answer=topk_answer)
     assert report.mean_recall == pytest.approx(report.recall_at_k[k], abs=1e-12)
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bm25_oracle import BruteForceBm25, oracle_bm25, oracle_quickview, oracle_topk
+from bm25_oracle import BruteForceBm25, oracle_bm25, oracle_idf, oracle_quickview, oracle_topk
 from conftest import field_token_lists
 from statuteqa.corpus import Article, TokenizerConfig, clean_text, tokenize
 from statuteqa.lexical import (
@@ -14,9 +14,7 @@ from statuteqa.lexical import (
     QuickviewConfig,
     bm25,
     build_lex_index,
-    idf,
     load_lex_index,
-    quickview_lex_score,
     retrieve_topk,
     save_lex_index,
     score_columns,
@@ -54,11 +52,17 @@ def test_idf_frozen_values():
     # N=2 title field of the tiny fixture
     a = Article("a", "d", "shared term", "shared text here")
     b = Article("b", "d", "shared other", "different words entirely")
-    index = build_lex_index([a, b])
-    assert idf(index, "title", "shared") == pytest.approx(0.1823215567939546, abs=1e-12)
-    assert idf(index, "title", "absent") == pytest.approx(1.791759469228055, abs=1e-12)
-    single = build_lex_index([a])
-    assert idf(single, "title", "shared") == pytest.approx(0.28768207245178085, abs=1e-12)
+    titles = field_token_lists([a, b], "title")
+    assert oracle_idf(titles, "shared") == pytest.approx(0.1823215567939546, abs=1e-12)
+    assert oracle_idf(titles, "absent") == pytest.approx(1.791759469228055, abs=1e-12)
+    single = field_token_lists([a], "title")
+    assert oracle_idf(single, "shared") == pytest.approx(0.28768207245178085, abs=1e-12)
+    for articles in ([a, b], [a]):  # the index's BM25 carries the same idf
+        index = build_lex_index(articles)
+        titles = field_token_lists(articles, "title")
+        want = [oracle_bm25(titles, ["shared"], i) for i in index.article_ids]
+        got = score_query(index, ["shared"])["title"].tolist()
+        assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_bm25_trivial_cases(tiny_lex):
@@ -155,17 +159,18 @@ def test_score_columns_equals_score_query_bit_for_bit(case):
 
 def test_quickview_composition(tiny_articles, tiny_lex):
     query = ["civil", "code"]
-    content_only = QuickviewConfig(alpha=0.0, beta=1.0)
-    assert quickview_lex_score(tiny_lex, query, "d2#1", content_only) == pytest.approx(
+    content_only = dict(retrieve_topk(tiny_lex, query, 3, QuickviewConfig(0.0, 1.0)))
+    assert content_only["d2#1"] == pytest.approx(
         bm25(tiny_lex, "content", query, "d2#1")
     )
-    title_only = QuickviewConfig(alpha=1.0, beta=0.0)
-    assert quickview_lex_score(tiny_lex, query, "d1#2", title_only) == 0.0  # untitled
+    # "law" is in the content of untitled d1#2, which a title-only quickview misses
+    title_only = retrieve_topk(tiny_lex, ["law"], 3, QuickviewConfig(1.0, 0.0))
+    assert [article_id for article_id, _ in title_only] == ["d1#1"]
 
     title = field_token_lists(tiny_articles, "title")
     content = field_token_lists(tiny_articles, "content")
     expected = oracle_quickview(title, content, query, "d2#1", alpha=1.5, beta=1.0)
-    got = quickview_lex_score(tiny_lex, query, "d2#1", QuickviewConfig(1.5, 1.0))
+    got = dict(retrieve_topk(tiny_lex, query, 3, QuickviewConfig(1.5, 1.0)))["d2#1"]
     assert got == pytest.approx(expected, abs=1e-9)
 
 
@@ -300,10 +305,12 @@ def test_idf_positive_and_decreasing_in_df():
         Article(f"a{i}", "d", None, " ".join(["common"] + [f"rare{i}"]))
         for i in range(10)
     ]
+    contents = field_token_lists(articles, "content")
+    assert oracle_idf(contents, "common") > 0
+    assert oracle_idf(contents, "rare3") > oracle_idf(contents, "common")
+    assert math.isclose(oracle_idf(contents, "never-seen"), math.log(1 + 10.5 / 0.5))
+    # equal lengths and term frequencies: the index's BM25 orders terms by idf
     index = build_lex_index(articles)
-    assert idf(index, "content", "common") > 0
-    assert idf(index, "content", "rare3") > idf(index, "content", "common")
-    assert math.isclose(
-        idf(index, "content", "never-seen"),
-        math.log(1 + 10.5 / 0.5),
-    )
+    common = score_query(index, ["common"])["content"][3]
+    rare = score_query(index, ["rare3"])["content"][3]
+    assert 0.0 < common < rare

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from statuteqa import dense, lineproto, reranker
+from statuteqa import dense, ensemble, lineproto, reranker
 from statuteqa.cli import main
 from statuteqa.corpus import (
     LegalDocument,
@@ -184,6 +184,41 @@ def test_config_rejects_unknown_keys(tmp_path):
         PipelineConfig.from_file(bad)
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("top_k", "200"), ("gamma", None), ("phrase_lexicon", "ab"), ("top_k", True),
+     ("alpha", False), ("external_scorer_cmd", ["python", 3])],
+)
+def test_config_rejects_values_of_the_wrong_type(tmp_path, capsys, key, value):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({key: value}))
+    with pytest.raises(ValueError, match=key):
+        PipelineConfig.from_file(bad)
+    assert main(["--config", str(bad), "query", "--question", "law"]) == 1
+    assert f"{key} must be" in capsys.readouterr().err
+
+
+def test_config_accepts_every_annotated_type(tmp_path):
+    good = tmp_path / "good.json"
+    values = {
+        "top_k": 20, "gamma": 1, "threshold": None, "learning_rate": 0.5,
+        "phrase_lexicon": ["civil code"], "tokenizer_mode": "whitespace_with_phrase_merge",
+        "external_embedder_cmd": None, "external_scorer_cmd": ["scorer", "--fast"],
+    }
+    good.write_text(json.dumps(values))
+    cfg = PipelineConfig.from_file(good)
+    assert {key: getattr(cfg, key) for key in values} == values
+
+
+def test_load_model_error_is_reported_not_raised(workspace, tmp_path, capsys):
+    root, base, queries = workspace
+    model = tmp_path / "model.json"
+    model.write_text("[]")
+    flags = ["--model-path", str(model), "--question", queries[0].question]
+    assert main(base + ["query", *flags]) == 1
+    assert f"{model}: not a model file" in capsys.readouterr().err
+
+
 def test_pipeline_answer_matches_cli_query(workspace, capsys):
     root, base, queries = workspace
     cfg = PipelineConfig.from_file(root / "config.json")
@@ -285,6 +320,67 @@ def test_eval_reports_the_configured_quickview_recall(workspace, tmp_path, mode)
     expected = _dense_recall(root, (1, 5))
     assert expected["1"] < 1.0  # lexical quickview gets 1.0 on these questions
     assert report["recall_at_k"] == pytest.approx(expected, abs=1e-12)
+
+
+def test_eval_runs_one_quickview_per_question(workspace, tmp_path, monkeypatch):
+    root, base, queries = workspace
+    calls = []
+    original = ensemble.retrieve_topk
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])  # k
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ensemble, "retrieve_topk", counting)
+    report = tmp_path / "report.json"
+    assert main(base + ["eval", "--k", "1,5", "--report-path", str(report)]) == 0
+    assert len(calls) == len(queries)
+    assert set(calls) == {10}  # max of the cutoffs and top_k
+    calls.clear()
+    assert main(base + ["eval", "--k", "1,50", "--report-path", str(report)]) == 0
+    assert calls == [50] * len(queries)
+
+
+def test_eval_answer_sets_equal_query_answers(workspace, tmp_path, capsys, monkeypatch):
+    root, base, queries = workspace
+    report_path = tmp_path / "report.json"
+    assert main(base + ["eval", "--k", "1,50", "--report-path", str(report_path)]) == 0
+    report = json.loads(report_path.read_text())
+    capsys.readouterr()
+    stdin = "".join(f"{q.question}\n" for q in queries)
+    monkeypatch.setattr(sys, "stdin", __import__("io").StringIO(stdin))
+    assert main(base + ["query", "--json"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    answered = [[c["article_id"] for c in json.loads(line)["returned"]] for line in lines]
+    assert answered == [row["returned"] for row in report["per_query"]]
+    assert len(answered) == len(queries)
+
+
+@pytest.mark.parametrize("k", ["0,5", "", " , ", "-3", "ten"])
+def test_eval_rejects_bad_cutoffs_before_loading(tmp_path, capsys, k):
+    missing = ["--corpus-path", str(tmp_path / "none.jsonl")]
+    assert main(["eval", *missing, "--k", k]) == 2
+    assert "invalid --k list" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", [["--end-to-end"], []])
+def test_eval_with_every_question_failed_writes_its_report(
+    workspace, tmp_path, capsys, mode
+):
+    root, base, queries = workspace
+    cfg = json.loads((root / "config.json").read_text())
+    report_path = tmp_path / "report.json"
+    cfg.update(
+        report_path=str(report_path),
+        external_scorer_cmd=[sys.executable, "-c", "pass"],  # exits unanswered
+    )
+    (tmp_path / "config.json").write_text(json.dumps(cfg))
+    assert main(["--config", str(tmp_path / "config.json"), "eval", *mode]) == 1
+    out, err = capsys.readouterr()
+    assert "F2: n/a" in out and "Mean latency: n/a" in out
+    assert f"{len(queries)} queries failed" in err
+    report = json.loads(report_path.read_text())
+    assert report["failures"] == len(queries) and report["f2"] is None
 
 
 @pytest.fixture

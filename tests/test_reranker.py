@@ -1,9 +1,11 @@
+import json
 import math
 import random
 from collections.abc import Mapping
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import feature_oracle
 from bm25_oracle import BruteForceBm25
@@ -12,7 +14,8 @@ from feature_oracle import predict
 from statuteqa.corpus import Article, TokenizerConfig, clean_text, tokenize
 from dense_oracle import cosine, per_article_max_cosine, sentence_rows
 from statuteqa.dense import HashedProjectionEmbedder, build_dense_index, embed
-from statuteqa.lexical import build_lex_index
+from statuteqa.ensemble import EnsembleConfig, rank_and_select
+from statuteqa.lexical import QuickviewConfig, build_lex_index
 from statuteqa.reranker import (
     NUM_FEATURES,
     FeatureExtractor,
@@ -37,13 +40,17 @@ EMB = HashedProjectionEmbedder(dimension=64, seed=0)
 def tiny_setup(tiny_articles):
     lex = build_lex_index(tiny_articles, TokenizerConfig())
     dense, _ = build_dense_index(tiny_articles, EMB)
-    extractor = FeatureExtractor(tiny_articles, lex, dense, TokenizerConfig())
+    extractor = FeatureExtractor(lex, dense, TokenizerConfig())
     return tiny_articles, lex, dense, extractor
+
+
+def _ids(articles):
+    return [a.article_id for a in articles]
 
 
 def test_zero_overlap_features(tiny_setup):
     articles, _, _, extractor = tiny_setup
-    f = extractor.rows("zebra quark synergy", [articles[0]])[0]
+    f = extractor.rows("zebra quark synergy", ["d1#1"])[0]
     assert f[0] == f[1] == f[3] == f[4] == 0.0
     assert abs(f[2]) < 0.75  # hashed vectors are nearly orthogonal, not exactly
     assert f[7] == 1.0
@@ -51,14 +58,14 @@ def test_zero_overlap_features(tiny_setup):
 
 def test_question_equal_to_title_gives_unit_jaccard(tiny_setup):
     articles, _, _, extractor = tiny_setup
-    f = extractor.rows("Law of Contracts", [articles[0]])[0]
+    f = extractor.rows("Law of Contracts", ["d1#1"])[0]
     assert f[3] == 1.0
 
 
 def test_missing_title_zeroes_title_features(tiny_setup):
     articles, _, _, extractor = tiny_setup
-    untitled = articles[1]
-    f = extractor.rows("property law", [untitled])[0]
+    assert articles[1].title is None
+    f = extractor.rows("property law", ["d1#2"])[0]
     assert f[0] == 0.0 and f[3] == 0.0
     assert f[1] > 0.0
 
@@ -66,7 +73,7 @@ def test_missing_title_zeroes_title_features(tiny_setup):
 def test_fixture_pair_hand_computation(tiny_setup):
     articles, _, dense, extractor = tiny_setup
     question = "civil code obligations"
-    f = extractor.rows(question, [articles[2]])[0]
+    f = extractor.rows(question, ["d2#1"])[0]
     assert f[0] == pytest.approx(0.6015659322371294, abs=1e-12)
     assert f[1] == pytest.approx(0.7691562600624373, abs=1e-12)
     question_vector = embed(EMB, question.split())
@@ -85,7 +92,7 @@ def test_features_bounded(tiny_setup, synth):
     articles, _, _, extractor = tiny_setup
     questions = ["civil code", "law of contracts", "land registry records titles"]
     for question in questions:
-        for f in extractor.rows(question, articles):
+        for f in extractor.rows(question, _ids(articles)):
             assert np.all(np.isfinite(f))
             for i in (0, 1, 3, 4):
                 assert 0.0 <= f[i] <= 1.0
@@ -106,14 +113,14 @@ def test_precomputed_view_matches_text_reference(synth):
     lexical = [0, 1, 3, 4, 5, 6, 7]  # every feature but the dense cosine
     for query in synth.queries[:5]:
         question = query.question
-        rows = synth.extractor.rows(question, batch)
+        rows = synth.extractor.rows(question, _ids(batch))
         q_tokens = tokenize(clean_text(question), synth.tok)
         vector = embed(synth.embedder, q_tokens)
         cosines = per_article_max_cosine(
             synth.dense, vector, [a.article_id for a in batch]
         )
         for article, shared, max_cosine in zip(batch, rows, cosines):
-            alone = synth.extractor.rows(question, [article])[0]
+            alone = synth.extractor.rows(question, [article.article_id])[0]
             assert np.array_equal(alone[lexical], shared[lexical])
             assert alone[2] == pytest.approx(shared[2], abs=1e-12)
             assert shared[2] == pytest.approx(max_cosine, abs=1e-12)
@@ -138,10 +145,10 @@ def test_feature_rows_equal_per_article_oracle(synth, tiny_setup):
     untitled articles and repeated articles included."""
     articles, _, _, extractor = tiny_setup
     for question in ["civil code", "law of law contracts", "zebra", ""]:
-        batch = articles[::-1] + articles[:1]
+        batch = _ids(articles[::-1] + articles[:1])
         want = feature_oracle.rows(extractor, question, batch)
         assert _bits(extractor.rows(question, batch)) == _bits(want)
-    batches = [synth.articles, synth.articles[::-3], synth.articles[5:6]]
+    batches = [_ids(b) for b in (synth.articles, synth.articles[::-3], synth.articles[5:6])]
     for query in synth.queries[:10]:
         for batch in batches:
             want = feature_oracle.rows(synth.extractor, query.question, batch)
@@ -158,7 +165,7 @@ def test_training_matrix_equals_per_article_oracle(synth):
 def test_logits_equal_sequential_python_sum(synth):
     """Each logit equals w . f summed as Python floats in feature order, on
     real feature rows and on random rows where ``x @ w`` rounds differently."""
-    x = synth.extractor.rows(synth.queries[0].question, synth.articles)
+    x = synth.extractor.rows(synth.queries[0].question, _ids(synth.articles))
     rng = np.random.default_rng(3)
     cases = [(synth.model, x)] + [
         (LinearModel(rng.normal(size=NUM_FEATURES)), rng.normal(size=(2000, NUM_FEATURES)))
@@ -185,11 +192,12 @@ def test_score_batch_is_batch_independent(synth):
         for article in candidates[:5]:
             [alone] = synth.scorer.score_batch(question, [article])
             assert alone.hex() == full[article].hex()
-            assert alone == predict(synth.model, synth.extractor.rows(question, [article])[0])
+            features = synth.extractor.rows(question, [article.article_id])[0]
+            assert alone == predict(synth.model, features)
 
 
 def test_extractor_keeps_no_per_question_state(synth):
-    extractor = FeatureExtractor(synth.articles, synth.lex, synth.dense, synth.tok)
+    extractor = FeatureExtractor(synth.lex, synth.dense, synth.tok)
     before = {
         name: dict(value) if isinstance(value, Mapping) else value
         for name, value in vars(extractor).items()
@@ -206,25 +214,64 @@ def test_extractor_keeps_no_per_question_state(synth):
 
 def test_unknown_article_rejected(tiny_setup):
     articles, _, _, extractor = tiny_setup
-    ghost = Article("ghost", "d9", None, "never indexed.")
-    with pytest.raises(ValueError, match="not in"):
-        extractor.rows("anything", [ghost])
+    with pytest.raises(ValueError, match="'ghost' not in the indexes"):
+        extractor.rows("anything", ["d1#1", "ghost"])
+    with pytest.raises(ValueError, match="'ghost' not in the indexes"):
+        extractor.matrix([TrainingExample("anything", "ghost", 1, "weak")])
 
 
-@pytest.mark.parametrize(
-    "lex_count, dense_count, missing",
-    [(3, 2, "not in dense index"), (2, 3, "not in lexical index")],
-)
-def test_article_outside_one_index_rejected(
-    tiny_articles, lex_count, dense_count, missing
+# Letters (with a capital and a final sigma, which lowercase by context),
+# digits, sentence delimiters, whitespace and other punctuation
+_TEXT = st.text(alphabet="aΣσς7 \t\n.;?!-,", max_size=12)
+
+
+@st.composite
+def _hand_built_articles(draw):
+    n = draw(st.integers(1, 6))
+    return [
+        Article(f"a{i}", "d", draw(st.none() | _TEXT), draw(_TEXT)) for i in range(n)
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_hand_built_articles())
+def test_both_indexes_number_the_same_articles(articles):
+    """An article is indexed when its content has tokens, by both builds."""
+    lex = build_lex_index(articles)
+    dense, excluded = build_dense_index(articles, EMB)
+    assert lex.article_ids == dense.article_ids
+    assert len(articles) - excluded == len(lex.article_ids)
+    with_content = [a.article_id for a in articles if tokenize(clean_text(a.content))]
+    assert list(lex.article_ids) == sorted(with_content)
+
+
+def test_title_only_article_is_in_neither_index():
+    """A hand-built article with title text and no content text is not a
+    candidate, so answers never ask the dense index for it."""
+    articles = [
+        Article("a", "d", "Tenancy deposits", "A deposit is returned."),
+        Article("b", "d", "Tenancy deposits", "..."),
+        Article("c", "d", None, "Tenancy ends with notice."),
+    ]
+    lex = build_lex_index(articles)
+    dense, _ = build_dense_index(articles, EMB)
+    assert lex.article_ids == dense.article_ids == ("a", "c")
+    scorer = ModelScorer(zero_model(), FeatureExtractor(lex, dense))
+    answer = rank_and_select(
+        "q", "tenancy deposits", lex, scorer, {a.article_id: a for a in articles},
+        EnsembleConfig(top_k=10), quickview_cfg=QuickviewConfig(),
+    )
+    assert [c.article_id for c in answer.returned] == ["a"]
+
+
+@pytest.mark.parametrize("lex_count, dense_count", [(3, 2), (2, 3)])
+def test_extractor_rejects_indexes_of_different_articles(
+    tiny_articles, lex_count, dense_count
 ):
     lex = build_lex_index(tiny_articles[:lex_count], TokenizerConfig())
     dense, _ = build_dense_index(tiny_articles[:dense_count], EMB)
-    extractor = FeatureExtractor(tiny_articles, lex, dense, TokenizerConfig())
-    with pytest.raises(ValueError, match=missing):
-        extractor.rows("civil code", tiny_articles)
-    with pytest.raises(ValueError, match=missing):
-        extractor.matrix([TrainingExample("civil code", "d2#1", 1, "weak")])
+    with pytest.raises(ValueError, match="cover different articles"):
+        FeatureExtractor(lex, dense, TokenizerConfig())
 
 
 def test_predict_values():
@@ -374,7 +421,7 @@ def test_model_scorer_matches_predict(synth):
     article = synth.articles[0]
     scorer = ModelScorer(synth.model, synth.extractor)
     [score] = scorer.score_batch(question, [article])
-    features = synth.extractor.rows(question, [article])[0]
+    features = synth.extractor.rows(question, [article.article_id])[0]
     assert score == predict(synth.model, features)
 
 
@@ -388,3 +435,25 @@ def test_model_save_load_round_trip(synth, tmp_path):
         path2 = tmp_path / "bogus.json"
         path2.write_text('{"format": "other"}')
         load_model(path2)
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ([1, 2, 3], "not a model file"),
+        ({"version": 99}, "model version 99"),
+        ({"version": True}, "model version True"),
+        ({"feature_names": ["bias"] * NUM_FEATURES}, "model features differ"),
+    ],
+)
+def test_load_model_rejects_what_save_model_does_not_write(
+    synth, tmp_path, payload, message
+):
+    path = tmp_path / "model.json"
+    save_model(synth.model, path)
+    if isinstance(payload, dict):
+        payload = {**json.loads(path.read_text()), **payload}
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=message) as raised:
+        load_model(path)
+    assert str(path) in str(raised.value)

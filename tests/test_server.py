@@ -35,7 +35,7 @@ def service(tmp_path_factory, request):
     dense, _ = build_dense_index(articles, embedder, tok)
     save_lex_index(lex, root / "lex.bin")
     save_dense_index(dense, root / "dense.bin")
-    extractor = FeatureExtractor(articles, lex, dense, tok)
+    extractor = FeatureExtractor(lex, dense, tok)
     weak = generate_weak_dataset(articles, WeakGenConfig(4, 0))
     model = train_stage(zero_model(), weak, [], TrainConfig(epochs=15), extractor)
     save_model(model, root / "model.json")
