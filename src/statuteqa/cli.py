@@ -109,6 +109,16 @@ def _add_override(parser: argparse.ArgumentParser, *names: str) -> None:
         parser.add_argument(flag, dest=name, type=casts[types[name]], default=None)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, not {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="statuteqa",
@@ -152,7 +162,9 @@ def build_parser() -> argparse.ArgumentParser:
         "alpha", "beta", "gamma", "threshold",
     )
     p_query.add_argument("--question", help="one-shot question (otherwise interactive)")
-    p_query.add_argument("--k", type=int, default=None, help="candidate list size")
+    p_query.add_argument(
+        "--k", type=_positive_int, default=None, help="candidate list size (>= 1)"
+    )
     p_query.add_argument("--json", action="store_true", help="print result JSON lines")
 
     p_eval = sub.add_parser("eval", help="evaluate quickview and/or end-to-end")

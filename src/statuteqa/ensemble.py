@@ -20,9 +20,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Article, TokenizerConfig, clean_text, tokenize
-from .dense import DenseIndex, dense_retrieve_topk
-from .lexical import LexIndex, QuickviewConfig, retrieve_topk
+from .corpus import Article
 
 __all__ = [
     "RankedCandidate",
@@ -33,9 +31,7 @@ __all__ = [
     "minmax_normalize",
     "combine",
     "select_answer_set",
-    "quickview_topk",
     "rank_and_select",
-    "fuse_and_select",
     "answer_set_to_json",
 ]
 
@@ -139,46 +135,7 @@ def select_answer_set(
     return order[(best - ordered < threshold) | (ordered == best)]
 
 
-def quickview_topk(
-    question: str,
-    k: int,
-    source: str,
-    lex: LexIndex,
-    dense: DenseIndex | None,
-    quickview_cfg: QuickviewConfig | None = None,
-    tok: TokenizerConfig | None = None,
-) -> list[tuple[str, float]]:
-    """The ``k`` best (article id, score) of the ``source`` quickview.
-
-    ``source`` is ``"lexical"`` (fielded BM25) or ``"dense"`` (max
-    sentence cosine), as in ``EnsembleConfig.quickview_source``.
-    """
-    if source == "dense":
-        if dense is None:
-            raise ValueError("dense quickview requested but no dense index given")
-        return dense_retrieve_topk(dense, question, k, tok)
-    return retrieve_topk(lex, tokenize(clean_text(question), tok), k, quickview_cfg)
-
-
 def rank_and_select(
-    question_id: str,
-    question: str,
-    lex: LexIndex,
-    scorer,
-    articles_by_id: Mapping[str, Article],
-    cfg: EnsembleConfig,
-    quickview_cfg: QuickviewConfig | None = None,
-    tok: TokenizerConfig | None = None,
-    dense: DenseIndex | None = None,
-) -> AnswerSet:
-    """Full per-question pipeline: retrieve, then ``fuse_and_select``."""
-    ranked = quickview_topk(
-        question, cfg.top_k, cfg.quickview_source, lex, dense, quickview_cfg, tok
-    )
-    return fuse_and_select(question_id, question, ranked, scorer, articles_by_id, cfg)
-
-
-def fuse_and_select(
     question_id: str,
     question: str,
     ranked: Sequence[tuple[str, float]],
@@ -188,11 +145,11 @@ def fuse_and_select(
 ) -> AnswerSet:
     """Score, normalize, fuse and select over a quickview ranking.
 
-    ``ranked`` is the (article id, quickview score) list of the candidates
-    and ``scorer`` is anything with ``score_batch(question, articles)``.
-    When no quickview candidate scored above zero (``ranked`` is empty) the
-    answer set is empty and flagged, which is distinct from selecting the
-    best candidate.
+    ``ranked`` is the (article id, quickview score) list of the candidates,
+    as ``Pipeline.quickview_rank`` returns it, and ``scorer`` is anything
+    with ``score_batch(question, articles)``. When the quickview found no
+    candidate (``ranked`` is empty) the answer set is empty and flagged,
+    which is distinct from selecting the best candidate.
     """
     if not ranked:
         return AnswerSet(question_id=question_id, returned=(), no_candidates=True)

@@ -195,13 +195,16 @@ def load_gold_file(path: str | Path) -> list[GoldQuery]:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            queries.append(
-                GoldQuery(
-                    question_id=str(record["question_id"]),
-                    question=record["question"],
-                    gold_article_ids=frozenset(record["gold"]),
+            try:
+                queries.append(
+                    GoldQuery(
+                        question_id=str(record["question_id"]),
+                        question=record["question"],
+                        gold_article_ids=frozenset(record["gold"]),
+                    )
                 )
-            )
+            except KeyError as exc:
+                raise ValueError(f"{path}:{lineno}: missing key {exc}") from None
     return queries
 
 

@@ -18,6 +18,8 @@ from typing import Sequence
 
 __all__ = ["ProtocolError", "LineProtocolClient", "finite_real"]
 
+_CHUNK = 65536  # bytes per pipe read or write
+
 
 class ProtocolError(RuntimeError):
     """Child process unreachable, timed out, or sent a malformed response."""
@@ -53,6 +55,7 @@ class LineProtocolClient:
             )
         except OSError as exc:
             raise ProtocolError(f"cannot start {self.command!r}: {exc}") from exc
+        os.set_blocking(self._proc.stdin.fileno(), False)  # see _exchange
         self._buffer = b""
         self._lock = threading.Lock()  # batches are serialized per child
 
@@ -79,15 +82,8 @@ class LineProtocolClient:
             json.dumps(req, ensure_ascii=False).encode("utf-8") + b"\n"
             for req in requests
         )
-        try:
-            self._proc.stdin.write(payload)
-            self._proc.stdin.flush()
-        except (BrokenPipeError, OSError) as exc:
-            raise ProtocolError(f"{self.command!r} is unreachable: {exc}") from exc
-
         responses = []
-        for _ in range(len(requests)):
-            line = self._read_line()
+        for line in self._exchange(payload, len(requests)):
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
@@ -99,28 +95,52 @@ class LineProtocolClient:
             responses.append(obj)
         return responses
 
-    def _read_line(self) -> bytes:
-        # fd-level reads so the timeout applies to the pipe, not a buffer.
+    def _exchange(self, payload: bytes, count: int) -> list[bytes]:
+        """Write ``payload`` while reading ``count`` reply lines.
+
+        fd-level reads and non-blocking writes, so the timeout applies to
+        the pipes, not a buffer, and a child that stops reading until its
+        full output pipe drains cannot stall a large batch. The timeout
+        restarts with each reply line and covers the writes before it.
+        """
+        out_fd = self._proc.stdout.fileno()
+        in_fd = self._proc.stdin.fileno()
+        pending = memoryview(payload)
+        lines: list[bytes] = []
         deadline = time.monotonic() + self.timeout
-        fd = self._proc.stdout.fileno()
-        while True:
+        while len(lines) < count or pending:
             newline = self._buffer.find(b"\n")
-            if newline >= 0:
-                line = self._buffer[:newline]
+            if newline >= 0 and len(lines) < count:
+                lines.append(self._buffer[:newline])
                 self._buffer = self._buffer[newline + 1 :]
-                return line
+                deadline = time.monotonic() + self.timeout
+                continue
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 raise ProtocolError(
                     f"{self.command!r} timed out after {self.timeout:g}s"
                 )
-            ready, _, _ = select.select([fd], [], [], remaining)
-            if not ready:
-                continue
-            chunk = os.read(fd, 65536)
-            if not chunk:
-                raise ProtocolError(f"{self.command!r} closed its output mid-batch")
-            self._buffer += chunk
+            readable, writable, _ = select.select(
+                [out_fd] if len(lines) < count else [],
+                [in_fd] if pending else [],
+                [],
+                remaining,
+            )
+            if writable:
+                try:
+                    pending = pending[os.write(in_fd, pending[:_CHUNK]) :]
+                except BlockingIOError:
+                    pass
+                except OSError as exc:
+                    raise ProtocolError(
+                        f"{self.command!r} is unreachable: {exc}"
+                    ) from exc
+            if readable:
+                chunk = os.read(out_fd, _CHUNK)
+                if not chunk:
+                    raise ProtocolError(f"{self.command!r} closed its output mid-batch")
+                self._buffer += chunk
+        return lines
 
     def close(self) -> None:
         """End the child (EOF on its stdin, then a kill after 5 s) and close

@@ -17,24 +17,21 @@ from typing import Sequence
 from .corpus import (
     Article,
     TokenizerConfig,
+    clean_text,
     corpus_digest,
     iter_articles,
     load_corpus_file,
+    tokenize,
 )
 from .dense import (
     DenseIndex,
     ExternalEmbedder,
     HashedProjectionEmbedder,
+    dense_retrieve_topk,
     load_dense_index,
 )
-from .ensemble import (
-    AnswerSet,
-    EnsembleConfig,
-    fuse_and_select,
-    quickview_topk,
-    rank_and_select,
-)
-from .lexical import Bm25Params, LexIndex, QuickviewConfig, load_lex_index
+from .ensemble import AnswerSet, EnsembleConfig, rank_and_select
+from .lexical import Bm25Params, LexIndex, QuickviewConfig, load_lex_index, retrieve_topk
 from .reranker import (
     ExternalScorer,
     FeatureExtractor,
@@ -257,29 +254,23 @@ class Pipeline:
         return cls(cfg, articles, lex, dense, scorer)
 
     def quickview_rank(self, question: str, k: int) -> list[tuple[str, float]]:
-        """The ``k`` best candidates of the configured quickview."""
-        return quickview_topk(
-            question, k, self.ensemble_cfg.quickview_source, self.lex, self.dense,
-            self.quickview_cfg, self.tok,
-        )
+        """The ``k`` best (article id, score) of the configured quickview:
+        fielded BM25 (``"lexical"``) or max sentence cosine (``"dense"``)."""
+        if self.ensemble_cfg.quickview_source == "dense":
+            return dense_retrieve_topk(self.dense, question, k, self.tok)
+        tokens = tokenize(clean_text(question), self.tok)
+        return retrieve_topk(self.lex, tokens, k, self.quickview_cfg)
 
     def answer(
         self, question_id: str, question: str, top_k: int | None = None
     ) -> AnswerSet:
-        ensemble_cfg = self.ensemble_cfg
+        """Quickview at ``top_k`` (default: the configured one), then fusion
+        and selection."""
+        cfg = self.ensemble_cfg
         if top_k is not None:
-            ensemble_cfg = dataclasses.replace(ensemble_cfg, top_k=top_k)
-        return rank_and_select(
-            question_id,
-            question,
-            self.lex,
-            self.scorer,
-            self.by_id,
-            ensemble_cfg,
-            quickview_cfg=self.quickview_cfg,
-            tok=self.tok,
-            dense=self.dense,
-        )
+            cfg = dataclasses.replace(cfg, top_k=top_k)
+        ranked = self.quickview_rank(question, cfg.top_k)
+        return rank_and_select(question_id, question, ranked, self.scorer, self.by_id, cfg)
 
     def answer_ranked(
         self, question_id: str, question: str, ranked: Sequence[tuple[str, float]]
@@ -290,7 +281,7 @@ class Pipeline:
         the candidate list ``answer`` would rank.
         """
         cfg = self.ensemble_cfg
-        return fuse_and_select(
+        return rank_and_select(
             question_id, question, ranked[: cfg.top_k], self.scorer, self.by_id, cfg
         )
 

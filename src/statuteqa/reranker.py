@@ -66,6 +66,11 @@ MODEL_VERSION = 1
 
 _PROB_EPS = 1e-12
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba defaults)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 def _saturate(score: np.ndarray) -> np.ndarray:
     return score / (1.0 + score)
@@ -192,9 +197,6 @@ class TrainConfig:
     batch_size: int = 32
     rng_seed: int = 0
     patience: int = 10  # early-stop patience on validation loss
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def __post_init__(self) -> None:
         if self.learning_rate <= 0:
@@ -284,11 +286,11 @@ def train_stage(
             batch = order[start : start + cfg.batch_size]
             grad = cross_entropy_gradient(weights, x[batch], y[batch])
             step += 1
-            m = cfg.adam_beta1 * m + (1.0 - cfg.adam_beta1) * grad
-            v = cfg.adam_beta2 * v + (1.0 - cfg.adam_beta2) * grad * grad
-            m_hat = m / (1.0 - cfg.adam_beta1**step)
-            v_hat = v / (1.0 - cfg.adam_beta2**step)
-            weights -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+            m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
+            v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
+            m_hat = m / (1.0 - ADAM_BETA1**step)
+            v_hat = v / (1.0 - ADAM_BETA2**step)
+            weights -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         epochs_run += 1
 
         train_loss = mean_cross_entropy(weights, x, y)
@@ -434,4 +436,8 @@ def load_model(path: str | Path) -> LinearModel:
         raise ValueError(f"{path}: model version {version!r}, expected {MODEL_VERSION}")
     if payload.get("feature_names") != list(FEATURE_NAMES):
         raise ValueError(f"{path}: model features differ from {list(FEATURE_NAMES)}")
-    return LinearModel(np.asarray(payload["weights"]), payload.get("metadata", {}))
+    weights = payload.get("weights")
+    values = list(map(finite_real, weights)) if isinstance(weights, list) else []
+    if len(values) != NUM_FEATURES or None in values:
+        raise ValueError(f"{path}: weights must be a list of {NUM_FEATURES} finite numbers")
+    return LinearModel(np.array(values), payload.get("metadata", {}))

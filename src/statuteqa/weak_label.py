@@ -195,16 +195,19 @@ def write_dataset(examples: Iterable[TrainingExample], path: str | Path) -> None
 def read_dataset(path: str | Path) -> list[TrainingExample]:
     examples = []
     with open(path, encoding="utf-8") as handle:
-        for line in handle:
+        for lineno, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
             record = json.loads(line)
-            examples.append(
-                TrainingExample(
-                    question=record["question"],
-                    article_id=record["article_id"],
-                    label=int(record["label"]),
-                    origin=record["origin"],
+            try:
+                examples.append(
+                    TrainingExample(
+                        question=record["question"],
+                        article_id=record["article_id"],
+                        label=int(record["label"]),
+                        origin=record["origin"],
+                    )
                 )
-            )
+            except KeyError as exc:
+                raise ValueError(f"{path}:{lineno}: missing key {exc}") from None
     return examples

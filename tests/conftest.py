@@ -5,7 +5,7 @@ import pytest
 
 from statuteqa.corpus import Article, TokenizerConfig, clean_text, iter_articles, tokenize
 from statuteqa.dense import HashedProjectionEmbedder, build_dense_index
-from statuteqa.lexical import build_lex_index
+from statuteqa.lexical import build_lex_index, retrieve_topk
 from statuteqa.reranker import FeatureExtractor, ModelScorer, TrainConfig, train_two_stage
 from statuteqa.synth import synthetic_corpus, title_gold_queries
 from statuteqa.weak_label import WeakGenConfig, generate_gold_examples, generate_weak_dataset
@@ -81,6 +81,10 @@ class SynthBundle:
             TrainConfig(epochs=30, rng_seed=0), self.extractor,
         )
         self.scorer = ModelScorer(self.model, self.extractor)
+
+    def ranked(self, question, k, quickview_cfg=None):
+        """The lexical quickview's ``k`` best (article id, score) for ``question``."""
+        return retrieve_topk(self.lex, tokenize(clean_text(question), self.tok), k, quickview_cfg)
 
 
 @pytest.fixture(scope="session")

@@ -5,9 +5,7 @@ time, building a ``RankedCandidate`` for every candidate. The package
 does the same on arrays; its answers must equal these exactly.
 """
 
-from statuteqa.corpus import clean_text, tokenize
 from statuteqa.ensemble import AnswerSet, RankedCandidate
-from statuteqa.lexical import retrieve_topk
 
 
 def minmax_normalize(scores):
@@ -31,9 +29,8 @@ def select_answer_set(candidates, threshold):
     return [c for c in ordered if best - c.combined < threshold or c.combined == best]
 
 
-def rank_and_select(question_id, question, lex, scorer, articles_by_id, cfg, quickview_cfg, tok):
-    """``ensemble.rank_and_select`` over the lexical quickview, one candidate at a time."""
-    ranked = retrieve_topk(lex, tokenize(clean_text(question), tok), cfg.top_k, quickview_cfg)
+def rank_and_select(question_id, question, ranked, scorer, articles_by_id, cfg):
+    """``ensemble.rank_and_select`` over a quickview ranking, one candidate at a time."""
     if not ranked:
         return AnswerSet(question_id=question_id, returned=(), no_candidates=True)
     candidate_articles = [articles_by_id[article_id] for article_id, _ in ranked]

@@ -174,9 +174,10 @@ def test_c4_fixture_end_to_end():
         by_id = {a.article_id: a for a in articles}
         cfg = EnsembleConfig(gamma=0.5, top_k=10, threshold=0.26)
         for query in queries:
+            tokens = tokenize(clean_text(query.question), tok)
+            ranked = retrieve_topk(lex, tokens, cfg.top_k, quickview_cfg)
             answer = rank_and_select(
-                query.question_id, query.question, lex, scorer, by_id, cfg,
-                quickview_cfg=quickview_cfg, tok=tok, dense=dense,
+                query.question_id, query.question, ranked, scorer, by_id, cfg
             )
             returned = {c.article_id for c in answer.returned}
             assert query.gold_article_ids <= returned
@@ -228,14 +229,15 @@ def test_c6_gradient_check():
             assert rel < 1e-4
 
 
-def _validation_f2(model, extractor, lex, dense, by_id, tok, valid_queries):
+def _validation_f2(model, extractor, lex, by_id, tok, valid_queries):
     scorer = ModelScorer(model, extractor)
     cfg = EnsembleConfig(gamma=0.0, top_k=10, threshold=0.26)
     precisions, recalls = [], []
     for query in valid_queries:
+        tokens = tokenize(clean_text(query.question), tok)
+        ranked = retrieve_topk(lex, tokens, cfg.top_k, QuickviewConfig(1.5, 1.0))
         answer = rank_and_select(
-            query.question_id, query.question, lex, scorer, by_id, cfg,
-            quickview_cfg=QuickviewConfig(1.5, 1.0), tok=tok, dense=dense,
+            query.question_id, query.question, ranked, scorer, by_id, cfg
         )
         p, r = precision_recall(answer, query.gold_article_ids)
         precisions.append(p)
@@ -273,8 +275,8 @@ def test_c7_two_stage_training_direction():
             gold_only = train_stage(
                 zero_model(), gold_train, gold_valid, cfg, extractor, stage="gold_only"
             )
-            f2_two = _validation_f2(two_stage, extractor, lex, dense, by_id, tok, valid_q)
-            f2_gold = _validation_f2(gold_only, extractor, lex, dense, by_id, tok, valid_q)
+            f2_two = _validation_f2(two_stage, extractor, lex, by_id, tok, valid_q)
+            f2_gold = _validation_f2(gold_only, extractor, lex, by_id, tok, valid_q)
             assert f2_two >= f2_gold, f"seed {seed}: {f2_two:.4f} < {f2_gold:.4f}"
 
 
@@ -298,9 +300,7 @@ def test_c8_ensemble_order_identities(synth):
             for gamma, key in ((1.0, "qs"), (0.0, "ss")):
                 cfg = EnsembleConfig(gamma=gamma, top_k=10, threshold=2.0)
                 answer = rank_and_select(
-                    query.question_id, query.question, synth.lex, scorer,
-                    synth.by_id, cfg, quickview_cfg=QuickviewConfig(1.5, 1.0),
-                    tok=synth.tok,
+                    query.question_id, query.question, ranked, scorer, synth.by_id, cfg
                 )
                 raw = {c.article_id: (c.qs_raw if key == "qs" else c.ss_raw)
                        for c in answer.returned}

@@ -1,13 +1,15 @@
 """The benchmark's tracer still finds what it wraps.
 
 ``perfbench/tracing.py`` replaces package functions named by module and
-attribute, and ``perfbench/run.py`` divides reranker time by the number of
-``extract_features`` calls, one per scored batch. A refactor that renames
-one of those functions, or stops calling ``extract_features`` once per
-batch through its module-level name or ``retrieve_topk`` from
-``rank_and_select``, would break the traced run without failing any other
-test. The tracer file is only read here, and the benchmark's self-test is
-run as it is.
+attribute, and ``perfbench/run.py`` reads per-layer metrics from the spans
+and counts of a traced ``Pipeline.answer``: quickview time from the
+``lexical.retrieve_topk`` span, reranker time from the
+``reranker.score_batch`` span, divided by the ``extract_features`` count,
+one per scored batch. A refactor that renames one of those functions, or
+calls one of them other than once per answer through its module-level
+name, would break the traced run without failing any other test. The
+tracer file is only read here, and the benchmark's self-test is run as it
+is.
 """
 
 import importlib
@@ -16,19 +18,25 @@ import subprocess
 import sys
 from pathlib import Path
 
-from statuteqa import ensemble, reranker
-from statuteqa.ensemble import EnsembleConfig, rank_and_select
-from statuteqa.lexical import QuickviewConfig
+import pytest
+
+from statuteqa import reranker
+from statuteqa.pipeline import Pipeline, PipelineConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACING = ROOT / "perfbench" / "tracing.py"
 
 
-def test_every_tracing_boundary_resolves(monkeypatch):
+@pytest.fixture
+def tracing(monkeypatch):
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, tracing)  # dataclasses look it up
-    spec.loader.exec_module(tracing)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_tracing_boundary_resolves(tracing):
     for module_name, attr, _ in tracing.BOUNDARIES:
         owner = importlib.import_module(f"statuteqa.{module_name}")
         *path, name = attr.split(".")
@@ -58,14 +66,31 @@ def test_score_batch_extracts_features_once_per_batch(synth, monkeypatch):
     assert columns.tolist() == [synth.lex.column[a.article_id] for a in candidates]
 
 
-def test_rank_and_select_calls_retrieve_topk(synth, monkeypatch):
-    calls = _counting(monkeypatch, ensemble, "retrieve_topk")
-    query = synth.queries[0]
-    rank_and_select(
-        query.question_id, query.question, synth.lex, synth.scorer, synth.by_id,
-        EnsembleConfig(top_k=10), quickview_cfg=QuickviewConfig(), tok=synth.tok,
+def test_traced_answer_has_the_spans_the_benchmark_reads(synth, tracing):
+    pipeline = Pipeline(
+        PipelineConfig(top_k=10), synth.articles, synth.lex, synth.dense, synth.scorer
     )
-    assert len(calls) == 1
+    query = synth.queries[0]
+    tracer = tracing.Tracer()
+    tracer.install()
+    tracer.qid = query.question_id
+    try:
+        pipeline.answer(query.question_id, query.question)
+    finally:
+        tracer.uninstall()
+    by_id = {span.span_id: span for span in tracer.spans}
+
+    def ancestors(span):
+        while span.parent is not None:
+            span = by_id[span.parent]
+            yield span.name
+
+    [root] = [s for s in tracer.spans if s.name == "pipeline.answer"]
+    assert root.parent is None
+    for name in ("lexical.retrieve_topk", "reranker.score_batch"):
+        [span] = [s for s in tracer.spans if s.name == name]
+        assert "pipeline.answer" in ancestors(span), name
+    assert tracer.counts[(query.question_id, "reranker.extract_features")] == 1
 
 
 def test_bench_selftest_passes():

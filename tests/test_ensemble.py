@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import fusion_oracle
-from statuteqa.corpus import clean_text, tokenize
-from statuteqa.lexical import QuickviewConfig, retrieve_topk
+from statuteqa.dense import dense_retrieve_topk
+from statuteqa.lexical import QuickviewConfig
+from statuteqa.pipeline import Pipeline, PipelineConfig
 from statuteqa.ensemble import (
     DEFAULT_THRESHOLDS,
     AnswerSet,
@@ -137,8 +138,8 @@ def test_rank_and_select_returns_gold_on_fixture(synth):
     cfg = EnsembleConfig(gamma=0.5, top_k=10, threshold=0.26)
     for query in synth.queries[:20]:
         answer = rank_and_select(
-            query.question_id, query.question, synth.lex, synth.scorer,
-            synth.by_id, cfg, tok=synth.tok, dense=synth.dense,
+            query.question_id, query.question, synth.ranked(query.question, cfg.top_k),
+            synth.scorer, synth.by_id, cfg,
         )
         assert not answer.no_candidates
         returned = {c.article_id for c in answer.returned}
@@ -147,9 +148,10 @@ def test_rank_and_select_returns_gold_on_fixture(synth):
 
 def test_rank_and_select_no_candidates(synth):
     cfg = EnsembleConfig(top_k=10)
+    question = "zzz unseen gibberish"
     answer = rank_and_select(
-        "qx", "zzz unseen gibberish", synth.lex, ConstantScorer(),
-        synth.by_id, cfg, tok=synth.tok,
+        "qx", question, synth.ranked(question, cfg.top_k), ConstantScorer(),
+        synth.by_id, cfg,
     )
     assert answer.no_candidates
     assert answer.returned == ()
@@ -159,8 +161,7 @@ def test_gamma_one_preserves_quickview_order(synth):
     question = synth.queries[5].question
     cfg = EnsembleConfig(gamma=1.0, top_k=10, threshold=1.1)
     answer = rank_and_select(
-        "q", question, synth.lex, ConstantScorer(), synth.by_id, cfg,
-        tok=synth.tok,
+        "q", question, synth.ranked(question, 10), ConstantScorer(), synth.by_id, cfg
     )
     by_quickview = sorted(answer.returned, key=lambda c: (-c.qs_raw, c.article_id))
     assert [c.article_id for c in answer.returned] == [c.article_id for c in by_quickview]
@@ -168,14 +169,10 @@ def test_gamma_one_preserves_quickview_order(synth):
 
 def test_gamma_zero_preserves_supervised_order(synth):
     question = synth.queries[5].question
-    tokens = tokenize(clean_text(question), synth.tok)
-    ranked = [a for a, _ in retrieve_topk(synth.lex, tokens, 10)]
-    table = {article_id: 1.0 - i * 0.05 for i, article_id in enumerate(sorted(ranked))}
+    ranked = synth.ranked(question, 10)
+    table = {article_id: 1.0 - i * 0.05 for i, (article_id, _) in enumerate(sorted(ranked))}
     cfg = EnsembleConfig(gamma=0.0, top_k=10, threshold=1.1)
-    answer = rank_and_select(
-        "q", question, synth.lex, LookupScorer(table), synth.by_id, cfg,
-        tok=synth.tok,
-    )
+    answer = rank_and_select("q", question, ranked, LookupScorer(table), synth.by_id, cfg)
     by_supervised = sorted(answer.returned, key=lambda c: (-c.ss_raw, c.article_id))
     assert [c.article_id for c in answer.returned] == [c.article_id for c in by_supervised]
 
@@ -185,13 +182,12 @@ def test_quickview_scale_invariance(synth):
     question = synth.queries[7].question
     cfg = EnsembleConfig(gamma=0.5, top_k=10, threshold=0.26)
     base = rank_and_select(
-        "q", question, synth.lex, ConstantScorer(0.4), synth.by_id, cfg,
-        tok=synth.tok,
+        "q", question, synth.ranked(question, 10), ConstantScorer(0.4), synth.by_id, cfg
     )
     # same pipeline with alpha, beta scaled by 3 -> raw quickview scores scale by 3
     scaled = rank_and_select(
-        "q", question, synth.lex, ConstantScorer(0.4), synth.by_id, cfg,
-        quickview_cfg=QuickviewConfig(alpha=4.5, beta=3.0), tok=synth.tok,
+        "q", question, synth.ranked(question, 10, QuickviewConfig(alpha=4.5, beta=3.0)),
+        ConstantScorer(0.4), synth.by_id, cfg,
     )
     assert [c.article_id for c in base.returned] == [c.article_id for c in scaled.returned]
     for b, s in zip(base.returned, scaled.returned):
@@ -203,8 +199,8 @@ def test_normalized_scores_in_unit_interval(synth):
     cfg = EnsembleConfig(gamma=0.5, top_k=10, threshold=1.1)
     for query in synth.queries[:10]:
         answer = rank_and_select(
-            query.question_id, query.question, synth.lex, synth.scorer,
-            synth.by_id, cfg, tok=synth.tok, dense=synth.dense,
+            query.question_id, query.question, synth.ranked(query.question, cfg.top_k),
+            synth.scorer, synth.by_id, cfg,
         )
         for c in answer.returned:
             assert 0.0 <= c.qs_norm <= 1.0
@@ -213,18 +209,19 @@ def test_normalized_scores_in_unit_interval(synth):
 
 
 def test_dense_quickview_source(synth):
-    cfg = EnsembleConfig(gamma=1.0, top_k=5, threshold=1.1, quickview_source="dense")
+    cfg = PipelineConfig(gamma=1.0, top_k=5, threshold=1.1, quickview_source="dense")
+    pipeline = Pipeline(cfg, synth.articles, synth.lex, synth.dense, ConstantScorer())
     query = synth.queries[0]
-    answer = rank_and_select(
-        query.question_id, query.question, synth.lex, ConstantScorer(),
-        synth.by_id, cfg, tok=synth.tok, dense=synth.dense,
-    )
-    assert len(answer.returned) == 5
-    with pytest.raises(ValueError, match="dense"):
-        rank_and_select(
-            "q", query.question, synth.lex, ConstantScorer(), synth.by_id,
-            cfg, tok=synth.tok, dense=None,
-        )
+    ranked = pipeline.quickview_rank(query.question, 5)
+    assert ranked == dense_retrieve_topk(synth.dense, query.question, 5, synth.tok)
+    answer = pipeline.answer(query.question_id, query.question)
+    assert [c.article_id for c in answer.returned] == [a for a, _ in ranked]
+
+
+def test_pipeline_answer_rejects_top_k_below_one(synth):
+    pipeline = Pipeline(PipelineConfig(), synth.articles, synth.lex, synth.dense, ConstantScorer())
+    with pytest.raises(ValueError, match="top_k must be >= 1"):
+        pipeline.answer("q", synth.queries[0].question, top_k=0)
 
 
 def test_answer_set_json_shape():
@@ -237,15 +234,13 @@ def test_answer_set_json_shape():
 
 
 def _ranked_ids(synth, question, k=10):
-    return [a for a, _ in retrieve_topk(synth.lex, tokenize(clean_text(question), synth.tok), k)]
+    return [a for a, _ in synth.ranked(question, k)]
 
 
 def _both(synth, question, scorer, cfg):
     """rank_and_select and the list-based reference on the same inputs."""
-    args = ("q", question, synth.lex, scorer, synth.by_id, cfg)
-    got = rank_and_select(*args, quickview_cfg=QuickviewConfig(), tok=synth.tok)
-    want = fusion_oracle.rank_and_select(*args, QuickviewConfig(), synth.tok)
-    return got, want
+    args = ("q", question, synth.ranked(question, cfg.top_k), scorer, synth.by_id, cfg)
+    return rank_and_select(*args), fusion_oracle.rank_and_select(*args)
 
 
 def _assert_same(got, want):
@@ -301,7 +296,8 @@ def test_rank_and_select_rejects_a_short_score_list(synth):
             return [0.5]
 
     with pytest.raises(ValueError, match="scores for"):
+        question = synth.queries[0].question
         rank_and_select(
-            "q", synth.queries[0].question, synth.lex, OneScore(), synth.by_id,
-            EnsembleConfig(top_k=10), tok=synth.tok,
+            "q", question, synth.ranked(question, 10), OneScore(), synth.by_id,
+            EnsembleConfig(top_k=10),
         )

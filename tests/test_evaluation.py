@@ -196,6 +196,14 @@ def test_gold_file_round_trip(tmp_path):
     assert load_gold_file(path) == queries
 
 
+def test_gold_file_without_gold_names_the_line(tmp_path):
+    path = tmp_path / "gold.jsonl"
+    path.write_text('{"question_id": "q1", "question": "a", "gold": ["x"]}\n'
+                    '{"question_id": "q2", "question": "b"}\n')
+    with pytest.raises(ValueError, match="gold.jsonl:2: missing key 'gold'"):
+        load_gold_file(path)
+
+
 def test_report_file_shape(tmp_path):
     report = EvalReport(recall_at_k={10: 0.5}, mean_latency_ms=1.25, queries=2)
     path = tmp_path / "report.json"

@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-from statuteqa import dense, ensemble, lineproto, reranker
+from statuteqa import dense, lineproto, reranker
+from statuteqa import pipeline as pipeline_mod
 from statuteqa.cli import main
 from statuteqa.corpus import (
     LegalDocument,
@@ -58,6 +59,15 @@ def test_unknown_flag_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["query", "--no-such-flag"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("k", ["0", "-2", "ten"])
+def test_query_k_below_one_is_a_usage_error(tmp_path, capsys, k):
+    missing = ["--corpus-path", str(tmp_path / "none.jsonl")]
+    with pytest.raises(SystemExit) as exc:
+        main(["query", *missing, "--question", "x", "--k", k])
+    assert exc.value.code == 2
+    assert "--k" in capsys.readouterr().err
 
 
 def test_missing_corpus_is_runtime_error(tmp_path, capsys):
@@ -325,13 +335,13 @@ def test_eval_reports_the_configured_quickview_recall(workspace, tmp_path, mode)
 def test_eval_runs_one_quickview_per_question(workspace, tmp_path, monkeypatch):
     root, base, queries = workspace
     calls = []
-    original = ensemble.retrieve_topk
+    original = pipeline_mod.retrieve_topk
 
     def counting(*args, **kwargs):
         calls.append(args[2])  # k
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(ensemble, "retrieve_topk", counting)
+    monkeypatch.setattr(pipeline_mod, "retrieve_topk", counting)
     report = tmp_path / "report.json"
     assert main(base + ["eval", "--k", "1,5", "--report-path", str(report)]) == 0
     assert len(calls) == len(queries)

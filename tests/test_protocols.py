@@ -1,5 +1,7 @@
 import gc
+import importlib.util
 import sys
+import threading
 import time
 import warnings
 
@@ -190,3 +192,59 @@ def test_closed_and_killed_clients_close_both_pipes():
         gc.collect()
     leaks = [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)]
     assert leaks == []
+
+
+def call_within(client, requests, seconds):
+    """``client.call(requests)`` in a thread joined for ``seconds``, so a
+    batch that hangs fails the test instead of hanging it. Returns whether
+    it hung, how long it took and its replies or ``ProtocolError``."""
+    outcome = {}
+
+    def run():
+        try:
+            outcome["replies"] = client.call(requests)
+        except ProtocolError as exc:
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=run, daemon=True)
+    started = time.monotonic()
+    thread.start()
+    thread.join(seconds)
+    elapsed = time.monotonic() - started
+    hung = thread.is_alive()
+    if hung:
+        client._proc.kill()  # a write stuck on a full pipe then fails
+        thread.join(5)
+    return hung, elapsed, outcome
+
+
+def test_a_batch_larger_than_the_pipes_returns_every_reply_in_order(scripts_dir):
+    """4,000 requests fill the child's output pipe before it has read them
+    all, so replies must be read while the batch is still being written."""
+    spec = importlib.util.spec_from_file_location("echo_scorer", scripts_dir / "echo_scorer.py")
+    echo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(echo)
+    requests = [
+        {"question": "q", "title": f"t{i}", "content": f"{i} ".ljust(200, "x")}
+        for i in range(4000)
+    ]
+    client = LineProtocolClient(scorer_cmd(scripts_dir), timeout=5)
+    try:
+        hung, _, outcome = call_within(client, requests, 30)
+    finally:
+        client.close()
+    assert not hung
+    assert outcome["replies"] == [{"score": echo.stable_score(r)} for r in requests]
+
+
+def test_a_child_that_never_reads_times_out():
+    sleeper = [sys.executable, "-c", "import time; time.sleep(60)"]
+    requests = [{"content": "x" * 200}] * 1000  # 200 KB, more than a pipe holds
+    client = LineProtocolClient(sleeper, timeout=2)
+    try:
+        hung, elapsed, outcome = call_within(client, requests, 15)
+    finally:
+        client.close()
+    assert not hung
+    assert "timed out" in str(outcome["error"])
+    assert elapsed < 5

@@ -15,7 +15,7 @@ from statuteqa.corpus import Article, TokenizerConfig, clean_text, tokenize
 from dense_oracle import cosine, per_article_max_cosine, sentence_rows
 from statuteqa.dense import HashedProjectionEmbedder, build_dense_index, embed
 from statuteqa.ensemble import EnsembleConfig, rank_and_select
-from statuteqa.lexical import QuickviewConfig, build_lex_index
+from statuteqa.lexical import build_lex_index, retrieve_topk
 from statuteqa.reranker import (
     NUM_FEATURES,
     FeatureExtractor,
@@ -257,9 +257,10 @@ def test_title_only_article_is_in_neither_index():
     dense, _ = build_dense_index(articles, EMB)
     assert lex.article_ids == dense.article_ids == ("a", "c")
     scorer = ModelScorer(zero_model(), FeatureExtractor(lex, dense))
+    ranked = retrieve_topk(lex, tokenize(clean_text("tenancy deposits")), 10)
     answer = rank_and_select(
-        "q", "tenancy deposits", lex, scorer, {a.article_id: a for a in articles},
-        EnsembleConfig(top_k=10), quickview_cfg=QuickviewConfig(),
+        "q", "tenancy deposits", ranked, scorer, {a.article_id: a for a in articles},
+        EnsembleConfig(top_k=10),
     )
     assert [c.article_id for c in answer.returned] == ["a"]
 
@@ -437,6 +438,9 @@ def test_model_save_load_round_trip(synth, tmp_path):
         load_model(path2)
 
 
+MISSING = object()
+
+
 @pytest.mark.parametrize(
     "payload, message",
     [
@@ -444,6 +448,9 @@ def test_model_save_load_round_trip(synth, tmp_path):
         ({"version": 99}, "model version 99"),
         ({"version": True}, "model version True"),
         ({"feature_names": ["bias"] * NUM_FEATURES}, "model features differ"),
+        ({"weights": MISSING}, "weights must be a list of 8 finite"),
+        ({"weights": [0.5] * (NUM_FEATURES - 1)}, "weights must be a list of 8 finite"),
+        ({"weights": [True] * NUM_FEATURES}, "weights must be a list of 8 finite"),
     ],
 )
 def test_load_model_rejects_what_save_model_does_not_write(
@@ -452,7 +459,8 @@ def test_load_model_rejects_what_save_model_does_not_write(
     path = tmp_path / "model.json"
     save_model(synth.model, path)
     if isinstance(payload, dict):
-        payload = {**json.loads(path.read_text()), **payload}
+        merged = {**json.loads(path.read_text()), **payload}
+        payload = {key: value for key, value in merged.items() if value is not MISSING}
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match=message) as raised:
         load_model(path)

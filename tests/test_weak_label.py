@@ -160,6 +160,13 @@ def test_dataset_file_round_trip(tmp_path):
     assert read_dataset(path) == examples
 
 
+def test_dataset_file_without_origin_names_the_line(tmp_path):
+    path = tmp_path / "weak.jsonl"
+    path.write_text('{"question": "q", "article_id": "a", "label": 1}\n')
+    with pytest.raises(ValueError, match="weak.jsonl:1: missing key 'origin'"):
+        read_dataset(path)
+
+
 def _filtered_list_negatives(question, exclude, pool, count, rng, origin):
     """The sampler as first written: O(N) per call, rebuilding the pool."""
     candidates = [article_id for article_id in pool if article_id not in exclude]
