@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Protocol, Sequence
+from typing import Iterator, Protocol, Sequence
 
 import numpy as np
 
@@ -45,11 +45,18 @@ __all__ = [
 ]
 
 DENSE_INDEX_FORMAT = "statuteqa.denseindex"
-DENSE_INDEX_VERSION = 2
-_LAYOUT = {"offsets": (np.int64, 1), "matrix": (np.float64, 2)}
+DENSE_INDEX_VERSION = 3
+_LAYOUT = {
+    "offsets": (np.int64, 1),
+    "indptr": (np.int64, 1),
+    "indices": (np.int32, 1),
+    "data": (np.float64, 1),
+}
 
 DEFAULT_DIMENSION = 300
-_GATHER_ROWS = 64  # sentence rows copied at a time to score a candidate batch
+# Vector entries held at once: sentence-row entries gathered by the max-cosine
+# kernel, and vector values an external embedder returns per build request
+_CHUNK_ENTRIES = 1 << 14
 
 
 class Embedder(Protocol):
@@ -58,6 +65,10 @@ class Embedder(Protocol):
     def fingerprint(self) -> str: ...
 
     def embed_tokens(self, tokens: Sequence[str]) -> np.ndarray: ...
+
+    def embed_batch(self, token_lists: Sequence[Sequence[str]]) -> Iterator[np.ndarray]:
+        """``embed_tokens`` of each token list, in order."""
+        ...
 
 
 def _token_hash(token: str, seed: int, purpose: str) -> int:
@@ -82,18 +93,27 @@ class HashedProjectionEmbedder:
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
     def embed_tokens(self, tokens: Sequence[str]) -> np.ndarray:
-        vec = np.zeros(self.dimension, dtype=np.float64)
-        if not tokens:
-            return vec
-        for token in tokens:
-            coord = _token_hash(token, self.seed, "coord") % self.dimension
-            sign = 1.0 if _token_hash(token, self.seed, "sign") % 2 == 0 else -1.0
-            vec[coord] += sign
-        vec /= len(tokens)
-        norm = float(np.linalg.norm(vec))
-        if norm > 0.0:
-            vec /= norm
-        return vec
+        return next(self.embed_batch([tokens]))
+
+    def embed_batch(self, token_lists: Sequence[Sequence[str]]) -> Iterator[np.ndarray]:
+        """``embed_tokens`` of each token list, in order, hashing each distinct
+        token once. The token map lives only as long as the iteration."""
+        hashed: dict[str, tuple[int, float]] = {}  # token -> (coordinate, sign)
+        for tokens in token_lists:
+            vec = np.zeros(self.dimension, dtype=np.float64)
+            for token in tokens:
+                if token not in hashed:
+                    coord = _token_hash(token, self.seed, "coord") % self.dimension
+                    sign = 1.0 if _token_hash(token, self.seed, "sign") % 2 == 0 else -1.0
+                    hashed[token] = (coord, sign)
+                coord, sign = hashed[token]
+                vec[coord] += sign
+            if tokens:
+                vec /= len(tokens)
+                norm = float(np.linalg.norm(vec))
+                if norm > 0.0:
+                    vec /= norm
+            yield vec
 
 
 class ExternalEmbedder:
@@ -123,6 +143,14 @@ class ExternalEmbedder:
 
     def embed_tokens(self, tokens: Sequence[str]) -> np.ndarray:
         return self.embed_texts([" ".join(tokens)])[0]
+
+    def embed_batch(self, token_lists: Sequence[Sequence[str]]) -> Iterator[np.ndarray]:
+        """``embed_tokens`` of each token list, in order, requested with
+        ``embed_texts`` in chunks of at most ``_CHUNK_ENTRIES`` vector values."""
+        size = max(1, _CHUNK_ENTRIES // self.dimension)
+        for start in range(0, len(token_lists), size):
+            chunk = token_lists[start : start + size]
+            yield from self.embed_texts([" ".join(tokens) for tokens in chunk])
 
     def embed_texts(self, texts: Sequence[str]) -> list[np.ndarray]:
         responses = self._client.call([{"text": text} for text in texts])
@@ -155,12 +183,15 @@ def embed(embedder: Embedder, tokens: Sequence[str]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DenseIndex:
-    """Every indexed article's sentence vectors as rows of one matrix.
+    """Every indexed article's sentence vectors as compressed sparse rows.
 
-    Article ``i`` is ``article_ids[i]`` (sorted) and owns matrix rows
+    Article ``i`` is ``article_ids[i]`` (sorted) and owns sentence rows
     ``offsets[i]:offsets[i + 1]``, in sentence order; every indexed
     article has at least one row. Position ``i`` is also the article's
-    lexical column. Rows are unit or zero vectors.
+    lexical column. Row ``r`` holds the values ``data[e]`` at coordinates
+    ``indices[e]`` (ascending) for ``e`` in ``indptr[r]:indptr[r + 1]``;
+    every other coordinate is 0. Rows are unit or zero vectors, and a zero
+    row has no entries.
     ``embedder`` embeds questions; its fingerprint is the index's.
     Immutable after build; safe for concurrent readers.
     """
@@ -168,8 +199,10 @@ class DenseIndex:
     embedder_fingerprint: str
     dimension: int
     article_ids: tuple[str, ...]
-    offsets: np.ndarray  # int64, articles + 1
-    matrix: np.ndarray  # C-contiguous float64, (sentences, dimension)
+    offsets: np.ndarray  # int64, articles + 1, into the rows
+    indptr: np.ndarray  # int64, sentences + 1, into the entries
+    indices: np.ndarray  # int32 coordinates, one per entry
+    data: np.ndarray  # float64 values, one per entry
     corpus_digest: str  # corpus.corpus_digest of the articles given to build
     embedder: Embedder
 
@@ -207,41 +240,80 @@ def build_dense_index(
             counts.append(len(tokenized))
             sentences.extend(tokenized)
     offsets = np.cumsum([0, *counts], dtype=np.int64)
-    matrix = np.zeros((len(sentences), embedder.dimension), dtype=np.float64)
-    for r, tokens in enumerate(sentences):
-        vec = embed(embedder, tokens)
+    sizes, indices, data = [], [np.zeros(0, np.int32)], [np.zeros(0)]
+    for vec in embedder.embed_batch(sentences):
         norm = float(np.linalg.norm(vec))
-        matrix[r] = vec / norm if norm > 0.0 else vec  # unit or zero rows
+        row = vec / norm if norm > 0.0 else vec  # unit or zero rows
+        nonzero = np.flatnonzero(row)
+        sizes.append(len(nonzero))
+        indices.append(nonzero.astype(np.int32))
+        data.append(row[nonzero])
 
     index = DenseIndex(
         embedder_fingerprint=embedder.fingerprint(),
         dimension=embedder.dimension,
         article_ids=tuple(article_ids),
         offsets=offsets,
-        matrix=matrix,
+        indptr=np.cumsum([0, *sizes], dtype=np.int64),
+        indices=np.concatenate(indices),
+        data=np.concatenate(data),
         corpus_digest=corpus_digest(articles),
         embedder=embedder,
     )
     return index, len(articles) - len(article_ids)
 
 
-def _max_cosine(blocks: Iterable, vector: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Max cosine with ``vector`` over each run of unit or zero rows; ``blocks``
-    yields the rows in order, and non-empty run ``j`` starts at row
-    ``starts[j]``. A zero vector scores 0."""
+def _ranges(first: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``range(first[j], first[j] + counts[j])`` for every ``j``, concatenated,
+    and where each range starts in the result."""
+    starts = np.cumsum(counts) - counts
+    return np.repeat(first - starts, counts) + np.arange(counts.sum()), starts
+
+
+def _max_cosine(
+    index: DenseIndex, vector: np.ndarray, first: np.ndarray, counts: np.ndarray
+) -> np.ndarray:
+    """Max cosine with ``vector`` over runs of sentence rows: run ``j`` is the
+    ``counts[j] >= 1`` rows from ``first[j]``. A zero row or zero ``vector``
+    scores 0.
+
+    A row's cosine is the sum of ``data * unit[indices]`` over that row's
+    entries alone, so it depends on the row and the question, never on
+    where the row sits. Rows are taken ``_CHUNK_ENTRIES`` entries at a
+    time (a longer row alone), so concurrent answers hold small copies; a
+    chunk of consecutive rows is read in place, any other is gathered.
+    """
     qnorm = float(np.linalg.norm(vector))
     if qnorm == 0.0:
-        return np.zeros(len(starts))
+        return np.zeros(len(first))
     unit = vector / qnorm
-    sims = [np.zeros(0), *(block @ unit for block in blocks)]
-    return np.maximum.reduceat(np.concatenate(sims), starts)
+    rows, starts = _ranges(first, counts)
+    lows = index.indptr[rows]
+    sizes = index.indptr[rows + 1] - lows
+    ends = np.cumsum(sizes)  # entries through each row
+    cosines = np.zeros(len(rows))
+    r = 0
+    while r < len(rows):
+        limit = ends[r] - sizes[r] + _CHUNK_ENTRIES
+        stop = max(r + 1, int(np.searchsorted(ends, limit, "right")))
+        low, size = lows[r:stop], sizes[r:stop]
+        if np.array_equal(low[1:], low[:-1] + size[:-1]):  # one span: take views
+            span = slice(low[0], low[-1] + size[-1])
+            data, indices, begins = index.data[span], index.indices[span], low - low[0]
+        else:
+            entries, begins = _ranges(low, size)
+            data, indices = index.data[entries], index.indices[entries]
+        filled = np.flatnonzero(size)
+        if filled.size:
+            cosines[r + filled] = np.add.reduceat(data * unit[indices], begins[filled])
+        r = stop
+    return np.maximum.reduceat(cosines, starts)
 
 
 def quickview_dense_score(
     index: DenseIndex, question_vector: np.ndarray, positions: np.ndarray
 ) -> np.ndarray:
-    """Max sentence cosine of the articles at ``positions``, in order. Rows are
-    copied ``_GATHER_ROWS`` at a time, so concurrent answers hold small copies."""
+    """Max sentence cosine of the articles at ``positions``, in order."""
     positions = np.asarray(positions, dtype=np.int64)
     question_vector = np.asarray(question_vector, dtype=np.float64)
     if question_vector.shape != (index.dimension,):
@@ -249,12 +321,7 @@ def quickview_dense_score(
             f"dimension mismatch: {question_vector.shape} vs ({index.dimension},)"
         )
     first = index.offsets[positions]
-    counts = index.offsets[positions + 1] - first
-    starts = np.cumsum(counts) - counts  # each article's first gathered row
-    rows = np.repeat(first - starts, counts) + np.arange(counts.sum())
-    chunks = range(0, len(rows), _GATHER_ROWS)
-    blocks = (index.matrix[rows[i : i + _GATHER_ROWS]] for i in chunks)
-    return _max_cosine(blocks, question_vector, starts)
+    return _max_cosine(index, question_vector, first, index.offsets[positions + 1] - first)
 
 
 def dense_retrieve_topk(
@@ -265,7 +332,7 @@ def dense_retrieve_topk(
 ) -> list[tuple[str, float]]:
     """Exhaustive scan of all articles, ranked by max sentence cosine.
 
-    One matrix-vector product gives every sentence's cosine and
+    Every sentence's cosine comes from its own entries, and
     ``np.maximum.reduceat`` takes each article's maximum over its rows;
     ties break by ascending article id. A question that embeds to the
     zero vector (one that cleans to no tokens) has no cosine with anything
@@ -276,13 +343,17 @@ def dense_retrieve_topk(
     question_vector = embed(index.embedder, tokenize(clean_text(question), tok))
     if not np.any(question_vector):
         return []
-    scores = _max_cosine([index.matrix], question_vector, index.offsets[:-1])
-    top = np.argsort(-scores, kind="stable")[:k]  # positions are in id order
+    scores = _max_cosine(index, question_vector, index.offsets[:-1], np.diff(index.offsets))
+    top = np.arange(len(scores))  # positions are in id order
+    if top.size > k:
+        kth = scores[np.argpartition(scores, -k)[-k]]
+        top = np.flatnonzero(scores >= kth)  # keeps every tie at the k-th score
+    top = top[np.lexsort((top, -scores[top]))[:k]]
     return [(index.article_ids[i], float(scores[i])) for i in top.tolist()]
 
 
 def save_dense_index(index: DenseIndex, path: str | Path) -> None:
-    """Persist the offsets and the sentence matrix (see ``indexfile``).
+    """Persist the offsets and the sentence rows (see ``indexfile``).
 
     Deterministic: equal indexes save to equal bytes.
     """
@@ -292,33 +363,44 @@ def save_dense_index(index: DenseIndex, path: str | Path) -> None:
         "dimension": index.dimension,
         "article_ids": list(index.article_ids),
     }
-    arrays = {"offsets": index.offsets, "matrix": index.matrix}
+    arrays = {name: getattr(index, name) for name in _LAYOUT}
     indexfile.save(path, DENSE_INDEX_FORMAT, DENSE_INDEX_VERSION, header, arrays)
 
 
 def load_dense_index(path: str | Path, embedder: Embedder) -> DenseIndex:
     """Load a persisted dense index built with ``embedder``.
 
-    The file must record ``embedder``'s fingerprint; the loaded index
-    embeds questions with it.
+    The file must record ``embedder``'s fingerprint and dimension; the
+    loaded index embeds questions with it.
     """
-    fingerprint = embedder.fingerprint()
+    fingerprint, dimension = embedder.fingerprint(), embedder.dimension
     header, arrays = indexfile.load(
         path, DENSE_INDEX_FORMAT, DENSE_INDEX_VERSION, _LAYOUT,
-        {"embedder_fingerprint": fingerprint},
+        {"embedder_fingerprint": fingerprint, "dimension": dimension},
     )
-    dimension = header["dimension"]
     ids = header["article_ids"]
-    offsets, matrix = arrays["offsets"], arrays["matrix"]
-    indexfile.require_offsets(path, "offsets", offsets, len(ids), len(matrix))
-    width = f"matrix width {matrix.shape[1]} differs from dimension {dimension}"
-    indexfile.require(matrix.shape[1] == dimension, path, width)
+    offsets, indptr, indices, data = (arrays[name] for name in _LAYOUT)
+    rows, entries = len(indptr) - 1, len(data)
+    indexfile.require_offsets(path, "offsets", offsets, len(ids), rows)
+    rising = indptr[0] == 0 and indptr[-1] == entries and bool(np.all(np.diff(indptr) >= 0))
+    indexfile.require(rising, path, f"indptr must not fall from 0 to {entries}")
+    same = len(indices) == entries
+    indexfile.require(same, path, f"{len(indices)} indices but {entries} data")
+    in_range = bool(np.all((indices >= 0) & (indices < dimension)))
+    indexfile.require(in_range, path, f"indices outside [0, {dimension})")
+    row_start = np.zeros(entries, dtype=bool)
+    row_start[indptr[:-1][indptr[:-1] < entries]] = True
+    ascending = bool(np.all((np.diff(indices) > 0) | row_start[1:]))
+    indexfile.require(ascending, path, "indices not ascending within a row")
+    indexfile.require(bool(np.all(np.isfinite(data))), path, "data not finite")
     return DenseIndex(
         embedder_fingerprint=fingerprint,
         dimension=dimension,
         article_ids=tuple(ids),
         offsets=offsets,
-        matrix=matrix,
+        indptr=indptr,
+        indices=indices,
+        data=data,
         corpus_digest=header["corpus_digest"],
         embedder=embedder,
     )

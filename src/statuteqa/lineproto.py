@@ -46,8 +46,15 @@ class LineProtocolClient:
     def __init__(self, command: Sequence[str], timeout: float = 30.0) -> None:
         self.command = list(command)
         self.timeout = timeout
+        self.restarts = 0  # children started in place of a failed or exited one
+        self._proc = self._start()
+        self._buffer = b""
+        self._closed = False
+        self._lock = threading.Lock()  # batches are serialized per child
+
+    def _start(self) -> subprocess.Popen:
         try:
-            self._proc = subprocess.Popen(
+            proc = subprocess.Popen(
                 self.command,
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
@@ -55,29 +62,32 @@ class LineProtocolClient:
             )
         except OSError as exc:
             raise ProtocolError(f"cannot start {self.command!r}: {exc}") from exc
-        os.set_blocking(self._proc.stdin.fileno(), False)  # see _exchange
-        self._buffer = b""
-        self._lock = threading.Lock()  # batches are serialized per child
+        os.set_blocking(proc.stdin.fileno(), False)  # see _exchange
+        return proc
 
     def call(self, requests: Sequence[dict]) -> list[dict]:
         """Send a batch of request objects; returns responses in order.
 
         After a failed batch (timeout, malformed or missing reply) replies
         may still be in flight and would be read as the next batch's, so
-        the child is killed and every later call raises ``ProtocolError``.
+        the batch raises ``ProtocolError`` and the child is killed. The
+        next batch starts a fresh child, as it does for one that exited.
         """
         with self._lock:
+            if self._closed:
+                raise ProtocolError(f"{self.command!r} is closed")
+            if self._proc.poll() is not None:
+                self._end()
+                self._proc, self._buffer = self._start(), b""
+                self.restarts += 1
             try:
                 return self._call_locked(requests)
             except ProtocolError:
                 self._proc.kill()
-                self.close()
-                self._buffer = b""
+                self._end()
                 raise
 
     def _call_locked(self, requests: Sequence[dict]) -> list[dict]:
-        if self._proc.poll() is not None:
-            raise ProtocolError(f"{self.command!r} is not running")
         payload = b"".join(
             json.dumps(req, ensure_ascii=False).encode("utf-8") + b"\n"
             for req in requests
@@ -144,7 +154,12 @@ class LineProtocolClient:
 
     def close(self) -> None:
         """End the child (EOF on its stdin, then a kill after 5 s) and close
-        both of its pipes. Safe to call more than once."""
+        both of its pipes; later calls raise ``ProtocolError``. Safe to call
+        more than once."""
+        self._closed = True
+        self._end()
+
+    def _end(self) -> None:
         try:
             self._proc.stdin.close()
         except OSError:  # unflushed bytes to a child that has exited

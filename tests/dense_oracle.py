@@ -16,10 +16,21 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.dot(u, v) / (nu * nv))
 
 
+def densify(index, start: int = 0, stop: int | None = None) -> np.ndarray:
+    """Sentence rows ``start:stop`` of the index (all by default) as a dense
+    ``(rows, dimension)`` matrix, written one row's entries at a time."""
+    stop = len(index.indptr) - 1 if stop is None else stop
+    matrix = np.zeros((stop - start, index.dimension))
+    for r in range(start, stop):
+        low, high = index.indptr[r], index.indptr[r + 1]
+        matrix[r - start, index.indices[low:high]] = index.data[low:high]
+    return matrix
+
+
 def sentence_rows(index, article_id: str) -> np.ndarray:
-    """The article's rows of the index's sentence matrix."""
+    """The article's sentence rows as a dense matrix."""
     i = index.article_ids.index(article_id)
-    return index.matrix[index.offsets[i] : index.offsets[i + 1]]
+    return densify(index, index.offsets[i], index.offsets[i + 1])
 
 
 def per_article_max_cosine(index, question_vector: np.ndarray, article_ids) -> np.ndarray:
@@ -41,3 +52,21 @@ def per_article_topk(index, question_vector: np.ndarray, k: int):
     ]
     scored.sort(key=lambda item: (-item[1], item[0]))
     return scored[:k]
+
+
+class OneAtATime:
+    """An embedder whose ``embed_batch`` embeds each token list on its own,
+    the reference for the batch methods."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.dimension = inner.dimension
+
+    def fingerprint(self):
+        return self.inner.fingerprint()
+
+    def embed_tokens(self, tokens):
+        return self.inner.embed_tokens(tokens)
+
+    def embed_batch(self, token_lists):
+        return (self.inner.embed_tokens(tokens) for tokens in token_lists)

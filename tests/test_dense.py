@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dense_oracle import cosine, per_article_max_cosine, per_article_topk, sentence_rows
+from dense_oracle import (
+    OneAtATime,
+    cosine,
+    densify,
+    per_article_max_cosine,
+    per_article_topk,
+    sentence_rows,
+)
 from statuteqa import indexfile
 from statuteqa.corpus import Article, clean_text, split_sentences, tokenize
 from statuteqa.dense import (
@@ -72,8 +79,8 @@ def test_build_counts_sentences(tiny_articles):
     # hand count: 2 + 2 + 1 sentences
     assert index.article_ids == ("d1#1", "d1#2", "d2#1")
     assert index.offsets.tolist() == [0, 2, 4, 5]
-    assert index.matrix.shape == (5, 64)
-    assert index.matrix.flags.c_contiguous
+    assert densify(index).shape == (5, 64)
+    assert index.indptr.shape == (6,)
 
 
 def test_build_excludes_unembeddable_articles():
@@ -202,11 +209,12 @@ def test_reindex_reproduces_bit_identical_vectors(tiny_articles):
     second, _ = build_dense_index(tiny_articles, HashedProjectionEmbedder(64, 0))
     assert first.article_ids == second.article_ids
     assert np.array_equal(first.offsets, second.offsets)
-    assert np.array_equal(first.matrix, second.matrix)
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(first, name), getattr(second, name))
 
 
 def test_stored_vectors_satisfy_norm_invariant(synth):
-    for norm in np.linalg.norm(synth.dense.matrix, axis=1):
+    for norm in np.linalg.norm(densify(synth.dense), axis=1):
         assert norm == 0.0 or abs(norm - 1.0) <= 1e-9
 
 
@@ -219,8 +227,8 @@ def test_save_load_round_trip(tiny_articles, tmp_path):
     assert loaded.article_ids == index.article_ids
     assert loaded.corpus_digest == index.corpus_digest
     assert np.array_equal(loaded.offsets, index.offsets)
-    assert np.array_equal(loaded.matrix, index.matrix)
-    assert loaded.matrix.flags.c_contiguous
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(loaded, name), getattr(index, name))
     # the loaded index answers questions with the given embedder
     ranked = dense_retrieve_topk(loaded, "Breach causes damages", 1)
     assert ranked[0][0] == "d1#1"
@@ -256,9 +264,54 @@ def test_file_with_an_embedder_spec_header_still_loads(tiny_articles, tmp_path):
         header = json.loads(stream.readline())
     header.pop("embedder_spec", None)
     header["embedder_spec"] = {"kind": "hashed_projection", "dimension": 64, "seed": 0}
-    arrays = {"offsets": index.offsets, "matrix": index.matrix}
+    arrays = {name: getattr(index, name) for name in ("offsets", "indptr", "indices", "data")}
     indexfile.save(path, header["format"], header["version"], header, arrays)
     loaded = load_dense_index(path, EMB)
     assert loaded.embedder is EMB
-    assert np.array_equal(loaded.matrix, index.matrix)
+    assert np.array_equal(loaded.data, index.data)
     assert dense_retrieve_topk(loaded, "Breach causes damages", 1)[0][0] == "d1#1"
+
+
+def test_equal_rows_score_equal_wherever_they_sit():
+    """A row's cosine comes from that row alone: five articles with one and
+    the same sentence score bit-identically and rank by id. A matrix-vector
+    product gave the last one a different last bit from the first four."""
+    content = "Breaching hinjoltor requirements leads to suspension of the contract"
+    articles = [Article(f"a{i}", "d", None, content) for i in range(5)]
+    embedder = HashedProjectionEmbedder()
+    index, _ = build_dense_index(articles, embedder)
+    question = "Regulation of basilsil corsilsil activities"
+    vector = embed(embedder, tokenize(clean_text(question)))
+    scores = quickview_dense_score(index, vector, range(5))
+    assert len(set(scores.tolist())) == 1
+    ranked = dense_retrieve_topk(index, question, 5)
+    assert ranked == [(f"a{i}", scores[0]) for i in range(5)]
+
+
+def test_top_k_equals_the_stable_sort_around_a_tie_group():
+    """k below, at and above a group of tied articles, and k past the corpus."""
+    tied = "Breaching hinjoltor requirements leads to suspension of the contract"
+    articles = [Article(f"t{i}", "d", None, tied) for i in range(4)] + [
+        Article("a", "d", None, "Regulation of basilsil corsilsil activities."),
+        Article("m", "d", None, "Basilsil activities are regulated. Other words."),
+        Article("z", "d", None, "Nothing in common here."),
+        Article("b", "d", None, "Nothing in common here."),
+    ]
+    embedder = HashedProjectionEmbedder()
+    index, _ = build_dense_index(articles, embedder)
+    question = "Regulation of basilsil corsilsil activities"
+    vector = embed(embedder, tokenize(clean_text(question)))
+    scores = quickview_dense_score(index, vector, range(len(articles)))
+    order = np.argsort(-scores, kind="stable")
+    assert len(set(scores[order[2:6]].tolist())) == 1  # the tie group sits at ranks 3-6
+    for k in range(1, len(articles) + 3):
+        want = [(index.article_ids[i], scores[i]) for i in order[:k]]
+        assert dense_retrieve_topk(index, question, k) == want
+
+
+def test_batch_embedding_saves_the_bytes_of_one_at_a_time(synth, tmp_path):
+    single, _ = build_dense_index(synth.articles, OneAtATime(synth.embedder), synth.tok)
+    batch, single_path = tmp_path / "batch.bin", tmp_path / "single.bin"
+    save_dense_index(synth.dense, batch)
+    save_dense_index(single, single_path)
+    assert batch.read_bytes() == single_path.read_bytes()

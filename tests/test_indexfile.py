@@ -12,14 +12,16 @@ import pytest
 from statuteqa import indexfile
 from statuteqa.corpus import TokenizerConfig
 from statuteqa.dense import (
+    DENSE_INDEX_VERSION,
     HashedProjectionEmbedder,
     build_dense_index,
     load_dense_index,
     save_dense_index,
 )
-from statuteqa.lexical import build_lex_index, load_lex_index, save_lex_index
+from statuteqa.lexical import LEX_INDEX_VERSION, build_lex_index, load_lex_index, save_lex_index
 
 KINDS = ("lex", "dense")
+VERSIONS = {"lex": LEX_INDEX_VERSION, "dense": DENSE_INDEX_VERSION}
 SPRUNG = []
 
 
@@ -86,7 +88,8 @@ def test_wrong_format_or_version_is_rejected(kind, indexes, tmp_path):
         load(other_path)
     header, arrays = _read(path)
     _write(path, {**header, "version": 1}, arrays)
-    with pytest.raises(ValueError, match=f"{kind}.bin: version mismatch .index 1, expected 2"):
+    expected = VERSIONS[kind]
+    with pytest.raises(ValueError, match=f"{kind}.bin: version mismatch .index 1, expected {expected}"):
         load(path)
 
 
@@ -100,11 +103,19 @@ def test_truncated_file_is_rejected(kind, indexes, tmp_path):
             load(path)
 
 
+def test_dense_header_dimension_must_be_the_embedders(indexes, tmp_path):
+    path, load = _saved(indexes, "dense", tmp_path)
+    header, arrays = _read(path)
+    _write(path, {**header, "dimension": 63}, arrays)
+    with pytest.raises(ValueError, match="dense.bin: dimension mismatch .index 63, expected 64"):
+        load(path)
+
+
 def test_object_array_is_never_unpickled(indexes, tmp_path):
     path, load = _saved(indexes, "dense", tmp_path)
     header, arrays = _read(path)
     with pytest.raises(ValueError, match="allow_pickle"):
-        _write(path, header, {**arrays, "matrix": np.array([Trap()], dtype=object)})
+        _write(path, header, {**arrays, "data": np.array([Trap()], dtype=object)})
     trap = np.array([Trap()], dtype=object)
     with gzip.open(path, "wb") as out:
         out.write(json.dumps(header).encode("utf-8") + b"\n")
@@ -126,13 +137,29 @@ def _last_plus_one(a):
     return a + (np.arange(len(a)) == len(a) - 1)
 
 
+def _first_minus_one(a):
+    return a - (np.arange(len(a)) == 0).astype(a.dtype)
+
+
 # case -> (index kind, array, edit, expected message)
 DISAGREEMENTS = {
     "offsets not increasing": (
         "dense", "offsets", lambda a: np.array([0, 3, 2, 5]), "offsets must rise"
     ),
     "offsets past the rows": ("dense", "offsets", _last_plus_one, "offsets must rise"),
-    "matrix width": ("dense", "matrix", lambda a: a[:, :63], "width 63 differs from dimension"),
+    "indptr falling": ("dense", "indptr", lambda a: a[[0, 2, 1, 3, 4, 5]], "indptr must not fall"),
+    "indptr past the entries": ("dense", "indptr", _last_plus_one, "indptr must not fall"),
+    "indptr one short of the rows": ("dense", "indptr", lambda a: a[:-1], "offsets must rise"),
+    "index past the dimension": (
+        "dense", "indices", lambda a: np.where(a == a.max(), 64, a).astype(np.int32),
+        "indices outside",
+    ),
+    "negative index": ("dense", "indices", _first_minus_one, "indices outside"),
+    "indices not ascending": (
+        "dense", "indices", lambda a: a[[1, 0, *range(2, len(a))]], "not ascending within a row"
+    ),
+    "indices short": ("dense", "indices", lambda a: a[:-1], "indices but"),
+    "data not finite": ("dense", "data", lambda a: np.where(a == a[0], np.nan, a), "not finite"),
     "offsets dtype": ("dense", "offsets", lambda a: a.astype(np.int32), "offsets is not 1-d int64"),
     "column out of range": (
         "lex", "content.columns", lambda a: np.where(a == 0, 3, a).astype(np.int32),

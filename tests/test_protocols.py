@@ -3,13 +3,22 @@ import importlib.util
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from dense_oracle import OneAtATime
+from statuteqa import dense
 from statuteqa.corpus import Article
-from statuteqa.dense import ExternalEmbedder
+from statuteqa.dense import (
+    ExternalEmbedder,
+    build_dense_index,
+    dense_retrieve_topk,
+    quickview_dense_score,
+    save_dense_index,
+)
 from statuteqa.lineproto import LineProtocolClient, ProtocolError
 from statuteqa.reranker import ExternalScorer
 
@@ -112,21 +121,27 @@ def test_external_embedder_fingerprint_depends_on_name(scripts_dir):
 LATE_ECHO = (
     "import json, sys, time\n"
     "for line in sys.stdin:\n"
-    "    time.sleep(0.5)\n"
-    "    print(json.dumps({'echo': json.loads(line)['n']}), flush=True)\n"
+    "    n = json.loads(line)['n']\n"
+    "    time.sleep(0.5 if n == 1 else 0)\n"
+    "    print(json.dumps({'echo': n}), flush=True)\n"
 )
 
 
 def test_late_reply_is_never_read_by_the_next_batch():
+    """The child stalls on request 1 only. That batch times out, and the
+    next one is answered by a fresh child, never with the late reply."""
     client = LineProtocolClient([sys.executable, "-c", LATE_ECHO], timeout=0.2)
     try:
         with pytest.raises(ProtocolError, match="timed out"):
             client.call([{"n": 1}])
-        time.sleep(0.6)  # the late reply to n=1 has been written by now
-        with pytest.raises(ProtocolError, match="not running"):
-            client.call([{"n": 2}])
+        time.sleep(0.6)  # the late reply to n=1 would have been written by now
+        assert client.call([{"n": 2}]) == [{"echo": 2}]
+        assert client.call([{"n": 3}]) == [{"echo": 3}]
+        assert client.restarts == 1
     finally:
         client.close()
+    with pytest.raises(ProtocolError, match="closed"):
+        client.call([{"n": 4}])
 
 
 def replying(line):
@@ -248,3 +263,57 @@ def test_a_child_that_never_reads_times_out():
     assert not hung
     assert "timed out" in str(outcome["error"])
     assert elapsed < 5
+
+
+def test_a_large_external_build_is_chunked_and_scored_in_bounded_memory(
+    scripts_dir, tmp_path, monkeypatch
+):
+    """5,000 sentences of a dense 64-d external embedder in one build: the
+    batch method asks for at most ``_CHUNK_ENTRIES`` values per request and
+    saves the bytes of one request per sentence, and neither max-cosine
+    caller holds more than ``_CHUNK_ENTRIES`` entries' temporaries at once:
+    not retrieval, which reads consecutive rows in place, nor a candidate
+    batch in reverse order, which is gathered."""
+    cap, dimension = 4096, 64
+    monkeypatch.setattr(dense, "_CHUNK_ENTRIES", cap)
+    articles = [
+        Article(f"a{i:04d}", "d", None, " ".join(f"Clause {i} part {j}." for j in range(5)))
+        for i in range(1000)
+    ]
+    with ExternalEmbedder(embedder_cmd(scripts_dir, "--dim", str(dimension)), dimension) as emb:
+        sizes, call = [], emb._client.call
+        monkeypatch.setattr(emb._client, "call", lambda reqs: sizes.append(len(reqs)) or call(reqs))
+        built = {}
+        thread = threading.Thread(
+            target=lambda: built.update(index=build_dense_index(articles, emb)[0]),
+            daemon=True,
+        )
+        thread.start()
+        thread.join(60)
+        if thread.is_alive():
+            emb._client._proc.kill()
+            thread.join(5)
+        assert not thread.is_alive() and "index" in built
+        index = built["index"]
+        assert sum(sizes) == 5000 and max(sizes) == cap // dimension
+        single, _ = build_dense_index(articles, OneAtATime(emb))
+        rows, entries = len(index.indptr) - 1, len(index.data)
+        assert entries == rows * dimension  # no zero coordinates
+        vector = np.ones(dimension)
+        tracemalloc.start()
+        try:
+            for score in (
+                lambda: dense_retrieve_topk(index, "clause part", 10),
+                lambda: quickview_dense_score(index, vector, np.arange(1000)[::-1]),
+            ):
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                score()
+                peak = tracemalloc.get_traced_memory()[1] - before
+                # at most five 8-byte arrays per gathered entry, eight per row
+                assert peak <= 40 * cap + 64 * rows < 8 * entries
+        finally:
+            tracemalloc.stop()
+    save_dense_index(index, tmp_path / "batch.bin")
+    save_dense_index(single, tmp_path / "single.bin")
+    assert (tmp_path / "batch.bin").read_bytes() == (tmp_path / "single.bin").read_bytes()
