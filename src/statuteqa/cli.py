@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import fcntl
 import os
 import sys
 from pathlib import Path
@@ -21,6 +22,7 @@ from .dense import build_dense_index, save_dense_index
 from .ensemble import answer_set_to_json
 from .evaluation import load_gold_file, run_eval, save_report, split_train_valid
 from .lexical import build_lex_index, save_lex_index
+from .lineproto import finite_real
 from .pipeline import (
     CONFIG_ENV_VAR,
     Pipeline,
@@ -47,47 +49,25 @@ from .weak_label import (
 LOCK_FILE_NAME = ".statuteqa.lock"
 
 
-def _holder_exited(lock_path: Path) -> bool:
-    """True when the lock file names a pid that no longer exists."""
-    try:
-        pid = int(lock_path.read_text())
-        if pid < 1:
-            return False
-        os.kill(pid, 0)  # signal 0 only checks that the process exists
-    except ProcessLookupError:
-        return True
-    except (OSError, ValueError):  # unreadable, not a pid, or another user's
-        return False
-    return False
-
-
 @contextlib.contextmanager
 def _exclusive_lock(directory: Path):
     """index/train are exclusive single-process operations.
 
-    The lock file records the holder's pid. A lock left by a process that
-    no longer exists is taken over; any other existing lock blocks. (Two
-    runs that find the same stale lock at the same moment may both take
-    it over.)
+    The kernel holds an exclusive ``flock`` on the lock file and releases
+    it when the holder closes the file or exits, however it exits. The file
+    stays in place and its content is never read: unlinking it would let a
+    later run lock a new file while an earlier run still holds the old one.
     """
     directory.mkdir(parents=True, exist_ok=True)
     lock_path = directory / LOCK_FILE_NAME
-    flags = os.O_CREAT | os.O_EXCL | os.O_WRONLY
-    try:
-        fd = os.open(lock_path, flags)
-    except FileExistsError:
-        if not _holder_exited(lock_path):
+    with open(lock_path, "a") as handle:
+        try:
+            fcntl.flock(handle, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
             raise RuntimeError(
-                f"lock file {lock_path} exists; another index/train run may be active"
+                f"lock file {lock_path} is held by another index/train run"
             ) from None
-        lock_path.unlink(missing_ok=True)
-        fd = os.open(lock_path, flags)  # FileExistsError: another run took it first
-    try:
-        os.write(fd, str(os.getpid()).encode())
-        os.close(fd)
         yield
-    finally:
-        os.unlink(lock_path)
 
 
 def _load_config(args: argparse.Namespace) -> PipelineConfig:
@@ -103,10 +83,20 @@ def _load_config(args: argparse.Namespace) -> PipelineConfig:
 
 def _add_override(parser: argparse.ArgumentParser, *names: str) -> None:
     types = {f.name: f.type for f in dataclasses.fields(PipelineConfig)}
-    casts = {"float | None": float, "float": float, "int": int, "str": str}
+    casts = {"float | None": _finite_float, "float": _finite_float, "int": int, "str": str}
     for name in names:
         flag = "--" + name.replace("_", "-")
         parser.add_argument(flag, dest=name, type=casts[types[name]], default=None)
+
+
+def _finite_float(text: str) -> float:
+    try:
+        value = finite_real(float(text))
+    except ValueError:
+        value = None
+    if value is None:
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
 
 
 def _positive_int(text: str) -> int:

@@ -65,6 +65,8 @@ class TokenizerConfig:
 
     mode: str = "whitespace"
     phrase_lexicon: frozenset[str] = field(default_factory=frozenset)
+    # phrases of 2+ tokens by first token, longest first; derived, so not compared
+    _phrases_by_first: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.mode not in ("whitespace", "whitespace_with_phrase_merge"):
@@ -74,6 +76,12 @@ class TokenizerConfig:
         if self.mode == "whitespace" and self.phrase_lexicon:
             raise ValueError("phrase_lexicon only valid with whitespace_with_phrase_merge")
         object.__setattr__(self, "phrase_lexicon", frozenset(self.phrase_lexicon))
+        by_first: dict[str, list[tuple[str, ...]]] = {}
+        phrases = {tuple(phrase.split()) for phrase in self.phrase_lexicon}
+        for parts in sorted(phrases, key=len, reverse=True):
+            if len(parts) > 1:
+                by_first.setdefault(parts[0], []).append(parts)
+        object.__setattr__(self, "_phrases_by_first", by_first)
 
     def fingerprint(self) -> str:
         payload = self.mode + "|" + ",".join(sorted(self.phrase_lexicon))
@@ -110,13 +118,12 @@ def tokenize(text: str, cfg: TokenizerConfig | None = None) -> list[str]:
     if cfg is None or cfg.mode == "whitespace" or not tokens:
         return tokens
 
-    phrases = sorted((p.split() for p in cfg.phrase_lexicon), key=len, reverse=True)
     merged: list[str] = []
     i = 0
     while i < len(tokens):
-        for parts in phrases:
+        for parts in cfg._phrases_by_first.get(tokens[i], ()):
             n = len(parts)
-            if n > 1 and tokens[i : i + n] == parts:
+            if tuple(tokens[i : i + n]) == parts:
                 merged.append(PHRASE_JOINER.join(parts))
                 i += n
                 break

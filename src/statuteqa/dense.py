@@ -124,17 +124,11 @@ class ExternalEmbedder:
     stdout.
     """
 
-    def __init__(
-        self,
-        command: Sequence[str],
-        dimension: int,
-        timeout: float = 30.0,
-        name: str | None = None,
-    ) -> None:
+    def __init__(self, command: Sequence[str], dimension: int, timeout: float = 30.0) -> None:
         if dimension < 1:
             raise ValueError("dimension must be >= 1")
         self.dimension = dimension
-        self._name = name or " ".join(command)
+        self._name = " ".join(command)
         self._client = LineProtocolClient(command, timeout=timeout)
 
     def fingerprint(self) -> str:

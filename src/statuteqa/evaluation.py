@@ -40,6 +40,8 @@ class GoldQuery:
     gold_article_ids: frozenset[str]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.question_id, str) or not isinstance(self.question, str):
+            raise ValueError("question_id and question must be strings")
         object.__setattr__(self, "gold_article_ids", frozenset(self.gold_article_ids))
         if not self.gold_article_ids:
             raise ValueError(f"query {self.question_id!r} has an empty gold set")
@@ -195,16 +197,17 @@ def load_gold_file(path: str | Path) -> list[GoldQuery]:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+            if not isinstance(record, dict):
+                raise ValueError(f"{path}:{lineno}: record must be a JSON object")
             try:
-                queries.append(
-                    GoldQuery(
-                        question_id=str(record["question_id"]),
-                        question=record["question"],
-                        gold_article_ids=frozenset(record["gold"]),
-                    )
-                )
+                gold = record["gold"]
+                if not isinstance(gold, list) or not all(isinstance(a, str) for a in gold):
+                    raise ValueError("gold must be a list of article-id strings")
+                queries.append(GoldQuery(record["question_id"], record["question"], gold))
             except KeyError as exc:
                 raise ValueError(f"{path}:{lineno}: missing key {exc}") from None
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     return queries
 
 

@@ -32,6 +32,7 @@ from .dense import (
 )
 from .ensemble import AnswerSet, EnsembleConfig, rank_and_select
 from .lexical import Bm25Params, LexIndex, QuickviewConfig, load_lex_index, retrieve_topk
+from .lineproto import finite_real
 from .reranker import (
     ExternalScorer,
     FeatureExtractor,
@@ -152,16 +153,17 @@ class PipelineConfig:
 
 
 def _has_type(value, annotation: str) -> bool:
-    """Whether a JSON value fits a config field's annotation; an int is a
-    float, a bool is not a number."""
+    """Whether a JSON value fits a config field's annotation; a float is a
+    finite real (``lineproto.finite_real``), a bool is not a number."""
     if annotation.endswith(" | None"):
         return value is None or _has_type(value, annotation.removesuffix(" | None"))
     if annotation == "list[str]":
         return isinstance(value, list) and all(isinstance(v, str) for v in value)
+    if annotation == "float":
+        return finite_real(value) is not None
     if isinstance(value, bool):
         return False
-    kinds = {"int": int, "float": (int, float), "str": str}
-    return isinstance(value, kinds[annotation])
+    return isinstance(value, {"int": int, "str": str}[annotation])
 
 
 def question_id_for(question: str) -> str:

@@ -371,10 +371,8 @@ class ModelScorer:
 class ExternalScorer:
     """Scorer backed by a child process speaking the line protocol."""
 
-    def __init__(
-        self, command: Sequence[str], timeout: float = 30.0, name: str | None = None
-    ) -> None:
-        self._name = name or " ".join(command)
+    def __init__(self, command: Sequence[str], timeout: float = 30.0) -> None:
+        self._name = " ".join(command)
         self._client = LineProtocolClient(command, timeout=timeout)
 
     def fingerprint(self) -> str:

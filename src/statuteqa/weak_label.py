@@ -39,8 +39,10 @@ class TrainingExample:
     origin: str  # "weak" or "gold"
 
     def __post_init__(self) -> None:
-        if self.label not in (0, 1):
-            raise ValueError("label must be 0 or 1")
+        if not isinstance(self.question, str) or not isinstance(self.article_id, str):
+            raise ValueError("question and article_id must be strings")
+        if type(self.label) is not int or self.label not in (0, 1):
+            raise ValueError("label must be the integer 0 or 1")
         if self.origin not in ("weak", "gold"):
             raise ValueError("origin must be 'weak' or 'gold'")
 
@@ -198,16 +200,17 @@ def read_dataset(path: str | Path) -> list[TrainingExample]:
         for lineno, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
-            record = json.loads(line)
             try:
-                examples.append(
-                    TrainingExample(
-                        question=record["question"],
-                        article_id=record["article_id"],
-                        label=int(record["label"]),
-                        origin=record["origin"],
-                    )
-                )
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+            if not isinstance(record, dict):
+                raise ValueError(f"{path}:{lineno}: record must be a JSON object")
+            keys = ("question", "article_id", "label", "origin")
+            try:
+                examples.append(TrainingExample(*(record[key] for key in keys)))
             except KeyError as exc:
                 raise ValueError(f"{path}:{lineno}: missing key {exc}") from None
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     return examples

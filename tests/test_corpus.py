@@ -61,6 +61,51 @@ def test_tokenize_phrase_merge_longest_match_wins():
     assert tokenize("a b x", cfg) == ["a_b", "x"]
 
 
+def merge_phrases_reference(text, cfg):
+    """Phrase merging as first written: every phrase, longest first, tried
+    at every position."""
+    tokens = text.split()
+    phrases = sorted((p.split() for p in cfg.phrase_lexicon), key=len, reverse=True)
+    merged = []
+    i = 0
+    while i < len(tokens):
+        for parts in phrases:
+            n = len(parts)
+            if n > 1 and tokens[i : i + n] == parts:
+                merged.append("_".join(parts))
+                i += n
+                break
+        else:
+            merged.append(tokens[i])
+            i += 1
+    return merged
+
+
+WORDS = st.sampled_from(["a", "b", "c"])
+
+
+@given(
+    st.lists(WORDS, max_size=12),
+    st.sets(
+        st.lists(WORDS, max_size=3).map(" ".join) | st.sampled_from(["", " a  b ", "b\tc"]),
+        min_size=1,
+        max_size=8,
+    ),
+)
+def test_tokenize_phrase_merge_matches_reference(words, lexicon):
+    cfg = TokenizerConfig("whitespace_with_phrase_merge", frozenset(lexicon))
+    text = " ".join(words)
+    assert tokenize(text, cfg) == merge_phrases_reference(text, cfg)
+
+
+def test_tokenizer_config_identity_is_its_mode_and_lexicon():
+    rebuilt = TokenizerConfig("whitespace_with_phrase_merge", ["bộ luật"])
+    assert rebuilt == PHRASE_CFG and hash(rebuilt) == hash(PHRASE_CFG)
+    assert repr(rebuilt) == repr(PHRASE_CFG)
+    assert TokenizerConfig().fingerprint() == "786c1d89c27467a4"
+    assert PHRASE_CFG.fingerprint() == "b26d6a470434c5a3"
+
+
 def test_tokenizer_config_validation():
     with pytest.raises(ValueError):
         TokenizerConfig("whitespace_with_phrase_merge")

@@ -204,6 +204,26 @@ def test_gold_file_without_gold_names_the_line(tmp_path):
         load_gold_file(path)
 
 
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        ('{"question_id": "q1", "question": "a", "gold": "306/2015/QH13#865"}', "gold must be"),
+        ('{"question_id": "q1", "question": "a", "gold": []}', "query 'q1' has an empty gold set"),
+        ('{"question_id": "q1", "question": "a", "gold": [865]}', "gold must be"),
+        ("[1, 2]", "record must be a JSON object"),
+        ('{"question_id": "q1", "question": 7, "gold": ["x"]}', "question_id and question"),
+        ('{"question_id": 1, "question": "a", "gold": ["x"]}', "question_id and question"),
+    ],
+    ids=["gold-string", "gold-empty", "gold-number", "list-record", "question-number",
+         "id-number"],
+)
+def test_gold_file_malformed_record_names_the_line(tmp_path, record, message):
+    path = tmp_path / "gold.jsonl"
+    path.write_text('{"question_id": "q0", "question": "b", "gold": ["y"]}\n' + record + "\n")
+    with pytest.raises(ValueError, match=f"gold.jsonl:2: {message}"):
+        load_gold_file(path)
+
+
 def test_report_file_shape(tmp_path):
     report = EvalReport(recall_at_k={10: 0.5}, mean_latency_ms=1.25, queries=2)
     path = tmp_path / "report.json"

@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import fcntl
 import json
 import os
 import subprocess
@@ -6,7 +8,7 @@ import sys
 
 import pytest
 
-from statuteqa import dense, lineproto, reranker
+from statuteqa import cli, dense, lineproto, reranker
 from statuteqa import pipeline as pipeline_mod
 from statuteqa.cli import main
 from statuteqa.corpus import (
@@ -70,6 +72,19 @@ def test_query_k_below_one_is_a_usage_error(tmp_path, capsys, k):
     assert "--k" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [("query", "--alpha", "nan"), ("query", "--threshold", "inf"),
+     ("index", "--k1", "inf"), ("train", "--learning-rate", "nan")],
+)
+def test_float_flags_must_be_finite(tmp_path, capsys, command, flag, value):
+    missing = ["--corpus-path", str(tmp_path / "none.jsonl")]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *missing, flag, value])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
 def test_missing_corpus_is_runtime_error(tmp_path, capsys):
     code = main(["index", "--corpus-path", str(tmp_path / "nope.jsonl")])
     assert code == 1
@@ -92,31 +107,77 @@ def test_weaklabel_rerun_is_byte_identical(workspace):
     assert (root / "weak_dataset.jsonl").read_bytes() == before
 
 
-def test_lock_file_blocks_concurrent_index(workspace, capsys):
+HOLD_LOCK = (
+    "import fcntl, sys\n"
+    "handle = open(sys.argv[1], 'a')\n"
+    "fcntl.flock(handle, fcntl.LOCK_EX)\n"
+    "print('held', flush=True)\n"
+    "sys.stdin.read()\n"
+)
+
+
+@contextlib.contextmanager
+def lock_held_by_child(lock_path):
+    """A child process that holds the lock until the block ends."""
+    with subprocess.Popen(
+        [sys.executable, "-c", HOLD_LOCK, str(lock_path)],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+    ) as child:
+        try:
+            assert child.stdout.readline() == "held\n"
+            yield child
+        finally:
+            child.kill()
+            child.wait(timeout=10)
+
+
+@contextlib.contextmanager
+def lock_held_in_this_process(lock_path):
+    """The lock held through a second open file description of this process."""
+    with open(lock_path, "a") as handle:
+        fcntl.flock(handle, fcntl.LOCK_EX)
+        yield
+
+
+@pytest.mark.parametrize("holder", [lock_held_in_this_process, lock_held_by_child])
+def test_held_lock_blocks_index_and_train(workspace, capsys, holder):
     root, base, _ = workspace
-    lock = root / ".statuteqa.lock"
-    lock.write_text("held")
-    try:
+    with holder(root / ".statuteqa.lock"):
+        for command in ("index", "train"):
+            assert main(base + [command]) == 1
+            assert "lock" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", ["", str(os.getppid())], ids=["empty", "live-pid"])
+def test_lock_file_left_in_place_does_not_block(workspace, content):
+    """An empty file (a holder killed before writing) or one naming a live
+    unrelated process is not a held lock."""
+    root, base, _ = workspace
+    (root / ".statuteqa.lock").write_text(content)
+    assert main(base + ["index"]) == 0
+
+
+def test_lock_of_a_killed_holder_is_released(workspace, capsys):
+    root, base, _ = workspace
+    with lock_held_by_child(root / ".statuteqa.lock") as child:
         assert main(base + ["index"]) == 1
         assert "lock" in capsys.readouterr().err
-    finally:
-        lock.unlink()
-
-
-def test_lock_left_by_exited_process_is_taken_over(workspace, capsys):
-    root, base, _ = workspace
-    lock = root / ".statuteqa.lock"
-    child = subprocess.Popen([sys.executable, "-c", "pass"])
-    child.wait()
-    try:
-        lock.write_text(str(child.pid))
+        child.kill()
+        child.wait(timeout=10)
         assert main(base + ["index"]) == 0
-        assert not lock.exists()
-        lock.write_text(str(os.getpid()))  # a live holder still blocks
-        assert main(base + ["index"]) == 1
-        assert "lock" in capsys.readouterr().err
-    finally:
-        lock.unlink(missing_ok=True)
+
+
+def test_run_that_raises_inside_the_lock_releases_it(workspace, capsys, monkeypatch):
+    root, base, _ = workspace
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("build failed")
+
+    monkeypatch.setattr(cli, "build_lex_index", fail)
+    assert main(base + ["index"]) == 1
+    assert "build failed" in capsys.readouterr().err
+    monkeypatch.undo()
+    assert main(base + ["index"]) == 0
 
 
 def test_query_prints_gold_first(workspace, capsys):
@@ -197,7 +258,8 @@ def test_config_rejects_unknown_keys(tmp_path):
 @pytest.mark.parametrize(
     "key, value",
     [("top_k", "200"), ("gamma", None), ("phrase_lexicon", "ab"), ("top_k", True),
-     ("alpha", False), ("external_scorer_cmd", ["python", 3])],
+     ("alpha", False), ("external_scorer_cmd", ["python", 3]), ("k1", float("nan")),
+     ("alpha", float("nan")), ("threshold", float("nan")), ("learning_rate", float("inf"))],
 )
 def test_config_rejects_values_of_the_wrong_type(tmp_path, capsys, key, value):
     bad = tmp_path / "bad.json"

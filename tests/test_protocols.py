@@ -111,11 +111,11 @@ def test_external_embedder_dimension_checked(scripts_dir):
             emb.embed_texts(["text"])
 
 
-def test_external_embedder_fingerprint_depends_on_name(scripts_dir):
+def test_external_embedder_fingerprint_depends_on_command(scripts_dir):
     cmd = embedder_cmd(scripts_dir, "--dim", "8")
-    with ExternalEmbedder(cmd, dimension=8, name="model-a") as a:
-        with ExternalEmbedder(cmd, dimension=8, name="model-b") as b:
-            assert a.fingerprint() != b.fingerprint()
+    with ExternalEmbedder(cmd, dimension=8) as a, ExternalEmbedder(cmd, dimension=8) as b:
+        with ExternalEmbedder(cmd + ["--dim", "8"], dimension=8) as c:
+            assert a.fingerprint() == b.fingerprint() != c.fingerprint()
 
 
 LATE_ECHO = (
@@ -167,8 +167,8 @@ NOT_FINITE_REALS = {
 @pytest.mark.parametrize("value", NOT_FINITE_REALS.values(), ids=NOT_FINITE_REALS.keys())
 def test_external_embedder_rejects_values_that_are_not_finite_reals(value):
     command = replying('{"vector": [' + value + ", 0.5]}")
-    with ExternalEmbedder(command, dimension=2, name="inline-embedder", timeout=5) as emb:
-        with pytest.raises(ProtocolError, match="inline-embedder.*malformed vector"):
+    with ExternalEmbedder(command, dimension=2, timeout=5) as emb:
+        with pytest.raises(ProtocolError, match="external embedder .+ malformed vector"):
             emb.embed_texts(["text"])
 
 
@@ -182,8 +182,8 @@ def test_external_embedder_accepts_integer_components():
 @pytest.mark.parametrize("value", NOT_FINITE_REALS.values(), ids=NOT_FINITE_REALS.keys())
 def test_external_scorer_rejects_scores_that_are_not_finite_reals(value):
     command = replying('{"score": ' + value + "}")
-    with ExternalScorer(command, name="inline-scorer", timeout=5) as scorer:
-        with pytest.raises(ProtocolError, match="inline-scorer.*malformed score"):
+    with ExternalScorer(command, timeout=5) as scorer:
+        with pytest.raises(ProtocolError, match="external scorer .+ malformed score"):
             scorer.score_batch("q", CANDIDATES[:1])
 
 

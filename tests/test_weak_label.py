@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -164,6 +165,32 @@ def test_dataset_file_without_origin_names_the_line(tmp_path):
     path = tmp_path / "weak.jsonl"
     path.write_text('{"question": "q", "article_id": "a", "label": 1}\n')
     with pytest.raises(ValueError, match="weak.jsonl:1: missing key 'origin'"):
+        read_dataset(path)
+
+
+GOOD_RECORD = {"question": "q", "article_id": "a", "label": 1, "origin": "weak"}
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        (json.dumps({**GOOD_RECORD, "label": True}), "label must be"),
+        (json.dumps({**GOOD_RECORD, "label": "1"}), "label must be"),
+        (json.dumps({**GOOD_RECORD, "label": 1.7}), "label must be"),
+        (json.dumps({**GOOD_RECORD, "label": 2}), "label must be"),
+        (json.dumps({**GOOD_RECORD, "question": 3}), "question and article_id"),
+        (json.dumps({**GOOD_RECORD, "article_id": None}), "question and article_id"),
+        (json.dumps({**GOOD_RECORD, "origin": "web"}), "origin must be"),
+        ("[1, 2]", "record must be a JSON object"),
+        ('{"question": "q",', "invalid JSON"),
+    ],
+    ids=["label-true", "label-string", "label-float", "label-two", "question-number",
+         "article-null", "origin-unknown", "list-record", "invalid-json"],
+)
+def test_dataset_file_malformed_record_names_the_line(tmp_path, line, message):
+    path = tmp_path / "weak.jsonl"
+    path.write_text(json.dumps(GOOD_RECORD) + "\n" + line + "\n")
+    with pytest.raises(ValueError, match=f"weak.jsonl:2: {message}"):
         read_dataset(path)
 
 
