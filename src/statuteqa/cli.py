@@ -28,6 +28,7 @@ from .pipeline import (
     Pipeline,
     PipelineConfig,
     close_all,
+    load_articles,
     load_artifacts,
     question_id_for,
 )
@@ -183,12 +184,16 @@ def _cmd_index(cfg: PipelineConfig) -> int:
     docs, stats = load_corpus_file(cfg.corpus_path)
     articles = list(iter_articles(docs))
     tok = cfg.tokenizer_config()
-    with _exclusive_lock(Path(cfg.lex_index_path).resolve().parent):
-        lex = build_lex_index(articles, tok, cfg.bm25_params())
+    outputs = (cfg.lex_index_path, cfg.dense_index_path)
+    with contextlib.ExitStack() as locks:
+        # each output directory, in one order, so two runs cannot deadlock
+        for directory in sorted({Path(path).resolve().parent for path in outputs}):
+            locks.enter_context(_exclusive_lock(directory))
+        lex = build_lex_index(articles, tok, cfg.bm25_params(), stats.digest)
         save_lex_index(lex, cfg.lex_index_path)
         embedder = cfg.make_embedder()
         try:
-            dense, excluded = build_dense_index(articles, embedder, tok)
+            dense, excluded = build_dense_index(articles, embedder, tok, stats.digest)
             save_dense_index(dense, cfg.dense_index_path)
         finally:
             close_all(embedder)
@@ -220,8 +225,9 @@ def _cmd_weaklabel(cfg: PipelineConfig) -> int:
 
 
 def _cmd_train(cfg: PipelineConfig, mode: str) -> int:
-    articles, lex, dense = load_artifacts(cfg)
+    lex, dense = load_artifacts(cfg)
     try:
+        articles = load_articles(cfg, lex.corpus_digest)
         extractor = FeatureExtractor(lex, dense, cfg.tokenizer_config())
         gold_queries = load_gold_file(cfg.gold_path)
         train_queries, valid_queries = split_train_valid(
@@ -316,7 +322,7 @@ def _cmd_eval(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     if do_end_to_end:
         pipeline = Pipeline.load(cfg)
     else:  # quickview recall needs no scorer
-        pipeline = Pipeline(cfg, *load_artifacts(cfg), scorer=None)
+        pipeline = Pipeline(cfg, None, *load_artifacts(cfg), scorer=None)
     # one quickview per question, deep enough for every cutoff and the answer
     depth = max([*ks, cfg.top_k] if do_end_to_end else ks)
     try:

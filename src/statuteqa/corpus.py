@@ -8,6 +8,7 @@ Article order within a document is preserved.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import re
 from dataclasses import dataclass, field
@@ -26,12 +27,14 @@ __all__ = [
     "parse_corpus",
     "load_corpus_file",
     "write_corpus_file",
-    "corpus_digest",
+    "file_digest",
 ]
 
 PHRASE_JOINER = "_"
 
 _SENTENCE_DELIMS = re.compile(r"[.;?!\n]")
+# UTF-8 cannot encode a lone surrogate, which JSON can escape ("\ud800")
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 class CorpusFormatError(ValueError):
@@ -148,6 +151,7 @@ class ParseStats:
     titled: int = 0
     missing_title: int = 0
     dropped_empty_content: int = 0
+    digest: str = ""  # sha256 of the file bytes parsed (load_corpus_file)
 
 
 def parse_corpus(lines: Iterable[str]) -> tuple[list[LegalDocument], ParseStats]:
@@ -156,7 +160,8 @@ def parse_corpus(lines: Iterable[str]) -> tuple[list[LegalDocument], ParseStats]
     Articles whose cleaned content is empty are dropped and counted.
     Titles that clean to empty are treated as missing. Raises
     CorpusFormatError with the offending line number for malformed records
-    and names the id for duplicate article or document ids.
+    (including an id, title or content holding a lone surrogate) and names
+    the id for duplicate article or document ids.
     """
     docs: list[LegalDocument] = []
     stats = ParseStats()
@@ -179,6 +184,7 @@ def parse_corpus(lines: Iterable[str]) -> tuple[list[LegalDocument], ParseStats]
         if doc_id in seen_docs:
             raise CorpusFormatError(f"line {lineno}: duplicate doc id {doc_id!r}")
         seen_docs.add(doc_id)
+        _require_encodable(lineno, "doc_id", doc_id)
 
         raw_articles = record.get("articles")
         if not isinstance(raw_articles, list):
@@ -202,6 +208,9 @@ def parse_corpus(lines: Iterable[str]) -> tuple[list[LegalDocument], ParseStats]
             content = raw.get("content")
             if not isinstance(content, str):
                 raise CorpusFormatError(f"line {lineno}: content must be a string")
+            fields = {"article_id": article_id, "title": title, "content": content}
+            for name, text in fields.items():
+                _require_encodable(lineno, name, text)
 
             if not _has_text(content):
                 stats.dropped_empty_content += 1
@@ -221,9 +230,28 @@ def parse_corpus(lines: Iterable[str]) -> tuple[list[LegalDocument], ParseStats]
     return docs, stats
 
 
+def _require_encodable(lineno: int, name: str, text: str | None) -> None:
+    if text and _SURROGATE.search(text):
+        raise CorpusFormatError(f"line {lineno}: {name} holds a lone surrogate")
+
+
 def load_corpus_file(path: str | Path) -> tuple[list[LegalDocument], ParseStats]:
-    with open(path, encoding="utf-8") as handle:
-        return parse_corpus(handle)
+    """Parse a corpus file; ``stats.digest`` is the sha256 of the bytes parsed.
+
+    A ``CorpusFormatError`` names the file as well as the line.
+    """
+    data = Path(path).read_bytes()
+    try:
+        docs, stats = parse_corpus(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    except CorpusFormatError as exc:
+        raise CorpusFormatError(f"{path}: {exc}") from exc
+    stats.digest = hashlib.sha256(data).hexdigest()
+    return docs, stats
+
+
+def file_digest(path: str | Path) -> str:
+    """sha256 of a file's bytes; for a corpus file, the digest indexes record."""
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def write_corpus_file(docs: Iterable[LegalDocument], path: str | Path) -> None:
@@ -242,16 +270,3 @@ def write_corpus_file(docs: Iterable[LegalDocument], path: str | Path) -> None:
 def iter_articles(docs: Iterable[LegalDocument]) -> Iterator[Article]:
     for doc in docs:
         yield from doc.articles
-
-
-def corpus_digest(articles: Iterable[Article]) -> str:
-    """sha256 over each article's (id, title, content), in article-id order.
-
-    Indexes record the digest of the articles they were built from, so an
-    index can be matched against the corpus it is loaded with.
-    """
-    digest = hashlib.sha256()
-    for article in sorted(articles, key=lambda a: a.article_id):
-        record = [article.article_id, article.title, article.content]
-        digest.update(json.dumps(record, ensure_ascii=False).encode("utf-8") + b"\n")
-    return digest.hexdigest()

@@ -21,14 +21,7 @@ from typing import Iterator, Protocol, Sequence
 import numpy as np
 
 from . import indexfile
-from .corpus import (
-    Article,
-    TokenizerConfig,
-    clean_text,
-    corpus_digest,
-    split_sentences,
-    tokenize,
-)
+from .corpus import Article, TokenizerConfig, clean_text, split_sentences, tokenize
 from .lineproto import LineProtocolClient, ProtocolError, finite_real
 
 __all__ = [
@@ -45,7 +38,7 @@ __all__ = [
 ]
 
 DENSE_INDEX_FORMAT = "statuteqa.denseindex"
-DENSE_INDEX_VERSION = 3
+DENSE_INDEX_VERSION = 4
 _LAYOUT = {
     "offsets": (np.int64, 1),
     "indptr": (np.int64, 1),
@@ -197,7 +190,7 @@ class DenseIndex:
     indptr: np.ndarray  # int64, sentences + 1, into the entries
     indices: np.ndarray  # int32 coordinates, one per entry
     data: np.ndarray  # float64 values, one per entry
-    corpus_digest: str  # corpus.corpus_digest of the articles given to build
+    corpus_digest: str  # sha256 of the corpus file's bytes; "" if built in memory
     embedder: Embedder
 
 
@@ -205,11 +198,13 @@ def build_dense_index(
     articles: Sequence[Article],
     embedder: Embedder | None = None,
     tok: TokenizerConfig | None = None,
+    corpus_digest: str = "",
 ) -> tuple[DenseIndex, int]:
     """Embed every article's sentences; returns (index, excluded_count).
 
     Articles with zero non-empty sentences after cleaning are excluded
-    from the index and counted.
+    from the index and counted. ``corpus_digest`` is recorded as given
+    (see ``lexical.build_lex_index``).
     """
     if not articles:
         raise ValueError("empty corpus")
@@ -251,7 +246,7 @@ def build_dense_index(
         indptr=np.cumsum([0, *sizes], dtype=np.int64),
         indices=np.concatenate(indices),
         data=np.concatenate(data),
-        corpus_digest=corpus_digest(articles),
+        corpus_digest=corpus_digest,
         embedder=embedder,
     )
     return index, len(articles) - len(article_ids)

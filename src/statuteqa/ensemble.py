@@ -140,26 +140,29 @@ def rank_and_select(
     question: str,
     ranked: Sequence[tuple[str, float]],
     scorer,
-    articles_by_id: Mapping[str, Article],
+    articles_by_id: Mapping[str, Article] | None,
     cfg: EnsembleConfig,
 ) -> AnswerSet:
     """Score, normalize, fuse and select over a quickview ranking.
 
     ``ranked`` is the (article id, quickview score) list of the candidates,
     as ``Pipeline.quickview_rank`` returns it, and ``scorer`` is anything
-    with ``score_batch(question, articles)``. When the quickview found no
-    candidate (``ranked`` is empty) the answer set is empty and flagged,
-    which is distinct from selecting the best candidate.
+    with ``score_batch(question, candidates)``. The scorer is handed the
+    candidates' articles from ``articles_by_id``, or their ids when it is
+    None. When the quickview found no candidate (``ranked`` is empty) the
+    answer set is empty and flagged, which is distinct from selecting the
+    best candidate.
     """
     if not ranked:
         return AnswerSet(question_id=question_id, returned=(), no_candidates=True)
 
     ids, qs = zip(*ranked)
-    candidate_articles = list(map(articles_by_id.__getitem__, ids))
+    if articles_by_id is not None:
+        candidates = list(map(articles_by_id.__getitem__, ids))
+    else:
+        candidates = list(ids)
     qs_raw = np.array(qs, dtype=np.float64)
-    ss_raw = np.asarray(
-        scorer.score_batch(question, candidate_articles), dtype=np.float64
-    )
+    ss_raw = np.asarray(scorer.score_batch(question, candidates), dtype=np.float64)
     if ss_raw.shape != qs_raw.shape:
         raise ValueError(
             f"scorer returned {ss_raw.shape} scores for {len(ids)} candidates"

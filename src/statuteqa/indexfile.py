@@ -5,24 +5,53 @@ name so that equal indexes save to equal bytes. It holds a sorted-keys
 JSON header line (``format``, ``version``, the index's metadata, and
 ``arrays``, the names of the arrays that follow), then each array in
 ``.npy`` format. Arrays are never pickled.
+
+Artifacts are written through ``replacing``, so a reader sees the old
+file or the new one, never a half-written one.
 """
 
 from __future__ import annotations
 
+import contextlib
 import gzip
 import json
+import os
+import secrets
 import zlib
+from pathlib import Path
 
 import numpy as np
 
 COMPRESS_LEVEL = 6
 
 
+@contextlib.contextmanager
+def replacing(path):
+    """A binary file that replaces ``path`` when the block exits cleanly.
+
+    It is a new file in ``path``'s directory, flushed and fsynced before
+    ``os.replace`` renames it over ``path``. If the block raises, the new
+    file is removed and ``path`` is left as it was.
+    """
+    path = Path(path)
+    temp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
+    handle = open(temp, "xb")
+    try:
+        with handle:
+            yield handle
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
+
+
 def save(path, fmt: str, version: int, header: dict, arrays: dict) -> None:
     """Write ``header`` and then ``arrays``, in their order, to ``path``."""
     head = {**header, "format": fmt, "version": version, "arrays": list(arrays)}
     line = json.dumps(head, sort_keys=True, ensure_ascii=False) + "\n"
-    with open(path, "wb") as raw, gzip.GzipFile(
+    with replacing(path) as raw, gzip.GzipFile(
         filename="", mode="wb", compresslevel=COMPRESS_LEVEL, fileobj=raw, mtime=0
     ) as out:
         out.write(line.encode("utf-8"))

@@ -37,7 +37,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import indexfile
-from .corpus import Article, TokenizerConfig, clean_text, corpus_digest, tokenize
+from .corpus import Article, TokenizerConfig, clean_text, tokenize
 
 __all__ = [
     "FieldMatrix",
@@ -56,7 +56,7 @@ __all__ = [
 FIELDS = ("title", "content")
 
 LEX_INDEX_FORMAT = "statuteqa.lexindex"
-LEX_INDEX_VERSION = 2
+LEX_INDEX_VERSION = 3
 
 # The FieldMatrix arrays an index file holds for each field, with their dtypes
 _SAVED = {"indptr": np.int64, "columns": np.int32, "tf": np.int32, "lengths": np.int64}
@@ -132,7 +132,7 @@ class LexIndex:
     content: FieldMatrix
     params: Bm25Params
     tokenizer_fingerprint: str
-    corpus_digest: str  # corpus.corpus_digest of the articles indexed
+    corpus_digest: str  # sha256 of the corpus file's bytes; "" if built in memory
     column: Mapping[str, int] = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -166,7 +166,10 @@ def _field_matrix(
     df = np.diff(indptr)
     big_n = int(np.count_nonzero(lengths))
     avgdl = int(lengths.sum()) / big_n if big_n else 0.0
-    idf_rows = np.array([_idf(big_n, n) for n in df.tolist()], dtype=np.float64)
+    # few distinct document frequencies: math.log once for each
+    distinct_df, row_df = np.unique(df, return_inverse=True)
+    idf_df = np.array([_idf(big_n, n) for n in distinct_df.tolist()], dtype=np.float64)
+    idf_rows = idf_df[row_df]
     k1, b = params.k1, params.b
     tf_f = tf.astype(np.float64)
     norm = k1 * (1.0 - b + b * lengths[columns] / avgdl)
@@ -194,11 +197,14 @@ def build_lex_index(
     articles: Sequence[Article],
     tok: TokenizerConfig | None = None,
     params: Bm25Params | None = None,
+    corpus_digest: str = "",
 ) -> LexIndex:
     """Index title and content tokens of every article whose content has tokens.
 
     An article whose cleaned content has no tokens gets no column, whatever
     its title; title tokens are indexed only when a title is present.
+    ``corpus_digest`` is recorded as given: ``index`` passes the sha256 of
+    the corpus file the articles were parsed from.
     """
     if not articles:
         raise ValueError("empty corpus")
@@ -234,7 +240,7 @@ def build_lex_index(
         content=matrices["content"],
         params=params,
         tokenizer_fingerprint=tok.fingerprint(),
-        corpus_digest=corpus_digest(articles),
+        corpus_digest=corpus_digest,
     )
 
 

@@ -8,6 +8,7 @@ training, querying, evaluation and serving.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -18,7 +19,7 @@ from .corpus import (
     Article,
     TokenizerConfig,
     clean_text,
-    corpus_digest,
+    file_digest,
     iter_articles,
     load_corpus_file,
     tokenize,
@@ -42,7 +43,14 @@ from .reranker import (
 )
 from .weak_label import WeakGenConfig
 
-__all__ = ["PipelineConfig", "Pipeline", "question_id_for", "load_artifacts", "close_all"]
+__all__ = [
+    "PipelineConfig",
+    "Pipeline",
+    "question_id_for",
+    "load_artifacts",
+    "load_articles",
+    "close_all",
+]
 
 CONFIG_ENV_VAR = "STATUTEQA_CONFIG"
 
@@ -179,37 +187,58 @@ def close_all(*resources) -> None:
             close()
 
 
-def load_artifacts(cfg: PipelineConfig) -> tuple[list[Article], LexIndex, DenseIndex]:
-    """The corpus and both indexes, checked against the config and each other.
+def load_artifacts(cfg: PipelineConfig) -> tuple[LexIndex, DenseIndex]:
+    """Both indexes, checked against the config, each other and the corpus.
 
     Every command that reads the indexes loads them here. The lexical
     index must record the configured tokenizer, the dense index the
     configured embedder (which it then uses for questions), and both the
-    corpus's digest. The caller owns ``dense.embedder`` and closes it;
-    when loading fails it is closed here.
+    sha256 of the corpus file's bytes: the corpus is checked with one hash
+    and is not parsed (see ``load_articles``). The caller owns
+    ``dense.embedder`` and closes it; when loading fails it is closed here.
     """
-    docs, _ = load_corpus_file(cfg.corpus_path)
-    articles = list(iter_articles(docs))
     lex = load_lex_index(cfg.lex_index_path, cfg.tokenizer_config().fingerprint())
     embedder = cfg.make_embedder()
     try:
         dense = load_dense_index(cfg.dense_index_path, embedder)
-        digest = corpus_digest(articles)
+        digest = file_digest(cfg.corpus_path)
         for path, index in ((cfg.lex_index_path, lex), (cfg.dense_index_path, dense)):
-            if index.corpus_digest != digest:
-                raise ValueError(
-                    f"{path}: index built from a different corpus "
-                    f"(index {index.corpus_digest[:16]}, "
-                    f"{cfg.corpus_path} {digest[:16]})"
-                )
+            _require_corpus(cfg, path, index.corpus_digest, digest)
     except BaseException:
         close_all(embedder)
         raise
-    return articles, lex, dense
+    return lex, dense
+
+
+def load_articles(cfg: PipelineConfig, digest: str) -> list[Article]:
+    """The corpus's articles, parsed from bytes whose sha256 must be ``digest``,
+    the corpus digest of the indexes (``cfg.lex_index_path``) loaded with it."""
+    docs, stats = load_corpus_file(cfg.corpus_path)
+    _require_corpus(cfg, cfg.lex_index_path, digest, stats.digest)
+    return list(iter_articles(docs))
+
+
+def _require_corpus(
+    cfg: PipelineConfig, index_path: str, recorded: str, found: str
+) -> None:
+    if recorded != found:
+        raise ValueError(
+            f"{index_path}: index built from a different corpus "
+            f"(index {recorded[:16]}, {cfg.corpus_path} {found[:16]})"
+        )
 
 
 class Pipeline:
-    """Loaded corpus, indexes, and scorer behind one answer() call.
+    """Loaded indexes and scorer behind one answer() call.
+
+    ``articles`` and ``by_id`` hold the corpus's articles. When the
+    constructor is given None for them, they are parsed on first read, by
+    ``load_articles`` against the indexes' corpus digest. The in-process
+    model (``ModelScorer``) takes its features from the indexes and is
+    handed candidate ids, so answering with it never reads article text.
+    Any other scorer is handed the candidates' articles; ``load`` parses
+    them up front for an ``ExternalScorer``, so the parse never lands in
+    the first answer.
 
     The pipeline owns ``scorer`` and ``dense.embedder`` and closes them in
     ``close``, or at once if ``cfg`` holds invalid fusion or quickview
@@ -219,7 +248,7 @@ class Pipeline:
     def __init__(
         self,
         cfg: PipelineConfig,
-        articles: Sequence[Article],
+        articles: Sequence[Article] | None,
         lex: LexIndex,
         dense: DenseIndex,
         scorer,
@@ -231,18 +260,28 @@ class Pipeline:
             close_all(scorer, dense.embedder)
             raise
         self.cfg = cfg
-        self.articles = list(articles)
-        self.by_id = {a.article_id: a for a in self.articles}
+        if articles is not None:
+            self.articles = list(articles)
         self.lex = lex
         self.dense = dense
         self.scorer = scorer
         self.tok = cfg.tokenizer_config()
 
+    @functools.cached_property
+    def articles(self) -> list[Article]:
+        return load_articles(self.cfg, self.lex.corpus_digest)
+
+    @functools.cached_property
+    def by_id(self) -> dict[str, Article]:
+        return {a.article_id: a for a in self.articles}
+
     @classmethod
     def load(cls, cfg: PipelineConfig) -> "Pipeline":
-        articles, lex, dense = load_artifacts(cfg)
+        lex, dense = load_artifacts(cfg)
+        articles = None
         try:
             if cfg.external_scorer_cmd:
+                articles = load_articles(cfg, lex.corpus_digest)
                 scorer = ExternalScorer(
                     cfg.external_scorer_cmd, timeout=cfg.external_scorer_timeout
                 )
@@ -254,6 +293,11 @@ class Pipeline:
             close_all(dense.embedder)
             raise
         return cls(cfg, articles, lex, dense, scorer)
+
+    def _candidates(self) -> dict[str, Article] | None:
+        """What ``rank_and_select`` hands the scorer: None (candidate ids) for
+        the in-process model, which reads only the indexes; else articles."""
+        return None if isinstance(self.scorer, ModelScorer) else self.by_id
 
     def quickview_rank(self, question: str, k: int) -> list[tuple[str, float]]:
         """The ``k`` best (article id, score) of the configured quickview:
@@ -272,7 +316,9 @@ class Pipeline:
         if top_k is not None:
             cfg = dataclasses.replace(cfg, top_k=top_k)
         ranked = self.quickview_rank(question, cfg.top_k)
-        return rank_and_select(question_id, question, ranked, self.scorer, self.by_id, cfg)
+        return rank_and_select(
+            question_id, question, ranked, self.scorer, self._candidates(), cfg
+        )
 
     def answer_ranked(
         self, question_id: str, question: str, ranked: Sequence[tuple[str, float]]
@@ -283,8 +329,9 @@ class Pipeline:
         the candidate list ``answer`` would rank.
         """
         cfg = self.ensemble_cfg
+        ranked = ranked[: cfg.top_k]
         return rank_and_select(
-            question_id, question, ranked[: cfg.top_k], self.scorer, self.by_id, cfg
+            question_id, question, ranked, self.scorer, self._candidates(), cfg
         )
 
     def fingerprints(self) -> dict[str, str]:

@@ -19,12 +19,12 @@ import json
 import math
 from dataclasses import dataclass, field
 from itertools import groupby, repeat
-from operator import attrgetter
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from . import indexfile
 from .corpus import Article, TokenizerConfig, clean_text, tokenize
 from .dense import DenseIndex, embed, quickview_dense_score
 from .lexical import LexIndex, score_columns
@@ -360,10 +360,13 @@ class ModelScorer:
         digest = hashlib.sha256(self.model.weights.tobytes()).hexdigest()[:16]
         return f"linear:{digest}"
 
-    def score_batch(self, question: str, candidates: Sequence[Article]) -> list[float]:
-        """Relevance probability sigmoid(w . f) of each candidate, in order,
-        clamped to the open unit interval."""
-        ids = list(map(attrgetter("article_id"), candidates))
+    def score_batch(
+        self, question: str, candidates: Sequence[Article | str]
+    ) -> list[float]:
+        """Relevance probability sigmoid(w . f) of each candidate, an article
+        or its id, in order, clamped to the open unit interval. The features
+        come from the indexes, so no article text is read."""
+        ids = [getattr(c, "article_id", c) for c in candidates]
         z = _logits(self.model.weights, self.extractor.rows(question, ids))
         return np.clip(_sigmoid(z), _PROB_EPS, 1.0 - _PROB_EPS).tolist()
 
@@ -419,9 +422,9 @@ def save_model(model: LinearModel, path: str | Path) -> None:
         "feature_names": list(FEATURE_NAMES),
         "metadata": model.metadata,
     }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, sort_keys=True, indent=2)
-        handle.write("\n")
+    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    with indexfile.replacing(path) as handle:
+        handle.write(text.encode("utf-8"))
 
 
 def load_model(path: str | Path) -> LinearModel:

@@ -205,6 +205,19 @@ def test_parse_corpus_malformed_reports_line_number():
         parse_corpus([json.dumps({"doc_id": "d", "articles": []}), "{broken"])
 
 
+@pytest.mark.parametrize("field", ["doc_id", "article_id", "title", "content"])
+def test_parse_corpus_rejects_a_lone_surrogate(field):
+    """UTF-8 cannot encode a lone surrogate, which JSON can escape."""
+    article = {"article_id": "a", "title": "T", "content": "body"}
+    record = {"doc_id": "d", "articles": [article]}
+    (record if field == "doc_id" else article)[field] = "x\ud800"
+    lines = [json.dumps({"doc_id": "first", "articles": []}), json.dumps(record)]
+    assert "\\ud800" in lines[1]
+    message = f"line 2: {field} holds a lone surrogate"
+    with pytest.raises(CorpusFormatError, match=message):
+        parse_corpus(lines)
+
+
 def test_parse_corpus_drops_empty_cleaned_content():
     record = {
         "doc_id": "d1",

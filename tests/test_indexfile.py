@@ -70,6 +70,30 @@ def _write(path, header, arrays):
 
 
 @pytest.mark.parametrize("kind", KINDS)
+def test_save_that_fails_midway_leaves_the_old_index(
+    kind, indexes, tmp_path, monkeypatch
+):
+    index, save, _ = indexes[kind]
+    path, load = _saved(indexes, kind, tmp_path)
+    before = path.read_bytes()
+    write_array, calls = np.lib.format.write_array, []
+
+    def third_fails(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 3:
+            raise OSError("no space left on device")
+        return write_array(*args, **kwargs)
+
+    monkeypatch.setattr(np.lib.format, "write_array", third_fails)
+    with pytest.raises(OSError, match="no space left"):
+        save(index, path)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]  # the partial file is removed
+    load(path)
+
+
+@pytest.mark.parametrize("kind", KINDS)
 def test_parent_json_lines_index_is_rejected(kind, indexes, tmp_path):
     _, _, load = indexes[kind]
     path = tmp_path / f"{kind}.jsonl"

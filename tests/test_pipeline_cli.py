@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from statuteqa import cli, dense, lineproto, reranker
+from statuteqa import corpus as corpus_mod
 from statuteqa import pipeline as pipeline_mod
 from statuteqa.cli import main
 from statuteqa.corpus import (
@@ -18,6 +19,7 @@ from statuteqa.corpus import (
     load_corpus_file,
     write_corpus_file,
 )
+from statuteqa.ensemble import rank_and_select
 from statuteqa.evaluation import load_gold_file, recall_at_k, write_gold_file
 from statuteqa.pipeline import Pipeline, PipelineConfig, question_id_for
 from statuteqa.synth import synthetic_corpus, title_gold_queries
@@ -165,6 +167,26 @@ def test_lock_of_a_killed_holder_is_released(workspace, capsys):
         child.kill()
         child.wait(timeout=10)
         assert main(base + ["index"]) == 0
+
+
+def test_index_locks_the_dense_index_directory_too(workspace, tmp_path, capsys):
+    root, base, _ = workspace
+    dense_path = tmp_path / "dense.bin"
+    with lock_held_by_child(tmp_path / ".statuteqa.lock"):
+        assert main(base + ["index", "--dense-index-path", str(dense_path)]) == 1
+    assert "lock" in capsys.readouterr().err
+    assert not dense_path.exists()
+
+
+def test_index_names_the_file_and_line_of_a_lone_surrogate(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    record = {"doc_id": "d", "articles": [{"article_id": "a", "content": "x\ud800"}]}
+    lines = [json.dumps({"doc_id": "c", "articles": []}), json.dumps(record)]
+    corpus.write_text("\n".join(lines))
+    outputs = ["--lex-index-path", str(tmp_path / "lex.bin"),
+               "--dense-index-path", str(tmp_path / "dense.bin")]
+    assert main(["index", "--corpus-path", str(corpus), *outputs]) == 1
+    assert f"{corpus}: line 2: content holds a lone surrogate" in capsys.readouterr().err
 
 
 def test_run_that_raises_inside_the_lock_releases_it(workspace, capsys, monkeypatch):
@@ -333,6 +355,96 @@ def test_index_of_an_edited_corpus_is_rejected(workspace, tmp_path, capsys):
     assert main(base + ["eval", "--quickview", *flags]) == 1
     assert "different corpus" in capsys.readouterr().err
     assert not report.exists()
+
+
+def _copied_corpus(workspace, tmp_path):
+    """The workspace config with its corpus file copied byte for byte."""
+    root, _, _ = workspace
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_bytes((root / "corpus.jsonl").read_bytes())
+    cfg = PipelineConfig.from_file(root / "config.json")
+    return dataclasses.replace(cfg, corpus_path=str(corpus)), corpus
+
+
+def test_corpus_that_differs_only_in_bytes_is_rejected(workspace, tmp_path):
+    """The digest is of the file's bytes: a trailing newline, which parses
+    to the same articles, is a different corpus."""
+    cfg, corpus = _copied_corpus(workspace, tmp_path)
+    Pipeline.load(cfg).close()
+    corpus.write_bytes(corpus.read_bytes() + b"\n")
+    with pytest.raises(ValueError, match="different corpus"):
+        Pipeline.load(cfg)
+
+
+def test_corpus_replaced_after_load_is_rejected_on_first_read(workspace, tmp_path):
+    cfg, corpus = _copied_corpus(workspace, tmp_path)
+    pipeline = Pipeline.load(cfg)
+    docs, _ = load_corpus_file(corpus)
+    first, *rest = docs[0].articles
+    edited = dataclasses.replace(first, content=first.content + " Amended.")
+    docs[0] = LegalDocument(docs[0].doc_id, (edited, *rest))
+    write_corpus_file(docs, corpus)
+    with pytest.raises(ValueError, match="different corpus"):
+        pipeline.articles
+    pipeline.close()
+
+
+def test_model_scorer_pipeline_never_parses_the_corpus(workspace, monkeypatch):
+    root, _, queries = workspace
+    cfg = PipelineConfig.from_file(root / "config.json")
+
+    def fail(lines):
+        raise AssertionError("the corpus was parsed")
+
+    monkeypatch.setattr(corpus_mod, "parse_corpus", fail)
+    pipeline = Pipeline.load(cfg)
+    asked = [(question_id_for(q.question), q.question) for q in queries[:5]]
+    answers = [pipeline.answer(*question) for question in asked]
+    monkeypatch.undo()
+    # the model handed ids ranks as it does when handed the articles
+    for (question_id, question), answer in zip(asked, answers):
+        ranked = pipeline.quickview_rank(question, cfg.top_k)
+        assert answer.returned
+        assert answer == rank_and_select(
+            question_id, question, ranked, pipeline.scorer, pipeline.by_id,
+            pipeline.ensemble_cfg,
+        )
+    pipeline.close()
+
+
+def test_external_scorer_is_sent_each_candidates_text(
+    workspace, scripts_dir, monkeypatch
+):
+    root, _, queries = workspace
+    cfg = dataclasses.replace(
+        PipelineConfig.from_file(root / "config.json"),
+        external_scorer_cmd=[sys.executable, str(scripts_dir / "echo_scorer.py")],
+    )
+    parse, parses = corpus_mod.parse_corpus, []
+
+    def counted(lines):
+        parses.append(1)
+        return parse(lines)
+
+    monkeypatch.setattr(corpus_mod, "parse_corpus", counted)
+    pipeline = Pipeline.load(cfg)
+    try:
+        assert len(parses) == 1  # at load, never in an answer
+        client, sent = pipeline.scorer._client, []
+        call = client.call
+        monkeypatch.setattr(client, "call", lambda batch: sent.append(batch) or call(batch))
+        question = queries[0].question
+        ranked = pipeline.quickview_rank(question, cfg.top_k)
+        assert pipeline.answer("q", question).returned
+        assert len(parses) == 1
+    finally:
+        pipeline.close()
+    docs, _ = load_corpus_file(root / "corpus.jsonl")
+    by_id = {a.article_id: a for a in iter_articles(docs)}
+    assert sent == [[
+        {"question": question, "title": by_id[i].title, "content": by_id[i].content}
+        for i, _ in ranked
+    ]]
 
 
 def test_train_gold_only_mode(workspace):

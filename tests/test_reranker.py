@@ -438,6 +438,17 @@ def test_model_save_load_round_trip(synth, tmp_path):
         load_model(path2)
 
 
+def test_model_save_that_fails_leaves_the_old_file(synth, tmp_path):
+    path = tmp_path / "model.json"
+    save_model(synth.model, path)
+    before = path.read_bytes()
+    unwritable = LinearModel(synth.model.weights, {"stage": object()})
+    with pytest.raises(TypeError):
+        save_model(unwritable, path)
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
+
+
 MISSING = object()
 
 

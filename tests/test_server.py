@@ -6,7 +6,7 @@ import urllib.request
 
 import pytest
 
-from statuteqa.corpus import corpus_digest, write_corpus_file
+from statuteqa.corpus import file_digest, write_corpus_file
 from statuteqa.dense import HashedProjectionEmbedder, build_dense_index, save_dense_index
 from statuteqa.evaluation import write_gold_file
 from statuteqa.lexical import build_lex_index, save_lex_index
@@ -30,9 +30,10 @@ def service(tmp_path_factory, request):
 
     articles = list(iter_articles(docs))
     tok = TokenizerConfig()
-    lex = build_lex_index(articles, tok)
+    digest = file_digest(root / "corpus.jsonl")
+    lex = build_lex_index(articles, tok, corpus_digest=digest)
     embedder = HashedProjectionEmbedder(dimension=64, seed=0)
-    dense, _ = build_dense_index(articles, embedder, tok)
+    dense, _ = build_dense_index(articles, embedder, tok, corpus_digest=digest)
     save_lex_index(lex, root / "lex.bin")
     save_dense_index(dense, root / "dense.bin")
     extractor = FeatureExtractor(lex, dense, tok)
@@ -79,7 +80,7 @@ def test_healthz(service):
     assert payload["status"] == "ok"
     assert payload["tokenizer"] == pipeline.lex.tokenizer_fingerprint
     assert payload["embedder"] == pipeline.dense.embedder_fingerprint
-    assert payload["corpus"] == corpus_digest(pipeline.articles)
+    assert payload["corpus"] == file_digest(pipeline.cfg.corpus_path)
 
 
 def test_answer_empty_question_is_400(service):
