@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
 
+from . import indexfile
+
 __all__ = [
     "Article",
     "LegalDocument",
@@ -238,11 +240,15 @@ def _require_encodable(lineno: int, name: str, text: str | None) -> None:
 def load_corpus_file(path: str | Path) -> tuple[list[LegalDocument], ParseStats]:
     """Parse a corpus file; ``stats.digest`` is the sha256 of the bytes parsed.
 
-    A ``CorpusFormatError`` names the file as well as the line.
+    A ``CorpusFormatError`` names the file as well as the line, also for
+    bytes that are not UTF-8.
     """
     data = Path(path).read_bytes()
     try:
-        docs, stats = parse_corpus(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        docs, stats = parse_corpus(io.StringIO(data.decode("utf-8"), newline=None))
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise CorpusFormatError(f"{path}: line {line}: not UTF-8: {exc.reason}") from exc
     except CorpusFormatError as exc:
         raise CorpusFormatError(f"{path}: {exc}") from exc
     stats.digest = hashlib.sha256(data).hexdigest()
@@ -255,16 +261,15 @@ def file_digest(path: str | Path) -> str:
 
 
 def write_corpus_file(docs: Iterable[LegalDocument], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for doc in docs:
-            record = {
-                "doc_id": doc.doc_id,
-                "articles": [
-                    {"article_id": a.article_id, "title": a.title, "content": a.content}
-                    for a in doc.articles
-                ],
-            }
-            handle.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
+    fields = ("article_id", "title", "content")
+    records = (
+        {
+            "doc_id": doc.doc_id,
+            "articles": [{f: getattr(a, f) for f in fields} for a in doc.articles],
+        }
+        for doc in docs
+    )
+    indexfile.write_json_lines(path, records)
 
 
 def iter_articles(docs: Iterable[LegalDocument]) -> Iterator[Article]:

@@ -38,17 +38,16 @@ __all__ = [
 ]
 
 DENSE_INDEX_FORMAT = "statuteqa.denseindex"
-DENSE_INDEX_VERSION = 4
+DENSE_INDEX_VERSION = 5
 _LAYOUT = {
     "offsets": (np.int64, 1),
-    "indptr": (np.int64, 1),
-    "indices": (np.int32, 1),
+    "colptr": (np.int64, 1),
+    "rows": (np.int32, 1),  # gap-coded in the file
     "data": (np.float64, 1),
 }
 
 DEFAULT_DIMENSION = 300
-# Vector entries held at once: sentence-row entries gathered by the max-cosine
-# kernel, and vector values an external embedder returns per build request
+# Vector values an external embedder returns per build request
 _CHUNK_ENTRIES = 1 << 14
 
 
@@ -170,15 +169,15 @@ def embed(embedder: Embedder, tokens: Sequence[str]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DenseIndex:
-    """Every indexed article's sentence vectors as compressed sparse rows.
+    """Every indexed article's sentence vectors as coordinate postings.
 
     Article ``i`` is ``article_ids[i]`` (sorted) and owns sentence rows
     ``offsets[i]:offsets[i + 1]``, in sentence order; every indexed
     article has at least one row. Position ``i`` is also the article's
-    lexical column. Row ``r`` holds the values ``data[e]`` at coordinates
-    ``indices[e]`` (ascending) for ``e`` in ``indptr[r]:indptr[r + 1]``;
-    every other coordinate is 0. Rows are unit or zero vectors, and a zero
-    row has no entries.
+    lexical column. Coordinate ``c`` holds the value ``data[e]`` of
+    sentence row ``rows[e]`` (strictly ascending) for ``e`` in
+    ``colptr[c]:colptr[c + 1]``; every other value is 0. Rows are unit or
+    zero vectors.
     ``embedder`` embeds questions; its fingerprint is the index's.
     Immutable after build; safe for concurrent readers.
     """
@@ -186,9 +185,9 @@ class DenseIndex:
     embedder_fingerprint: str
     dimension: int
     article_ids: tuple[str, ...]
-    offsets: np.ndarray  # int64, articles + 1, into the rows
-    indptr: np.ndarray  # int64, sentences + 1, into the entries
-    indices: np.ndarray  # int32 coordinates, one per entry
+    offsets: np.ndarray  # int64, articles + 1, into the sentence rows
+    colptr: np.ndarray  # int64, dimension + 1, into the entries
+    rows: np.ndarray  # int32 sentence rows, one per entry
     data: np.ndarray  # float64 values, one per entry
     corpus_digest: str  # sha256 of the corpus file's bytes; "" if built in memory
     embedder: Embedder
@@ -229,88 +228,74 @@ def build_dense_index(
             counts.append(len(tokenized))
             sentences.extend(tokenized)
     offsets = np.cumsum([0, *counts], dtype=np.int64)
-    sizes, indices, data = [], [np.zeros(0, np.int32)], [np.zeros(0)]
-    for vec in embedder.embed_batch(sentences):
+    rows, coords, values = [np.zeros(0, np.int32)], [np.zeros(0, np.int64)], [np.zeros(0)]
+    for r, vec in enumerate(embedder.embed_batch(sentences)):
         norm = float(np.linalg.norm(vec))
         row = vec / norm if norm > 0.0 else vec  # unit or zero rows
         nonzero = np.flatnonzero(row)
-        sizes.append(len(nonzero))
-        indices.append(nonzero.astype(np.int32))
-        data.append(row[nonzero])
+        rows.append(np.full(len(nonzero), r, dtype=np.int32))
+        coords.append(nonzero)
+        values.append(row[nonzero])
+    coords = np.concatenate(coords)
+    by_coord = np.argsort(coords, kind="stable")  # rows stay ascending
+    colptr = np.searchsorted(coords[by_coord], np.arange(embedder.dimension + 1))
 
     index = DenseIndex(
         embedder_fingerprint=embedder.fingerprint(),
         dimension=embedder.dimension,
         article_ids=tuple(article_ids),
         offsets=offsets,
-        indptr=np.cumsum([0, *sizes], dtype=np.int64),
-        indices=np.concatenate(indices),
-        data=np.concatenate(data),
+        colptr=colptr.astype(np.int64),
+        rows=np.concatenate(rows)[by_coord],
+        data=np.concatenate(values)[by_coord],
         corpus_digest=corpus_digest,
         embedder=embedder,
     )
     return index, len(articles) - len(article_ids)
 
 
-def _ranges(first: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``range(first[j], first[j] + counts[j])`` for every ``j``, concatenated,
-    and where each range starts in the result."""
-    starts = np.cumsum(counts) - counts
-    return np.repeat(first - starts, counts) + np.arange(counts.sum()), starts
+def _sentence_cosines(index: DenseIndex, vector: np.ndarray) -> np.ndarray:
+    """Cosine of ``vector`` with every sentence row; a zero row or zero
+    ``vector`` scores 0.
 
-
-def _max_cosine(
-    index: DenseIndex, vector: np.ndarray, first: np.ndarray, counts: np.ndarray
-) -> np.ndarray:
-    """Max cosine with ``vector`` over runs of sentence rows: run ``j`` is the
-    ``counts[j] >= 1`` rows from ``first[j]``. A zero row or zero ``vector``
-    scores 0.
-
-    A row's cosine is the sum of ``data * unit[indices]`` over that row's
-    entries alone, so it depends on the row and the question, never on
-    where the row sits. Rows are taken ``_CHUNK_ENTRIES`` entries at a
-    time (a longer row alone), so concurrent answers hold small copies; a
-    chunk of consecutive rows is read in place, any other is gathered.
+    From 0.0, each nonzero coordinate ``c`` of the question's unit vector,
+    in ascending order, adds ``data * unit[c]`` at its postings' rows, so a
+    row's cosine is summed from its own entries alone, in coordinate order:
+    it depends on the row and the question, never on where the row sits.
+    One coordinate's temporaries are held at a time. For distinct rows
+    ``np.add.at`` adds as ``cosines[rows] += ...`` would, in half the time.
     """
+    cosines = np.zeros(int(index.offsets[-1]))
     qnorm = float(np.linalg.norm(vector))
     if qnorm == 0.0:
-        return np.zeros(len(first))
+        return cosines
     unit = vector / qnorm
-    rows, starts = _ranges(first, counts)
-    lows = index.indptr[rows]
-    sizes = index.indptr[rows + 1] - lows
-    ends = np.cumsum(sizes)  # entries through each row
-    cosines = np.zeros(len(rows))
-    r = 0
-    while r < len(rows):
-        limit = ends[r] - sizes[r] + _CHUNK_ENTRIES
-        stop = max(r + 1, int(np.searchsorted(ends, limit, "right")))
-        low, size = lows[r:stop], sizes[r:stop]
-        if np.array_equal(low[1:], low[:-1] + size[:-1]):  # one span: take views
-            span = slice(low[0], low[-1] + size[-1])
-            data, indices, begins = index.data[span], index.indices[span], low - low[0]
-        else:
-            entries, begins = _ranges(low, size)
-            data, indices = index.data[entries], index.indices[entries]
-        filled = np.flatnonzero(size)
-        if filled.size:
-            cosines[r + filled] = np.add.reduceat(data * unit[indices], begins[filled])
-        r = stop
-    return np.maximum.reduceat(cosines, starts)
+    for c in np.flatnonzero(unit).tolist():
+        span = slice(index.colptr[c], index.colptr[c + 1])
+        np.add.at(cosines, index.rows[span], index.data[span] * unit[c])
+    return cosines
 
 
 def quickview_dense_score(
     index: DenseIndex, question_vector: np.ndarray, positions: np.ndarray
 ) -> np.ndarray:
-    """Max sentence cosine of the articles at ``positions``, in order."""
+    """Max sentence cosine of the articles at ``positions``, in order.
+
+    The maximum is taken over the candidates' sentence ranges only: a
+    ``reduceat`` over every article costs more than all the cosines.
+    """
     positions = np.asarray(positions, dtype=np.int64)
     question_vector = np.asarray(question_vector, dtype=np.float64)
     if question_vector.shape != (index.dimension,):
         raise ValueError(
             f"dimension mismatch: {question_vector.shape} vs ({index.dimension},)"
         )
+    cosines = _sentence_cosines(index, question_vector)
     first = index.offsets[positions]
-    return _max_cosine(index, question_vector, first, index.offsets[positions + 1] - first)
+    counts = index.offsets[positions + 1] - first
+    starts = np.cumsum(counts) - counts  # where each range starts in the gather
+    rows = np.repeat(first - starts, counts) + np.arange(counts.sum())
+    return np.maximum.reduceat(cosines[rows], starts)
 
 
 def dense_retrieve_topk(
@@ -321,18 +306,19 @@ def dense_retrieve_topk(
 ) -> list[tuple[str, float]]:
     """Exhaustive scan of all articles, ranked by max sentence cosine.
 
-    Every sentence's cosine comes from its own entries, and
-    ``np.maximum.reduceat`` takes each article's maximum over its rows;
-    ties break by ascending article id. A question that embeds to the
-    zero vector (one that cleans to no tokens) has no cosine with anything
-    and retrieves nothing.
+    Every sentence's cosine comes from its own entries (see
+    ``_sentence_cosines``), and ``np.maximum.reduceat`` takes each
+    article's maximum over its rows; ties break by ascending article id.
+    A question that embeds to the zero vector (one that cleans to no
+    tokens) has no cosine with anything and retrieves nothing.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     question_vector = embed(index.embedder, tokenize(clean_text(question), tok))
     if not np.any(question_vector):
         return []
-    scores = _max_cosine(index, question_vector, index.offsets[:-1], np.diff(index.offsets))
+    cosines = _sentence_cosines(index, question_vector)
+    scores = np.maximum.reduceat(cosines, index.offsets[:-1])
     top = np.arange(len(scores))  # positions are in id order
     if top.size > k:
         kth = scores[np.argpartition(scores, -k)[-k]]
@@ -342,7 +328,8 @@ def dense_retrieve_topk(
 
 
 def save_dense_index(index: DenseIndex, path: str | Path) -> None:
-    """Persist the offsets and the sentence rows (see ``indexfile``).
+    """Persist the offsets and the coordinate postings, their rows
+    gap-coded (see ``indexfile``).
 
     Deterministic: equal indexes save to equal bytes.
     """
@@ -353,6 +340,7 @@ def save_dense_index(index: DenseIndex, path: str | Path) -> None:
         "article_ids": list(index.article_ids),
     }
     arrays = {name: getattr(index, name) for name in _LAYOUT}
+    arrays["rows"] = indexfile.gap_encode(index.colptr, index.rows)
     indexfile.save(path, DENSE_INDEX_FORMAT, DENSE_INDEX_VERSION, header, arrays)
 
 
@@ -368,27 +356,22 @@ def load_dense_index(path: str | Path, embedder: Embedder) -> DenseIndex:
         {"embedder_fingerprint": fingerprint, "dimension": dimension},
     )
     ids = header["article_ids"]
-    offsets, indptr, indices, data = (arrays[name] for name in _LAYOUT)
-    rows, entries = len(indptr) - 1, len(data)
-    indexfile.require_offsets(path, "offsets", offsets, len(ids), rows)
-    rising = indptr[0] == 0 and indptr[-1] == entries and bool(np.all(np.diff(indptr) >= 0))
-    indexfile.require(rising, path, f"indptr must not fall from 0 to {entries}")
-    same = len(indices) == entries
-    indexfile.require(same, path, f"{len(indices)} indices but {entries} data")
-    in_range = bool(np.all((indices >= 0) & (indices < dimension)))
-    indexfile.require(in_range, path, f"indices outside [0, {dimension})")
-    row_start = np.zeros(entries, dtype=bool)
-    row_start[indptr[:-1][indptr[:-1] < entries]] = True
-    ascending = bool(np.all((np.diff(indices) > 0) | row_start[1:]))
-    indexfile.require(ascending, path, "indices not ascending within a row")
+    offsets, colptr, gaps, data = (arrays[name] for name in _LAYOUT)
+    sentences = int(offsets[-1]) if len(offsets) else 0  # offsets alone count them
+    indexfile.require_offsets(path, "offsets", offsets, len(ids), sentences)
+    coordinates = len(colptr) == dimension + 1
+    indexfile.require(coordinates, path, f"colptr must have {dimension + 1} entries")
+    rows = indexfile.gap_decode(path, "rows", colptr, gaps, sentences)
+    same = len(data) == len(rows)
+    indexfile.require(same, path, f"{len(rows)} rows but {len(data)} data")
     indexfile.require(bool(np.all(np.isfinite(data))), path, "data not finite")
     return DenseIndex(
         embedder_fingerprint=fingerprint,
         dimension=dimension,
         article_ids=tuple(ids),
         offsets=offsets,
-        indptr=indptr,
-        indices=indices,
+        colptr=colptr,
+        rows=rows,
         data=data,
         corpus_digest=header["corpus_digest"],
         embedder=embedder,

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
+from . import indexfile
 from .ensemble import AnswerSet
 
 __all__ = [
@@ -212,14 +213,15 @@ def load_gold_file(path: str | Path) -> list[GoldQuery]:
 
 
 def write_gold_file(queries: Iterable[GoldQuery], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for query in queries:
-            record = {
-                "question_id": query.question_id,
-                "question": query.question,
-                "gold": sorted(query.gold_article_ids),
-            }
-            handle.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
+    records = (
+        {
+            "question_id": query.question_id,
+            "question": query.question,
+            "gold": sorted(query.gold_article_ids),
+        }
+        for query in queries
+    )
+    indexfile.write_json_lines(path, records)
 
 
 def save_report(report: EvalReport, path: str | Path) -> None:

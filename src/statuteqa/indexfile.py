@@ -4,10 +4,13 @@ An index file is one gzip stream, written with ``mtime=0`` and no file
 name so that equal indexes save to equal bytes. It holds a sorted-keys
 JSON header line (``format``, ``version``, the index's metadata, and
 ``arrays``, the names of the arrays that follow), then each array in
-``.npy`` format. Arrays are never pickled.
+``.npy`` format. Arrays are never pickled. Posting lists of ids are
+stored gap-coded (``gap_encode``) and checked as they are decoded
+(``gap_decode``).
 
-Artifacts are written through ``replacing``, so a reader sees the old
-file or the new one, never a half-written one.
+Artifacts, the JSON-lines record files (corpus, gold questions, training
+examples) among them, are written through ``replacing``, so a reader sees
+the old file or the new one, never a half-written one.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 import contextlib
 import gzip
 import json
+import operator
 import os
 import secrets
 import zlib
@@ -45,6 +49,14 @@ def replacing(path):
     except BaseException:
         temp.unlink(missing_ok=True)
         raise
+
+
+def write_json_lines(path, records) -> None:
+    """One sorted-keys JSON line per record, written through ``replacing``."""
+    with replacing(path) as handle:
+        for record in records:
+            line = json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n"
+            handle.write(line.encode("utf-8"))
 
 
 def save(path, fmt: str, version: int, header: dict, arrays: dict) -> None:
@@ -87,7 +99,8 @@ def load(path, fmt: str, version: int, layout: dict, expected: dict):
         ok = arrays[name].dtype == dtype and arrays[name].ndim == ndim
         require(ok, path, f"{name} is not {ndim}-d {np.dtype(dtype)}")
     ids = header["article_ids"]
-    require(ids == sorted(set(ids)), path, "article ids out of order")
+    ordered = isinstance(ids, list) and all(map(operator.lt, ids, ids[1:]))
+    require(ordered, path, "article ids out of order")
     return header, arrays
 
 
@@ -102,3 +115,41 @@ def require_offsets(path, name: str, offsets, rows: int, total: int) -> None:
     ok = offsets.shape == (rows + 1,) and offsets[0] == 0 and offsets[-1] == total
     ok = ok and bool(np.all(np.diff(offsets) > 0))
     require(ok, path, f"{name} must rise strictly from 0 to {total}")
+
+
+def gap_encode(ptr, ids) -> np.ndarray:
+    """int32 ``ids`` in lists ``ids[ptr[i]:ptr[i + 1]]``, each list stored as
+    its first id and then the differences between neighbours: small numbers
+    for ascending ids, which compress far better than the ids."""
+    gaps = np.array(ids, dtype=np.int32)
+    gaps[1:] -= ids[:-1]
+    starts = ptr[:-1][ptr[:-1] < ptr[1:]]  # the first entry of each list
+    gaps[starts] = ids[starts]
+    return gaps
+
+
+def gap_decode(path, name: str, ptr, gaps, bound: int) -> np.ndarray:
+    """The int32 ids that ``gap_encode(ptr, ids)`` stored as ``gaps``,
+    decoded in place (a load reads ``gaps`` for this alone).
+
+    Raises ``ValueError`` naming ``path`` and ``name`` unless ``ptr`` rises
+    from 0 to ``len(gaps)`` without falling, the ids rise strictly within
+    each list and all lie in ``[0, bound)``. The running sums are int32: one
+    that wraps still yields each stored id exactly, and any other id is
+    out of range or fails to rise.
+    """
+    ok = len(ptr) > 0 and ptr[0] == 0 and ptr[-1] == len(gaps) and np.all(ptr[1:] >= ptr[:-1])
+    require(ok, path, f"{name} lists must not fall from 0 to {len(gaps)}")
+    starts = ptr[:-1][ptr[:-1] < ptr[1:]]  # the first entry of each list
+    first = gaps[starts]
+    gaps[starts] = 1
+    require(gaps.min(initial=1) > 0, path, f"{name} not strictly ascending within a list")
+    gaps[starts] = 0
+    # each list's first id, less the previous list's last, restarts the sum
+    last = np.add.reduceat(gaps, starts, dtype=np.int32) + first
+    gaps[starts] = first
+    gaps[starts[1:]] -= last[:-1]
+    ids = np.cumsum(gaps, dtype=np.int32, out=gaps)
+    ok = ids.min(initial=0) >= 0 and ids.max(initial=-1) < bound
+    require(ok, path, f"{name} outside [0, {bound})")
+    return ids

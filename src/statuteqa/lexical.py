@@ -56,7 +56,7 @@ __all__ = [
 FIELDS = ("title", "content")
 
 LEX_INDEX_FORMAT = "statuteqa.lexindex"
-LEX_INDEX_VERSION = 3
+LEX_INDEX_VERSION = 4
 
 # The FieldMatrix arrays an index file holds for each field, with their dtypes
 _SAVED = {"indptr": np.int64, "columns": np.int32, "tf": np.int32, "lengths": np.int64}
@@ -345,7 +345,8 @@ def retrieve_topk(
 
 
 def save_lex_index(index: LexIndex, path: str | Path) -> None:
-    """Persist both fields' postings and lengths (see ``indexfile``).
+    """Persist both fields' postings, their columns gap-coded, and lengths
+    (see ``indexfile``).
 
     Deterministic. Load recomputes the impacts and per-column statistics
     with the function build uses, so they are equal bit for bit.
@@ -363,6 +364,9 @@ def save_lex_index(index: LexIndex, path: str | Path) -> None:
         for field in FIELDS
         for name in _SAVED
     }
+    for field in FIELDS:
+        matrix = index.stats(field)
+        arrays[f"{field}.columns"] = indexfile.gap_encode(matrix.indptr, matrix.columns)
     indexfile.save(path, LEX_INDEX_FORMAT, LEX_INDEX_VERSION, header, arrays)
 
 
@@ -377,13 +381,10 @@ def load_lex_index(path: str | Path, expected_fingerprint: str) -> LexIndex:
     matrices = {}
     for field in FIELDS:
         terms = header["terms"][field]
-        indptr, columns, tf, lengths = (arrays[f"{field}.{name}"] for name in _SAVED)
+        indptr, gaps, tf, lengths = (arrays[f"{field}.{name}"] for name in _SAVED)
         indexfile.require_offsets(path, f"{field} indptr", indptr, len(terms), len(tf))
-        agree = (
-            len(columns) == len(tf)
-            and len(lengths) == len(ids)
-            and bool(np.all((columns >= 0) & (columns < len(ids))))
-        )
+        columns = indexfile.gap_decode(path, f"{field} columns", indptr, gaps, len(ids))
+        agree = len(lengths) == len(ids)
         indexfile.require(agree, path, f"{field} postings disagree with the header")
         matrices[field] = _field_matrix(terms, indptr, columns, tf, lengths, params)
     return LexIndex(

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from . import indexfile
 from .corpus import Article, clean_text
 
 __all__ = [
@@ -183,15 +184,9 @@ def dataset_stats(examples: Sequence[TrainingExample]) -> DatasetStats:
 
 
 def write_dataset(examples: Iterable[TrainingExample], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for ex in examples:
-            record = {
-                "question": ex.question,
-                "article_id": ex.article_id,
-                "label": ex.label,
-                "origin": ex.origin,
-            }
-            handle.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
+    keys = ("question", "article_id", "label", "origin")
+    records = ({key: getattr(ex, key) for key in keys} for ex in examples)
+    indexfile.write_json_lines(path, records)
 
 
 def read_dataset(path: str | Path) -> list[TrainingExample]:

@@ -18,12 +18,14 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
 
 def densify(index, start: int = 0, stop: int | None = None) -> np.ndarray:
     """Sentence rows ``start:stop`` of the index (all by default) as a dense
-    ``(rows, dimension)`` matrix, written one row's entries at a time."""
-    stop = len(index.indptr) - 1 if stop is None else stop
+    ``(rows, dimension)`` matrix, written one coordinate's postings at a time."""
+    stop = int(index.offsets[-1]) if stop is None else stop
     matrix = np.zeros((stop - start, index.dimension))
-    for r in range(start, stop):
-        low, high = index.indptr[r], index.indptr[r + 1]
-        matrix[r - start, index.indices[low:high]] = index.data[low:high]
+    for c in range(index.dimension):
+        low, high = index.colptr[c], index.colptr[c + 1]
+        rows, data = index.rows[low:high], index.data[low:high]
+        kept = (rows >= start) & (rows < stop)
+        matrix[rows[kept] - start, c] = data[kept]
     return matrix
 
 

@@ -283,3 +283,12 @@ def test_corpus_file_round_trip(tmp_path):
     assert loaded == docs
     assert stats.articles == 5
     assert len(list(iter_articles(loaded))) == 5
+
+
+def test_corpus_file_that_is_not_utf8_names_the_file_and_line(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    first = json.dumps({"doc_id": "d1", "articles": []}).encode("utf-8")
+    latin1 = '{"doc_id": "d2", "articles": [{"article_id": "a", "content": "caf\xe9"}]}'
+    path.write_bytes(first + b"\n" + latin1.encode("latin-1") + b"\n")
+    with pytest.raises(CorpusFormatError, match=f"{path}: line 2: not UTF-8"):
+        load_corpus_file(path)

@@ -80,7 +80,7 @@ def test_build_counts_sentences(tiny_articles):
     assert index.article_ids == ("d1#1", "d1#2", "d2#1")
     assert index.offsets.tolist() == [0, 2, 4, 5]
     assert densify(index).shape == (5, 64)
-    assert index.indptr.shape == (6,)
+    assert index.colptr.shape == (65,)
 
 
 def test_build_excludes_unembeddable_articles():
@@ -209,7 +209,7 @@ def test_reindex_reproduces_bit_identical_vectors(tiny_articles):
     second, _ = build_dense_index(tiny_articles, HashedProjectionEmbedder(64, 0))
     assert first.article_ids == second.article_ids
     assert np.array_equal(first.offsets, second.offsets)
-    for name in ("indptr", "indices", "data"):
+    for name in ("colptr", "rows", "data"):
         assert np.array_equal(getattr(first, name), getattr(second, name))
 
 
@@ -227,7 +227,7 @@ def test_save_load_round_trip(tiny_articles, tmp_path):
     assert loaded.article_ids == index.article_ids
     assert loaded.corpus_digest == index.corpus_digest
     assert np.array_equal(loaded.offsets, index.offsets)
-    for name in ("indptr", "indices", "data"):
+    for name in ("colptr", "rows", "data"):
         assert np.array_equal(getattr(loaded, name), getattr(index, name))
     # the loaded index answers questions with the given embedder
     ranked = dense_retrieve_topk(loaded, "Breach causes damages", 1)
@@ -264,7 +264,8 @@ def test_file_with_an_embedder_spec_header_still_loads(tiny_articles, tmp_path):
         header = json.loads(stream.readline())
     header.pop("embedder_spec", None)
     header["embedder_spec"] = {"kind": "hashed_projection", "dimension": 64, "seed": 0}
-    arrays = {name: getattr(index, name) for name in ("offsets", "indptr", "indices", "data")}
+    arrays = {name: getattr(index, name) for name in ("offsets", "colptr", "rows", "data")}
+    arrays["rows"] = indexfile.gap_encode(index.colptr, index.rows)
     indexfile.save(path, header["format"], header["version"], header, arrays)
     loaded = load_dense_index(path, EMB)
     assert loaded.embedder is EMB

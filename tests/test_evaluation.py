@@ -196,6 +196,22 @@ def test_gold_file_round_trip(tmp_path):
     assert load_gold_file(path) == queries
 
 
+def test_gold_file_write_that_fails_midway_leaves_the_old_file(tmp_path):
+    queries = [GoldQuery(f"q{i}", f"question {i}", frozenset({"a"})) for i in range(4)]
+    path = tmp_path / "gold.jsonl"
+    write_gold_file(queries, path)
+    before = path.read_bytes()
+
+    def interrupted():
+        yield from queries[:2]
+        raise RuntimeError("interrupted")
+
+    with pytest.raises(RuntimeError, match="interrupted"):
+        write_gold_file(interrupted(), path)
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]  # the partial file is removed
+
+
 def test_gold_file_without_gold_names_the_line(tmp_path):
     path = tmp_path / "gold.jsonl"
     path.write_text('{"question_id": "q1", "question": "a", "gold": ["x"]}\n'

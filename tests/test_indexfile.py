@@ -2,6 +2,7 @@
 current format raises ValueError naming the path, and no array is ever
 unpickled."""
 
+import dataclasses
 import functools
 import gzip
 import json
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from statuteqa import indexfile
-from statuteqa.corpus import TokenizerConfig
+from statuteqa.corpus import Article, TokenizerConfig
 from statuteqa.dense import (
     DENSE_INDEX_VERSION,
     HashedProjectionEmbedder,
@@ -18,7 +19,14 @@ from statuteqa.dense import (
     load_dense_index,
     save_dense_index,
 )
-from statuteqa.lexical import LEX_INDEX_VERSION, build_lex_index, load_lex_index, save_lex_index
+from statuteqa.lexical import (
+    LEX_INDEX_VERSION,
+    build_lex_index,
+    load_lex_index,
+    save_lex_index,
+    score_columns,
+    score_query,
+)
 
 KINDS = ("lex", "dense")
 VERSIONS = {"lex": LEX_INDEX_VERSION, "dense": DENSE_INDEX_VERSION}
@@ -135,6 +143,55 @@ def test_dense_header_dimension_must_be_the_embedders(indexes, tmp_path):
         load(path)
 
 
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("order", ["out of order", "repeated"])
+def test_article_ids_out_of_order_or_repeated_are_rejected(kind, order, indexes, tmp_path):
+    path, load = _saved(indexes, kind, tmp_path)
+    header, arrays = _read(path)
+    ids = header["article_ids"]
+    ids = ids[::-1] if order == "out of order" else [ids[0], *ids[:-1]]
+    _write(path, {**header, "article_ids": ids}, arrays)
+    with pytest.raises(ValueError, match=f"{kind}.bin: article ids out of order"):
+        load(path)
+
+
+def test_lex_columns_swapped_within_a_row_are_rejected(tmp_path):
+    """``score_columns`` finds a row's columns by binary search, so with two
+    columns swapped it misses impacts that ``score_query`` adds."""
+    articles = [Article(f"a{i}", "d", None, f"Shared clause number {i}.") for i in range(3)]
+    tok = TokenizerConfig()
+    index = build_lex_index(articles, tok)
+    row, columns = index.content.row("shared"), index.content.columns.copy()
+    columns[[row.start, row.start + 1]] = columns[[row.start + 1, row.start]]
+    swapped = dataclasses.replace(
+        index, content=dataclasses.replace(index.content, columns=columns)
+    )
+    everywhere = score_query(swapped, ["shared"])["content"]
+    found, _ = score_columns(swapped.content, ["shared"], np.arange(3))
+    assert not np.array_equal(found, everywhere)
+    path = tmp_path / "lex.bin"
+    save_lex_index(swapped, path)
+    with pytest.raises(ValueError, match="lex.bin: content columns not strictly ascending"):
+        load_lex_index(path, tok.fingerprint())
+
+
+def test_gap_coding_round_trips_and_rejects_a_gap_that_wraps():
+    top = np.iinfo(np.int32).max
+    ptr = np.array([0, 0, 3, 3, 5, 5], dtype=np.int64)  # empty lists too
+    ids = np.array([0, 7, top - 1, 2, top], dtype=np.int32)
+    gaps = indexfile.gap_encode(ptr, ids)
+    assert gaps.tolist() == [0, 7, top - 8, 2, top - 2]
+    decoded = indexfile.gap_decode("f", "ids", ptr, gaps.copy(), top + 1)
+    assert decoded.tolist() == ids.tolist()
+    with pytest.raises(ValueError, match=r"f: ids outside \[0, 2147483647\)"):
+        indexfile.gap_decode("f", "ids", ptr, gaps.copy(), top)
+    gaps[1] = top  # 0, top, then top + (top - 8) wraps below 0
+    with pytest.raises(ValueError, match=r"f: ids outside \[0, 2147483648\)"):
+        indexfile.gap_decode("f", "ids", ptr, gaps, top + 1)
+    nothing = indexfile.gap_decode("f", "ids", np.zeros(3, np.int64), np.zeros(0, np.int32), 0)
+    assert nothing.size == 0
+
+
 def test_object_array_is_never_unpickled(indexes, tmp_path):
     path, load = _saved(indexes, "dense", tmp_path)
     header, arrays = _read(path)
@@ -150,46 +207,44 @@ def test_object_array_is_never_unpickled(indexes, tmp_path):
     assert SPRUNG == []
 
 
-def _set(name, make):
-    def edit(arrays):
-        arrays[name] = make(arrays[name])
-
-    return edit
-
-
 def _last_plus_one(a):
     return a + (np.arange(len(a)) == len(a) - 1)
 
 
-def _first_minus_one(a):
-    return a - (np.arange(len(a)) == 0).astype(a.dtype)
+def _falling(a):
+    return np.concatenate([a[:1], a[-2:0:-1], a[-1:]])
 
 
-# case -> (index kind, array, edit, expected message)
+# Gap-coded arrays and their list pointers: a case edits each list's ids
+GAPPED = {"rows": "colptr", "title.columns": "title.indptr", "content.columns": "content.indptr"}
+
+# case -> (index kind, array, edit, expected message); the tiny fixture's
+# dense index has 5 sentence rows, its lexical index 3 article columns
 DISAGREEMENTS = {
     "offsets not increasing": (
         "dense", "offsets", lambda a: np.array([0, 3, 2, 5]), "offsets must rise"
     ),
-    "offsets past the rows": ("dense", "offsets", _last_plus_one, "offsets must rise"),
-    "indptr falling": ("dense", "indptr", lambda a: a[[0, 2, 1, 3, 4, 5]], "indptr must not fall"),
-    "indptr past the entries": ("dense", "indptr", _last_plus_one, "indptr must not fall"),
-    "indptr one short of the rows": ("dense", "indptr", lambda a: a[:-1], "offsets must rise"),
-    "index past the dimension": (
-        "dense", "indices", lambda a: np.where(a == a.max(), 64, a).astype(np.int32),
-        "indices outside",
+    "colptr falling": ("dense", "colptr", _falling, "rows lists must not fall"),
+    "colptr past the entries": ("dense", "colptr", _last_plus_one, "rows lists must not fall"),
+    "colptr one short of the coordinates": (
+        "dense", "colptr", lambda a: a[:-1], "colptr must have 65 entries"
     ),
-    "negative index": ("dense", "indices", _first_minus_one, "indices outside"),
-    "indices not ascending": (
-        "dense", "indices", lambda a: a[[1, 0, *range(2, len(a))]], "not ascending within a row"
+    "row past the sentences": (
+        "dense", "rows", lambda a: np.where(a == 4, 5, a), r"rows outside \[0, 5\)"
     ),
-    "indices short": ("dense", "indices", lambda a: a[:-1], "indices but"),
+    "negative row": ("dense", "rows", lambda a: np.where(a == 0, -1, a), "rows outside"),
+    "rows not ascending": ("dense", "rows", lambda a: a[::-1], "rows not strictly ascending"),
+    "repeated row": (
+        "dense", "rows", lambda a: np.repeat(a[:1], len(a)), "rows not strictly ascending"
+    ),
+    "data short": ("dense", "data", lambda a: a[:-1], "rows but"),
     "data not finite": ("dense", "data", lambda a: np.where(a == a[0], np.nan, a), "not finite"),
     "offsets dtype": ("dense", "offsets", lambda a: a.astype(np.int32), "offsets is not 1-d int64"),
     "column out of range": (
-        "lex", "content.columns", lambda a: np.where(a == 0, 3, a).astype(np.int32),
-        "content postings disagree",
+        "lex", "content.columns", lambda a: np.where(a == a.max(), 3, a),
+        r"content columns outside \[0, 3\)",
     ),
-    "negative column": ("lex", "title.columns", lambda a: a - 1, "title postings"),
+    "negative column": ("lex", "title.columns", lambda a: a - 1, "title columns outside"),
     "indptr past the postings": (
         "lex", "content.indptr", _last_plus_one, "content indptr must rise"
     ),
@@ -197,12 +252,22 @@ DISAGREEMENTS = {
 }
 
 
+def _lists(ptr, gaps):
+    """The id lists ``gaps`` codes: each list's running sum."""
+    return [np.cumsum(gaps[low:high]) for low, high in zip(ptr[:-1], ptr[1:])]
+
+
 @pytest.mark.parametrize("case", sorted(DISAGREEMENTS))
 def test_arrays_that_disagree_with_the_header_are_rejected(case, indexes, tmp_path):
     kind, name, edit, message = DISAGREEMENTS[case]
     path, load = _saved(indexes, kind, tmp_path)
     header, arrays = _read(path)
-    arrays[name] = edit(arrays[name])
+    if name in GAPPED:
+        ptr = arrays[GAPPED[name]]
+        ids = np.concatenate([edit(ids) for ids in _lists(ptr, arrays[name])])
+        arrays[name] = indexfile.gap_encode(ptr, ids.astype(np.int32))
+    else:
+        arrays[name] = edit(arrays[name])
     _write(path, header, arrays)
     with pytest.raises(ValueError, match=f"{kind}.bin: .*{message}"):
         load(path)

@@ -271,9 +271,8 @@ def test_a_large_external_build_is_chunked_and_scored_in_bounded_memory(
     """5,000 sentences of a dense 64-d external embedder in one build: the
     batch method asks for at most ``_CHUNK_ENTRIES`` values per request and
     saves the bytes of one request per sentence, and neither max-cosine
-    caller holds more than ``_CHUNK_ENTRIES`` entries' temporaries at once:
-    not retrieval, which reads consecutive rows in place, nor a candidate
-    batch in reverse order, which is gathered."""
+    caller, retrieval or a candidate batch in reverse order, holds more
+    than one coordinate's postings' temporaries at once."""
     cap, dimension = 4096, 64
     monkeypatch.setattr(dense, "_CHUNK_ENTRIES", cap)
     articles = [
@@ -297,7 +296,7 @@ def test_a_large_external_build_is_chunked_and_scored_in_bounded_memory(
         index = built["index"]
         assert sum(sizes) == 5000 and max(sizes) == cap // dimension
         single, _ = build_dense_index(articles, OneAtATime(emb))
-        rows, entries = len(index.indptr) - 1, len(index.data)
+        rows, entries = int(index.offsets[-1]), len(index.data)
         assert entries == rows * dimension  # no zero coordinates
         vector = np.ones(dimension)
         tracemalloc.start()

@@ -161,6 +161,22 @@ def test_dataset_file_round_trip(tmp_path):
     assert read_dataset(path) == examples
 
 
+def test_dataset_write_that_fails_midway_leaves_the_old_file(tmp_path):
+    examples = generate_weak_dataset(_titled_articles(8), WeakGenConfig(4, 2))
+    path = tmp_path / "weak.jsonl"
+    write_dataset(examples, path)
+    before = path.read_bytes()
+
+    def interrupted():
+        yield from examples[:3]
+        raise RuntimeError("interrupted")
+
+    with pytest.raises(RuntimeError, match="interrupted"):
+        write_dataset(interrupted(), path)
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]  # the partial file is removed
+
+
 def test_dataset_file_without_origin_names_the_line(tmp_path):
     path = tmp_path / "weak.jsonl"
     path.write_text('{"question": "q", "article_id": "a", "label": 1}\n')
