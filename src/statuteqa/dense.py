@@ -22,6 +22,7 @@ import numpy as np
 
 from . import indexfile
 from .corpus import Article, TokenizerConfig, clean_text, split_sentences, tokenize
+from .ensemble import Ranking
 from .lineproto import LineProtocolClient, ProtocolError, finite_real
 
 __all__ = [
@@ -31,6 +32,7 @@ __all__ = [
     "DenseIndex",
     "embed",
     "build_dense_index",
+    "sentence_cosines",
     "quickview_dense_score",
     "dense_retrieve_topk",
     "save_dense_index",
@@ -254,7 +256,7 @@ def build_dense_index(
     return index, len(articles) - len(article_ids)
 
 
-def _sentence_cosines(index: DenseIndex, vector: np.ndarray) -> np.ndarray:
+def sentence_cosines(index: DenseIndex, vector: np.ndarray) -> np.ndarray:
     """Cosine of ``vector`` with every sentence row; a zero row or zero
     ``vector`` scores 0.
 
@@ -265,6 +267,9 @@ def _sentence_cosines(index: DenseIndex, vector: np.ndarray) -> np.ndarray:
     One coordinate's temporaries are held at a time. For distinct rows
     ``np.add.at`` adds as ``cosines[rows] += ...`` would, in half the time.
     """
+    vector = np.asarray(vector, dtype=np.float64)
+    if vector.shape != (index.dimension,):
+        raise ValueError(f"dimension mismatch: {vector.shape} vs ({index.dimension},)")
     cosines = np.zeros(int(index.offsets[-1]))
     qnorm = float(np.linalg.norm(vector))
     if qnorm == 0.0:
@@ -277,20 +282,18 @@ def _sentence_cosines(index: DenseIndex, vector: np.ndarray) -> np.ndarray:
 
 
 def quickview_dense_score(
-    index: DenseIndex, question_vector: np.ndarray, positions: np.ndarray
+    index: DenseIndex, cosines: np.ndarray, positions: np.ndarray
 ) -> np.ndarray:
     """Max sentence cosine of the articles at ``positions``, in order.
 
-    The maximum is taken over the candidates' sentence ranges only: a
-    ``reduceat`` over every article costs more than all the cosines.
+    ``cosines`` are one question's ``sentence_cosines``. The maximum is
+    taken over the candidates' sentence ranges only: a ``reduceat`` over
+    every article costs more than all the cosines.
     """
     positions = np.asarray(positions, dtype=np.int64)
-    question_vector = np.asarray(question_vector, dtype=np.float64)
-    if question_vector.shape != (index.dimension,):
-        raise ValueError(
-            f"dimension mismatch: {question_vector.shape} vs ({index.dimension},)"
-        )
-    cosines = _sentence_cosines(index, question_vector)
+    sentences = int(index.offsets[-1])
+    if cosines.shape != (sentences,):
+        raise ValueError(f"{cosines.shape} cosines for {sentences} sentences")
     first = index.offsets[positions]
     counts = index.offsets[positions + 1] - first
     starts = np.cumsum(counts) - counts  # where each range starts in the gather
@@ -303,28 +306,31 @@ def dense_retrieve_topk(
     question: str,
     k: int,
     tok: TokenizerConfig | None = None,
-) -> list[tuple[str, float]]:
+) -> Ranking:
     """Exhaustive scan of all articles, ranked by max sentence cosine.
 
     Every sentence's cosine comes from its own entries (see
-    ``_sentence_cosines``), and ``np.maximum.reduceat`` takes each
-    article's maximum over its rows; ties break by ascending article id.
-    A question that embeds to the zero vector (one that cleans to no
-    tokens) has no cosine with anything and retrieves nothing.
+    ``sentence_cosines``), and ``np.maximum.reduceat`` takes each
+    article's maximum over its rows; ties break by ascending position,
+    which is ascending article id. The ranking carries the sentence
+    cosines, so the reranker's dense feature reads them instead of
+    embedding the question again. A question that embeds to the zero
+    vector (one that cleans to no tokens) has no cosine with anything and
+    retrieves nothing.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     question_vector = embed(index.embedder, tokenize(clean_text(question), tok))
     if not np.any(question_vector):
-        return []
-    cosines = _sentence_cosines(index, question_vector)
+        return Ranking(index.article_ids, np.zeros(0, dtype=np.int64), np.zeros(0))
+    cosines = sentence_cosines(index, question_vector)
     scores = np.maximum.reduceat(cosines, index.offsets[:-1])
     top = np.arange(len(scores))  # positions are in id order
     if top.size > k:
         kth = scores[np.argpartition(scores, -k)[-k]]
         top = np.flatnonzero(scores >= kth)  # keeps every tie at the k-th score
     top = top[np.lexsort((top, -scores[top]))[:k]]
-    return [(index.article_ids[i], float(scores[i])) for i in top.tolist()]
+    return Ranking(index.article_ids, top, scores[top], cosines)
 
 
 def save_dense_index(index: DenseIndex, path: str | Path) -> None:

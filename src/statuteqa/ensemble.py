@@ -6,23 +6,26 @@ and the answer set is every candidate whose combined score lies strictly
 within ``threshold`` of the best candidate. The best candidate (and any
 exact ties with it) is always returned.
 
-Scores are arrays over the candidate list: normalization, fusion and
+Both quickviews return a ``Ranking``: the candidates as positions in the
+index, best first, with their scores. Scores stay arrays over the
+candidate list from quickview to selection: normalization, fusion and
 selection are elementwise, with the operations of the scalar rules in
-their order, and a ``RankedCandidate`` is built only for a returned
-article.
+their order, ties break by position (which is id order), and an id and a
+``RankedCandidate`` are built only for a returned article.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from typing import Mapping, Sequence
 
 import numpy as np
 
 from .corpus import Article
 
 __all__ = [
+    "Ranking",
     "RankedCandidate",
     "AnswerSet",
     "EnsembleConfig",
@@ -77,6 +80,52 @@ class EnsembleConfig:
         )
 
 
+@dataclass(frozen=True, eq=False)
+class Ranking(Sequence):
+    """A quickview's candidates as positions in an index, best first.
+
+    Candidate ``i`` is ``article_ids[positions[i]]`` with quickview score
+    ``scores[i]``. ``article_ids`` is the index's sorted id tuple, shared
+    and not copied; both indexes number their articles by sorted id, so
+    ascending position is ascending id. A dense ranking also carries
+    ``cosines``, the cosine of the question with every sentence of the
+    dense index, from the scan that ranked it; a lexical ranking carries
+    None.
+
+    It reads as the ``(article id, score)`` list it stands for: an integer
+    index gives a ``(str, float)`` pair, a slice gives a ``Ranking`` with
+    the same ``cosines``, and it equals any sequence of the same pairs
+    (``cosines`` take no part in equality).
+    """
+
+    article_ids: tuple[str, ...]
+    positions: np.ndarray  # int64 positions in article_ids
+    scores: np.ndarray  # float64 quickview score of each position
+    cosines: np.ndarray | None = None  # float64 per dense-index sentence
+
+    def __len__(self) -> int:
+        return len(self.positions)
+
+    def __getitem__(self, item):
+        if isinstance(item, slice):
+            return Ranking(
+                self.article_ids, self.positions[item], self.scores[item], self.cosines
+            )
+        return self.article_ids[self.positions[item]], float(self.scores[item])
+
+    def __iter__(self):
+        return zip(self.ids(), self.scores.tolist())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence) or isinstance(other, str):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def ids(self) -> list[str]:
+        """The candidates' article ids, best first."""
+        return list(map(self.article_ids.__getitem__, self.positions.tolist()))
+
+
 @dataclass(frozen=True)
 class RankedCandidate:
     article_id: str
@@ -115,21 +164,21 @@ def combine(
 
 
 def select_answer_set(
-    article_ids: Sequence[str], combined: np.ndarray, threshold: float
+    keys: np.ndarray | Sequence, combined: np.ndarray, threshold: float
 ) -> np.ndarray:
-    """Positions of the candidates within ``threshold`` (strict) of the best
-    combined score, ordered by descending combined score, ties by ascending id.
+    """Indices of the candidates within ``threshold`` (strict) of the best
+    combined score, ordered by descending combined score, ties by ascending
+    key.
 
-    The best candidate and exact ties with it are always selected, so a
-    zero threshold returns exactly the top combined score group.
+    ``keys`` break ties; ``rank_and_select`` passes the candidates' index
+    positions, whose order is id order. The best candidate and exact ties
+    with it are always selected, so a zero threshold returns exactly the
+    top combined score group.
     """
     combined = np.asarray(combined, dtype=np.float64)
     if not combined.size:
         return np.zeros(0, dtype=np.intp)
-    n = len(article_ids)
-    id_rank = np.empty(n, dtype=np.intp)
-    id_rank[sorted(range(n), key=article_ids.__getitem__)] = np.arange(n)
-    order = np.lexsort((id_rank, -combined))
+    order = np.lexsort((np.asarray(keys), -combined))
     ordered = combined[order]
     best = ordered[0]
     return order[(best - ordered < threshold) | (ordered == best)]
@@ -138,44 +187,46 @@ def select_answer_set(
 def rank_and_select(
     question_id: str,
     question: str,
-    ranked: Sequence[tuple[str, float]],
+    ranked: Ranking,
     scorer,
     articles_by_id: Mapping[str, Article] | None,
     cfg: EnsembleConfig,
 ) -> AnswerSet:
     """Score, normalize, fuse and select over a quickview ranking.
 
-    ``ranked`` is the (article id, quickview score) list of the candidates,
-    as ``Pipeline.quickview_rank`` returns it, and ``scorer`` is anything
-    with ``score_batch(question, candidates)``. The scorer is handed the
-    candidates' articles from ``articles_by_id``, or their ids when it is
-    None. When the quickview found no candidate (``ranked`` is empty) the
-    answer set is empty and flagged, which is distinct from selecting the
-    best candidate.
+    ``ranked`` is the quickview's ``Ranking``, as ``Pipeline.quickview_rank``
+    returns it, and ``scorer`` is anything with ``score_batch(question,
+    candidates)``. The scorer is handed the candidates' articles from
+    ``articles_by_id``, or the ranking itself when that is None (the
+    in-process ``ModelScorer`` reads its features at the positions). Scores
+    are read from the ranking as an array, ties break by position, and ids
+    are looked up only for the returned articles. When the quickview found
+    no candidate (``ranked`` is empty) the answer set is empty and flagged,
+    which is distinct from selecting the best candidate.
     """
     if not ranked:
         return AnswerSet(question_id=question_id, returned=(), no_candidates=True)
 
-    ids, qs = zip(*ranked)
     if articles_by_id is not None:
-        candidates = list(map(articles_by_id.__getitem__, ids))
+        candidates = list(map(articles_by_id.__getitem__, ranked.ids()))
     else:
-        candidates = list(ids)
-    qs_raw = np.array(qs, dtype=np.float64)
+        candidates = ranked
+    qs_raw = ranked.scores
     ss_raw = np.asarray(scorer.score_batch(question, candidates), dtype=np.float64)
     if ss_raw.shape != qs_raw.shape:
         raise ValueError(
-            f"scorer returned {ss_raw.shape} scores for {len(ids)} candidates"
+            f"scorer returned {ss_raw.shape} scores for {len(ranked)} candidates"
         )
     qs_norm = minmax_normalize(qs_raw)
     ss_norm = minmax_normalize(ss_raw)
     combined = combine(qs_norm, ss_norm, cfg.gamma)
 
-    keep = select_answer_set(ids, combined, cfg.effective_threshold())
+    keep = select_answer_set(ranked.positions, combined, cfg.effective_threshold())
     table = np.column_stack((qs_raw, qs_norm, ss_raw, ss_norm, combined))
+    ids = ranked.article_ids
     returned = tuple(
-        RankedCandidate(ids[i], *row)
-        for i, row in zip(keep.tolist(), table[keep].tolist())
+        RankedCandidate(ids[p], *row)
+        for p, row in zip(ranked.positions[keep].tolist(), table[keep].tolist())
     )
     return AnswerSet(question_id=question_id, returned=returned)
 

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from . import indexfile
-from .ensemble import AnswerSet
+from .ensemble import AnswerSet, Ranking
 
 __all__ = [
     "GoldQuery",
@@ -121,14 +121,15 @@ class EvalReport:
 
 def run_eval(
     queries: Sequence[GoldQuery],
-    quickview_rank: Callable[[str], Sequence[tuple[str, float]]],
+    quickview_rank: Callable[[str], Ranking],
     ks: Sequence[int] = (),
-    answer: Callable[[str, str, Sequence[tuple[str, float]]], AnswerSet] | None = None,
+    answer: Callable[[str, str, Ranking], AnswerSet] | None = None,
 ) -> EvalReport:
     """Evaluate quickview recall and/or end-to-end answer sets per query.
 
     ``quickview_rank`` ranks each query once; Recall@k for each k in ``ks``
-    and ``answer(question_id, question, ranking)`` both read that ranking.
+    (over the ranking's ids) and ``answer(question_id, question, ranking)``
+    both read that ranking.
     A query whose pipeline call raises is marked failed and skipped from
     the aggregates; evaluation continues. Aggregates stay None when every
     query failed.

@@ -38,6 +38,7 @@ import numpy as np
 
 from . import indexfile
 from .corpus import Article, TokenizerConfig, clean_text, tokenize
+from .ensemble import Ranking
 
 __all__ = [
     "FieldMatrix",
@@ -320,11 +321,11 @@ def retrieve_topk(
     query: Sequence[str],
     k: int,
     cfg: QuickviewConfig | None = None,
-) -> list[tuple[str, float]]:
-    """Top-k articles by raw quickview score, descending.
+) -> Ranking:
+    """Top-k article columns by raw quickview score, descending.
 
     Only articles with score > 0 are returned; ties break by ascending
-    article id for a deterministic total order.
+    column, which is ascending article id, for a deterministic total order.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -341,7 +342,7 @@ def retrieve_topk(
         kth = values[np.argpartition(values, -k)[-k]]
         hits = hits[values >= kth]  # keeps every tie at the k-th score
     top = hits[np.lexsort((hits, -scores[hits]))[:k]]
-    return [(index.article_ids[c], float(scores[c])) for c in top.tolist()]
+    return Ranking(index.article_ids, top, scores[top])
 
 
 def save_lex_index(index: LexIndex, path: str | Path) -> None:

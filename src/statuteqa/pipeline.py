@@ -31,7 +31,7 @@ from .dense import (
     dense_retrieve_topk,
     load_dense_index,
 )
-from .ensemble import AnswerSet, EnsembleConfig, rank_and_select
+from .ensemble import AnswerSet, EnsembleConfig, Ranking, rank_and_select
 from .lexical import Bm25Params, LexIndex, QuickviewConfig, load_lex_index, retrieve_topk
 from .lineproto import finite_real
 from .reranker import (
@@ -191,13 +191,19 @@ def load_artifacts(cfg: PipelineConfig) -> tuple[LexIndex, DenseIndex]:
     """Both indexes, checked against the config, each other and the corpus.
 
     Every command that reads the indexes loads them here. The lexical
-    index must record the configured tokenizer, the dense index the
-    configured embedder (which it then uses for questions), and both the
-    sha256 of the corpus file's bytes: the corpus is checked with one hash
-    and is not parsed (see ``load_articles``). The caller owns
-    ``dense.embedder`` and closes it; when loading fails it is closed here.
+    index must record the configured tokenizer and BM25 ``k1`` and ``b``,
+    the dense index the configured embedder (which it then uses for
+    questions), and both the sha256 of the corpus file's bytes: the corpus
+    is checked with one hash and is not parsed (see ``load_articles``). The
+    caller owns ``dense.embedder`` and closes it; when loading fails it is
+    closed here.
     """
     lex = load_lex_index(cfg.lex_index_path, cfg.tokenizer_config().fingerprint())
+    if lex.params != cfg.bm25_params():
+        raise ValueError(
+            f"{cfg.lex_index_path}: index built with BM25 k1={lex.params.k1}, "
+            f"b={lex.params.b}, but the config has k1={cfg.k1}, b={cfg.b}"
+        )
     embedder = cfg.make_embedder()
     try:
         dense = load_dense_index(cfg.dense_index_path, embedder)
@@ -235,7 +241,8 @@ class Pipeline:
     constructor is given None for them, they are parsed on first read, by
     ``load_articles`` against the indexes' corpus digest. The in-process
     model (``ModelScorer``) takes its features from the indexes and is
-    handed candidate ids, so answering with it never reads article text.
+    handed the quickview's ``Ranking``, so answering with it never reads
+    article text.
     Any other scorer is handed the candidates' articles; ``load`` parses
     them up front for an ``ExternalScorer``, so the parse never lands in
     the first answer.
@@ -295,13 +302,15 @@ class Pipeline:
         return cls(cfg, articles, lex, dense, scorer)
 
     def _candidates(self) -> dict[str, Article] | None:
-        """What ``rank_and_select`` hands the scorer: None (candidate ids) for
+        """What ``rank_and_select`` hands the scorer: None (the ranking) for
         the in-process model, which reads only the indexes; else articles."""
         return None if isinstance(self.scorer, ModelScorer) else self.by_id
 
-    def quickview_rank(self, question: str, k: int) -> list[tuple[str, float]]:
-        """The ``k`` best (article id, score) of the configured quickview:
-        fielded BM25 (``"lexical"``) or max sentence cosine (``"dense"``)."""
+    def quickview_rank(self, question: str, k: int) -> Ranking:
+        """The ``k`` best candidates of the configured quickview, as index
+        positions and scores: fielded BM25 (``"lexical"``) or max sentence
+        cosine (``"dense"``, whose ranking carries the sentence cosines the
+        reranker's dense feature reads)."""
         if self.ensemble_cfg.quickview_source == "dense":
             return dense_retrieve_topk(self.dense, question, k, self.tok)
         tokens = tokenize(clean_text(question), self.tok)
@@ -321,7 +330,7 @@ class Pipeline:
         )
 
     def answer_ranked(
-        self, question_id: str, question: str, ranked: Sequence[tuple[str, float]]
+        self, question_id: str, question: str, ranked: Ranking
     ) -> AnswerSet:
         """``answer`` from a ranking of ``quickview_rank`` at least ``top_k`` deep.
 

@@ -26,7 +26,8 @@ import numpy as np
 
 from . import indexfile
 from .corpus import Article, TokenizerConfig, clean_text, tokenize
-from .dense import DenseIndex, embed, quickview_dense_score
+from .dense import DenseIndex, embed, quickview_dense_score, sentence_cosines
+from .ensemble import Ranking
 from .lexical import LexIndex, score_columns
 from .lineproto import LineProtocolClient, ProtocolError, finite_real
 from .weak_label import TrainingExample
@@ -121,10 +122,11 @@ class FeatureExtractor:
     """Feature source bound to a lexical and a dense index of the same articles.
 
     The two indexes number their articles alike (lexical column = dense
-    position), so candidate ids are mapped to columns once per batch.
-    Holds no per-question state: each call tokenizes and embeds the
-    question and drops them when done, so memory does not grow with the
-    questions asked.
+    position), so a quickview ``Ranking`` over either index is read at its
+    positions, and candidate ids are mapped to columns once per batch.
+    Holds no per-question state: each call tokenizes the question, reads
+    or computes its sentence cosines and drops them when done, so memory
+    does not grow with the questions asked.
     """
 
     def __init__(
@@ -143,21 +145,40 @@ class FeatureExtractor:
             [math.log1p(n) for n in lex.content.lengths.tolist()], dtype=np.float64
         )
 
-    def rows(self, question: str, article_ids: Sequence[str]) -> np.ndarray:
-        """Feature rows in id order; raises for an id outside the indexes."""
-        columns = np.fromiter(
-            map(self.lex.column.get, article_ids, repeat(-1)),
-            dtype=np.int64, count=len(article_ids),
-        )
-        if columns.size and columns.min() < 0:
-            missing = article_ids[int(np.argmin(columns))]
-            raise ValueError(f"article {missing!r} not in the indexes")
+    def rows(self, question: str, candidates: Ranking | Sequence[str]) -> np.ndarray:
+        """Feature rows of the candidates, in order: a ``Ranking`` over these
+        indexes, or article ids; raises for an id outside the indexes.
+
+        The dense feature reads a dense ranking's sentence cosines. Only
+        without them is the question embedded and every sentence scored.
+        """
+        columns, cosines = self._columns(candidates)
         tokens = tokenize(clean_text(question), self.tok)
-        vector = embed(self.dense.embedder, tokens)
-        dense_scores = quickview_dense_score(self.dense, vector, columns)
+        if cosines is None:
+            cosines = sentence_cosines(self.dense, embed(self.dense.embedder, tokens))
+        dense_scores = quickview_dense_score(self.dense, cosines, columns)
         return extract_features(
             tokens, columns, dense_scores, self.lex, self.log_content_len
         )
+
+    def _columns(
+        self, candidates: Ranking | Sequence[str]
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """The candidates' columns, and the sentence cosines a ranking over
+        these indexes carries (None for ids and lexical rankings)."""
+        if isinstance(candidates, Ranking):
+            ids = candidates.article_ids
+            if ids is self.lex.article_ids or ids is self.dense.article_ids:
+                return candidates.positions, candidates.cosines
+            candidates = candidates.ids()  # a ranking over other indexes
+        columns = np.fromiter(
+            map(self.lex.column.get, candidates, repeat(-1)),
+            dtype=np.int64, count=len(candidates),
+        )
+        if columns.size and columns.min() < 0:
+            missing = candidates[int(np.argmin(columns))]
+            raise ValueError(f"article {missing!r} not in the indexes")
+        return columns, None
 
     def matrix(
         self, examples: Sequence[TrainingExample]
@@ -361,13 +382,15 @@ class ModelScorer:
         return f"linear:{digest}"
 
     def score_batch(
-        self, question: str, candidates: Sequence[Article | str]
+        self, question: str, candidates: Ranking | Sequence[Article | str]
     ) -> list[float]:
-        """Relevance probability sigmoid(w . f) of each candidate, an article
-        or its id, in order, clamped to the open unit interval. The features
-        come from the indexes, so no article text is read."""
-        ids = [getattr(c, "article_id", c) for c in candidates]
-        z = _logits(self.model.weights, self.extractor.rows(question, ids))
+        """Relevance probability sigmoid(w . f) of each candidate, in order,
+        clamped to the open unit interval. The candidates are a quickview
+        ``Ranking`` (read at its positions), or articles or their ids. The
+        features come from the indexes, so no article text is read."""
+        if not isinstance(candidates, Ranking):
+            candidates = [getattr(c, "article_id", c) for c in candidates]
+        z = _logits(self.model.weights, self.extractor.rows(question, candidates))
         return np.clip(_sigmoid(z), _PROB_EPS, 1.0 - _PROB_EPS).tolist()
 
 

@@ -13,7 +13,7 @@ from itertools import groupby
 import numpy as np
 
 from statuteqa.corpus import clean_text, tokenize
-from statuteqa.dense import embed, quickview_dense_score
+from statuteqa.dense import embed, quickview_dense_score, sentence_cosines
 from statuteqa.lexical import score_query
 from statuteqa.reranker import _PROB_EPS, NUM_FEATURES, _sigmoid
 
@@ -72,7 +72,8 @@ def rows(extractor, question, article_ids):
     vector = embed(extractor.dense.embedder, tokens)
     bm25, matched = whole_corpus_scores(extractor.lex, tokens)
     positions = [extractor.dense.article_ids.index(a) for a in article_ids]
-    dense_scores = quickview_dense_score(extractor.dense, vector, positions)
+    cosines = sentence_cosines(extractor.dense, vector)
+    dense_scores = quickview_dense_score(extractor.dense, cosines, positions)
     x = np.empty((len(article_ids), NUM_FEATURES), dtype=np.float64)
     for i, (article_id, dense_score) in enumerate(zip(article_ids, dense_scores)):
         x[i] = extract_features(tokens, bm25, matched, article_id, extractor.lex, dense_score)

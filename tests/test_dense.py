@@ -23,6 +23,7 @@ from statuteqa.dense import (
     load_dense_index,
     quickview_dense_score,
     save_dense_index,
+    sentence_cosines,
 )
 
 EMB = HashedProjectionEmbedder(dimension=64, seed=0)
@@ -106,27 +107,30 @@ def test_quickview_dense_score_is_max_of_sentence_cosines(tiny_articles):
             cosine(question_vector, row) for row in sentence_rows(index, article.article_id)
         )
         got = quickview_dense_score(
-            index, question_vector, positions(index, [article.article_id])
+            index,
+            sentence_cosines(index, question_vector),
+            positions(index, [article.article_id]),
         )[0]
         assert got == pytest.approx(explicit, abs=1e-12)
 
 
 def test_quickview_dense_score_edge_cases(tiny_articles):
     index, _ = build_dense_index(tiny_articles, EMB)
-    assert quickview_dense_score(index, np.zeros(64), [0])[0] == 0.0
+    assert quickview_dense_score(index, sentence_cosines(index, np.zeros(64)), [0])[0] == 0.0
     with pytest.raises(IndexError):
-        quickview_dense_score(index, np.zeros(64), [len(index.article_ids)])
+        quickview_dense_score(
+            index, sentence_cosines(index, np.zeros(64)), [len(index.article_ids)]
+        )
     with pytest.raises(ValueError, match="dimension mismatch"):
-        quickview_dense_score(index, np.zeros(65), [0])
+        quickview_dense_score(index, sentence_cosines(index, np.zeros(65)), [0])
 
 
 def test_verbatim_sentence_scores_one(tiny_articles):
     index, _ = build_dense_index(tiny_articles, EMB)
     sentence = split_sentences(tiny_articles[0].content)[1]  # "Breach causes damages."
     question_vector = embed(EMB, tokenize(clean_text(sentence)))
-    assert quickview_dense_score(index, question_vector, [0])[0] == pytest.approx(
-        1.0, abs=1e-9
-    )
+    cosines = sentence_cosines(index, question_vector)
+    assert quickview_dense_score(index, cosines, [0])[0] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_dense_retrieve_topk(tiny_articles):
@@ -159,7 +163,8 @@ def test_matrix_scan_equals_per_article_loop(synth):
         assert dense_retrieve_topk(synth.dense, question, 60) == want
         for article_id, score in want:
             [at] = positions(synth.dense, [article_id])
-            assert quickview_dense_score(synth.dense, vector, [at])[0] == score
+            cosines = sentence_cosines(synth.dense, vector)
+            assert quickview_dense_score(synth.dense, cosines, [at])[0] == score
 
 
 def test_batched_score_matches_per_article_loop(synth):
@@ -170,13 +175,17 @@ def test_batched_score_matches_per_article_loop(synth):
     for query in synth.queries[:20]:
         vector = embed(synth.embedder, tokenize(clean_text(query.question)))
         batch = [ids[i] for i in rng.integers(0, len(ids), 60)] + ids[:3] * 2
-        got = quickview_dense_score(synth.dense, vector, positions(synth.dense, batch))
+        got = quickview_dense_score(
+            synth.dense, sentence_cosines(synth.dense, vector), positions(synth.dense, batch)
+        )
         assert got.shape == (len(batch),)
         want = per_article_max_cosine(synth.dense, vector, batch)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-    zero = quickview_dense_score(synth.dense, np.zeros(synth.dense.dimension), range(4))
+    zero = quickview_dense_score(
+        synth.dense, sentence_cosines(synth.dense, np.zeros(synth.dense.dimension)), range(4)
+    )
     assert np.array_equal(zero, np.zeros(4))
-    empty = quickview_dense_score(synth.dense, vector, [])
+    empty = quickview_dense_score(synth.dense, sentence_cosines(synth.dense, vector), [])
     assert empty.shape == (0,)
 
 
@@ -185,7 +194,7 @@ def test_max_pool_dominance(tiny_articles):
     question_vector = embed(EMB, ["civil", "code"])
     for article in tiny_articles:
         [at] = positions(index, [article.article_id])
-        score = quickview_dense_score(index, question_vector, [at])[0]
+        score = quickview_dense_score(index, sentence_cosines(index, question_vector), [at])[0]
         for row in sentence_rows(index, article.article_id):
             assert score >= cosine(question_vector, row) - 1e-12
 
@@ -200,8 +209,9 @@ def test_adding_sentence_never_decreases_score(tiny_articles):
     question_vector = embed(EMB, ["closing", "clause"])
     assert after.article_ids == before.article_ids
     at = positions(before, [article.article_id for article in tiny_articles])
-    grown = quickview_dense_score(after, question_vector, at)
-    assert np.all(grown >= quickview_dense_score(before, question_vector, at) - 1e-12)
+    grown = quickview_dense_score(after, sentence_cosines(after, question_vector), at)
+    shorter = quickview_dense_score(before, sentence_cosines(before, question_vector), at)
+    assert np.all(grown >= shorter - 1e-12)
 
 
 def test_reindex_reproduces_bit_identical_vectors(tiny_articles):
@@ -283,7 +293,7 @@ def test_equal_rows_score_equal_wherever_they_sit():
     index, _ = build_dense_index(articles, embedder)
     question = "Regulation of basilsil corsilsil activities"
     vector = embed(embedder, tokenize(clean_text(question)))
-    scores = quickview_dense_score(index, vector, range(5))
+    scores = quickview_dense_score(index, sentence_cosines(index, vector), range(5))
     assert len(set(scores.tolist())) == 1
     ranked = dense_retrieve_topk(index, question, 5)
     assert ranked == [(f"a{i}", scores[0]) for i in range(5)]
@@ -302,7 +312,7 @@ def test_top_k_equals_the_stable_sort_around_a_tie_group():
     index, _ = build_dense_index(articles, embedder)
     question = "Regulation of basilsil corsilsil activities"
     vector = embed(embedder, tokenize(clean_text(question)))
-    scores = quickview_dense_score(index, vector, range(len(articles)))
+    scores = quickview_dense_score(index, sentence_cosines(index, vector), range(len(articles)))
     order = np.argsort(-scores, kind="stable")
     assert len(set(scores[order[2:6]].tolist())) == 1  # the tie group sits at ranks 3-6
     for k in range(1, len(articles) + 3):

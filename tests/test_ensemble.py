@@ -1,5 +1,7 @@
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,6 +14,7 @@ from statuteqa.ensemble import (
     AnswerSet,
     EnsembleConfig,
     RankedCandidate,
+    Ranking,
     answer_set_to_json,
     combine,
     default_threshold,
@@ -301,3 +304,47 @@ def test_rank_and_select_rejects_a_short_score_list(synth):
             "q", question, synth.ranked(question, 10), OneScore(), synth.by_id,
             EnsembleConfig(top_k=10),
         )
+
+
+def test_ranking_reads_as_its_list_of_pairs(synth):
+    ranked = synth.ranked(synth.queries[0].question, 10)
+    assert isinstance(ranked, Ranking)
+    assert ranked.article_ids is synth.lex.article_ids
+    assert ranked.positions.dtype == np.int64 and ranked.scores.dtype == np.float64
+    pairs = [
+        (synth.lex.article_ids[p], s)
+        for p, s in zip(ranked.positions.tolist(), ranked.scores.tolist())
+    ]
+    assert len(ranked) == len(pairs) > 2
+    assert ranked == pairs and pairs == ranked
+    assert ranked == tuple(pairs) and tuple(pairs) == ranked
+    assert ranked != pairs[:-1] and pairs[:-1] != ranked
+    assert ranked != pairs[::-1] and pairs[::-1] != ranked
+    assert list(ranked) == pairs and ranked.ids() == [a for a, _ in pairs]
+    for article_id, score in ranked:
+        assert type(article_id) is str and type(score) is float
+    article_id, score = ranked[-1]
+    assert (article_id, score) == pairs[-1]
+    assert type(article_id) is str and type(score) is float
+    head = ranked[:3]
+    assert isinstance(head, Ranking) and head.article_ids is ranked.article_ids
+    assert head == pairs[:3] and ranked[1::2] == pairs[1::2]
+
+
+def test_empty_ranking_equals_the_empty_list(synth):
+    for empty in (
+        synth.ranked("zzz unseen gibberish", 10),
+        dense_retrieve_topk(synth.dense, "???", 5, synth.tok),
+    ):
+        assert isinstance(empty, Ranking) and len(empty) == 0 and not empty
+        assert empty == [] and [] == empty
+        assert empty[:3] == []
+
+
+def test_dense_ranking_carries_its_sentence_cosines(synth):
+    question = synth.queries[2].question
+    ranked = dense_retrieve_topk(synth.dense, question, 10, synth.tok)
+    assert ranked.cosines.shape == (int(synth.dense.offsets[-1]),)
+    assert ranked[:4].cosines is ranked.cosines
+    assert ranked == dataclasses.replace(ranked, cosines=None)
+    assert synth.ranked(question, 10).cosines is None

@@ -463,6 +463,53 @@ def test_dense_question_without_tokens_has_no_candidates(synth):
     assert answer.returned == ()
 
 
+def test_dense_answer_embeds_its_question_once(synth, monkeypatch):
+    """The reranker's dense feature reads the sentence cosines of the dense
+    quickview's scan instead of embedding the question again."""
+    calls = []
+    original = dense.embed
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (dense, reranker):
+        monkeypatch.setattr(module, "embed", counting)
+    cfg = PipelineConfig(quickview_source="dense", top_k=10)
+    pipeline = Pipeline(cfg, synth.articles, synth.lex, synth.dense, synth.scorer)
+    query = synth.queries[0]
+    answer = pipeline.answer(query.question_id, query.question)
+    assert answer.returned and len(calls) == 1
+    # scoring the candidates' articles embeds afresh and ranks alike
+    ranked = pipeline.quickview_rank(query.question, cfg.top_k)
+    assert answer == rank_and_select(
+        query.question_id, query.question, ranked, synth.scorer, synth.by_id,
+        pipeline.ensemble_cfg,
+    )
+
+
+def test_query_rejects_an_index_built_with_other_bm25_parameters(
+    workspace, tmp_path, capsys
+):
+    """``k1`` and ``b`` come from the config and must match the lexical
+    index header, not be silently taken from it."""
+    root, _, queries = workspace
+    config = json.loads((root / "config.json").read_text())
+    config.update(
+        lex_index_path=str(tmp_path / "lex_index.bin"),
+        dense_index_path=str(tmp_path / "dense_index.bin"),
+    )
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    base = ["--config", str(tmp_path / "config.json")]
+    assert main(base + ["index", "--k1", "2.0"]) == 0
+    capsys.readouterr()
+    assert main(base + ["query", "--question", queries[0].question]) == 1
+    err = capsys.readouterr().err
+    assert str(tmp_path / "lex_index.bin") in err and "k1=2.0" in err
+    (tmp_path / "config.json").write_text(json.dumps({**config, "k1": 2.0}))
+    assert main(base + ["query", "--question", queries[0].question]) == 0
+
+
 def test_invalid_fusion_settings_fail_at_load(workspace):
     root, _, _ = workspace
     cfg = PipelineConfig.from_file(root / "config.json")

@@ -18,6 +18,7 @@ from statuteqa.dense import (
     dense_retrieve_topk,
     quickview_dense_score,
     save_dense_index,
+    sentence_cosines,
 )
 from statuteqa.lineproto import LineProtocolClient, ProtocolError
 from statuteqa.reranker import ExternalScorer
@@ -303,7 +304,9 @@ def test_a_large_external_build_is_chunked_and_scored_in_bounded_memory(
         try:
             for score in (
                 lambda: dense_retrieve_topk(index, "clause part", 10),
-                lambda: quickview_dense_score(index, vector, np.arange(1000)[::-1]),
+                lambda: quickview_dense_score(
+                    index, sentence_cosines(index, vector), np.arange(1000)[::-1]
+                ),
             ):
                 tracemalloc.reset_peak()
                 before = tracemalloc.get_traced_memory()[0]

@@ -13,7 +13,12 @@ from conftest import field_token_lists
 from feature_oracle import predict
 from statuteqa.corpus import Article, TokenizerConfig, clean_text, tokenize
 from dense_oracle import cosine, per_article_max_cosine, sentence_rows
-from statuteqa.dense import HashedProjectionEmbedder, build_dense_index, embed
+from statuteqa.dense import (
+    HashedProjectionEmbedder,
+    build_dense_index,
+    dense_retrieve_topk,
+    embed,
+)
 from statuteqa.ensemble import EnsembleConfig, rank_and_select
 from statuteqa.lexical import build_lex_index, retrieve_topk
 from statuteqa.reranker import (
@@ -476,3 +481,23 @@ def test_load_model_rejects_what_save_model_does_not_write(
     with pytest.raises(ValueError, match=message) as raised:
         load_model(path)
     assert str(path) in str(raised.value)
+
+
+def test_score_batch_is_bit_identical_for_a_ranking_ids_and_articles(synth):
+    """A ranking is read at its positions (a dense one with its sentence
+    cosines); a ranking over another index of the same articles by its ids."""
+    rebuilt = build_lex_index(synth.articles, synth.tok)
+    assert rebuilt.article_ids is not synth.lex.article_ids
+    for query in synth.queries[:10]:
+        question = query.question
+        tokens = tokenize(clean_text(question), synth.tok)
+        for ranked in (
+            synth.ranked(question, 30),
+            dense_retrieve_topk(synth.dense, question, 30, synth.tok),
+            retrieve_topk(rebuilt, tokens, 30),
+        ):
+            ids = ranked.ids()
+            want = _bits(synth.scorer.score_batch(question, ids))
+            assert _bits(synth.scorer.score_batch(question, ranked)) == want
+            articles = [synth.by_id[a] for a in ids]
+            assert _bits(synth.scorer.score_batch(question, articles)) == want
