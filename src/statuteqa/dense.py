@@ -287,8 +287,7 @@ def quickview_dense_score(
     """Max sentence cosine of the articles at ``positions``, in order.
 
     ``cosines`` are one question's ``sentence_cosines``. The maximum is
-    taken over the candidates' sentence ranges only: a ``reduceat`` over
-    every article costs more than all the cosines.
+    taken over the candidates' sentence ranges only.
     """
     positions = np.asarray(positions, dtype=np.int64)
     sentences = int(index.offsets[-1])
@@ -310,27 +309,31 @@ def dense_retrieve_topk(
     """Exhaustive scan of all articles, ranked by max sentence cosine.
 
     Every sentence's cosine comes from its own entries (see
-    ``sentence_cosines``), and ``np.maximum.reduceat`` takes each
-    article's maximum over its rows; ties break by ascending position,
-    which is ascending article id. The ranking carries the sentence
-    cosines, so the reranker's dense feature reads them instead of
-    embedding the question again. A question that embeds to the zero
-    vector (one that cleans to no tokens) has no cosine with anything and
-    retrieves nothing.
+    ``sentence_cosines``), and ``np.maximum.at`` takes each article's
+    maximum over its rows from -inf; ties break by ascending position,
+    which is ascending article id. The ranking carries the question's
+    tokens and sentence cosines, which the reranker's features read. A
+    question that embeds to the zero vector (one that cleans to no tokens)
+    has no cosine with anything and retrieves nothing.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    question_vector = embed(index.embedder, tokenize(clean_text(question), tok))
+    tokens = tuple(tokenize(clean_text(question), tok))
+    question_vector = embed(index.embedder, tokens)
     if not np.any(question_vector):
-        return Ranking(index.article_ids, np.zeros(0, dtype=np.int64), np.zeros(0))
+        return Ranking(
+            index.article_ids, np.zeros(0, dtype=np.int64), np.zeros(0), tokens, None, None
+        )
     cosines = sentence_cosines(index, question_vector)
-    scores = np.maximum.reduceat(cosines, index.offsets[:-1])
+    scores = np.full(len(index.article_ids), -np.inf)
+    article = np.repeat(np.arange(len(scores)), np.diff(index.offsets))
+    np.maximum.at(scores, article, cosines)
     top = np.arange(len(scores))  # positions are in id order
     if top.size > k:
         kth = scores[np.argpartition(scores, -k)[-k]]
         top = np.flatnonzero(scores >= kth)  # keeps every tie at the k-th score
     top = top[np.lexsort((top, -scores[top]))[:k]]
-    return Ranking(index.article_ids, top, scores[top], cosines)
+    return Ranking(index.article_ids, top, scores[top], tokens, cosines, None)
 
 
 def save_dense_index(index: DenseIndex, path: str | Path) -> None:

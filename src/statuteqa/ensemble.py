@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -87,30 +87,31 @@ class Ranking(Sequence):
     Candidate ``i`` is ``article_ids[positions[i]]`` with quickview score
     ``scores[i]``. ``article_ids`` is the index's sorted id tuple, shared
     and not copied; both indexes number their articles by sorted id, so
-    ascending position is ascending id. A dense ranking also carries
-    ``cosines``, the cosine of the question with every sentence of the
-    dense index, from the scan that ranked it; a lexical ranking carries
-    None.
+    ascending position is ascending id. The question view it was ranked
+    from goes with it: the question's ``tokens`` and, for a dense ranking,
+    ``cosines`` (every dense-index sentence's cosine with the question) or,
+    for a lexical one, ``field_scores`` (the ``lexical.score_query`` pass);
+    the other is None.
 
     It reads as the ``(article id, score)`` list it stands for: an integer
     index gives a ``(str, float)`` pair, a slice gives a ``Ranking`` with
-    the same ``cosines``, and it equals any sequence of the same pairs
-    (``cosines`` take no part in equality).
+    the same question view, and it equals any sequence of the same pairs
+    (the question view takes no part in equality).
     """
 
     article_ids: tuple[str, ...]
     positions: np.ndarray  # int64 positions in article_ids
     scores: np.ndarray  # float64 quickview score of each position
-    cosines: np.ndarray | None = None  # float64 per dense-index sentence
+    tokens: tuple[str, ...]  # cleaned question tokens
+    cosines: np.ndarray | None  # dense: float64 per dense-index sentence
+    field_scores: Mapping[str, tuple[np.ndarray, np.ndarray]] | None  # lexical
 
     def __len__(self) -> int:
         return len(self.positions)
 
     def __getitem__(self, item):
         if isinstance(item, slice):
-            return Ranking(
-                self.article_ids, self.positions[item], self.scores[item], self.cosines
-            )
+            return replace(self, positions=self.positions[item], scores=self.scores[item])
         return self.article_ids[self.positions[item]], float(self.scores[item])
 
     def __iter__(self):

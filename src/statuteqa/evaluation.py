@@ -226,6 +226,7 @@ def write_gold_file(queries: Iterable[GoldQuery], path: str | Path) -> None:
 
 
 def save_report(report: EvalReport, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report.to_dict(), handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    """Write the report as indented JSON through ``indexfile.replacing``."""
+    with indexfile.replacing(path) as handle:
+        text = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
+        handle.write(text.encode("utf-8"))

@@ -16,12 +16,13 @@ are arrays over the same columns; an untitled article has title length 0.
 
 Query-time BM25 is a sum of impacts taken in query order, once per token
 occurrence, into float64 accumulators that start at 0.0. ``score_query``
-takes it for every article (the quickview); ``score_columns`` takes it for
-a few given article columns only (the reranker's features). Each article
-thus receives the same additions, in the same order, as a per-article loop
-over the query tokens, and each impact is computed with the same
+takes it for every article in one pass, with each field's count of
+matched distinct query terms; the quickview ranks by the pass and the
+reranker's features read it at the candidates' columns. Each article
+thus receives the same additions, in the same order, as a per-article
+loop over the query tokens, and each impact is computed with the same
 operations in the same order as the scalar formula (idf with
-``math.log``), so both functions equal that loop bit for bit.
+``math.log``), so the pass equals that loop bit for bit.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ __all__ = [
     "LexIndex",
     "build_lex_index",
     "score_query",
-    "score_columns",
     "bm25",
     "retrieve_topk",
     "save_lex_index",
@@ -245,58 +245,33 @@ def build_lex_index(
     )
 
 
-def score_query(index: LexIndex, query: Sequence[str]) -> dict[str, np.ndarray]:
-    """Per-field BM25 of every article column, in one pass over the query's rows.
+def score_query(
+    index: LexIndex, query: Sequence[str]
+) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Per field, the BM25 and the matched distinct query terms of every
+    article column, in one pass over the query's rows.
 
     Each token's row is taken once per occurrence, in query order, and
     ``np.bincount`` adds the entries into zeroed float64 accumulators in
-    that order.
+    that order; a second ``np.bincount`` counts the rows of the distinct
+    tokens.
     """
     n_cols = len(index.article_ids)
-    bm25_by_field = {}
+    scores = {}
     for field in FIELDS:
         matrix = index.stats(field)
         rows = {token: matrix.row(token) for token in query}
         occurrences = [rows[token] for token in query if rows[token] is not None]
         # astype: with no occurrences bincount returns integer zeros
-        bm25_by_field[field] = np.bincount(
+        bm25 = np.bincount(
             _concat(matrix.columns, occurrences),
             weights=_concat(matrix.impact, occurrences),
             minlength=n_cols,
         ).astype(np.float64, copy=False)
-    return bm25_by_field
-
-
-def score_columns(
-    matrix: FieldMatrix, query: Sequence[str], columns: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """One field's BM25 and matched distinct query terms at the given columns.
-
-    ``columns`` may be in any order and repeat. Each distinct query token
-    finds the columns in its row with ``np.searchsorted``; its impact there,
-    or 0.0, is then added once per occurrence, in query order, into zeroed
-    float64 accumulators, so each value equals ``score_query``'s bit for bit
-    without a pass over the other articles.
-    """
-    columns = np.asarray(columns, dtype=matrix.columns.dtype)
-    matched = np.zeros(len(columns), dtype=np.int64)
-    impacts = {}
-    for token in dict.fromkeys(query):
-        row = matrix.row(token)
-        if row is None:
-            continue
-        row_columns = matrix.columns[row]
-        at = row_columns.searchsorted(columns)
-        # a position past the row's end clips to its last entry, which is
-        # smaller than the column sought, so it is no hit
-        hit = row_columns.take(at, mode="clip") == columns
-        matched += hit
-        impacts[token] = np.where(hit, matrix.impact[row].take(at, mode="clip"), 0.0)
-    scores = np.zeros(len(columns), dtype=np.float64)
-    for token in query:
-        if token in impacts:
-            scores += impacts[token]
-    return scores, matched
+        distinct = [row for row in rows.values() if row is not None]
+        matched = np.bincount(_concat(matrix.columns, distinct), minlength=n_cols)
+        scores[field] = bm25, matched
+    return scores
 
 
 def _concat(values: np.ndarray, rows: Sequence[slice]) -> np.ndarray:
@@ -313,7 +288,7 @@ def bm25(index: LexIndex, field: str, query: Sequence[str], article_id: str) -> 
     column = index.column.get(article_id)
     if column is None:
         return 0.0
-    return float(score_query(index, query)[field][column])
+    return float(score_query(index, query)[field][0][column])
 
 
 def retrieve_topk(
@@ -326,6 +301,7 @@ def retrieve_topk(
 
     Only articles with score > 0 are returned; ties break by ascending
     column, which is ascending article id, for a deterministic total order.
+    The ranking carries the query and its ``score_query`` pass.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -333,16 +309,16 @@ def retrieve_topk(
     field_scores = score_query(index, query)
     scores = np.zeros(len(index.article_ids), dtype=np.float64)
     if cfg.alpha:
-        scores += cfg.alpha * field_scores["title"]
+        scores += cfg.alpha * field_scores["title"][0]
     if cfg.beta:
-        scores += cfg.beta * field_scores["content"]
+        scores += cfg.beta * field_scores["content"][0]
     hits = np.flatnonzero(scores > 0.0)
     if hits.size > k:
         values = scores[hits]
         kth = values[np.argpartition(values, -k)[-k]]
         hits = hits[values >= kth]  # keeps every tie at the k-th score
     top = hits[np.lexsort((hits, -scores[hits]))[:k]]
-    return Ranking(index.article_ids, top, scores[top])
+    return Ranking(index.article_ids, top, scores[top], tuple(query), None, field_scores)
 
 
 def save_lex_index(index: LexIndex, path: str | Path) -> None:

@@ -309,8 +309,9 @@ class Pipeline:
     def quickview_rank(self, question: str, k: int) -> Ranking:
         """The ``k`` best candidates of the configured quickview, as index
         positions and scores: fielded BM25 (``"lexical"``) or max sentence
-        cosine (``"dense"``, whose ranking carries the sentence cosines the
-        reranker's dense feature reads)."""
+        cosine (``"dense"``). The ranking carries the question's tokens and
+        its BM25 pass or sentence cosines, which the reranker's features
+        read, so an answer tokenizes its question once."""
         if self.ensemble_cfg.quickview_source == "dense":
             return dense_retrieve_topk(self.dense, question, k, self.tok)
         tokens = tokenize(clean_text(question), self.tok)

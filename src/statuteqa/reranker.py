@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 from itertools import groupby, repeat
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from . import indexfile
 from .corpus import Article, TokenizerConfig, clean_text, tokenize
 from .dense import DenseIndex, embed, quickview_dense_score, sentence_cosines
 from .ensemble import Ranking
-from .lexical import LexIndex, score_columns
+from .lexical import LexIndex, score_query
 from .lineproto import LineProtocolClient, ProtocolError, finite_real
 from .weak_label import TrainingExample
 
@@ -89,23 +89,24 @@ def extract_features(
     tokens: Sequence[str],
     columns: np.ndarray,
     dense_scores: np.ndarray,
+    field_scores: Mapping[str, tuple[np.ndarray, np.ndarray]],
     lex: LexIndex,
     log_content_len: np.ndarray,
 ) -> np.ndarray:
     """The (k, NUM_FEATURES) feature matrix of the articles at lexical ``columns``.
 
     ``tokens`` are the cleaned question tokens in order, ``dense_scores``
-    the articles' max sentence cosines with the question, and
+    the articles' max sentence cosines with the question, ``field_scores``
+    the tokens' ``score_query`` pass, read at ``columns``, and
     ``log_content_len`` is ``math.log1p`` of every lexical column's
-    content length. BM25 and matched terms are taken at these
-    columns only (no article text is tokenized). Each feature is one
+    content length. No article text is tokenized. Each feature is one
     column, computed elementwise with the scalar formula's operations in
     its order, so a row does not depend on the other articles in the
     batch. A missing title zeroes the title features.
     """
     distinct = len(set(tokens))
-    title_bm25, title_matched = score_columns(lex.title, tokens, columns)
-    content_bm25, content_matched = score_columns(lex.content, tokens, columns)
+    title_bm25, title_matched = (scores[columns] for scores in field_scores["title"])
+    content_bm25, content_matched = (scores[columns] for scores in field_scores["content"])
     x = np.empty((len(columns), NUM_FEATURES), dtype=np.float64)
     x[:, 0] = _saturate(title_bm25)
     x[:, 1] = _saturate(content_bm25)
@@ -124,9 +125,9 @@ class FeatureExtractor:
     The two indexes number their articles alike (lexical column = dense
     position), so a quickview ``Ranking`` over either index is read at its
     positions, and candidate ids are mapped to columns once per batch.
-    Holds no per-question state: each call tokenizes the question, reads
-    or computes its sentence cosines and drops them when done, so memory
-    does not grow with the questions asked.
+    Holds no per-question state: each call reads or computes the question's
+    tokens, BM25 pass and sentence cosines and drops them when done, so
+    memory does not grow with the questions asked.
     """
 
     def __init__(
@@ -149,27 +150,28 @@ class FeatureExtractor:
         """Feature rows of the candidates, in order: a ``Ranking`` over these
         indexes, or article ids; raises for an id outside the indexes.
 
-        The dense feature reads a dense ranking's sentence cosines. Only
-        without them is the question embedded and every sentence scored.
+        What a ranking carries (tokens, BM25 pass or sentence cosines) is
+        read, not computed again; only what it lacks comes from ``question``.
         """
-        columns, cosines = self._columns(candidates)
-        tokens = tokenize(clean_text(question), self.tok)
+        columns, tokens, cosines, field_scores = self._view(question, candidates)
         if cosines is None:
             cosines = sentence_cosines(self.dense, embed(self.dense.embedder, tokens))
+        if field_scores is None:
+            field_scores = score_query(self.lex, tokens)
         dense_scores = quickview_dense_score(self.dense, cosines, columns)
         return extract_features(
-            tokens, columns, dense_scores, self.lex, self.log_content_len
+            tokens, columns, dense_scores, field_scores, self.lex, self.log_content_len
         )
 
-    def _columns(
-        self, candidates: Ranking | Sequence[str]
-    ) -> tuple[np.ndarray, np.ndarray | None]:
-        """The candidates' columns, and the sentence cosines a ranking over
-        these indexes carries (None for ids and lexical rankings)."""
+    def _view(self, question: str, candidates: Ranking | Sequence[str]):
+        """The candidates' columns, and the question's tokens, sentence
+        cosines and BM25 pass as a ranking over these indexes carries them;
+        for ids, the tokens of ``question`` and None for the rest."""
         if isinstance(candidates, Ranking):
             ids = candidates.article_ids
             if ids is self.lex.article_ids or ids is self.dense.article_ids:
-                return candidates.positions, candidates.cosines
+                c = candidates
+                return c.positions, c.tokens, c.cosines, c.field_scores
             candidates = candidates.ids()  # a ranking over other indexes
         columns = np.fromiter(
             map(self.lex.column.get, candidates, repeat(-1)),
@@ -178,7 +180,7 @@ class FeatureExtractor:
         if columns.size and columns.min() < 0:
             missing = candidates[int(np.argmin(columns))]
             raise ValueError(f"article {missing!r} not in the indexes")
-        return columns, None
+        return columns, tokenize(clean_text(question), self.tok), None, None
 
     def matrix(
         self, examples: Sequence[TrainingExample]

@@ -29,8 +29,9 @@ def _jaccard(matched, question_terms, article_terms):
 
 
 def whole_corpus_scores(lex, tokens):
-    """Per-field BM25 and matched distinct query terms of every column."""
-    bm25 = score_query(lex, tokens)
+    """Per-field BM25 and matched distinct query terms of every column; the
+    counts are taken here, not from ``score_query``'s pass."""
+    bm25 = {field: scores[0] for field, scores in score_query(lex, tokens).items()}
     matched = {}
     for field in ("title", "content"):
         matrix = lex.stats(field)

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import fusion_oracle
+from statuteqa.corpus import clean_text, tokenize
 from statuteqa.dense import dense_retrieve_topk
-from statuteqa.lexical import QuickviewConfig
+from statuteqa.lexical import QuickviewConfig, score_query
 from statuteqa.pipeline import Pipeline, PipelineConfig
 from statuteqa.ensemble import (
     DEFAULT_THRESHOLDS,
@@ -347,4 +348,20 @@ def test_dense_ranking_carries_its_sentence_cosines(synth):
     assert ranked.cosines.shape == (int(synth.dense.offsets[-1]),)
     assert ranked[:4].cosines is ranked.cosines
     assert ranked == dataclasses.replace(ranked, cosines=None)
+    assert ranked.tokens == tuple(tokenize(clean_text(question), synth.tok))
+    assert ranked.field_scores is None
     assert synth.ranked(question, 10).cosines is None
+
+
+def test_lexical_ranking_carries_its_bm25_pass(synth):
+    question = synth.queries[2].question
+    tokens = tokenize(clean_text(question), synth.tok)
+    ranked = synth.ranked(question, 10)
+    assert ranked.tokens == tuple(tokens)
+    want = score_query(synth.lex, tokens)
+    for field in ("title", "content"):
+        for got, expected in zip(ranked.field_scores[field], want[field]):
+            assert got.tobytes() == expected.tobytes()
+    head = ranked[:4]
+    assert head.field_scores is ranked.field_scores and head.tokens is ranked.tokens
+    assert ranked == dataclasses.replace(ranked, field_scores=None)

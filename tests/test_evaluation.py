@@ -247,3 +247,14 @@ def test_report_file_shape(tmp_path):
     data = json.loads(path.read_text())
     assert data["recall_at_k"] == {"10": 0.5}
     assert data["queries"] == 2
+
+
+def test_report_write_that_fails_midway_leaves_the_old_report(tmp_path):
+    path = tmp_path / "report.json"
+    save_report(EvalReport(recall_at_k={10: 0.5}, queries=2), path)
+    before = path.read_bytes()
+    broken = EvalReport(queries=2, per_query=[{"question_id": "q1"}, {"bad": object()}])
+    with pytest.raises(TypeError):
+        save_report(broken, path)
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]  # the partial file is removed

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from statuteqa import cli, dense, lineproto, reranker
+from statuteqa import cli, dense, lexical, lineproto, reranker
 from statuteqa import corpus as corpus_mod
 from statuteqa import pipeline as pipeline_mod
 from statuteqa.cli import main
@@ -463,29 +463,57 @@ def test_dense_question_without_tokens_has_no_candidates(synth):
     assert answer.returned == ()
 
 
-def test_dense_answer_embeds_its_question_once(synth, monkeypatch):
-    """The reranker's dense feature reads the sentence cosines of the dense
-    quickview's scan instead of embedding the question again."""
+def _counting(monkeypatch, module, name):
+    """Calls of ``module.name``, made through any package module that
+    imported it."""
     calls = []
-    original = dense.embed
+    original = getattr(module, name)
 
     def counting(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    for module in (dense, reranker):
-        monkeypatch.setattr(module, "embed", counting)
+    for owner in (corpus_mod, lexical, dense, reranker, pipeline_mod):
+        if getattr(owner, name, None) is original:
+            monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def test_dense_answer_embeds_its_question_once(synth, monkeypatch):
+    """The reranker's features read the tokens and sentence cosines of the
+    dense quickview's scan instead of tokenizing and embedding the question
+    again."""
+    calls = _counting(monkeypatch, dense, "embed")
+    tokenized = _counting(monkeypatch, corpus_mod, "tokenize")
     cfg = PipelineConfig(quickview_source="dense", top_k=10)
     pipeline = Pipeline(cfg, synth.articles, synth.lex, synth.dense, synth.scorer)
     query = synth.queries[0]
     answer = pipeline.answer(query.question_id, query.question)
-    assert answer.returned and len(calls) == 1
+    assert answer.returned and len(calls) == 1 and len(tokenized) == 1
     # scoring the candidates' articles embeds afresh and ranks alike
     ranked = pipeline.quickview_rank(query.question, cfg.top_k)
     assert answer == rank_and_select(
         query.question_id, query.question, ranked, synth.scorer, synth.by_id,
         pipeline.ensemble_cfg,
     )
+
+
+def test_lexical_answer_tokenizes_and_scores_bm25_once(synth, monkeypatch):
+    """The reranker's features read the tokens and the BM25 pass of the
+    lexical quickview, in ``answer`` and in ``eval``'s ``answer_ranked``."""
+    tokenized = _counting(monkeypatch, corpus_mod, "tokenize")
+    scored = _counting(monkeypatch, lexical, "score_query")
+    cfg = PipelineConfig(top_k=10)
+    pipeline = Pipeline(cfg, synth.articles, synth.lex, synth.dense, synth.scorer)
+    query = synth.queries[0]
+    answer = pipeline.answer(query.question_id, query.question)
+    assert answer.returned
+    assert (len(tokenized), len(scored)) == (1, 1)
+    tokenized.clear()
+    scored.clear()
+    ranked = pipeline.quickview_rank(query.question, 50)  # as eval ranks for recall
+    assert pipeline.answer_ranked(query.question_id, query.question, ranked) == answer
+    assert (len(tokenized), len(scored)) == (1, 1)
 
 
 def test_query_rejects_an_index_built_with_other_bm25_parameters(
