@@ -355,10 +355,15 @@ def _cmd_eval(cfg: PipelineConfig, args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(cfg: PipelineConfig, bind: str) -> int:
+    host, port = server_mod.parse_bind(bind)
     pipeline = Pipeline.load(cfg)
     try:
-        print(f"serving on http://{bind}  (GET /answer?q=...&k=..., GET /healthz)")
-        server_mod.serve(pipeline, bind)
+        with server_mod.make_server(pipeline, host, port) as server:
+            port = server.server_address[1]
+            print(f"serving on http://{host}:{port}  (GET /answer?q=...&k=..., GET /healthz)",
+                  flush=True)
+            with contextlib.suppress(KeyboardInterrupt):
+                server.serve_forever()
     finally:
         pipeline.close()
     return 0

@@ -284,8 +284,20 @@ def train_stage(
     if not data:
         raise ValueError("training data is empty")
     x, y = extractor.matrix(data)
-    xv, yv = (extractor.matrix(valid)) if valid else (None, None)
+    xv, yv = extractor.matrix(valid) if valid else (None, None)
+    return _fit(model, x, y, xv, yv, cfg, stage)
 
+
+def _fit(
+    model: LinearModel,
+    x: np.ndarray,
+    y: np.ndarray,
+    xv: np.ndarray | None,
+    yv: np.ndarray | None,
+    cfg: TrainConfig,
+    stage: str,
+) -> LinearModel:
+    """``train_stage`` on feature matrices; ``xv`` is None without validation."""
     weights = model.weights.copy()
     m = np.zeros_like(weights)
     v = np.zeros_like(weights)
@@ -357,15 +369,16 @@ def train_two_stage(
     extractor: FeatureExtractor,
 ) -> LinearModel:
     """Weak pretraining from zero weights, then gold fine-tuning from the
-    best pretrained weights."""
+    best pretrained weights. Both stages early-stop on one validation
+    feature matrix."""
     if not weak:
         raise ValueError("weak dataset is empty")
     if not gold:
         raise ValueError("gold dataset is empty")
-    pretrained = train_stage(
-        zero_model(), weak, valid, cfg, extractor, stage="weak_pretrain"
-    )
-    tuned = train_stage(pretrained, gold, valid, cfg, extractor, stage="gold_finetune")
+    x, y = extractor.matrix(weak)
+    xv, yv = extractor.matrix(valid) if valid else (None, None)
+    pretrained = _fit(zero_model(), x, y, xv, yv, cfg, "weak_pretrain")
+    tuned = _fit(pretrained, *extractor.matrix(gold), xv, yv, cfg, "gold_finetune")
     metadata = dict(tuned.metadata)
     metadata["stage"] = "two_stage"
     metadata["stages"] = [pretrained.metadata, tuned.metadata]

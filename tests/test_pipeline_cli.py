@@ -3,6 +3,7 @@ import dataclasses
 import fcntl
 import json
 import os
+import socketserver
 import subprocess
 import sys
 
@@ -620,6 +621,31 @@ def test_eval_rejects_bad_cutoffs_before_loading(tmp_path, capsys, k):
     missing = ["--corpus-path", str(tmp_path / "none.jsonl")]
     assert main(["eval", *missing, "--k", k]) == 2
     assert "invalid --k list" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bind", ["127.0.0.1:99999", "127.0.0.1:-1", "127.0.0.1:", ":80", "8080"])
+def test_serve_rejects_a_bad_bind_before_loading(tmp_path, capsys, monkeypatch, bind):
+    def load(cfg):
+        raise AssertionError("loaded before the bind address was checked")
+
+    monkeypatch.setattr(Pipeline, "load", load)
+    missing = ["--corpus-path", str(tmp_path / "none.jsonl")]
+    assert main(["serve", *missing, "--bind", bind]) == 1
+    assert "bind address must be host:port" in capsys.readouterr().err
+
+
+def test_serve_announces_the_port_it_bound(workspace, capsys, monkeypatch):
+    root, base, _ = workspace
+    served = []
+
+    def interrupted(server, poll_interval=0.5):
+        served.append(server.server_address[1])
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(socketserver.BaseServer, "serve_forever", interrupted)
+    assert main(base + ["serve", "--bind", "127.0.0.1:0"]) == 0
+    assert served[0] != 0
+    assert capsys.readouterr().out.startswith(f"serving on http://127.0.0.1:{served[0]} ")
 
 
 @pytest.mark.parametrize("mode", [["--end-to-end"], []])

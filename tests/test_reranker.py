@@ -401,6 +401,29 @@ def test_two_stage_metadata_and_continuity():
     assert stage2["initial_weights"] == pretrained.weights.tolist()
 
 
+def test_two_stage_builds_the_validation_matrix_once():
+    class CountingExtractor(ToyExtractor):
+        def __init__(self):
+            self.asked = []
+
+        def matrix(self, examples):
+            self.asked.append(examples)
+            return super().matrix(examples)
+
+    cfg = TrainConfig(epochs=10, rng_seed=0)
+    weak = _toy_examples(40)
+    gold = [TrainingExample(f"g{i}", f"a{i}", i % 2, "gold") for i in range(20)]
+    valid = [TrainingExample(f"v{i}", f"a{i}", i % 2, "gold") for i in range(10)]
+    counting = CountingExtractor()
+    model = train_two_stage(weak, gold, valid, cfg, counting)
+    assert [examples is valid for examples in counting.asked] == [False, True, False]
+    toy = ToyExtractor()
+    pretrained = train_stage(zero_model(), weak, valid, cfg, toy, stage="weak_pretrain")
+    tuned = train_stage(pretrained, gold, valid, cfg, toy, stage="gold_finetune")
+    assert np.array_equal(model.weights, tuned.weights)
+    assert model.metadata["stages"] == [pretrained.metadata, tuned.metadata]
+
+
 def test_two_stage_rejects_empty_datasets():
     cfg = TrainConfig(epochs=1)
     with pytest.raises(ValueError, match="weak"):
