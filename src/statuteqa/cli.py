@@ -202,10 +202,14 @@ def _cmd_index(cfg: PipelineConfig) -> int:
         f"({stats.titled} titled, {stats.missing_title} untitled, "
         f"{stats.dropped_empty_content} dropped empty)"
     )
-    print(f"lexical index: {cfg.lex_index_path} (tokenizer {tok.fingerprint()})")
+    lex_bytes, dense_bytes = map(os.path.getsize, outputs)
     print(
-        f"dense index: {cfg.dense_index_path} "
-        f"(embedder {dense.embedder_fingerprint}, {excluded} articles without sentences)"
+        f"lexical index: {cfg.lex_index_path} ({lex_bytes} bytes, "
+        f"tokenizer {tok.fingerprint()})"
+    )
+    print(
+        f"dense index: {cfg.dense_index_path} ({dense_bytes} bytes, "
+        f"embedder {dense.embedder_fingerprint}, {excluded} articles without sentences)"
     )
     return 0
 

@@ -11,6 +11,7 @@ import hashlib
 import io
 import json
 import re
+import unicodedata
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -33,6 +34,7 @@ __all__ = [
 ]
 
 PHRASE_JOINER = "_"
+NORMAL_FORM = "NFC"  # the Unicode normal form clean_text cuts tokens from
 
 _SENTENCE_DELIMS = re.compile(r"[.;?!\n]")
 # UTF-8 cannot encode a lone surrogate, which JSON can escape ("\ud800")
@@ -89,19 +91,25 @@ class TokenizerConfig:
         object.__setattr__(self, "_phrases_by_first", by_first)
 
     def fingerprint(self) -> str:
-        payload = self.mode + "|" + ",".join(sorted(self.phrase_lexicon))
+        # the normal form tag: tokens are cut from NFC text (see clean_text)
+        payload = f"{NORMAL_FORM}|{self.mode}|" + ",".join(sorted(self.phrase_lexicon))
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
 def clean_text(raw: str) -> str:
-    """Lowercase and keep only letters (any script) and decimal digits.
+    """NFC-normalize, lowercase and keep only letters (any script) and
+    decimal digits.
 
     Every run of other characters collapses to a single space; the result
-    has no leading or trailing space. Idempotent.
+    has no leading or trailing space. Idempotent. Composing first keeps a
+    decomposed letter whole: NFD "người" has combining marks, which are
+    not letters, but cleans to the same "người" as its NFC form. A mark
+    that NFC does not compose (such as the dot of ``"İ".lower()``) still
+    breaks the word.
     """
     out: list[str] = []
     space_pending = False
-    for ch in raw.lower():
+    for ch in unicodedata.normalize(NORMAL_FORM, raw).lower():
         if ch.isalpha() or ch.isdecimal():
             if space_pending and out:
                 out.append(" ")
@@ -114,7 +122,8 @@ def clean_text(raw: str) -> str:
 
 def _has_text(raw: str) -> bool:
     """Whether ``clean_text(raw)`` is non-empty, without building it."""
-    return any(ch.isalpha() or ch.isdecimal() for ch in raw.lower())
+    text = unicodedata.normalize(NORMAL_FORM, raw).lower()
+    return any(ch.isalpha() or ch.isdecimal() for ch in text)
 
 
 def tokenize(text: str, cfg: TokenizerConfig | None = None) -> list[str]:

@@ -40,7 +40,7 @@ __all__ = [
 ]
 
 DENSE_INDEX_FORMAT = "statuteqa.denseindex"
-DENSE_INDEX_VERSION = 5
+DENSE_INDEX_VERSION = 6
 _LAYOUT = {
     "offsets": (np.int64, 1),
     "colptr": (np.int64, 1),
@@ -181,10 +181,12 @@ class DenseIndex:
     ``colptr[c]:colptr[c + 1]``; every other value is 0. Rows are unit or
     zero vectors.
     ``embedder`` embeds questions; its fingerprint is the index's.
-    Immutable after build; safe for concurrent readers.
+    ``tokenizer_fingerprint`` is that of the tokenizer the sentences were
+    tokenized with. Immutable after build; safe for concurrent readers.
     """
 
     embedder_fingerprint: str
+    tokenizer_fingerprint: str
     dimension: int
     article_ids: tuple[str, ...]
     offsets: np.ndarray  # int64, articles + 1, into the sentence rows
@@ -244,6 +246,7 @@ def build_dense_index(
 
     index = DenseIndex(
         embedder_fingerprint=embedder.fingerprint(),
+        tokenizer_fingerprint=tok.fingerprint(),
         dimension=embedder.dimension,
         article_ids=tuple(article_ids),
         offsets=offsets,
@@ -344,6 +347,7 @@ def save_dense_index(index: DenseIndex, path: str | Path) -> None:
     """
     header = {
         "embedder_fingerprint": index.embedder_fingerprint,
+        "tokenizer_fingerprint": index.tokenizer_fingerprint,
         "corpus_digest": index.corpus_digest,
         "dimension": index.dimension,
         "article_ids": list(index.article_ids),
@@ -353,16 +357,24 @@ def save_dense_index(index: DenseIndex, path: str | Path) -> None:
     indexfile.save(path, DENSE_INDEX_FORMAT, DENSE_INDEX_VERSION, header, arrays)
 
 
-def load_dense_index(path: str | Path, embedder: Embedder) -> DenseIndex:
-    """Load a persisted dense index built with ``embedder``.
+def load_dense_index(
+    path: str | Path, embedder: Embedder, expected_fingerprint: str
+) -> DenseIndex:
+    """Load a persisted dense index built with ``embedder`` and the
+    tokenizer of fingerprint ``expected_fingerprint``.
 
-    The file must record ``embedder``'s fingerprint and dimension; the
-    loaded index embeds questions with it.
+    The file must record ``embedder``'s fingerprint and dimension and the
+    tokenizer's fingerprint; the loaded index embeds questions with
+    ``embedder``.
     """
     fingerprint, dimension = embedder.fingerprint(), embedder.dimension
     header, arrays = indexfile.load(
         path, DENSE_INDEX_FORMAT, DENSE_INDEX_VERSION, _LAYOUT,
-        {"embedder_fingerprint": fingerprint, "dimension": dimension},
+        {
+            "embedder_fingerprint": fingerprint,
+            "tokenizer_fingerprint": expected_fingerprint,
+            "dimension": dimension,
+        },
     )
     ids = header["article_ids"]
     offsets, colptr, gaps, data = (arrays[name] for name in _LAYOUT)
@@ -376,6 +388,7 @@ def load_dense_index(path: str | Path, embedder: Embedder) -> DenseIndex:
     indexfile.require(bool(np.all(np.isfinite(data))), path, "data not finite")
     return DenseIndex(
         embedder_fingerprint=fingerprint,
+        tokenizer_fingerprint=expected_fingerprint,
         dimension=dimension,
         article_ids=tuple(ids),
         offsets=offsets,

@@ -57,7 +57,7 @@ __all__ = [
 FIELDS = ("title", "content")
 
 LEX_INDEX_FORMAT = "statuteqa.lexindex"
-LEX_INDEX_VERSION = 4
+LEX_INDEX_VERSION = 5
 
 # The FieldMatrix arrays an index file holds for each field, with their dtypes
 _SAVED = {"indptr": np.int64, "columns": np.int32, "tf": np.int32, "lengths": np.int64}
@@ -137,7 +137,7 @@ class LexIndex:
     column: Mapping[str, int] = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        column = {article_id: c for c, article_id in enumerate(self.article_ids)}
+        column = dict(zip(self.article_ids, range(len(self.article_ids))))
         object.__setattr__(self, "column", column)
 
     def stats(self, field: str) -> FieldMatrix:
@@ -173,10 +173,12 @@ def _field_matrix(
     idf_rows = idf_df[row_df]
     k1, b = params.k1, params.b
     tf_f = tf.astype(np.float64)
-    norm = k1 * (1.0 - b + b * lengths[columns] / avgdl)
-    impact = np.repeat(idf_rows, df) * tf_f * (k1 + 1.0) / (tf_f + norm)
+    # per column, then gathered; avgdl is 0 only when no column has tokens
+    # (no postings), so the stand-in divisor is never read
+    norm = k1 * (1.0 - b + b * lengths / (avgdl or 1.0))
+    impact = np.repeat(idf_rows, df) * tf_f * (k1 + 1.0) / (tf_f + norm[columns])
     return FieldMatrix(
-        terms={term: r for r, term in enumerate(terms)},
+        terms=dict(zip(terms, range(len(terms)))),
         indptr=indptr,
         columns=columns,
         tf=tf,

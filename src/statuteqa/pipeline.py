@@ -190,15 +190,16 @@ def close_all(*resources) -> None:
 def load_artifacts(cfg: PipelineConfig) -> tuple[LexIndex, DenseIndex]:
     """Both indexes, checked against the config, each other and the corpus.
 
-    Every command that reads the indexes loads them here. The lexical
-    index must record the configured tokenizer and BM25 ``k1`` and ``b``,
-    the dense index the configured embedder (which it then uses for
+    Every command that reads the indexes loads them here. Both indexes
+    must record the configured tokenizer, the lexical index BM25 ``k1`` and
+    ``b``, the dense index the configured embedder (which it then uses for
     questions), and both the sha256 of the corpus file's bytes: the corpus
     is checked with one hash and is not parsed (see ``load_articles``). The
     caller owns ``dense.embedder`` and closes it; when loading fails it is
     closed here.
     """
-    lex = load_lex_index(cfg.lex_index_path, cfg.tokenizer_config().fingerprint())
+    tokenizer = cfg.tokenizer_config().fingerprint()
+    lex = load_lex_index(cfg.lex_index_path, tokenizer)
     if lex.params != cfg.bm25_params():
         raise ValueError(
             f"{cfg.lex_index_path}: index built with BM25 k1={lex.params.k1}, "
@@ -206,7 +207,7 @@ def load_artifacts(cfg: PipelineConfig) -> tuple[LexIndex, DenseIndex]:
         )
     embedder = cfg.make_embedder()
     try:
-        dense = load_dense_index(cfg.dense_index_path, embedder)
+        dense = load_dense_index(cfg.dense_index_path, embedder, tokenizer)
         digest = file_digest(cfg.corpus_path)
         for path, index in ((cfg.lex_index_path, lex), (cfg.dense_index_path, dense)):
             _require_corpus(cfg, path, index.corpus_digest, digest)

@@ -141,10 +141,11 @@ class FeatureExtractor:
         self.lex = lex
         self.dense = dense
         self.tok = tok or TokenizerConfig()
-        # math.log1p, not np.log1p, whose last bits may differ
-        self.log_content_len = np.array(
-            [math.log1p(n) for n in lex.content.lengths.tolist()], dtype=np.float64
-        )
+        # math.log1p, not np.log1p, whose last bits may differ; once per
+        # distinct length
+        lengths, column_length = np.unique(lex.content.lengths, return_inverse=True)
+        log1p = [math.log1p(n) for n in lengths.tolist()]
+        self.log_content_len = np.array(log1p, dtype=np.float64)[column_length]
 
     def rows(self, question: str, candidates: Ranking | Sequence[str]) -> np.ndarray:
         """Feature rows of the candidates, in order: a ``Ranking`` over these

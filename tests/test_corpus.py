@@ -1,4 +1,5 @@
 import json
+import unicodedata
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -6,6 +7,7 @@ from hypothesis import example, given, strategies as st
 from statuteqa.corpus import (
     CorpusFormatError,
     TokenizerConfig,
+    _has_text,
     clean_text,
     iter_articles,
     parse_corpus,
@@ -33,6 +35,22 @@ def test_clean_text_strips_symbols_and_punctuation():
 def test_clean_text_idempotent(raw):
     cleaned = clean_text(raw)
     assert clean_text(cleaned) == cleaned
+
+
+def test_decomposed_vietnamese_cleans_like_its_composed_form():
+    """A combining mark is not a letter, so decomposed (NFD) text used to
+    split inside syllables: "người" cleaned to "ngu o i"."""
+    assert clean_text(unicodedata.normalize("NFD", "người")) == "người"
+    nfd = unicodedata.normalize("NFD", "Bộ luật Dân sự")
+    assert clean_text(nfd) == "bộ luật dân sự"
+
+
+@given(st.text())
+def test_clean_text_is_equal_for_canonically_equivalent_text(raw):
+    for form in ("NFC", "NFD"):
+        equivalent = unicodedata.normalize(form, raw)
+        assert clean_text(equivalent) == clean_text(raw)
+        assert _has_text(equivalent) == bool(clean_text(raw))
 
 
 @given(st.text())
@@ -102,8 +120,8 @@ def test_tokenizer_config_identity_is_its_mode_and_lexicon():
     rebuilt = TokenizerConfig("whitespace_with_phrase_merge", ["bộ luật"])
     assert rebuilt == PHRASE_CFG and hash(rebuilt) == hash(PHRASE_CFG)
     assert repr(rebuilt) == repr(PHRASE_CFG)
-    assert TokenizerConfig().fingerprint() == "786c1d89c27467a4"
-    assert PHRASE_CFG.fingerprint() == "b26d6a470434c5a3"
+    assert TokenizerConfig().fingerprint() == "addf2d5adc1b6cb7"
+    assert PHRASE_CFG.fingerprint() == "6d2a1831eb7869d1"
 
 
 def test_tokenizer_config_validation():

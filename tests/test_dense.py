@@ -14,7 +14,7 @@ from dense_oracle import (
     sentence_rows,
 )
 from statuteqa import indexfile
-from statuteqa.corpus import Article, clean_text, split_sentences, tokenize
+from statuteqa.corpus import Article, TokenizerConfig, clean_text, split_sentences, tokenize
 from statuteqa.dense import (
     HashedProjectionEmbedder,
     build_dense_index,
@@ -27,6 +27,7 @@ from statuteqa.dense import (
 )
 
 EMB = HashedProjectionEmbedder(dimension=64, seed=0)
+TOK = TokenizerConfig().fingerprint()
 
 def positions(index, article_ids):
     """The articles' positions in the index (their lexical columns)."""
@@ -232,7 +233,7 @@ def test_save_load_round_trip(tiny_articles, tmp_path):
     index, _ = build_dense_index(tiny_articles, EMB)
     path = tmp_path / "dense.bin"
     save_dense_index(index, path)
-    loaded = load_dense_index(path, EMB)
+    loaded = load_dense_index(path, EMB, TOK)
     assert loaded.embedder_fingerprint == index.embedder_fingerprint
     assert loaded.article_ids == index.article_ids
     assert loaded.corpus_digest == index.corpus_digest
@@ -260,9 +261,9 @@ def test_load_fingerprint_mismatch(tiny_articles, tmp_path):
     path = tmp_path / "dense.bin"
     save_dense_index(index, path)
     with pytest.raises(ValueError, match="fingerprint mismatch"):
-        load_dense_index(path, HashedProjectionEmbedder(32, seed=0))
+        load_dense_index(path, HashedProjectionEmbedder(32, seed=0), TOK)
     with pytest.raises(ValueError, match="fingerprint mismatch"):
-        load_dense_index(path, HashedProjectionEmbedder(64, seed=9))
+        load_dense_index(path, HashedProjectionEmbedder(64, seed=9), TOK)
 
 
 def test_file_with_an_embedder_spec_header_still_loads(tiny_articles, tmp_path):
@@ -277,7 +278,7 @@ def test_file_with_an_embedder_spec_header_still_loads(tiny_articles, tmp_path):
     arrays = {name: getattr(index, name) for name in ("offsets", "colptr", "rows", "data")}
     arrays["rows"] = indexfile.gap_encode(index.colptr, index.rows)
     indexfile.save(path, header["format"], header["version"], header, arrays)
-    loaded = load_dense_index(path, EMB)
+    loaded = load_dense_index(path, EMB, TOK)
     assert loaded.embedder is EMB
     assert np.array_equal(loaded.data, index.data)
     assert dense_retrieve_topk(loaded, "Breach causes damages", 1)[0][0] == "d1#1"

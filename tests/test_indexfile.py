@@ -1,6 +1,6 @@
 """Index files are checked on load: anything but a well-formed file of the
 current format raises ValueError naming the path, and no array is ever
-unpickled."""
+unpickled. Integer arrays are stored as byte planes and rebuilt exactly."""
 
 import dataclasses
 import functools
@@ -9,8 +9,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from statuteqa import indexfile
+from statuteqa import dense, indexfile, lexical
 from statuteqa.corpus import Article, TokenizerConfig
 from statuteqa.dense import (
     DENSE_INDEX_VERSION,
@@ -27,6 +28,7 @@ from statuteqa.lexical import (
 )
 
 KINDS = ("lex", "dense")
+LAYOUT = {**lexical._LAYOUT, **dense._LAYOUT}  # every saved array's (dtype, ndim)
 VERSIONS = {"lex": LEX_INDEX_VERSION, "dense": DENSE_INDEX_VERSION}
 SPRUNG = []
 
@@ -52,7 +54,7 @@ def indexes(tiny_articles):
             load_lex_index, expected_fingerprint=tok.fingerprint()
         )),
         "dense": (dense, save_dense_index, functools.partial(
-            load_dense_index, embedder=embedder
+            load_dense_index, embedder=embedder, expected_fingerprint=tok.fingerprint()
         )),
     }
 
@@ -65,10 +67,31 @@ def _saved(indexes, kind, tmp_path):
 
 
 def _read(path):
+    """A saved file's header and arrays, integer arrays rebuilt from their
+    byte planes; ``_write`` stores them as planes again."""
+    header, stored = _read_stored(path)
+    arrays = {
+        name: indexfile.from_planes(path, name, array, LAYOUT[name][0])
+        if array.dtype == np.uint8 else array
+        for name, array in stored.items()
+    }
+    return header, arrays
+
+
+def _read_stored(path):
+    """A saved file's header and arrays as stored."""
     with gzip.open(path, "rb") as stream:
         header = json.loads(stream.readline())
-        arrays = {name: np.lib.format.read_array(stream) for name in header["arrays"]}
-    return header, arrays
+        stored = {name: np.lib.format.read_array(stream) for name in header["arrays"]}
+    return header, stored
+
+
+def _write_stored(path, header, stored):
+    """A file of ``header`` and ``stored`` arrays, written as they are."""
+    with gzip.open(path, "wb") as out:
+        out.write(json.dumps(header).encode("utf-8") + b"\n")
+        for array in stored.values():
+            np.lib.format.write_array(out, array)
 
 
 def _write(path, header, arrays):
@@ -232,7 +255,9 @@ DISAGREEMENTS = {
     ),
     "data short": ("dense", "data", lambda a: a[:-1], "rows but"),
     "data not finite": ("dense", "data", lambda a: np.where(a == a[0], np.nan, a), "not finite"),
-    "offsets dtype": ("dense", "offsets", lambda a: a.astype(np.int32), "offsets is not 1-d int64"),
+    "offsets stored as float64": (
+        "dense", "offsets", lambda a: a.astype(np.float64), "offsets is not .* byte planes of int64"
+    ),
     "column out of range": (
         "lex", "content.columns", lambda a: np.where(a == a.max(), 3, a),
         r"content columns outside \[0, 3\)",
@@ -273,3 +298,81 @@ def test_saved_file_is_one_gzip_stream_without_name_or_time(kind, indexes, tmp_p
     assert raw[:2] == b"\x1f\x8b"
     assert raw[3] == 0  # no FNAME (or other optional) header field
     assert raw[4:8] == b"\0\0\0\0"  # mtime 0
+
+
+def _width(values, dtype):
+    """The planes ``values`` need: all of ``dtype``'s bytes if one is negative."""
+    top = max(values, default=0)
+    if min(values, default=0) < 0:
+        return np.dtype(dtype).itemsize
+    return next(w for w in indexfile.WIDTHS if top < 256**w)
+
+
+EDGES = [0, 1, 255, 256, 65535, 65536, 2**31 - 1, -1, -(2**31)]
+WIDE_EDGES = [2**32 - 1, 2**32, 2**63 - 1, -(2**63)]
+
+
+@st.composite
+def integer_arrays(draw):
+    dtype = draw(st.sampled_from([np.int32, np.int64]))
+    info = np.iinfo(dtype)
+    edges = EDGES + (WIDE_EDGES if dtype is np.int64 else [])
+    value = st.sampled_from(edges) | st.integers(0, 300) | st.integers(info.min, info.max)
+    return np.array(draw(st.lists(value, max_size=20)), dtype=dtype)
+
+
+@given(array=integer_arrays())
+def test_integer_arrays_round_trip_through_their_narrowest_planes(array, tmp_path_factory):
+    planes = indexfile.to_planes(array)
+    assert planes.dtype == np.uint8
+    assert planes.shape == (_width(array.tolist(), array.dtype), len(array))
+    directory = tmp_path_factory.getbasetemp()
+    paths = [directory / "one.bin", directory / "two.bin"]
+    swapped = array.astype(array.dtype.newbyteorder(">"))  # equal values, other bytes
+    for path, copy in zip(paths, (array, swapped)):
+        indexfile.save(path, "f", 1, {"article_ids": []}, {"a": copy, "x": np.zeros(2)})
+    assert paths[0].read_bytes() == paths[1].read_bytes()  # equal arrays, equal bytes
+    layout = {"a": (array.dtype, 1), "x": (np.float64, 1)}
+    _, loaded = indexfile.load(paths[0], "f", 1, layout, {})
+    assert loaded["a"].dtype == array.dtype
+    assert loaded["a"].tolist() == array.tolist()
+    assert loaded["x"].tolist() == [0.0, 0.0]  # floats as they are
+
+
+@pytest.mark.parametrize(
+    "dtype, value, width",
+    [
+        (np.int32, 255, 1), (np.int32, 256, 2), (np.int32, 65535, 2),
+        (np.int32, 65536, 4), (np.int32, -1, 4), (np.int64, 2**32 - 1, 4),
+        (np.int64, 2**32, 8), (np.int64, -1, 8),
+    ],
+)
+def test_width_is_the_fewest_bytes_of_the_largest_unsigned_value(dtype, value, width):
+    planes = indexfile.to_planes(np.array([0, value, 1], dtype=dtype))
+    assert planes.shape == (width, 3)
+    assert indexfile.from_planes("f", "a", planes, dtype).tolist() == [0, value, 1]
+    assert indexfile.to_planes(np.zeros(0, dtype)).shape == (1, 0)
+
+
+@pytest.mark.parametrize(
+    "planes, dtype",
+    [
+        (np.zeros(4, np.uint8), np.int64),  # 1-d
+        (np.zeros((1, 1, 4), np.uint8), np.int64),  # 3-d
+        (np.zeros((2, 4), np.int16), np.int64),  # not uint8
+        (np.zeros((3, 4), np.uint8), np.int64),  # 3 planes
+        (np.zeros((8, 4), np.uint8), np.int32),  # more planes than an int32 has bytes
+    ],
+)
+def test_planes_of_another_shape_dtype_or_width_are_rejected(planes, dtype):
+    with pytest.raises(ValueError, match="f: a is not 1, 2, 4 or 8 uint8 byte planes"):
+        indexfile.from_planes("f", "a", planes, dtype)
+
+
+def test_dense_rows_stored_in_eight_planes_are_rejected(indexes, tmp_path):
+    path, load = _saved(indexes, "dense", tmp_path)
+    header, stored = _read_stored(path)
+    stored["rows"] = np.zeros((8, stored["rows"].shape[1]), np.uint8)
+    _write_stored(path, header, stored)
+    with pytest.raises(ValueError, match="dense.bin: rows is not .* byte planes of int32"):
+        load(path)

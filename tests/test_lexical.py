@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -282,6 +283,21 @@ def test_save_load_round_trip(tiny_articles, tiny_lex, tmp_path):
     again = tmp_path / "again.bin"
     save_lex_index(loaded, again)
     assert again.read_bytes() == path.read_bytes()
+
+
+def test_untitled_corpus_builds_and_loads_without_warnings(tmp_path):
+    """No title has tokens, so the title field's avgdl is 0; its per-column
+    BM25 norm must not divide by it (0 / 0 warns)."""
+    articles = [Article(f"a{i}", "d", None, f"Rent deposit {i}.") for i in range(3)]
+    tok = TokenizerConfig()
+    path = tmp_path / "lex.bin"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        index = build_lex_index(articles, tok)
+        save_lex_index(index, path)
+        loaded = load_lex_index(path, tok.fingerprint())
+    assert loaded.title.avgdl == 0.0 and loaded.title.impact.size == 0
+    assert retrieve_topk(loaded, ["rent"], 3).ids() == ["a0", "a1", "a2"]
 
 
 def test_save_deterministic_bytes(tiny_lex, tmp_path):

@@ -1,12 +1,16 @@
 import contextlib
 import dataclasses
 import fcntl
+import functools
 import json
 import os
+import re
 import socketserver
 import subprocess
 import sys
+import unicodedata
 
+import numpy as np
 import pytest
 
 from statuteqa import cli, dense, lexical, lineproto, reranker
@@ -14,6 +18,7 @@ from statuteqa import corpus as corpus_mod
 from statuteqa import pipeline as pipeline_mod
 from statuteqa.cli import main
 from statuteqa.corpus import (
+    Article,
     LegalDocument,
     TokenizerConfig,
     iter_articles,
@@ -756,3 +761,88 @@ def test_rejected_load_closes_the_embedder_child(external_ws, children, tmp_path
             Pipeline.load(dataclasses.replace(cfg, **change))
         assert _running(children) == [], message
     assert len(children) >= 1 + len(rejected)
+
+
+def test_index_prints_the_size_of_each_file(workspace, tmp_path, capsys):
+    root, _, _ = workspace
+    config = json.loads((root / "config.json").read_text())
+    paths = [tmp_path / "lex_index.bin", tmp_path / "dense_index.bin"]
+    config.update(lex_index_path=str(paths[0]), dense_index_path=str(paths[1]))
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    assert main(["--config", str(tmp_path / "config.json"), "index"]) == 0
+    out = capsys.readouterr().out
+    for path in paths:
+        assert f"{path} ({path.stat().st_size} bytes, " in out
+
+
+def test_indexes_of_different_tokenizers_are_rejected(tmp_path):
+    """The dense index records its tokenizer: a whitespace lexical index and
+    a phrase-merge dense index of one corpus used to load together."""
+    docs = synthetic_corpus(50)
+    articles = list(iter_articles(docs))
+    write_corpus_file(docs, tmp_path / "corpus.jsonl")
+    cfg = PipelineConfig(
+        corpus_path=str(tmp_path / "corpus.jsonl"),
+        lex_index_path=str(tmp_path / "lex_index.bin"),
+        dense_index_path=str(tmp_path / "dense_index.bin"),
+        embedder_dimension=64,
+    )
+    digest = corpus_mod.file_digest(cfg.corpus_path)
+    lex = lexical.build_lex_index(articles, cfg.tokenizer_config(), corpus_digest=digest)
+    lexical.save_lex_index(lex, cfg.lex_index_path)
+    phrases = TokenizerConfig("whitespace_with_phrase_merge", frozenset({"of the"}))
+    built, _ = dense.build_dense_index(articles, cfg.make_embedder(), phrases, digest)
+    dense.save_dense_index(built, cfg.dense_index_path)
+    message = f"{re.escape(cfg.dense_index_path)}: tokenizer fingerprint mismatch"
+    with pytest.raises(ValueError, match=message):
+        pipeline_mod.load_artifacts(cfg)
+
+
+# (article id, title, content), Vietnamese text in NFC
+VIETNAMESE = [
+    ("ds-1", "Quyền thừa kế", "Người thừa kế có quyền nhận di sản. Di chúc lập thành văn bản."),
+    ("ds-2", "Tài sản chung", "Tài sản chung của vợ chồng được chia đôi khi ly hôn."),
+    ("dd-1", "Quyền sử dụng đất", "Người sử dụng đất được chuyển nhượng quyền sử dụng đất."),
+    ("dd-2", "Thu hồi đất", "Nhà nước thu hồi đất vì mục đích quốc phòng, an ninh."),
+    ("hs-1", None, "Người phạm tội phải chịu trách nhiệm hình sự. Hình phạt tù có thời hạn."),
+]
+
+
+def _vietnamese(form):
+    normal = functools.partial(unicodedata.normalize, form)
+    return [
+        Article(article_id, "luat", title and normal(title), normal(content))
+        for article_id, title, content in VIETNAMESE
+    ]
+
+
+def test_a_decomposed_corpus_indexes_to_the_arrays_of_its_composed_form(tmp_path):
+    tok, embedder = TokenizerConfig(), dense.HashedProjectionEmbedder(64, 0)
+    saved = {}
+    for form in ("NFC", "NFD"):
+        lex = lexical.build_lex_index(_vietnamese(form), tok)
+        assert "người" in lex.content.terms  # not "ngu", "o", "i"
+        built, _ = dense.build_dense_index(_vietnamese(form), embedder, tok)
+        paths = tmp_path / f"lex.{form}", tmp_path / f"dense.{form}"
+        lexical.save_lex_index(lex, paths[0])
+        dense.save_dense_index(built, paths[1])
+        saved[form] = [path.read_bytes() for path in paths]
+    assert saved["NFD"] == saved["NFC"]
+
+
+@pytest.mark.parametrize("source", ["lexical", "dense"])
+def test_a_decomposed_question_answers_like_its_composed_form(source):
+    articles, tok = _vietnamese("NFC"), TokenizerConfig()
+    lex = lexical.build_lex_index(articles, tok)
+    built, _ = dense.build_dense_index(articles, dense.HashedProjectionEmbedder(64, 0), tok)
+    model = reranker.LinearModel(np.ones(reranker.NUM_FEATURES))
+    scorer = reranker.ModelScorer(model, reranker.FeatureExtractor(lex, built, tok))
+    cfg = PipelineConfig(quickview_source=source, top_k=5)
+    pipeline = Pipeline(cfg, articles, lex, built, scorer)
+    question = "Người thừa kế có quyền nhận di sản không?"
+    decomposed = unicodedata.normalize("NFD", question)
+    ranked, again = (pipeline.quickview_rank(q, 5) for q in (question, decomposed))
+    assert ranked.ids()[0] == "ds-1"
+    assert again.ids() == ranked.ids()
+    assert np.array_equal(again.scores, ranked.scores)
+    assert pipeline.answer("q", decomposed) == pipeline.answer("q", question)
