@@ -251,19 +251,18 @@ def _cmd_train(cfg: PipelineConfig, mode: str) -> int:
 
         train_cfg = cfg.train_config()
         with _exclusive_lock(Path(cfg.model_path).resolve().parent):
-            if mode == "two-stage":
-                weak = read_dataset(cfg.weak_dataset_path)
-                model = train_two_stage(weak, gold_train, gold_valid, train_cfg, extractor)
-            elif mode == "weak-only":
-                weak = read_dataset(cfg.weak_dataset_path)
-                model = train_stage(
-                    zero_model(), weak, gold_valid, train_cfg, extractor, stage="weak_only"
-                )
+            # each dataset's features once; every stage shares the validation set's
+            valid = extractor.matrix(gold_valid) if gold_valid else None
+            if mode == "gold-only":
+                gold = extractor.matrix(gold_train)
+                model = train_stage(zero_model(), gold, valid, train_cfg, "gold_only")
             else:
-                model = train_stage(
-                    zero_model(), gold_train, gold_valid, train_cfg, extractor,
-                    stage="gold_only",
-                )
+                weak = extractor.matrix(read_dataset(cfg.weak_dataset_path))
+                if mode == "two-stage":
+                    gold = extractor.matrix(gold_train)
+                    model = train_two_stage(weak, gold, valid, train_cfg)
+                else:
+                    model = train_stage(zero_model(), weak, valid, train_cfg, "weak_only")
             save_model(model, cfg.model_path)
     finally:
         close_all(dense.embedder)

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import indexfile
 from .corpus import Article, TokenizerConfig, clean_text, split_sentences, tokenize
-from .ensemble import Ranking
+from .ensemble import Ranking, top_k_positions
 from .lineproto import LineProtocolClient, ProtocolError, finite_real
 
 __all__ = [
@@ -323,19 +323,13 @@ def dense_retrieve_topk(
         raise ValueError("k must be >= 1")
     tokens = tuple(tokenize(clean_text(question), tok))
     question_vector = embed(index.embedder, tokens)
-    if not np.any(question_vector):
-        return Ranking(
-            index.article_ids, np.zeros(0, dtype=np.int64), np.zeros(0), tokens, None, None
-        )
     cosines = sentence_cosines(index, question_vector)
     scores = np.full(len(index.article_ids), -np.inf)
     article = np.repeat(np.arange(len(scores)), np.diff(index.offsets))
     np.maximum.at(scores, article, cosines)
-    top = np.arange(len(scores))  # positions are in id order
-    if top.size > k:
-        kth = scores[np.argpartition(scores, -k)[-k]]
-        top = np.flatnonzero(scores >= kth)  # keeps every tie at the k-th score
-    top = top[np.lexsort((top, -scores[top]))[:k]]
+    # positions are in id order; a zero question vector ranks none of them
+    n = len(scores) if np.any(question_vector) else 0
+    top = top_k_positions(np.arange(n), scores[:n], k)
     return Ranking(index.article_ids, top, scores[top], tokens, cosines, None)
 
 

@@ -26,6 +26,7 @@ from .corpus import Article
 
 __all__ = [
     "Ranking",
+    "top_k_positions",
     "RankedCandidate",
     "AnswerSet",
     "EnsembleConfig",
@@ -125,6 +126,18 @@ class Ranking(Sequence):
     def ids(self) -> list[str]:
         """The candidates' article ids, best first."""
         return list(map(self.article_ids.__getitem__, self.positions.tolist()))
+
+
+def top_k_positions(positions: np.ndarray, scores: np.ndarray, k: int) -> np.ndarray:
+    """The ``k`` best ``positions`` by their ``scores`` (``scores[i]`` is the
+    score of ``positions[i]``), ordered by (-score, position): every tie at
+    the k-th score survives ``argpartition``, so the ``lexsort`` breaks it by
+    position, which is id."""
+    if positions.size > k:
+        kth = scores[np.argpartition(scores, -k)[-k]]
+        keep = scores >= kth  # every tie at the k-th score
+        positions, scores = positions[keep], scores[keep]
+    return positions[np.lexsort((positions, -scores))[:k]]
 
 
 @dataclass(frozen=True)

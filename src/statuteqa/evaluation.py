@@ -150,7 +150,7 @@ def run_eval(
         try:
             ranked = quickview_rank(query.question)
             if ks:
-                ranked_ids = [a for a, _ in ranked]
+                ranked_ids = ranked.ids()
                 row["recall_at_k"] = {
                     str(k): recall_at_k(ranked_ids, query.gold_article_ids, k)
                     for k in ks

@@ -39,7 +39,7 @@ import numpy as np
 
 from . import indexfile
 from .corpus import Article, TokenizerConfig, clean_text, tokenize
-from .ensemble import Ranking
+from .ensemble import Ranking, top_k_positions
 
 __all__ = [
     "FieldMatrix",
@@ -315,11 +315,7 @@ def retrieve_topk(
     if cfg.beta:
         scores += cfg.beta * field_scores["content"][0]
     hits = np.flatnonzero(scores > 0.0)
-    if hits.size > k:
-        values = scores[hits]
-        kth = values[np.argpartition(values, -k)[-k]]
-        hits = hits[values >= kth]  # keeps every tie at the k-th score
-    top = hits[np.lexsort((hits, -scores[hits]))[:k]]
+    top = top_k_positions(hits, scores[hits], k)
     return Ranking(index.article_ids, top, scores[top], tuple(query), None, field_scores)
 
 

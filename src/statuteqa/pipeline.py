@@ -100,6 +100,13 @@ class PipelineConfig:
     # service
     max_question_chars: int = 2000
 
+    def __post_init__(self) -> None:
+        if self.max_question_chars < 1:
+            raise ValueError(f"max_question_chars must be >= 1, not {self.max_question_chars}")
+        for key in ("external_embedder_timeout", "external_scorer_timeout"):
+            if not getattr(self, key) > 0:
+                raise ValueError(f"{key} must be > 0, not {getattr(self, key)}")
+
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":
         with open(path, encoding="utf-8") as handle:
@@ -113,7 +120,10 @@ class PipelineConfig:
         for key, value in raw.items():
             if not _has_type(value, types[key]):
                 raise ValueError(f"{path}: {key} must be {types[key]}, not {value!r}")
-        return cls(**raw)
+        try:
+            return cls(**raw)
+        except ValueError as exc:  # an out-of-range value
+            raise ValueError(f"{path}: {exc}") from None
 
     def tokenizer_config(self) -> TokenizerConfig:
         return TokenizerConfig(

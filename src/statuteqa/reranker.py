@@ -149,7 +149,8 @@ class FeatureExtractor:
 
     def rows(self, question: str, candidates: Ranking | Sequence[str]) -> np.ndarray:
         """Feature rows of the candidates, in order: a ``Ranking`` over these
-        indexes, or article ids; raises for an id outside the indexes.
+        indexes, or article ids; raises for a ranking over other indexes
+        and for an id outside these.
 
         What a ranking carries (tokens, BM25 pass or sentence cosines) is
         read, not computed again; only what it lacks comes from ``question``.
@@ -170,10 +171,10 @@ class FeatureExtractor:
         for ids, the tokens of ``question`` and None for the rest."""
         if isinstance(candidates, Ranking):
             ids = candidates.article_ids
-            if ids is self.lex.article_ids or ids is self.dense.article_ids:
-                c = candidates
-                return c.positions, c.tokens, c.cosines, c.field_scores
-            candidates = candidates.ids()  # a ranking over other indexes
+            if ids is not self.lex.article_ids and ids is not self.dense.article_ids:
+                raise ValueError("the ranking is over other indexes than the extractor's")
+            c = candidates
+            return c.positions, c.tokens, c.cosines, c.field_scores
         columns = np.fromiter(
             map(self.lex.column.get, candidates, repeat(-1)),
             dtype=np.int64, count=len(candidates),
@@ -270,35 +271,22 @@ def cross_entropy_gradient(
 
 def train_stage(
     model: LinearModel,
-    data: Sequence[TrainingExample],
-    valid: Sequence[TrainingExample],
+    train: tuple[np.ndarray, np.ndarray],
+    valid: tuple[np.ndarray, np.ndarray] | None,
     cfg: TrainConfig,
-    extractor: FeatureExtractor,
     stage: str = "single",
 ) -> LinearModel:
-    """Mini-batch Adam on mean cross-entropy, starting from ``model``.
+    """Mini-batch Adam on mean cross-entropy over the ``(x, y)`` feature
+    matrix ``train``, starting from ``model``.
 
-    Keeps the weights with the best validation loss; an empty validation
-    set disables early stopping and returns the final weights. Training is
-    deterministic given the seed.
+    Keeps the weights with the best loss on the ``valid`` matrix; None
+    disables early stopping and returns the final weights. Training is
+    deterministic given the seed. Empty training data raises an error that
+    names ``stage``.
     """
-    if not data:
-        raise ValueError("training data is empty")
-    x, y = extractor.matrix(data)
-    xv, yv = extractor.matrix(valid) if valid else (None, None)
-    return _fit(model, x, y, xv, yv, cfg, stage)
-
-
-def _fit(
-    model: LinearModel,
-    x: np.ndarray,
-    y: np.ndarray,
-    xv: np.ndarray | None,
-    yv: np.ndarray | None,
-    cfg: TrainConfig,
-    stage: str,
-) -> LinearModel:
-    """``train_stage`` on feature matrices; ``xv`` is None without validation."""
+    x, y = train
+    if not len(y):
+        raise ValueError(f"{stage}: training data is empty")
     weights = model.weights.copy()
     m = np.zeros_like(weights)
     v = np.zeros_like(weights)
@@ -312,8 +300,8 @@ def _fit(
     bad_epochs = 0
     epochs_run = 0
 
-    if xv is not None:
-        best_val = mean_cross_entropy(weights, xv, yv)
+    if valid is not None:
+        best_val = mean_cross_entropy(weights, *valid)
         val_curve.append(best_val)
 
     for _ in range(cfg.epochs):
@@ -334,8 +322,8 @@ def _fit(
             raise ValueError("diverged: non-finite training loss")
         loss_curve.append(train_loss)
 
-        if xv is not None:
-            val_loss = mean_cross_entropy(weights, xv, yv)
+        if valid is not None:
+            val_loss = mean_cross_entropy(weights, *valid)
             val_curve.append(val_loss)
             if val_loss < best_val:
                 best_val = val_loss
@@ -357,29 +345,21 @@ def _fit(
         "initial_weights": model.weights.tolist(),
         "loss_curve": loss_curve,
         "val_loss_curve": val_curve,
-        "best_val_loss": None if xv is None else best_val,
+        "best_val_loss": None if valid is None else best_val,
     }
     return LinearModel(best_weights.copy(), metadata)
 
 
 def train_two_stage(
-    weak: Sequence[TrainingExample],
-    gold: Sequence[TrainingExample],
-    valid: Sequence[TrainingExample],
+    weak: tuple[np.ndarray, np.ndarray],
+    gold: tuple[np.ndarray, np.ndarray],
+    valid: tuple[np.ndarray, np.ndarray] | None,
     cfg: TrainConfig,
-    extractor: FeatureExtractor,
 ) -> LinearModel:
     """Weak pretraining from zero weights, then gold fine-tuning from the
-    best pretrained weights. Both stages early-stop on one validation
-    feature matrix."""
-    if not weak:
-        raise ValueError("weak dataset is empty")
-    if not gold:
-        raise ValueError("gold dataset is empty")
-    x, y = extractor.matrix(weak)
-    xv, yv = extractor.matrix(valid) if valid else (None, None)
-    pretrained = _fit(zero_model(), x, y, xv, yv, cfg, "weak_pretrain")
-    tuned = _fit(pretrained, *extractor.matrix(gold), xv, yv, cfg, "gold_finetune")
+    best pretrained weights; both stages early-stop on ``valid``."""
+    pretrained = train_stage(zero_model(), weak, valid, cfg, "weak_pretrain")
+    tuned = train_stage(pretrained, gold, valid, cfg, "gold_finetune")
     metadata = dict(tuned.metadata)
     metadata["stage"] = "two_stage"
     metadata["stages"] = [pretrained.metadata, tuned.metadata]

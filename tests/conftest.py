@@ -76,9 +76,10 @@ class SynthBundle:
             [(q.question, sorted(q.gold_article_ids)) for q in valid_q],
             self.articles, WeakGenConfig(4, 2),
         )
+        matrix = self.extractor.matrix
         self.model = train_two_stage(
-            self.weak, gold_train, gold_valid,
-            TrainConfig(epochs=30, rng_seed=0), self.extractor,
+            matrix(self.weak), matrix(gold_train), matrix(gold_valid),
+            TrainConfig(epochs=30, rng_seed=0),
         )
         self.scorer = ModelScorer(self.model, self.extractor)
 

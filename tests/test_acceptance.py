@@ -168,7 +168,8 @@ def test_c4_fixture_end_to_end():
             articles, WeakGenConfig(4, 2),
         )
         model = train_two_stage(
-            weak, gold_train, gold_valid, TrainConfig(epochs=20, rng_seed=0), extractor
+            extractor.matrix(weak), extractor.matrix(gold_train),
+            extractor.matrix(gold_valid), TrainConfig(epochs=20, rng_seed=0),
         )
         scorer = ModelScorer(model, extractor)
         by_id = {a.article_id: a for a in articles}
@@ -256,7 +257,7 @@ def test_c7_two_stage_training_direction():
         dense, _ = build_dense_index(articles, HashedProjectionEmbedder(128, 0), tok)
         extractor = FeatureExtractor(lex, dense, tok)
         by_id = {a.article_id: a for a in articles}
-        weak = generate_weak_dataset(articles, WeakGenConfig(4, 0))
+        weak = extractor.matrix(generate_weak_dataset(articles, WeakGenConfig(4, 0)))
         queries = paraphrase_gold_queries(docs, seed=1)
 
         for seed in range(5):
@@ -271,10 +272,9 @@ def test_c7_two_stage_training_direction():
                 articles, WeakGenConfig(4, seed + 100),
             )
             cfg = TrainConfig(epochs=1, rng_seed=seed)
-            two_stage = train_two_stage(weak, gold_train, gold_valid, cfg, extractor)
-            gold_only = train_stage(
-                zero_model(), gold_train, gold_valid, cfg, extractor, stage="gold_only"
-            )
+            gold, valid = extractor.matrix(gold_train), extractor.matrix(gold_valid)
+            two_stage = train_two_stage(weak, gold, valid, cfg)
+            gold_only = train_stage(zero_model(), gold, valid, cfg, stage="gold_only")
             f2_two = _validation_f2(two_stage, extractor, lex, by_id, tok, valid_q)
             f2_gold = _validation_f2(gold_only, extractor, lex, by_id, tok, valid_q)
             assert f2_two >= f2_gold, f"seed {seed}: {f2_two:.4f} < {f2_gold:.4f}"

@@ -14,14 +14,18 @@ is.
 
 import importlib
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from statuteqa import reranker
+from statuteqa import cli, reranker
+from statuteqa.corpus import write_corpus_file
+from statuteqa.evaluation import write_gold_file
 from statuteqa.pipeline import Pipeline, PipelineConfig
+from statuteqa.synth import synthetic_corpus, title_gold_queries
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACING = ROOT / "perfbench" / "tracing.py"
@@ -100,3 +104,46 @@ def test_bench_selftest_passes():
         cwd=ROOT, capture_output=True, text=True, timeout=600,
     )
     assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-4000:]
+
+
+def test_traced_two_stage_train_times_each_stage_loop_alone(tmp_path, tracing):
+    """``perfbench/build.py`` reads ``reranker.epoch_ms`` from the self time
+    of the ``reranker.train_stage`` spans and ``reranker.features_s`` from
+    the ``reranker.matrix`` spans: one span per stage, holding only its
+    loop, and one feature matrix per dataset (weak, gold and validation)."""
+    docs = synthetic_corpus(30, seed=3)
+    write_corpus_file(docs, tmp_path / "corpus.jsonl")
+    write_gold_file(title_gold_queries(docs), tmp_path / "gold.jsonl")
+    config = {
+        f"{name}_path": str(tmp_path / name)
+        for name in ("lex_index", "dense_index", "model", "weak_dataset")
+    }
+    config.update(
+        corpus_path=str(tmp_path / "corpus.jsonl"),
+        gold_path=str(tmp_path / "gold.jsonl"),
+        embedder_dimension=32,
+        epochs=2,
+    )
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    base = ["--config", str(tmp_path / "config.json")]
+    assert cli.main([*base, "index"]) == 0
+    assert cli.main([*base, "weaklabel"]) == 0
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert cli.main([*base, "train", "--mode", "two-stage"]) == 0
+    finally:
+        tracer.uninstall()
+    by_id = {span.span_id: span for span in tracer.spans}
+
+    def ancestors(span):
+        while span.parent is not None:
+            span = by_id[span.parent]
+            yield span.name
+
+    stages = [s for s in tracer.spans if s.name == "reranker.train_stage"]
+    matrices = [s for s in tracer.spans if s.name == "reranker.matrix"]
+    assert len(stages) == 2
+    assert len(matrices) == 3
+    assert not any("reranker.train_stage" in ancestors(s) for s in matrices)

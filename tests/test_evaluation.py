@@ -1,8 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
-from statuteqa.ensemble import AnswerSet, RankedCandidate
+from statuteqa.ensemble import AnswerSet, RankedCandidate, Ranking
 from statuteqa.evaluation import (
     EvalReport,
     GoldQuery,
@@ -90,9 +91,13 @@ def test_gold_query_requires_nonempty_gold():
         GoldQuery("q", "text", frozenset())
 
 
+_FAKE_IDS = tuple(f"a{i}" for i in range(5))
+
+
 def _fake_quickview(question):
     n = int(question.split()[-1])
-    return [(f"a{(n + offset) % 5}", 1.0 - 0.1 * offset) for offset in range(3)]
+    positions = np.array([(n + offset) % 5 for offset in range(3)])
+    return Ranking(_FAKE_IDS, positions, np.array([1.0, 0.9, 0.8]), (), None, None)
 
 
 def _fake_answer(question_id, question, ranked):
@@ -180,7 +185,7 @@ def test_metric_paths_agree():
     k = 2
 
     def topk_answer(question_id, question, ranked):
-        return _answer(question_id, [a for a, _ in ranked[:k]])
+        return _answer(question_id, ranked[:k].ids())
 
     report = run_eval(queries, _fake_quickview, ks=(k,), answer=topk_answer)
     assert report.mean_recall == pytest.approx(report.recall_at_k[k], abs=1e-12)

@@ -298,6 +298,38 @@ def test_config_rejects_values_of_the_wrong_type(tmp_path, capsys, key, value):
     assert f"{key} must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("max_question_chars", 0), ("max_question_chars", -5),
+     ("external_embedder_timeout", 0.0), ("external_embedder_timeout", -1.5),
+     ("external_scorer_timeout", 0), ("external_scorer_timeout", -30.0)],
+)
+@pytest.mark.parametrize("command", [["serve"], ["query", "--question", "law"]])
+def test_out_of_range_service_settings_fail_before_loading(
+    tmp_path, capsys, monkeypatch, key, value, command
+):
+    def load(cfg):
+        raise AssertionError("loaded with an out-of-range setting")
+
+    monkeypatch.setattr(Pipeline, "load", load)
+    with pytest.raises(ValueError, match=key):
+        PipelineConfig(**{key: value})
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({key: value}))
+    assert main(["--config", str(bad), *command]) == 1
+    assert f"{bad}: {key} must be" in capsys.readouterr().err
+
+
+def test_serve_rejects_a_zero_question_length_flag(tmp_path, capsys, monkeypatch):
+    def load(cfg):
+        raise AssertionError("loaded with max_question_chars 0")
+
+    monkeypatch.setattr(Pipeline, "load", load)
+    missing = ["--corpus-path", str(tmp_path / "none.jsonl")]
+    assert main(["serve", *missing, "--max-question-chars", "0"]) == 1
+    assert "max_question_chars must be >= 1" in capsys.readouterr().err
+
+
 def test_config_accepts_every_annotated_type(tmp_path):
     good = tmp_path / "good.json"
     values = {
@@ -459,6 +491,37 @@ def test_train_gold_only_mode(workspace):
     assert main(base + ["train", "--mode", "gold-only", "--model-path", str(out)]) == 0
     record = json.loads(out.read_text())
     assert record["metadata"]["stage"] == "gold_only"
+
+
+@pytest.mark.parametrize(
+    "mode, stages", [("two-stage", 2), ("weak-only", 1), ("gold-only", 1)]
+)
+def test_train_extracts_each_dataset_once(workspace, tmp_path, monkeypatch, mode, stages):
+    """``train`` builds one feature matrix per dataset it trains on and one
+    for the validation set, which every stage shares."""
+    root, base, _ = workspace
+    built, fitted = [], []
+    matrix = reranker.FeatureExtractor.matrix
+    train_stage = reranker.train_stage
+
+    def counting_matrix(self, examples):
+        built.append(matrix(self, examples))
+        return built[-1]
+
+    def counting_stage(model, train, valid, cfg, stage="single"):
+        fitted.append((train, valid))
+        return train_stage(model, train, valid, cfg, stage)
+
+    monkeypatch.setattr(reranker.FeatureExtractor, "matrix", counting_matrix)
+    monkeypatch.setattr(reranker, "train_stage", counting_stage)
+    monkeypatch.setattr(cli, "train_stage", counting_stage)
+    out = tmp_path / "model.json"
+    assert main(base + ["train", "--mode", mode, "--model-path", str(out)]) == 0
+    assert len(fitted) == stages
+    assert len(built) == stages + 1
+    [valid] = {id(v) for _, v in fitted}
+    trained = [id(t) for t, _ in fitted]
+    assert sorted([valid, *trained]) == sorted(map(id, built))
 
 
 def test_dense_question_without_tokens_has_no_candidates(synth):

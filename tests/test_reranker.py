@@ -344,9 +344,13 @@ def _toy_examples(n=40):
     ]
 
 
+def _toy_matrix(n=40):
+    return ToyExtractor().matrix(_toy_examples(n))
+
+
 def test_training_converges_on_separable_toy_set():
     cfg = TrainConfig(learning_rate=0.1, epochs=300, batch_size=8, rng_seed=0, patience=1000)
-    model = train_stage(zero_model(), _toy_examples(), [], cfg, ToyExtractor())
+    model = train_stage(zero_model(), _toy_matrix(), None, cfg)
     curve = model.metadata["loss_curve"]
     assert curve[-1] < 0.1
     assert curve[1] < curve[0]  # loss drops within the first epoch
@@ -354,11 +358,11 @@ def test_training_converges_on_separable_toy_set():
 
 def test_training_deterministic_given_seed():
     cfg = TrainConfig(epochs=20, rng_seed=5)
-    a = train_stage(zero_model(), _toy_examples(), [], cfg, ToyExtractor())
-    b = train_stage(zero_model(), _toy_examples(), [], cfg, ToyExtractor())
+    a = train_stage(zero_model(), _toy_matrix(), None, cfg)
+    b = train_stage(zero_model(), _toy_matrix(), None, cfg)
     assert np.array_equal(a.weights, b.weights)
     assert a.metadata["loss_curve"] == b.metadata["loss_curve"]
-    c = train_stage(zero_model(), _toy_examples(), [], TrainConfig(epochs=20, rng_seed=6), ToyExtractor())
+    c = train_stage(zero_model(), _toy_matrix(), None, TrainConfig(epochs=20, rng_seed=6))
     assert not np.array_equal(a.weights, c.weights)
 
 
@@ -370,56 +374,35 @@ def test_train_config_validation():
 
 
 def test_training_rejects_empty_data():
-    with pytest.raises(ValueError, match="empty"):
-        train_stage(zero_model(), [], [], TrainConfig(), ToyExtractor())
-
-
-class NanExtractor:
-    def matrix(self, examples):
-        x = np.full((len(examples), NUM_FEATURES), np.nan)
-        y = np.asarray([ex.label for ex in examples], dtype=float)
-        return x, y
+    with pytest.raises(ValueError, match="gold_only: training data is empty"):
+        train_stage(zero_model(), _toy_matrix(0), None, TrainConfig(), "gold_only")
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
 def test_training_reports_divergence():
+    x, y = _toy_matrix()
+    x[:] = np.nan
     with pytest.raises(ValueError, match="diverged"):
-        train_stage(zero_model(), _toy_examples(), [], TrainConfig(epochs=1), NanExtractor())
+        train_stage(zero_model(), (x, y), None, TrainConfig(epochs=1))
+
+
+def _two_stage_matrices():
+    toy = ToyExtractor()
+    gold = [TrainingExample(f"g{i}", f"a{i}", i % 2, "gold") for i in range(20)]
+    valid = [TrainingExample(f"v{i}", f"a{i}", i % 2, "gold") for i in range(10)]
+    return _toy_matrix(40), toy.matrix(gold), toy.matrix(valid)
 
 
 def test_two_stage_metadata_and_continuity():
     cfg = TrainConfig(epochs=10, rng_seed=0)
-    toy = ToyExtractor()
-    weak = _toy_examples(40)
-    gold = [TrainingExample(f"g{i}", f"a{i}", i % 2, "gold") for i in range(20)]
-    valid = [TrainingExample(f"v{i}", f"a{i}", i % 2, "gold") for i in range(10)]
-    model = train_two_stage(weak, gold, valid, cfg, toy)
+    weak, gold, valid = _two_stage_matrices()
+    model = train_two_stage(weak, gold, valid, cfg)
     stage1, stage2 = model.metadata["stages"]
     assert stage1["stage"] == "weak_pretrain"
     assert stage2["stage"] == "gold_finetune"
-    pretrained = train_stage(zero_model(), weak, valid, cfg, toy, stage="weak_pretrain")
+    pretrained = train_stage(zero_model(), weak, valid, cfg, stage="weak_pretrain")
     assert stage2["initial_weights"] == pretrained.weights.tolist()
-
-
-def test_two_stage_builds_the_validation_matrix_once():
-    class CountingExtractor(ToyExtractor):
-        def __init__(self):
-            self.asked = []
-
-        def matrix(self, examples):
-            self.asked.append(examples)
-            return super().matrix(examples)
-
-    cfg = TrainConfig(epochs=10, rng_seed=0)
-    weak = _toy_examples(40)
-    gold = [TrainingExample(f"g{i}", f"a{i}", i % 2, "gold") for i in range(20)]
-    valid = [TrainingExample(f"v{i}", f"a{i}", i % 2, "gold") for i in range(10)]
-    counting = CountingExtractor()
-    model = train_two_stage(weak, gold, valid, cfg, counting)
-    assert [examples is valid for examples in counting.asked] == [False, True, False]
-    toy = ToyExtractor()
-    pretrained = train_stage(zero_model(), weak, valid, cfg, toy, stage="weak_pretrain")
-    tuned = train_stage(pretrained, gold, valid, cfg, toy, stage="gold_finetune")
+    tuned = train_stage(pretrained, gold, valid, cfg, stage="gold_finetune")
     assert np.array_equal(model.weights, tuned.weights)
     assert model.metadata["stages"] == [pretrained.metadata, tuned.metadata]
 
@@ -427,9 +410,9 @@ def test_two_stage_builds_the_validation_matrix_once():
 def test_two_stage_rejects_empty_datasets():
     cfg = TrainConfig(epochs=1)
     with pytest.raises(ValueError, match="weak"):
-        train_two_stage([], _toy_examples(), [], cfg, ToyExtractor())
+        train_two_stage(_toy_matrix(0), _toy_matrix(), None, cfg)
     with pytest.raises(ValueError, match="gold"):
-        train_two_stage(_toy_examples(), [], [], cfg, ToyExtractor())
+        train_two_stage(_toy_matrix(), _toy_matrix(0), None, cfg)
 
 
 def test_score_batch_order_and_permutation(synth):
@@ -508,19 +491,20 @@ def test_load_model_rejects_what_save_model_does_not_write(
 
 def test_score_batch_is_bit_identical_for_a_ranking_ids_and_articles(synth):
     """A ranking is read at its positions (a dense one with its sentence
-    cosines); a ranking over another index of the same articles by its ids."""
+    cosines); a ranking over another index of the same articles is refused."""
     rebuilt = build_lex_index(synth.articles, synth.tok)
     assert rebuilt.article_ids is not synth.lex.article_ids
     for query in synth.queries[:10]:
         question = query.question
-        tokens = tokenize(clean_text(question), synth.tok)
         for ranked in (
             synth.ranked(question, 30),
             dense_retrieve_topk(synth.dense, question, 30, synth.tok),
-            retrieve_topk(rebuilt, tokens, 30),
         ):
             ids = ranked.ids()
             want = _bits(synth.scorer.score_batch(question, ids))
             assert _bits(synth.scorer.score_batch(question, ranked)) == want
             articles = [synth.by_id[a] for a in ids]
             assert _bits(synth.scorer.score_batch(question, articles)) == want
+        tokens = tokenize(clean_text(question), synth.tok)
+        with pytest.raises(ValueError, match="ranking is over other indexes"):
+            synth.scorer.score_batch(question, retrieve_topk(rebuilt, tokens, 30))

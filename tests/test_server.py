@@ -57,7 +57,7 @@ def service(tmp_path_factory):
     save_dense_index(dense, root / "dense.bin")
     extractor = FeatureExtractor(lex, dense, tok)
     weak = generate_weak_dataset(articles, WeakGenConfig(4, 0))
-    model = train_stage(zero_model(), weak, [], TrainConfig(epochs=15), extractor)
+    model = train_stage(zero_model(), extractor.matrix(weak), None, TrainConfig(epochs=15))
     save_model(model, root / "model.json")
 
     cfg = PipelineConfig(
