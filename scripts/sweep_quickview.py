@@ -41,7 +41,7 @@ def main() -> int:
         started = time.perf_counter()
         for query in queries:
             tokens = tokenize(clean_text(query.question), tok)
-            ranked = [a for a, _ in retrieve_topk(lex, tokens, max(ks), cfg)]
+            ranked = retrieve_topk(lex, tokens, max(ks), cfg).ids()
             for k in ks:
                 sums[k] += recall_at_k(ranked, query.gold_article_ids, k)
         elapsed_ms = (time.perf_counter() - started) * 1000.0 / len(queries)

@@ -122,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_override(
         p_index,
         "corpus_path", "lex_index_path", "dense_index_path",
-        "k1", "b", "embedder_dimension", "embedder_seed", "tokenizer_mode",
+        "k1", "b", "embedder_dimension", "embedder_seed",
     )
 
     p_weak = sub.add_parser("weaklabel", help="generate the weak-label dataset")
@@ -185,18 +185,17 @@ def _cmd_index(cfg: PipelineConfig) -> int:
     articles = list(iter_articles(docs))
     tok = cfg.tokenizer_config()
     outputs = (cfg.lex_index_path, cfg.dense_index_path)
-    with contextlib.ExitStack() as locks:
+    # an embedder that cannot start fails before either index is replaced
+    embedder = cfg.make_embedder()
+    with contextlib.ExitStack() as stack:
+        stack.callback(close_all, embedder)
         # each output directory, in one order, so two runs cannot deadlock
         for directory in sorted({Path(path).resolve().parent for path in outputs}):
-            locks.enter_context(_exclusive_lock(directory))
+            stack.enter_context(_exclusive_lock(directory))
         lex = build_lex_index(articles, tok, cfg.bm25_params(), stats.digest)
+        dense, excluded = build_dense_index(articles, embedder, tok, stats.digest)
         save_lex_index(lex, cfg.lex_index_path)
-        embedder = cfg.make_embedder()
-        try:
-            dense, excluded = build_dense_index(articles, embedder, tok, stats.digest)
-            save_dense_index(dense, cfg.dense_index_path)
-        finally:
-            close_all(embedder)
+        save_dense_index(dense, cfg.dense_index_path)
     print(
         f"indexed {stats.documents} documents, {stats.articles} articles "
         f"({stats.titled} titled, {stats.missing_title} untitled, "

@@ -63,36 +63,37 @@ class LegalDocument:
 
 @dataclass(frozen=True)
 class TokenizerConfig:
-    """Whitespace tokenizer with an optional phrase-merge hook.
+    """Whitespace tokenizer that merges the phrases of ``phrase_lexicon``.
 
-    In ``whitespace_with_phrase_merge`` mode, adjacent tokens matching a
-    lexicon phrase (greedy, longest match first) are joined with
-    ``PHRASE_JOINER`` into a single token.
+    Adjacent tokens matching a lexicon phrase (greedy, longest match first)
+    are joined with ``PHRASE_JOINER`` into a single token. Each entry is
+    cleaned like text (``clean_text``), so ``"Bộ Luật"``, NFD ``"bộ luật"``
+    and ``"bộ-luật"`` are the one phrase ``"bộ luật"``; an entry that cleans
+    to nothing is dropped. The lexicon alone configures merging: an empty
+    one (the default) merges nothing.
     """
 
-    mode: str = "whitespace"
     phrase_lexicon: frozenset[str] = field(default_factory=frozenset)
     # phrases of 2+ tokens by first token, longest first; derived, so not compared
     _phrases_by_first: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.mode not in ("whitespace", "whitespace_with_phrase_merge"):
-            raise ValueError(f"unknown tokenizer mode: {self.mode!r}")
-        if self.mode == "whitespace_with_phrase_merge" and not self.phrase_lexicon:
-            raise ValueError("phrase_lexicon required for whitespace_with_phrase_merge")
-        if self.mode == "whitespace" and self.phrase_lexicon:
-            raise ValueError("phrase_lexicon only valid with whitespace_with_phrase_merge")
-        object.__setattr__(self, "phrase_lexicon", frozenset(self.phrase_lexicon))
+        if isinstance(self.phrase_lexicon, str):
+            raise ValueError(f"phrase_lexicon is one string: {self.phrase_lexicon!r}")
+        cleaned = frozenset(filter(None, map(clean_text, self.phrase_lexicon)))
+        object.__setattr__(self, "phrase_lexicon", cleaned)
         by_first: dict[str, list[tuple[str, ...]]] = {}
-        phrases = {tuple(phrase.split()) for phrase in self.phrase_lexicon}
+        phrases = {tuple(phrase.split()) for phrase in cleaned}
         for parts in sorted(phrases, key=len, reverse=True):
             if len(parts) > 1:
                 by_first.setdefault(parts[0], []).append(parts)
         object.__setattr__(self, "_phrases_by_first", by_first)
 
     def fingerprint(self) -> str:
-        # the normal form tag: tokens are cut from NFC text (see clean_text)
-        payload = f"{NORMAL_FORM}|{self.mode}|" + ",".join(sorted(self.phrase_lexicon))
+        # the normal form tag: tokens are cut from NFC text (see clean_text);
+        # the mode tag keeps the fingerprints of indexes built when it was a setting
+        mode = "whitespace_with_phrase_merge" if self.phrase_lexicon else "whitespace"
+        payload = f"{NORMAL_FORM}|{mode}|" + ",".join(sorted(self.phrase_lexicon))
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
@@ -129,7 +130,7 @@ def _has_text(raw: str) -> bool:
 def tokenize(text: str, cfg: TokenizerConfig | None = None) -> list[str]:
     """Split cleaned text into tokens, merging lexicon phrases if configured."""
     tokens = text.split()
-    if cfg is None or cfg.mode == "whitespace" or not tokens:
+    if cfg is None or not cfg._phrases_by_first or not tokens:
         return tokens
 
     merged: list[str] = []
@@ -284,3 +285,18 @@ def write_corpus_file(docs: Iterable[LegalDocument], path: str | Path) -> None:
 def iter_articles(docs: Iterable[LegalDocument]) -> Iterator[Article]:
     for doc in docs:
         yield from doc.articles
+
+
+def sorted_articles(articles: Iterable[Article]) -> list[Article]:
+    """The articles by ascending id, the order both indexes number them in.
+
+    Raises ``ValueError`` for no articles (``"empty corpus"``) or an id that
+    occurs twice.
+    """
+    ordered = sorted(articles, key=lambda a: a.article_id)
+    if not ordered:
+        raise ValueError("empty corpus")
+    for before, after in zip(ordered, ordered[1:]):
+        if before.article_id == after.article_id:
+            raise ValueError(f"duplicate article id {after.article_id!r}")
+    return ordered

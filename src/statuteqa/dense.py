@@ -21,7 +21,14 @@ from typing import Iterator, Protocol, Sequence
 import numpy as np
 
 from . import indexfile
-from .corpus import Article, TokenizerConfig, clean_text, split_sentences, tokenize
+from .corpus import (
+    Article,
+    TokenizerConfig,
+    clean_text,
+    sorted_articles,
+    split_sentences,
+    tokenize,
+)
 from .ensemble import Ranking, top_k_positions
 from .lineproto import LineProtocolClient, ProtocolError, finite_real
 
@@ -209,19 +216,12 @@ def build_dense_index(
     from the index and counted. ``corpus_digest`` is recorded as given
     (see ``lexical.build_lex_index``).
     """
-    if not articles:
-        raise ValueError("empty corpus")
+    ordered = sorted_articles(articles)
     embedder = embedder or HashedProjectionEmbedder()
     tok = tok or TokenizerConfig()
 
-    seen: set[str] = set()
-    for article in articles:
-        if article.article_id in seen:
-            raise ValueError(f"duplicate article id {article.article_id!r}")
-        seen.add(article.article_id)
-
     article_ids, counts, sentences = [], [], []
-    for article in sorted(articles, key=lambda a: a.article_id):
+    for article in ordered:
         tokenized = [
             tokens
             for sentence in split_sentences(article.content)

@@ -17,7 +17,7 @@ their order, ties break by position (which is id order), and an id and a
 from __future__ import annotations
 
 import json
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -82,7 +82,7 @@ class EnsembleConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class Ranking(Sequence):
+class Ranking:
     """A quickview's candidates as positions in an index, best first.
 
     Candidate ``i`` is ``article_ids[positions[i]]`` with quickview score
@@ -94,10 +94,9 @@ class Ranking(Sequence):
     for a lexical one, ``field_scores`` (the ``lexical.score_query`` pass);
     the other is None.
 
-    It reads as the ``(article id, score)`` list it stands for: an integer
-    index gives a ``(str, float)`` pair, a slice gives a ``Ranking`` with
-    the same question view, and it equals any sequence of the same pairs
-    (the question view takes no part in equality).
+    It is a record, not a list: ``len`` counts the candidates, a slice gives
+    a ``Ranking`` with the same question view, and an integer index raises
+    ``TypeError``; read ``ids()``, ``positions`` and ``scores`` instead.
     """
 
     article_ids: tuple[str, ...]
@@ -110,18 +109,16 @@ class Ranking(Sequence):
     def __len__(self) -> int:
         return len(self.positions)
 
-    def __getitem__(self, item):
-        if isinstance(item, slice):
-            return replace(self, positions=self.positions[item], scores=self.scores[item])
-        return self.article_ids[self.positions[item]], float(self.scores[item])
+    def __getitem__(self, item: slice) -> Ranking:
+        if not isinstance(item, slice):
+            raise TypeError(f"a Ranking is sliced, not indexed: {item!r}")
+        return replace(self, positions=self.positions[item], scores=self.scores[item])
 
     def __iter__(self):
+        """``(id, score)`` pairs, best first. Only the benchmark's checks
+        (``perfbench/checks.py``) iterate a ranking; this goes once they read
+        ``ids()`` and ``scores``."""
         return zip(self.ids(), self.scores.tolist())
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Sequence) or isinstance(other, str):
-            return NotImplemented
-        return list(self) == list(other)
 
     def ids(self) -> list[str]:
         """The candidates' article ids, best first."""
@@ -157,9 +154,8 @@ class AnswerSet:
     no_candidates: bool = False
 
 
-def minmax_normalize(scores: Sequence[float] | np.ndarray) -> np.ndarray:
-    """(s - min) / (max - min) as float64; a constant list maps to all ones."""
-    scores = np.asarray(scores, dtype=np.float64)
+def minmax_normalize(scores: np.ndarray) -> np.ndarray:
+    """(s - min) / (max - min) of a float64 array; a constant one maps to ones."""
     if not scores.size:
         raise ValueError("cannot normalize an empty score list")
     low = scores.min()
@@ -169,16 +165,14 @@ def minmax_normalize(scores: Sequence[float] | np.ndarray) -> np.ndarray:
     return (scores - low) / (high - low)
 
 
-def combine(
-    qs_norm: float | np.ndarray, ss_norm: float | np.ndarray, gamma: float
-) -> float | np.ndarray:
+def combine(qs_norm: np.ndarray, ss_norm: np.ndarray, gamma: float) -> np.ndarray:
     """gamma-weighted sum of the normalized quickview and supervised scores,
-    of two floats or elementwise of two arrays."""
+    elementwise over two float64 arrays."""
     return gamma * qs_norm + (1.0 - gamma) * ss_norm
 
 
 def select_answer_set(
-    keys: np.ndarray | Sequence, combined: np.ndarray, threshold: float
+    keys: np.ndarray, combined: np.ndarray, threshold: float
 ) -> np.ndarray:
     """Indices of the candidates within ``threshold`` (strict) of the best
     combined score, ordered by descending combined score, ties by ascending
@@ -189,10 +183,9 @@ def select_answer_set(
     with it are always selected, so a zero threshold returns exactly the
     top combined score group.
     """
-    combined = np.asarray(combined, dtype=np.float64)
     if not combined.size:
         return np.zeros(0, dtype=np.intp)
-    order = np.lexsort((np.asarray(keys), -combined))
+    order = np.lexsort((keys, -combined))
     ordered = combined[order]
     best = ordered[0]
     return order[(best - ordered < threshold) | (ordered == best)]

@@ -191,25 +191,16 @@ def run_eval(
 
 def load_gold_file(path: str | Path) -> list[GoldQuery]:
     queries = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            if not isinstance(record, dict):
-                raise ValueError(f"{path}:{lineno}: record must be a JSON object")
-            try:
-                gold = record["gold"]
-                if not isinstance(gold, list) or not all(isinstance(a, str) for a in gold):
-                    raise ValueError("gold must be a list of article-id strings")
-                queries.append(GoldQuery(record["question_id"], record["question"], gold))
-            except KeyError as exc:
-                raise ValueError(f"{path}:{lineno}: missing key {exc}") from None
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
+    for lineno, record in indexfile.read_json_lines(path):
+        try:
+            gold = record["gold"]
+            if not isinstance(gold, list) or not all(isinstance(a, str) for a in gold):
+                raise ValueError("gold must be a list of article-id strings")
+            queries.append(GoldQuery(record["question_id"], record["question"], gold))
+        except KeyError as exc:
+            raise ValueError(f"{path}:{lineno}: missing key {exc}") from None
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
     return queries
 
 

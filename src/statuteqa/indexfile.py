@@ -23,7 +23,8 @@ they fail with a version mismatch and are rebuilt with ``statuteqa index``.
 
 Artifacts, the JSON-lines record files (corpus, gold questions, training
 examples) among them, are written through ``replacing``, so a reader sees
-the old file or the new one, never a half-written one.
+the old file or the new one, never a half-written one. Gold questions and
+training examples are read back with ``read_json_lines``.
 """
 
 from __future__ import annotations
@@ -71,6 +72,23 @@ def write_json_lines(path, records) -> None:
         for record in records:
             line = json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n"
             handle.write(line.encode("utf-8"))
+
+
+def read_json_lines(path):
+    """``(lineno, record)`` for each non-blank line of a JSON-lines file,
+    counting lines from 1. Raises ``ValueError`` naming ``path`` and the
+    line for a line that is not JSON or not a JSON object."""
+    with open(path, encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+            if not isinstance(record, dict):
+                raise ValueError(f"{path}:{lineno}: record must be a JSON object")
+            yield lineno, record
 
 
 def save(path, fmt: str, version: int, header: dict, arrays: dict) -> None:

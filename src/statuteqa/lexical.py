@@ -38,7 +38,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import indexfile
-from .corpus import Article, TokenizerConfig, clean_text, tokenize
+from .corpus import Article, TokenizerConfig, clean_text, sorted_articles, tokenize
 from .ensemble import Ranking, top_k_positions
 
 __all__ = [
@@ -209,18 +209,9 @@ def build_lex_index(
     ``corpus_digest`` is recorded as given: ``index`` passes the sha256 of
     the corpus file the articles were parsed from.
     """
-    if not articles:
-        raise ValueError("empty corpus")
+    ordered = sorted_articles(articles)
     tok = tok or TokenizerConfig()
     params = params or Bm25Params()
-
-    seen: set[str] = set()
-    for article in articles:
-        if article.article_id in seen:
-            raise ValueError(f"duplicate article id {article.article_id!r}")
-        seen.add(article.article_id)
-
-    ordered = sorted(articles, key=lambda a: a.article_id)
     tokens = {f: [_field_tokens(a, f, tok) for a in ordered] for f in FIELDS}
     kept = [i for i, content in enumerate(tokens["content"]) if content]
     matrices = {}

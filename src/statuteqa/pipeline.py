@@ -75,8 +75,7 @@ class PipelineConfig:
     top_k: int = 200
     threshold: float | None = None
     quickview_source: str = "lexical"
-    # tokenizer
-    tokenizer_mode: str = "whitespace"
+    # tokenizer: phrases to merge into one token (none by default)
     phrase_lexicon: list[str] = field(default_factory=list)
     # embedder
     embedder_dimension: int = 300
@@ -101,8 +100,9 @@ class PipelineConfig:
     max_question_chars: int = 2000
 
     def __post_init__(self) -> None:
-        if self.max_question_chars < 1:
-            raise ValueError(f"max_question_chars must be >= 1, not {self.max_question_chars}")
+        for key in ("max_question_chars", "embedder_dimension"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1, not {getattr(self, key)}")
         for key in ("external_embedder_timeout", "external_scorer_timeout"):
             if not getattr(self, key) > 0:
                 raise ValueError(f"{key} must be > 0, not {getattr(self, key)}")
@@ -126,9 +126,7 @@ class PipelineConfig:
             raise ValueError(f"{path}: {exc}") from None
 
     def tokenizer_config(self) -> TokenizerConfig:
-        return TokenizerConfig(
-            mode=self.tokenizer_mode, phrase_lexicon=frozenset(self.phrase_lexicon)
-        )
+        return TokenizerConfig(frozenset(self.phrase_lexicon))
 
     def bm25_params(self) -> Bm25Params:
         return Bm25Params(k1=self.k1, b=self.b)

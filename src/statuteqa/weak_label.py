@@ -11,7 +11,6 @@ Dataset file format: UTF-8 JSON lines
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -191,21 +190,12 @@ def write_dataset(examples: Iterable[TrainingExample], path: str | Path) -> None
 
 def read_dataset(path: str | Path) -> list[TrainingExample]:
     examples = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            if not isinstance(record, dict):
-                raise ValueError(f"{path}:{lineno}: record must be a JSON object")
-            keys = ("question", "article_id", "label", "origin")
-            try:
-                examples.append(TrainingExample(*(record[key] for key in keys)))
-            except KeyError as exc:
-                raise ValueError(f"{path}:{lineno}: missing key {exc}") from None
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
+    keys = ("question", "article_id", "label", "origin")
+    for lineno, record in indexfile.read_json_lines(path):
+        try:
+            examples.append(TrainingExample(*(record[key] for key in keys)))
+        except KeyError as exc:
+            raise ValueError(f"{path}:{lineno}: missing key {exc}") from None
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
     return examples

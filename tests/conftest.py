@@ -46,6 +46,12 @@ def field_token_lists(articles, field):
     return out
 
 
+def pairs(ranked):
+    """A ranking's ``(article id, score)`` pairs, best first, read from its
+    ``ids()`` and ``scores``: the form the oracles return."""
+    return list(zip(ranked.ids(), ranked.scores.tolist()))
+
+
 @pytest.fixture(scope="session")
 def scripts_dir():
     return SCRIPTS_DIR
@@ -84,7 +90,7 @@ class SynthBundle:
         self.scorer = ModelScorer(self.model, self.extractor)
 
     def ranked(self, question, k, quickview_cfg=None):
-        """The lexical quickview's ``k`` best (article id, score) for ``question``."""
+        """The lexical quickview's ``Ranking`` of the ``k`` best for ``question``."""
         return retrieve_topk(self.lex, tokenize(clean_text(question), self.tok), k, quickview_cfg)
 
 

@@ -33,8 +33,9 @@ def rank_and_select(question_id, question, ranked, scorer, articles_by_id, cfg):
     """``ensemble.rank_and_select`` over a quickview ranking, one candidate at a time."""
     if not ranked:
         return AnswerSet(question_id=question_id, returned=(), no_candidates=True)
-    candidate_articles = [articles_by_id[article_id] for article_id, _ in ranked]
-    qs_raw = [score for _, score in ranked]
+    ids = ranked.ids()
+    candidate_articles = [articles_by_id[article_id] for article_id in ids]
+    qs_raw = ranked.scores.tolist()
     ss_raw = [float(s) for s in scorer.score_batch(question, candidate_articles)]
     qs_norm = minmax_normalize(qs_raw)
     ss_norm = minmax_normalize(ss_raw)
@@ -47,7 +48,7 @@ def rank_and_select(question_id, question, ranked, scorer, articles_by_id, cfg):
             ss_norm=sn,
             combined=cfg.gamma * qn + (1.0 - cfg.gamma) * sn,
         )
-        for (article_id, _), qs, qn, ss, sn in zip(ranked, qs_raw, qs_norm, ss_raw, ss_norm)
+        for article_id, qs, qn, ss, sn in zip(ids, qs_raw, qs_norm, ss_raw, ss_norm)
     ]
     returned = select_answer_set(candidates, cfg.effective_threshold())
     return AnswerSet(question_id=question_id, returned=tuple(returned))

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from bm25_oracle import BruteForceBm25, oracle_topk
-from conftest import field_token_lists
+from conftest import field_token_lists, pairs
 from statuteqa.corpus import Article, TokenizerConfig, clean_text, iter_articles, tokenize
 from statuteqa.dense import HashedProjectionEmbedder, build_dense_index
 from statuteqa.ensemble import (
@@ -99,7 +99,8 @@ def test_c1_bm25_oracle_equivalence():
                         got = bm25(index, field, query, article.article_id)
                         assert abs(got - expected) <= 1e-9
                 k = rng.randint(1, corpus_size)
-                assert retrieve_topk(index, query, k, QuickviewConfig()) == oracle_topk(
+                got = pairs(retrieve_topk(index, query, k, QuickviewConfig()))
+                assert got == oracle_topk(
                     oracles["title"], oracles["content"], query, k, 1.5, 1.0
                 )
         elapsed = time.perf_counter() - started
@@ -121,7 +122,7 @@ def test_c2_quickview_composition():
             ranked = retrieve_topk(
                 index, query, len(articles), QuickviewConfig(alpha, beta)
             )
-            got = dict(ranked)
+            got = dict(pairs(ranked))
             for article in articles:
                 expected = alpha * oracle_title.score(
                     query, article.article_id
@@ -152,7 +153,7 @@ def test_c4_fixture_end_to_end():
         total_recall = 0.0
         for query in queries:
             tokens = tokenize(clean_text(query.question), tok)
-            ranked = [a for a, _ in retrieve_topk(lex, tokens, 10, quickview_cfg)]
+            ranked = retrieve_topk(lex, tokens, 10, quickview_cfg).ids()
             total_recall += recall_at_k(ranked, query.gold_article_ids, 10)
         assert total_recall / len(queries) == 1.0
 
@@ -294,7 +295,7 @@ def test_c8_ensemble_order_identities(synth):
         for query in synth.queries[:15]:
             tokens = tokenize(clean_text(query.question), synth.tok)
             ranked = retrieve_topk(synth.lex, tokens, 10, QuickviewConfig(1.5, 1.0))
-            table = {a: rng.random() for a, _ in ranked}
+            table = {a: rng.random() for a in ranked.ids()}
             scorer = _TableScorer(table)
 
             for gamma, key in ((1.0, "qs"), (0.0, "ss")):
@@ -310,8 +311,9 @@ def test_c8_ensemble_order_identities(synth):
 
 def _select(candidates, threshold):
     """``select_answer_set`` on the candidates' ids and combined scores."""
-    ids = [c.article_id for c in candidates]
-    keep = select_answer_set(ids, [c.combined for c in candidates], threshold)
+    ids = np.array([c.article_id for c in candidates])
+    combined = np.array([c.combined for c in candidates])
+    keep = select_answer_set(ids, combined, threshold)
     return [candidates[i] for i in keep]
 
 
@@ -358,7 +360,7 @@ def test_c10_metric_and_normalization_properties():
             scores = [rng.uniform(-50, 50) for _ in range(rng.randint(1, 30))]
             if rng.random() < 0.2:
                 scores = [scores[0]] * len(scores)  # force the degenerate case
-            normalized = minmax_normalize(scores)
+            normalized = minmax_normalize(np.array(scores))
             assert all(0.0 <= v <= 1.0 for v in normalized)
             assert max(normalized) == 1.0
             if max(scores) == min(scores):

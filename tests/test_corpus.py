@@ -17,7 +17,7 @@ from statuteqa.corpus import (
     load_corpus_file,
 )
 
-PHRASE_CFG = TokenizerConfig("whitespace_with_phrase_merge", frozenset({"bộ luật"}))
+PHRASE_CFG = TokenizerConfig(frozenset({"bộ luật"}))
 
 
 def test_clean_text_examples():
@@ -72,18 +72,16 @@ def test_tokenize_phrase_merge():
 
 
 def test_tokenize_phrase_merge_longest_match_wins():
-    cfg = TokenizerConfig(
-        "whitespace_with_phrase_merge", frozenset({"a b", "a b c"})
-    )
+    cfg = TokenizerConfig(frozenset({"a b", "a b c"}))
     assert tokenize("a b c d", cfg) == ["a_b_c", "d"]
     assert tokenize("a b x", cfg) == ["a_b", "x"]
 
 
-def merge_phrases_reference(text, cfg):
+def merge_phrases_reference(text, lexicon):
     """Phrase merging as first written: every phrase, longest first, tried
     at every position."""
     tokens = text.split()
-    phrases = sorted((p.split() for p in cfg.phrase_lexicon), key=len, reverse=True)
+    phrases = sorted((p.split() for p in lexicon), key=len, reverse=True)
     merged = []
     i = 0
     while i < len(tokens):
@@ -111,13 +109,13 @@ WORDS = st.sampled_from(["a", "b", "c"])
     ),
 )
 def test_tokenize_phrase_merge_matches_reference(words, lexicon):
-    cfg = TokenizerConfig("whitespace_with_phrase_merge", frozenset(lexicon))
+    cfg = TokenizerConfig(frozenset(lexicon))
     text = " ".join(words)
-    assert tokenize(text, cfg) == merge_phrases_reference(text, cfg)
+    assert tokenize(text, cfg) == merge_phrases_reference(text, lexicon)
 
 
 def test_tokenizer_config_identity_is_its_mode_and_lexicon():
-    rebuilt = TokenizerConfig("whitespace_with_phrase_merge", ["bộ luật"])
+    rebuilt = TokenizerConfig(["bộ luật"])
     assert rebuilt == PHRASE_CFG and hash(rebuilt) == hash(PHRASE_CFG)
     assert repr(rebuilt) == repr(PHRASE_CFG)
     assert TokenizerConfig().fingerprint() == "addf2d5adc1b6cb7"
@@ -125,12 +123,30 @@ def test_tokenizer_config_identity_is_its_mode_and_lexicon():
 
 
 def test_tokenizer_config_validation():
-    with pytest.raises(ValueError):
-        TokenizerConfig("whitespace_with_phrase_merge")
-    with pytest.raises(ValueError):
+    # a string is not a lexicon; it is also what a mode argument now passes
+    for text in ("whitespace_with_phrase_merge", "bộ luật"):
+        with pytest.raises(ValueError, match="phrase_lexicon is one string"):
+            TokenizerConfig(text)
+    with pytest.raises(TypeError):
         TokenizerConfig("whitespace", frozenset({"a b"}))
-    with pytest.raises(ValueError):
-        TokenizerConfig("stemming")
+
+
+@pytest.mark.parametrize(
+    "entry",
+    ["Bộ Luật", unicodedata.normalize("NFD", "bộ luật"), "bộ-luật", " BỘ  LUẬT! "],
+)
+def test_lexicon_entries_are_cleaned_like_text(entry):
+    """Only the exact lowercase NFC entry used to merge: the lexicon was
+    matched against cleaned text without being cleaned itself."""
+    cfg = TokenizerConfig(frozenset({entry}))
+    assert tokenize(clean_text("Theo Bộ luật Dân sự"), cfg) == ["theo", "bộ_luật", "dân", "sự"]
+    assert cfg == PHRASE_CFG and cfg.fingerprint() == PHRASE_CFG.fingerprint()
+
+
+def test_a_lexicon_that_cleans_to_nothing_merges_nothing():
+    cfg = TokenizerConfig(frozenset({"", "--", "!?"}))
+    assert cfg == TokenizerConfig() and cfg.fingerprint() == "addf2d5adc1b6cb7"
+    assert tokenize("a b", cfg) == ["a", "b"]
 
 
 def test_tokenizer_fingerprint_sensitivity():

@@ -13,6 +13,7 @@ from dense_oracle import (
     per_article_topk,
     sentence_rows,
 )
+from conftest import pairs
 from statuteqa import indexfile
 from statuteqa.corpus import Article, TokenizerConfig, clean_text, split_sentences, tokenize
 from statuteqa.dense import (
@@ -95,9 +96,11 @@ def test_build_excludes_unembeddable_articles():
     assert index.article_ids == ("a",)
 
 
-def test_build_errors():
+def test_build_errors(tiny_articles):
     with pytest.raises(ValueError, match="empty corpus"):
         build_dense_index([], EMB)
+    with pytest.raises(ValueError, match="duplicate article id 'd1#1'"):
+        build_dense_index(tiny_articles + [tiny_articles[0]], EMB)
 
 
 def test_quickview_dense_score_is_max_of_sentence_cosines(tiny_articles):
@@ -137,10 +140,10 @@ def test_verbatim_sentence_scores_one(tiny_articles):
 def test_dense_retrieve_topk(tiny_articles):
     index, _ = build_dense_index(tiny_articles, EMB)
     ranked = dense_retrieve_topk(index, "Breach causes damages", 1)
-    assert ranked[0][0] == "d1#1"
+    assert ranked.ids() == ["d1#1"]
     everything = dense_retrieve_topk(index, "law", 50)
     assert len(everything) == 3
-    assert dense_retrieve_topk(index, "???", 5) == []  # zero question vector
+    assert len(dense_retrieve_topk(index, "???", 5)) == 0  # zero question vector
     with pytest.raises(ValueError):
         dense_retrieve_topk(index, "law", 0)
 
@@ -152,7 +155,7 @@ def test_dense_retrieve_ties_break_by_id():
     ]
     index, _ = build_dense_index(articles, EMB)
     ranked = dense_retrieve_topk(index, "identical sentence", 2)
-    assert [article_id for article_id, _ in ranked] == ["a", "b"]
+    assert ranked.ids() == ["a", "b"]
 
 
 def test_matrix_scan_equals_per_article_loop(synth):
@@ -161,7 +164,7 @@ def test_matrix_scan_equals_per_article_loop(synth):
     for question in questions:
         vector = embed(synth.embedder, tokenize(clean_text(question)))
         want = per_article_topk(synth.dense, vector, 60)
-        assert dense_retrieve_topk(synth.dense, question, 60) == want
+        assert pairs(dense_retrieve_topk(synth.dense, question, 60)) == want
         for article_id, score in want:
             [at] = positions(synth.dense, [article_id])
             cosines = sentence_cosines(synth.dense, vector)
@@ -242,7 +245,7 @@ def test_save_load_round_trip(tiny_articles, tmp_path):
         assert np.array_equal(getattr(loaded, name), getattr(index, name))
     # the loaded index answers questions with the given embedder
     ranked = dense_retrieve_topk(loaded, "Breach causes damages", 1)
-    assert ranked[0][0] == "d1#1"
+    assert ranked.ids() == ["d1#1"]
     again = tmp_path / "again.bin"
     save_dense_index(loaded, again)
     assert again.read_bytes() == path.read_bytes()
@@ -281,7 +284,7 @@ def test_file_with_an_embedder_spec_header_still_loads(tiny_articles, tmp_path):
     loaded = load_dense_index(path, EMB, TOK)
     assert loaded.embedder is EMB
     assert np.array_equal(loaded.data, index.data)
-    assert dense_retrieve_topk(loaded, "Breach causes damages", 1)[0][0] == "d1#1"
+    assert dense_retrieve_topk(loaded, "Breach causes damages", 1).ids() == ["d1#1"]
 
 
 def test_equal_rows_score_equal_wherever_they_sit():
@@ -297,7 +300,7 @@ def test_equal_rows_score_equal_wherever_they_sit():
     scores = quickview_dense_score(index, sentence_cosines(index, vector), range(5))
     assert len(set(scores.tolist())) == 1
     ranked = dense_retrieve_topk(index, question, 5)
-    assert ranked == [(f"a{i}", scores[0]) for i in range(5)]
+    assert pairs(ranked) == [(f"a{i}", scores[0]) for i in range(5)]
 
 
 def test_top_k_equals_the_stable_sort_around_a_tie_group():
@@ -318,7 +321,7 @@ def test_top_k_equals_the_stable_sort_around_a_tie_group():
     assert len(set(scores[order[2:6]].tolist())) == 1  # the tie group sits at ranks 3-6
     for k in range(1, len(articles) + 3):
         want = [(index.article_ids[i], scores[i]) for i in order[:k]]
-        assert dense_retrieve_topk(index, question, k) == want
+        assert pairs(dense_retrieve_topk(index, question, k)) == want
 
 
 def test_batch_embedding_saves_the_bytes_of_one_at_a_time(synth, tmp_path):

@@ -1,11 +1,12 @@
-import dataclasses
 import json
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import fusion_oracle
+from conftest import pairs
 from statuteqa.corpus import clean_text, tokenize
 from statuteqa.dense import dense_retrieve_topk
 from statuteqa.lexical import QuickviewConfig, score_query
@@ -31,22 +32,23 @@ def _candidate(article_id, combined):
 
 def _select(candidates, threshold):
     """``select_answer_set`` on the candidates' ids and combined scores."""
-    ids = [c.article_id for c in candidates]
-    keep = select_answer_set(ids, [c.combined for c in candidates], threshold)
+    ids = np.array([c.article_id for c in candidates])
+    combined = np.array([c.combined for c in candidates])
+    keep = select_answer_set(ids, combined, threshold)
     return [candidates[i] for i in keep]
 
 
 def test_minmax_examples():
-    assert minmax_normalize([2, 4, 6]).tolist() == [0.0, 0.5, 1.0]
-    assert minmax_normalize([5]).tolist() == [1.0]
-    assert minmax_normalize([3, 3, 3]).tolist() == [1.0, 1.0, 1.0]
+    assert minmax_normalize(np.array([2.0, 4.0, 6.0])).tolist() == [0.0, 0.5, 1.0]
+    assert minmax_normalize(np.array([5.0])).tolist() == [1.0]
+    assert minmax_normalize(np.array([3.0, 3.0, 3.0])).tolist() == [1.0, 1.0, 1.0]
     with pytest.raises(ValueError):
-        minmax_normalize([])
+        minmax_normalize(np.zeros(0))
 
 
 @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=50))
 def test_minmax_range_and_extremes(scores):
-    normalized = minmax_normalize(scores)
+    normalized = minmax_normalize(np.array(scores))
     assert all(0.0 <= v <= 1.0 for v in normalized)
     assert max(normalized) == 1.0
     if max(scores) > min(scores):
@@ -55,9 +57,10 @@ def test_minmax_range_and_extremes(scores):
 
 
 def test_combine_examples():
-    assert combine(0.3, 0.9, 1.0) == 0.3
-    assert combine(0.3, 0.9, 0.0) == 0.9
-    assert combine(0.8, 0.6, 0.5) == pytest.approx(0.7)
+    qs, ss = np.array([0.3, 0.8]), np.array([0.9, 0.6])
+    assert combine(qs, ss, 1.0).tolist() == [0.3, 0.8]
+    assert combine(qs, ss, 0.0).tolist() == [0.9, 0.6]
+    assert combine(qs, ss, 0.5)[1] == pytest.approx(0.7)
 
 
 def test_selection_rule_example():
@@ -174,7 +177,7 @@ def test_gamma_one_preserves_quickview_order(synth):
 def test_gamma_zero_preserves_supervised_order(synth):
     question = synth.queries[5].question
     ranked = synth.ranked(question, 10)
-    table = {article_id: 1.0 - i * 0.05 for i, (article_id, _) in enumerate(sorted(ranked))}
+    table = {article_id: 1.0 - i * 0.05 for i, article_id in enumerate(sorted(ranked.ids()))}
     cfg = EnsembleConfig(gamma=0.0, top_k=10, threshold=1.1)
     answer = rank_and_select("q", question, ranked, LookupScorer(table), synth.by_id, cfg)
     by_supervised = sorted(answer.returned, key=lambda c: (-c.ss_raw, c.article_id))
@@ -217,9 +220,9 @@ def test_dense_quickview_source(synth):
     pipeline = Pipeline(cfg, synth.articles, synth.lex, synth.dense, ConstantScorer())
     query = synth.queries[0]
     ranked = pipeline.quickview_rank(query.question, 5)
-    assert ranked == dense_retrieve_topk(synth.dense, query.question, 5, synth.tok)
+    assert pairs(ranked) == pairs(dense_retrieve_topk(synth.dense, query.question, 5, synth.tok))
     answer = pipeline.answer(query.question_id, query.question)
-    assert [c.article_id for c in answer.returned] == [a for a, _ in ranked]
+    assert [c.article_id for c in answer.returned] == ranked.ids()
 
 
 def test_pipeline_answer_rejects_top_k_below_one(synth):
@@ -238,7 +241,7 @@ def test_answer_set_json_shape():
 
 
 def _ranked_ids(synth, question, k=10):
-    return [a for a, _ in synth.ranked(question, k)]
+    return synth.ranked(question, k).ids()
 
 
 def _both(synth, question, scorer, cfg):
@@ -307,39 +310,39 @@ def test_rank_and_select_rejects_a_short_score_list(synth):
         )
 
 
-def test_ranking_reads_as_its_list_of_pairs(synth):
+def test_ranking_is_a_record(synth):
+    """A ranking is read through ``ids()``, ``positions`` and ``scores``;
+    it is not a list: no integer index and no equality with pairs."""
     ranked = synth.ranked(synth.queries[0].question, 10)
-    assert isinstance(ranked, Ranking)
+    assert isinstance(ranked, Ranking) and not isinstance(ranked, Sequence)
     assert ranked.article_ids is synth.lex.article_ids
     assert ranked.positions.dtype == np.int64 and ranked.scores.dtype == np.float64
-    pairs = [
-        (synth.lex.article_ids[p], s)
-        for p, s in zip(ranked.positions.tolist(), ranked.scores.tolist())
-    ]
-    assert len(ranked) == len(pairs) > 2
-    assert ranked == pairs and pairs == ranked
-    assert ranked == tuple(pairs) and tuple(pairs) == ranked
-    assert ranked != pairs[:-1] and pairs[:-1] != ranked
-    assert ranked != pairs[::-1] and pairs[::-1] != ranked
-    assert list(ranked) == pairs and ranked.ids() == [a for a, _ in pairs]
-    for article_id, score in ranked:
-        assert type(article_id) is str and type(score) is float
-    article_id, score = ranked[-1]
-    assert (article_id, score) == pairs[-1]
-    assert type(article_id) is str and type(score) is float
+    ids = [synth.lex.article_ids[p] for p in ranked.positions.tolist()]
+    assert len(ranked) == len(ids) > 2 and ranked.ids() == ids
+    for index in (0, -1, np.int64(1)):
+        with pytest.raises(TypeError):
+            ranked[index]
+    assert ranked != pairs(ranked) and ranked != tuple(pairs(ranked))
     head = ranked[:3]
     assert isinstance(head, Ranking) and head.article_ids is ranked.article_ids
-    assert head == pairs[:3] and ranked[1::2] == pairs[1::2]
+    assert pairs(head) == pairs(ranked)[:3]
+    odd = ranked[1::2]
+    assert odd.positions.tolist() == ranked.positions.tolist()[1::2]
+    assert pairs(odd) == pairs(ranked)[1::2]
+    # perfbench/checks.py iterates a ranking as (str, float) pairs
+    assert list(ranked) == pairs(ranked)
+    for article_id, score in ranked:
+        assert type(article_id) is str and type(score) is float
 
 
-def test_empty_ranking_equals_the_empty_list(synth):
+def test_empty_ranking_has_no_candidates(synth):
     for empty in (
         synth.ranked("zzz unseen gibberish", 10),
         dense_retrieve_topk(synth.dense, "???", 5, synth.tok),
     ):
         assert isinstance(empty, Ranking) and len(empty) == 0 and not empty
-        assert empty == [] and [] == empty
-        assert empty[:3] == []
+        assert empty.ids() == [] and empty.positions.size == empty.scores.size == 0
+        assert len(empty[:3]) == 0 and list(empty) == []
 
 
 def test_dense_ranking_carries_its_sentence_cosines(synth):
@@ -347,7 +350,6 @@ def test_dense_ranking_carries_its_sentence_cosines(synth):
     ranked = dense_retrieve_topk(synth.dense, question, 10, synth.tok)
     assert ranked.cosines.shape == (int(synth.dense.offsets[-1]),)
     assert ranked[:4].cosines is ranked.cosines
-    assert ranked == dataclasses.replace(ranked, cosines=None)
     assert ranked.tokens == tuple(tokenize(clean_text(question), synth.tok))
     assert ranked.field_scores is None
     assert synth.ranked(question, 10).cosines is None
@@ -364,4 +366,3 @@ def test_lexical_ranking_carries_its_bm25_pass(synth):
             assert got.tobytes() == expected.tobytes()
     head = ranked[:4]
     assert head.field_scores is ranked.field_scores and head.tokens is ranked.tokens
-    assert ranked == dataclasses.replace(ranked, field_scores=None)

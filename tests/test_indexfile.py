@@ -6,6 +6,7 @@ import dataclasses
 import functools
 import gzip
 import json
+import re
 
 import numpy as np
 import pytest
@@ -376,3 +377,25 @@ def test_dense_rows_stored_in_eight_planes_are_rejected(indexes, tmp_path):
     _write_stored(path, header, stored)
     with pytest.raises(ValueError, match="dense.bin: rows is not .* byte planes of int32"):
         load(path)
+
+
+def test_json_lines_round_trip_with_line_numbers(tmp_path):
+    path = tmp_path / "records.jsonl"
+    indexfile.write_json_lines(path, [{"b": 1, "a": "ầ"}, {}])
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write('\n  \n{"c": null}\n')  # blank lines 3 and 4 are skipped
+    got = list(indexfile.read_json_lines(path))
+    assert got == [(1, {"a": "ầ", "b": 1}), (2, {}), (5, {"c": None})]
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [("[1, 2]", "record must be a JSON object"), ('{"a": ', "invalid JSON: ")],
+)
+def test_json_lines_reader_names_the_file_and_line(tmp_path, line, message):
+    path = tmp_path / "records.jsonl"
+    path.write_text('{"a": 1}\n' + line + "\n")
+    records = indexfile.read_json_lines(path)
+    assert next(records) == (1, {"a": 1})
+    with pytest.raises(ValueError, match=re.escape(f"{path}:2: {message}")):
+        next(records)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bm25_oracle import BruteForceBm25, oracle_bm25, oracle_idf, oracle_quickview, oracle_topk
-from conftest import field_token_lists
+from conftest import field_token_lists, pairs
 from statuteqa.corpus import Article, TokenizerConfig, clean_text, tokenize
 from statuteqa.lexical import (
     Bm25Params,
@@ -34,7 +34,7 @@ def test_build_field_stats(tiny_lex):
 def test_build_errors(tiny_articles):
     with pytest.raises(ValueError, match="empty corpus"):
         build_lex_index([])
-    with pytest.raises(ValueError, match="duplicate"):
+    with pytest.raises(ValueError, match="duplicate article id 'd1#1'"):
         build_lex_index(tiny_articles + [tiny_articles[0]])
 
 
@@ -158,35 +158,35 @@ def test_score_query_counts_matched_distinct_query_terms(case):
 
 def test_quickview_composition(tiny_articles, tiny_lex):
     query = ["civil", "code"]
-    content_only = dict(retrieve_topk(tiny_lex, query, 3, QuickviewConfig(0.0, 1.0)))
+    content_only = dict(pairs(retrieve_topk(tiny_lex, query, 3, QuickviewConfig(0.0, 1.0))))
     assert content_only["d2#1"] == pytest.approx(
         bm25(tiny_lex, "content", query, "d2#1")
     )
     # "law" is in the content of untitled d1#2, which a title-only quickview misses
     title_only = retrieve_topk(tiny_lex, ["law"], 3, QuickviewConfig(1.0, 0.0))
-    assert [article_id for article_id, _ in title_only] == ["d1#1"]
+    assert title_only.ids() == ["d1#1"]
 
     title = field_token_lists(tiny_articles, "title")
     content = field_token_lists(tiny_articles, "content")
     expected = oracle_quickview(title, content, query, "d2#1", alpha=1.5, beta=1.0)
-    got = dict(retrieve_topk(tiny_lex, query, 3, QuickviewConfig(1.5, 1.0)))["d2#1"]
+    got = dict(pairs(retrieve_topk(tiny_lex, query, 3, QuickviewConfig(1.5, 1.0))))["d2#1"]
     assert got == pytest.approx(expected, abs=1e-9)
 
 
 def test_retrieve_title_match_ranks_first(tiny_lex):
     query = tokenize(clean_text("Law of Contracts"))
     ranked = retrieve_topk(tiny_lex, query, 3, QuickviewConfig(1.5, 1.0))
-    assert ranked[0][0] == "d1#1"
+    assert ranked.ids()[0] == "d1#1"
 
 
 def test_retrieve_k_larger_than_matches(tiny_lex):
     ranked = retrieve_topk(tiny_lex, ["civil"], 100)
-    assert [article_id for article_id, _ in ranked] == ["d2#1"]
+    assert ranked.ids() == ["d2#1"]
 
 
 def test_retrieve_only_positive_scores(tiny_lex):
-    assert retrieve_topk(tiny_lex, ["zebra"], 5) == []
-    for _, score in retrieve_topk(tiny_lex, ["law", "zebra"], 5):
+    assert len(retrieve_topk(tiny_lex, ["zebra"], 5)) == 0
+    for score in retrieve_topk(tiny_lex, ["law", "zebra"], 5).scores.tolist():
         assert score > 0.0
 
 
@@ -195,8 +195,8 @@ def test_retrieve_tie_broken_by_id():
     b = Article("a-first", "d", "same words", "identical content here")
     index = build_lex_index([a, b])
     ranked = retrieve_topk(index, ["identical"], 2)
-    assert [article_id for article_id, _ in ranked] == ["a-first", "b-second"]
-    assert ranked[0][1] == ranked[1][1]
+    assert ranked.ids() == ["a-first", "b-second"]
+    assert ranked.scores[0] == ranked.scores[1]
 
 
 # Ties, untitled articles and ids whose string order ("d1#10" < "d1#2")
@@ -228,9 +228,9 @@ def test_retrieve_topk_equals_oracle_exactly(query, k, alpha, beta):
     title = BruteForceBm25(field_token_lists(TIE_ARTICLES, "title"))
     content = BruteForceBm25(field_token_lists(TIE_ARTICLES, "content"))
     got = retrieve_topk(index, query, k, QuickviewConfig(alpha, beta))
-    assert got == oracle_topk(title, content, query, k, alpha, beta)
+    assert pairs(got) == oracle_topk(title, content, query, k, alpha, beta)
     if query == ["deposit"]:
-        assert [a for a, _ in got] == ["d1#1", "d1#10", "d1#11"][:k]
+        assert got.ids() == ["d1#1", "d1#10", "d1#11"][:k]
 
 
 def test_retrieve_prefix_property(synth):
@@ -240,7 +240,7 @@ def test_retrieve_prefix_property(synth):
         query = rng.sample(vocab, k=3)
         small = retrieve_topk(synth.lex, query, 5)
         large = retrieve_topk(synth.lex, query, 15)
-        assert large[: len(small)] == small
+        assert pairs(large[: len(small)]) == pairs(small)
 
 
 def test_quickview_score_linearity(tiny_lex):
@@ -249,8 +249,8 @@ def test_quickview_score_linearity(tiny_lex):
     doubled = QuickviewConfig(3.0, 2.0)
     ranked = retrieve_topk(tiny_lex, query, 10, base)
     ranked2 = retrieve_topk(tiny_lex, query, 10, doubled)
-    assert [a for a, _ in ranked] == [a for a, _ in ranked2]
-    for (_, s1), (_, s2) in zip(ranked, ranked2):
+    assert ranked.ids() == ranked2.ids()
+    for s1, s2 in zip(ranked.scores.tolist(), ranked2.scores.tolist()):
         assert s2 == pytest.approx(2 * s1, rel=1e-12)
 
 
@@ -279,7 +279,7 @@ def test_save_load_round_trip(tiny_articles, tiny_lex, tmp_path):
             assert bm25(loaded, field, query, article.article_id) == bm25(
                 tiny_lex, field, query, article.article_id
             )
-    assert retrieve_topk(loaded, query, 3) == retrieve_topk(tiny_lex, query, 3)
+    assert pairs(retrieve_topk(loaded, query, 3)) == pairs(retrieve_topk(tiny_lex, query, 3))
     again = tmp_path / "again.bin"
     save_lex_index(loaded, again)
     assert again.read_bytes() == path.read_bytes()

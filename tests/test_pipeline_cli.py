@@ -175,6 +175,30 @@ def test_lock_of_a_killed_holder_is_released(workspace, capsys):
         assert main(base + ["index"]) == 0
 
 
+@pytest.mark.parametrize(
+    "settings, message",
+    [
+        ({"embedder_dimension": 0}, "embedder_dimension must be >= 1, not 0"),
+        ({"external_embedder_cmd": ["/nonexistent/embedder"]}, "cannot start"),
+        ({"external_embedder_cmd": [sys.executable, "-c", "pass"]}, "closed its output"),
+    ],
+)
+def test_index_with_bad_settings_writes_nothing(workspace, tmp_path, capsys, settings, message):
+    """A bad embedder setting used to fail after the lexical index (here
+    built with another k1) had already replaced the old one."""
+    root, _, _ = workspace
+    config = json.loads((root / "config.json").read_text())
+    paths = [tmp_path / "lex_index.bin", tmp_path / "dense_index.bin"]
+    for path in paths:
+        path.write_bytes((root / path.name).read_bytes())
+    config.update(lex_index_path=str(paths[0]), dense_index_path=str(paths[1]), **settings)
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    before = [path.read_bytes() for path in paths]
+    assert main(["--config", str(tmp_path / "config.json"), "index", "--k1", "2.0"]) == 1
+    assert message in capsys.readouterr().err
+    assert [path.read_bytes() for path in paths] == before
+
+
 def test_index_locks_the_dense_index_directory_too(workspace, tmp_path, capsys):
     root, base, _ = workspace
     dense_path = tmp_path / "dense.bin"
@@ -281,6 +305,11 @@ def test_config_rejects_unknown_keys(tmp_path):
     bad.write_text(json.dumps({"corpus_path": "x", "typo_key": 1}))
     with pytest.raises(ValueError, match="typo_key"):
         PipelineConfig.from_file(bad)
+    # the phrase lexicon alone configures the tokenizer
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps({"tokenizer_mode": "whitespace", "phrase_lexicon": []}))
+    with pytest.raises(ValueError, match=r"unknown config keys: \['tokenizer_mode'\]"):
+        PipelineConfig.from_file(old)
 
 
 @pytest.mark.parametrize(
@@ -334,7 +363,7 @@ def test_config_accepts_every_annotated_type(tmp_path):
     good = tmp_path / "good.json"
     values = {
         "top_k": 20, "gamma": 1, "threshold": None, "learning_rate": 0.5,
-        "phrase_lexicon": ["civil code"], "tokenizer_mode": "whitespace_with_phrase_merge",
+        "phrase_lexicon": ["civil code"],
         "external_embedder_cmd": None, "external_scorer_cmd": ["scorer", "--fast"],
     }
     good.write_text(json.dumps(values))
@@ -481,7 +510,7 @@ def test_external_scorer_is_sent_each_candidates_text(
     by_id = {a.article_id: a for a in iter_articles(docs)}
     assert sent == [[
         {"question": question, "title": by_id[i].title, "content": by_id[i].content}
-        for i, _ in ranked
+        for i in ranked.ids()
     ]]
 
 
@@ -628,7 +657,7 @@ def _dense_recall(root, ks):
     recall = {}
     for k in ks:
         ranked = [
-            [a for a, _ in dense.dense_retrieve_topk(index, q.question, k, TokenizerConfig())]
+            dense.dense_retrieve_topk(index, q.question, k, TokenizerConfig()).ids()
             for q in queries
         ]
         hits = [recall_at_k(r, q.gold_article_ids, k) for r, q in zip(ranked, queries)]
@@ -853,7 +882,7 @@ def test_indexes_of_different_tokenizers_are_rejected(tmp_path):
     digest = corpus_mod.file_digest(cfg.corpus_path)
     lex = lexical.build_lex_index(articles, cfg.tokenizer_config(), corpus_digest=digest)
     lexical.save_lex_index(lex, cfg.lex_index_path)
-    phrases = TokenizerConfig("whitespace_with_phrase_merge", frozenset({"of the"}))
+    phrases = TokenizerConfig(frozenset({"of the"}))
     built, _ = dense.build_dense_index(articles, cfg.make_embedder(), phrases, digest)
     dense.save_dense_index(built, cfg.dense_index_path)
     message = f"{re.escape(cfg.dense_index_path)}: tokenizer fingerprint mismatch"
