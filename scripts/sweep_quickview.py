@@ -12,7 +12,8 @@ import time
 
 from statuteqa.corpus import TokenizerConfig, clean_text, iter_articles, tokenize
 from statuteqa.evaluation import recall_at_k
-from statuteqa.lexical import QuickviewConfig, build_lex_index, retrieve_topk
+from statuteqa.lexical import build_lex_index, retrieve_topk
+from statuteqa.pipeline import PipelineConfig
 from statuteqa.synth import family_mixed_queries, synthetic_family_corpus
 
 SETTINGS = ((0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (1.5, 1.0))
@@ -31,12 +32,12 @@ def main() -> int:
     articles = list(iter_articles(docs))
     queries = family_mixed_queries(docs, seed=args.seed)
     tok = TokenizerConfig()
-    lex = build_lex_index(articles, tok)
+    lex = build_lex_index(articles, PipelineConfig())
 
     header = "BM25(alpha,beta)".ljust(20) + "".join(f"R@{k}".rjust(9) for k in ks)
     print(header + "  ms/query")
     for alpha, beta in SETTINGS:
-        cfg = QuickviewConfig(alpha=alpha, beta=beta)
+        cfg = PipelineConfig(alpha=alpha, beta=beta)
         sums = {k: 0.0 for k in ks}
         started = time.perf_counter()
         for query in queries:

@@ -192,7 +192,7 @@ def _cmd_index(cfg: PipelineConfig) -> int:
         # each output directory, in one order, so two runs cannot deadlock
         for directory in sorted({Path(path).resolve().parent for path in outputs}):
             stack.enter_context(_exclusive_lock(directory))
-        lex = build_lex_index(articles, tok, cfg.bm25_params(), stats.digest)
+        lex = build_lex_index(articles, cfg, stats.digest)
         dense, excluded = build_dense_index(articles, embedder, tok, stats.digest)
         save_lex_index(lex, cfg.lex_index_path)
         save_dense_index(dense, cfg.dense_index_path)
@@ -216,7 +216,7 @@ def _cmd_index(cfg: PipelineConfig) -> int:
 def _cmd_weaklabel(cfg: PipelineConfig) -> int:
     docs, _ = load_corpus_file(cfg.corpus_path)
     articles = list(iter_articles(docs))
-    examples = generate_weak_dataset(articles, cfg.weak_config())
+    examples = generate_weak_dataset(articles, cfg)
     write_dataset(examples, cfg.weak_dataset_path)
     stats = dataset_stats(examples)
     print(
@@ -236,32 +236,30 @@ def _cmd_train(cfg: PipelineConfig, mode: str) -> int:
         train_queries, valid_queries = split_train_valid(
             gold_queries, cfg.split_ratio, cfg.split_seed
         )
-        weak_cfg = cfg.weak_config()
         gold_train = generate_gold_examples(
             [(q.question, sorted(q.gold_article_ids)) for q in train_queries],
             articles,
-            weak_cfg,
+            cfg,
         )
         gold_valid = generate_gold_examples(
             [(q.question, sorted(q.gold_article_ids)) for q in valid_queries],
             articles,
-            dataclasses.replace(weak_cfg, rng_seed=weak_cfg.rng_seed + 1),
+            dataclasses.replace(cfg, weak_seed=cfg.weak_seed + 1),
         )
 
-        train_cfg = cfg.train_config()
         with _exclusive_lock(Path(cfg.model_path).resolve().parent):
             # each dataset's features once; every stage shares the validation set's
             valid = extractor.matrix(gold_valid) if gold_valid else None
             if mode == "gold-only":
                 gold = extractor.matrix(gold_train)
-                model = train_stage(zero_model(), gold, valid, train_cfg, "gold_only")
+                model = train_stage(zero_model(), gold, valid, cfg, "gold_only")
             else:
                 weak = extractor.matrix(read_dataset(cfg.weak_dataset_path))
                 if mode == "two-stage":
                     gold = extractor.matrix(gold_train)
-                    model = train_two_stage(weak, gold, valid, train_cfg)
+                    model = train_two_stage(weak, gold, valid, cfg)
                 else:
-                    model = train_stage(zero_model(), weak, valid, train_cfg, "weak_only")
+                    model = train_stage(zero_model(), weak, valid, cfg, "weak_only")
             save_model(model, cfg.model_path)
     finally:
         close_all(dense.embedder)

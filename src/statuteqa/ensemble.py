@@ -19,17 +19,20 @@ from __future__ import annotations
 import json
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .corpus import Article
+
+if TYPE_CHECKING:
+    from .pipeline import PipelineConfig
 
 __all__ = [
     "Ranking",
     "top_k_positions",
     "RankedCandidate",
     "AnswerSet",
-    "EnsembleConfig",
     "DEFAULT_THRESHOLDS",
     "default_threshold",
     "minmax_normalize",
@@ -56,29 +59,6 @@ def default_threshold(top_k: int) -> float:
         return DEFAULT_THRESHOLDS[top_k]
     nearest = min(DEFAULT_THRESHOLDS, key=lambda k: (abs(k - top_k), k))
     return DEFAULT_THRESHOLDS[nearest]
-
-
-@dataclass(frozen=True)
-class EnsembleConfig:
-    gamma: float = 0.5
-    top_k: int = 200
-    threshold: float | None = None  # None -> default_threshold(top_k)
-    quickview_source: str = "lexical"  # or "dense"
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError("gamma must be in [0, 1]")
-        if self.top_k < 1:
-            raise ValueError("top_k must be >= 1")
-        if self.threshold is not None and self.threshold < 0:
-            raise ValueError("threshold must be >= 0")
-        if self.quickview_source not in ("lexical", "dense"):
-            raise ValueError("quickview_source must be 'lexical' or 'dense'")
-
-    def effective_threshold(self) -> float:
-        return self.threshold if self.threshold is not None else default_threshold(
-            self.top_k
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,7 +177,7 @@ def rank_and_select(
     ranked: Ranking,
     scorer,
     articles_by_id: Mapping[str, Article] | None,
-    cfg: EnsembleConfig,
+    cfg: PipelineConfig,
 ) -> AnswerSet:
     """Score, normalize, fuse and select over a quickview ranking.
 
@@ -205,7 +185,8 @@ def rank_and_select(
     returns it, and ``scorer`` is anything with ``score_batch(question,
     candidates)``. The scorer is handed the candidates' articles from
     ``articles_by_id``, or the ranking itself when that is None (the
-    in-process ``ModelScorer`` reads its features at the positions). Scores
+    in-process ``ModelScorer`` reads its features at the positions). Fusion
+    reads ``cfg.gamma`` and ``cfg.effective_threshold()``. Scores
     are read from the ranking as an array, ties break by position, and ids
     are looked up only for the returned articles. When the quickview found
     no candidate (``ranked`` is empty) the answer set is empty and flagged,

@@ -110,8 +110,9 @@ def load(path, fmt: str, version: int, layout: dict, expected: dict):
 
     Raises ``ValueError`` naming ``path`` for a file that is not gzip or is
     truncated; that has another format, version or set of arrays, or a
-    header value other than one in ``expected``; or whose arrays or
-    article ids are malformed.
+    header value other than one in ``expected``; or whose arrays, article
+    ids (a list of strings, ascending) or corpus digest (a string) are
+    malformed.
     """
     wanted = {"format": fmt, "version": version, "arrays": list(layout), **expected}
     try:
@@ -134,9 +135,12 @@ def load(path, fmt: str, version: int, layout: dict, expected: dict):
             arrays[name] = from_planes(path, name, arrays[name], dtype)
         ok = arrays[name].dtype == dtype and arrays[name].ndim == ndim
         require(ok, path, f"{name} is not {ndim}-d {np.dtype(dtype)}")
-    ids = header["article_ids"]
-    ordered = isinstance(ids, list) and all(map(operator.lt, ids, ids[1:]))
-    require(ordered, path, "article ids out of order")
+    ids = header.get("article_ids")
+    strings = isinstance(ids, list) and all(isinstance(i, str) for i in ids)
+    require(strings, path, "article_ids must be a list of strings")
+    require(all(map(operator.lt, ids, ids[1:])), path, "article ids out of order")
+    digest = isinstance(header.get("corpus_digest"), str)
+    require(digest, path, "corpus_digest must be a string")
     return header, arrays
 
 

@@ -33,18 +33,20 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
 from . import indexfile
 from .corpus import Article, TokenizerConfig, clean_text, sorted_articles, tokenize
 from .ensemble import Ranking, top_k_positions
+from .lineproto import finite_real
+
+if TYPE_CHECKING:
+    from .pipeline import PipelineConfig
 
 __all__ = [
     "FieldMatrix",
-    "Bm25Params",
-    "QuickviewConfig",
     "LexIndex",
     "build_lex_index",
     "score_query",
@@ -64,34 +66,6 @@ _SAVED = {"indptr": np.int64, "columns": np.int32, "tf": np.int32, "lengths": np
 _LAYOUT = {
     f"{field}.{name}": (dtype, 1) for field in FIELDS for name, dtype in _SAVED.items()
 }
-
-
-@dataclass(frozen=True)
-class Bm25Params:
-    """Robertson defaults; the saturation/length knobs of the BM25 formula."""
-
-    k1: float = 1.2
-    b: float = 0.75
-
-    def __post_init__(self) -> None:
-        if self.k1 < 0:
-            raise ValueError("k1 must be >= 0")
-        if not 0.0 <= self.b <= 1.0:
-            raise ValueError("b must be in [0, 1]")
-
-
-@dataclass(frozen=True)
-class QuickviewConfig:
-    """Boosting weights for the title and content BM25 scores."""
-
-    alpha: float = 1.5
-    beta: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("boost weights must be >= 0")
-        if self.alpha + self.beta <= 0:
-            raise ValueError("alpha + beta must be > 0")
 
 
 @dataclass(frozen=True)
@@ -125,13 +99,15 @@ class LexIndex:
     posting, computed elementwise with the scalar formula's operations in
     its order, so a query's per-article sum of impacts, taken in query
     order from 0.0 (see ``score_query``), equals the per-article BM25 loop
-    bit for bit. Immutable after build; safe for concurrent readers.
+    bit for bit. ``k1`` and ``b`` are the BM25 settings the impacts were
+    computed with. Immutable after build; safe for concurrent readers.
     """
 
     article_ids: tuple[str, ...]  # sorted; position = matrix column
     title: FieldMatrix
     content: FieldMatrix
-    params: Bm25Params
+    k1: float
+    b: float
     tokenizer_fingerprint: str
     corpus_digest: str  # sha256 of the corpus file's bytes; "" if built in memory
     column: Mapping[str, int] = dataclasses.field(init=False, repr=False, compare=False)
@@ -158,7 +134,8 @@ def _field_matrix(
     columns: np.ndarray,
     tf: np.ndarray,
     lengths: np.ndarray,
-    params: Bm25Params,
+    k1: float,
+    b: float,
 ) -> FieldMatrix:
     """Impacts and per-column statistics of one field's CSR postings.
 
@@ -171,7 +148,6 @@ def _field_matrix(
     distinct_df, row_df = np.unique(df, return_inverse=True)
     idf_df = np.array([_idf(big_n, n) for n in distinct_df.tolist()], dtype=np.float64)
     idf_rows = idf_df[row_df]
-    k1, b = params.k1, params.b
     tf_f = tf.astype(np.float64)
     # per column, then gathered; avgdl is 0 only when no column has tokens
     # (no postings), so the stand-in divisor is never read
@@ -197,12 +173,10 @@ def _field_tokens(article: Article, field: str, tok: TokenizerConfig) -> list[st
 
 
 def build_lex_index(
-    articles: Sequence[Article],
-    tok: TokenizerConfig | None = None,
-    params: Bm25Params | None = None,
-    corpus_digest: str = "",
+    articles: Sequence[Article], cfg: PipelineConfig, corpus_digest: str = ""
 ) -> LexIndex:
-    """Index title and content tokens of every article whose content has tokens.
+    """Index title and content tokens of every article whose content has tokens,
+    with ``cfg``'s tokenizer and BM25 ``k1`` and ``b``.
 
     An article whose cleaned content has no tokens gets no column, whatever
     its title; title tokens are indexed only when a title is present.
@@ -210,8 +184,7 @@ def build_lex_index(
     the corpus file the articles were parsed from.
     """
     ordered = sorted_articles(articles)
-    tok = tok or TokenizerConfig()
-    params = params or Bm25Params()
+    tok = cfg.tokenizer_config()
     tokens = {f: [_field_tokens(a, f, tok) for a in ordered] for f in FIELDS}
     kept = [i for i, content in enumerate(tokens["content"]) if content]
     matrices = {}
@@ -227,12 +200,15 @@ def build_lex_index(
         entries = [entry for term in terms for entry in postings[term]]
         flat = np.fromiter(chain.from_iterable(entries), np.int32, 2 * len(entries))
         columns, tf = flat.reshape(-1, 2).T.copy()  # two contiguous rows
-        matrices[field] = _field_matrix(terms, indptr, columns, tf, lengths, params)
+        matrices[field] = _field_matrix(
+            terms, indptr, columns, tf, lengths, cfg.k1, cfg.b
+        )
     return LexIndex(
         article_ids=tuple(ordered[i].article_id for i in kept),
         title=matrices["title"],
         content=matrices["content"],
-        params=params,
+        k1=cfg.k1,
+        b=cfg.b,
         tokenizer_fingerprint=tok.fingerprint(),
         corpus_digest=corpus_digest,
     )
@@ -288,9 +264,10 @@ def retrieve_topk(
     index: LexIndex,
     query: Sequence[str],
     k: int,
-    cfg: QuickviewConfig | None = None,
+    cfg: PipelineConfig,
 ) -> Ranking:
-    """Top-k article columns by raw quickview score, descending.
+    """Top-k article columns by raw quickview score, descending: the title
+    and content BM25 boosted by ``cfg.alpha`` and ``cfg.beta``.
 
     Only articles with score > 0 are returned; ties break by ascending
     column, which is ascending article id, for a deterministic total order.
@@ -298,7 +275,6 @@ def retrieve_topk(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    cfg = cfg or QuickviewConfig()
     field_scores = score_query(index, query)
     scores = np.zeros(len(index.article_ids), dtype=np.float64)
     if cfg.alpha:
@@ -320,8 +296,8 @@ def save_lex_index(index: LexIndex, path: str | Path) -> None:
     header = {
         "tokenizer_fingerprint": index.tokenizer_fingerprint,
         "corpus_digest": index.corpus_digest,
-        "k1": index.params.k1,
-        "b": index.params.b,
+        "k1": index.k1,
+        "b": index.b,
         "article_ids": list(index.article_ids),
         "terms": {field: list(index.stats(field).terms) for field in FIELDS},
     }
@@ -337,27 +313,40 @@ def save_lex_index(index: LexIndex, path: str | Path) -> None:
 
 
 def load_lex_index(path: str | Path, expected_fingerprint: str) -> LexIndex:
-    """Load a persisted index built with the tokenizer of this fingerprint."""
+    """Load a persisted index built with the tokenizer of this fingerprint.
+
+    Raises ``ValueError`` naming ``path`` for a header whose ``terms`` are
+    not a list of strings per field, or whose ``k1`` and ``b`` are not
+    finite reals in their config ranges.
+    """
     header, arrays = indexfile.load(
         path, LEX_INDEX_FORMAT, LEX_INDEX_VERSION, _LAYOUT,
         {"tokenizer_fingerprint": expected_fingerprint},
     )
     ids = header["article_ids"]
-    params = Bm25Params(k1=header["k1"], b=header["b"])
+    k1, b = header.get("k1"), header.get("b")
+    in_range = finite_real(k1) is not None and k1 >= 0
+    indexfile.require(in_range, path, "k1 must be a finite real >= 0")
+    in_range = finite_real(b) is not None and 0 <= b <= 1
+    indexfile.require(in_range, path, "b must be a finite real in [0, 1]")
+    fields = header.get("terms")
     matrices = {}
     for field in FIELDS:
-        terms = header["terms"][field]
+        terms = fields.get(field) if isinstance(fields, dict) else None
+        strings = isinstance(terms, list) and all(isinstance(t, str) for t in terms)
+        indexfile.require(strings, path, f"{field} terms must be a list of strings")
         indptr, gaps, tf, lengths = (arrays[f"{field}.{name}"] for name in _SAVED)
         indexfile.require_offsets(path, f"{field} indptr", indptr, len(terms), len(tf))
         columns = indexfile.gap_decode(path, f"{field} columns", indptr, gaps, len(ids))
         agree = len(lengths) == len(ids)
         indexfile.require(agree, path, f"{field} postings disagree with the header")
-        matrices[field] = _field_matrix(terms, indptr, columns, tf, lengths, params)
+        matrices[field] = _field_matrix(terms, indptr, columns, tf, lengths, k1, b)
     return LexIndex(
         article_ids=tuple(ids),
         title=matrices["title"],
         content=matrices["content"],
-        params=params,
+        k1=k1,
+        b=b,
         tokenizer_fingerprint=header["tokenizer_fingerprint"],
         corpus_digest=header["corpus_digest"],
     )

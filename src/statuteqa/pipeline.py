@@ -2,7 +2,10 @@
 
 A single flat config (JSON file, overridable by CLI flags) carries every
 path and parameter of the phases: indexing, weak-label generation,
-training, querying, evaluation and serving.
+training, querying, evaluation and serving. It is the only record of each
+setting's default and allowed range: the phase functions are handed the
+config and read their settings from it, so a bad value is rejected when
+the config is built, before any phase runs.
 """
 
 from __future__ import annotations
@@ -25,23 +28,17 @@ from .corpus import (
     tokenize,
 )
 from .dense import (
+    DEFAULT_DIMENSION,
     DenseIndex,
     ExternalEmbedder,
     HashedProjectionEmbedder,
     dense_retrieve_topk,
     load_dense_index,
 )
-from .ensemble import AnswerSet, EnsembleConfig, Ranking, rank_and_select
-from .lexical import Bm25Params, LexIndex, QuickviewConfig, load_lex_index, retrieve_topk
+from .ensemble import AnswerSet, Ranking, default_threshold, rank_and_select
+from .lexical import LexIndex, load_lex_index, retrieve_topk
 from .lineproto import finite_real
-from .reranker import (
-    ExternalScorer,
-    FeatureExtractor,
-    ModelScorer,
-    TrainConfig,
-    load_model,
-)
-from .weak_label import WeakGenConfig
+from .reranker import ExternalScorer, FeatureExtractor, ModelScorer, load_model
 
 __all__ = [
     "PipelineConfig",
@@ -54,8 +51,31 @@ __all__ = [
 
 CONFIG_ENV_VAR = "STATUTEQA_CONFIG"
 
+# key -> (its allowed range, as messages and the README state it; the test)
+RANGES = {
+    "k1": (">= 0", lambda v: v >= 0),
+    "b": ("in [0, 1]", lambda v: 0 <= v <= 1),
+    "alpha": (">= 0", lambda v: v >= 0),
+    "beta": (">= 0", lambda v: v >= 0),
+    "gamma": ("in [0, 1]", lambda v: 0 <= v <= 1),
+    "top_k": (">= 1", lambda v: v >= 1),
+    "threshold": ("null or >= 0", lambda v: v is None or v >= 0),
+    "quickview_source": ("'lexical' or 'dense'", lambda v: v in ("lexical", "dense")),
+    "embedder_dimension": (">= 1", lambda v: v >= 1),
+    "external_embedder_timeout": ("> 0", lambda v: v > 0),
+    "external_scorer_timeout": ("> 0", lambda v: v > 0),
+    "learning_rate": ("> 0", lambda v: v > 0),
+    "epochs": (">= 1", lambda v: v >= 1),
+    "batch_size": (">= 1", lambda v: v >= 1),
+    "train_seed": (">= 0", lambda v: v >= 0),
+    "patience": (">= 1", lambda v: v >= 1),
+    "weak_negative_ratio": (">= 1", lambda v: v >= 1),
+    "split_ratio": ("in (0, 1)", lambda v: 0 < v < 1),
+    "max_question_chars": (">= 1", lambda v: v >= 1),
+}
 
-@dataclass
+
+@dataclass(frozen=True)
 class PipelineConfig:
     # paths
     corpus_path: str = "corpus.jsonl"
@@ -78,7 +98,7 @@ class PipelineConfig:
     # tokenizer: phrases to merge into one token (none by default)
     phrase_lexicon: list[str] = field(default_factory=list)
     # embedder
-    embedder_dimension: int = 300
+    embedder_dimension: int = DEFAULT_DIMENSION
     embedder_seed: int = 0
     external_embedder_cmd: list[str] | None = None
     external_embedder_timeout: float = 30.0
@@ -90,7 +110,7 @@ class PipelineConfig:
     epochs: int = 50
     batch_size: int = 32
     train_seed: int = 0
-    patience: int = 10
+    patience: int = 10  # early-stop patience on validation loss
     # weak labels and splits
     weak_negative_ratio: int = 4
     weak_seed: int = 0
@@ -100,12 +120,14 @@ class PipelineConfig:
     max_question_chars: int = 2000
 
     def __post_init__(self) -> None:
-        for key in ("max_question_chars", "embedder_dimension"):
-            if getattr(self, key) < 1:
-                raise ValueError(f"{key} must be >= 1, not {getattr(self, key)}")
-        for key in ("external_embedder_timeout", "external_scorer_timeout"):
-            if not getattr(self, key) > 0:
-                raise ValueError(f"{key} must be > 0, not {getattr(self, key)}")
+        """Every range once; a NaN fails every comparison, so it is rejected.
+        The config is frozen, and ``dataclasses.replace`` checks again."""
+        for key, (allowed, holds) in RANGES.items():
+            value = getattr(self, key)
+            if not holds(value):
+                raise ValueError(f"{key} must be {allowed}, not {value!r}")
+        if not self.alpha + self.beta > 0:
+            raise ValueError(f"alpha + beta must be > 0, not {self.alpha + self.beta!r}")
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":
@@ -128,33 +150,20 @@ class PipelineConfig:
     def tokenizer_config(self) -> TokenizerConfig:
         return TokenizerConfig(frozenset(self.phrase_lexicon))
 
-    def bm25_params(self) -> Bm25Params:
-        return Bm25Params(k1=self.k1, b=self.b)
+    def effective_threshold(self) -> float:
+        """``threshold``, or the default for ``top_k`` when it is None."""
+        if self.threshold is None:
+            return default_threshold(self.top_k)
+        return self.threshold
 
-    def quickview_config(self) -> QuickviewConfig:
-        return QuickviewConfig(alpha=self.alpha, beta=self.beta)
+    def ensemble_config(self) -> "PipelineConfig":
+        """The config itself. Only the benchmark's code (``perfbench/``)
+        calls this; it goes once that reads the config directly."""
+        return self
 
-    def ensemble_config(self) -> EnsembleConfig:
-        return EnsembleConfig(
-            gamma=self.gamma,
-            top_k=self.top_k,
-            threshold=self.threshold,
-            quickview_source=self.quickview_source,
-        )
-
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            learning_rate=self.learning_rate,
-            epochs=self.epochs,
-            batch_size=self.batch_size,
-            rng_seed=self.train_seed,
-            patience=self.patience,
-        )
-
-    def weak_config(self) -> WeakGenConfig:
-        return WeakGenConfig(
-            negative_ratio=self.weak_negative_ratio, rng_seed=self.weak_seed
-        )
+    def quickview_config(self) -> "PipelineConfig":
+        """The config itself; kept for the benchmark, as ``ensemble_config``."""
+        return self
 
     def make_embedder(self):
         if self.external_embedder_cmd:
@@ -208,10 +217,10 @@ def load_artifacts(cfg: PipelineConfig) -> tuple[LexIndex, DenseIndex]:
     """
     tokenizer = cfg.tokenizer_config().fingerprint()
     lex = load_lex_index(cfg.lex_index_path, tokenizer)
-    if lex.params != cfg.bm25_params():
+    if (lex.k1, lex.b) != (cfg.k1, cfg.b):
         raise ValueError(
-            f"{cfg.lex_index_path}: index built with BM25 k1={lex.params.k1}, "
-            f"b={lex.params.b}, but the config has k1={cfg.k1}, b={cfg.b}"
+            f"{cfg.lex_index_path}: index built with BM25 k1={lex.k1}, "
+            f"b={lex.b}, but the config has k1={cfg.k1}, b={cfg.b}"
         )
     embedder = cfg.make_embedder()
     try:
@@ -257,8 +266,7 @@ class Pipeline:
     the first answer.
 
     The pipeline owns ``scorer`` and ``dense.embedder`` and closes them in
-    ``close``, or at once if ``cfg`` holds invalid fusion or quickview
-    settings. ``scorer`` may be None for quickview-only use.
+    ``close``. ``scorer`` may be None for quickview-only use.
     """
 
     def __init__(
@@ -269,12 +277,6 @@ class Pipeline:
         dense: DenseIndex,
         scorer,
     ) -> None:
-        try:
-            self.ensemble_cfg = cfg.ensemble_config()
-            self.quickview_cfg = cfg.quickview_config()
-        except ValueError:
-            close_all(scorer, dense.embedder)
-            raise
         self.cfg = cfg
         if articles is not None:
             self.articles = list(articles)
@@ -321,17 +323,17 @@ class Pipeline:
         cosine (``"dense"``). The ranking carries the question's tokens and
         its BM25 pass or sentence cosines, which the reranker's features
         read, so an answer tokenizes its question once."""
-        if self.ensemble_cfg.quickview_source == "dense":
+        if self.cfg.quickview_source == "dense":
             return dense_retrieve_topk(self.dense, question, k, self.tok)
         tokens = tokenize(clean_text(question), self.tok)
-        return retrieve_topk(self.lex, tokens, k, self.quickview_cfg)
+        return retrieve_topk(self.lex, tokens, k, self.cfg)
 
     def answer(
         self, question_id: str, question: str, top_k: int | None = None
     ) -> AnswerSet:
         """Quickview at ``top_k`` (default: the configured one), then fusion
         and selection."""
-        cfg = self.ensemble_cfg
+        cfg = self.cfg
         if top_k is not None:
             cfg = dataclasses.replace(cfg, top_k=top_k)
         ranked = self.quickview_rank(question, cfg.top_k)
@@ -347,7 +349,7 @@ class Pipeline:
         The quickview is a total order, so the ranking's ``top_k`` prefix is
         the candidate list ``answer`` would rank.
         """
-        cfg = self.ensemble_cfg
+        cfg = self.cfg
         ranked = ranked[: cfg.top_k]
         return rank_and_select(
             question_id, question, ranked, self.scorer, self._candidates(), cfg

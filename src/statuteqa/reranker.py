@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 from itertools import groupby, repeat
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
@@ -32,11 +32,13 @@ from .lexical import LexIndex, score_query
 from .lineproto import LineProtocolClient, ProtocolError, finite_real
 from .weak_label import TrainingExample
 
+if TYPE_CHECKING:
+    from .pipeline import PipelineConfig
+
 __all__ = [
     "NUM_FEATURES",
     "FEATURE_NAMES",
     "LinearModel",
-    "TrainConfig",
     "FeatureExtractor",
     "extract_features",
     "mean_cross_entropy",
@@ -215,25 +217,6 @@ def zero_model() -> LinearModel:
     return LinearModel(np.zeros(NUM_FEATURES))
 
 
-@dataclass(frozen=True)
-class TrainConfig:
-    learning_rate: float = 0.1
-    epochs: int = 50
-    batch_size: int = 32
-    rng_seed: int = 0
-    patience: int = 10  # early-stop patience on validation loss
-
-    def __post_init__(self) -> None:
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.patience < 1:
-            raise ValueError("patience must be >= 1")
-
-
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     out = np.empty_like(z)
     pos = z >= 0
@@ -273,11 +256,13 @@ def train_stage(
     model: LinearModel,
     train: tuple[np.ndarray, np.ndarray],
     valid: tuple[np.ndarray, np.ndarray] | None,
-    cfg: TrainConfig,
+    cfg: PipelineConfig,
     stage: str = "single",
 ) -> LinearModel:
     """Mini-batch Adam on mean cross-entropy over the ``(x, y)`` feature
-    matrix ``train``, starting from ``model``.
+    matrix ``train``, starting from ``model``, with ``cfg``'s
+    ``learning_rate``, ``epochs``, ``batch_size``, ``train_seed`` and
+    ``patience``.
 
     Keeps the weights with the best loss on the ``valid`` matrix; None
     disables early stopping and returns the final weights. Training is
@@ -291,7 +276,7 @@ def train_stage(
     m = np.zeros_like(weights)
     v = np.zeros_like(weights)
     step = 0
-    rng = np.random.default_rng(cfg.rng_seed)
+    rng = np.random.default_rng(cfg.train_seed)
 
     loss_curve = [mean_cross_entropy(weights, x, y)]
     val_curve: list[float] = []
@@ -339,7 +324,7 @@ def train_stage(
     metadata = {
         "stage": stage,
         "epochs_run": epochs_run,
-        "seed": cfg.rng_seed,
+        "seed": cfg.train_seed,
         "learning_rate": cfg.learning_rate,
         "batch_size": cfg.batch_size,
         "initial_weights": model.weights.tolist(),
@@ -354,7 +339,7 @@ def train_two_stage(
     weak: tuple[np.ndarray, np.ndarray],
     gold: tuple[np.ndarray, np.ndarray],
     valid: tuple[np.ndarray, np.ndarray] | None,
-    cfg: TrainConfig,
+    cfg: PipelineConfig,
 ) -> LinearModel:
     """Weak pretraining from zero weights, then gold fine-tuning from the
     best pretrained weights; both stages early-stop on ``valid``."""

@@ -1,9 +1,10 @@
 """Weak-label training data: article titles treated as answered questions.
 
 Every titled article yields one positive example (its cleaned title paired
-with itself) and ``negative_ratio`` negatives sampled uniformly, without
-replacement, from the other articles. Gold question/article pairs reuse
-the same sampler for their negatives.
+with itself) and the config's ``weak_negative_ratio`` negatives sampled
+uniformly, without replacement, from the other articles, seeded with
+``weak_seed``. Gold question/article pairs reuse the same sampler for
+their negatives.
 
 Dataset file format: UTF-8 JSON lines
     {"question": str, "article_id": str, "label": 0|1, "origin": "weak"|"gold"}
@@ -14,14 +15,16 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from . import indexfile
 from .corpus import Article, clean_text
 
+if TYPE_CHECKING:
+    from .pipeline import PipelineConfig
+
 __all__ = [
     "TrainingExample",
-    "WeakGenConfig",
     "DatasetStats",
     "generate_weak_dataset",
     "generate_gold_examples",
@@ -45,16 +48,6 @@ class TrainingExample:
             raise ValueError("label must be the integer 0 or 1")
         if self.origin not in ("weak", "gold"):
             raise ValueError("origin must be 'weak' or 'gold'")
-
-
-@dataclass(frozen=True)
-class WeakGenConfig:
-    negative_ratio: int = 4
-    rng_seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.negative_ratio < 1:
-            raise ValueError("negative_ratio must be >= 1")
 
 
 def _positions(pool: Sequence[str]) -> dict[str, list[int]]:
@@ -97,23 +90,24 @@ def _sample_negatives(
 
 
 def generate_weak_dataset(
-    articles: Sequence[Article], cfg: WeakGenConfig | None = None
+    articles: Sequence[Article], cfg: PipelineConfig
 ) -> list[TrainingExample]:
-    """One positive plus ``negative_ratio`` negatives per titled article.
+    """One positive plus ``cfg.weak_negative_ratio`` negatives per titled
+    article.
 
     Untitled articles contribute nothing. Output order is deterministic
-    given the seed: articles in input order, each positive followed by its
-    negatives in sample order.
+    given ``cfg.weak_seed``: articles in input order, each positive
+    followed by its negatives in sample order.
     """
-    cfg = cfg or WeakGenConfig()
-    if len(articles) < cfg.negative_ratio + 1:
+    ratio = cfg.weak_negative_ratio
+    if len(articles) < ratio + 1:
         raise ValueError(
-            f"corpus smaller than negative_ratio + 1 articles "
-            f"({len(articles)} < {cfg.negative_ratio + 1})"
+            f"corpus smaller than weak_negative_ratio + 1 articles "
+            f"({len(articles)} < {ratio + 1})"
         )
     pool = [a.article_id for a in articles]
     where = _positions(pool)
-    rng = random.Random(cfg.rng_seed)
+    rng = random.Random(cfg.weak_seed)
     examples: list[TrainingExample] = []
     for article in articles:
         if article.title is None:
@@ -124,7 +118,7 @@ def generate_weak_dataset(
         examples.append(TrainingExample(question, article.article_id, 1, "weak"))
         excluded = where[article.article_id]
         examples.extend(
-            _sample_negatives(question, excluded, pool, cfg.negative_ratio, rng, "weak")
+            _sample_negatives(question, excluded, pool, ratio, rng, "weak")
         )
     return examples
 
@@ -132,18 +126,17 @@ def generate_weak_dataset(
 def generate_gold_examples(
     question_gold_pairs: Sequence[tuple[str, Sequence[str]]],
     articles: Sequence[Article],
-    cfg: WeakGenConfig | None = None,
+    cfg: PipelineConfig,
 ) -> list[TrainingExample]:
     """Labeled examples from (question, gold article ids) pairs.
 
-    One positive per (question, gold article); ``negative_ratio`` negatives
-    per positive, sampled from the corpus excluding every gold article of
-    that question.
+    One positive per (question, gold article); ``cfg.weak_negative_ratio``
+    negatives per positive, sampled with ``cfg.weak_seed`` from the corpus
+    excluding every gold article of that question.
     """
-    cfg = cfg or WeakGenConfig()
     pool = [a.article_id for a in articles]
     where = _positions(pool)
-    rng = random.Random(cfg.rng_seed)
+    rng = random.Random(cfg.weak_seed)
     examples: list[TrainingExample] = []
     for question, gold_ids in question_gold_pairs:
         gold = list(gold_ids)
@@ -154,7 +147,7 @@ def generate_gold_examples(
         excluded = sorted(i for a in set(gold) for i in where.get(a, ()))
         examples.extend(
             _sample_negatives(
-                question, excluded, pool, cfg.negative_ratio * len(gold), rng, "gold"
+                question, excluded, pool, cfg.weak_negative_ratio * len(gold), rng, "gold"
             )
         )
     return examples

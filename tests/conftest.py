@@ -6,9 +6,10 @@ import pytest
 from statuteqa.corpus import Article, TokenizerConfig, clean_text, iter_articles, tokenize
 from statuteqa.dense import HashedProjectionEmbedder, build_dense_index
 from statuteqa.lexical import build_lex_index, retrieve_topk
-from statuteqa.reranker import FeatureExtractor, ModelScorer, TrainConfig, train_two_stage
+from statuteqa.pipeline import PipelineConfig
+from statuteqa.reranker import FeatureExtractor, ModelScorer, train_two_stage
 from statuteqa.synth import synthetic_corpus, title_gold_queries
-from statuteqa.weak_label import WeakGenConfig, generate_gold_examples, generate_weak_dataset
+from statuteqa.weak_label import generate_gold_examples, generate_weak_dataset
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -33,7 +34,7 @@ def tiny_articles():
 
 @pytest.fixture(scope="session")
 def tiny_lex(tiny_articles):
-    return build_lex_index(tiny_articles, TokenizerConfig())
+    return build_lex_index(tiny_articles, PipelineConfig())
 
 
 def field_token_lists(articles, field):
@@ -65,33 +66,35 @@ class SynthBundle:
         self.articles = list(iter_articles(self.docs))
         self.by_id = {a.article_id: a for a in self.articles}
         self.tok = TokenizerConfig()
-        self.lex = build_lex_index(self.articles, self.tok)
+        self.lex = build_lex_index(self.articles, PipelineConfig())
         self.embedder = HashedProjectionEmbedder(dimension=128, seed=0)
         self.dense, _ = build_dense_index(self.articles, self.embedder, self.tok)
         self.extractor = FeatureExtractor(self.lex, self.dense, self.tok)
         self.queries = title_gold_queries(self.docs)
-        self.weak = generate_weak_dataset(self.articles, WeakGenConfig(4, 0))
+        self.weak = generate_weak_dataset(self.articles, PipelineConfig(weak_seed=0))
 
         train_q = self.queries[:80]
         valid_q = self.queries[80:]
         gold_train = generate_gold_examples(
             [(q.question, sorted(q.gold_article_ids)) for q in train_q],
-            self.articles, WeakGenConfig(4, 1),
+            self.articles, PipelineConfig(weak_seed=1),
         )
         gold_valid = generate_gold_examples(
             [(q.question, sorted(q.gold_article_ids)) for q in valid_q],
-            self.articles, WeakGenConfig(4, 2),
+            self.articles, PipelineConfig(weak_seed=2),
         )
         matrix = self.extractor.matrix
         self.model = train_two_stage(
             matrix(self.weak), matrix(gold_train), matrix(gold_valid),
-            TrainConfig(epochs=30, rng_seed=0),
+            PipelineConfig(epochs=30, train_seed=0),
         )
         self.scorer = ModelScorer(self.model, self.extractor)
 
-    def ranked(self, question, k, quickview_cfg=None):
-        """The lexical quickview's ``Ranking`` of the ``k`` best for ``question``."""
-        return retrieve_topk(self.lex, tokenize(clean_text(question), self.tok), k, quickview_cfg)
+    def ranked(self, question, k, cfg=None):
+        """The lexical quickview's ``Ranking`` of the ``k`` best for ``question``,
+        with ``cfg``'s boosts (default: the config defaults)."""
+        tokens = tokenize(clean_text(question), self.tok)
+        return retrieve_topk(self.lex, tokens, k, cfg or PipelineConfig())
 
 
 @pytest.fixture(scope="session")

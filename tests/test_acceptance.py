@@ -15,7 +15,6 @@ from conftest import field_token_lists, pairs
 from statuteqa.corpus import Article, TokenizerConfig, clean_text, iter_articles, tokenize
 from statuteqa.dense import HashedProjectionEmbedder, build_dense_index
 from statuteqa.ensemble import (
-    EnsembleConfig,
     RankedCandidate,
     minmax_normalize,
     rank_and_select,
@@ -27,11 +26,11 @@ from statuteqa.evaluation import (
     recall_at_k,
     split_train_valid,
 )
-from statuteqa.lexical import QuickviewConfig, bm25, build_lex_index, retrieve_topk
+from statuteqa.lexical import bm25, build_lex_index, retrieve_topk
+from statuteqa.pipeline import PipelineConfig
 from statuteqa.reranker import (
     FeatureExtractor,
     ModelScorer,
-    TrainConfig,
     cross_entropy_gradient,
     mean_cross_entropy,
     train_stage,
@@ -45,7 +44,6 @@ from statuteqa.synth import (
     title_gold_queries,
 )
 from statuteqa.weak_label import (
-    WeakGenConfig,
     dataset_stats,
     generate_gold_examples,
     generate_weak_dataset,
@@ -86,7 +84,7 @@ def test_c1_bm25_oracle_equivalence():
         vocab = [f"term{i}" for i in range(40)]
         for corpus_size, n_queries in ((50, 120), (23, 80)):
             articles = _random_corpus(rng, corpus_size)
-            index = build_lex_index(articles)
+            index = build_lex_index(articles, PipelineConfig())
             oracles = {
                 field: BruteForceBm25(field_token_lists(articles, field))
                 for field in ("title", "content")
@@ -99,7 +97,7 @@ def test_c1_bm25_oracle_equivalence():
                         got = bm25(index, field, query, article.article_id)
                         assert abs(got - expected) <= 1e-9
                 k = rng.randint(1, corpus_size)
-                got = pairs(retrieve_topk(index, query, k, QuickviewConfig()))
+                got = pairs(retrieve_topk(index, query, k, PipelineConfig()))
                 assert got == oracle_topk(
                     oracles["title"], oracles["content"], query, k, 1.5, 1.0
                 )
@@ -111,7 +109,7 @@ def test_c2_quickview_composition():
     with criterion("C2 quickview = alpha*title + beta*content for random boosts (1e-9)"):
         rng = random.Random(7)
         articles = _random_corpus(rng, 40)
-        index = build_lex_index(articles)
+        index = build_lex_index(articles, PipelineConfig())
         oracle_title = BruteForceBm25(field_token_lists(articles, "title"))
         oracle_content = BruteForceBm25(field_token_lists(articles, "content"))
         vocab = [f"term{i}" for i in range(40)]
@@ -120,7 +118,7 @@ def test_c2_quickview_composition():
             beta = rng.uniform(0.01, 3.0)
             query = rng.choices(vocab, k=rng.randint(1, 4))
             ranked = retrieve_topk(
-                index, query, len(articles), QuickviewConfig(alpha, beta)
+                index, query, len(articles), PipelineConfig(alpha=alpha, beta=beta)
             )
             got = dict(pairs(ranked))
             for article in articles:
@@ -146,9 +144,9 @@ def test_c4_fixture_end_to_end():
         articles = list(iter_articles(docs))
         queries = title_gold_queries(docs)
         tok = TokenizerConfig()
-        lex = build_lex_index(articles, tok)
+        lex = build_lex_index(articles, PipelineConfig())
         dense, _ = build_dense_index(articles, HashedProjectionEmbedder(300, 0), tok)
-        quickview_cfg = QuickviewConfig(alpha=1.5, beta=1.0)
+        quickview_cfg = PipelineConfig(alpha=1.5, beta=1.0)
 
         total_recall = 0.0
         for query in queries:
@@ -158,23 +156,23 @@ def test_c4_fixture_end_to_end():
         assert total_recall / len(queries) == 1.0
 
         extractor = FeatureExtractor(lex, dense, tok)
-        weak = generate_weak_dataset(articles, WeakGenConfig(4, 0))
+        weak = generate_weak_dataset(articles, PipelineConfig(weak_seed=0))
         train_q, valid_q = split_train_valid(queries, 0.9, seed=0)
         gold_train = generate_gold_examples(
             [(q.question, sorted(q.gold_article_ids)) for q in train_q],
-            articles, WeakGenConfig(4, 1),
+            articles, PipelineConfig(weak_seed=1),
         )
         gold_valid = generate_gold_examples(
             [(q.question, sorted(q.gold_article_ids)) for q in valid_q],
-            articles, WeakGenConfig(4, 2),
+            articles, PipelineConfig(weak_seed=2),
         )
         model = train_two_stage(
             extractor.matrix(weak), extractor.matrix(gold_train),
-            extractor.matrix(gold_valid), TrainConfig(epochs=20, rng_seed=0),
+            extractor.matrix(gold_valid), PipelineConfig(epochs=20, train_seed=0),
         )
         scorer = ModelScorer(model, extractor)
         by_id = {a.article_id: a for a in articles}
-        cfg = EnsembleConfig(gamma=0.5, top_k=10, threshold=0.26)
+        cfg = PipelineConfig(gamma=0.5, top_k=10, threshold=0.26)
         for query in queries:
             tokens = tokenize(clean_text(query.question), tok)
             ranked = retrieve_topk(lex, tokens, cfg.top_k, quickview_cfg)
@@ -194,7 +192,7 @@ def test_c5_weak_label_generator(tmp_path):
         docs = synthetic_corpus(100, seed=0)
         articles = list(iter_articles(docs))
         titled = sum(1 for a in articles if a.title)
-        examples = generate_weak_dataset(articles, WeakGenConfig(4, 123))
+        examples = generate_weak_dataset(articles, PipelineConfig(weak_seed=123))
         stats = dataset_stats(examples)
         assert stats.positives == titled
         assert stats.negatives == 4 * titled
@@ -204,7 +202,7 @@ def test_c5_weak_label_generator(tmp_path):
 
         p1, p2 = tmp_path / "w1.jsonl", tmp_path / "w2.jsonl"
         write_dataset(examples, p1)
-        write_dataset(generate_weak_dataset(articles, WeakGenConfig(4, 123)), p2)
+        write_dataset(generate_weak_dataset(articles, PipelineConfig(weak_seed=123)), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -233,11 +231,11 @@ def test_c6_gradient_check():
 
 def _validation_f2(model, extractor, lex, by_id, tok, valid_queries):
     scorer = ModelScorer(model, extractor)
-    cfg = EnsembleConfig(gamma=0.0, top_k=10, threshold=0.26)
+    cfg = PipelineConfig(gamma=0.0, top_k=10, threshold=0.26)
     precisions, recalls = [], []
     for query in valid_queries:
         tokens = tokenize(clean_text(query.question), tok)
-        ranked = retrieve_topk(lex, tokens, cfg.top_k, QuickviewConfig(1.5, 1.0))
+        ranked = retrieve_topk(lex, tokens, cfg.top_k, PipelineConfig(alpha=1.5, beta=1.0))
         answer = rank_and_select(
             query.question_id, query.question, ranked, scorer, by_id, cfg
         )
@@ -254,11 +252,11 @@ def test_c7_two_stage_training_direction():
         docs = synthetic_family_corpus(16, 4)
         articles = list(iter_articles(docs))
         tok = TokenizerConfig()
-        lex = build_lex_index(articles, tok)
+        lex = build_lex_index(articles, PipelineConfig())
         dense, _ = build_dense_index(articles, HashedProjectionEmbedder(128, 0), tok)
         extractor = FeatureExtractor(lex, dense, tok)
         by_id = {a.article_id: a for a in articles}
-        weak = extractor.matrix(generate_weak_dataset(articles, WeakGenConfig(4, 0)))
+        weak = extractor.matrix(generate_weak_dataset(articles, PipelineConfig(weak_seed=0)))
         queries = paraphrase_gold_queries(docs, seed=1)
 
         for seed in range(5):
@@ -266,13 +264,13 @@ def test_c7_two_stage_training_direction():
             gold_small = train_q[:3]  # scarce gold data, the regime weak labels target
             gold_train = generate_gold_examples(
                 [(q.question, sorted(q.gold_article_ids)) for q in gold_small],
-                articles, WeakGenConfig(4, seed),
+                articles, PipelineConfig(weak_seed=seed),
             )
             gold_valid = generate_gold_examples(
                 [(q.question, sorted(q.gold_article_ids)) for q in valid_q],
-                articles, WeakGenConfig(4, seed + 100),
+                articles, PipelineConfig(weak_seed=seed + 100),
             )
-            cfg = TrainConfig(epochs=1, rng_seed=seed)
+            cfg = PipelineConfig(epochs=1, train_seed=seed)
             gold, valid = extractor.matrix(gold_train), extractor.matrix(gold_valid)
             two_stage = train_two_stage(weak, gold, valid, cfg)
             gold_only = train_stage(zero_model(), gold, valid, cfg, stage="gold_only")
@@ -294,12 +292,12 @@ def test_c8_ensemble_order_identities(synth):
         rng = random.Random(5)
         for query in synth.queries[:15]:
             tokens = tokenize(clean_text(query.question), synth.tok)
-            ranked = retrieve_topk(synth.lex, tokens, 10, QuickviewConfig(1.5, 1.0))
+            ranked = retrieve_topk(synth.lex, tokens, 10, PipelineConfig(alpha=1.5, beta=1.0))
             table = {a: rng.random() for a in ranked.ids()}
             scorer = _TableScorer(table)
 
             for gamma, key in ((1.0, "qs"), (0.0, "ss")):
-                cfg = EnsembleConfig(gamma=gamma, top_k=10, threshold=2.0)
+                cfg = PipelineConfig(gamma=gamma, top_k=10, threshold=2.0)
                 answer = rank_and_select(
                     query.question_id, query.question, ranked, scorer, synth.by_id, cfg
                 )

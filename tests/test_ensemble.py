@@ -9,12 +9,11 @@ import fusion_oracle
 from conftest import pairs
 from statuteqa.corpus import clean_text, tokenize
 from statuteqa.dense import dense_retrieve_topk
-from statuteqa.lexical import QuickviewConfig, score_query
+from statuteqa.lexical import score_query
 from statuteqa.pipeline import Pipeline, PipelineConfig
 from statuteqa.ensemble import (
     DEFAULT_THRESHOLDS,
     AnswerSet,
-    EnsembleConfig,
     RankedCandidate,
     Ranking,
     answer_set_to_json,
@@ -109,19 +108,8 @@ def test_default_thresholds_table():
     assert default_threshold(200) == 0.26
     assert default_threshold(10) == 0.38   # nearest listed size
     assert default_threshold(4000) == 0.2
-    assert EnsembleConfig(top_k=50).effective_threshold() == 0.28
-    assert EnsembleConfig(top_k=50, threshold=0.1).effective_threshold() == 0.1
-
-
-def test_ensemble_config_validation():
-    with pytest.raises(ValueError):
-        EnsembleConfig(gamma=1.5)
-    with pytest.raises(ValueError):
-        EnsembleConfig(top_k=0)
-    with pytest.raises(ValueError):
-        EnsembleConfig(threshold=-0.1)
-    with pytest.raises(ValueError):
-        EnsembleConfig(quickview_source="graph")
+    assert PipelineConfig(top_k=50).effective_threshold() == 0.28
+    assert PipelineConfig(top_k=50, threshold=0.1).effective_threshold() == 0.1
 
 
 class ConstantScorer:
@@ -142,7 +130,7 @@ class LookupScorer:
 
 
 def test_rank_and_select_returns_gold_on_fixture(synth):
-    cfg = EnsembleConfig(gamma=0.5, top_k=10, threshold=0.26)
+    cfg = PipelineConfig(gamma=0.5, top_k=10, threshold=0.26)
     for query in synth.queries[:20]:
         answer = rank_and_select(
             query.question_id, query.question, synth.ranked(query.question, cfg.top_k),
@@ -154,7 +142,7 @@ def test_rank_and_select_returns_gold_on_fixture(synth):
 
 
 def test_rank_and_select_no_candidates(synth):
-    cfg = EnsembleConfig(top_k=10)
+    cfg = PipelineConfig(top_k=10)
     question = "zzz unseen gibberish"
     answer = rank_and_select(
         "qx", question, synth.ranked(question, cfg.top_k), ConstantScorer(),
@@ -166,7 +154,7 @@ def test_rank_and_select_no_candidates(synth):
 
 def test_gamma_one_preserves_quickview_order(synth):
     question = synth.queries[5].question
-    cfg = EnsembleConfig(gamma=1.0, top_k=10, threshold=1.1)
+    cfg = PipelineConfig(gamma=1.0, top_k=10, threshold=1.1)
     answer = rank_and_select(
         "q", question, synth.ranked(question, 10), ConstantScorer(), synth.by_id, cfg
     )
@@ -178,7 +166,7 @@ def test_gamma_zero_preserves_supervised_order(synth):
     question = synth.queries[5].question
     ranked = synth.ranked(question, 10)
     table = {article_id: 1.0 - i * 0.05 for i, article_id in enumerate(sorted(ranked.ids()))}
-    cfg = EnsembleConfig(gamma=0.0, top_k=10, threshold=1.1)
+    cfg = PipelineConfig(gamma=0.0, top_k=10, threshold=1.1)
     answer = rank_and_select("q", question, ranked, LookupScorer(table), synth.by_id, cfg)
     by_supervised = sorted(answer.returned, key=lambda c: (-c.ss_raw, c.article_id))
     assert [c.article_id for c in answer.returned] == [c.article_id for c in by_supervised]
@@ -187,13 +175,13 @@ def test_gamma_zero_preserves_supervised_order(synth):
 def test_quickview_scale_invariance(synth):
     """Scaling every raw quickview score by c > 0 leaves the answer set alone."""
     question = synth.queries[7].question
-    cfg = EnsembleConfig(gamma=0.5, top_k=10, threshold=0.26)
+    cfg = PipelineConfig(gamma=0.5, top_k=10, threshold=0.26)
     base = rank_and_select(
         "q", question, synth.ranked(question, 10), ConstantScorer(0.4), synth.by_id, cfg
     )
     # same pipeline with alpha, beta scaled by 3 -> raw quickview scores scale by 3
     scaled = rank_and_select(
-        "q", question, synth.ranked(question, 10, QuickviewConfig(alpha=4.5, beta=3.0)),
+        "q", question, synth.ranked(question, 10, PipelineConfig(alpha=4.5, beta=3.0)),
         ConstantScorer(0.4), synth.by_id, cfg,
     )
     assert [c.article_id for c in base.returned] == [c.article_id for c in scaled.returned]
@@ -203,7 +191,7 @@ def test_quickview_scale_invariance(synth):
 
 
 def test_normalized_scores_in_unit_interval(synth):
-    cfg = EnsembleConfig(gamma=0.5, top_k=10, threshold=1.1)
+    cfg = PipelineConfig(gamma=0.5, top_k=10, threshold=1.1)
     for query in synth.queries[:10]:
         answer = rank_and_select(
             query.question_id, query.question, synth.ranked(query.question, cfg.top_k),
@@ -265,7 +253,7 @@ def test_rank_and_select_matches_list_reference(synth):
         for scorer in (synth.scorer, coarse, ConstantScorer(0.3)):
             for gamma in (0.0, 0.3, 0.5, 1.0):
                 for threshold in (0.0, 0.26, 0.5, 1.1):
-                    cfg = EnsembleConfig(gamma=gamma, top_k=50, threshold=threshold)
+                    cfg = PipelineConfig(gamma=gamma, top_k=50, threshold=threshold)
                     _assert_same(*_both(synth, query.question, scorer, cfg))
 
 
@@ -274,7 +262,7 @@ def test_rank_and_select_breaks_exact_ties_by_id(synth):
     ranked = _ranked_ids(synth, question)
     tied = sorted(ranked)[-3:]  # tie the three largest ids at the top score
     scorer = LookupScorer({a: 0.9 for a in tied}, default=0.1)
-    got, want = _both(synth, question, scorer, EnsembleConfig(gamma=0.0, top_k=10, threshold=0.0))
+    got, want = _both(synth, question, scorer, PipelineConfig(gamma=0.0, top_k=10, threshold=0.0))
     _assert_same(got, want)
     assert [c.article_id for c in got.returned] == tied
 
@@ -284,7 +272,7 @@ def test_rank_and_select_gap_equal_to_threshold(synth):
     first, second = _ranked_ids(synth, question)[-2:]
     scorer = LookupScorer({first: 1.0, second: 0.75}, default=0.5)  # ss_norm 1, 0.5, 0
     for threshold, size in ((0.5, 1), (0.5000001, 2)):
-        cfg = EnsembleConfig(gamma=0.0, top_k=10, threshold=threshold)
+        cfg = PipelineConfig(gamma=0.0, top_k=10, threshold=threshold)
         got, want = _both(synth, question, scorer, cfg)
         _assert_same(got, want)
         assert [c.article_id for c in got.returned] == [first, second][:size]
@@ -292,7 +280,7 @@ def test_rank_and_select_gap_equal_to_threshold(synth):
 
 def test_rank_and_select_constant_scores(synth):
     question = synth.queries[4].question
-    got, want = _both(synth, question, ConstantScorer(0.7), EnsembleConfig(gamma=0.4, top_k=10))
+    got, want = _both(synth, question, ConstantScorer(0.7), PipelineConfig(gamma=0.4, top_k=10))
     _assert_same(got, want)
     assert all(c.ss_norm == 1.0 for c in got.returned)
 
@@ -306,7 +294,7 @@ def test_rank_and_select_rejects_a_short_score_list(synth):
         question = synth.queries[0].question
         rank_and_select(
             "q", question, synth.ranked(question, 10), OneScore(), synth.by_id,
-            EnsembleConfig(top_k=10),
+            PipelineConfig(top_k=10),
         )
 
 

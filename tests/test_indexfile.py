@@ -27,6 +27,7 @@ from statuteqa.lexical import (
     load_lex_index,
     save_lex_index,
 )
+from statuteqa.pipeline import PipelineConfig
 
 KINDS = ("lex", "dense")
 LAYOUT = {**lexical._LAYOUT, **dense._LAYOUT}  # every saved array's (dtype, ndim)
@@ -48,7 +49,7 @@ class Trap:
 @pytest.fixture(scope="module")
 def indexes(tiny_articles):
     tok, embedder = TokenizerConfig(), HashedProjectionEmbedder(64, 0)
-    lex = build_lex_index(tiny_articles, tok)
+    lex = build_lex_index(tiny_articles, PipelineConfig())
     dense, _ = build_dense_index(tiny_articles, embedder)
     return {
         "lex": (lex, save_lex_index, functools.partial(
@@ -177,10 +178,46 @@ def test_article_ids_out_of_order_or_repeated_are_rejected(kind, order, indexes,
         load(path)
 
 
+# (index kinds, a header edit, the error after the file name)
+HEADER_EDITS = [
+    (KINDS, {"article_ids": ["a", 1]}, "article_ids must be a list of strings"),
+    (KINDS, {"article_ids": None}, "article_ids must be a list of strings"),
+    (KINDS, {"corpus_digest": 5}, "corpus_digest must be a string"),
+    (KINDS, {"corpus_digest": None}, "corpus_digest must be a string"),
+    (["lex"], {"k1": "x"}, "k1 must be a finite real >= 0"),
+    (["lex"], {"k1": None}, "k1 must be a finite real >= 0"),
+    (["lex"], {"k1": [1]}, "k1 must be a finite real >= 0"),
+    (["lex"], {"k1": True}, "k1 must be a finite real >= 0"),
+    (["lex"], {"k1": float("nan")}, "k1 must be a finite real >= 0"),
+    (["lex"], {"k1": -1.0}, "k1 must be a finite real >= 0"),
+    (["lex"], {"b": 1.5}, r"b must be a finite real in \[0, 1\]"),
+    (["lex"], {"b": "0.75"}, r"b must be a finite real in \[0, 1\]"),
+    (["lex"], {"terms": None}, "title terms must be a list of strings"),
+    (["lex"], {"terms": {"title": None, "content": []}}, "title terms must be a list"),
+    (["lex"], {"terms": {"title": ["a", 2], "content": []}}, "title terms must be a list"),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, edit, message",
+    [(kind, edit, message) for kinds, edit, message in HEADER_EDITS for kind in kinds],
+)
+def test_malformed_header_values_are_rejected_naming_the_file(
+    kind, edit, message, indexes, tmp_path
+):
+    """Each used to raise ``TypeError`` (which the CLI does not report), fail
+    later on the corpus digest's slice, or fail without naming the file."""
+    path, load = _saved(indexes, kind, tmp_path)
+    header, arrays = _read(path)
+    _write(path, {**header, **edit}, arrays)
+    with pytest.raises(ValueError, match=f"{kind}.bin: {message}"):
+        load(path)
+
+
 def test_lex_columns_swapped_within_a_row_are_rejected(tmp_path):
     articles = [Article(f"a{i}", "d", None, f"Shared clause number {i}.") for i in range(3)]
     tok = TokenizerConfig()
-    index = build_lex_index(articles, tok)
+    index = build_lex_index(articles, PipelineConfig())
     row, columns = index.content.row("shared"), index.content.columns.copy()
     columns[[row.start, row.start + 1]] = columns[[row.start + 1, row.start]]
     swapped = dataclasses.replace(
@@ -331,7 +368,8 @@ def test_integer_arrays_round_trip_through_their_narrowest_planes(array, tmp_pat
     paths = [directory / "one.bin", directory / "two.bin"]
     swapped = array.astype(array.dtype.newbyteorder(">"))  # equal values, other bytes
     for path, copy in zip(paths, (array, swapped)):
-        indexfile.save(path, "f", 1, {"article_ids": []}, {"a": copy, "x": np.zeros(2)})
+        header = {"article_ids": [], "corpus_digest": ""}
+        indexfile.save(path, "f", 1, header, {"a": copy, "x": np.zeros(2)})
     assert paths[0].read_bytes() == paths[1].read_bytes()  # equal arrays, equal bytes
     layout = {"a": (array.dtype, 1), "x": (np.float64, 1)}
     _, loaded = indexfile.load(paths[0], "f", 1, layout, {})

@@ -10,8 +10,6 @@ from bm25_oracle import BruteForceBm25, oracle_bm25, oracle_idf, oracle_quickvie
 from conftest import field_token_lists, pairs
 from statuteqa.corpus import Article, TokenizerConfig, clean_text, tokenize
 from statuteqa.lexical import (
-    Bm25Params,
-    QuickviewConfig,
     bm25,
     build_lex_index,
     load_lex_index,
@@ -19,6 +17,7 @@ from statuteqa.lexical import (
     save_lex_index,
     score_query,
 )
+from statuteqa.pipeline import PipelineConfig
 
 
 def test_build_field_stats(tiny_lex):
@@ -33,18 +32,9 @@ def test_build_field_stats(tiny_lex):
 
 def test_build_errors(tiny_articles):
     with pytest.raises(ValueError, match="empty corpus"):
-        build_lex_index([])
+        build_lex_index([], PipelineConfig())
     with pytest.raises(ValueError, match="duplicate article id 'd1#1'"):
-        build_lex_index(tiny_articles + [tiny_articles[0]])
-
-
-def test_params_validation():
-    with pytest.raises(ValueError):
-        Bm25Params(k1=-0.1)
-    with pytest.raises(ValueError):
-        Bm25Params(b=1.5)
-    with pytest.raises(ValueError):
-        QuickviewConfig(alpha=0.0, beta=0.0)
+        build_lex_index(tiny_articles + [tiny_articles[0]], PipelineConfig())
 
 
 def test_idf_frozen_values():
@@ -57,7 +47,7 @@ def test_idf_frozen_values():
     single = field_token_lists([a], "title")
     assert oracle_idf(single, "shared") == pytest.approx(0.28768207245178085, abs=1e-12)
     for articles in ([a, b], [a]):  # the index's BM25 carries the same idf
-        index = build_lex_index(articles)
+        index = build_lex_index(articles, PipelineConfig())
         titles = field_token_lists(articles, "title")
         want = [oracle_bm25(titles, ["shared"], i) for i in index.article_ids]
         got = score_query(index, ["shared"])["title"][0].tolist()
@@ -107,7 +97,7 @@ def _random_corpus(rng, n_articles):
 def test_bm25_matches_oracle_randomized():
     rng = random.Random(7)
     articles = _random_corpus(rng, 30)
-    index = build_lex_index(articles)
+    index = build_lex_index(articles, PipelineConfig())
     content = field_token_lists(articles, "content")
     title = field_token_lists(articles, "title")
     for _ in range(50):
@@ -147,7 +137,7 @@ def _corpus_query_columns(draw):
 def test_score_query_counts_matched_distinct_query_terms(case):
     """The pass's matched counts, read at columns as the features read them."""
     articles, query, columns = case
-    index = build_lex_index(articles)
+    index = build_lex_index(articles, PipelineConfig())
     scores = score_query(index, query)
     for field in ("title", "content"):
         tokens = field_token_lists(articles, field)
@@ -158,43 +148,45 @@ def test_score_query_counts_matched_distinct_query_terms(case):
 
 def test_quickview_composition(tiny_articles, tiny_lex):
     query = ["civil", "code"]
-    content_only = dict(pairs(retrieve_topk(tiny_lex, query, 3, QuickviewConfig(0.0, 1.0))))
+    content_only = PipelineConfig(alpha=0.0, beta=1.0)
+    content_only = dict(pairs(retrieve_topk(tiny_lex, query, 3, content_only)))
     assert content_only["d2#1"] == pytest.approx(
         bm25(tiny_lex, "content", query, "d2#1")
     )
     # "law" is in the content of untitled d1#2, which a title-only quickview misses
-    title_only = retrieve_topk(tiny_lex, ["law"], 3, QuickviewConfig(1.0, 0.0))
+    title_only = retrieve_topk(tiny_lex, ["law"], 3, PipelineConfig(alpha=1.0, beta=0.0))
     assert title_only.ids() == ["d1#1"]
 
     title = field_token_lists(tiny_articles, "title")
     content = field_token_lists(tiny_articles, "content")
     expected = oracle_quickview(title, content, query, "d2#1", alpha=1.5, beta=1.0)
-    got = dict(pairs(retrieve_topk(tiny_lex, query, 3, QuickviewConfig(1.5, 1.0))))["d2#1"]
+    boosted = PipelineConfig(alpha=1.5, beta=1.0)
+    got = dict(pairs(retrieve_topk(tiny_lex, query, 3, boosted)))["d2#1"]
     assert got == pytest.approx(expected, abs=1e-9)
 
 
 def test_retrieve_title_match_ranks_first(tiny_lex):
     query = tokenize(clean_text("Law of Contracts"))
-    ranked = retrieve_topk(tiny_lex, query, 3, QuickviewConfig(1.5, 1.0))
+    ranked = retrieve_topk(tiny_lex, query, 3, PipelineConfig(alpha=1.5, beta=1.0))
     assert ranked.ids()[0] == "d1#1"
 
 
 def test_retrieve_k_larger_than_matches(tiny_lex):
-    ranked = retrieve_topk(tiny_lex, ["civil"], 100)
+    ranked = retrieve_topk(tiny_lex, ["civil"], 100, PipelineConfig())
     assert ranked.ids() == ["d2#1"]
 
 
 def test_retrieve_only_positive_scores(tiny_lex):
-    assert len(retrieve_topk(tiny_lex, ["zebra"], 5)) == 0
-    for score in retrieve_topk(tiny_lex, ["law", "zebra"], 5).scores.tolist():
+    assert len(retrieve_topk(tiny_lex, ["zebra"], 5, PipelineConfig())) == 0
+    for score in retrieve_topk(tiny_lex, ["law", "zebra"], 5, PipelineConfig()).scores.tolist():
         assert score > 0.0
 
 
 def test_retrieve_tie_broken_by_id():
     a = Article("b-second", "d", "same words", "identical content here")
     b = Article("a-first", "d", "same words", "identical content here")
-    index = build_lex_index([a, b])
-    ranked = retrieve_topk(index, ["identical"], 2)
+    index = build_lex_index([a, b], PipelineConfig())
+    ranked = retrieve_topk(index, ["identical"], 2, PipelineConfig())
     assert ranked.ids() == ["a-first", "b-second"]
     assert ranked.scores[0] == ranked.scores[1]
 
@@ -224,10 +216,10 @@ TIE_ARTICLES = (
     ],
 )
 def test_retrieve_topk_equals_oracle_exactly(query, k, alpha, beta):
-    index = build_lex_index(TIE_ARTICLES)
+    index = build_lex_index(TIE_ARTICLES, PipelineConfig())
     title = BruteForceBm25(field_token_lists(TIE_ARTICLES, "title"))
     content = BruteForceBm25(field_token_lists(TIE_ARTICLES, "content"))
-    got = retrieve_topk(index, query, k, QuickviewConfig(alpha, beta))
+    got = retrieve_topk(index, query, k, PipelineConfig(alpha=alpha, beta=beta))
     assert pairs(got) == oracle_topk(title, content, query, k, alpha, beta)
     if query == ["deposit"]:
         assert got.ids() == ["d1#1", "d1#10", "d1#11"][:k]
@@ -238,15 +230,15 @@ def test_retrieve_prefix_property(synth):
     vocab = sorted(synth.lex.stats("content").terms)
     for _ in range(20):
         query = rng.sample(vocab, k=3)
-        small = retrieve_topk(synth.lex, query, 5)
-        large = retrieve_topk(synth.lex, query, 15)
+        small = retrieve_topk(synth.lex, query, 5, PipelineConfig())
+        large = retrieve_topk(synth.lex, query, 15, PipelineConfig())
         assert pairs(large[: len(small)]) == pairs(small)
 
 
 def test_quickview_score_linearity(tiny_lex):
     query = ["civil", "law", "contract"]
-    base = QuickviewConfig(1.5, 1.0)
-    doubled = QuickviewConfig(3.0, 2.0)
+    base = PipelineConfig(alpha=1.5, beta=1.0)
+    doubled = PipelineConfig(alpha=3.0, beta=2.0)
     ranked = retrieve_topk(tiny_lex, query, 10, base)
     ranked2 = retrieve_topk(tiny_lex, query, 10, doubled)
     assert ranked.ids() == ranked2.ids()
@@ -256,14 +248,14 @@ def test_quickview_score_linearity(tiny_lex):
 
 def test_content_monotonic_in_term_frequency(tiny_articles):
     # appending one more "law" to d1#2's content must not lower its score
-    before = build_lex_index(tiny_articles)
+    before = build_lex_index(tiny_articles, PipelineConfig())
     bumped = [
         Article(a.article_id, a.doc_id, a.title, a.content + " law")
         if a.article_id == "d1#2"
         else a
         for a in tiny_articles
     ]
-    after = build_lex_index(bumped)
+    after = build_lex_index(bumped, PipelineConfig())
     assert bm25(after, "content", ["law"], "d1#2") >= bm25(
         before, "content", ["law"], "d1#2"
     )
@@ -273,13 +265,15 @@ def test_save_load_round_trip(tiny_articles, tiny_lex, tmp_path):
     path = tmp_path / "lex.bin"
     save_lex_index(tiny_lex, path)
     loaded = load_lex_index(path, expected_fingerprint=TokenizerConfig().fingerprint())
-    query = ["civil", "law", "contracts"]
+    query, cfg = ["civil", "law", "contracts"], PipelineConfig()
     for article in tiny_articles:
         for field in ("title", "content"):
             assert bm25(loaded, field, query, article.article_id) == bm25(
                 tiny_lex, field, query, article.article_id
             )
-    assert pairs(retrieve_topk(loaded, query, 3)) == pairs(retrieve_topk(tiny_lex, query, 3))
+    assert pairs(retrieve_topk(loaded, query, 3, cfg)) == pairs(
+        retrieve_topk(tiny_lex, query, 3, cfg)
+    )
     again = tmp_path / "again.bin"
     save_lex_index(loaded, again)
     assert again.read_bytes() == path.read_bytes()
@@ -293,11 +287,11 @@ def test_untitled_corpus_builds_and_loads_without_warnings(tmp_path):
     path = tmp_path / "lex.bin"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        index = build_lex_index(articles, tok)
+        index = build_lex_index(articles, PipelineConfig())
         save_lex_index(index, path)
         loaded = load_lex_index(path, tok.fingerprint())
     assert loaded.title.avgdl == 0.0 and loaded.title.impact.size == 0
-    assert retrieve_topk(loaded, ["rent"], 3).ids() == ["a0", "a1", "a2"]
+    assert retrieve_topk(loaded, ["rent"], 3, PipelineConfig()).ids() == ["a0", "a1", "a2"]
 
 
 def test_save_deterministic_bytes(tiny_lex, tmp_path):
@@ -324,7 +318,7 @@ def test_idf_positive_and_decreasing_in_df():
     assert oracle_idf(contents, "rare3") > oracle_idf(contents, "common")
     assert math.isclose(oracle_idf(contents, "never-seen"), math.log(1 + 10.5 / 0.5))
     # equal lengths and term frequencies: the index's BM25 orders terms by idf
-    index = build_lex_index(articles)
+    index = build_lex_index(articles, PipelineConfig())
     common = score_query(index, ["common"])["content"][0][3]
     rare = score_query(index, ["rare3"])["content"][0][3]
     assert 0.0 < common < rare

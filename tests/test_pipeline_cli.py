@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import dataclasses
 import fcntl
@@ -9,6 +10,7 @@ import socketserver
 import subprocess
 import sys
 import unicodedata
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -327,26 +329,98 @@ def test_config_rejects_values_of_the_wrong_type(tmp_path, capsys, key, value):
     assert f"{key} must be" in capsys.readouterr().err
 
 
+# (an out-of-range setting, one just inside the same bound, the message):
+# one row for each side of each bound of every ranged config key
+RANGE_EDGES = [
+    ({"k1": -0.1}, {"k1": 0.0}, "k1 must be >= 0, not -0.1"),
+    ({"b": -0.1}, {"b": 0.0}, "b must be in [0, 1], not -0.1"),
+    ({"b": 1.5}, {"b": 1.0}, "b must be in [0, 1], not 1.5"),
+    ({"alpha": -1.0}, {"alpha": 0.0}, "alpha must be >= 0, not -1.0"),
+    ({"beta": -1.0}, {"beta": 0.0}, "beta must be >= 0, not -1.0"),
+    ({"alpha": 0.0, "beta": 0.0}, {"alpha": 0.0, "beta": 0.5},
+     "alpha + beta must be > 0, not 0.0"),
+    ({"gamma": -0.1}, {"gamma": 0.0}, "gamma must be in [0, 1], not -0.1"),
+    ({"gamma": 1.5}, {"gamma": 1.0}, "gamma must be in [0, 1], not 1.5"),
+    ({"gamma": 2.0}, {"gamma": 1.0}, "gamma must be in [0, 1], not 2.0"),
+    ({"top_k": 0}, {"top_k": 1}, "top_k must be >= 1, not 0"),
+    ({"threshold": -0.1}, {"threshold": 0.0}, "threshold must be null or >= 0, not -0.1"),
+    ({"quickview_source": "graph"}, {"quickview_source": "dense"},
+     "quickview_source must be 'lexical' or 'dense', not 'graph'"),
+    ({"quickview_source": "bm25"}, {"quickview_source": "lexical"},
+     "quickview_source must be 'lexical' or 'dense', not 'bm25'"),
+    ({"embedder_dimension": 0}, {"embedder_dimension": 1},
+     "embedder_dimension must be >= 1, not 0"),
+    ({"external_embedder_timeout": 0.0}, {"external_embedder_timeout": 0.001},
+     "external_embedder_timeout must be > 0, not 0.0"),
+    ({"external_embedder_timeout": -1.5}, {"external_embedder_timeout": 1.5},
+     "external_embedder_timeout must be > 0, not -1.5"),
+    ({"external_scorer_timeout": 0}, {"external_scorer_timeout": 1},
+     "external_scorer_timeout must be > 0, not 0"),
+    ({"external_scorer_timeout": -30.0}, {"external_scorer_timeout": 30.0},
+     "external_scorer_timeout must be > 0, not -30.0"),
+    ({"learning_rate": 0.0}, {"learning_rate": 1e-06}, "learning_rate must be > 0, not 0.0"),
+    ({"epochs": 0}, {"epochs": 1}, "epochs must be >= 1, not 0"),
+    ({"batch_size": 0}, {"batch_size": 1}, "batch_size must be >= 1, not 0"),
+    ({"train_seed": -1}, {"train_seed": 0}, "train_seed must be >= 0, not -1"),
+    ({"patience": 0}, {"patience": 1}, "patience must be >= 1, not 0"),
+    ({"weak_negative_ratio": 0}, {"weak_negative_ratio": 1},
+     "weak_negative_ratio must be >= 1, not 0"),
+    ({"split_ratio": 0.0}, {"split_ratio": 0.01}, "split_ratio must be in (0, 1), not 0.0"),
+    ({"split_ratio": 1.0}, {"split_ratio": 0.99}, "split_ratio must be in (0, 1), not 1.0"),
+    ({"split_ratio": 1.5}, {"split_ratio": 0.5}, "split_ratio must be in (0, 1), not 1.5"),
+    ({"max_question_chars": 0}, {"max_question_chars": 1},
+     "max_question_chars must be >= 1, not 0"),
+    ({"max_question_chars": -5}, {"max_question_chars": 1},
+     "max_question_chars must be >= 1, not -5"),
+]
+
+COMMANDS = [
+    ["serve"], ["query", "--question", "law"], ["index"], ["weaklabel"], ["train"], ["eval"]
+]
+
+
+def _flag(command: str, key: str) -> str | None:
+    """The flag of ``command`` that sets config key ``key``, if it has one."""
+    commands = next(
+        action for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    flags = {a.dest: a.option_strings[0] for a in commands.choices[command]._actions}
+    return flags.get(key)
+
+
 @pytest.mark.parametrize(
-    "key, value",
-    [("max_question_chars", 0), ("max_question_chars", -5),
-     ("external_embedder_timeout", 0.0), ("external_embedder_timeout", -1.5),
-     ("external_scorer_timeout", 0), ("external_scorer_timeout", -30.0)],
+    "outside, inside, message", RANGE_EDGES,
+    ids=["-".join(f"{k}-{v}" for k, v in row[0].items()) for row in RANGE_EDGES],
 )
-@pytest.mark.parametrize("command", [["serve"], ["query", "--question", "law"]])
+@pytest.mark.parametrize("command", COMMANDS)
 def test_out_of_range_service_settings_fail_before_loading(
-    tmp_path, capsys, monkeypatch, key, value, command
+    tmp_path, capsys, monkeypatch, outside, inside, message, command
 ):
-    def load(cfg):
+    """Every ranged key, on both sides of each bound: the config, a config
+    file and a flag reject the value, naming the key, and every command
+    exits 1 before it reads an artifact."""
+    def load(*args, **kwargs):
         raise AssertionError("loaded with an out-of-range setting")
 
     monkeypatch.setattr(Pipeline, "load", load)
-    with pytest.raises(ValueError, match=key):
-        PipelineConfig(**{key: value})
+    for name in ("load_artifacts", "load_corpus_file", "load_gold_file"):
+        monkeypatch.setattr(cli, name, load)
+    cfg = PipelineConfig(**inside)
+    assert {key: getattr(cfg, key) for key in inside} == inside
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        PipelineConfig(**outside)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(cfg, *next(iter(outside.items())))
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({key: value}))
+    bad.write_text(json.dumps(outside))
     assert main(["--config", str(bad), *command]) == 1
-    assert f"{bad}: {key} must be" in capsys.readouterr().err
+    assert f"error: {bad}: {message}\n" in capsys.readouterr().err
+    [(key, value)] = outside.items() if len(outside) == 1 else [(None, None)]
+    flag = _flag(command[0], key)
+    if flag is not None:
+        assert main([*command, flag, str(value)]) == 1
+        assert f"error: {message}\n" in capsys.readouterr().err
 
 
 def test_serve_rejects_a_zero_question_length_flag(tmp_path, capsys, monkeypatch):
@@ -369,6 +443,39 @@ def test_config_accepts_every_annotated_type(tmp_path):
     good.write_text(json.dumps(values))
     cfg = PipelineConfig.from_file(good)
     assert {key: getattr(cfg, key) for key in values} == values
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _settings_table() -> dict[str, tuple[str, str, list[str]]]:
+    """The README settings table: key -> (default, range, commands), each
+    cell as written, backticks stripped from the key and the default."""
+    lines = README.read_text(encoding="utf-8").splitlines()
+    start = lines.index("| key | default | range | commands |") + 2
+    rows = {}
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        key, default, allowed, commands = (cell.strip() for cell in line[1:-1].split("|"))
+        rows[key.strip("`")] = (default.strip("`"), allowed, commands.split(", "))
+    return rows
+
+
+def test_readme_settings_table_lists_every_config_field():
+    rows = _settings_table()
+    fields = dataclasses.fields(PipelineConfig)
+    assert list(rows) == [f.name for f in fields]
+    for f in fields:
+        default = f.default if f.default_factory is dataclasses.MISSING else f.default_factory()
+        assert rows[f.name][0] == json.dumps(default), f.name
+    for key, (_, allowed, commands) in rows.items():
+        if key in pipeline_mod.RANGES:
+            assert allowed.startswith(f"`{pipeline_mod.RANGES[key][0]}`"), key
+        else:
+            assert allowed == "any", key
+        flagged = [command for command, *_ in COMMANDS if _flag(command, key)]
+        assert set(flagged) <= set(commands), key
 
 
 def test_load_model_error_is_reported_not_raised(workspace, tmp_path, capsys):
@@ -474,7 +581,7 @@ def test_model_scorer_pipeline_never_parses_the_corpus(workspace, monkeypatch):
         assert answer.returned
         assert answer == rank_and_select(
             question_id, question, ranked, pipeline.scorer, pipeline.by_id,
-            pipeline.ensemble_cfg,
+            pipeline.cfg,
         )
     pipeline.close()
 
@@ -592,7 +699,7 @@ def test_dense_answer_embeds_its_question_once(synth, monkeypatch):
     ranked = pipeline.quickview_rank(query.question, cfg.top_k)
     assert answer == rank_and_select(
         query.question_id, query.question, ranked, synth.scorer, synth.by_id,
-        pipeline.ensemble_cfg,
+        pipeline.cfg,
     )
 
 
@@ -634,17 +741,6 @@ def test_query_rejects_an_index_built_with_other_bm25_parameters(
     assert str(tmp_path / "lex_index.bin") in err and "k1=2.0" in err
     (tmp_path / "config.json").write_text(json.dumps({**config, "k1": 2.0}))
     assert main(base + ["query", "--question", queries[0].question]) == 0
-
-
-def test_invalid_fusion_settings_fail_at_load(workspace):
-    root, _, _ = workspace
-    cfg = PipelineConfig.from_file(root / "config.json")
-    with pytest.raises(ValueError, match="gamma"):
-        Pipeline.load(dataclasses.replace(cfg, gamma=2.0))
-    with pytest.raises(ValueError, match="quickview_source"):
-        Pipeline.load(dataclasses.replace(cfg, quickview_source="bm25"))
-    with pytest.raises(ValueError, match="boost weights"):
-        Pipeline.load(dataclasses.replace(cfg, alpha=-1.0))
 
 
 def _dense_recall(root, ks):
@@ -842,7 +938,6 @@ def test_rejected_load_closes_the_embedder_child(external_ws, children, tmp_path
     write_corpus_file(docs, tmp_path / "corpus.jsonl")
     rejected = {
         "different corpus": {"corpus_path": str(tmp_path / "corpus.jsonl")},
-        "gamma": {"gamma": 2.0},
         "cannot start": {"external_scorer_cmd": [str(tmp_path / "no-such-scorer")]},
         "model.json": {
             "external_scorer_cmd": None, "model_path": str(tmp_path / "model.json")
@@ -853,6 +948,11 @@ def test_rejected_load_closes_the_embedder_child(external_ws, children, tmp_path
             Pipeline.load(dataclasses.replace(cfg, **change))
         assert _running(children) == [], message
     assert len(children) >= 1 + len(rejected)
+    # an out-of-range setting never reaches a load, so it starts no child
+    started = len(children)
+    with pytest.raises(ValueError, match="gamma must be in"):
+        Pipeline.load(dataclasses.replace(cfg, gamma=2.0))
+    assert len(children) == started
 
 
 def test_index_prints_the_size_of_each_file(workspace, tmp_path, capsys):
@@ -880,7 +980,7 @@ def test_indexes_of_different_tokenizers_are_rejected(tmp_path):
         embedder_dimension=64,
     )
     digest = corpus_mod.file_digest(cfg.corpus_path)
-    lex = lexical.build_lex_index(articles, cfg.tokenizer_config(), corpus_digest=digest)
+    lex = lexical.build_lex_index(articles, cfg, corpus_digest=digest)
     lexical.save_lex_index(lex, cfg.lex_index_path)
     phrases = TokenizerConfig(frozenset({"of the"}))
     built, _ = dense.build_dense_index(articles, cfg.make_embedder(), phrases, digest)
@@ -912,7 +1012,7 @@ def test_a_decomposed_corpus_indexes_to_the_arrays_of_its_composed_form(tmp_path
     tok, embedder = TokenizerConfig(), dense.HashedProjectionEmbedder(64, 0)
     saved = {}
     for form in ("NFC", "NFD"):
-        lex = lexical.build_lex_index(_vietnamese(form), tok)
+        lex = lexical.build_lex_index(_vietnamese(form), PipelineConfig())
         assert "người" in lex.content.terms  # not "ngu", "o", "i"
         built, _ = dense.build_dense_index(_vietnamese(form), embedder, tok)
         paths = tmp_path / f"lex.{form}", tmp_path / f"dense.{form}"
@@ -925,7 +1025,7 @@ def test_a_decomposed_corpus_indexes_to_the_arrays_of_its_composed_form(tmp_path
 @pytest.mark.parametrize("source", ["lexical", "dense"])
 def test_a_decomposed_question_answers_like_its_composed_form(source):
     articles, tok = _vietnamese("NFC"), TokenizerConfig()
-    lex = lexical.build_lex_index(articles, tok)
+    lex = lexical.build_lex_index(articles, PipelineConfig())
     built, _ = dense.build_dense_index(articles, dense.HashedProjectionEmbedder(64, 0), tok)
     model = reranker.LinearModel(np.ones(reranker.NUM_FEATURES))
     scorer = reranker.ModelScorer(model, reranker.FeatureExtractor(lex, built, tok))

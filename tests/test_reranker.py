@@ -19,14 +19,14 @@ from statuteqa.dense import (
     dense_retrieve_topk,
     embed,
 )
-from statuteqa.ensemble import EnsembleConfig, rank_and_select
+from statuteqa.ensemble import rank_and_select
 from statuteqa.lexical import build_lex_index, retrieve_topk
+from statuteqa.pipeline import PipelineConfig
 from statuteqa.reranker import (
     NUM_FEATURES,
     FeatureExtractor,
     LinearModel,
     ModelScorer,
-    TrainConfig,
     cross_entropy_gradient,
     _logits,
     load_model,
@@ -43,7 +43,7 @@ EMB = HashedProjectionEmbedder(dimension=64, seed=0)
 
 @pytest.fixture(scope="module")
 def tiny_setup(tiny_articles):
-    lex = build_lex_index(tiny_articles, TokenizerConfig())
+    lex = build_lex_index(tiny_articles, PipelineConfig())
     dense, _ = build_dense_index(tiny_articles, EMB)
     extractor = FeatureExtractor(lex, dense, TokenizerConfig())
     return tiny_articles, lex, dense, extractor
@@ -242,7 +242,7 @@ def _hand_built_articles(draw):
 @given(_hand_built_articles())
 def test_both_indexes_number_the_same_articles(articles):
     """An article is indexed when its content has tokens, by both builds."""
-    lex = build_lex_index(articles)
+    lex = build_lex_index(articles, PipelineConfig())
     dense, excluded = build_dense_index(articles, EMB)
     assert lex.article_ids == dense.article_ids
     assert len(articles) - excluded == len(lex.article_ids)
@@ -258,14 +258,14 @@ def test_title_only_article_is_in_neither_index():
         Article("b", "d", "Tenancy deposits", "..."),
         Article("c", "d", None, "Tenancy ends with notice."),
     ]
-    lex = build_lex_index(articles)
+    lex = build_lex_index(articles, PipelineConfig())
     dense, _ = build_dense_index(articles, EMB)
     assert lex.article_ids == dense.article_ids == ("a", "c")
     scorer = ModelScorer(zero_model(), FeatureExtractor(lex, dense))
-    ranked = retrieve_topk(lex, tokenize(clean_text("tenancy deposits")), 10)
+    ranked = retrieve_topk(lex, tokenize(clean_text("tenancy deposits")), 10, PipelineConfig())
     answer = rank_and_select(
         "q", "tenancy deposits", ranked, scorer, {a.article_id: a for a in articles},
-        EnsembleConfig(top_k=10),
+        PipelineConfig(top_k=10),
     )
     assert [c.article_id for c in answer.returned] == ["a"]
 
@@ -274,7 +274,7 @@ def test_title_only_article_is_in_neither_index():
 def test_extractor_rejects_indexes_of_different_articles(
     tiny_articles, lex_count, dense_count
 ):
-    lex = build_lex_index(tiny_articles[:lex_count], TokenizerConfig())
+    lex = build_lex_index(tiny_articles[:lex_count], PipelineConfig())
     dense, _ = build_dense_index(tiny_articles[:dense_count], EMB)
     with pytest.raises(ValueError, match="cover different articles"):
         FeatureExtractor(lex, dense, TokenizerConfig())
@@ -349,7 +349,7 @@ def _toy_matrix(n=40):
 
 
 def test_training_converges_on_separable_toy_set():
-    cfg = TrainConfig(learning_rate=0.1, epochs=300, batch_size=8, rng_seed=0, patience=1000)
+    cfg = PipelineConfig(learning_rate=0.1, epochs=300, batch_size=8, train_seed=0, patience=1000)
     model = train_stage(zero_model(), _toy_matrix(), None, cfg)
     curve = model.metadata["loss_curve"]
     assert curve[-1] < 0.1
@@ -357,25 +357,18 @@ def test_training_converges_on_separable_toy_set():
 
 
 def test_training_deterministic_given_seed():
-    cfg = TrainConfig(epochs=20, rng_seed=5)
+    cfg = PipelineConfig(epochs=20, train_seed=5)
     a = train_stage(zero_model(), _toy_matrix(), None, cfg)
     b = train_stage(zero_model(), _toy_matrix(), None, cfg)
     assert np.array_equal(a.weights, b.weights)
     assert a.metadata["loss_curve"] == b.metadata["loss_curve"]
-    c = train_stage(zero_model(), _toy_matrix(), None, TrainConfig(epochs=20, rng_seed=6))
+    c = train_stage(zero_model(), _toy_matrix(), None, PipelineConfig(epochs=20, train_seed=6))
     assert not np.array_equal(a.weights, c.weights)
-
-
-def test_train_config_validation():
-    with pytest.raises(ValueError):
-        TrainConfig(epochs=0)
-    with pytest.raises(ValueError):
-        TrainConfig(learning_rate=0.0)
 
 
 def test_training_rejects_empty_data():
     with pytest.raises(ValueError, match="gold_only: training data is empty"):
-        train_stage(zero_model(), _toy_matrix(0), None, TrainConfig(), "gold_only")
+        train_stage(zero_model(), _toy_matrix(0), None, PipelineConfig(), "gold_only")
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
@@ -383,7 +376,7 @@ def test_training_reports_divergence():
     x, y = _toy_matrix()
     x[:] = np.nan
     with pytest.raises(ValueError, match="diverged"):
-        train_stage(zero_model(), (x, y), None, TrainConfig(epochs=1))
+        train_stage(zero_model(), (x, y), None, PipelineConfig(epochs=1))
 
 
 def _two_stage_matrices():
@@ -394,7 +387,7 @@ def _two_stage_matrices():
 
 
 def test_two_stage_metadata_and_continuity():
-    cfg = TrainConfig(epochs=10, rng_seed=0)
+    cfg = PipelineConfig(epochs=10, train_seed=0)
     weak, gold, valid = _two_stage_matrices()
     model = train_two_stage(weak, gold, valid, cfg)
     stage1, stage2 = model.metadata["stages"]
@@ -408,7 +401,7 @@ def test_two_stage_metadata_and_continuity():
 
 
 def test_two_stage_rejects_empty_datasets():
-    cfg = TrainConfig(epochs=1)
+    cfg = PipelineConfig(epochs=1)
     with pytest.raises(ValueError, match="weak"):
         train_two_stage(_toy_matrix(0), _toy_matrix(), None, cfg)
     with pytest.raises(ValueError, match="gold"):
@@ -492,7 +485,7 @@ def test_load_model_rejects_what_save_model_does_not_write(
 def test_score_batch_is_bit_identical_for_a_ranking_ids_and_articles(synth):
     """A ranking is read at its positions (a dense one with its sentence
     cosines); a ranking over another index of the same articles is refused."""
-    rebuilt = build_lex_index(synth.articles, synth.tok)
+    rebuilt = build_lex_index(synth.articles, PipelineConfig())
     assert rebuilt.article_ids is not synth.lex.article_ids
     for query in synth.queries[:10]:
         question = query.question
@@ -507,4 +500,4 @@ def test_score_batch_is_bit_identical_for_a_ranking_ids_and_articles(synth):
             assert _bits(synth.scorer.score_batch(question, articles)) == want
         tokens = tokenize(clean_text(question), synth.tok)
         with pytest.raises(ValueError, match="ranking is over other indexes"):
-            synth.scorer.score_batch(question, retrieve_topk(rebuilt, tokens, 30))
+            synth.scorer.score_batch(question, retrieve_topk(rebuilt, tokens, 30, PipelineConfig()))

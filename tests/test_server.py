@@ -44,20 +44,21 @@ def service(tmp_path_factory):
     write_gold_file(queries, root / "gold.jsonl")
 
     from statuteqa.corpus import TokenizerConfig, iter_articles
-    from statuteqa.reranker import FeatureExtractor, TrainConfig, train_stage, zero_model
-    from statuteqa.weak_label import WeakGenConfig, generate_weak_dataset
+    from statuteqa.pipeline import PipelineConfig
+    from statuteqa.reranker import FeatureExtractor, train_stage, zero_model
+    from statuteqa.weak_label import generate_weak_dataset
 
     articles = list(iter_articles(docs))
     tok = TokenizerConfig()
     digest = file_digest(root / "corpus.jsonl")
-    lex = build_lex_index(articles, tok, corpus_digest=digest)
+    lex = build_lex_index(articles, PipelineConfig(), corpus_digest=digest)
     embedder = HashedProjectionEmbedder(dimension=64, seed=0)
     dense, _ = build_dense_index(articles, embedder, tok, corpus_digest=digest)
     save_lex_index(lex, root / "lex.bin")
     save_dense_index(dense, root / "dense.bin")
     extractor = FeatureExtractor(lex, dense, tok)
-    weak = generate_weak_dataset(articles, WeakGenConfig(4, 0))
-    model = train_stage(zero_model(), extractor.matrix(weak), None, TrainConfig(epochs=15))
+    weak = generate_weak_dataset(articles, PipelineConfig(weak_seed=0))
+    model = train_stage(zero_model(), extractor.matrix(weak), None, PipelineConfig(epochs=15))
     save_model(model, root / "model.json")
 
     cfg = PipelineConfig(

@@ -5,9 +5,9 @@ import random
 import pytest
 
 from statuteqa.corpus import Article, clean_text
+from statuteqa.pipeline import PipelineConfig
 from statuteqa.weak_label import (
     TrainingExample,
-    WeakGenConfig,
     dataset_stats,
     generate_gold_examples,
     generate_weak_dataset,
@@ -29,7 +29,7 @@ def _titled_articles(n, untitled=()):
 
 
 def test_counts_ten_titled_ratio_four():
-    examples = generate_weak_dataset(_titled_articles(10), WeakGenConfig(4, 0))
+    examples = generate_weak_dataset(_titled_articles(10), PipelineConfig(weak_seed=0))
     assert len(examples) == 50
     stats = dataset_stats(examples)
     assert (stats.total, stats.positives, stats.negatives) == (50, 10, 40)
@@ -38,7 +38,8 @@ def test_counts_ten_titled_ratio_four():
 
 
 def test_untitled_articles_contribute_nothing():
-    examples = generate_weak_dataset(_titled_articles(10, untitled={3, 7}), WeakGenConfig(4, 0))
+    articles = _titled_articles(10, untitled={3, 7})
+    examples = generate_weak_dataset(articles, PipelineConfig(weak_seed=0))
     assert len(examples) == 40
     questioned = {ex.article_id for ex in examples if ex.label == 1}
     assert "a03" not in questioned and "a07" not in questioned
@@ -50,23 +51,23 @@ def test_untitled_articles_contribute_nothing():
 def test_same_seed_byte_identical(tmp_path):
     articles = _titled_articles(12)
     p1, p2 = tmp_path / "one.jsonl", tmp_path / "two.jsonl"
-    write_dataset(generate_weak_dataset(articles, WeakGenConfig(4, 9)), p1)
-    write_dataset(generate_weak_dataset(articles, WeakGenConfig(4, 9)), p2)
+    write_dataset(generate_weak_dataset(articles, PipelineConfig(weak_seed=9)), p1)
+    write_dataset(generate_weak_dataset(articles, PipelineConfig(weak_seed=9)), p2)
     assert p1.read_bytes() == p2.read_bytes()
-    assert generate_weak_dataset(articles, WeakGenConfig(4, 10)) != generate_weak_dataset(
-        articles, WeakGenConfig(4, 9)
+    assert generate_weak_dataset(articles, PipelineConfig(weak_seed=10)) != generate_weak_dataset(
+        articles, PipelineConfig(weak_seed=9)
     )
 
 
 def test_corpus_too_small():
     with pytest.raises(ValueError, match="smaller"):
-        generate_weak_dataset(_titled_articles(4), WeakGenConfig(4, 0))
+        generate_weak_dataset(_titled_articles(4), PipelineConfig(weak_seed=0))
     # exactly ratio + 1 articles is fine
-    generate_weak_dataset(_titled_articles(5), WeakGenConfig(4, 0))
+    generate_weak_dataset(_titled_articles(5), PipelineConfig(weak_seed=0))
 
 
 def test_negatives_exclude_positive_and_are_distinct():
-    examples = generate_weak_dataset(_titled_articles(10), WeakGenConfig(4, 3))
+    examples = generate_weak_dataset(_titled_articles(10), PipelineConfig(weak_seed=3))
     by_question = {}
     for ex in examples:
         by_question.setdefault(ex.question, []).append(ex)
@@ -83,7 +84,7 @@ def test_negatives_exclude_positive_and_are_distinct():
 def test_weak_positive_question_is_cleaned_title():
     articles = _titled_articles(6)
     by_id = {a.article_id: a for a in articles}
-    for ex in generate_weak_dataset(articles, WeakGenConfig(4, 0)):
+    for ex in generate_weak_dataset(articles, PipelineConfig(weak_seed=0)):
         if ex.label == 1:
             assert ex.question == clean_text(by_id[ex.article_id].title)
         assert ex.origin == "weak"
@@ -101,7 +102,7 @@ def test_negative_sampling_close_to_uniform():
     trials = 1500
     counts = dict.fromkeys(candidates, 0)
     for trial in range(trials):
-        examples = generate_weak_dataset(articles, WeakGenConfig(4, trial * 9973 + 17))
+        examples = generate_weak_dataset(articles, PipelineConfig(weak_seed=trial * 9973 + 17))
         group = [
             ex.article_id
             for ex in examples
@@ -138,7 +139,7 @@ def test_training_example_validation():
 def test_gold_examples_structure():
     articles = _titled_articles(12)
     pairs = [("how is topic three handled", ["a03", "a04"]), ("topic nine rules", ["a09"])]
-    examples = generate_gold_examples(pairs, articles, WeakGenConfig(4, 5))
+    examples = generate_gold_examples(pairs, articles, PipelineConfig(weak_seed=5))
     stats = dataset_stats(examples)
     assert stats.positives == 3
     assert stats.negatives == 12
@@ -151,18 +152,18 @@ def test_gold_examples_structure():
 
 def test_gold_examples_empty_gold_set_rejected():
     with pytest.raises(ValueError, match="empty gold"):
-        generate_gold_examples([("q", [])], _titled_articles(10), WeakGenConfig(4, 0))
+        generate_gold_examples([("q", [])], _titled_articles(10), PipelineConfig(weak_seed=0))
 
 
 def test_dataset_file_round_trip(tmp_path):
-    examples = generate_weak_dataset(_titled_articles(8), WeakGenConfig(4, 2))
+    examples = generate_weak_dataset(_titled_articles(8), PipelineConfig(weak_seed=2))
     path = tmp_path / "weak.jsonl"
     write_dataset(examples, path)
     assert read_dataset(path) == examples
 
 
 def test_dataset_write_that_fails_midway_leaves_the_old_file(tmp_path):
-    examples = generate_weak_dataset(_titled_articles(8), WeakGenConfig(4, 2))
+    examples = generate_weak_dataset(_titled_articles(8), PipelineConfig(weak_seed=2))
     path = tmp_path / "weak.jsonl"
     write_dataset(examples, path)
     before = path.read_bytes()
@@ -223,26 +224,26 @@ def _filtered_list_negatives(question, exclude, pool, count, rng, origin):
 
 def _reference_weak(articles, cfg):
     pool = [a.article_id for a in articles]
-    rng = random.Random(cfg.rng_seed)
+    rng = random.Random(cfg.weak_seed)
     examples = []
     for article in articles:
         question = clean_text(article.title or "")
         if question:
             examples.append(TrainingExample(question, article.article_id, 1, "weak"))
             examples += _filtered_list_negatives(
-                question, {article.article_id}, pool, cfg.negative_ratio, rng, "weak"
+                question, {article.article_id}, pool, cfg.weak_negative_ratio, rng, "weak"
             )
     return examples
 
 
 def _reference_gold(pairs, articles, cfg):
     pool = [a.article_id for a in articles]
-    rng = random.Random(cfg.rng_seed)
+    rng = random.Random(cfg.weak_seed)
     examples = []
     for question, gold in pairs:
         examples += [TrainingExample(question, a, 1, "gold") for a in gold]
         examples += _filtered_list_negatives(
-            question, set(gold), pool, cfg.negative_ratio * len(gold), rng, "gold"
+            question, set(gold), pool, cfg.weak_negative_ratio * len(gold), rng, "gold"
         )
     return examples
 
@@ -252,7 +253,7 @@ def _reference_gold(pairs, articles, cfg):
 def test_weak_sampling_draws_the_filtered_list_stream(n, seed):
     """Index shifting gives the examples of sampling the rebuilt pool list."""
     articles = _titled_articles(n, untitled={2, 3})
-    cfg = WeakGenConfig(4, seed)
+    cfg = PipelineConfig(weak_seed=seed)
     assert generate_weak_dataset(articles, cfg) == _reference_weak(articles, cfg)
 
 
@@ -267,7 +268,7 @@ def test_gold_sampling_draws_the_filtered_list_stream(n, seed):
         (f"question {i}", rng.sample(ids, rng.randint(1, 2)) + extra)
         for i, extra in enumerate([[], ["a00"], ["ghost"], [], ["a01", "a01"]])
     ]
-    cfg = WeakGenConfig(2, seed)
+    cfg = PipelineConfig(weak_negative_ratio=2, weak_seed=seed)
     assert generate_gold_examples(pairs, articles, cfg) == _reference_gold(
         pairs, articles, cfg
     )
