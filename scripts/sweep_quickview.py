@@ -10,7 +10,7 @@ import argparse
 import sys
 import time
 
-from statuteqa.corpus import TokenizerConfig, clean_text, iter_articles, tokenize
+from statuteqa.corpus import clean_text, iter_articles, tokenize
 from statuteqa.evaluation import recall_at_k
 from statuteqa.lexical import build_lex_index, retrieve_topk
 from statuteqa.pipeline import PipelineConfig
@@ -31,7 +31,6 @@ def main() -> int:
     docs = synthetic_family_corpus(args.families, args.members)
     articles = list(iter_articles(docs))
     queries = family_mixed_queries(docs, seed=args.seed)
-    tok = TokenizerConfig()
     lex = build_lex_index(articles, PipelineConfig())
 
     header = "BM25(alpha,beta)".ljust(20) + "".join(f"R@{k}".rjust(9) for k in ks)
@@ -41,7 +40,7 @@ def main() -> int:
         sums = {k: 0.0 for k in ks}
         started = time.perf_counter()
         for query in queries:
-            tokens = tokenize(clean_text(query.question), tok)
+            tokens = tokenize(clean_text(query.question), lex.tokenizer)
             ranked = retrieve_topk(lex, tokens, max(ks), cfg).ids()
             for k in ks:
                 sums[k] += recall_at_k(ranked, query.gold_article_ids, k)

@@ -183,7 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_index(cfg: PipelineConfig) -> int:
     docs, stats = load_corpus_file(cfg.corpus_path)
     articles = list(iter_articles(docs))
-    tok = cfg.tokenizer_config()
     outputs = (cfg.lex_index_path, cfg.dense_index_path)
     # an embedder that cannot start fails before either index is replaced
     embedder = cfg.make_embedder()
@@ -193,7 +192,7 @@ def _cmd_index(cfg: PipelineConfig) -> int:
         for directory in sorted({Path(path).resolve().parent for path in outputs}):
             stack.enter_context(_exclusive_lock(directory))
         lex = build_lex_index(articles, cfg, stats.digest)
-        dense, excluded = build_dense_index(articles, embedder, tok, stats.digest)
+        dense, excluded = build_dense_index(articles, embedder, lex.tokenizer, stats.digest)
         save_lex_index(lex, cfg.lex_index_path)
         save_dense_index(dense, cfg.dense_index_path)
     print(
@@ -204,7 +203,7 @@ def _cmd_index(cfg: PipelineConfig) -> int:
     lex_bytes, dense_bytes = map(os.path.getsize, outputs)
     print(
         f"lexical index: {cfg.lex_index_path} ({lex_bytes} bytes, "
-        f"tokenizer {tok.fingerprint()})"
+        f"tokenizer {lex.tokenizer.fingerprint()})"
     )
     print(
         f"dense index: {cfg.dense_index_path} ({dense_bytes} bytes, "
@@ -231,7 +230,7 @@ def _cmd_train(cfg: PipelineConfig, mode: str) -> int:
     lex, dense = load_artifacts(cfg)
     try:
         articles = load_articles(cfg, lex.corpus_digest)
-        extractor = FeatureExtractor(lex, dense, cfg.tokenizer_config())
+        extractor = FeatureExtractor(lex, dense)
         gold_queries = load_gold_file(cfg.gold_path)
         train_queries, valid_queries = split_train_valid(
             gold_queries, cfg.split_ratio, cfg.split_seed

@@ -172,7 +172,9 @@ class ExternalEmbedder:
 
 
 def embed(embedder: Embedder, tokens: Sequence[str]) -> np.ndarray:
-    """Embed a token sequence; the empty sequence maps to the zero vector."""
+    """Embed a token sequence; an empty one is the zero vector, not embedded."""
+    if not tokens:
+        return np.zeros(embedder.dimension)
     return embedder.embed_tokens(tokens)
 
 
@@ -188,12 +190,12 @@ class DenseIndex:
     ``colptr[c]:colptr[c + 1]``; every other value is 0. Rows are unit or
     zero vectors.
     ``embedder`` embeds questions; its fingerprint is the index's.
-    ``tokenizer_fingerprint`` is that of the tokenizer the sentences were
-    tokenized with. Immutable after build; safe for concurrent readers.
+    ``tokenizer`` tokenized the sentences and cuts every question read
+    against the index. Immutable after build; safe for concurrent readers.
     """
 
     embedder_fingerprint: str
-    tokenizer_fingerprint: str
+    tokenizer: TokenizerConfig
     dimension: int
     article_ids: tuple[str, ...]
     offsets: np.ndarray  # int64, articles + 1, into the sentence rows
@@ -206,19 +208,18 @@ class DenseIndex:
 
 def build_dense_index(
     articles: Sequence[Article],
-    embedder: Embedder | None = None,
-    tok: TokenizerConfig | None = None,
+    embedder: Embedder,
+    tok: TokenizerConfig,
     corpus_digest: str = "",
 ) -> tuple[DenseIndex, int]:
-    """Embed every article's sentences; returns (index, excluded_count).
+    """Embed every article's sentences, cut with ``tok``; returns (index,
+    excluded_count). The index keeps ``embedder`` and ``tok`` for questions.
 
     Articles with zero non-empty sentences after cleaning are excluded
     from the index and counted. ``corpus_digest`` is recorded as given
     (see ``lexical.build_lex_index``).
     """
     ordered = sorted_articles(articles)
-    embedder = embedder or HashedProjectionEmbedder()
-    tok = tok or TokenizerConfig()
 
     article_ids, counts, sentences = [], [], []
     for article in ordered:
@@ -246,7 +247,7 @@ def build_dense_index(
 
     index = DenseIndex(
         embedder_fingerprint=embedder.fingerprint(),
-        tokenizer_fingerprint=tok.fingerprint(),
+        tokenizer=tok,
         dimension=embedder.dimension,
         article_ids=tuple(article_ids),
         offsets=offsets,
@@ -309,7 +310,8 @@ def dense_retrieve_topk(
     k: int,
     tok: TokenizerConfig | None = None,
 ) -> Ranking:
-    """Exhaustive scan of all articles, ranked by max sentence cosine.
+    """Exhaustive scan of all articles, ranked by max sentence cosine; the
+    question is cut with ``index.tokenizer``, which a given ``tok`` must be.
 
     Every sentence's cosine comes from its own entries (see
     ``sentence_cosines``), and ``np.maximum.at`` takes each article's
@@ -321,7 +323,9 @@ def dense_retrieve_topk(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    tokens = tuple(tokenize(clean_text(question), tok))
+    if tok not in (None, index.tokenizer):
+        raise ValueError(f"tokenizer {tok.fingerprint()} is not the dense index's")
+    tokens = tuple(tokenize(clean_text(question), index.tokenizer))
     question_vector = embed(index.embedder, tokens)
     cosines = sentence_cosines(index, question_vector)
     scores = np.full(len(index.article_ids), -np.inf)
@@ -341,7 +345,7 @@ def save_dense_index(index: DenseIndex, path: str | Path) -> None:
     """
     header = {
         "embedder_fingerprint": index.embedder_fingerprint,
-        "tokenizer_fingerprint": index.tokenizer_fingerprint,
+        "tokenizer_fingerprint": index.tokenizer.fingerprint(),
         "corpus_digest": index.corpus_digest,
         "dimension": index.dimension,
         "article_ids": list(index.article_ids),
@@ -352,21 +356,20 @@ def save_dense_index(index: DenseIndex, path: str | Path) -> None:
 
 
 def load_dense_index(
-    path: str | Path, embedder: Embedder, expected_fingerprint: str
+    path: str | Path, embedder: Embedder, tokenizer: TokenizerConfig
 ) -> DenseIndex:
-    """Load a persisted dense index built with ``embedder`` and the
-    tokenizer of fingerprint ``expected_fingerprint``.
+    """Load a persisted dense index built with ``embedder`` and ``tokenizer``.
 
-    The file must record ``embedder``'s fingerprint and dimension and the
-    tokenizer's fingerprint; the loaded index embeds questions with
-    ``embedder``.
+    The file must record ``embedder``'s fingerprint and dimension and
+    ``tokenizer``'s fingerprint; the loaded index cuts and embeds questions
+    with ``tokenizer`` and ``embedder``.
     """
     fingerprint, dimension = embedder.fingerprint(), embedder.dimension
     header, arrays = indexfile.load(
         path, DENSE_INDEX_FORMAT, DENSE_INDEX_VERSION, _LAYOUT,
         {
             "embedder_fingerprint": fingerprint,
-            "tokenizer_fingerprint": expected_fingerprint,
+            "tokenizer_fingerprint": tokenizer.fingerprint(),
             "dimension": dimension,
         },
     )
@@ -382,7 +385,7 @@ def load_dense_index(
     indexfile.require(bool(np.all(np.isfinite(data))), path, "data not finite")
     return DenseIndex(
         embedder_fingerprint=fingerprint,
-        tokenizer_fingerprint=expected_fingerprint,
+        tokenizer=tokenizer,
         dimension=dimension,
         article_ids=tuple(ids),
         offsets=offsets,

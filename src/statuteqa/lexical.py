@@ -100,7 +100,8 @@ class LexIndex:
     its order, so a query's per-article sum of impacts, taken in query
     order from 0.0 (see ``score_query``), equals the per-article BM25 loop
     bit for bit. ``k1`` and ``b`` are the BM25 settings the impacts were
-    computed with. Immutable after build; safe for concurrent readers.
+    computed with; ``tokenizer`` cut the fields and cuts questions read
+    against the index. Immutable after build; safe for concurrent readers.
     """
 
     article_ids: tuple[str, ...]  # sorted; position = matrix column
@@ -108,7 +109,7 @@ class LexIndex:
     content: FieldMatrix
     k1: float
     b: float
-    tokenizer_fingerprint: str
+    tokenizer: TokenizerConfig
     corpus_digest: str  # sha256 of the corpus file's bytes; "" if built in memory
     column: Mapping[str, int] = dataclasses.field(init=False, repr=False, compare=False)
 
@@ -209,7 +210,7 @@ def build_lex_index(
         content=matrices["content"],
         k1=cfg.k1,
         b=cfg.b,
-        tokenizer_fingerprint=tok.fingerprint(),
+        tokenizer=tok,
         corpus_digest=corpus_digest,
     )
 
@@ -294,7 +295,7 @@ def save_lex_index(index: LexIndex, path: str | Path) -> None:
     with the function build uses, so they are equal bit for bit.
     """
     header = {
-        "tokenizer_fingerprint": index.tokenizer_fingerprint,
+        "tokenizer_fingerprint": index.tokenizer.fingerprint(),
         "corpus_digest": index.corpus_digest,
         "k1": index.k1,
         "b": index.b,
@@ -312,8 +313,9 @@ def save_lex_index(index: LexIndex, path: str | Path) -> None:
     indexfile.save(path, LEX_INDEX_FORMAT, LEX_INDEX_VERSION, header, arrays)
 
 
-def load_lex_index(path: str | Path, expected_fingerprint: str) -> LexIndex:
-    """Load a persisted index built with the tokenizer of this fingerprint.
+def load_lex_index(path: str | Path, tokenizer: TokenizerConfig) -> LexIndex:
+    """Load a persisted index built with ``tokenizer``, which the loaded
+    index keeps for its questions.
 
     Raises ``ValueError`` naming ``path`` for a header whose ``terms`` are
     not a list of strings per field, or whose ``k1`` and ``b`` are not
@@ -321,7 +323,7 @@ def load_lex_index(path: str | Path, expected_fingerprint: str) -> LexIndex:
     """
     header, arrays = indexfile.load(
         path, LEX_INDEX_FORMAT, LEX_INDEX_VERSION, _LAYOUT,
-        {"tokenizer_fingerprint": expected_fingerprint},
+        {"tokenizer_fingerprint": tokenizer.fingerprint()},
     )
     ids = header["article_ids"]
     k1, b = header.get("k1"), header.get("b")
@@ -347,6 +349,6 @@ def load_lex_index(path: str | Path, expected_fingerprint: str) -> LexIndex:
         content=matrices["content"],
         k1=k1,
         b=b,
-        tokenizer_fingerprint=header["tokenizer_fingerprint"],
+        tokenizer=tokenizer,
         corpus_digest=header["corpus_digest"],
     )

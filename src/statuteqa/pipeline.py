@@ -215,7 +215,7 @@ def load_artifacts(cfg: PipelineConfig) -> tuple[LexIndex, DenseIndex]:
     caller owns ``dense.embedder`` and closes it; when loading fails it is
     closed here.
     """
-    tokenizer = cfg.tokenizer_config().fingerprint()
+    tokenizer = cfg.tokenizer_config()
     lex = load_lex_index(cfg.lex_index_path, tokenizer)
     if (lex.k1, lex.b) != (cfg.k1, cfg.b):
         raise ValueError(
@@ -255,6 +255,7 @@ def _require_corpus(
 class Pipeline:
     """Loaded indexes and scorer behind one answer() call.
 
+    Questions are cut with the indexes' tokenizer, not one built from ``cfg``.
     ``articles`` and ``by_id`` hold the corpus's articles. When the
     constructor is given None for them, they are parsed on first read, by
     ``load_articles`` against the indexes' corpus digest. The in-process
@@ -283,7 +284,7 @@ class Pipeline:
         self.lex = lex
         self.dense = dense
         self.scorer = scorer
-        self.tok = cfg.tokenizer_config()
+        self.tok = lex.tokenizer  # read only by the benchmark's code (perfbench/)
 
     @functools.cached_property
     def articles(self) -> list[Article]:
@@ -305,7 +306,7 @@ class Pipeline:
                 )
             else:
                 model = load_model(cfg.model_path)
-                extractor = FeatureExtractor(lex, dense, cfg.tokenizer_config())
+                extractor = FeatureExtractor(lex, dense)
                 scorer = ModelScorer(model, extractor)
         except BaseException:
             close_all(dense.embedder)
@@ -324,8 +325,8 @@ class Pipeline:
         its BM25 pass or sentence cosines, which the reranker's features
         read, so an answer tokenizes its question once."""
         if self.cfg.quickview_source == "dense":
-            return dense_retrieve_topk(self.dense, question, k, self.tok)
-        tokens = tokenize(clean_text(question), self.tok)
+            return dense_retrieve_topk(self.dense, question, k)
+        tokens = tokenize(clean_text(question), self.lex.tokenizer)
         return retrieve_topk(self.lex, tokens, k, self.cfg)
 
     def answer(
@@ -357,7 +358,7 @@ class Pipeline:
 
     def fingerprints(self) -> dict[str, str]:
         info = {
-            "tokenizer": self.lex.tokenizer_fingerprint,
+            "tokenizer": self.lex.tokenizer.fingerprint(),
             "embedder": self.dense.embedder_fingerprint,
             "corpus": self.lex.corpus_digest,
         }

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 import numpy as np
 
 from . import indexfile
-from .corpus import Article, TokenizerConfig, clean_text, tokenize
+from .corpus import Article, clean_text, tokenize
 from .dense import DenseIndex, embed, quickview_dense_score, sentence_cosines
 from .ensemble import Ranking
 from .lexical import LexIndex, score_query
@@ -122,7 +122,8 @@ def extract_features(
 
 
 class FeatureExtractor:
-    """Feature source bound to a lexical and a dense index of the same articles.
+    """Feature source bound to a lexical and a dense index of the same
+    articles and tokenizer, which cuts the questions.
 
     The two indexes number their articles alike (lexical column = dense
     position), so a quickview ``Ranking`` over either index is read at its
@@ -132,17 +133,19 @@ class FeatureExtractor:
     memory does not grow with the questions asked.
     """
 
-    def __init__(
-        self, lex: LexIndex, dense: DenseIndex, tok: TokenizerConfig | None = None
-    ) -> None:
+    def __init__(self, lex: LexIndex, dense: DenseIndex) -> None:
         if lex.article_ids != dense.article_ids:
             raise ValueError(
                 "the lexical and dense indexes cover different articles "
                 f"({len(lex.article_ids)} and {len(dense.article_ids)})"
             )
+        if lex.tokenizer != dense.tokenizer:
+            raise ValueError(
+                "the lexical and dense indexes were built with different tokenizers "
+                f"({lex.tokenizer.fingerprint()} and {dense.tokenizer.fingerprint()})"
+            )
         self.lex = lex
         self.dense = dense
-        self.tok = tok or TokenizerConfig()
         # math.log1p, not np.log1p, whose last bits may differ; once per
         # distinct length
         lengths, column_length = np.unique(lex.content.lengths, return_inverse=True)
@@ -184,7 +187,7 @@ class FeatureExtractor:
         if columns.size and columns.min() < 0:
             missing = candidates[int(np.argmin(columns))]
             raise ValueError(f"article {missing!r} not in the indexes")
-        return columns, tokenize(clean_text(question), self.tok), None, None
+        return columns, tokenize(clean_text(question), self.lex.tokenizer), None, None
 
     def matrix(
         self, examples: Sequence[TrainingExample]

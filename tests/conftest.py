@@ -69,7 +69,7 @@ class SynthBundle:
         self.lex = build_lex_index(self.articles, PipelineConfig())
         self.embedder = HashedProjectionEmbedder(dimension=128, seed=0)
         self.dense, _ = build_dense_index(self.articles, self.embedder, self.tok)
-        self.extractor = FeatureExtractor(self.lex, self.dense, self.tok)
+        self.extractor = FeatureExtractor(self.lex, self.dense)
         self.queries = title_gold_queries(self.docs)
         self.weak = generate_weak_dataset(self.articles, PipelineConfig(weak_seed=0))
 

@@ -66,10 +66,11 @@ def extract_features(tokens, bm25, matched, article_id, lex, dense_score):
     return features
 
 
-def rows(extractor, question, article_ids):
-    """``FeatureExtractor.rows`` as a loop over the articles; the dense
-    positions are looked up in the dense index's own id list."""
-    tokens = tokenize(clean_text(question), extractor.tok)
+def rows(extractor, question, article_ids, tok=None):
+    """``FeatureExtractor.rows`` as a loop over the articles, with the
+    question cut by ``tok`` (default: the lexical index's tokenizer); the
+    dense positions are looked up in the dense index's own id list."""
+    tokens = tokenize(clean_text(question), tok or extractor.lex.tokenizer)
     vector = embed(extractor.dense.embedder, tokens)
     bm25, matched = whole_corpus_scores(extractor.lex, tokens)
     positions = [extractor.dense.article_ids.index(a) for a in article_ids]

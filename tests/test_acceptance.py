@@ -155,7 +155,7 @@ def test_c4_fixture_end_to_end():
             total_recall += recall_at_k(ranked, query.gold_article_ids, 10)
         assert total_recall / len(queries) == 1.0
 
-        extractor = FeatureExtractor(lex, dense, tok)
+        extractor = FeatureExtractor(lex, dense)
         weak = generate_weak_dataset(articles, PipelineConfig(weak_seed=0))
         train_q, valid_q = split_train_valid(queries, 0.9, seed=0)
         gold_train = generate_gold_examples(
@@ -254,7 +254,7 @@ def test_c7_two_stage_training_direction():
         tok = TokenizerConfig()
         lex = build_lex_index(articles, PipelineConfig())
         dense, _ = build_dense_index(articles, HashedProjectionEmbedder(128, 0), tok)
-        extractor = FeatureExtractor(lex, dense, tok)
+        extractor = FeatureExtractor(lex, dense)
         by_id = {a.article_id: a for a in articles}
         weak = extractor.matrix(generate_weak_dataset(articles, PipelineConfig(weak_seed=0)))
         queries = paraphrase_gold_queries(docs, seed=1)

@@ -28,7 +28,7 @@ from statuteqa.dense import (
 )
 
 EMB = HashedProjectionEmbedder(dimension=64, seed=0)
-TOK = TokenizerConfig().fingerprint()
+TOK = TokenizerConfig()
 
 def positions(index, article_ids):
     """The articles' positions in the index (their lexical columns)."""
@@ -77,7 +77,7 @@ def test_cosine_dimension_mismatch():
 
 
 def test_build_counts_sentences(tiny_articles):
-    index, excluded = build_dense_index(tiny_articles, EMB)
+    index, excluded = build_dense_index(tiny_articles, EMB, TOK)
     assert excluded == 0
     # hand count: 2 + 2 + 1 sentences
     assert index.article_ids == ("d1#1", "d1#2", "d2#1")
@@ -91,20 +91,20 @@ def test_build_excludes_unembeddable_articles():
         Article("a", "d", None, "real sentence here."),
         Article("b", "d", None, "--- !!! ..."),
     ]
-    index, excluded = build_dense_index(articles, EMB)
+    index, excluded = build_dense_index(articles, EMB, TOK)
     assert excluded == 1
     assert index.article_ids == ("a",)
 
 
 def test_build_errors(tiny_articles):
     with pytest.raises(ValueError, match="empty corpus"):
-        build_dense_index([], EMB)
+        build_dense_index([], EMB, TOK)
     with pytest.raises(ValueError, match="duplicate article id 'd1#1'"):
-        build_dense_index(tiny_articles + [tiny_articles[0]], EMB)
+        build_dense_index(tiny_articles + [tiny_articles[0]], EMB, TOK)
 
 
 def test_quickview_dense_score_is_max_of_sentence_cosines(tiny_articles):
-    index, _ = build_dense_index(tiny_articles, EMB)
+    index, _ = build_dense_index(tiny_articles, EMB, TOK)
     question_vector = embed(EMB, ["land", "registry", "records"])
     for article in tiny_articles:
         explicit = max(
@@ -119,7 +119,7 @@ def test_quickview_dense_score_is_max_of_sentence_cosines(tiny_articles):
 
 
 def test_quickview_dense_score_edge_cases(tiny_articles):
-    index, _ = build_dense_index(tiny_articles, EMB)
+    index, _ = build_dense_index(tiny_articles, EMB, TOK)
     assert quickview_dense_score(index, sentence_cosines(index, np.zeros(64)), [0])[0] == 0.0
     with pytest.raises(IndexError):
         quickview_dense_score(
@@ -130,7 +130,7 @@ def test_quickview_dense_score_edge_cases(tiny_articles):
 
 
 def test_verbatim_sentence_scores_one(tiny_articles):
-    index, _ = build_dense_index(tiny_articles, EMB)
+    index, _ = build_dense_index(tiny_articles, EMB, TOK)
     sentence = split_sentences(tiny_articles[0].content)[1]  # "Breach causes damages."
     question_vector = embed(EMB, tokenize(clean_text(sentence)))
     cosines = sentence_cosines(index, question_vector)
@@ -138,7 +138,7 @@ def test_verbatim_sentence_scores_one(tiny_articles):
 
 
 def test_dense_retrieve_topk(tiny_articles):
-    index, _ = build_dense_index(tiny_articles, EMB)
+    index, _ = build_dense_index(tiny_articles, EMB, TOK)
     ranked = dense_retrieve_topk(index, "Breach causes damages", 1)
     assert ranked.ids() == ["d1#1"]
     everything = dense_retrieve_topk(index, "law", 50)
@@ -148,12 +148,20 @@ def test_dense_retrieve_topk(tiny_articles):
         dense_retrieve_topk(index, "law", 0)
 
 
+def test_dense_retrieve_topk_refuses_another_tokenizer(tiny_articles):
+    index, _ = build_dense_index(tiny_articles, EMB, TOK)
+    assert dense_retrieve_topk(index, "civil code", 3, TOK).ids()
+    other = TokenizerConfig(frozenset({"civil code"}))
+    with pytest.raises(ValueError, match="not the dense index's"):
+        dense_retrieve_topk(index, "civil code", 3, other)
+
+
 def test_dense_retrieve_ties_break_by_id():
     articles = [
         Article("b", "d", None, "identical sentence."),
         Article("a", "d", None, "identical sentence."),
     ]
-    index, _ = build_dense_index(articles, EMB)
+    index, _ = build_dense_index(articles, EMB, TOK)
     ranked = dense_retrieve_topk(index, "identical sentence", 2)
     assert ranked.ids() == ["a", "b"]
 
@@ -194,7 +202,7 @@ def test_batched_score_matches_per_article_loop(synth):
 
 
 def test_max_pool_dominance(tiny_articles):
-    index, _ = build_dense_index(tiny_articles, EMB)
+    index, _ = build_dense_index(tiny_articles, EMB, TOK)
     question_vector = embed(EMB, ["civil", "code"])
     for article in tiny_articles:
         [at] = positions(index, [article.article_id])
@@ -204,12 +212,12 @@ def test_max_pool_dominance(tiny_articles):
 
 
 def test_adding_sentence_never_decreases_score(tiny_articles):
-    before, _ = build_dense_index(tiny_articles, EMB)
+    before, _ = build_dense_index(tiny_articles, EMB, TOK)
     extended = [
         Article(a.article_id, a.doc_id, a.title, a.content + " Extra closing clause.")
         for a in tiny_articles
     ]
-    after, _ = build_dense_index(extended, EMB)
+    after, _ = build_dense_index(extended, EMB, TOK)
     question_vector = embed(EMB, ["closing", "clause"])
     assert after.article_ids == before.article_ids
     at = positions(before, [article.article_id for article in tiny_articles])
@@ -219,8 +227,8 @@ def test_adding_sentence_never_decreases_score(tiny_articles):
 
 
 def test_reindex_reproduces_bit_identical_vectors(tiny_articles):
-    first, _ = build_dense_index(tiny_articles, EMB)
-    second, _ = build_dense_index(tiny_articles, HashedProjectionEmbedder(64, 0))
+    first, _ = build_dense_index(tiny_articles, EMB, TOK)
+    second, _ = build_dense_index(tiny_articles, HashedProjectionEmbedder(64, 0), TOK)
     assert first.article_ids == second.article_ids
     assert np.array_equal(first.offsets, second.offsets)
     for name in ("colptr", "rows", "data"):
@@ -233,7 +241,7 @@ def test_stored_vectors_satisfy_norm_invariant(synth):
 
 
 def test_save_load_round_trip(tiny_articles, tmp_path):
-    index, _ = build_dense_index(tiny_articles, EMB)
+    index, _ = build_dense_index(tiny_articles, EMB, TOK)
     path = tmp_path / "dense.bin"
     save_dense_index(index, path)
     loaded = load_dense_index(path, EMB, TOK)
@@ -252,7 +260,7 @@ def test_save_load_round_trip(tiny_articles, tmp_path):
 
 
 def test_save_deterministic_bytes(tiny_articles, tmp_path):
-    index, _ = build_dense_index(tiny_articles, EMB)
+    index, _ = build_dense_index(tiny_articles, EMB, TOK)
     p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
     save_dense_index(index, p1)
     save_dense_index(index, p2)
@@ -260,7 +268,7 @@ def test_save_deterministic_bytes(tiny_articles, tmp_path):
 
 
 def test_load_fingerprint_mismatch(tiny_articles, tmp_path):
-    index, _ = build_dense_index(tiny_articles, EMB)
+    index, _ = build_dense_index(tiny_articles, EMB, TOK)
     path = tmp_path / "dense.bin"
     save_dense_index(index, path)
     with pytest.raises(ValueError, match="fingerprint mismatch"):
@@ -271,7 +279,7 @@ def test_load_fingerprint_mismatch(tiny_articles, tmp_path):
 
 def test_file_with_an_embedder_spec_header_still_loads(tiny_articles, tmp_path):
     """Files written before the header lost its ``embedder_spec`` key load."""
-    index, _ = build_dense_index(tiny_articles, EMB)
+    index, _ = build_dense_index(tiny_articles, EMB, TOK)
     path = tmp_path / "dense.bin"
     save_dense_index(index, path)
     with gzip.open(path, "rb") as stream:
@@ -294,7 +302,7 @@ def test_equal_rows_score_equal_wherever_they_sit():
     content = "Breaching hinjoltor requirements leads to suspension of the contract"
     articles = [Article(f"a{i}", "d", None, content) for i in range(5)]
     embedder = HashedProjectionEmbedder()
-    index, _ = build_dense_index(articles, embedder)
+    index, _ = build_dense_index(articles, embedder, TOK)
     question = "Regulation of basilsil corsilsil activities"
     vector = embed(embedder, tokenize(clean_text(question)))
     scores = quickview_dense_score(index, sentence_cosines(index, vector), range(5))
@@ -313,7 +321,7 @@ def test_top_k_equals_the_stable_sort_around_a_tie_group():
         Article("b", "d", None, "Nothing in common here."),
     ]
     embedder = HashedProjectionEmbedder()
-    index, _ = build_dense_index(articles, embedder)
+    index, _ = build_dense_index(articles, embedder, TOK)
     question = "Regulation of basilsil corsilsil activities"
     vector = embed(embedder, tokenize(clean_text(question)))
     scores = quickview_dense_score(index, sentence_cosines(index, vector), range(len(articles)))

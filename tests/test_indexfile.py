@@ -50,13 +50,13 @@ class Trap:
 def indexes(tiny_articles):
     tok, embedder = TokenizerConfig(), HashedProjectionEmbedder(64, 0)
     lex = build_lex_index(tiny_articles, PipelineConfig())
-    dense, _ = build_dense_index(tiny_articles, embedder)
+    dense, _ = build_dense_index(tiny_articles, embedder, tok)
     return {
         "lex": (lex, save_lex_index, functools.partial(
-            load_lex_index, expected_fingerprint=tok.fingerprint()
+            load_lex_index, tokenizer=tok
         )),
         "dense": (dense, save_dense_index, functools.partial(
-            load_dense_index, embedder=embedder, expected_fingerprint=tok.fingerprint()
+            load_dense_index, embedder=embedder, tokenizer=tok
         )),
     }
 
@@ -226,7 +226,7 @@ def test_lex_columns_swapped_within_a_row_are_rejected(tmp_path):
     path = tmp_path / "lex.bin"
     save_lex_index(swapped, path)
     with pytest.raises(ValueError, match="lex.bin: content columns not strictly ascending"):
-        load_lex_index(path, tok.fingerprint())
+        load_lex_index(path, tok)
 
 
 def test_gap_coding_round_trips_and_rejects_a_gap_that_wraps():

@@ -264,7 +264,7 @@ def test_content_monotonic_in_term_frequency(tiny_articles):
 def test_save_load_round_trip(tiny_articles, tiny_lex, tmp_path):
     path = tmp_path / "lex.bin"
     save_lex_index(tiny_lex, path)
-    loaded = load_lex_index(path, expected_fingerprint=TokenizerConfig().fingerprint())
+    loaded = load_lex_index(path, TokenizerConfig())
     query, cfg = ["civil", "law", "contracts"], PipelineConfig()
     for article in tiny_articles:
         for field in ("title", "content"):
@@ -289,7 +289,7 @@ def test_untitled_corpus_builds_and_loads_without_warnings(tmp_path):
         warnings.simplefilter("error")
         index = build_lex_index(articles, PipelineConfig())
         save_lex_index(index, path)
-        loaded = load_lex_index(path, tok.fingerprint())
+        loaded = load_lex_index(path, tok)
     assert loaded.title.avgdl == 0.0 and loaded.title.impact.size == 0
     assert retrieve_topk(loaded, ["rent"], 3, PipelineConfig()).ids() == ["a0", "a1", "a2"]
 
@@ -305,7 +305,7 @@ def test_load_fingerprint_mismatch(tiny_lex, tmp_path):
     path = tmp_path / "lex.bin"
     save_lex_index(tiny_lex, path)
     with pytest.raises(ValueError, match="fingerprint mismatch"):
-        load_lex_index(path, expected_fingerprint="0000000000000000")
+        load_lex_index(path, TokenizerConfig(frozenset({"civil code"})))
 
 
 def test_idf_positive_and_decreasing_in_df():

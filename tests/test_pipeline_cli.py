@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import feature_oracle
 from statuteqa import cli, dense, lexical, lineproto, reranker
 from statuteqa import corpus as corpus_mod
 from statuteqa import pipeline as pipeline_mod
@@ -747,7 +748,7 @@ def _dense_recall(root, ks):
     """Mean Recall@k of dense quickview, from an index built here."""
     docs, _ = load_corpus_file(root / "corpus.jsonl")
     index, _ = dense.build_dense_index(
-        list(iter_articles(docs)), dense.HashedProjectionEmbedder(64, 0)
+        list(iter_articles(docs)), dense.HashedProjectionEmbedder(64, 0), TokenizerConfig()
     )
     queries = load_gold_file(root / "gold_queries.jsonl")
     recall = {}
@@ -1028,7 +1029,7 @@ def test_a_decomposed_question_answers_like_its_composed_form(source):
     lex = lexical.build_lex_index(articles, PipelineConfig())
     built, _ = dense.build_dense_index(articles, dense.HashedProjectionEmbedder(64, 0), tok)
     model = reranker.LinearModel(np.ones(reranker.NUM_FEATURES))
-    scorer = reranker.ModelScorer(model, reranker.FeatureExtractor(lex, built, tok))
+    scorer = reranker.ModelScorer(model, reranker.FeatureExtractor(lex, built))
     cfg = PipelineConfig(quickview_source=source, top_k=5)
     pipeline = Pipeline(cfg, articles, lex, built, scorer)
     question = "Người thừa kế có quyền nhận di sản không?"
@@ -1038,3 +1039,37 @@ def test_a_decomposed_question_answers_like_its_composed_form(source):
     assert again.ids() == ranked.ids()
     assert np.array_equal(again.scores, ranked.scores)
     assert pipeline.answer("q", decomposed) == pipeline.answer("q", question)
+
+
+def test_features_cut_the_question_with_the_indexes_tokenizer():
+    """The extractor used to cut questions with the empty lexicon unless it
+    was handed the one the indexes were built with."""
+    articles = _vietnamese("NFC")
+    cfg = PipelineConfig(phrase_lexicon=["thừa kế", "di sản", "sử dụng đất", "tài sản"])
+    tok = cfg.tokenizer_config()
+    lex = lexical.build_lex_index(articles, cfg)
+    built, _ = dense.build_dense_index(articles, dense.HashedProjectionEmbedder(64, 0), tok)
+    extractor = reranker.FeatureExtractor(lex, built)
+    question = "Người thừa kế có quyền nhận di sản không?"
+    ids = list(lex.article_ids)
+    want = feature_oracle.rows(extractor, question, ids, tok)
+    assert extractor.rows(question, ids).tobytes() == want.tobytes()
+
+
+def test_dense_quickview_cuts_the_question_with_the_index_tokenizer():
+    """``dense_retrieve_topk`` used to cut a question with the empty lexicon
+    unless it was handed the index's tokenizer."""
+    docs = synthetic_corpus(200, seed=0)
+    articles = list(iter_articles(docs))
+    cfg = PipelineConfig(
+        phrase_lexicon=["regulation of", "duties of", "contract of"],
+        quickview_source="dense",
+    )
+    lex = lexical.build_lex_index(articles, cfg)
+    built, _ = dense.build_dense_index(articles, cfg.make_embedder(), cfg.tokenizer_config())
+    pipeline = Pipeline(cfg, articles, lex, built, None)
+    for query in title_gold_queries(docs):
+        want = pipeline.quickview_rank(query.question, 10)
+        got = dense.dense_retrieve_topk(built, query.question, 10)
+        assert got.ids() == want.ids()
+        assert got.scores.tobytes() == want.scores.tobytes()

@@ -11,7 +11,7 @@ import pytest
 
 from dense_oracle import OneAtATime
 from statuteqa import dense
-from statuteqa.corpus import Article
+from statuteqa.corpus import Article, TokenizerConfig, iter_articles
 from statuteqa.dense import (
     ExternalEmbedder,
     build_dense_index,
@@ -20,8 +20,11 @@ from statuteqa.dense import (
     save_dense_index,
     sentence_cosines,
 )
+from statuteqa.lexical import build_lex_index
 from statuteqa.lineproto import LineProtocolClient, ProtocolError
-from statuteqa.reranker import ExternalScorer
+from statuteqa.pipeline import Pipeline, PipelineConfig
+from statuteqa.reranker import ExternalScorer, FeatureExtractor, ModelScorer, zero_model
+from statuteqa.synth import synthetic_corpus
 
 # A child's pipe left open is a leaked file descriptor per adapter
 pytestmark = pytest.mark.filterwarnings("error::ResourceWarning")
@@ -117,6 +120,23 @@ def test_external_embedder_fingerprint_depends_on_command(scripts_dir):
     with ExternalEmbedder(cmd, dimension=8) as a, ExternalEmbedder(cmd, dimension=8) as b:
         with ExternalEmbedder(cmd + ["--dim", "8"], dimension=8) as c:
             assert a.fingerprint() == b.fingerprint() != c.fingerprint()
+
+
+def test_a_question_without_tokens_embeds_to_zero_without_asking(scripts_dir, monkeypatch):
+    """The echo embedder turns "" into a nonzero vector, which used to rank
+    every article for a question that cleans to no tokens."""
+    articles = list(iter_articles(synthetic_corpus(20, seed=0)))
+    with ExternalEmbedder(embedder_cmd(scripts_dir, "--dim", "16"), dimension=16) as emb:
+        index, _ = build_dense_index(articles, emb, TokenizerConfig())
+        asked, call = [], emb._client.call
+        monkeypatch.setattr(emb._client, "call", lambda reqs: asked.append(reqs) or call(reqs))
+        assert len(dense_retrieve_topk(index, "??? !!!", 5)) == 0
+        lex = build_lex_index(articles, PipelineConfig())
+        scorer = ModelScorer(zero_model(), FeatureExtractor(lex, index))
+        cfg = PipelineConfig(quickview_source="dense", top_k=5)
+        answer = Pipeline(cfg, articles, lex, index, scorer).answer("q", "??? !!!")
+        assert answer.no_candidates and answer.returned == ()
+        assert asked == []
 
 
 LATE_ECHO = (
@@ -285,7 +305,7 @@ def test_a_large_external_build_is_chunked_and_scored_in_bounded_memory(
         monkeypatch.setattr(emb._client, "call", lambda reqs: sizes.append(len(reqs)) or call(reqs))
         built = {}
         thread = threading.Thread(
-            target=lambda: built.update(index=build_dense_index(articles, emb)[0]),
+            target=lambda: built.update(index=build_dense_index(articles, emb, TokenizerConfig())[0]),
             daemon=True,
         )
         thread.start()
@@ -296,7 +316,7 @@ def test_a_large_external_build_is_chunked_and_scored_in_bounded_memory(
         assert not thread.is_alive() and "index" in built
         index = built["index"]
         assert sum(sizes) == 5000 and max(sizes) == cap // dimension
-        single, _ = build_dense_index(articles, OneAtATime(emb))
+        single, _ = build_dense_index(articles, OneAtATime(emb), TokenizerConfig())
         rows, entries = int(index.offsets[-1]), len(index.data)
         assert entries == rows * dimension  # no zero coordinates
         vector = np.ones(dimension)

@@ -44,8 +44,8 @@ EMB = HashedProjectionEmbedder(dimension=64, seed=0)
 @pytest.fixture(scope="module")
 def tiny_setup(tiny_articles):
     lex = build_lex_index(tiny_articles, PipelineConfig())
-    dense, _ = build_dense_index(tiny_articles, EMB)
-    extractor = FeatureExtractor(lex, dense, TokenizerConfig())
+    dense, _ = build_dense_index(tiny_articles, EMB, TokenizerConfig())
+    extractor = FeatureExtractor(lex, dense)
     return tiny_articles, lex, dense, extractor
 
 
@@ -202,7 +202,7 @@ def test_score_batch_is_batch_independent(synth):
 
 
 def test_extractor_keeps_no_per_question_state(synth):
-    extractor = FeatureExtractor(synth.lex, synth.dense, synth.tok)
+    extractor = FeatureExtractor(synth.lex, synth.dense)
     before = {
         name: dict(value) if isinstance(value, Mapping) else value
         for name, value in vars(extractor).items()
@@ -243,7 +243,7 @@ def _hand_built_articles(draw):
 def test_both_indexes_number_the_same_articles(articles):
     """An article is indexed when its content has tokens, by both builds."""
     lex = build_lex_index(articles, PipelineConfig())
-    dense, excluded = build_dense_index(articles, EMB)
+    dense, excluded = build_dense_index(articles, EMB, TokenizerConfig())
     assert lex.article_ids == dense.article_ids
     assert len(articles) - excluded == len(lex.article_ids)
     with_content = [a.article_id for a in articles if tokenize(clean_text(a.content))]
@@ -259,7 +259,7 @@ def test_title_only_article_is_in_neither_index():
         Article("c", "d", None, "Tenancy ends with notice."),
     ]
     lex = build_lex_index(articles, PipelineConfig())
-    dense, _ = build_dense_index(articles, EMB)
+    dense, _ = build_dense_index(articles, EMB, TokenizerConfig())
     assert lex.article_ids == dense.article_ids == ("a", "c")
     scorer = ModelScorer(zero_model(), FeatureExtractor(lex, dense))
     ranked = retrieve_topk(lex, tokenize(clean_text("tenancy deposits")), 10, PipelineConfig())
@@ -275,9 +275,17 @@ def test_extractor_rejects_indexes_of_different_articles(
     tiny_articles, lex_count, dense_count
 ):
     lex = build_lex_index(tiny_articles[:lex_count], PipelineConfig())
-    dense, _ = build_dense_index(tiny_articles[:dense_count], EMB)
+    dense, _ = build_dense_index(tiny_articles[:dense_count], EMB, TokenizerConfig())
     with pytest.raises(ValueError, match="cover different articles"):
-        FeatureExtractor(lex, dense, TokenizerConfig())
+        FeatureExtractor(lex, dense)
+
+
+def test_extractor_rejects_indexes_of_different_tokenizers(tiny_articles):
+    lex = build_lex_index(tiny_articles, PipelineConfig(phrase_lexicon=["civil code"]))
+    dense, _ = build_dense_index(tiny_articles, EMB, TokenizerConfig())
+    assert lex.article_ids == dense.article_ids
+    with pytest.raises(ValueError, match="different tokenizers"):
+        FeatureExtractor(lex, dense)
 
 
 def test_predict_values():

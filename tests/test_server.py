@@ -56,7 +56,7 @@ def service(tmp_path_factory):
     dense, _ = build_dense_index(articles, embedder, tok, corpus_digest=digest)
     save_lex_index(lex, root / "lex.bin")
     save_dense_index(dense, root / "dense.bin")
-    extractor = FeatureExtractor(lex, dense, tok)
+    extractor = FeatureExtractor(lex, dense)
     weak = generate_weak_dataset(articles, PipelineConfig(weak_seed=0))
     model = train_stage(zero_model(), extractor.matrix(weak), None, PipelineConfig(epochs=15))
     save_model(model, root / "model.json")
@@ -88,7 +88,7 @@ def test_healthz(service):
     status, payload = _get(base_url + "/healthz")
     assert status == 200
     assert payload["status"] == "ok"
-    assert payload["tokenizer"] == pipeline.lex.tokenizer_fingerprint
+    assert payload["tokenizer"] == pipeline.lex.tokenizer.fingerprint()
     assert payload["embedder"] == pipeline.dense.embedder_fingerprint
     assert payload["corpus"] == file_digest(pipeline.cfg.corpus_path)
 
