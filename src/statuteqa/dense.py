@@ -14,7 +14,7 @@ through the external embedder line protocol.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Protocol, Sequence
 
@@ -191,7 +191,10 @@ class DenseIndex:
     zero vectors.
     ``embedder`` embeds questions; its fingerprint is the index's.
     ``tokenizer`` tokenized the sentences and cuts every question read
-    against the index. Immutable after build; safe for concurrent readers.
+    against the index. ``sentence_article`` is each sentence row's article
+    position (int32), derived from ``offsets`` once, when the index is built
+    or loaded; it is not saved and takes no part in ``==`` or ``repr``.
+    Immutable after build; safe for concurrent readers.
     """
 
     embedder_fingerprint: str
@@ -204,6 +207,12 @@ class DenseIndex:
     data: np.ndarray  # float64 values, one per entry
     corpus_digest: str  # sha256 of the corpus file's bytes; "" if built in memory
     embedder: Embedder
+    sentence_article: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        counts = np.diff(self.offsets)
+        article = np.repeat(np.arange(len(counts), dtype=np.int32), counts)
+        object.__setattr__(self, "sentence_article", article)
 
 
 def build_dense_index(
@@ -315,8 +324,10 @@ def dense_retrieve_topk(
 
     Every sentence's cosine comes from its own entries (see
     ``sentence_cosines``), and ``np.maximum.at`` takes each article's
-    maximum over its rows from -inf; ties break by ascending position,
-    which is ascending article id. The ranking carries the question's
+    maximum over its rows from -inf, through the index's
+    ``sentence_article`` map. ``top_k_positions`` takes the best ``k`` in
+    one partition with no floor; ties break by ascending position, which
+    is ascending article id. The ranking carries the question's
     tokens and sentence cosines, which the reranker's features read. A
     question that embeds to the zero vector (one that cleans to no tokens)
     has no cosine with anything and retrieves nothing.
@@ -329,11 +340,10 @@ def dense_retrieve_topk(
     question_vector = embed(index.embedder, tokens)
     cosines = sentence_cosines(index, question_vector)
     scores = np.full(len(index.article_ids), -np.inf)
-    article = np.repeat(np.arange(len(scores)), np.diff(index.offsets))
-    np.maximum.at(scores, article, cosines)
-    # positions are in id order; a zero question vector ranks none of them
-    n = len(scores) if np.any(question_vector) else 0
-    top = top_k_positions(np.arange(n), scores[:n], k)
+    np.maximum.at(scores, index.sentence_article, cosines)
+    # a zero question vector ranks no article
+    ranked = scores if np.any(question_vector) else scores[:0]
+    top = top_k_positions(ranked, k, -np.inf)
     return Ranking(index.article_ids, top, scores[top], tokens, cosines, None)
 
 

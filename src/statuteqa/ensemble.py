@@ -105,16 +105,19 @@ class Ranking:
         return list(map(self.article_ids.__getitem__, self.positions.tolist()))
 
 
-def top_k_positions(positions: np.ndarray, scores: np.ndarray, k: int) -> np.ndarray:
-    """The ``k`` best ``positions`` by their ``scores`` (``scores[i]`` is the
-    score of ``positions[i]``), ordered by (-score, position): every tie at
-    the k-th score survives ``argpartition``, so the ``lexsort`` breaks it by
-    position, which is id."""
-    if positions.size > k:
-        kth = scores[np.argpartition(scores, -k)[-k]]
-        keep = scores >= kth  # every tie at the k-th score
-        positions, scores = positions[keep], scores[keep]
-    return positions[np.lexsort((positions, -scores))[:k]]
+def top_k_positions(scores: np.ndarray, k: int, floor: float) -> np.ndarray:
+    """Positions of the ``k`` best ``scores`` that are at least ``floor``,
+    ordered by (-score, position), so ties break by position, which is id.
+
+    One ``np.partition`` over the whole array finds the k-th best value;
+    every score at or above it and ``floor`` is kept, every tie at the k-th
+    value included, and only those are sorted. A caller passes the smallest
+    positive double to keep positive scores only, or ``-inf`` to keep all.
+    """
+    if scores.size > k:
+        floor = max(floor, np.partition(scores, -k)[-k])
+    positions = np.flatnonzero(scores >= floor)
+    return positions[np.argsort(-scores[positions], kind="stable")[:k]]
 
 
 @dataclass(frozen=True)
@@ -161,14 +164,13 @@ def select_answer_set(
     ``keys`` break ties; ``rank_and_select`` passes the candidates' index
     positions, whose order is id order. The best candidate and exact ties
     with it are always selected, so a zero threshold returns exactly the
-    top combined score group.
+    top combined score group. Only the selected candidates are sorted.
     """
     if not combined.size:
         return np.zeros(0, dtype=np.intp)
-    order = np.lexsort((keys, -combined))
-    ordered = combined[order]
-    best = ordered[0]
-    return order[(best - ordered < threshold) | (ordered == best)]
+    best = combined.max()
+    near = np.flatnonzero((best - combined < threshold) | (combined == best))
+    return near[np.lexsort((keys[near], -combined[near]))]
 
 
 def rank_and_select(
@@ -210,12 +212,9 @@ def rank_and_select(
     combined = combine(qs_norm, ss_norm, cfg.gamma)
 
     keep = select_answer_set(ranked.positions, combined, cfg.effective_threshold())
-    table = np.column_stack((qs_raw, qs_norm, ss_raw, ss_norm, combined))
-    ids = ranked.article_ids
-    returned = tuple(
-        RankedCandidate(ids[p], *row)
-        for p, row in zip(ranked.positions[keep].tolist(), table[keep].tolist())
-    )
+    ids = map(ranked.article_ids.__getitem__, ranked.positions[keep].tolist())
+    columns = (a[keep].tolist() for a in (qs_raw, qs_norm, ss_raw, ss_norm, combined))
+    returned = tuple(map(RankedCandidate, ids, *columns))
     return AnswerSet(question_id=question_id, returned=returned)
 
 

@@ -268,22 +268,21 @@ def retrieve_topk(
     cfg: PipelineConfig,
 ) -> Ranking:
     """Top-k article columns by raw quickview score, descending: the title
-    and content BM25 boosted by ``cfg.alpha`` and ``cfg.beta``.
+    and content BM25 boosted by ``cfg.alpha`` and ``cfg.beta``, fused as
+    ``alpha·title`` then ``+= beta·content`` (both terms are >= +0.0, so
+    this is a zeroed accumulator's sum bit for bit).
 
-    Only articles with score > 0 are returned; ties break by ascending
-    column, which is ascending article id, for a deterministic total order.
-    The ranking carries the query and its ``score_query`` pass.
+    ``top_k_positions`` keeps scores of at least the smallest positive
+    double, so only articles with score > 0 are returned; ties break by
+    ascending column, which is ascending article id, for a deterministic
+    total order. The ranking carries the query and its ``score_query`` pass.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     field_scores = score_query(index, query)
-    scores = np.zeros(len(index.article_ids), dtype=np.float64)
-    if cfg.alpha:
-        scores += cfg.alpha * field_scores["title"][0]
-    if cfg.beta:
-        scores += cfg.beta * field_scores["content"][0]
-    hits = np.flatnonzero(scores > 0.0)
-    top = top_k_positions(hits, scores[hits], k)
+    scores = cfg.alpha * field_scores["title"][0]
+    scores += cfg.beta * field_scores["content"][0]
+    top = top_k_positions(scores, k, math.ulp(0.0))
     return Ranking(index.article_ids, top, scores[top], tuple(query), None, field_scores)
 
 

@@ -104,12 +104,14 @@ def extract_features(
     content length. No article text is tokenized. Each feature is one
     column, computed elementwise with the scalar formula's operations in
     its order, so a row does not depend on the other articles in the
-    batch. A missing title zeroes the title features.
+    batch. A missing title zeroes the title features. The matrix is in
+    column order, so these column writes and ``_logits``' column reads are
+    contiguous.
     """
     distinct = len(set(tokens))
     title_bm25, title_matched = (scores[columns] for scores in field_scores["title"])
     content_bm25, content_matched = (scores[columns] for scores in field_scores["content"])
-    x = np.empty((len(columns), NUM_FEATURES), dtype=np.float64)
+    x = np.empty((len(columns), NUM_FEATURES), dtype=np.float64, order="F")
     x[:, 0] = _saturate(title_bm25)
     x[:, 1] = _saturate(content_bm25)
     x[:, 2] = dense_scores

@@ -1,11 +1,19 @@
-"""List-at-a-time reference for score fusion and answer-set selection.
+"""List-at-a-time reference for top-k, score fusion and answer-set selection.
 
-Normalizes, fuses and selects with Python floats, one candidate at a
-time, building a ``RankedCandidate`` for every candidate. The package
-does the same on arrays; its answers must equal these exactly.
+Ranks by a full sort, and normalizes, fuses and selects with Python
+floats, one candidate at a time, building a ``RankedCandidate`` for every
+candidate. The package does the same on arrays; its answers must equal
+these exactly.
 """
 
 from statuteqa.ensemble import AnswerSet, RankedCandidate
+
+
+def top_k_positions(scores, k, floor):
+    """The positions of the ``k`` best scores at or above ``floor``, by a
+    full sort on (-score, position)."""
+    order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
+    return [i for i in order if scores[i] >= floor][:k]
 
 
 def minmax_normalize(scores):

@@ -1,3 +1,4 @@
+import dataclasses
 import gzip
 import json
 
@@ -238,6 +239,22 @@ def test_reindex_reproduces_bit_identical_vectors(tiny_articles):
 def test_stored_vectors_satisfy_norm_invariant(synth):
     for norm in np.linalg.norm(densify(synth.dense), axis=1):
         assert norm == 0.0 or abs(norm - 1.0) <= 1e-9
+
+
+def test_sentence_article_map_after_build_and_load(tiny_articles, synth, tmp_path):
+    built, _ = build_dense_index(tiny_articles, EMB, TOK)
+    save_dense_index(built, tmp_path / "dense.bin")
+    loaded = load_dense_index(tmp_path / "dense.bin", EMB, TOK)
+    for index in (built, loaded, synth.dense):
+        counts = np.diff(index.offsets)
+        assert index.sentence_article.dtype == np.int32
+        want = np.repeat(np.arange(len(counts)), counts)
+        assert np.array_equal(index.sentence_article, want)
+    # derived from offsets, so it is neither compared nor shown
+    other = dataclasses.replace(built)
+    object.__setattr__(other, "sentence_article", built.sentence_article[::-1].copy())
+    assert other == built
+    assert "sentence_article" not in repr(built)
 
 
 def test_save_load_round_trip(tiny_articles, tmp_path):

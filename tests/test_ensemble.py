@@ -1,9 +1,10 @@
 import json
+import math
 from collections.abc import Sequence
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import fusion_oracle
 from conftest import pairs
@@ -22,6 +23,7 @@ from statuteqa.ensemble import (
     minmax_normalize,
     rank_and_select,
     select_answer_set,
+    top_k_positions,
 )
 
 
@@ -87,10 +89,15 @@ def test_selection_size_monotone_in_threshold():
     assert all(size >= 1 for size in sizes)
 
 
+# a few exactly representable values, so exact ties and gaps equal to a
+# threshold occur
+STEPS = (0.0, 0.25, 0.5, 0.75, 1.0)
+
+
 @given(
-    st.lists(st.floats(0, 1), min_size=1, max_size=20),
-    st.floats(0, 1.2),
-    st.floats(0, 1.2),
+    st.lists(st.sampled_from(STEPS) | st.floats(0, 1), min_size=1, max_size=20),
+    st.sampled_from(STEPS) | st.floats(0, 1.2),
+    st.sampled_from(STEPS) | st.floats(0, 1.2),
 )
 def test_selection_properties_random(combined, t1, t2):
     candidates = [_candidate(f"c{i:02d}", s) for i, s in enumerate(combined)]
@@ -101,6 +108,43 @@ def test_selection_properties_random(combined, t1, t2):
     assert len(small) <= len(large)
     best = max(combined)
     assert small[0].combined == best
+    for threshold, got in ((low, small), (high, large)):
+        want = fusion_oracle.select_answer_set(candidates, threshold)
+        assert [c.article_id for c in got] == [c.article_id for c in want]
+
+
+any_score = st.floats(allow_nan=False)  # infinities and -0.0 included
+
+
+@st.composite
+def one_tie_group(draw):
+    """Most of the array one value (41,037 of 50,000 in a dense 50k
+    question's max-cosines), the rest anything, in any order."""
+    n = draw(st.integers(5, 60))
+    others = draw(st.lists(any_score, max_size=n // 5))
+    tie = draw(any_score)
+    return draw(st.permutations([tie] * (n - len(others)) + others))
+
+
+@given(
+    st.one_of(
+        st.lists(any_score, max_size=50),
+        one_tie_group(),
+        st.lists(st.sampled_from([-0.0, 0.0, math.ulp(0.0), 1.0, -1.0]), max_size=50),
+    ),
+    st.integers(1, 55),
+    st.sampled_from([-math.inf, math.ulp(0.0)]) | any_score,
+)
+@example([], 1, -math.inf)  # the empty array
+@example([2.0, 1.0, 1.0], 3, -math.inf)  # k equal to the size
+@example([1.0, 2.0, 1.0], 7, -math.inf)  # k above the size
+@example([0.0, -0.0, 0.0, -0.0, 1.0], 2, -math.inf)  # signed zeros tie
+@example([0.0, 3.0, -0.0, 0.0], 2, math.ulp(0.0))  # fewer positive than k
+@example([0.0, 3.0, 1.0, -0.0], 2, math.ulp(0.0))  # exactly k positive
+@example([2.0, 3.0, 1.0, 0.0, 2.0], 2, math.ulp(0.0))  # more positive than k
+def test_top_k_positions_matches_a_full_sort(scores, k, floor):
+    got = top_k_positions(np.array(scores, dtype=np.float64), k, floor)
+    assert got.tolist() == fusion_oracle.top_k_positions(scores, k, floor)
 
 
 def test_default_thresholds_table():
