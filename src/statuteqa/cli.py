@@ -15,13 +15,14 @@ import fcntl
 import os
 import sys
 from pathlib import Path
+from typing import Iterable
 
 from . import server as server_mod
 from .corpus import iter_articles, load_corpus_file
 from .dense import build_dense_index, save_dense_index
 from .ensemble import answer_set_to_json
 from .evaluation import load_gold_file, run_eval, save_report, split_train_valid
-from .lexical import build_lex_index, save_lex_index
+from .lexical import LexIndex, build_lex_index, save_lex_index
 from .lineproto import finite_real
 from .pipeline import (
     CONFIG_ENV_VAR,
@@ -232,6 +233,12 @@ def _cmd_train(cfg: PipelineConfig, mode: str) -> int:
         articles = load_articles(cfg, lex.corpus_digest)
         extractor = FeatureExtractor(lex, dense)
         gold_queries = load_gold_file(cfg.gold_path)
+        weak_examples = [] if mode == "gold-only" else read_dataset(cfg.weak_dataset_path)
+        # every id, before any feature matrix is built
+        for query in gold_queries:
+            where = f"{cfg.gold_path}: question {query.question_id!r}"
+            _require_indexed(lex, sorted(query.gold_article_ids), where)
+        _require_indexed(lex, (ex.article_id for ex in weak_examples), cfg.weak_dataset_path)
         train_queries, valid_queries = split_train_valid(
             gold_queries, cfg.split_ratio, cfg.split_seed
         )
@@ -253,7 +260,7 @@ def _cmd_train(cfg: PipelineConfig, mode: str) -> int:
                 gold = extractor.matrix(gold_train)
                 model = train_stage(zero_model(), gold, valid, cfg, "gold_only")
             else:
-                weak = extractor.matrix(read_dataset(cfg.weak_dataset_path))
+                weak = extractor.matrix(weak_examples)
                 if mode == "two-stage":
                     gold = extractor.matrix(gold_train)
                     model = train_two_stage(weak, gold, valid, cfg)
@@ -265,11 +272,23 @@ def _cmd_train(cfg: PipelineConfig, mode: str) -> int:
 
     best = model.metadata.get("best_val_loss")
     best_text = f"{best:.4f}" if isinstance(best, float) else "n/a"
+    trained_on = {
+        "gold-only": f"{len(gold_train)} gold",
+        "weak-only": f"{len(weak_examples)} weak",
+        "two-stage": f"{len(weak_examples)} weak and {len(gold_train)} gold",
+    }[mode]
     print(
-        f"trained {mode} model on {len(gold_train)} gold examples "
+        f"trained {mode} model on {trained_on} examples "
         f"(validation loss {best_text}); saved to {cfg.model_path}"
     )
     return 0
+
+
+def _require_indexed(lex: LexIndex, article_ids: Iterable[str], where: str) -> None:
+    """Raise ``ValueError`` naming ``where`` for the first id outside the indexes."""
+    ghost = next((a for a in article_ids if a not in lex.column), None)
+    if ghost is not None:
+        raise ValueError(f"{where}: article {ghost!r} not in the indexes")
 
 
 def _cmd_query(cfg: PipelineConfig, args: argparse.Namespace) -> int:

@@ -190,18 +190,14 @@ def run_eval(
 
 
 def load_gold_file(path: str | Path) -> list[GoldQuery]:
-    queries = []
-    for lineno, record in indexfile.read_json_lines(path):
-        try:
-            gold = record["gold"]
-            if not isinstance(gold, list) or not all(isinstance(a, str) for a in gold):
-                raise ValueError("gold must be a list of article-id strings")
-            queries.append(GoldQuery(record["question_id"], record["question"], gold))
-        except KeyError as exc:
-            raise ValueError(f"{path}:{lineno}: missing key {exc}") from None
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
-    return queries
+    return indexfile.read_records(path, _gold_query)
+
+
+def _gold_query(record: dict) -> GoldQuery:
+    gold = record["gold"]
+    if not isinstance(gold, list) or not all(isinstance(a, str) for a in gold):
+        raise ValueError("gold must be a list of article-id strings")
+    return GoldQuery(record["question_id"], record["question"], gold)
 
 
 def write_gold_file(queries: Iterable[GoldQuery], path: str | Path) -> None:

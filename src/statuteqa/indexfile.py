@@ -24,7 +24,8 @@ they fail with a version mismatch and are rebuilt with ``statuteqa index``.
 Artifacts, the JSON-lines record files (corpus, gold questions, training
 examples) among them, are written through ``replacing``, so a reader sees
 the old file or the new one, never a half-written one. Gold questions and
-training examples are read back with ``read_json_lines``.
+training examples are read back with ``read_records``, which names
+``path:line`` for any record it cannot turn into its object.
 """
 
 from __future__ import annotations
@@ -74,21 +75,28 @@ def write_json_lines(path, records) -> None:
             handle.write(line.encode("utf-8"))
 
 
-def read_json_lines(path):
-    """``(lineno, record)`` for each non-blank line of a JSON-lines file,
-    counting lines from 1. Raises ``ValueError`` naming ``path`` and the
-    line for a line that is not JSON or not a JSON object."""
+def read_records(path, parse) -> list:
+    """``parse(record)`` for each non-blank line of a JSON-lines file, in
+    order. Raises ``ValueError`` naming ``path`` and the line, counted from
+    1, for a line that is not a JSON object, or whose record lacks a key
+    ``parse`` reads (``KeyError``) or holds a value it rejects."""
+    items = []
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
             try:
                 record = json.loads(line)
+                if not isinstance(record, dict):
+                    raise ValueError("record must be a JSON object")
+                items.append(parse(record))
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            if not isinstance(record, dict):
-                raise ValueError(f"{path}:{lineno}: record must be a JSON object")
-            yield lineno, record
+            except KeyError as exc:
+                raise ValueError(f"{path}:{lineno}: missing key {exc}") from None
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+    return items
 
 
 def save(path, fmt: str, version: int, header: dict, arrays: dict) -> None:

@@ -1,10 +1,13 @@
-"""Weak-label training data: article titles treated as answered questions.
+"""Weak-label training data: gold labels of title questions.
 
-Every titled article yields one positive example (its cleaned title paired
-with itself) and the config's ``weak_negative_ratio`` negatives sampled
-uniformly, without replacement, from the other articles, seeded with
-``weak_seed``. Gold question/article pairs reuse the same sampler for
-their negatives.
+Weak labeling treats each titled article's cleaned title as a question
+that its own article answers. ``generate_weak_dataset`` builds those
+questions and labels them with the loop that labels gold
+question/article pairs (``generate_gold_examples``): one positive per
+gold article, then the config's ``weak_negative_ratio`` negatives per
+positive, sampled uniformly, without replacement, from the articles
+outside the question's gold set, seeded with ``weak_seed``. Only the
+examples' origin differs.
 
 Dataset file format: UTF-8 JSON lines
     {"question": str, "article_id": str, "label": 0|1, "origin": "weak"|"gold"}
@@ -50,54 +53,15 @@ class TrainingExample:
             raise ValueError("origin must be 'weak' or 'gold'")
 
 
-def _positions(pool: Sequence[str]) -> dict[str, list[int]]:
-    """Each article id's positions in the pool, ascending."""
-    where: dict[str, list[int]] = {}
-    for position, article_id in enumerate(pool):
-        where.setdefault(article_id, []).append(position)
-    return where
-
-
-def _sample_negatives(
-    question: str,
-    excluded: Sequence[int],
-    pool: Sequence[str],
-    count: int,
-    rng: random.Random,
-    origin: str,
-) -> list[TrainingExample]:
-    """``count`` ids sampled from the pool without its ``excluded`` positions.
-
-    ``random.Random.sample`` uses only its population's length and indexes
-    into it, so sampling ``range(available)`` and shifting each index past
-    the excluded positions (ascending) draws the same ids in the same order
-    as sampling the filtered list, without building that list.
-    """
-    available = len(pool) - len(excluded)
-    if available < count:
-        raise ValueError(
-            f"corpus too small: need {count} negative candidates, "
-            f"have {available}"
-        )
-    examples = []
-    for index in rng.sample(range(available), count):
-        for position in excluded:
-            if index < position:
-                break
-            index += 1
-        examples.append(TrainingExample(question, pool[index], 0, origin))
-    return examples
-
-
 def generate_weak_dataset(
     articles: Sequence[Article], cfg: PipelineConfig
 ) -> list[TrainingExample]:
-    """One positive plus ``cfg.weak_negative_ratio`` negatives per titled
-    article.
+    """The gold examples of the title questions, with origin ``"weak"``.
 
-    Untitled articles contribute nothing. Output order is deterministic
-    given ``cfg.weak_seed``: articles in input order, each positive
-    followed by its negatives in sample order.
+    Each titled article asks its cleaned title of itself alone, in article
+    order, so it yields one positive and ``cfg.weak_negative_ratio``
+    negatives. Repeated titles are not grouped: each is its own question.
+    Untitled articles and titles that clean to nothing ask nothing.
     """
     ratio = cfg.weak_negative_ratio
     if len(articles) < ratio + 1:
@@ -105,22 +69,14 @@ def generate_weak_dataset(
             f"corpus smaller than weak_negative_ratio + 1 articles "
             f"({len(articles)} < {ratio + 1})"
         )
-    pool = [a.article_id for a in articles]
-    where = _positions(pool)
-    rng = random.Random(cfg.weak_seed)
-    examples: list[TrainingExample] = []
-    for article in articles:
-        if article.title is None:
-            continue
-        question = clean_text(article.title)
-        if not question:
-            continue
-        examples.append(TrainingExample(question, article.article_id, 1, "weak"))
-        excluded = where[article.article_id]
-        examples.extend(
-            _sample_negatives(question, excluded, pool, ratio, rng, "weak")
-        )
-    return examples
+    # a generator: a list would keep two tuples per article alive, and the
+    # garbage collector would run about a third more often
+    questions = (
+        (question, (a.article_id,))
+        for a in articles
+        if a.title is not None and (question := clean_text(a.title))
+    )
+    return _label(questions, articles, cfg, "weak")
 
 
 def generate_gold_examples(
@@ -128,28 +84,56 @@ def generate_gold_examples(
     articles: Sequence[Article],
     cfg: PipelineConfig,
 ) -> list[TrainingExample]:
-    """Labeled examples from (question, gold article ids) pairs.
+    """Labeled examples from (question, gold article ids) pairs, with
+    origin ``"gold"``; see ``_label``."""
+    return _label(question_gold_pairs, articles, cfg, "gold")
 
-    One positive per (question, gold article); ``cfg.weak_negative_ratio``
-    negatives per positive, sampled with ``cfg.weak_seed`` from the corpus
+
+def _label(
+    question_gold_pairs: Iterable[tuple[str, Sequence[str]]],
+    articles: Sequence[Article],
+    cfg: PipelineConfig,
+    origin: str,
+) -> list[TrainingExample]:
+    """Per question, in order: one positive per gold article, then
+    ``cfg.weak_negative_ratio`` negatives per positive, sampled without
+    replacement with one ``cfg.weak_seed`` stream from the corpus
     excluding every gold article of that question.
+
+    ``random.Random.sample`` uses only its population's length and indexes
+    into it, so sampling ``range(available)`` and shifting each index past
+    the excluded pool positions (ascending) draws the same ids in the same
+    order as sampling the filtered list, without building that list.
     """
     pool = [a.article_id for a in articles]
-    where = _positions(pool)
+    where: dict[str, list[int]] = {}  # each id's pool positions, ascending
+    for position, article_id in enumerate(pool):
+        where.setdefault(article_id, []).append(position)
     rng = random.Random(cfg.weak_seed)
+    ratio = cfg.weak_negative_ratio
     examples: list[TrainingExample] = []
-    for question, gold_ids in question_gold_pairs:
-        gold = list(gold_ids)
+    for question, gold in question_gold_pairs:
         if not gold:
             raise ValueError(f"question {question!r} has an empty gold set")
         for article_id in gold:
-            examples.append(TrainingExample(question, article_id, 1, "gold"))
-        excluded = sorted(i for a in set(gold) for i in where.get(a, ()))
-        examples.extend(
-            _sample_negatives(
-                question, excluded, pool, cfg.weak_negative_ratio * len(gold), rng, "gold"
+            examples.append(TrainingExample(question, article_id, 1, origin))
+        if len(gold) == 1:  # every title question; its positions ascend already
+            excluded = where.get(gold[0], ())
+        else:
+            excluded = sorted(i for a in set(gold) for i in where.get(a, ()))
+        count = ratio * len(gold)
+        available = len(pool) - len(excluded)
+        if available < count:
+            raise ValueError(
+                f"corpus too small: need {count} negative candidates, "
+                f"have {available}"
             )
-        )
+        for index in rng.sample(range(available), count):
+            for position in excluded:
+                if index < position:
+                    break
+                index += 1
+            examples.append(TrainingExample(question, pool[index], 0, origin))
     return examples
 
 
@@ -176,19 +160,10 @@ def dataset_stats(examples: Sequence[TrainingExample]) -> DatasetStats:
 
 
 def write_dataset(examples: Iterable[TrainingExample], path: str | Path) -> None:
-    keys = ("question", "article_id", "label", "origin")
-    records = ({key: getattr(ex, key) for key in keys} for ex in examples)
-    indexfile.write_json_lines(path, records)
+    indexfile.write_json_lines(path, map(vars, examples))
 
 
 def read_dataset(path: str | Path) -> list[TrainingExample]:
-    examples = []
-    keys = ("question", "article_id", "label", "origin")
-    for lineno, record in indexfile.read_json_lines(path):
-        try:
-            examples.append(TrainingExample(*(record[key] for key in keys)))
-        except KeyError as exc:
-            raise ValueError(f"{path}:{lineno}: missing key {exc}") from None
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
-    return examples
+    return indexfile.read_records(
+        path, lambda r: TrainingExample(r["question"], r["article_id"], r["label"], r["origin"])
+    )

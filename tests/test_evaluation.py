@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -217,14 +218,6 @@ def test_gold_file_write_that_fails_midway_leaves_the_old_file(tmp_path):
     assert list(tmp_path.iterdir()) == [path]  # the partial file is removed
 
 
-def test_gold_file_without_gold_names_the_line(tmp_path):
-    path = tmp_path / "gold.jsonl"
-    path.write_text('{"question_id": "q1", "question": "a", "gold": ["x"]}\n'
-                    '{"question_id": "q2", "question": "b"}\n')
-    with pytest.raises(ValueError, match="gold.jsonl:2: missing key 'gold'"):
-        load_gold_file(path)
-
-
 @pytest.mark.parametrize(
     "record, message",
     [
@@ -234,14 +227,18 @@ def test_gold_file_without_gold_names_the_line(tmp_path):
         ("[1, 2]", "record must be a JSON object"),
         ('{"question_id": "q1", "question": 7, "gold": ["x"]}', "question_id and question"),
         ('{"question_id": 1, "question": "a", "gold": ["x"]}', "question_id and question"),
+        ('{"question_id": "q1", "question": "a"}', "missing key 'gold'"),
+        ('{"question_id": "q1", "gold": ["x"]}', "missing key 'question'"),
+        ('{"question_id": "q1", "question":', "invalid JSON: "),
     ],
     ids=["gold-string", "gold-empty", "gold-number", "list-record", "question-number",
-         "id-number"],
+         "id-number", "no-gold", "no-question", "invalid-json"],
 )
 def test_gold_file_malformed_record_names_the_line(tmp_path, record, message):
+    """Line 3, after a good record and a blank line, which still counts."""
     path = tmp_path / "gold.jsonl"
-    path.write_text('{"question_id": "q0", "question": "b", "gold": ["y"]}\n' + record + "\n")
-    with pytest.raises(ValueError, match=f"gold.jsonl:2: {message}"):
+    path.write_text('{"question_id": "q0", "question": "b", "gold": ["y"]}\n\n' + record + "\n")
+    with pytest.raises(ValueError, match=f"gold.jsonl:3: {re.escape(message)}"):
         load_gold_file(path)
 
 

@@ -417,23 +417,36 @@ def test_dense_rows_stored_in_eight_planes_are_rejected(indexes, tmp_path):
         load(path)
 
 
-def test_json_lines_round_trip_with_line_numbers(tmp_path):
+def test_records_round_trip_skipping_blank_lines(tmp_path):
     path = tmp_path / "records.jsonl"
     indexfile.write_json_lines(path, [{"b": 1, "a": "ầ"}, {}])
     with open(path, "a", encoding="utf-8") as handle:
         handle.write('\n  \n{"c": null}\n')  # blank lines 3 and 4 are skipped
-    got = list(indexfile.read_json_lines(path))
-    assert got == [(1, {"a": "ầ", "b": 1}), (2, {}), (5, {"c": None})]
+    got = indexfile.read_records(path, lambda record: record)
+    assert got == [{"a": "ầ", "b": 1}, {}, {"c": None}]
+
+
+def _positive(record):
+    if record["n"] <= 0:
+        raise ValueError("n must be positive")
+    return record["n"]
 
 
 @pytest.mark.parametrize(
     "line, message",
-    [("[1, 2]", "record must be a JSON object"), ('{"a": ', "invalid JSON: ")],
+    [
+        ("[1, 2]", "record must be a JSON object"),
+        ('{"n": ', "invalid JSON: "),
+        ('{"m": 1}', "missing key 'n'"),
+        ('{"n": -1}', "n must be positive"),
+    ],
+    ids=["list-record", "invalid-json", "missing-key", "rejected-value"],
 )
-def test_json_lines_reader_names_the_file_and_line(tmp_path, line, message):
+def test_records_reader_names_the_file_and_line(tmp_path, line, message):
+    """Blank lines count: the bad record after one is on line 3."""
     path = tmp_path / "records.jsonl"
-    path.write_text('{"a": 1}\n' + line + "\n")
-    records = indexfile.read_json_lines(path)
-    assert next(records) == (1, {"a": 1})
-    with pytest.raises(ValueError, match=re.escape(f"{path}:2: {message}")):
-        next(records)
+    path.write_text('{"n": 1}\n\n' + line + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:3: {message}")):
+        indexfile.read_records(path, _positive)
+    path.write_text('{"n": 1}\n\n{"n": 2}\n')
+    assert indexfile.read_records(path, _positive) == [1, 2]

@@ -29,9 +29,15 @@ from statuteqa.corpus import (
     write_corpus_file,
 )
 from statuteqa.ensemble import rank_and_select
-from statuteqa.evaluation import load_gold_file, recall_at_k, write_gold_file
+from statuteqa.evaluation import (
+    load_gold_file,
+    recall_at_k,
+    split_train_valid,
+    write_gold_file,
+)
 from statuteqa.pipeline import Pipeline, PipelineConfig, question_id_for
 from statuteqa.synth import synthetic_corpus, title_gold_queries
+from statuteqa.weak_label import TrainingExample, read_dataset, write_dataset
 
 
 @pytest.fixture(scope="module")
@@ -659,6 +665,59 @@ def test_train_extracts_each_dataset_once(workspace, tmp_path, monkeypatch, mode
     [valid] = {id(v) for _, v in fitted}
     trained = [id(t) for t, _ in fitted]
     assert sorted([valid, *trained]) == sorted(map(id, built))
+
+
+def test_train_reports_the_examples_each_mode_trained_on(workspace, tmp_path, capsys):
+    root, base, _ = workspace
+    cfg = PipelineConfig.from_file(root / "config.json")
+    weak = len(read_dataset(cfg.weak_dataset_path))
+    train, _ = split_train_valid(load_gold_file(cfg.gold_path), cfg.split_ratio, cfg.split_seed)
+    gold = sum(len(q.gold_article_ids) for q in train) * (1 + cfg.weak_negative_ratio)
+    expected = {
+        "gold-only": f"{gold} gold",
+        "weak-only": f"{weak} weak",
+        "two-stage": f"{weak} weak and {gold} gold",
+    }
+    for mode, examples in expected.items():
+        out = tmp_path / f"{mode}.json"
+        assert main(base + ["train", "--mode", mode, "--model-path", str(out)]) == 0
+        assert f"trained {mode} model on {examples} examples " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "ghost_in, mode",
+    [("gold", "two-stage"), ("gold", "weak-only"), ("gold", "gold-only"),
+     ("weak", "two-stage"), ("weak", "weak-only")],
+)
+def test_train_names_the_file_of_an_id_outside_the_indexes(
+    workspace, tmp_path, capsys, monkeypatch, mode, ghost_in
+):
+    """Every gold and weak id is checked before any feature matrix is built."""
+    root, base, queries = workspace
+    gold_path, weak_path = tmp_path / "gold.jsonl", tmp_path / "weak.jsonl"
+    haunted = queries[len(queries) // 2]
+    ghosted = dataclasses.replace(haunted, gold_article_ids={"ghost#1", *haunted.gold_article_ids})
+    gold = [ghosted if q is haunted else q for q in queries] if ghost_in == "gold" else queries
+    write_gold_file(gold, gold_path)
+    weak = read_dataset(root / "weak_dataset.jsonl")
+    if ghost_in == "weak":
+        weak.insert(7, TrainingExample("a question", "ghost#2", 0, "weak"))
+    write_dataset(weak, weak_path)
+
+    def no_matrix(self, examples):
+        raise AssertionError("a feature matrix was built")
+
+    monkeypatch.setattr(reranker.FeatureExtractor, "matrix", no_matrix)
+    out = tmp_path / "model.json"
+    flags = ["--gold-path", str(gold_path), "--weak-dataset-path", str(weak_path)]
+    assert main(base + ["train", "--mode", mode, "--model-path", str(out), *flags]) == 1
+    err = capsys.readouterr().err
+    if ghost_in == "gold":
+        question = f"question {haunted.question_id!r}"
+        assert f"{gold_path}: {question}: article 'ghost#1' not in the indexes" in err
+    else:
+        assert f"{weak_path}: article 'ghost#2' not in the indexes" in err
+    assert not out.exists()
 
 
 def test_dense_question_without_tokens_has_no_candidates(synth):

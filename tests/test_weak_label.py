@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 
 import pytest
 
@@ -178,13 +179,6 @@ def test_dataset_write_that_fails_midway_leaves_the_old_file(tmp_path):
     assert list(tmp_path.iterdir()) == [path]  # the partial file is removed
 
 
-def test_dataset_file_without_origin_names_the_line(tmp_path):
-    path = tmp_path / "weak.jsonl"
-    path.write_text('{"question": "q", "article_id": "a", "label": 1}\n')
-    with pytest.raises(ValueError, match="weak.jsonl:1: missing key 'origin'"):
-        read_dataset(path)
-
-
 GOOD_RECORD = {"question": "q", "article_id": "a", "label": 1, "origin": "weak"}
 
 
@@ -199,15 +193,18 @@ GOOD_RECORD = {"question": "q", "article_id": "a", "label": 1, "origin": "weak"}
         (json.dumps({**GOOD_RECORD, "article_id": None}), "question and article_id"),
         (json.dumps({**GOOD_RECORD, "origin": "web"}), "origin must be"),
         ("[1, 2]", "record must be a JSON object"),
-        ('{"question": "q",', "invalid JSON"),
+        ('{"question": "q",', "invalid JSON: "),
+        (json.dumps({k: v for k, v in GOOD_RECORD.items() if k != "origin"}),
+         "missing key 'origin'"),
     ],
     ids=["label-true", "label-string", "label-float", "label-two", "question-number",
-         "article-null", "origin-unknown", "list-record", "invalid-json"],
+         "article-null", "origin-unknown", "list-record", "invalid-json", "no-origin"],
 )
 def test_dataset_file_malformed_record_names_the_line(tmp_path, line, message):
+    """Line 3, after a good record and a blank line, which still counts."""
     path = tmp_path / "weak.jsonl"
-    path.write_text(json.dumps(GOOD_RECORD) + "\n" + line + "\n")
-    with pytest.raises(ValueError, match=f"weak.jsonl:2: {message}"):
+    path.write_text(json.dumps(GOOD_RECORD) + "\n\n" + line + "\n")
+    with pytest.raises(ValueError, match=f"weak.jsonl:3: {re.escape(message)}"):
         read_dataset(path)
 
 
@@ -251,8 +248,15 @@ def _reference_gold(pairs, articles, cfg):
 @pytest.mark.parametrize("n", [5, 9, 30, 400])
 @pytest.mark.parametrize("seed", [0, 1, 7, 12345])
 def test_weak_sampling_draws_the_filtered_list_stream(n, seed):
-    """Index shifting gives the examples of sampling the rebuilt pool list."""
-    articles = _titled_articles(n, untitled={2, 3})
+    """Index shifting gives the examples of sampling the rebuilt pool list,
+    one title question per article: a title that cleans like another's and
+    an id that two articles share are each asked of their own article."""
+    articles = _titled_articles(n, untitled={2, 3}) + [
+        Article("a90", "d90", "Topic 3 heading words", "Body text of one."),
+        Article("a91", "d90", "topic 3: heading words", "Body text of another."),
+        Article("a01", "d91", "Topic 1 heading, again", "Body text of a twin."),
+    ]
+    assert clean_text(articles[-3].title) == clean_text(articles[-2].title)
     cfg = PipelineConfig(weak_seed=seed)
     assert generate_weak_dataset(articles, cfg) == _reference_weak(articles, cfg)
 
