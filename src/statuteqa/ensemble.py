@@ -23,8 +23,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .corpus import Article
-
 if TYPE_CHECKING:
     from .pipeline import PipelineConfig
 
@@ -174,35 +172,26 @@ def select_answer_set(
 
 
 def rank_and_select(
-    question_id: str,
-    question: str,
-    ranked: Ranking,
-    scorer,
-    articles_by_id: Mapping[str, Article] | None,
-    cfg: PipelineConfig,
+    question_id: str, question: str, ranked: Ranking, scorer, cfg: PipelineConfig
 ) -> AnswerSet:
     """Score, normalize, fuse and select over a quickview ranking.
 
     ``ranked`` is the quickview's ``Ranking``, as ``Pipeline.quickview_rank``
     returns it, and ``scorer`` is anything with ``score_batch(question,
-    candidates)``. The scorer is handed the candidates' articles from
-    ``articles_by_id``, or the ranking itself when that is None (the
-    in-process ``ModelScorer`` reads its features at the positions). Fusion
-    reads ``cfg.gamma`` and ``cfg.effective_threshold()``. Scores
-    are read from the ranking as an array, ties break by position, and ids
-    are looked up only for the returned articles. When the quickview found
-    no candidate (``ranked`` is empty) the answer set is empty and flagged,
-    which is distinct from selecting the best candidate.
+    ranked)``: every scorer is handed the ranking itself and reads what it
+    needs from it, the in-process model its index positions and an external
+    scorer its ids. Fusion reads ``cfg.gamma`` and
+    ``cfg.effective_threshold()``. Scores are read from the ranking as an
+    array, ties break by position, and ids are looked up only for the
+    returned articles. When the quickview found no candidate (``ranked`` is
+    empty) the answer set is empty and flagged, which is distinct from
+    selecting the best candidate.
     """
     if not ranked:
         return AnswerSet(question_id=question_id, returned=(), no_candidates=True)
 
-    if articles_by_id is not None:
-        candidates = list(map(articles_by_id.__getitem__, ranked.ids()))
-    else:
-        candidates = ranked
     qs_raw = ranked.scores
-    ss_raw = np.asarray(scorer.score_batch(question, candidates), dtype=np.float64)
+    ss_raw = np.asarray(scorer.score_batch(question, ranked), dtype=np.float64)
     if ss_raw.shape != qs_raw.shape:
         raise ValueError(
             f"scorer returned {ss_raw.shape} scores for {len(ranked)} candidates"

@@ -72,6 +72,9 @@ class LineProtocolClient:
         may still be in flight and would be read as the next batch's, so
         the batch raises ``ProtocolError`` and the child is killed. The
         next batch starts a fresh child, as it does for one that exited.
+        So does output left after a batch's replies or waiting before it is
+        written; a stray line that arrives mid-batch cannot be told from a
+        reply, since the protocol carries no request ids.
         """
         with self._lock:
             if self._closed:
@@ -115,6 +118,8 @@ class LineProtocolClient:
         """
         out_fd = self._proc.stdout.fileno()
         in_fd = self._proc.stdin.fileno()
+        if self._buffer or select.select([out_fd], [], [], 0)[0]:
+            raise ProtocolError(f"{self.command!r} sent output no request asked for")
         pending = memoryview(payload)
         lines: list[bytes] = []
         deadline = time.monotonic() + self.timeout
@@ -150,6 +155,8 @@ class LineProtocolClient:
                 if not chunk:
                     raise ProtocolError(f"{self.command!r} closed its output mid-batch")
                 self._buffer += chunk
+        if self._buffer:
+            raise ProtocolError(f"{self.command!r} sent more lines than requests")
         return lines
 
     def close(self) -> None:

@@ -51,6 +51,8 @@ __all__ = [
 
 CONFIG_ENV_VAR = "STATUTEQA_CONFIG"
 
+_COMMAND = ("null or a list of strings", lambda v: _has_type(v, "list[str] | None"))
+
 # key -> (its allowed range, as messages and the README state it; the test)
 RANGES = {
     "k1": (">= 0", lambda v: v >= 0),
@@ -61,8 +63,11 @@ RANGES = {
     "top_k": (">= 1", lambda v: v >= 1),
     "threshold": ("null or >= 0", lambda v: v is None or v >= 0),
     "quickview_source": ("'lexical' or 'dense'", lambda v: v in ("lexical", "dense")),
+    "phrase_lexicon": ("a list of strings", lambda v: _has_type(v, "list[str]")),
     "embedder_dimension": (">= 1", lambda v: v >= 1),
+    "external_embedder_cmd": _COMMAND,
     "external_embedder_timeout": ("> 0", lambda v: v > 0),
+    "external_scorer_cmd": _COMMAND,
     "external_scorer_timeout": ("> 0", lambda v: v > 0),
     "learning_rate": ("> 0", lambda v: v > 0),
     "epochs": (">= 1", lambda v: v >= 1),
@@ -256,15 +261,16 @@ class Pipeline:
     """Loaded indexes and scorer behind one answer() call.
 
     Questions are cut with the indexes' tokenizer, not one built from ``cfg``.
-    ``articles`` and ``by_id`` hold the corpus's articles. When the
-    constructor is given None for them, they are parsed on first read, by
-    ``load_articles`` against the indexes' corpus digest. The in-process
-    model (``ModelScorer``) takes its features from the indexes and is
-    handed the quickview's ``Ranking``, so answering with it never reads
-    article text.
-    Any other scorer is handed the candidates' articles; ``load`` parses
-    them up front for an ``ExternalScorer``, so the parse never lands in
-    the first answer.
+    Every scorer is handed the quickview's ``Ranking``: the in-process model
+    (``ModelScorer``) reads its features from the indexes, so answering with
+    it never reads article text, and an ``ExternalScorer`` owns the
+    articles whose text it sends, which ``load`` parses for it up front, so
+    the parse never lands in the first answer.
+
+    ``articles`` and ``by_id`` hold the corpus's articles for the
+    benchmark's checks (``perfbench/checks.py``), the only reader; when the
+    constructor is given None, they are parsed on first read, by
+    ``load_articles`` against the indexes' corpus digest.
 
     The pipeline owns ``scorer`` and ``dense.embedder`` and closes them in
     ``close``. ``scorer`` may be None for quickview-only use.
@@ -297,12 +303,11 @@ class Pipeline:
     @classmethod
     def load(cls, cfg: PipelineConfig) -> "Pipeline":
         lex, dense = load_artifacts(cfg)
-        articles = None
         try:
             if cfg.external_scorer_cmd:
                 articles = load_articles(cfg, lex.corpus_digest)
                 scorer = ExternalScorer(
-                    cfg.external_scorer_cmd, timeout=cfg.external_scorer_timeout
+                    cfg.external_scorer_cmd, articles, timeout=cfg.external_scorer_timeout
                 )
             else:
                 model = load_model(cfg.model_path)
@@ -311,12 +316,7 @@ class Pipeline:
         except BaseException:
             close_all(dense.embedder)
             raise
-        return cls(cfg, articles, lex, dense, scorer)
-
-    def _candidates(self) -> dict[str, Article] | None:
-        """What ``rank_and_select`` hands the scorer: None (the ranking) for
-        the in-process model, which reads only the indexes; else articles."""
-        return None if isinstance(self.scorer, ModelScorer) else self.by_id
+        return cls(cfg, None, lex, dense, scorer)
 
     def quickview_rank(self, question: str, k: int) -> Ranking:
         """The ``k`` best candidates of the configured quickview, as index
@@ -338,9 +338,7 @@ class Pipeline:
         if top_k is not None:
             cfg = dataclasses.replace(cfg, top_k=top_k)
         ranked = self.quickview_rank(question, cfg.top_k)
-        return rank_and_select(
-            question_id, question, ranked, self.scorer, self._candidates(), cfg
-        )
+        return rank_and_select(question_id, question, ranked, self.scorer, cfg)
 
     def answer_ranked(
         self, question_id: str, question: str, ranked: Ranking
@@ -352,9 +350,7 @@ class Pipeline:
         """
         cfg = self.cfg
         ranked = ranked[: cfg.top_k]
-        return rank_and_select(
-            question_id, question, ranked, self.scorer, self._candidates(), cfg
-        )
+        return rank_and_select(question_id, question, ranked, self.scorer, cfg)
 
     def fingerprints(self) -> dict[str, str]:
         info = {

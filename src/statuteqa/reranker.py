@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 from itertools import groupby, repeat
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -370,10 +370,10 @@ class ModelScorer:
     def score_batch(
         self, question: str, candidates: Ranking | Sequence[Article | str]
     ) -> list[float]:
-        """Relevance probability sigmoid(w . f) of each candidate, in order,
-        clamped to the open unit interval. The candidates are a quickview
-        ``Ranking`` (read at its positions), or articles or their ids. The
-        features come from the indexes, so no article text is read."""
+        """Relevance probability sigmoid(w . f) of each candidate of a
+        quickview ``Ranking``, read at its positions, clamped to the open unit
+        interval. The features come from the indexes, so no article text is
+        read. Articles or ids are taken only for ``perfbench/checks.py``."""
         if not isinstance(candidates, Ranking):
             candidates = [getattr(c, "article_id", c) for c in candidates]
         z = _logits(self.model.weights, self.extractor.rows(question, candidates))
@@ -381,21 +381,27 @@ class ModelScorer:
 
 
 class ExternalScorer:
-    """Scorer backed by a child process speaking the line protocol."""
+    """Scorer backed by a child process speaking the line protocol. It owns
+    the text it sends: ``articles``, kept by id."""
 
-    def __init__(self, command: Sequence[str], timeout: float = 30.0) -> None:
+    def __init__(
+        self, command: Sequence[str], articles: Iterable[Article], timeout: float = 30.0
+    ) -> None:
         self._name = " ".join(command)
+        self._by_id = {a.article_id: a for a in articles}
         self._client = LineProtocolClient(command, timeout=timeout)
 
     def fingerprint(self) -> str:
         return "external:" + hashlib.sha256(self._name.encode()).hexdigest()[:16]
 
-    def score_batch(self, question: str, candidates: Sequence[Article]) -> list[float]:
+    def score_batch(self, question: str, ranked: Ranking) -> list[float]:
+        """The child's score of each candidate of ``ranked``, in ranking order;
+        errors name the batch's article ids."""
+        batch_ids = ranked.ids()
         requests = [
             {"question": question, "title": a.title, "content": a.content}
-            for a in candidates
+            for a in map(self._by_id.__getitem__, batch_ids)
         ]
-        batch_ids = [a.article_id for a in candidates]
         try:
             responses = self._client.call(requests)
         except ProtocolError as exc:

@@ -1,10 +1,12 @@
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from statuteqa.corpus import Article, TokenizerConfig, clean_text, iter_articles, tokenize
 from statuteqa.dense import HashedProjectionEmbedder, build_dense_index
+from statuteqa.ensemble import Ranking
 from statuteqa.lexical import build_lex_index, retrieve_topk
 from statuteqa.pipeline import PipelineConfig
 from statuteqa.reranker import FeatureExtractor, ModelScorer, train_two_stage
@@ -51,6 +53,15 @@ def pairs(ranked):
     """A ranking's ``(article id, score)`` pairs, best first, read from its
     ``ids()`` and ``scores``: the form the oracles return."""
     return list(zip(ranked.ids(), ranked.scores.tolist()))
+
+
+def ranking_of(articles):
+    """A ``Ranking`` of ``articles`` in the order given, over an index of
+    their sorted ids, as a scorer is handed it; the scores and the question
+    view are placeholders."""
+    ids = tuple(sorted(a.article_id for a in articles))
+    positions = np.array([ids.index(a.article_id) for a in articles], dtype=np.int64)
+    return Ranking(ids, positions, np.ones(len(articles)), (), None, None)
 
 
 @pytest.fixture(scope="session")

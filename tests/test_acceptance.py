@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from bm25_oracle import BruteForceBm25, oracle_topk
-from conftest import field_token_lists, pairs
+from conftest import field_token_lists, pairs, ranking_of
 from statuteqa.corpus import Article, TokenizerConfig, clean_text, iter_articles, tokenize
 from statuteqa.dense import HashedProjectionEmbedder, build_dense_index
 from statuteqa.ensemble import (
@@ -171,14 +171,11 @@ def test_c4_fixture_end_to_end():
             extractor.matrix(gold_valid), PipelineConfig(epochs=20, train_seed=0),
         )
         scorer = ModelScorer(model, extractor)
-        by_id = {a.article_id: a for a in articles}
         cfg = PipelineConfig(gamma=0.5, top_k=10, threshold=0.26)
         for query in queries:
             tokens = tokenize(clean_text(query.question), tok)
             ranked = retrieve_topk(lex, tokens, cfg.top_k, quickview_cfg)
-            answer = rank_and_select(
-                query.question_id, query.question, ranked, scorer, by_id, cfg
-            )
+            answer = rank_and_select(query.question_id, query.question, ranked, scorer, cfg)
             returned = {c.article_id for c in answer.returned}
             assert query.gold_article_ids <= returned
         elapsed = time.perf_counter() - started
@@ -229,16 +226,14 @@ def test_c6_gradient_check():
             assert rel < 1e-4
 
 
-def _validation_f2(model, extractor, lex, by_id, tok, valid_queries):
+def _validation_f2(model, extractor, lex, tok, valid_queries):
     scorer = ModelScorer(model, extractor)
     cfg = PipelineConfig(gamma=0.0, top_k=10, threshold=0.26)
     precisions, recalls = [], []
     for query in valid_queries:
         tokens = tokenize(clean_text(query.question), tok)
         ranked = retrieve_topk(lex, tokens, cfg.top_k, PipelineConfig(alpha=1.5, beta=1.0))
-        answer = rank_and_select(
-            query.question_id, query.question, ranked, scorer, by_id, cfg
-        )
+        answer = rank_and_select(query.question_id, query.question, ranked, scorer, cfg)
         p, r = precision_recall(answer, query.gold_article_ids)
         precisions.append(p)
         recalls.append(r)
@@ -255,7 +250,6 @@ def test_c7_two_stage_training_direction():
         lex = build_lex_index(articles, PipelineConfig())
         dense, _ = build_dense_index(articles, HashedProjectionEmbedder(128, 0), tok)
         extractor = FeatureExtractor(lex, dense)
-        by_id = {a.article_id: a for a in articles}
         weak = extractor.matrix(generate_weak_dataset(articles, PipelineConfig(weak_seed=0)))
         queries = paraphrase_gold_queries(docs, seed=1)
 
@@ -274,8 +268,8 @@ def test_c7_two_stage_training_direction():
             gold, valid = extractor.matrix(gold_train), extractor.matrix(gold_valid)
             two_stage = train_two_stage(weak, gold, valid, cfg)
             gold_only = train_stage(zero_model(), gold, valid, cfg, stage="gold_only")
-            f2_two = _validation_f2(two_stage, extractor, lex, by_id, tok, valid_q)
-            f2_gold = _validation_f2(gold_only, extractor, lex, by_id, tok, valid_q)
+            f2_two = _validation_f2(two_stage, extractor, lex, tok, valid_q)
+            f2_gold = _validation_f2(gold_only, extractor, lex, tok, valid_q)
             assert f2_two >= f2_gold, f"seed {seed}: {f2_two:.4f} < {f2_gold:.4f}"
 
 
@@ -284,7 +278,7 @@ class _TableScorer:
         self.table = table
 
     def score_batch(self, question, candidates):
-        return [self.table[a.article_id] for a in candidates]
+        return [self.table[article_id] for article_id in candidates.ids()]
 
 
 def test_c8_ensemble_order_identities(synth):
@@ -299,7 +293,7 @@ def test_c8_ensemble_order_identities(synth):
             for gamma, key in ((1.0, "qs"), (0.0, "ss")):
                 cfg = PipelineConfig(gamma=gamma, top_k=10, threshold=2.0)
                 answer = rank_and_select(
-                    query.question_id, query.question, ranked, scorer, synth.by_id, cfg
+                    query.question_id, query.question, ranked, scorer, cfg
                 )
                 raw = {c.article_id: (c.qs_raw if key == "qs" else c.ss_raw)
                        for c in answer.returned}
@@ -377,9 +371,11 @@ def test_c11_protocol_conformance(scripts_dir):
         ]
         cmd = [_sys.executable, str(scripts_dir / "echo_scorer.py")]
         ids = [c.article_id for c in candidates]
-        with ExternalScorer(cmd) as scorer:
-            forward = list(zip(ids, scorer.score_batch("question", candidates)))
-            backward = zip(ids[::-1], scorer.score_batch("question", candidates[::-1]))
+        with ExternalScorer(cmd, candidates) as scorer:
+            forward = list(zip(ids, scorer.score_batch("question", ranking_of(candidates))))
+            backward = zip(
+                ids[::-1], scorer.score_batch("question", ranking_of(candidates[::-1]))
+            )
         assert [a for a, _ in forward] == [c.article_id for c in candidates]
         assert dict(forward) == dict(backward)
         assert len({s for _, s in forward}) == len(candidates)

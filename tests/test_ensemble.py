@@ -170,7 +170,13 @@ class LookupScorer:
         self.default = default
 
     def score_batch(self, question, candidates):
-        return [self.table.get(a.article_id, self.default) for a in candidates]
+        """Table scores of a ranking's ids, or of articles as the list-based
+        reference hands them."""
+        if isinstance(candidates, Ranking):
+            ids = candidates.ids()
+        else:
+            ids = [a.article_id for a in candidates]
+        return [self.table.get(article_id, self.default) for article_id in ids]
 
 
 def test_rank_and_select_returns_gold_on_fixture(synth):
@@ -178,7 +184,7 @@ def test_rank_and_select_returns_gold_on_fixture(synth):
     for query in synth.queries[:20]:
         answer = rank_and_select(
             query.question_id, query.question, synth.ranked(query.question, cfg.top_k),
-            synth.scorer, synth.by_id, cfg,
+            synth.scorer, cfg,
         )
         assert not answer.no_candidates
         returned = {c.article_id for c in answer.returned}
@@ -189,8 +195,7 @@ def test_rank_and_select_no_candidates(synth):
     cfg = PipelineConfig(top_k=10)
     question = "zzz unseen gibberish"
     answer = rank_and_select(
-        "qx", question, synth.ranked(question, cfg.top_k), ConstantScorer(),
-        synth.by_id, cfg,
+        "qx", question, synth.ranked(question, cfg.top_k), ConstantScorer(), cfg,
     )
     assert answer.no_candidates
     assert answer.returned == ()
@@ -200,7 +205,7 @@ def test_gamma_one_preserves_quickview_order(synth):
     question = synth.queries[5].question
     cfg = PipelineConfig(gamma=1.0, top_k=10, threshold=1.1)
     answer = rank_and_select(
-        "q", question, synth.ranked(question, 10), ConstantScorer(), synth.by_id, cfg
+        "q", question, synth.ranked(question, 10), ConstantScorer(), cfg
     )
     by_quickview = sorted(answer.returned, key=lambda c: (-c.qs_raw, c.article_id))
     assert [c.article_id for c in answer.returned] == [c.article_id for c in by_quickview]
@@ -211,7 +216,7 @@ def test_gamma_zero_preserves_supervised_order(synth):
     ranked = synth.ranked(question, 10)
     table = {article_id: 1.0 - i * 0.05 for i, article_id in enumerate(sorted(ranked.ids()))}
     cfg = PipelineConfig(gamma=0.0, top_k=10, threshold=1.1)
-    answer = rank_and_select("q", question, ranked, LookupScorer(table), synth.by_id, cfg)
+    answer = rank_and_select("q", question, ranked, LookupScorer(table), cfg)
     by_supervised = sorted(answer.returned, key=lambda c: (-c.ss_raw, c.article_id))
     assert [c.article_id for c in answer.returned] == [c.article_id for c in by_supervised]
 
@@ -221,12 +226,12 @@ def test_quickview_scale_invariance(synth):
     question = synth.queries[7].question
     cfg = PipelineConfig(gamma=0.5, top_k=10, threshold=0.26)
     base = rank_and_select(
-        "q", question, synth.ranked(question, 10), ConstantScorer(0.4), synth.by_id, cfg
+        "q", question, synth.ranked(question, 10), ConstantScorer(0.4), cfg
     )
     # same pipeline with alpha, beta scaled by 3 -> raw quickview scores scale by 3
     scaled = rank_and_select(
         "q", question, synth.ranked(question, 10, PipelineConfig(alpha=4.5, beta=3.0)),
-        ConstantScorer(0.4), synth.by_id, cfg,
+        ConstantScorer(0.4), cfg,
     )
     assert [c.article_id for c in base.returned] == [c.article_id for c in scaled.returned]
     for b, s in zip(base.returned, scaled.returned):
@@ -239,7 +244,7 @@ def test_normalized_scores_in_unit_interval(synth):
     for query in synth.queries[:10]:
         answer = rank_and_select(
             query.question_id, query.question, synth.ranked(query.question, cfg.top_k),
-            synth.scorer, synth.by_id, cfg,
+            synth.scorer, cfg,
         )
         for c in answer.returned:
             assert 0.0 <= c.qs_norm <= 1.0
@@ -277,9 +282,13 @@ def _ranked_ids(synth, question, k=10):
 
 
 def _both(synth, question, scorer, cfg):
-    """rank_and_select and the list-based reference on the same inputs."""
-    args = ("q", question, synth.ranked(question, cfg.top_k), scorer, synth.by_id, cfg)
-    return rank_and_select(*args), fusion_oracle.rank_and_select(*args)
+    """rank_and_select and the list-based reference on the same inputs; the
+    reference hands the scorer the candidates' articles."""
+    ranked = synth.ranked(question, cfg.top_k)
+    return (
+        rank_and_select("q", question, ranked, scorer, cfg),
+        fusion_oracle.rank_and_select("q", question, ranked, scorer, synth.by_id, cfg),
+    )
 
 
 def _assert_same(got, want):
@@ -337,7 +346,7 @@ def test_rank_and_select_rejects_a_short_score_list(synth):
     with pytest.raises(ValueError, match="scores for"):
         question = synth.queries[0].question
         rank_and_select(
-            "q", question, synth.ranked(question, 10), OneScore(), synth.by_id,
+            "q", question, synth.ranked(question, 10), OneScore(),
             PipelineConfig(top_k=10),
         )
 

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import feature_oracle
+import fusion_oracle
 from statuteqa import cli, dense, lexical, lineproto, reranker
 from statuteqa import corpus as corpus_mod
 from statuteqa import pipeline as pipeline_mod
@@ -28,7 +29,6 @@ from statuteqa.corpus import (
     load_corpus_file,
     write_corpus_file,
 )
-from statuteqa.ensemble import rank_and_select
 from statuteqa.evaluation import (
     load_gold_file,
     recall_at_k,
@@ -440,6 +440,21 @@ def test_serve_rejects_a_zero_question_length_flag(tmp_path, capsys, monkeypatch
     assert "max_question_chars must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key, value, allowed",
+    [("phrase_lexicon", "civil code", "a list of strings"),
+     ("phrase_lexicon", ["civil code", 3], "a list of strings"),
+     ("external_embedder_cmd", "embedder", "null or a list of strings"),
+     ("external_scorer_cmd", "cmd", "null or a list of strings"),
+     ("external_scorer_cmd", ("python", "scorer.py"), "null or a list of strings")],
+)
+def test_list_valued_keys_set_from_code_are_checked(key, value, allowed):
+    """A string is not split into one-letter phrases or arguments."""
+    message = f"{key} must be {allowed}, not {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        PipelineConfig(**{key: value})
+
+
 def test_config_accepts_every_annotated_type(tmp_path):
     good = tmp_path / "good.json"
     values = {
@@ -586,7 +601,7 @@ def test_model_scorer_pipeline_never_parses_the_corpus(workspace, monkeypatch):
     for (question_id, question), answer in zip(asked, answers):
         ranked = pipeline.quickview_rank(question, cfg.top_k)
         assert answer.returned
-        assert answer == rank_and_select(
+        assert answer == fusion_oracle.rank_and_select(
             question_id, question, ranked, pipeline.scorer, pipeline.by_id,
             pipeline.cfg,
         )
@@ -596,11 +611,10 @@ def test_model_scorer_pipeline_never_parses_the_corpus(workspace, monkeypatch):
 def test_external_scorer_is_sent_each_candidates_text(
     workspace, scripts_dir, monkeypatch
 ):
+    """With either quickview, ``answer`` and ``eval``'s ``answer_ranked``
+    (from a deeper ranking) send the child each candidate's title and
+    content in ranking order; the corpus is parsed once, at load."""
     root, _, queries = workspace
-    cfg = dataclasses.replace(
-        PipelineConfig.from_file(root / "config.json"),
-        external_scorer_cmd=[sys.executable, str(scripts_dir / "echo_scorer.py")],
-    )
     parse, parses = corpus_mod.parse_corpus, []
 
     def counted(lines):
@@ -608,24 +622,35 @@ def test_external_scorer_is_sent_each_candidates_text(
         return parse(lines)
 
     monkeypatch.setattr(corpus_mod, "parse_corpus", counted)
-    pipeline = Pipeline.load(cfg)
-    try:
-        assert len(parses) == 1  # at load, never in an answer
-        client, sent = pipeline.scorer._client, []
-        call = client.call
-        monkeypatch.setattr(client, "call", lambda batch: sent.append(batch) or call(batch))
-        question = queries[0].question
-        ranked = pipeline.quickview_rank(question, cfg.top_k)
-        assert pipeline.answer("q", question).returned
-        assert len(parses) == 1
-    finally:
-        pipeline.close()
     docs, _ = load_corpus_file(root / "corpus.jsonl")
     by_id = {a.article_id: a for a in iter_articles(docs)}
-    assert sent == [[
-        {"question": question, "title": by_id[i].title, "content": by_id[i].content}
-        for i in ranked.ids()
-    ]]
+    question = queries[0].question
+    for source in ("lexical", "dense"):
+        cfg = dataclasses.replace(
+            PipelineConfig.from_file(root / "config.json"),
+            external_scorer_cmd=[sys.executable, str(scripts_dir / "echo_scorer.py")],
+            quickview_source=source,
+        )
+        parses.clear()
+        pipeline = Pipeline.load(cfg)
+        try:
+            assert len(parses) == 1  # at load, never in an answer
+            client, sent = pipeline.scorer._client, []
+            call = client.call
+            monkeypatch.setattr(client, "call", lambda batch: sent.append(batch) or call(batch))
+            ranked = pipeline.quickview_rank(question, cfg.top_k)
+            assert pipeline.answer("q", question).returned
+            deep = pipeline.quickview_rank(question, 2 * cfg.top_k)
+            assert pipeline.answer_ranked("q", question, deep).returned
+            assert len(parses) == 1
+        finally:
+            pipeline.close()
+        texts = [
+            {"question": question, "title": by_id[i].title, "content": by_id[i].content}
+            for i in ranked.ids()
+        ]
+        assert len(texts) == cfg.top_k
+        assert sent == [texts, texts], source
 
 
 def test_train_gold_only_mode(workspace):
@@ -757,7 +782,7 @@ def test_dense_answer_embeds_its_question_once(synth, monkeypatch):
     assert answer.returned and len(calls) == 1 and len(tokenized) == 1
     # scoring the candidates' articles embeds afresh and ranks alike
     ranked = pipeline.quickview_rank(query.question, cfg.top_k)
-    assert answer == rank_and_select(
+    assert answer == fusion_oracle.rank_and_select(
         query.question_id, query.question, ranked, synth.scorer, synth.by_id,
         pipeline.cfg,
     )

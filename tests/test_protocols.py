@@ -9,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import ranking_of
 from dense_oracle import OneAtATime
 from statuteqa import dense
 from statuteqa.corpus import Article, TokenizerConfig, iter_articles
@@ -49,54 +50,54 @@ def embedder_cmd(scripts_dir, *extra):
 
 
 def test_constant_external_scorer(scripts_dir):
-    with ExternalScorer(scorer_cmd(scripts_dir, "--constant", "0.42")) as scorer:
-        scores = scorer.score_batch("any question", CANDIDATES)
+    with ExternalScorer(scorer_cmd(scripts_dir, "--constant", "0.42"), CANDIDATES) as scorer:
+        scores = scorer.score_batch("any question", ranking_of(CANDIDATES))
     assert scored(scores, CANDIDATES) == [("a1", 0.42), ("a2", 0.42), ("a3", 0.42)]
 
 
 def test_external_scorer_order_preserved(scripts_dir):
     """Hash-based echo scores are a function of the request, so shuffling
     the batch must permute the scores identically."""
-    with ExternalScorer(scorer_cmd(scripts_dir)) as scorer:
-        forward = dict(scored(scorer.score_batch("q", CANDIDATES), CANDIDATES))
+    with ExternalScorer(scorer_cmd(scripts_dir), CANDIDATES) as scorer:
+        forward = dict(scored(scorer.score_batch("q", ranking_of(CANDIDATES)), CANDIDATES))
         backward = dict(
-            scored(scorer.score_batch("q", CANDIDATES[::-1]), CANDIDATES[::-1])
+            scored(scorer.score_batch("q", ranking_of(CANDIDATES[::-1])), CANDIDATES[::-1])
         )
-        again = dict(scored(scorer.score_batch("q", CANDIDATES), CANDIDATES))
+        again = dict(scored(scorer.score_batch("q", ranking_of(CANDIDATES)), CANDIDATES))
     assert forward == backward == again
     assert len(set(forward.values())) == len(CANDIDATES)  # distinct inputs, distinct scores
 
 
 def test_external_scorer_multiple_batches_one_process(scripts_dir):
-    with ExternalScorer(scorer_cmd(scripts_dir)) as scorer:
-        first = scorer.score_batch("question one", CANDIDATES[:2])
-        second = scorer.score_batch("question two", CANDIDATES[2:])
+    with ExternalScorer(scorer_cmd(scripts_dir), CANDIDATES) as scorer:
+        first = scorer.score_batch("question one", ranking_of(CANDIDATES[:2]))
+        second = scorer.score_batch("question two", ranking_of(CANDIDATES[2:]))
     assert len(first) == 2 and len(second) == 1
 
 
 def test_external_scorer_timeout_names_batch(scripts_dir):
     silent = [sys.executable, "-c", "import time; time.sleep(30)"]
-    with ExternalScorer(silent, timeout=0.3) as scorer:
+    with ExternalScorer(silent, CANDIDATES, timeout=0.3) as scorer:
         with pytest.raises(ProtocolError, match=r"a1.*timed out|timed out.*a1"):
-            scorer.score_batch("q", CANDIDATES[:1])
+            scorer.score_batch("q", ranking_of(CANDIDATES[:1]))
 
 
 def test_external_scorer_rejects_out_of_range_scores(scripts_dir):
-    with ExternalScorer(scorer_cmd(scripts_dir, "--constant", "1.5")) as scorer:
+    with ExternalScorer(scorer_cmd(scripts_dir, "--constant", "1.5"), CANDIDATES) as scorer:
         with pytest.raises(ProtocolError, match="malformed score"):
-            scorer.score_batch("q", CANDIDATES)
+            scorer.score_batch("q", ranking_of(CANDIDATES))
 
 
 def test_external_scorer_rejects_garbage_output():
     garbage = [sys.executable, "-c", "import sys; [print('not json') for _ in sys.stdin]"]
-    with ExternalScorer(garbage, timeout=5) as scorer:
+    with ExternalScorer(garbage, CANDIDATES, timeout=5) as scorer:
         with pytest.raises(ProtocolError):
-            scorer.score_batch("q", CANDIDATES[:1])
+            scorer.score_batch("q", ranking_of(CANDIDATES[:1]))
 
 
 def test_external_scorer_unreachable_command():
     with pytest.raises(ProtocolError, match="cannot start"):
-        ExternalScorer(["/nonexistent/binary"])
+        ExternalScorer(["/nonexistent/binary"], CANDIDATES)
 
 
 def test_external_embedder_round_trip(scripts_dir):
@@ -203,14 +204,14 @@ def test_external_embedder_accepts_integer_components():
 @pytest.mark.parametrize("value", NOT_FINITE_REALS.values(), ids=NOT_FINITE_REALS.keys())
 def test_external_scorer_rejects_scores_that_are_not_finite_reals(value):
     command = replying('{"score": ' + value + "}")
-    with ExternalScorer(command, timeout=5) as scorer:
+    with ExternalScorer(command, CANDIDATES, timeout=5) as scorer:
         with pytest.raises(ProtocolError, match="external scorer .+ malformed score"):
-            scorer.score_batch("q", CANDIDATES[:1])
+            scorer.score_batch("q", ranking_of(CANDIDATES[:1]))
 
 
 def test_external_scorer_accepts_integer_scores():
-    with ExternalScorer(replying('{"score": 1}'), timeout=5) as scorer:
-        assert scorer.score_batch("q", CANDIDATES[:2]) == [1.0, 1.0]
+    with ExternalScorer(replying('{"score": 1}'), CANDIDATES, timeout=5) as scorer:
+        assert scorer.score_batch("q", ranking_of(CANDIDATES[:2])) == [1.0, 1.0]
 
 
 def test_closed_and_killed_clients_close_both_pipes():
@@ -228,6 +229,51 @@ def test_closed_and_killed_clients_close_both_pipes():
         gc.collect()
     leaks = [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)]
     assert leaks == []
+
+
+EXTRA_LINE = (
+    "import json, sys, time\n"
+    "delay = float(sys.argv[1])\n"
+    "for n, line in enumerate(sys.stdin, 1):\n"
+    "    reply = json.dumps({'score': round(0.1 * n, 1)}) + '\\n'\n"
+    "    extra = json.dumps({'score': 0.9}) + '\\n'\n"
+    "    if delay:\n"
+    "        sys.stdout.write(reply)\n"
+    "        sys.stdout.flush()\n"
+    "        time.sleep(delay)\n"
+    "        reply = ''\n"
+    "    sys.stdout.write(reply + extra)  # one write: one read takes both\n"
+    "    sys.stdout.flush()\n"
+)
+
+
+@pytest.mark.parametrize(
+    "delay, failure",
+    [(0.0, "more lines than requests"), (0.3, "sent output no request asked for")],
+    ids=["with-the-reply", "after-the-batch"],
+)
+def test_an_extra_reply_line_is_never_read_as_the_next_batchs_reply(delay, failure):
+    """The child answers each request with its reply and one more line,
+    written with the reply or ``delay`` seconds later. It used to give 0.1,
+    then the first batch's stray 0.9, then 0.2. Now the batch that finds a
+    line left over after its replies, or output waiting before it is
+    written, fails and the child is replaced."""
+    client = LineProtocolClient([sys.executable, "-c", EXTRA_LINE, str(delay)], timeout=5)
+    outcomes = []
+    try:
+        for n in range(1, 4):
+            try:
+                outcomes.extend(reply["score"] for reply in client.call([{"n": n}]))
+            except ProtocolError as exc:
+                outcomes.append(str(exc))
+            time.sleep(delay + 0.2)  # the stray line has arrived before the next batch
+        restarts = client.restarts
+    finally:
+        client.close()
+    assert 0.9 not in outcomes
+    errors = [o for o in outcomes if isinstance(o, str)]
+    assert errors and all(e.endswith(failure) for e in errors), outcomes
+    assert restarts >= 1
 
 
 def call_within(client, requests, seconds):

@@ -264,8 +264,7 @@ def test_title_only_article_is_in_neither_index():
     scorer = ModelScorer(zero_model(), FeatureExtractor(lex, dense))
     ranked = retrieve_topk(lex, tokenize(clean_text("tenancy deposits")), 10, PipelineConfig())
     answer = rank_and_select(
-        "q", "tenancy deposits", ranked, scorer, {a.article_id: a for a in articles},
-        PipelineConfig(top_k=10),
+        "q", "tenancy deposits", ranked, scorer, PipelineConfig(top_k=10)
     )
     assert [c.article_id for c in answer.returned] == ["a"]
 

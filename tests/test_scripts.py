@@ -66,29 +66,35 @@ def test_answer_bits_prints_each_answer_exactly(scripts_dir, tmp_path):
     (tmp_path / "config.json").write_text(json.dumps(config))
     assert main(["--config", str(tmp_path / "config.json"), "index"]) == 0
     save_model(zero_model(), tmp_path / "model.json")
+    echo = {"external_scorer_cmd": [sys.executable, str(scripts_dir / "echo_scorer.py")]}
+    (tmp_path / "external.json").write_text(json.dumps({**config, **echo}))
 
-    result = run_script(
-        scripts_dir / "answer_bits.py", "--config", "config.json",
-        "--questions", "questions.jsonl", cwd=tmp_path,
-    )
-    assert result.returncode == 0, result.stderr
-    lines = [json.loads(line) for line in result.stdout.splitlines()]
-    pipeline = Pipeline.load(PipelineConfig(**config))
-    try:
-        answers = [pipeline.answer(q.question_id, q.question) for q in queries]
-    finally:
-        pipeline.close()
-    assert [line["question_id"] for line in lines] == [a.question_id for a in answers]
-    for line, answer in zip(lines, answers):
-        assert line["no_candidates"] == answer.no_candidates
-        assert len(line["returned"]) == len(answer.returned) >= 1
-        for printed, candidate in zip(line["returned"], answer.returned):
-            assert printed["article_id"] == candidate.article_id
-            scores = {n: float.fromhex(b) for n, b in printed.items() if n != "article_id"}
-            assert scores == {
-                "qs_raw": candidate.qs_raw,
-                "qs_norm": candidate.qs_norm,
-                "ss_raw": candidate.ss_raw,
-                "ss_norm": candidate.ss_norm,
-                "combined": candidate.combined,
-            }
+    for name, scorer in (("config", {}), ("external", echo)):
+        result = run_script(
+            scripts_dir / "answer_bits.py", "--config", f"{name}.json",
+            "--questions", "questions.jsonl", cwd=tmp_path,
+        )
+        assert result.returncode == 0, result.stderr
+        lines = [json.loads(line) for line in result.stdout.splitlines()]
+        pipeline = Pipeline.load(PipelineConfig(**config, **scorer))
+        try:
+            answers = [pipeline.answer(q.question_id, q.question) for q in queries]
+        finally:
+            pipeline.close()
+        assert [line["question_id"] for line in lines] == [a.question_id for a in answers]
+        for line, answer in zip(lines, answers):
+            assert line["no_candidates"] == answer.no_candidates
+            assert len(line["returned"]) == len(answer.returned) >= 1
+            for printed, candidate in zip(line["returned"], answer.returned):
+                assert printed["article_id"] == candidate.article_id
+                scores = {n: float.fromhex(b) for n, b in printed.items() if n != "article_id"}
+                assert scores == {
+                    "qs_raw": candidate.qs_raw,
+                    "qs_norm": candidate.qs_norm,
+                    "ss_raw": candidate.ss_raw,
+                    "ss_norm": candidate.ss_norm,
+                    "combined": candidate.combined,
+                }
+        # the zero model scores every candidate 0.5; the echo scorer hashes each text
+        supervised = {c.ss_raw for a in answers for c in a.returned}
+        assert (supervised == {0.5}) == (name == "config"), name
