@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Reference external embedder for the line protocol.
 
-Reads ``{"text": str}`` JSON lines on stdin and writes
-``{"vector": [float; dim]}`` lines in order. Vectors are a stable hash of
-the text, so identical texts embed identically and callers can verify
-order preservation. Dependency-free on purpose.
+Reads ``{"id", "text": str}`` JSON lines on stdin and writes
+``{"id", "vector": [float; dim]}`` lines in order, each echoing its
+request's id. Vectors are a stable hash of the text, so identical texts
+embed identically and callers can verify order preservation.
+Dependency-free on purpose.
 """
 
 import argparse
@@ -37,7 +38,7 @@ def main() -> int:
             continue
         record = json.loads(line)
         vector = stable_vector(record["text"], args.dim)
-        sys.stdout.write(json.dumps({"vector": vector}) + "\n")
+        sys.stdout.write(json.dumps({"id": record["id"], "vector": vector}) + "\n")
         sys.stdout.flush()
     return 0
 

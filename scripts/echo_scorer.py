@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Reference external scorer for the line protocol.
 
-Reads ``{"question", "title", "content"}`` JSON lines on stdin and writes
-``{"score": float in [0, 1]}`` lines in order. The score is a stable hash
-of the request, so callers can verify order preservation; ``--constant``
-pins every score instead. Deliberately dependency-free: this emulates a
+Reads ``{"id", "question", "title", "content"}`` JSON lines on stdin and
+writes ``{"id", "score": float in [0, 1]}`` lines in order, each echoing
+its request's id. The score is a stable hash of the request without its
+id, so callers can verify order preservation; ``--constant`` pins every
+score instead. Deliberately dependency-free: this emulates a
 scorer living outside the package.
 """
 
@@ -29,8 +30,9 @@ def main() -> int:
         if not line.strip():
             continue
         record = json.loads(line)
+        request_id = record.pop("id")
         score = args.constant if args.constant is not None else stable_score(record)
-        sys.stdout.write(json.dumps({"score": score}) + "\n")
+        sys.stdout.write(json.dumps({"id": request_id, "score": score}) + "\n")
         sys.stdout.flush()
     return 0
 

@@ -1,0 +1,66 @@
+#!/usr/bin/env python3
+"""Print where the bytes of each index file go.
+
+    python3 scripts/index_sizes.py lex_index.bin dense_index.bin
+
+For each file: its size, format and version; the header line's bytes; and
+each array as stored (integer arrays as byte planes), in file order, with
+its dtype, shape, raw bytes and deflated bytes. An array's deflated bytes
+are its ``.npy`` bytes compressed alone at the files' level, so a size
+change can be traced to the arrays that make it; they need not sum to the
+file's size, which is one deflate stream over all of them.
+"""
+
+import argparse
+import gzip
+import io
+import json
+import os
+import sys
+import zlib
+
+import numpy as np
+
+from statuteqa.indexfile import COMPRESS_LEVEL
+
+
+def deflated(raw: bytes) -> int:
+    return len(zlib.compress(raw, COMPRESS_LEVEL))
+
+
+def report(path: str) -> list[str]:
+    with gzip.open(path, "rb") as stream:
+        line = stream.readline()
+        header = json.loads(line)
+        arrays = {
+            name: np.lib.format.read_array(stream, allow_pickle=False)
+            for name in header["arrays"]
+        }
+    lines = [
+        f"{path}: {os.path.getsize(path)} bytes "
+        f"({header['format']}, version {header['version']})",
+        f"  {'header':<24} {'':<6} {'':<16} {len(line):>10} {deflated(line):>10}",
+    ]
+    for name, array in arrays.items():
+        buffer = io.BytesIO()
+        np.lib.format.write_array(buffer, array, allow_pickle=False)
+        raw = buffer.getvalue()
+        shape = "x".join(map(str, array.shape))
+        lines.append(
+            f"  {name:<24} {str(array.dtype):<6} {shape:<16} {len(raw):>10} {deflated(raw):>10}"
+        )
+    return lines
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description="bytes per header and array of index files")
+    parser.add_argument("files", nargs="+", help="lexical or dense index files")
+    args = parser.parse_args()
+    print(f"  {'part':<24} {'dtype':<6} {'shape':<16} {'bytes':>10} {'deflated':>10}")
+    for path in args.files:
+        print("\n".join(report(path)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

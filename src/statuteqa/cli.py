@@ -208,7 +208,8 @@ def _cmd_index(cfg: PipelineConfig) -> int:
     )
     print(
         f"dense index: {cfg.dense_index_path} ({dense_bytes} bytes, "
-        f"embedder {dense.embedder_fingerprint}, {excluded} articles without sentences)"
+        f"embedder {dense.embedder_fingerprint}, {dense.offsets[-1]} sentences as "
+        f"{dense.vectors} distinct vectors, {excluded} articles without sentences)"
     )
     return 0
 

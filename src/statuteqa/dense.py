@@ -1,9 +1,10 @@
 """Sentence-level dense indexing and max-cosine article scoring.
 
 Articles are split into sentences; each sentence is cleaned, tokenized and
-embedded to a fixed-dimension vector. An article's dense quickview score
-for a question is the maximum cosine similarity between the question
-vector and any of the article's sentence vectors.
+embedded to a fixed-dimension vector, once per distinct token list. An
+article's dense quickview score for a question is the maximum cosine
+similarity between the question vector and any of the article's sentence
+vectors.
 
 The bundled embedder is a seeded feature-hashing projection: every token
 deterministically maps to a coordinate and a sign, the token vectors are
@@ -47,9 +48,10 @@ __all__ = [
 ]
 
 DENSE_INDEX_FORMAT = "statuteqa.denseindex"
-DENSE_INDEX_VERSION = 6
+DENSE_INDEX_VERSION = 7
 _LAYOUT = {
     "offsets": (np.int64, 1),
+    "sentence_vector": (np.intp, 1),  # first-use coded in the file
     "colptr": (np.int64, 1),
     "rows": (np.int32, 1),  # gap-coded in the file
     "data": (np.float64, 1),
@@ -120,9 +122,9 @@ class HashedProjectionEmbedder:
 class ExternalEmbedder:
     """Embedder backed by a child process speaking the line protocol.
 
-    Requests are JSON lines ``{"text": str}`` on the child's stdin and
-    responses ``{"vector": [float; dimension]}`` arrive in order on its
-    stdout.
+    Requests are JSON lines ``{"id", "text": str}`` on the child's stdin
+    and responses ``{"id", "vector": [float; dimension]}`` arrive in order
+    on its stdout, each echoing its request's id (see ``LineProtocolClient``).
     """
 
     def __init__(self, command: Sequence[str], dimension: int, timeout: float = 30.0) -> None:
@@ -180,20 +182,24 @@ def embed(embedder: Embedder, tokens: Sequence[str]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DenseIndex:
-    """Every indexed article's sentence vectors as coordinate postings.
+    """Every indexed article's sentence vectors as coordinate postings,
+    each distinct vector stored once.
 
-    Article ``i`` is ``article_ids[i]`` (sorted) and owns sentence rows
+    Article ``i`` is ``article_ids[i]`` (sorted) and owns sentences
     ``offsets[i]:offsets[i + 1]``, in sentence order; every indexed
-    article has at least one row. Position ``i`` is also the article's
-    lexical column. Coordinate ``c`` holds the value ``data[e]`` of
-    sentence row ``rows[e]`` (strictly ascending) for ``e`` in
-    ``colptr[c]:colptr[c + 1]``; every other value is 0. Rows are unit or
-    zero vectors.
+    article has at least one sentence. Position ``i`` is also the
+    article's lexical column. Sentence ``s`` has vector row
+    ``sentence_vector[s]`` (intp); rows are numbered by first use, one per
+    distinct sentence token list, so sentences with equal tokens share a
+    row. Coordinate ``c`` holds the value ``data[e]`` of vector row
+    ``rows[e]`` (strictly ascending) for ``e`` in ``colptr[c]:colptr[c + 1]``;
+    every other value is 0. Rows are unit or zero vectors.
     ``embedder`` embeds questions; its fingerprint is the index's.
     ``tokenizer`` tokenized the sentences and cuts every question read
-    against the index. ``sentence_article`` is each sentence row's article
-    position (int32), derived from ``offsets`` once, when the index is built
-    or loaded; it is not saved and takes no part in ``==`` or ``repr``.
+    against the index. ``sentence_article`` is each sentence's article
+    position (int32) and ``vectors`` the number of vector rows, derived
+    from ``offsets`` and ``sentence_vector`` once, when the index is built
+    or loaded; they are not saved and take no part in ``==`` or ``repr``.
     Immutable after build; safe for concurrent readers.
     """
 
@@ -201,18 +207,21 @@ class DenseIndex:
     tokenizer: TokenizerConfig
     dimension: int
     article_ids: tuple[str, ...]
-    offsets: np.ndarray  # int64, articles + 1, into the sentence rows
+    offsets: np.ndarray  # int64, articles + 1, into the sentences
+    sentence_vector: np.ndarray  # intp vector row of each sentence
     colptr: np.ndarray  # int64, dimension + 1, into the entries
-    rows: np.ndarray  # int32 sentence rows, one per entry
+    rows: np.ndarray  # int32 vector rows, one per entry
     data: np.ndarray  # float64 values, one per entry
     corpus_digest: str  # sha256 of the corpus file's bytes; "" if built in memory
     embedder: Embedder
     sentence_article: np.ndarray = field(init=False, repr=False, compare=False)
+    vectors: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         counts = np.diff(self.offsets)
         article = np.repeat(np.arange(len(counts), dtype=np.int32), counts)
         object.__setattr__(self, "sentence_article", article)
+        object.__setattr__(self, "vectors", int(self.sentence_vector.max(initial=-1)) + 1)
 
 
 def build_dense_index(
@@ -225,25 +234,27 @@ def build_dense_index(
     excluded_count). The index keeps ``embedder`` and ``tok`` for questions.
 
     Articles with zero non-empty sentences after cleaning are excluded
-    from the index and counted. ``corpus_digest`` is recorded as given
-    (see ``lexical.build_lex_index``).
+    from the index and counted. Each distinct token list is embedded once,
+    in first-use order, and its sentences share its vector row.
+    ``corpus_digest`` is recorded as given (see ``lexical.build_lex_index``).
     """
     ordered = sorted_articles(articles)
 
-    article_ids, counts, sentences = [], [], []
+    article_ids, counts, sentence_vector = [], [], []
+    distinct: dict[tuple[str, ...], int] = {}  # token list -> vector row
     for article in ordered:
         tokenized = [
-            tokens
+            tuple(tokens)
             for sentence in split_sentences(article.content)
             if (tokens := tokenize(clean_text(sentence), tok))
         ]
         if tokenized:
             article_ids.append(article.article_id)
             counts.append(len(tokenized))
-            sentences.extend(tokenized)
+            sentence_vector.extend(distinct.setdefault(t, len(distinct)) for t in tokenized)
     offsets = np.cumsum([0, *counts], dtype=np.int64)
     rows, coords, values = [np.zeros(0, np.int32)], [np.zeros(0, np.int64)], [np.zeros(0)]
-    for r, vec in enumerate(embedder.embed_batch(sentences)):
+    for r, vec in enumerate(embedder.embed_batch(list(distinct))):
         norm = float(np.linalg.norm(vec))
         row = vec / norm if norm > 0.0 else vec  # unit or zero rows
         nonzero = np.flatnonzero(row)
@@ -260,6 +271,7 @@ def build_dense_index(
         dimension=embedder.dimension,
         article_ids=tuple(article_ids),
         offsets=offsets,
+        sentence_vector=np.array(sentence_vector, dtype=np.intp),
         colptr=colptr.astype(np.int64),
         rows=np.concatenate(rows)[by_coord],
         data=np.concatenate(values)[by_coord],
@@ -270,8 +282,9 @@ def build_dense_index(
 
 
 def sentence_cosines(index: DenseIndex, vector: np.ndarray) -> np.ndarray:
-    """Cosine of ``vector`` with every sentence row; a zero row or zero
-    ``vector`` scores 0.
+    """Cosine of ``vector`` with every vector row, one value per distinct
+    sentence vector (a sentence's is at its ``sentence_vector`` row); a
+    zero row or zero ``vector`` scores 0.
 
     From 0.0, each nonzero coordinate ``c`` of the question's unit vector,
     in ascending order, adds ``data * unit[c]`` at its postings' rows, so a
@@ -283,7 +296,7 @@ def sentence_cosines(index: DenseIndex, vector: np.ndarray) -> np.ndarray:
     vector = np.asarray(vector, dtype=np.float64)
     if vector.shape != (index.dimension,):
         raise ValueError(f"dimension mismatch: {vector.shape} vs ({index.dimension},)")
-    cosines = np.zeros(int(index.offsets[-1]))
+    cosines = np.zeros(index.vectors)
     qnorm = float(np.linalg.norm(vector))
     if qnorm == 0.0:
         return cosines
@@ -299,18 +312,18 @@ def quickview_dense_score(
 ) -> np.ndarray:
     """Max sentence cosine of the articles at ``positions``, in order.
 
-    ``cosines`` are one question's ``sentence_cosines``. The maximum is
-    taken over the candidates' sentence ranges only.
+    ``cosines`` are one question's ``sentence_cosines``, one per vector
+    row. The maximum is taken over the candidates' sentence ranges only,
+    each sentence's cosine read at its ``sentence_vector`` row.
     """
     positions = np.asarray(positions, dtype=np.int64)
-    sentences = int(index.offsets[-1])
-    if cosines.shape != (sentences,):
-        raise ValueError(f"{cosines.shape} cosines for {sentences} sentences")
+    if cosines.shape != (index.vectors,):
+        raise ValueError(f"{cosines.shape} cosines for {index.vectors} vectors")
     first = index.offsets[positions]
     counts = index.offsets[positions + 1] - first
     starts = np.cumsum(counts) - counts  # where each range starts in the gather
-    rows = np.repeat(first - starts, counts) + np.arange(counts.sum())
-    return np.maximum.reduceat(cosines[rows], starts)
+    sentences = np.repeat(first - starts, counts) + np.arange(counts.sum())
+    return np.maximum.reduceat(cosines[index.sentence_vector[sentences]], starts)
 
 
 def dense_retrieve_topk(
@@ -322,13 +335,14 @@ def dense_retrieve_topk(
     """Exhaustive scan of all articles, ranked by max sentence cosine; the
     question is cut with ``index.tokenizer``, which a given ``tok`` must be.
 
-    Every sentence's cosine comes from its own entries (see
-    ``sentence_cosines``), and ``np.maximum.at`` takes each article's
-    maximum over its rows from -inf, through the index's
+    Every vector's cosine comes from its own entries (see
+    ``sentence_cosines``), each sentence reads its vector's through
+    ``sentence_vector``, and ``np.maximum.at`` takes each article's
+    maximum over its sentences from -inf, through the index's
     ``sentence_article`` map. ``top_k_positions`` takes the best ``k`` in
     one partition with no floor; ties break by ascending position, which
     is ascending article id. The ranking carries the question's
-    tokens and sentence cosines, which the reranker's features read. A
+    tokens and vector cosines, which the reranker's features read. A
     question that embeds to the zero vector (one that cleans to no tokens)
     has no cosine with anything and retrieves nothing.
     """
@@ -340,7 +354,7 @@ def dense_retrieve_topk(
     question_vector = embed(index.embedder, tokens)
     cosines = sentence_cosines(index, question_vector)
     scores = np.full(len(index.article_ids), -np.inf)
-    np.maximum.at(scores, index.sentence_article, cosines)
+    np.maximum.at(scores, index.sentence_article, np.take(cosines, index.sentence_vector))
     # a zero question vector ranks no article
     ranked = scores if np.any(question_vector) else scores[:0]
     top = top_k_positions(ranked, k, -np.inf)
@@ -348,8 +362,8 @@ def dense_retrieve_topk(
 
 
 def save_dense_index(index: DenseIndex, path: str | Path) -> None:
-    """Persist the offsets and the coordinate postings, their rows
-    gap-coded (see ``indexfile``).
+    """Persist the offsets, the sentence map in first-use code and the
+    coordinate postings, their rows gap-coded (see ``indexfile``).
 
     Deterministic: equal indexes save to equal bytes.
     """
@@ -361,6 +375,7 @@ def save_dense_index(index: DenseIndex, path: str | Path) -> None:
         "article_ids": list(index.article_ids),
     }
     arrays = {name: getattr(index, name) for name in _LAYOUT}
+    arrays["sentence_vector"] = indexfile.first_use_encode(index.sentence_vector)
     arrays["rows"] = indexfile.gap_encode(index.colptr, index.rows)
     indexfile.save(path, DENSE_INDEX_FORMAT, DENSE_INDEX_VERSION, header, arrays)
 
@@ -384,12 +399,15 @@ def load_dense_index(
         },
     )
     ids = header["article_ids"]
-    offsets, colptr, gaps, data = (arrays[name] for name in _LAYOUT)
+    offsets, codes, colptr, gaps, data = (arrays[name] for name in _LAYOUT)
     sentences = int(offsets[-1]) if len(offsets) else 0  # offsets alone count them
     indexfile.require_offsets(path, "offsets", offsets, len(ids), sentences)
+    mapped = len(codes) == sentences
+    indexfile.require(mapped, path, f"sentence_vector must have {sentences} entries")
+    sentence_vector, vectors = indexfile.first_use_decode(path, "sentence_vector", codes)
     coordinates = len(colptr) == dimension + 1
     indexfile.require(coordinates, path, f"colptr must have {dimension + 1} entries")
-    rows = indexfile.gap_decode(path, "rows", colptr, gaps, sentences)
+    rows = indexfile.gap_decode(path, "rows", colptr, gaps, vectors)
     same = len(data) == len(rows)
     indexfile.require(same, path, f"{len(rows)} rows but {len(data)} data")
     indexfile.require(bool(np.all(np.isfinite(data))), path, "data not finite")
@@ -399,6 +417,7 @@ def load_dense_index(
         dimension=dimension,
         article_ids=tuple(ids),
         offsets=offsets,
+        sentence_vector=sentence_vector,
         colptr=colptr,
         rows=rows,
         data=data,

@@ -68,7 +68,8 @@ class Ranking:
     and not copied; both indexes number their articles by sorted id, so
     ascending position is ascending id. The question view it was ranked
     from goes with it: the question's ``tokens`` and, for a dense ranking,
-    ``cosines`` (every dense-index sentence's cosine with the question) or,
+    ``cosines`` (the question's cosine with every dense-index vector row,
+    which each sentence reads through ``sentence_vector``) or,
     for a lexical one, ``field_scores`` (the ``lexical.score_query`` pass);
     the other is None.
 
@@ -81,7 +82,7 @@ class Ranking:
     positions: np.ndarray  # int64 positions in article_ids
     scores: np.ndarray  # float64 quickview score of each position
     tokens: tuple[str, ...]  # cleaned question tokens
-    cosines: np.ndarray | None  # dense: float64 per dense-index sentence
+    cosines: np.ndarray | None  # dense: float64 per dense-index vector row
     field_scores: Mapping[str, tuple[np.ndarray, np.ndarray]] | None  # lexical
 
     def __len__(self) -> int:

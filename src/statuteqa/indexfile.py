@@ -6,7 +6,8 @@ JSON header line (``format``, ``version``, the index's metadata, and
 ``arrays``, the names of the arrays that follow), then each array in
 ``.npy`` format. Arrays are never pickled. Posting lists of ids are
 stored gap-coded (``gap_encode``) and checked as they are decoded
-(``gap_decode``).
+(``gap_decode``). A map onto rows numbered in first-use order is stored in
+first-use code (``first_use_encode``, ``first_use_decode``).
 
 Each 1-d integer array is stored as byte planes (``to_planes``): a
 ``(width, n)`` uint8 array whose row ``i`` holds byte ``i`` of every
@@ -18,8 +19,9 @@ like bytes together, which deflate packs far better than interleaved
 values (the byte-shuffle filter of HDF5 and Blosc). Float arrays are
 stored as they are. ``load`` rebuilds each integer array in its layout
 dtype (``from_planes``) before it checks anything else. Lexical files
-before version 5 and dense files before version 6 stored plain arrays;
-they fail with a version mismatch and are rebuilt with ``statuteqa index``.
+before version 5 and dense files before version 6 stored plain arrays,
+and dense version 6 stored a vector per sentence; they fail with a
+version mismatch that says to rebuild them with ``statuteqa index``.
 
 Artifacts, the JSON-lines record files (corpus, gold questions, training
 examples) among them, are written through ``replacing``, so a reader sees
@@ -131,7 +133,10 @@ def load(path, fmt: str, version: int, layout: dict, expected: dict):
             for key, value in wanted.items():
                 if header.get(key) != value:
                     name, found = key.replace("_", " "), header.get(key)
-                    raise ValueError(f"{name} mismatch (index {found}, expected {value})")
+                    rebuild = "; rebuild it with `statuteqa index`" if key == "version" else ""
+                    raise ValueError(
+                        f"{name} mismatch (index {found}, expected {value}){rebuild}"
+                    )
             read = np.lib.format.read_array
             arrays = {name: read(stream, allow_pickle=False) for name in layout}
             if stream.read(1):
@@ -228,3 +233,25 @@ def gap_decode(path, name: str, ptr, gaps, bound: int) -> np.ndarray:
     ok = ids.min(initial=0) >= 0 and ids.max(initial=-1) < bound
     require(ok, path, f"{name} outside [0, {bound})")
     return ids
+
+
+def first_use_encode(ids) -> np.ndarray:
+    """Row ``ids`` numbered in first-use order (each id at most one above
+    every id before it) as codes: 0 where an id is used for the first
+    time, else the id + 1. A map with no repeats codes as all zeros."""
+    first = np.ones(len(ids), dtype=bool)
+    first[1:] = ids[1:] > np.maximum.accumulate(ids)[:-1]
+    return np.where(first, 0, ids + 1)
+
+
+def first_use_decode(path, name: str, codes) -> tuple[np.ndarray, int]:
+    """(ids, distinct count) of the codes ``first_use_encode`` stored.
+
+    Raises ``ValueError`` naming ``path`` and ``name`` for a code that is
+    negative or names an id not yet used.
+    """
+    first = codes == 0
+    seen = np.cumsum(first)  # ids used up to and including each entry
+    ok = codes.min(initial=0) >= 0 and bool(np.all(codes <= seen))
+    require(ok, path, f"{name} must name rows in first-use order")
+    return np.where(first, seen - 1, codes - 1), int(np.count_nonzero(first))

@@ -1,8 +1,9 @@
 """Line-delimited JSON protocol over a child process's stdin/stdout.
 
 One JSON object per request line, one JSON object per response line, in
-request order. Shared by the external embedder and external scorer
-adapters.
+request order. The client adds an ``"id"`` to each request, a counter of
+its own, and every reply must echo it. Shared by the external embedder
+and external scorer adapters.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ class LineProtocolClient:
         self.command = list(command)
         self.timeout = timeout
         self.restarts = 0  # children started in place of a failed or exited one
+        self._next_id = 0  # the id of the next request, never reused
         self._proc = self._start()
         self._buffer = b""
         self._closed = False
@@ -68,13 +70,16 @@ class LineProtocolClient:
     def call(self, requests: Sequence[dict]) -> list[dict]:
         """Send a batch of request objects; returns responses in order.
 
-        After a failed batch (timeout, malformed or missing reply) replies
-        may still be in flight and would be read as the next batch's, so
-        the batch raises ``ProtocolError`` and the child is killed. The
-        next batch starts a fresh child, as it does for one that exited.
-        So does output left after a batch's replies or waiting before it is
-        written; a stray line that arrives mid-batch cannot be told from a
-        reply, since the protocol carries no request ids.
+        Each request is sent with the next ``"id"`` of this client, and its
+        reply must echo that id; the id is removed from the response
+        returned. After a failed batch (timeout, malformed or missing reply,
+        or a reply with another id or none) replies may still be in flight
+        and would be read as the next batch's, so the batch raises
+        ``ProtocolError`` and the child is killed. The next batch starts a
+        fresh child, as it does for one that exited. So does output left
+        after a batch's replies or waiting before it is written. A stray
+        line that arrives mid-batch carries an id already answered, or
+        none, so it fails that batch instead of being read as its reply.
         """
         with self._lock:
             if self._closed:
@@ -91,12 +96,14 @@ class LineProtocolClient:
                 raise
 
     def _call_locked(self, requests: Sequence[dict]) -> list[dict]:
+        ids = range(self._next_id, self._next_id + len(requests))
+        self._next_id = ids.stop
         payload = b"".join(
-            json.dumps(req, ensure_ascii=False).encode("utf-8") + b"\n"
-            for req in requests
+            json.dumps({**req, "id": i}, ensure_ascii=False).encode("utf-8") + b"\n"
+            for req, i in zip(requests, ids)
         )
         responses = []
-        for line in self._exchange(payload, len(requests)):
+        for want, line in zip(ids, self._exchange(payload, len(requests))):
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
@@ -105,6 +112,11 @@ class LineProtocolClient:
                 ) from exc
             if not isinstance(obj, dict):
                 raise ProtocolError(f"{self.command!r} response must be a JSON object")
+            got = obj.pop("id", None)
+            if type(got) is not int or got != want:
+                raise ProtocolError(
+                    f"{self.command!r} answered request id {want} with id {got!r}"
+                )
             responses.append(obj)
         return responses
 

@@ -17,16 +17,15 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
 
 
 def densify(index, start: int = 0, stop: int | None = None) -> np.ndarray:
-    """Sentence rows ``start:stop`` of the index (all by default) as a dense
-    ``(rows, dimension)`` matrix, written one coordinate's postings at a time."""
+    """Sentences ``start:stop`` of the index (all by default) as a dense
+    ``(sentences, dimension)`` matrix: the vector rows, written one
+    coordinate's postings at a time, read through ``sentence_vector``."""
     stop = int(index.offsets[-1]) if stop is None else stop
-    matrix = np.zeros((stop - start, index.dimension))
+    vectors = np.zeros((index.vectors, index.dimension))
     for c in range(index.dimension):
         low, high = index.colptr[c], index.colptr[c + 1]
-        rows, data = index.rows[low:high], index.data[low:high]
-        kept = (rows >= start) & (rows < stop)
-        matrix[rows[kept] - start, c] = data[kept]
-    return matrix
+        vectors[index.rows[low:high], c] = index.data[low:high]
+    return vectors[index.sentence_vector[start:stop]]
 
 
 def sentence_rows(index, article_id: str) -> np.ndarray:
@@ -72,3 +71,22 @@ class OneAtATime:
 
     def embed_batch(self, token_lists):
         return (self.inner.embed_tokens(tokens) for tokens in token_lists)
+
+
+def ordered_cosines(index, question_vector: np.ndarray) -> np.ndarray:
+    """Every sentence's cosine, one sentence at a time: from 0.0, its value
+    times the question's unit value at each nonzero coordinate of both, in
+    ascending coordinate order, as ``sentence_cosines`` promises per row."""
+    matrix = densify(index)
+    qnorm = float(np.linalg.norm(question_vector))
+    if qnorm == 0.0:
+        return np.zeros(len(matrix))
+    unit = question_vector / qnorm
+    cosines = []
+    for row in matrix:
+        total = 0.0
+        for c in np.flatnonzero(unit):
+            if row[c] != 0.0:
+                total += row[c] * unit[c]
+        cosines.append(total)
+    return np.array(cosines, dtype=np.float64)

@@ -1,6 +1,7 @@
 import dataclasses
 import gzip
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -10,14 +11,17 @@ from dense_oracle import (
     OneAtATime,
     cosine,
     densify,
+    ordered_cosines,
     per_article_max_cosine,
     per_article_topk,
     sentence_rows,
 )
 from conftest import pairs
-from statuteqa import indexfile
+from statuteqa import dense, indexfile
 from statuteqa.corpus import Article, TokenizerConfig, clean_text, split_sentences, tokenize
 from statuteqa.dense import (
+    DENSE_INDEX_VERSION,
+    ExternalEmbedder,
     HashedProjectionEmbedder,
     build_dense_index,
     dense_retrieve_topk,
@@ -303,7 +307,9 @@ def test_file_with_an_embedder_spec_header_still_loads(tiny_articles, tmp_path):
         header = json.loads(stream.readline())
     header.pop("embedder_spec", None)
     header["embedder_spec"] = {"kind": "hashed_projection", "dimension": 64, "seed": 0}
-    arrays = {name: getattr(index, name) for name in ("offsets", "colptr", "rows", "data")}
+    names = ("offsets", "sentence_vector", "colptr", "rows", "data")
+    arrays = {name: getattr(index, name) for name in names}
+    arrays["sentence_vector"] = indexfile.first_use_encode(index.sentence_vector)
     arrays["rows"] = indexfile.gap_encode(index.colptr, index.rows)
     indexfile.save(path, header["format"], header["version"], header, arrays)
     loaded = load_dense_index(path, EMB, TOK)
@@ -355,3 +361,124 @@ def test_batch_embedding_saves_the_bytes_of_one_at_a_time(synth, tmp_path):
     save_dense_index(synth.dense, batch)
     save_dense_index(single, single_path)
     assert batch.read_bytes() == single_path.read_bytes()
+
+
+# Sentences repeat within and across articles; the first two hold the same
+# tokens in another order, and the last cleans to nothing.
+SENTENCE_POOL = (
+    "Alpha beta gamma",
+    "Gamma beta alpha",
+    "Delta epsilon",
+    "Alpha alpha beta",
+    "Zeta eta theta iota",
+    "Beta",
+    "Kappa lambda mu nu",
+    "--- ,,,",
+)
+POOL_WORDS = ["alpha", "beta", "gamma", "delta", "zeta", "kappa", "nu", "omega"]
+
+
+class Recording:
+    """An embedder that records the token lists it is asked to embed."""
+
+    def __init__(self, inner):
+        self.inner, self.dimension, self.asked = inner, inner.dimension, []
+
+    def fingerprint(self):
+        return self.inner.fingerprint()
+
+    def embed_tokens(self, tokens):
+        return self.inner.embed_tokens(tokens)
+
+    def embed_batch(self, token_lists):
+        self.asked.extend(tuple(tokens) for tokens in token_lists)
+        return self.inner.embed_batch(token_lists)
+
+
+def pool_corpus(drawn):
+    """Articles ``a0, a1, ...``, each the pool sentences at its drawn indexes."""
+    return [
+        Article(f"a{i}", "d", None, ". ".join(SENTENCE_POOL[s] for s in sentences) + ".")
+        for i, sentences in enumerate(drawn)
+    ]
+
+
+def stored_sentence_vector(path):
+    """The sentence map as the file stores it, in first-use code."""
+    _, arrays = indexfile.load(
+        path, dense.DENSE_INDEX_FORMAT, DENSE_INDEX_VERSION, dense._LAYOUT, {}
+    )
+    return arrays["sentence_vector"]
+
+
+@given(
+    drawn=st.lists(
+        st.lists(st.integers(0, len(SENTENCE_POOL) - 1), min_size=1, max_size=5),
+        min_size=1, max_size=6,
+    ),
+    question=st.lists(st.sampled_from(POOL_WORDS), max_size=4),
+)
+def test_one_vector_per_distinct_sentence_answers_as_one_per_sentence(
+    drawn, question, tmp_path_factory
+):
+    embedder = Recording(HashedProjectionEmbedder(dimension=8, seed=3))
+    articles = pool_corpus(drawn)
+    index, excluded = build_dense_index(articles, embedder, TOK)
+    sentences = [
+        tuple(tokens)
+        for article in sorted(articles, key=lambda a: a.article_id)
+        for sentence in split_sentences(article.content)
+        if (tokens := tokenize(clean_text(sentence), TOK))
+    ]
+    # each distinct token list is embedded once, in first-use order
+    assert embedder.asked == list(dict.fromkeys(sentences))
+    assert index.vectors == len(embedder.asked) and len(index.sentence_vector) == len(sentences)
+    assert excluded == len(articles) - len(index.article_ids)
+
+    # per-sentence reference, bit for bit
+    vector = embed(embedder, tokenize(clean_text(" ".join(question)), TOK))
+    reference = ordered_cosines(index, vector)
+    best = [reference[low:high].max() for low, high in zip(index.offsets[:-1], index.offsets[1:])]
+    everything = np.arange(len(index.article_ids))
+    order = np.lexsort((everything, -np.array(best))) if np.any(vector) else everything[:0]
+    for k in (1, 3, len(everything) + 1):
+        ranked = dense_retrieve_topk(index, " ".join(question), k)
+        assert ranked.positions.tolist() == order[:k].tolist()
+        assert ranked.scores.tobytes() == np.array(best)[order[:k]].tobytes()
+    positions = np.concatenate([everything[::-1], everything[:2]])
+    scores = quickview_dense_score(index, sentence_cosines(index, vector), positions)
+    assert scores.tobytes() == np.array(best)[positions].tobytes()
+
+    # a save and load round trip re-saves to equal bytes
+    directory = tmp_path_factory.mktemp("dedupe")
+    path, again = directory / "dense.bin", directory / "again.bin"
+    save_dense_index(index, path)
+    loaded = load_dense_index(path, embedder, TOK)
+    assert np.array_equal(loaded.sentence_vector, index.sentence_vector)
+    assert loaded.sentence_vector.dtype == np.intp and loaded.vectors == index.vectors
+    save_dense_index(loaded, again)
+    assert again.read_bytes() == path.read_bytes()
+
+    # with each distinct sentence once, the stored map is all zeros
+    seen = set()
+    distinct = [[s for s in dict.fromkeys(d) if not (s in seen or seen.add(s))] for d in drawn]
+    single, _ = build_dense_index(pool_corpus([d for d in distinct if d]), embedder, TOK)
+    assert single.sentence_vector.tolist() == list(range(single.vectors))
+    save_dense_index(single, path)
+    assert not stored_sentence_vector(path).any()
+
+
+def test_an_external_embedder_is_sent_each_repeated_sentence_once(scripts_dir, monkeypatch):
+    articles = pool_corpus([[0, 1, 0], [2, 0, 7], [1, 2, 3, 3], [7]])
+    command = [sys.executable, str(scripts_dir / "echo_embedder.py"), "--dim", "8"]
+    with ExternalEmbedder(command, dimension=8) as emb:
+        texts, call = [], emb._client.call
+        monkeypatch.setattr(
+            emb._client, "call", lambda reqs: texts.extend(r["text"] for r in reqs) or call(reqs)
+        )
+        index, excluded = build_dense_index(articles, emb, TOK)
+        assert texts == ["alpha beta gamma", "gamma beta alpha", "delta epsilon", "alpha alpha beta"]
+        single, _ = build_dense_index(articles, OneAtATime(emb), TOK)
+    assert excluded == 1 and index.vectors == 4
+    assert index.sentence_vector.tolist() == [0, 1, 0, 2, 0, 1, 2, 3, 3]
+    assert np.array_equal(index.data, single.data) and np.array_equal(index.rows, single.rows)

@@ -229,6 +229,67 @@ def test_lex_columns_swapped_within_a_row_are_rejected(tmp_path):
         load_lex_index(path, tok)
 
 
+# Two articles share a sentence: 4 sentences, 3 vectors, map [0, 1, 0, 2],
+# stored in first-use code as [0, 0, 1, 0]
+SHARED_SENTENCE = [
+    Article("a", "d", None, "Breach causes damages. A contract binds."),
+    Article("b", "d", None, "Breach causes damages. Land registry records titles."),
+]
+
+# case -> (array, edit of the stored codes or of the posting rows, message)
+MAP_EDITS = {
+    "map one short": ("sentence_vector", lambda a: a[:-1], "sentence_vector must have 4 entries"),
+    "map one long": (
+        "sentence_vector", lambda a: np.append(a, 0), "sentence_vector must have 4 entries"
+    ),
+    "code names a later vector": (
+        "sentence_vector", lambda a: np.array([0, 0, 3, 0]),
+        "sentence_vector must name rows in first-use order",
+    ),
+    "negative code": (
+        "sentence_vector", lambda a: np.array([0, 0, -1, 0]),
+        "sentence_vector must name rows in first-use order",
+    ),
+    "row at the vector count": (
+        "rows", lambda a: np.where(a == 2, 3, a), r"rows outside \[0, 3\)"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MAP_EDITS))
+def test_a_malformed_sentence_map_is_rejected_naming_the_file(case, tmp_path):
+    """Posting rows number vectors, not sentences, so a row of 3 is past the
+    3 vectors although 4 sentences share them."""
+    name, edit, message = MAP_EDITS[case]
+    embedder, tok = HashedProjectionEmbedder(64, 0), TokenizerConfig()
+    index, _ = build_dense_index(SHARED_SENTENCE, embedder, tok)
+    assert index.sentence_vector.tolist() == [0, 1, 0, 2]
+    path = tmp_path / "dense.bin"
+    save_dense_index(index, path)
+    header, arrays = _read(path)
+    if name == "rows":
+        ptr = arrays["colptr"]
+        ids = np.concatenate([edit(ids) for ids in _lists(ptr, arrays["rows"])])
+        arrays["rows"] = indexfile.gap_encode(ptr, ids.astype(np.int32))
+    else:
+        assert arrays[name].tolist() == [0, 0, 1, 0]
+        arrays[name] = edit(arrays[name])
+    _write(path, header, arrays)
+    with pytest.raises(ValueError, match=f"dense.bin: {message}"):
+        load_dense_index(path, embedder, tok)
+
+
+def test_a_version_6_dense_file_says_to_rebuild_the_index(indexes, tmp_path):
+    """Version 6 stored one vector per sentence and no sentence map."""
+    path, load = _saved(indexes, "dense", tmp_path)
+    header, arrays = _read(path)
+    arrays.pop("sentence_vector")
+    _write(path, {**header, "version": 6}, arrays)
+    message = r"dense.bin: version mismatch \(index 6, expected 7\); rebuild it with `statuteqa index`"
+    with pytest.raises(ValueError, match=message):
+        load(path)
+
+
 def test_gap_coding_round_trips_and_rejects_a_gap_that_wraps():
     top = np.iinfo(np.int32).max
     ptr = np.array([0, 0, 3, 3, 5, 5], dtype=np.int64)  # empty lists too

@@ -143,9 +143,10 @@ def test_a_question_without_tokens_embeds_to_zero_without_asking(scripts_dir, mo
 LATE_ECHO = (
     "import json, sys, time\n"
     "for line in sys.stdin:\n"
-    "    n = json.loads(line)['n']\n"
+    "    request = json.loads(line)\n"
+    "    n = request['n']\n"
     "    time.sleep(0.5 if n == 1 else 0)\n"
-    "    print(json.dumps({'echo': n}), flush=True)\n"
+    "    print(json.dumps({'id': request['id'], 'echo': n}), flush=True)\n"
 )
 
 
@@ -167,9 +168,17 @@ def test_late_reply_is_never_read_by_the_next_batch():
 
 
 def replying(line):
-    """An inline child that answers every request with ``line``."""
-    code = f"import sys\nfor _ in sys.stdin:\n    print({line!r}, flush=True)\n"
-    return [sys.executable, "-c", code]
+    """An inline child that answers every request with ``line``, the
+    request's id spliced in after its first character (a JSON object's
+    opening brace)."""
+    code = (
+        "import json, sys\n"
+        "line = sys.argv[1]\n"
+        "for request in sys.stdin:\n"
+        "    number = json.loads(request)['id']\n"
+        "    print(line[:1] + '\"id\": %d, ' % number + line[1:], flush=True)\n"
+    )
+    return [sys.executable, "-c", code, line]
 
 
 NOT_FINITE_REALS = {
@@ -235,8 +244,9 @@ EXTRA_LINE = (
     "import json, sys, time\n"
     "delay = float(sys.argv[1])\n"
     "for n, line in enumerate(sys.stdin, 1):\n"
-    "    reply = json.dumps({'score': round(0.1 * n, 1)}) + '\\n'\n"
-    "    extra = json.dumps({'score': 0.9}) + '\\n'\n"
+    "    number = json.loads(line)['id']\n"
+    "    reply = json.dumps({'id': number, 'score': round(0.1 * n, 1)}) + '\\n'\n"
+    "    extra = json.dumps({'id': number, 'score': 0.9}) + '\\n'\n"
     "    if delay:\n"
     "        sys.stdout.write(reply)\n"
     "        sys.stdout.flush()\n"
@@ -274,6 +284,54 @@ def test_an_extra_reply_line_is_never_read_as_the_next_batchs_reply(delay, failu
     errors = [o for o in outcomes if isinstance(o, str)]
     assert errors and all(e.endswith(failure) for e in errors), outcomes
     assert restarts >= 1
+
+
+STRAY_LINE = (
+    "import json, sys, time\n"
+    "for n, line in enumerate(sys.stdin, 1):\n"
+    "    number = json.loads(line).get('id')\n"
+    "    if n == 2:\n"
+    "        time.sleep(0.3)  # the stray line below is read alone\n"
+    "    print(json.dumps({'id': number, 'score': round(0.1 * n, 1)}), flush=True)\n"
+    "    if n == 1:\n"
+    "        time.sleep(0.3)  # the next batch is written by now\n"
+    "        print(json.dumps({'id': number, 'score': 0.9}), flush=True)\n"
+)
+
+
+def test_a_stray_reply_that_arrives_mid_batch_fails_that_batch():
+    """The child repeats its first reply 0.3 s later, while the second
+    batch waits for its reply. That batch used to return the stray 0.9.
+    Now the stray's id is not the one asked for: the batch fails, naming
+    both ids, and the next batch is answered by a fresh child."""
+    client = LineProtocolClient([sys.executable, "-c", STRAY_LINE], timeout=5)
+    outcomes = []
+    try:
+        for n in range(1, 4):
+            try:
+                outcomes.extend(reply["score"] for reply in client.call([{"n": n}]))
+            except ProtocolError as exc:
+                outcomes.append(str(exc))
+        restarts = client.restarts
+    finally:
+        client.close()
+    assert 0.9 not in outcomes
+    assert outcomes[0] == outcomes[2] == 0.1, outcomes
+    assert outcomes[1].endswith("answered request id 1 with id 0"), outcomes
+    assert restarts == 1
+
+
+def test_a_child_that_does_not_echo_ids_fails_every_batch():
+    """A child written before replies carried ids fails loudly."""
+    old = "import sys\nfor _ in sys.stdin:\n    print('{\"score\": 1}', flush=True)\n"
+    client = LineProtocolClient([sys.executable, "-c", old], timeout=5)
+    try:
+        for want in (0, 1):
+            with pytest.raises(ProtocolError, match=f"answered request id {want} with id None"):
+                client.call([{"n": want}])
+        assert client.restarts == 1
+    finally:
+        client.close()
 
 
 def call_within(client, requests, seconds):

@@ -1,19 +1,30 @@
 """Smoke tests: the bundled scripts run to completion on small inputs."""
 
+import gzip
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from statuteqa.cli import main
-from statuteqa.corpus import write_corpus_file
+from statuteqa.corpus import TokenizerConfig, write_corpus_file
+from statuteqa.dense import HashedProjectionEmbedder, load_dense_index
 from statuteqa.evaluation import write_gold_file
 from statuteqa.pipeline import Pipeline, PipelineConfig
 from statuteqa.reranker import save_model, zero_model
 from statuteqa.synth import synthetic_corpus, title_gold_queries
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
+
+
+def _read_stored(path):
+    """An index file's header and its arrays as stored, in file order."""
+    with gzip.open(path, "rb") as stream:
+        header = json.loads(stream.readline())
+        return header, {n: np.lib.format.read_array(stream) for n in header["arrays"]}
 
 
 def run_script(script, *args, cwd):
@@ -98,3 +109,32 @@ def test_answer_bits_prints_each_answer_exactly(scripts_dir, tmp_path):
         # the zero model scores every candidate 0.5; the echo scorer hashes each text
         supervised = {c.ss_raw for a in answers for c in a.returned}
         assert (supervised == {0.5}) == (name == "config"), name
+
+
+def test_index_sizes_names_every_part_of_each_index_file(scripts_dir, tmp_path, capsys):
+    docs = synthetic_corpus(20, seed=0)
+    write_corpus_file(docs, tmp_path / "corpus.jsonl")
+    paths = [tmp_path / "lex_index.bin", tmp_path / "dense_index.bin"]
+    assert main([
+        "index", "--corpus-path", str(tmp_path / "corpus.jsonl"),
+        "--lex-index-path", str(paths[0]), "--dense-index-path", str(paths[1]),
+    ]) == 0
+    dense = load_dense_index(paths[1], HashedProjectionEmbedder(), TokenizerConfig())
+    said = f"{dense.offsets[-1]} sentences as {dense.vectors} distinct vectors"
+    assert said in capsys.readouterr().out
+    assert dense.vectors < dense.offsets[-1]  # the corpus repeats sentences
+
+    result = run_script(scripts_dir / "index_sizes.py", *map(str, paths), cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert lines[0].split() == ["part", "dtype", "shape", "bytes", "deflated"]
+    for path in paths:
+        header, stored = _read_stored(path)
+        start = lines.index(
+            f"{path}: {path.stat().st_size} bytes ({header['format']}, version {header['version']})"
+        )
+        parts = [line.split() for line in lines[start + 1 : start + 2 + len(stored)]]
+        assert [part[0] for part in parts] == ["header", *stored]
+        for part, array in zip(parts[1:], stored.values()):
+            assert part[1:3] == [str(array.dtype), "x".join(map(str, array.shape))]
+            assert 0 < int(part[4]) <= int(part[3])
