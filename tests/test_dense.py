@@ -378,20 +378,15 @@ SENTENCE_POOL = (
 POOL_WORDS = ["alpha", "beta", "gamma", "delta", "zeta", "kappa", "nu", "omega"]
 
 
-class Recording:
+class Recording(OneAtATime):
     """An embedder that records the token lists it is asked to embed."""
 
     def __init__(self, inner):
-        self.inner, self.dimension, self.asked = inner, inner.dimension, []
-
-    def fingerprint(self):
-        return self.inner.fingerprint()
-
-    def embed_tokens(self, tokens):
-        return self.inner.embed_tokens(tokens)
+        super().__init__(inner)
+        self.asked = []
 
     def embed_batch(self, token_lists):
-        self.asked.extend(tuple(tokens) for tokens in token_lists)
+        self.asked.extend(map(tuple, token_lists))
         return self.inner.embed_batch(token_lists)
 
 
@@ -460,9 +455,12 @@ def test_one_vector_per_distinct_sentence_answers_as_one_per_sentence(
     assert again.read_bytes() == path.read_bytes()
 
     # with each distinct sentence once, the stored map is all zeros
-    seen = set()
-    distinct = [[s for s in dict.fromkeys(d) if not (s in seen or seen.add(s))] for d in drawn]
-    single, _ = build_dense_index(pool_corpus([d for d in distinct if d]), embedder, TOK)
+    seen, distinct = set(), []
+    for sentences in drawn:
+        fresh = [s for s in dict.fromkeys(sentences) if s not in seen]
+        seen.update(fresh)
+        distinct += [fresh] if fresh else []
+    single, _ = build_dense_index(pool_corpus(distinct), embedder, TOK)
     assert single.sentence_vector.tolist() == list(range(single.vectors))
     save_dense_index(single, path)
     assert not stored_sentence_vector(path).any()
