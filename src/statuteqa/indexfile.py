@@ -20,7 +20,8 @@ values (the byte-shuffle filter of HDF5 and Blosc). Float arrays are
 stored as they are. ``load`` rebuilds each integer array in its layout
 dtype (``from_planes``) before it checks anything else. Lexical files
 before version 5 and dense files before version 6 stored plain arrays,
-and dense version 6 stored a vector per sentence; they fail with a
+and dense version 6 stored a vector per sentence where version 7 stores
+each distinct vector once and a sentence map; older files fail with a
 version mismatch that says to rebuild them with ``statuteqa index``.
 
 Artifacts, the JSON-lines record files (corpus, gold questions, training
