@@ -3,12 +3,14 @@
 
     python3 scripts/index_sizes.py lex_index.bin dense_index.bin
 
-For each file: its size, format and version; the header line's bytes; and
-each array as stored (integer arrays as byte planes), in file order, with
-its dtype, shape, raw bytes and deflated bytes. An array's deflated bytes
-are its ``.npy`` bytes compressed alone at the files' level, so a size
-change can be traced to the arrays that make it; they need not sum to the
-file's size, which is one deflate stream over all of them.
+For each file: its size, format and version; the header line's bytes,
+then those of each list-valued header entry (``header.article_ids``,
+``header.terms``, ...) as the header's JSON holds it; and each array as
+stored (integer arrays as byte planes), in file order, with its dtype,
+shape, raw bytes and deflated bytes. A part's deflated bytes are its bytes
+compressed alone at the files' level, so a size change can be traced to
+the entries and arrays that make it; they need not sum to the file's
+size, which is one deflate stream over all of them.
 """
 
 import argparse
@@ -28,6 +30,10 @@ def deflated(raw: bytes) -> int:
     return len(zlib.compress(raw, COMPRESS_LEVEL))
 
 
+def row(name: str, raw: bytes, dtype: str = "", shape: str = "") -> str:
+    return f"  {name:<24} {dtype:<6} {shape:<16} {len(raw):>10} {deflated(raw):>10}"
+
+
 def report(path: str) -> list[str]:
     with gzip.open(path, "rb") as stream:
         line = stream.readline()
@@ -39,16 +45,17 @@ def report(path: str) -> list[str]:
     lines = [
         f"{path}: {os.path.getsize(path)} bytes "
         f"({header['format']}, version {header['version']})",
-        f"  {'header':<24} {'':<6} {'':<16} {len(line):>10} {deflated(line):>10}",
+        row("header", line),
     ]
+    for key, value in sorted(header.items()):
+        if isinstance(value, list):
+            entry = json.dumps(value, sort_keys=True, ensure_ascii=False)
+            lines.append(row(f"header.{key}", entry.encode("utf-8")))
     for name, array in arrays.items():
         buffer = io.BytesIO()
         np.lib.format.write_array(buffer, array, allow_pickle=False)
-        raw = buffer.getvalue()
         shape = "x".join(map(str, array.shape))
-        lines.append(
-            f"  {name:<24} {str(array.dtype):<6} {shape:<16} {len(raw):>10} {deflated(raw):>10}"
-        )
+        lines.append(row(name, buffer.getvalue(), str(array.dtype), shape))
     return lines
 
 

@@ -180,7 +180,7 @@ def embed(embedder: Embedder, tokens: Sequence[str]) -> np.ndarray:
     return embedder.embed_tokens(tokens)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DenseIndex:
     """Every indexed article's sentence vectors as coordinate postings,
     each distinct vector stored once.
@@ -199,8 +199,8 @@ class DenseIndex:
     against the index. ``sentence_article`` is each sentence's article
     position (int32) and ``vectors`` the number of vector rows, derived
     from ``offsets`` and ``sentence_vector`` once, when the index is built
-    or loaded; they are not saved and take no part in ``==`` or ``repr``.
-    Immutable after build; safe for concurrent readers.
+    or loaded; they are not saved and take no part in ``repr``. ``==`` is
+    identity. Immutable after build; safe for concurrent readers.
     """
 
     embedder_fingerprint: str
@@ -214,8 +214,8 @@ class DenseIndex:
     data: np.ndarray  # float64 values, one per entry
     corpus_digest: str  # sha256 of the corpus file's bytes; "" if built in memory
     embedder: Embedder
-    sentence_article: np.ndarray = field(init=False, repr=False, compare=False)
-    vectors: int = field(init=False, repr=False, compare=False)
+    sentence_article: np.ndarray = field(init=False, repr=False)
+    vectors: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         counts = np.diff(self.offsets)

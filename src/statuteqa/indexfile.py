@@ -19,10 +19,12 @@ like bytes together, which deflate packs far better than interleaved
 values (the byte-shuffle filter of HDF5 and Blosc). Float arrays are
 stored as they are. ``load`` rebuilds each integer array in its layout
 dtype (``from_planes``) before it checks anything else. Lexical files
-before version 5 and dense files before version 6 stored plain arrays,
-and dense version 6 stored a vector per sentence where version 7 stores
-each distinct vector once and a sentence map; older files fail with a
-version mismatch that says to rebuild them with ``statuteqa index``.
+before version 5 and dense files before version 6 stored plain arrays;
+lexical version 5 stored one term list per field where version 6 stores
+one for both; and dense version 6 stored a vector per sentence where
+version 7 stores each distinct vector once and a sentence map. Older
+files fail with a version mismatch that says to rebuild them with
+``statuteqa index``.
 
 Artifacts, the JSON-lines record files (corpus, gold questions, training
 examples) among them, are written through ``replacing``, so a reader sees

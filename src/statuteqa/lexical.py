@@ -3,8 +3,8 @@
 The quickview lexical score of an article is a weighted sum of two
 whole-field BM25 scores: ``alpha * bm25(title) + beta * bm25(content)``.
 
-Each field is held as one CSR term×article matrix. Row ``r`` lists the
-articles containing term ``r`` (rows in sorted term order), with the term
+Both fields are CSR term×article matrices over one sorted vocabulary:
+row ``r`` lists the articles whose field has term ``r``, with the term
 frequency and the BM25 impact ``idf·tf·(k1+1)/(tf+norm)`` of each entry,
 where ``norm = k1·(1 - b + b·len/avgdl)``. Columns number the indexed
 articles in sorted article-id order (Python string order), so ascending
@@ -59,7 +59,7 @@ __all__ = [
 FIELDS = ("title", "content")
 
 LEX_INDEX_FORMAT = "statuteqa.lexindex"
-LEX_INDEX_VERSION = 5
+LEX_INDEX_VERSION = 6
 
 # The FieldMatrix arrays an index file holds for each field, with their dtypes
 _SAVED = {"indptr": np.int64, "columns": np.int32, "tf": np.int32, "lengths": np.int64}
@@ -68,12 +68,11 @@ _LAYOUT = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FieldMatrix:
-    """One field's postings and statistics over the index's article columns."""
+    """One field's postings and statistics over the index's terms and columns."""
 
-    terms: Mapping[str, int]  # term -> row; rows in sorted term order
-    indptr: np.ndarray  # int64, rows + 1; row r is entries indptr[r]:indptr[r+1]
+    indptr: np.ndarray  # int64, terms + 1; row r is entries indptr[r]:indptr[r+1]
     columns: np.ndarray  # int32 article column of each entry, ascending in a row
     tf: np.ndarray  # int32 term frequency of each entry
     impact: np.ndarray  # float64 idf·tf·(k1+1)/(tf+norm) of each entry
@@ -82,19 +81,14 @@ class FieldMatrix:
     doc_count: int
     avgdl: float
 
-    def row(self, term: str) -> slice | None:
-        r = self.terms.get(term)
-        if r is None:
-            return None
-        return slice(int(self.indptr[r]), int(self.indptr[r + 1]))
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LexIndex:
     """Both fields' BM25 impact matrices over one set of article columns.
 
-    Column ``c`` is ``article_ids[c]``, the ids sorted in Python string
-    order, so a stable sort on column breaks score ties by ascending id.
+    Term ``t`` is row ``terms[t]`` of both fields. Column ``c`` is
+    ``article_ids[c]``, the ids sorted in Python string order, so a stable
+    sort on column breaks score ties by ascending id.
     Each field stores the impact ``idf·tf·(k1+1)/(tf+norm)`` of every
     posting, computed elementwise with the scalar formula's operations in
     its order, so a query's per-article sum of impacts, taken in query
@@ -105,13 +99,14 @@ class LexIndex:
     """
 
     article_ids: tuple[str, ...]  # sorted; position = matrix column
+    terms: Mapping[str, int]  # term -> row of both fields, in sorted term order
     title: FieldMatrix
     content: FieldMatrix
     k1: float
     b: float
     tokenizer: TokenizerConfig
     corpus_digest: str  # sha256 of the corpus file's bytes; "" if built in memory
-    column: Mapping[str, int] = dataclasses.field(init=False, repr=False, compare=False)
+    column: Mapping[str, int] = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         column = dict(zip(self.article_ids, range(len(self.article_ids))))
@@ -130,7 +125,6 @@ def _idf(big_n: int, n: int) -> float:
 
 
 def _field_matrix(
-    terms: Sequence[str],
     indptr: np.ndarray,
     columns: np.ndarray,
     tf: np.ndarray,
@@ -155,7 +149,6 @@ def _field_matrix(
     norm = k1 * (1.0 - b + b * lengths / (avgdl or 1.0))
     impact = np.repeat(idf_rows, df) * tf_f * (k1 + 1.0) / (tf_f + norm[columns])
     return FieldMatrix(
-        terms=dict(zip(terms, range(len(terms)))),
         indptr=indptr,
         columns=columns,
         tf=tf,
@@ -188,24 +181,24 @@ def build_lex_index(
     tok = cfg.tokenizer_config()
     tokens = {f: [_field_tokens(a, f, tok) for a in ordered] for f in FIELDS}
     kept = [i for i, content in enumerate(tokens["content"]) if content]
+    postings: dict[str, dict[str, list[tuple[int, int]]]] = {field: {} for field in FIELDS}
+    for field in FIELDS:
+        for column, i in enumerate(kept):
+            for token, count in Counter(tokens[field][i]).items():
+                postings[field].setdefault(token, []).append((column, count))
+    terms = sorted(postings["title"].keys() | postings["content"].keys())
     matrices = {}
     for field in FIELDS:
-        postings: dict[str, list[tuple[int, int]]] = {}
-        lengths = np.zeros(len(kept), dtype=np.int64)
-        for column, i in enumerate(kept):
-            lengths[column] = len(tokens[field][i])
-            for token, count in Counter(tokens[field][i]).items():
-                postings.setdefault(token, []).append((column, count))
-        terms = sorted(postings)
-        indptr = np.cumsum([0, *(len(postings[t]) for t in terms)], dtype=np.int64)
-        entries = [entry for term in terms for entry in postings[term]]
-        flat = np.fromiter(chain.from_iterable(entries), np.int32, 2 * len(entries))
+        lengths = np.array([len(tokens[field][i]) for i in kept], dtype=np.int64)
+        lists = [postings[field].get(term, ()) for term in terms]
+        indptr = np.cumsum([0, *map(len, lists)], dtype=np.int64)
+        entries = chain.from_iterable(chain.from_iterable(lists))
+        flat = np.fromiter(entries, np.int32, 2 * int(indptr[-1]))
         columns, tf = flat.reshape(-1, 2).T.copy()  # two contiguous rows
-        matrices[field] = _field_matrix(
-            terms, indptr, columns, tf, lengths, cfg.k1, cfg.b
-        )
+        matrices[field] = _field_matrix(indptr, columns, tf, lengths, cfg.k1, cfg.b)
     return LexIndex(
         article_ids=tuple(ordered[i].article_id for i in kept),
+        terms=dict(zip(terms, range(len(terms)))),
         title=matrices["title"],
         content=matrices["content"],
         k1=cfg.k1,
@@ -221,31 +214,31 @@ def score_query(
     """Per field, the BM25 and the matched distinct query terms of every
     article column, in one pass over the query's rows.
 
-    Each token's row is taken once per occurrence, in query order, and
-    ``np.bincount`` adds the entries into zeroed float64 accumulators in
-    that order; a second ``np.bincount`` counts the rows of the distinct
-    tokens.
+    Each distinct token is looked up once; per field, its row is taken once
+    per occurrence, in query order, and ``np.bincount`` adds the entries
+    into zeroed float64 accumulators in that order; a second
+    ``np.bincount`` counts the rows of the distinct tokens.
     """
     n_cols = len(index.article_ids)
+    rows = {token: index.terms.get(token) for token in dict.fromkeys(query)}
+    occurrences = [rows[token] for token in query if rows[token] is not None]
+    distinct = [row for row in rows.values() if row is not None]
     scores = {}
     for field in FIELDS:
         matrix = index.stats(field)
-        rows = {token: matrix.row(token) for token in query}
-        occurrences = [rows[token] for token in query if rows[token] is not None]
         # astype: with no occurrences bincount returns integer zeros
         bm25 = np.bincount(
-            _concat(matrix.columns, occurrences),
-            weights=_concat(matrix.impact, occurrences),
+            _concat(matrix.columns, matrix.indptr, occurrences),
+            weights=_concat(matrix.impact, matrix.indptr, occurrences),
             minlength=n_cols,
         ).astype(np.float64, copy=False)
-        distinct = [row for row in rows.values() if row is not None]
-        matched = np.bincount(_concat(matrix.columns, distinct), minlength=n_cols)
+        matched = np.bincount(_concat(matrix.columns, matrix.indptr, distinct), minlength=n_cols)
         scores[field] = bm25, matched
     return scores
 
 
-def _concat(values: np.ndarray, rows: Sequence[slice]) -> np.ndarray:
-    return np.concatenate([values[row] for row in rows] or [values[:0]])
+def _concat(values: np.ndarray, indptr: np.ndarray, rows: Sequence[int]) -> np.ndarray:
+    return np.concatenate([values[indptr[r] : indptr[r + 1]] for r in rows] or [values[:0]])
 
 
 def bm25(index: LexIndex, field: str, query: Sequence[str], article_id: str) -> float:
@@ -299,7 +292,7 @@ def save_lex_index(index: LexIndex, path: str | Path) -> None:
         "k1": index.k1,
         "b": index.b,
         "article_ids": list(index.article_ids),
-        "terms": {field: list(index.stats(field).terms) for field in FIELDS},
+        "terms": list(index.terms),
     }
     arrays = {
         f"{field}.{name}": getattr(index.stats(field), name)
@@ -317,8 +310,8 @@ def load_lex_index(path: str | Path, tokenizer: TokenizerConfig) -> LexIndex:
     index keeps for its questions.
 
     Raises ``ValueError`` naming ``path`` for a header whose ``terms`` are
-    not a list of strings per field, or whose ``k1`` and ``b`` are not
-    finite reals in their config ranges.
+    not a list of strings, or whose ``k1`` and ``b`` are not finite reals
+    in their config ranges, and for a term with no posting in either field.
     """
     header, arrays = indexfile.load(
         path, LEX_INDEX_FORMAT, LEX_INDEX_VERSION, _LAYOUT,
@@ -330,20 +323,24 @@ def load_lex_index(path: str | Path, tokenizer: TokenizerConfig) -> LexIndex:
     indexfile.require(in_range, path, "k1 must be a finite real >= 0")
     in_range = finite_real(b) is not None and 0 <= b <= 1
     indexfile.require(in_range, path, "b must be a finite real in [0, 1]")
-    fields = header.get("terms")
+    terms = header.get("terms")
+    strings = isinstance(terms, list) and all(isinstance(t, str) for t in terms)
+    indexfile.require(strings, path, "terms must be a list of strings")
     matrices = {}
     for field in FIELDS:
-        terms = fields.get(field) if isinstance(fields, dict) else None
-        strings = isinstance(terms, list) and all(isinstance(t, str) for t in terms)
-        indexfile.require(strings, path, f"{field} terms must be a list of strings")
         indptr, gaps, tf, lengths = (arrays[f"{field}.{name}"] for name in _SAVED)
-        indexfile.require_offsets(path, f"{field} indptr", indptr, len(terms), len(tf))
+        shaped = len(indptr) == len(terms) + 1 and indptr[-1] == len(tf)
+        message = f"{field} indptr must have {len(terms) + 1} entries and end at {len(tf)}"
+        indexfile.require(shaped, path, message)
         columns = indexfile.gap_decode(path, f"{field} columns", indptr, gaps, len(ids))
         agree = len(lengths) == len(ids)
         indexfile.require(agree, path, f"{field} postings disagree with the header")
-        matrices[field] = _field_matrix(terms, indptr, columns, tf, lengths, k1, b)
+        matrices[field] = _field_matrix(indptr, columns, tf, lengths, k1, b)
+    used = np.diff(matrices["title"].indptr) + np.diff(matrices["content"].indptr)
+    indexfile.require(used.all(), path, "every term must have a posting in a field")
     return LexIndex(
         article_ids=tuple(ids),
+        terms=dict(zip(terms, range(len(terms)))),
         title=matrices["title"],
         content=matrices["content"],
         k1=k1,

@@ -204,7 +204,7 @@ class FeatureExtractor:
         return x, y
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearModel:
     weights: np.ndarray
     metadata: dict = field(default_factory=dict)

@@ -35,8 +35,9 @@ def whole_corpus_scores(lex, tokens):
     matched = {}
     for field in ("title", "content"):
         matrix = lex.stats(field)
-        rows = [matrix.row(t) for t in set(tokens)]
-        columns = [matrix.columns[r] for r in rows if r is not None]
+        rows = [lex.terms.get(t) for t in set(tokens)]
+        ptr = matrix.indptr
+        columns = [matrix.columns[ptr[r] : ptr[r + 1]] for r in rows if r is not None]
         matched[field] = np.bincount(
             np.concatenate(columns or [matrix.columns[:0]]),
             minlength=len(lex.article_ids),

@@ -192,9 +192,9 @@ HEADER_EDITS = [
     (["lex"], {"k1": -1.0}, "k1 must be a finite real >= 0"),
     (["lex"], {"b": 1.5}, r"b must be a finite real in \[0, 1\]"),
     (["lex"], {"b": "0.75"}, r"b must be a finite real in \[0, 1\]"),
-    (["lex"], {"terms": None}, "title terms must be a list of strings"),
-    (["lex"], {"terms": {"title": None, "content": []}}, "title terms must be a list"),
-    (["lex"], {"terms": {"title": ["a", 2], "content": []}}, "title terms must be a list"),
+    (["lex"], {"terms": None}, "terms must be a list of strings"),
+    (["lex"], {"terms": {"title": [], "content": []}}, "terms must be a list of strings"),
+    (["lex"], {"terms": ["a", 2]}, "terms must be a list of strings"),
 ]
 
 
@@ -218,8 +218,8 @@ def test_lex_columns_swapped_within_a_row_are_rejected(tmp_path):
     articles = [Article(f"a{i}", "d", None, f"Shared clause number {i}.") for i in range(3)]
     tok = TokenizerConfig()
     index = build_lex_index(articles, PipelineConfig())
-    row, columns = index.content.row("shared"), index.content.columns.copy()
-    columns[[row.start, row.start + 1]] = columns[[row.start + 1, row.start]]
+    start, columns = index.content.indptr[index.terms["shared"]], index.content.columns.copy()
+    columns[[start, start + 1]] = columns[[start + 1, start]]
     swapped = dataclasses.replace(
         index, content=dataclasses.replace(index.content, columns=columns)
     )
@@ -290,6 +290,46 @@ def test_a_version_6_dense_file_says_to_rebuild_the_index(indexes, tmp_path):
         load(path)
 
 
+def test_a_version_5_lex_file_says_to_rebuild_the_index(indexes, tmp_path):
+    """Version 5 stored one term list per field."""
+    path, load = _saved(indexes, "lex", tmp_path)
+    header, arrays = _read(path)
+    terms = header["terms"]
+    _write(path, {**header, "version": 5, "terms": {"title": terms, "content": terms}}, arrays)
+    message = r"lex.bin: version mismatch \(index 5, expected 6\); rebuild it with `statuteqa index`"
+    with pytest.raises(ValueError, match=message):
+        load(path)
+
+
+def test_a_term_with_no_posting_in_either_field_is_rejected(indexes, tmp_path):
+    """Both fields keep an empty row for a term added to the vocabulary."""
+    path, load = _saved(indexes, "lex", tmp_path)
+    header, arrays = _read(path)
+    terms = header["terms"]
+    assert terms[-1] < "zzz"
+    for field in lexical.FIELDS:
+        ptr = arrays[f"{field}.indptr"]
+        arrays[f"{field}.indptr"] = np.append(ptr, ptr[-1])
+    _write(path, {**header, "terms": [*terms, "zzz"]}, arrays)
+    with pytest.raises(ValueError, match="lex.bin: every term must have a posting"):
+        load(path)
+
+
+def test_equal_indexes_compare_by_identity_without_raising(tiny_articles):
+    """A generated ``__eq__`` compared the numpy fields elementwise and
+    raised on the truth value of the resulting array."""
+    tok, embedder = TokenizerConfig(), HashedProjectionEmbedder(64, 0)
+    builds = [
+        lambda: build_lex_index(tiny_articles, PipelineConfig()),
+        lambda: build_dense_index(tiny_articles, embedder, tok)[0],
+    ]
+    for build in builds:
+        first, second = build(), build()
+        assert first == first and second == second
+        assert first != second
+        assert not first == second
+
+
 def test_gap_coding_round_trips_and_rejects_a_gap_that_wraps():
     top = np.iinfo(np.int32).max
     ptr = np.array([0, 0, 3, 3, 5, 5], dtype=np.int64)  # empty lists too
@@ -334,7 +374,8 @@ def _falling(a):
 GAPPED = {"rows": "colptr", "title.columns": "title.indptr", "content.columns": "content.indptr"}
 
 # case -> (index kind, array, edit, expected message); the tiny fixture's
-# dense index has 5 sentence rows, its lexical index 3 article columns
+# dense index has 5 sentence rows, its lexical index 3 article columns and
+# 22 terms
 DISAGREEMENTS = {
     "offsets not increasing": (
         "dense", "offsets", lambda a: np.array([0, 3, 2, 5]), "offsets must rise"
@@ -363,7 +404,10 @@ DISAGREEMENTS = {
     ),
     "negative column": ("lex", "title.columns", lambda a: a - 1, "title columns outside"),
     "indptr past the postings": (
-        "lex", "content.indptr", _last_plus_one, "content indptr must rise"
+        "lex", "content.indptr", _last_plus_one, "content indptr must have 23 entries and end at 20"
+    ),
+    "indptr one entry short": (
+        "lex", "title.indptr", lambda a: a[:-1], "title indptr must have 23 entries"
     ),
     "lengths short": ("lex", "content.lengths", lambda a: a[:-1], "content postings"),
 }
@@ -381,7 +425,8 @@ def test_arrays_that_disagree_with_the_header_are_rejected(case, indexes, tmp_pa
     header, arrays = _read(path)
     if name in GAPPED:
         ptr = arrays[GAPPED[name]]
-        ids = np.concatenate([edit(ids) for ids in _lists(ptr, arrays[name])])
+        lists = _lists(ptr, arrays[name])
+        ids = np.concatenate([edit(ids) if len(ids) else ids for ids in lists])
         arrays[name] = indexfile.gap_encode(ptr, ids.astype(np.int32))
     else:
         arrays[name] = edit(arrays[name])

@@ -1,7 +1,9 @@
 import itertools
 import math
 import random
+import tempfile
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -135,15 +137,30 @@ def _corpus_query_columns(draw):
 @settings(max_examples=200, deadline=None)
 @given(_corpus_query_columns())
 def test_score_query_counts_matched_distinct_query_terms(case):
-    """The pass's matched counts, read at columns as the features read them."""
+    """The pass's matched counts, read at columns as the features read them.
+
+    Titles and contents draw from one small pool, so many terms have a row
+    in one field only; the shared rows score like per-field ones and
+    survive a save and load."""
     articles, query, columns = case
     index = build_lex_index(articles, PipelineConfig())
     scores = score_query(index, query)
     for field in ("title", "content"):
         tokens = field_token_lists(articles, field)
-        _, matched = scores[field]
+        bm25_scores, matched = scores[field]
         want = [len(set(query) & set(tokens[index.article_ids[c]])) for c in columns]
         assert matched[columns].tolist() == want
+        oracle = [oracle_bm25(tokens, query, article_id) for article_id in index.article_ids]
+        assert bm25_scores.tolist() == oracle
+    with tempfile.TemporaryDirectory() as directory:
+        path, again = Path(directory, "lex.bin"), Path(directory, "again.bin")
+        save_lex_index(index, path)
+        loaded = load_lex_index(path, TokenizerConfig())
+        save_lex_index(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+    for field, (bm25_scores, matched) in score_query(loaded, query).items():
+        assert bm25_scores.tobytes() == scores[field][0].tobytes()
+        assert matched.tobytes() == scores[field][1].tobytes()
 
 
 def test_quickview_composition(tiny_articles, tiny_lex):
@@ -227,7 +244,7 @@ def test_retrieve_topk_equals_oracle_exactly(query, k, alpha, beta):
 
 def test_retrieve_prefix_property(synth):
     rng = random.Random(3)
-    vocab = sorted(synth.lex.stats("content").terms)
+    vocab = sorted(synth.lex.terms)
     for _ in range(20):
         query = rng.sample(vocab, k=3)
         small = retrieve_topk(synth.lex, query, 5, PipelineConfig())

@@ -133,8 +133,15 @@ def test_index_sizes_names_every_part_of_each_index_file(scripts_dir, tmp_path, 
         start = lines.index(
             f"{path}: {path.stat().st_size} bytes ({header['format']}, version {header['version']})"
         )
-        parts = [line.split() for line in lines[start + 1 : start + 2 + len(stored)]]
-        assert [part[0] for part in parts] == ["header", *stored]
-        for part, array in zip(parts[1:], stored.values()):
+        lists = sorted(key for key, value in header.items() if isinstance(value, list))
+        assert {"article_ids", "arrays"} <= set(lists)
+        assert ("terms" in lists) == (path == paths[0])
+        names = ["header", *(f"header.{key}" for key in lists), *stored]
+        parts = [line.split() for line in lines[start + 1 : start + 1 + len(names)]]
+        assert [part[0] for part in parts] == names
+        for part, key in zip(parts[1 : 1 + len(lists)], lists):
+            entry = json.dumps(header[key], ensure_ascii=False).encode("utf-8")
+            assert int(part[1]) == len(entry) and int(part[2]) > 0
+        for part, array in zip(parts[1 + len(lists) :], stored.values()):
             assert part[1:3] == [str(array.dtype), "x".join(map(str, array.shape))]
             assert 0 < int(part[4]) <= int(part[3])
