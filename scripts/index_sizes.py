@@ -4,13 +4,15 @@
     python3 scripts/index_sizes.py lex_index.bin dense_index.bin
 
 For each file: its size, format and version; the header line's bytes,
-then those of each list-valued header entry (``header.article_ids``,
-``header.terms``, ...) as the header's JSON holds it; and each array as
-stored (integer arrays as byte planes), in file order, with its dtype,
-shape, raw bytes and deflated bytes. A part's deflated bytes are its bytes
-compressed alone at the files' level, so a size change can be traced to
-the entries and arrays that make it; they need not sum to the file's
-size, which is one deflate stream over all of them.
+then those of each header entry as the header's JSON holds it (among
+them a lexical file's front-coded string tables ``header.article_ids``
+and ``header.terms``, and a dense file's ``header.article_ids_sha256``);
+and each array as stored (integer arrays as byte planes), in file order,
+with its dtype, shape, raw bytes and deflated bytes. A part's deflated
+bytes are its bytes compressed alone at the files' level, so a size
+change can be traced to the entries and arrays that make it; they need
+not sum to the file's size, which is one deflate stream over all of
+them.
 """
 
 import argparse
@@ -48,9 +50,8 @@ def report(path: str) -> list[str]:
         row("header", line),
     ]
     for key, value in sorted(header.items()):
-        if isinstance(value, list):
-            entry = json.dumps(value, sort_keys=True, ensure_ascii=False)
-            lines.append(row(f"header.{key}", entry.encode("utf-8")))
+        entry = json.dumps(value, sort_keys=True, ensure_ascii=False)
+        lines.append(row(f"header.{key}", entry.encode("utf-8")))
     for name, array in arrays.items():
         buffer = io.BytesIO()
         np.lib.format.write_array(buffer, array, allow_pickle=False)

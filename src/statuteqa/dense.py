@@ -48,7 +48,7 @@ __all__ = [
 ]
 
 DENSE_INDEX_FORMAT = "statuteqa.denseindex"
-DENSE_INDEX_VERSION = 7
+DENSE_INDEX_VERSION = 8
 _LAYOUT = {
     "offsets": (np.int64, 1),
     "sentence_vector": (np.intp, 1),  # first-use coded in the file
@@ -188,10 +188,11 @@ class DenseIndex:
     Article ``i`` is ``article_ids[i]`` (sorted) and owns sentences
     ``offsets[i]:offsets[i + 1]``, in sentence order; every indexed
     article has at least one sentence. Position ``i`` is also the
-    article's lexical column. Sentence ``s`` has vector row
-    ``sentence_vector[s]`` (intp); rows are numbered by first use, one per
-    distinct sentence token list, so sentences with equal tokens share a
-    row. Coordinate ``c`` holds the value ``data[e]`` of vector row
+    article's lexical column: a loaded index shares the lexical index's
+    ``article_ids`` tuple, which the file does not store. Sentence ``s``
+    has vector row ``sentence_vector[s]`` (intp); rows are numbered by
+    first use, one per distinct sentence token list, so sentences with
+    equal tokens share a row. Coordinate ``c`` holds the value ``data[e]`` of vector row
     ``rows[e]`` (strictly ascending) for ``e`` in ``colptr[c]:colptr[c + 1]``;
     every other value is 0. Rows are unit or zero vectors.
     ``embedder`` embeds questions; its fingerprint is the index's.
@@ -363,7 +364,9 @@ def dense_retrieve_topk(
 
 def save_dense_index(index: DenseIndex, path: str | Path) -> None:
     """Persist the offsets, the sentence map in first-use code and the
-    coordinate postings, their rows gap-coded (see ``indexfile``).
+    coordinate postings, their rows gap-coded (see ``indexfile``). The
+    article ids are not stored, only their ``indexfile.strings_digest``:
+    the lexical index of the same build stores them.
 
     Deterministic: equal indexes save to equal bytes.
     """
@@ -372,7 +375,7 @@ def save_dense_index(index: DenseIndex, path: str | Path) -> None:
         "tokenizer_fingerprint": index.tokenizer.fingerprint(),
         "corpus_digest": index.corpus_digest,
         "dimension": index.dimension,
-        "article_ids": list(index.article_ids),
+        "article_ids_sha256": indexfile.strings_digest(index.article_ids),
     }
     arrays = {name: getattr(index, name) for name in _LAYOUT}
     arrays["sentence_vector"] = indexfile.first_use_encode(index.sentence_vector)
@@ -381,12 +384,17 @@ def save_dense_index(index: DenseIndex, path: str | Path) -> None:
 
 
 def load_dense_index(
-    path: str | Path, embedder: Embedder, tokenizer: TokenizerConfig
+    path: str | Path,
+    embedder: Embedder,
+    tokenizer: TokenizerConfig,
+    article_ids: tuple[str, ...],
 ) -> DenseIndex:
-    """Load a persisted dense index built with ``embedder`` and ``tokenizer``.
+    """Load a persisted dense index built with ``embedder`` and ``tokenizer``
+    over ``article_ids``, the lexical index's ids, which it shares.
 
-    The file must record ``embedder``'s fingerprint and dimension and
-    ``tokenizer``'s fingerprint; the loaded index cuts and embeds questions
+    The file must record ``embedder``'s fingerprint and dimension,
+    ``tokenizer``'s fingerprint and the digest of ``article_ids``, which
+    must be strictly ascending; the loaded index cuts and embeds questions
     with ``tokenizer`` and ``embedder``.
     """
     fingerprint, dimension = embedder.fingerprint(), embedder.dimension
@@ -398,10 +406,13 @@ def load_dense_index(
             "dimension": dimension,
         },
     )
-    ids = header["article_ids"]
+    same = header.get("article_ids_sha256") == indexfile.strings_digest(article_ids)
+    rebuild = "rebuild both files with `statuteqa index`"
+    indexfile.require(same, path, f"built over other articles than the lexical index; {rebuild}")
+    indexfile.require_ascending(path, "article ids", article_ids)
     offsets, codes, colptr, gaps, data = (arrays[name] for name in _LAYOUT)
     sentences = int(offsets[-1]) if len(offsets) else 0  # offsets alone count them
-    indexfile.require_offsets(path, "offsets", offsets, len(ids), sentences)
+    indexfile.require_offsets(path, "offsets", offsets, len(article_ids), sentences)
     mapped = len(codes) == sentences
     indexfile.require(mapped, path, f"sentence_vector must have {sentences} entries")
     sentence_vector, vectors = indexfile.first_use_decode(path, "sentence_vector", codes)
@@ -415,7 +426,7 @@ def load_dense_index(
         embedder_fingerprint=fingerprint,
         tokenizer=tokenizer,
         dimension=dimension,
-        article_ids=tuple(ids),
+        article_ids=tuple(article_ids),
         offsets=offsets,
         sentence_vector=sentence_vector,
         colptr=colptr,

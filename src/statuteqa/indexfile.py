@@ -7,7 +7,11 @@ JSON header line (``format``, ``version``, the index's metadata, and
 ``.npy`` format. Arrays are never pickled. Posting lists of ids are
 stored gap-coded (``gap_encode``) and checked as they are decoded
 (``gap_decode``). A map onto rows numbered in first-use order is stored in
-first-use code (``first_use_encode``, ``first_use_decode``).
+first-use code (``first_use_encode``, ``first_use_decode``). A sorted
+string list in the header (article ids, terms) is stored front-coded
+(``front_encode``, ``front_decode``): each string as the number of leading
+characters it shares with the string before it, then the rest (Witten,
+Moffat & Bell, *Managing Gigabytes*, 1999, section 4.1).
 
 Each 1-d integer array is stored as byte planes (``to_planes``): a
 ``(width, n)`` uint8 array whose row ``i`` holds byte ``i`` of every
@@ -21,10 +25,13 @@ stored as they are. ``load`` rebuilds each integer array in its layout
 dtype (``from_planes``) before it checks anything else. Lexical files
 before version 5 and dense files before version 6 stored plain arrays;
 lexical version 5 stored one term list per field where version 6 stores
-one for both; and dense version 6 stored a vector per sentence where
-version 7 stores each distinct vector once and a sentence map. Older
-files fail with a version mismatch that says to rebuild them with
-``statuteqa index``.
+one for both; lexical version 6 stored its article ids and terms as
+plain JSON lists where version 7 front-codes them; dense version 6 stored
+a vector per sentence where version 7 stores each distinct vector once
+and a sentence map; and dense version 7 stored its own copy of the
+article ids where version 8 stores only their ``strings_digest`` and
+takes the ids from the lexical index. Older files fail with a version
+mismatch that says to rebuild them with ``statuteqa index``.
 
 Artifacts, the JSON-lines record files (corpus, gold questions, training
 examples) among them, are written through ``replacing``, so a reader sees
@@ -37,6 +44,7 @@ from __future__ import annotations
 
 import contextlib
 import gzip
+import hashlib
 import json
 import operator
 import os
@@ -123,9 +131,8 @@ def load(path, fmt: str, version: int, layout: dict, expected: dict):
 
     Raises ``ValueError`` naming ``path`` for a file that is not gzip or is
     truncated; that has another format, version or set of arrays, or a
-    header value other than one in ``expected``; or whose arrays, article
-    ids (a list of strings, ascending) or corpus digest (a string) are
-    malformed.
+    header value other than one in ``expected``; or whose arrays or corpus
+    digest (a string) are malformed.
     """
     wanted = {"format": fmt, "version": version, "arrays": list(layout), **expected}
     try:
@@ -151,13 +158,60 @@ def load(path, fmt: str, version: int, layout: dict, expected: dict):
             arrays[name] = from_planes(path, name, arrays[name], dtype)
         ok = arrays[name].dtype == dtype and arrays[name].ndim == ndim
         require(ok, path, f"{name} is not {ndim}-d {np.dtype(dtype)}")
-    ids = header.get("article_ids")
-    strings = isinstance(ids, list) and all(isinstance(i, str) for i in ids)
-    require(strings, path, "article_ids must be a list of strings")
-    require(all(map(operator.lt, ids, ids[1:])), path, "article ids out of order")
     digest = isinstance(header.get("corpus_digest"), str)
     require(digest, path, "corpus_digest must be a string")
     return header, arrays
+
+
+def front_encode(strings) -> dict:
+    """``strings`` as ``{"prefix": [...], "suffix": [...]}``: for each
+    string, the number of leading characters (not bytes) it shares with
+    the string before it, then the rest. A sorted list shares long
+    prefixes, which leaves short suffixes."""
+    prefix, suffix, before = [], [], ""
+    for string in strings:
+        shared = len(os.path.commonprefix([before, string]))
+        prefix.append(shared)
+        suffix.append(string[shared:])
+        before = string
+    return {"prefix": prefix, "suffix": suffix}
+
+
+def front_decode(path, name: str, coded) -> list[str]:
+    """The strings ``front_encode`` stored as ``coded``.
+
+    Decoded in one comprehension, then checked whole: raises
+    ``ValueError`` naming ``path`` and ``name`` unless ``coded`` holds
+    lists of int prefixes and str suffixes of one length, the first
+    prefix is 0, and no prefix is negative or longer than the string
+    before it.
+    """
+    parts = coded if isinstance(coded, dict) else {}
+    prefix, suffix = parts.get("prefix"), parts.get("suffix")
+    ok = isinstance(prefix, list) and isinstance(suffix, list) and len(prefix) == len(suffix)
+    ok = ok and set(map(type, prefix)) <= {int} and set(map(type, suffix)) <= {str}
+    message = f"{name} must be a list of strings, front-coded as int prefixes and str suffixes"
+    require(ok, path, message)
+    before = ""
+    strings = [before := before[:k] + rest for k, rest in zip(prefix, suffix)]
+    # with no prefix negative, each string is as long as its prefix and
+    # suffix together exactly when the prefix does not pass the string
+    # before, which for the first string is "": its prefix must be 0
+    fits = len("".join(strings)) == sum(prefix) + len("".join(suffix))
+    ok = min(prefix, default=0) >= 0 and fits
+    require(ok, path, f"{name} prefixes must start at 0 and not pass the string before")
+    return strings
+
+
+def require_ascending(path, name: str, strings) -> None:
+    """``strings`` rise strictly in Python string order."""
+    require(all(map(operator.lt, strings, strings[1:])), path, f"{name} out of order")
+
+
+def strings_digest(strings) -> str:
+    """The sha256 of the JSON of ``strings`` (a list or tuple), which no
+    other list of strings shares."""
+    return hashlib.sha256(json.dumps(strings).encode("ascii")).hexdigest()
 
 
 def to_planes(array: np.ndarray) -> np.ndarray:

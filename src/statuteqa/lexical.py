@@ -59,7 +59,7 @@ __all__ = [
 FIELDS = ("title", "content")
 
 LEX_INDEX_FORMAT = "statuteqa.lexindex"
-LEX_INDEX_VERSION = 6
+LEX_INDEX_VERSION = 7
 
 # The FieldMatrix arrays an index file holds for each field, with their dtypes
 _SAVED = {"indptr": np.int64, "columns": np.int32, "tf": np.int32, "lengths": np.int64}
@@ -280,8 +280,8 @@ def retrieve_topk(
 
 
 def save_lex_index(index: LexIndex, path: str | Path) -> None:
-    """Persist both fields' postings, their columns gap-coded, and lengths
-    (see ``indexfile``).
+    """Persist both fields' postings, their columns gap-coded, and lengths,
+    with the article ids and terms front-coded (see ``indexfile``).
 
     Deterministic. Load recomputes the impacts and per-column statistics
     with the function build uses, so they are equal bit for bit.
@@ -291,8 +291,8 @@ def save_lex_index(index: LexIndex, path: str | Path) -> None:
         "corpus_digest": index.corpus_digest,
         "k1": index.k1,
         "b": index.b,
-        "article_ids": list(index.article_ids),
-        "terms": list(index.terms),
+        "article_ids": indexfile.front_encode(index.article_ids),
+        "terms": indexfile.front_encode(index.terms),
     }
     arrays = {
         f"{field}.{name}": getattr(index.stats(field), name)
@@ -309,23 +309,25 @@ def load_lex_index(path: str | Path, tokenizer: TokenizerConfig) -> LexIndex:
     """Load a persisted index built with ``tokenizer``, which the loaded
     index keeps for its questions.
 
-    Raises ``ValueError`` naming ``path`` for a header whose ``terms`` are
-    not a list of strings, or whose ``k1`` and ``b`` are not finite reals
-    in their config ranges, and for a term with no posting in either field.
+    Raises ``ValueError`` naming ``path`` for a header whose
+    ``article_ids`` or ``terms`` are not front-coded lists of strings in
+    strictly ascending order, or whose ``k1`` and ``b`` are not finite
+    reals in their config ranges, and for a term with no posting in either
+    field.
     """
     header, arrays = indexfile.load(
         path, LEX_INDEX_FORMAT, LEX_INDEX_VERSION, _LAYOUT,
         {"tokenizer_fingerprint": tokenizer.fingerprint()},
     )
-    ids = header["article_ids"]
+    ids = indexfile.front_decode(path, "article_ids", header.get("article_ids"))
+    indexfile.require_ascending(path, "article ids", ids)
     k1, b = header.get("k1"), header.get("b")
     in_range = finite_real(k1) is not None and k1 >= 0
     indexfile.require(in_range, path, "k1 must be a finite real >= 0")
     in_range = finite_real(b) is not None and 0 <= b <= 1
     indexfile.require(in_range, path, "b must be a finite real in [0, 1]")
-    terms = header.get("terms")
-    strings = isinstance(terms, list) and all(isinstance(t, str) for t in terms)
-    indexfile.require(strings, path, "terms must be a list of strings")
+    terms = indexfile.front_decode(path, "terms", header.get("terms"))
+    indexfile.require_ascending(path, "terms", terms)
     matrices = {}
     for field in FIELDS:
         indptr, gaps, tf, lengths = (arrays[f"{field}.{name}"] for name in _SAVED)

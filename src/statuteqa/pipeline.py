@@ -215,7 +215,8 @@ def load_artifacts(cfg: PipelineConfig) -> tuple[LexIndex, DenseIndex]:
     Every command that reads the indexes loads them here. Both indexes
     must record the configured tokenizer, the lexical index BM25 ``k1`` and
     ``b``, the dense index the configured embedder (which it then uses for
-    questions), and both the sha256 of the corpus file's bytes: the corpus
+    questions) and the lexical index's article ids (which it then shares),
+    and both the sha256 of the corpus file's bytes: the corpus
     is checked with one hash and is not parsed (see ``load_articles``). The
     caller owns ``dense.embedder`` and closes it; when loading fails it is
     closed here.
@@ -229,7 +230,7 @@ def load_artifacts(cfg: PipelineConfig) -> tuple[LexIndex, DenseIndex]:
         )
     embedder = cfg.make_embedder()
     try:
-        dense = load_dense_index(cfg.dense_index_path, embedder, tokenizer)
+        dense = load_dense_index(cfg.dense_index_path, embedder, tokenizer, lex.article_ids)
         digest = file_digest(cfg.corpus_path)
         for path, index in ((cfg.lex_index_path, lex), (cfg.dense_index_path, dense)):
             _require_corpus(cfg, path, index.corpus_digest, digest)

@@ -7,6 +7,7 @@ import functools
 import gzip
 import json
 import re
+import unicodedata
 
 import numpy as np
 import pytest
@@ -56,7 +57,7 @@ def indexes(tiny_articles):
             load_lex_index, tokenizer=tok
         )),
         "dense": (dense, save_dense_index, functools.partial(
-            load_dense_index, embedder=embedder, tokenizer=tok
+            load_dense_index, embedder=embedder, tokenizer=tok, article_ids=lex.article_ids
         )),
     }
 
@@ -169,19 +170,28 @@ def test_dense_header_dimension_must_be_the_embedders(indexes, tmp_path):
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("order", ["out of order", "repeated"])
 def test_article_ids_out_of_order_or_repeated_are_rejected(kind, order, indexes, tmp_path):
+    """The dense file stores only the digest of the lexical index's ids."""
     path, load = _saved(indexes, kind, tmp_path)
     header, arrays = _read(path)
-    ids = header["article_ids"]
+    ids = list(indexes["lex"][0].article_ids)
     ids = ids[::-1] if order == "out of order" else [ids[0], *ids[:-1]]
-    _write(path, {**header, "article_ids": ids}, arrays)
+    if kind == "lex":
+        _write(path, {**header, "article_ids": indexfile.front_encode(ids)}, arrays)
+    else:
+        _write(path, {**header, "article_ids_sha256": indexfile.strings_digest(ids)}, arrays)
+        load = functools.partial(load, article_ids=tuple(ids))
     with pytest.raises(ValueError, match=f"{kind}.bin: article ids out of order"):
         load(path)
 
 
 # (index kinds, a header edit, the error after the file name)
+OTHER_ARTICLES = "built over other articles than the lexical index"
 HEADER_EDITS = [
-    (KINDS, {"article_ids": ["a", 1]}, "article_ids must be a list of strings"),
-    (KINDS, {"article_ids": None}, "article_ids must be a list of strings"),
+    (["lex"], {"article_ids": {"prefix": [0, 0], "suffix": ["a", 1]}},
+     "article_ids must be a list of strings"),
+    (["lex"], {"article_ids": None}, "article_ids must be a list of strings"),
+    (["dense"], {"article_ids_sha256": None}, OTHER_ARTICLES),
+    (["dense"], {"article_ids_sha256": "0" * 64}, OTHER_ARTICLES),
     (KINDS, {"corpus_digest": 5}, "corpus_digest must be a string"),
     (KINDS, {"corpus_digest": None}, "corpus_digest must be a string"),
     (["lex"], {"k1": "x"}, "k1 must be a finite real >= 0"),
@@ -194,7 +204,8 @@ HEADER_EDITS = [
     (["lex"], {"b": "0.75"}, r"b must be a finite real in \[0, 1\]"),
     (["lex"], {"terms": None}, "terms must be a list of strings"),
     (["lex"], {"terms": {"title": [], "content": []}}, "terms must be a list of strings"),
-    (["lex"], {"terms": ["a", 2]}, "terms must be a list of strings"),
+    (["lex"], {"terms": {"prefix": [0, 0], "suffix": ["a", 2]}},
+     "terms must be a list of strings"),
 ]
 
 
@@ -276,7 +287,7 @@ def test_a_malformed_sentence_map_is_rejected_naming_the_file(case, tmp_path):
         arrays[name] = edit(arrays[name])
     _write(path, header, arrays)
     with pytest.raises(ValueError, match=f"dense.bin: {message}"):
-        load_dense_index(path, embedder, tok)
+        load_dense_index(path, embedder, tok, index.article_ids)
 
 
 def test_a_version_6_dense_file_says_to_rebuild_the_index(indexes, tmp_path):
@@ -285,7 +296,7 @@ def test_a_version_6_dense_file_says_to_rebuild_the_index(indexes, tmp_path):
     header, arrays = _read(path)
     arrays.pop("sentence_vector")
     _write(path, {**header, "version": 6}, arrays)
-    message = r"dense.bin: version mismatch \(index 6, expected 7\); rebuild it with `statuteqa index`"
+    message = r"dense.bin: version mismatch \(index 6, expected 8\); rebuild it with `statuteqa index`"
     with pytest.raises(ValueError, match=message):
         load(path)
 
@@ -294,23 +305,69 @@ def test_a_version_5_lex_file_says_to_rebuild_the_index(indexes, tmp_path):
     """Version 5 stored one term list per field."""
     path, load = _saved(indexes, "lex", tmp_path)
     header, arrays = _read(path)
-    terms = header["terms"]
+    terms = indexfile.front_decode(path, "terms", header["terms"])
     _write(path, {**header, "version": 5, "terms": {"title": terms, "content": terms}}, arrays)
-    message = r"lex.bin: version mismatch \(index 5, expected 6\); rebuild it with `statuteqa index`"
+    message = r"lex.bin: version mismatch \(index 5, expected 7\); rebuild it with `statuteqa index`"
     with pytest.raises(ValueError, match=message):
         load(path)
+
+
+def test_a_version_7_dense_file_says_to_rebuild_the_index(indexes, tmp_path):
+    """Version 7 stored its own copy of the article ids, as a plain list."""
+    path, load = _saved(indexes, "dense", tmp_path)
+    header, arrays = _read(path)
+    header.pop("article_ids_sha256")
+    ids = list(indexes["dense"][0].article_ids)
+    _write(path, {**header, "version": 7, "article_ids": ids}, arrays)
+    message = r"dense.bin: version mismatch \(index 7, expected 8\); rebuild it with `statuteqa index`"
+    with pytest.raises(ValueError, match=message):
+        load(path)
+
+
+def test_a_version_6_lex_file_says_to_rebuild_the_index(indexes, tmp_path):
+    """Version 6 stored the article ids and terms as plain lists."""
+    path, load = _saved(indexes, "lex", tmp_path)
+    header, arrays = _read(path)
+    keys = ("article_ids", "terms")
+    plain = {key: indexfile.front_decode(path, key, header[key]) for key in keys}
+    _write(path, {**header, "version": 6, **plain}, arrays)
+    message = r"lex.bin: version mismatch \(index 6, expected 7\); rebuild it with `statuteqa index`"
+    with pytest.raises(ValueError, match=message):
+        load(path)
+
+
+# Built as alpha, beta, gamma: with the header's terms edited, "beta" would
+# find no row and score 0
+ALPHABET = [Article("a", "d", None, "Alpha beta."), Article("b", "d", None, "Gamma.")]
+
+
+@pytest.mark.parametrize(
+    "terms", [["alpha", "alpha", "gamma"], ["gamma", "beta", "alpha"]], ids=["repeated", "falling"]
+)
+def test_terms_repeated_or_out_of_order_are_rejected(terms, tmp_path):
+    """Terms were checked only for being strings, so these loaded."""
+    tok = TokenizerConfig()
+    index = build_lex_index(ALPHABET, PipelineConfig())
+    assert list(index.terms) == ["alpha", "beta", "gamma"]
+    path = tmp_path / "lex.bin"
+    save_lex_index(index, path)
+    assert lexical.bm25(load_lex_index(path, tok), "content", ["beta"], "a") > 0
+    header, arrays = _read(path)
+    _write(path, {**header, "terms": indexfile.front_encode(terms)}, arrays)
+    with pytest.raises(ValueError, match="lex.bin: terms out of order"):
+        load_lex_index(path, tok)
 
 
 def test_a_term_with_no_posting_in_either_field_is_rejected(indexes, tmp_path):
     """Both fields keep an empty row for a term added to the vocabulary."""
     path, load = _saved(indexes, "lex", tmp_path)
     header, arrays = _read(path)
-    terms = header["terms"]
+    terms = indexfile.front_decode(path, "terms", header["terms"])
     assert terms[-1] < "zzz"
     for field in lexical.FIELDS:
         ptr = arrays[f"{field}.indptr"]
         arrays[f"{field}.indptr"] = np.append(ptr, ptr[-1])
-    _write(path, {**header, "terms": [*terms, "zzz"]}, arrays)
+    _write(path, {**header, "terms": indexfile.front_encode([*terms, "zzz"])}, arrays)
     with pytest.raises(ValueError, match="lex.bin: every term must have a posting"):
         load(path)
 
@@ -345,6 +402,74 @@ def test_gap_coding_round_trips_and_rejects_a_gap_that_wraps():
         indexfile.gap_decode("f", "ids", ptr, gaps, top + 1)
     nothing = indexfile.gap_decode("f", "ids", np.zeros(3, np.int64), np.zeros(0, np.int32), 0)
     assert nothing.size == 0
+
+
+# Vietnamese letters in NFC and NFD, ASCII, and a letter outside the BMP
+LETTERS = "aăâđeêoôơuưyàảãáạằẳẵắặầẩẫấậ" + unicodedata.normalize("NFD", "ầẩẫấậ") + "b#/𝔞"
+
+
+@given(strings=st.lists(st.text(LETTERS, max_size=8), unique=True), extend=st.booleans())
+def test_front_coding_round_trips_sorted_unique_strings(strings, extend, tmp_path_factory):
+    """Sorted and unique, one string or none among them, and with ``extend``
+    some that begin the next one."""
+    strings = sorted({*strings, *(s + "a" for s in strings[:2] if extend)})
+    coded = indexfile.front_encode(strings)
+    assert len(coded["prefix"]) == len(coded["suffix"]) == len(strings)
+    assert indexfile.front_decode("f", "x", coded) == strings
+    for before, string, shared in zip(["", *strings], strings, coded["prefix"]):
+        # the longest prefix shared with the string before, in characters
+        assert string[:shared] == before[:shared]
+        assert string[shared : shared + 1] != before[shared : shared + 1] or shared == len(string)
+    directory = tmp_path_factory.getbasetemp()
+    paths = [directory / "one.bin", directory / "two.bin"]
+    header = {"corpus_digest": "", "terms": coded}
+    indexfile.save(paths[0], "f", 1, header, {})
+    loaded, _ = indexfile.load(paths[0], "f", 1, {}, {})
+    again = indexfile.front_decode(paths[0], "terms", loaded["terms"])
+    indexfile.save(paths[1], "f", 1, {**header, "terms": indexfile.front_encode(again)}, {})
+    assert again == strings
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+RANGE = "prefixes must start at 0 and not pass the string before"
+SHAPE = "must be a list of strings, front-coded as int prefixes and str suffixes"
+
+# case -> (a malformed front code, the error after the name)
+MALFORMED_CODES = {
+    "prefix longer than the string before": ({"prefix": [0, 3], "suffix": ["ab", "c"]}, RANGE),
+    "negative prefix": ({"prefix": [0, -1], "suffix": ["ab", "c"]}, RANGE),
+    # "ab"[:-1] has 2 characters more than -1 and "ac"[:4] 2 fewer than 4,
+    # so the decoded lengths add up as if every prefix fitted
+    "negative prefix beside a long one": (
+        {"prefix": [0, -1, 4], "suffix": ["ab", "c", "d"]}, RANGE
+    ),
+    "first prefix not 0": ({"prefix": [1, 1], "suffix": ["ab", "c"]}, RANGE),
+    "bool prefix": ({"prefix": [0, True], "suffix": ["ab", "c"]}, SHAPE),
+    "float prefix": ({"prefix": [0, 1.0], "suffix": ["ab", "c"]}, SHAPE),
+    "prefixes one short": ({"prefix": [0], "suffix": ["ab", "c"]}, SHAPE),
+    "suffixes one short": ({"prefix": [0, 1], "suffix": ["ab"]}, SHAPE),
+    "suffix not a string": ({"prefix": [0, 1], "suffix": ["ab", 3]}, SHAPE),
+    "suffix null": ({"prefix": [0, 1], "suffix": ["ab", None]}, SHAPE),
+    "prefixes missing": ({"suffix": ["ab", "c"]}, SHAPE),
+    "a plain list": (["ab", "ac"], SHAPE),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CODES))
+def test_malformed_front_codes_are_rejected_naming_the_file(case, tmp_path):
+    coded, message = MALFORMED_CODES[case]
+    good = {"prefix": [0, 1], "suffix": ["ab", "c"]}
+    assert indexfile.front_decode("f", "x", good) == ["ab", "ac"]
+    with pytest.raises(ValueError, match=f"^f: x {message}$"):
+        indexfile.front_decode("f", "x", coded)
+    path = tmp_path / "lex.bin"
+    index = build_lex_index(ALPHABET, PipelineConfig())
+    for key in ("article_ids", "terms"):
+        save_lex_index(index, path)
+        header, arrays = _read(path)
+        _write(path, {**header, key: coded}, arrays)
+        with pytest.raises(ValueError, match=f"lex.bin: {key} {message}"):
+            load_lex_index(path, TokenizerConfig())
 
 
 def test_object_array_is_never_unpickled(indexes, tmp_path):

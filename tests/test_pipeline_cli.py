@@ -1075,6 +1075,36 @@ def test_indexes_of_different_tokenizers_are_rejected(tmp_path):
         pipeline_mod.load_artifacts(cfg)
 
 
+def test_a_dense_index_of_other_articles_is_rejected(tmp_path):
+    """The dense file stores no ids of its own, only their digest: a dense
+    index over one article more than the lexical index would read every
+    position after the missing one as the next article's."""
+    docs = synthetic_corpus(50)
+    articles = list(iter_articles(docs))
+    write_corpus_file(docs, tmp_path / "corpus.jsonl")
+    cfg = PipelineConfig(
+        corpus_path=str(tmp_path / "corpus.jsonl"),
+        lex_index_path=str(tmp_path / "lex_index.bin"),
+        dense_index_path=str(tmp_path / "dense_index.bin"),
+        embedder_dimension=64,
+    )
+    digest = corpus_mod.file_digest(cfg.corpus_path)
+    lex = lexical.build_lex_index(articles[1:], cfg, corpus_digest=digest)
+    lexical.save_lex_index(lex, cfg.lex_index_path)
+    built, _ = dense.build_dense_index(articles, cfg.make_embedder(), cfg.tokenizer_config(), digest)
+    dense.save_dense_index(built, cfg.dense_index_path)
+    message = (
+        f"{re.escape(cfg.dense_index_path)}: built over other articles than the lexical "
+        "index; rebuild both files with `statuteqa index`"
+    )
+    with pytest.raises(ValueError, match=message):
+        pipeline_mod.load_artifacts(cfg)
+    lex = lexical.build_lex_index(articles, cfg, corpus_digest=digest)
+    lexical.save_lex_index(lex, cfg.lex_index_path)
+    loaded_lex, loaded_dense = pipeline_mod.load_artifacts(cfg)
+    assert loaded_dense.article_ids is loaded_lex.article_ids  # one article table
+
+
 # (article id, title, content), Vietnamese text in NFC
 VIETNAMESE = [
     ("ds-1", "Quyền thừa kế", "Người thừa kế có quyền nhận di sản. Di chúc lập thành văn bản."),

@@ -13,6 +13,7 @@ from statuteqa.cli import main
 from statuteqa.corpus import TokenizerConfig, write_corpus_file
 from statuteqa.dense import HashedProjectionEmbedder, load_dense_index
 from statuteqa.evaluation import write_gold_file
+from statuteqa.lexical import load_lex_index
 from statuteqa.pipeline import Pipeline, PipelineConfig
 from statuteqa.reranker import save_model, zero_model
 from statuteqa.synth import synthetic_corpus, title_gold_queries
@@ -119,7 +120,8 @@ def test_index_sizes_names_every_part_of_each_index_file(scripts_dir, tmp_path, 
         "index", "--corpus-path", str(tmp_path / "corpus.jsonl"),
         "--lex-index-path", str(paths[0]), "--dense-index-path", str(paths[1]),
     ]) == 0
-    dense = load_dense_index(paths[1], HashedProjectionEmbedder(), TokenizerConfig())
+    ids = load_lex_index(paths[0], TokenizerConfig()).article_ids
+    dense = load_dense_index(paths[1], HashedProjectionEmbedder(), TokenizerConfig(), ids)
     said = f"{dense.offsets[-1]} sentences as {dense.vectors} distinct vectors"
     assert said in capsys.readouterr().out
     assert dense.vectors < dense.offsets[-1]  # the corpus repeats sentences
@@ -133,15 +135,16 @@ def test_index_sizes_names_every_part_of_each_index_file(scripts_dir, tmp_path, 
         start = lines.index(
             f"{path}: {path.stat().st_size} bytes ({header['format']}, version {header['version']})"
         )
-        lists = sorted(key for key, value in header.items() if isinstance(value, list))
-        assert {"article_ids", "arrays"} <= set(lists)
-        assert ("terms" in lists) == (path == paths[0])
-        names = ["header", *(f"header.{key}" for key in lists), *stored]
+        keys = sorted(header)
+        assert "arrays" in keys
+        assert ("article_ids" in keys) == ("terms" in keys) == (path == paths[0])
+        assert ("article_ids_sha256" in keys) == (path == paths[1])
+        names = ["header", *(f"header.{key}" for key in keys), *stored]
         parts = [line.split() for line in lines[start + 1 : start + 1 + len(names)]]
         assert [part[0] for part in parts] == names
-        for part, key in zip(parts[1 : 1 + len(lists)], lists):
-            entry = json.dumps(header[key], ensure_ascii=False).encode("utf-8")
+        for part, key in zip(parts[1 : 1 + len(keys)], keys):
+            entry = json.dumps(header[key], sort_keys=True, ensure_ascii=False).encode("utf-8")
             assert int(part[1]) == len(entry) and int(part[2]) > 0
-        for part, array in zip(parts[1 + len(lists) :], stored.values()):
+        for part, array in zip(parts[1 + len(keys) :], stored.values()):
             assert part[1:3] == [str(array.dtype), "x".join(map(str, array.shape))]
             assert 0 < int(part[4]) <= int(part[3])
