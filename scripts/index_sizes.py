@@ -33,7 +33,7 @@ def deflated(raw: bytes) -> int:
 
 
 def row(name: str, raw: bytes, dtype: str = "", shape: str = "") -> str:
-    return f"  {name:<24} {dtype:<6} {shape:<16} {len(raw):>10} {deflated(raw):>10}"
+    return f"  {name:<28} {dtype:<7} {shape:<16} {len(raw):>10} {deflated(raw):>10}"
 
 
 def report(path: str) -> list[str]:
@@ -64,7 +64,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description="bytes per header and array of index files")
     parser.add_argument("files", nargs="+", help="lexical or dense index files")
     args = parser.parse_args()
-    print(f"  {'part':<24} {'dtype':<6} {'shape':<16} {'bytes':>10} {'deflated':>10}")
+    print(f"  {'part':<28} {'dtype':<7} {'shape':<16} {'bytes':>10} {'deflated':>10}")
     for path in args.files:
         print("\n".join(report(path)))
     return 0
