@@ -5,10 +5,13 @@
 
 For each file: its size, format and version; the header line's bytes,
 then those of each header entry as the header's JSON holds it (among
-them a lexical file's front-coded string tables ``header.article_ids``
-and ``header.terms``, and a dense file's ``header.article_ids_sha256``);
-and each array as stored (integer arrays as byte planes), in file order,
-with its dtype, shape, raw bytes and deflated bytes. A part's deflated
+them the suffix lists of a lexical file's front-coded string tables,
+``header.article_ids`` and ``header.terms``, and a dense file's
+``header.article_ids_sha256``); and each array as stored (integer arrays
+as byte planes), in file order, with its dtype, shape, raw bytes and
+deflated bytes. The string tables' prefixes are the arrays
+``article_ids.prefix`` and ``terms.prefix``; the lists' pointers are
+stored as counts (``title.df``, ``sentence_counts``, ...). A part's deflated
 bytes are its bytes compressed alone at the files' level, so a size
 change can be traced to the entries and arrays that make it; they need
 not sum to the file's size, which is one deflate stream over all of

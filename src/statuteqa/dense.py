@@ -48,11 +48,11 @@ __all__ = [
 ]
 
 DENSE_INDEX_FORMAT = "statuteqa.denseindex"
-DENSE_INDEX_VERSION = 8
+DENSE_INDEX_VERSION = 9
 _LAYOUT = {
-    "offsets": (np.int64, 1),
+    "sentence_counts": (np.int64, 1),  # offsets, as each article's sentence count
     "sentence_vector": (np.intp, 1),  # first-use coded in the file
-    "colptr": (np.int64, 1),
+    "entry_counts": (np.int64, 1),  # colptr, as each coordinate's entry count
     "rows": (np.int32, 1),  # gap-coded in the file
     "data": (np.float64, 1),
 }
@@ -200,8 +200,10 @@ class DenseIndex:
     against the index. ``sentence_article`` is each sentence's article
     position (int32) and ``vectors`` the number of vector rows, derived
     from ``offsets`` and ``sentence_vector`` once, when the index is built
-    or loaded; they are not saved and take no part in ``repr``. ``==`` is
-    identity. Immutable after build; safe for concurrent readers.
+    or loaded; they are not saved and take no part in ``repr``. A file
+    stores ``offsets`` and ``colptr`` as per-article sentence counts and
+    per-coordinate entry counts, which load sums back. ``==`` is identity.
+    Immutable after build; safe for concurrent readers.
     """
 
     embedder_fingerprint: str
@@ -363,10 +365,12 @@ def dense_retrieve_topk(
 
 
 def save_dense_index(index: DenseIndex, path: str | Path) -> None:
-    """Persist the offsets, the sentence map in first-use code and the
-    coordinate postings, their rows gap-coded (see ``indexfile``). The
-    article ids are not stored, only their ``indexfile.strings_digest``:
-    the lexical index of the same build stores them.
+    """Persist what load cannot derive (see ``indexfile``): each article's
+    sentence count (``offsets`` as counts), the sentence map in first-use
+    code, and the coordinate postings as each coordinate's entry count
+    (``colptr`` as counts), rows gap-coded, and data. The article ids are
+    not stored, only their ``indexfile.strings_digest``: the lexical index
+    of the same build stores them.
 
     Deterministic: equal indexes save to equal bytes.
     """
@@ -377,9 +381,13 @@ def save_dense_index(index: DenseIndex, path: str | Path) -> None:
         "dimension": index.dimension,
         "article_ids_sha256": indexfile.strings_digest(index.article_ids),
     }
-    arrays = {name: getattr(index, name) for name in _LAYOUT}
-    arrays["sentence_vector"] = indexfile.first_use_encode(index.sentence_vector)
-    arrays["rows"] = indexfile.gap_encode(index.colptr, index.rows)
+    arrays = {
+        "sentence_counts": np.diff(index.offsets),
+        "sentence_vector": indexfile.first_use_encode(index.sentence_vector),
+        "entry_counts": np.diff(index.colptr),
+        "rows": indexfile.gap_encode(index.colptr, index.rows),
+        "data": index.data,
+    }
     indexfile.save(path, DENSE_INDEX_FORMAT, DENSE_INDEX_VERSION, header, arrays)
 
 
@@ -395,7 +403,10 @@ def load_dense_index(
     The file must record ``embedder``'s fingerprint and dimension,
     ``tokenizer``'s fingerprint and the digest of ``article_ids``, which
     must be strictly ascending; the loaded index cuts and embeds questions
-    with ``tokenizer`` and ``embedder``.
+    with ``tokenizer`` and ``embedder``. ``offsets`` and ``colptr`` are the
+    running sums of the stored counts: one count of at least 1 sentence
+    per article, adding up to the sentence map's length, and one count of
+    entries per coordinate, adding up to the posting rows.
     """
     fingerprint, dimension = embedder.fingerprint(), embedder.dimension
     header, arrays = indexfile.load(
@@ -410,14 +421,12 @@ def load_dense_index(
     rebuild = "rebuild both files with `statuteqa index`"
     indexfile.require(same, path, f"built over other articles than the lexical index; {rebuild}")
     indexfile.require_ascending(path, "article ids", article_ids)
-    offsets, codes, colptr, gaps, data = (arrays[name] for name in _LAYOUT)
-    sentences = int(offsets[-1]) if len(offsets) else 0  # offsets alone count them
-    indexfile.require_offsets(path, "offsets", offsets, len(article_ids), sentences)
-    mapped = len(codes) == sentences
-    indexfile.require(mapped, path, f"sentence_vector must have {sentences} entries")
+    sentences, codes, entries, gaps, data = (arrays[name] for name in _LAYOUT)
+    offsets = indexfile.pointers(
+        path, "sentence_counts", sentences, len(article_ids), len(codes), least=1
+    )
     sentence_vector, vectors = indexfile.first_use_decode(path, "sentence_vector", codes)
-    coordinates = len(colptr) == dimension + 1
-    indexfile.require(coordinates, path, f"colptr must have {dimension + 1} entries")
+    colptr = indexfile.pointers(path, "entry_counts", entries, dimension, len(gaps))
     rows = indexfile.gap_decode(path, "rows", colptr, gaps, vectors)
     same = len(data) == len(rows)
     indexfile.require(same, path, f"{len(rows)} rows but {len(data)} data")

@@ -8,30 +8,42 @@ JSON header line (``format``, ``version``, the index's metadata, and
 stored gap-coded (``gap_encode``) and checked as they are decoded
 (``gap_decode``). A map onto rows numbered in first-use order is stored in
 first-use code (``first_use_encode``, ``first_use_decode``). A sorted
-string list in the header (article ids, terms) is stored front-coded
-(``front_encode``, ``front_decode``): each string as the number of leading
-characters it shares with the string before it, then the rest (Witten,
-Moffat & Bell, *Managing Gigabytes*, 1999, section 4.1).
+string list (article ids, terms) is stored front-coded (``front_encode``,
+``front_decode``): each string as the number of leading characters it
+shares with the string before it, then the rest (Witten, Moffat & Bell,
+*Managing Gigabytes*, 1999, section 4.1); the rests are a list in the
+header and the prefixes an array named ``<list>.prefix``.
+
+A file stores nothing that load can derive. List pointers (a lexical
+field's ``indptr``, the dense ``offsets`` and ``colptr``) are stored as
+the counts that ``np.diff`` gives, and load rebuilds them with one
+``cumsum`` (``pointers``), which checks the counts. A lexical field's
+per-column lengths are its ``tf`` summed per column, and its impacts and
+statistics come from the function build uses, so every derived array
+equals the built one bit for bit.
 
 Each 1-d integer array is stored as byte planes (``to_planes``): a
 ``(width, n)`` uint8 array whose row ``i`` holds byte ``i`` of every
 value's little-endian bits. ``width`` is the fewest of 1, 2, 4 or 8 bytes
 that holds the largest value read as unsigned, so an array with a
-negative value keeps its full width. Gaps, counts and offsets mostly fit
+negative value keeps its full width. Gaps, counts and prefixes mostly fit
 in one or two bytes; their zero high bytes vanish, and each plane puts
 like bytes together, which deflate packs far better than interleaved
 values (the byte-shuffle filter of HDF5 and Blosc). Float arrays are
 stored as they are. ``load`` rebuilds each integer array in its layout
-dtype (``from_planes``) before it checks anything else. Lexical files
-before version 5 and dense files before version 6 stored plain arrays;
-lexical version 5 stored one term list per field where version 6 stores
-one for both; lexical version 6 stored its article ids and terms as
-plain JSON lists where version 7 front-codes them; dense version 6 stored
-a vector per sentence where version 7 stores each distinct vector once
-and a sentence map; and dense version 7 stored its own copy of the
-article ids where version 8 stores only their ``strings_digest`` and
-takes the ids from the lexical index. Older files fail with a version
-mismatch that says to rebuild them with ``statuteqa index``.
+dtype (``from_planes``, a shift and an or per plane) before it checks
+anything else. Lexical files before version 5 and dense files before
+version 6 stored plain arrays; lexical version 5 stored one term list per
+field where version 6 stores one for both; lexical version 6 stored its
+article ids and terms as plain JSON lists where version 7 front-codes
+them; dense version 6 stored a vector per sentence where version 7 stores
+each distinct vector once and a sentence map; dense version 7 stored its
+own copy of the article ids where version 8 stores only their
+``strings_digest`` and takes the ids from the lexical index; and lexical
+version 7 and dense version 8 stored pointers and lengths, and the front
+codes' prefixes in the header, where lexical version 8 and dense version 9
+store counts and prefix arrays. Older files fail with a version mismatch
+that says to rebuild them with ``statuteqa index``.
 
 Artifacts, the JSON-lines record files (corpus, gold questions, training
 examples) among them, are written through ``replacing``, so a reader sees
@@ -56,6 +68,7 @@ import numpy as np
 
 COMPRESS_LEVEL = 6
 WIDTHS = (1, 2, 4, 8)  # bytes per value an integer array may be stored in
+FRONT_CHARS = 32  # leading characters front_encode compares in bulk
 
 
 @contextlib.contextmanager
@@ -163,42 +176,52 @@ def load(path, fmt: str, version: int, layout: dict, expected: dict):
     return header, arrays
 
 
-def front_encode(strings) -> dict:
-    """``strings`` as ``{"prefix": [...], "suffix": [...]}``: for each
-    string, the number of leading characters (not bytes) it shares with
-    the string before it, then the rest. A sorted list shares long
-    prefixes, which leaves short suffixes."""
-    prefix, suffix, before = [], [], ""
-    for string in strings:
-        shared = len(os.path.commonprefix([before, string]))
-        prefix.append(shared)
-        suffix.append(string[shared:])
-        before = string
-    return {"prefix": prefix, "suffix": suffix}
+def front_encode(strings) -> tuple[np.ndarray, list[str]]:
+    """``strings`` as (prefixes, suffixes): for each string, the number of
+    leading characters (not bytes) it shares with the string before it, as
+    an int64 array, then the rest. A sorted list shares long prefixes,
+    which leaves short suffixes.
+
+    Neighbours are compared in bulk on their first ``FRONT_CHARS``
+    characters; only a pair that agrees on all of them is compared whole.
+    """
+    strings = list(strings)
+    count = len(strings)
+    lengths = np.fromiter(map(len, strings), np.int64, count)
+    # code points side by side, cut or zero-padded to FRONT_CHARS; a
+    # padding zero that matches never counts past the shorter string
+    chars = np.array(strings, dtype=f"<U{FRONT_CHARS}").view(np.uint32)
+    chars = chars.reshape(count, FRONT_CHARS)
+    differ = chars[1:] != chars[:-1]
+    shared = np.where(differ.any(axis=1), differ.argmax(axis=1), FRONT_CHARS)
+    prefix = np.zeros(count, dtype=np.int64)
+    prefix[1:] = np.minimum(shared, np.minimum(lengths[1:], lengths[:-1]))
+    for i in np.flatnonzero(prefix == FRONT_CHARS).tolist():
+        prefix[i] = len(os.path.commonprefix(strings[i - 1 : i + 1]))
+    return prefix, [string[k:] for string, k in zip(strings, prefix.tolist())]
 
 
-def front_decode(path, name: str, coded) -> list[str]:
-    """The strings ``front_encode`` stored as ``coded``.
+def front_decode(path, name: str, prefix, suffix) -> list[str]:
+    """The strings ``front_encode`` stored as ``prefix`` (an int64 array,
+    stored as ``{name}.prefix``) and ``suffix`` (a list, stored as ``name``).
 
     Decoded in one comprehension, then checked whole: raises
-    ``ValueError`` naming ``path`` and ``name`` unless ``coded`` holds
-    lists of int prefixes and str suffixes of one length, the first
-    prefix is 0, and no prefix is negative or longer than the string
-    before it.
+    ``ValueError`` naming ``path`` and ``name`` unless ``suffix`` is a list
+    of strings with one prefix each, the first prefix is 0, and no prefix
+    is negative or longer than the string before it.
     """
-    parts = coded if isinstance(coded, dict) else {}
-    prefix, suffix = parts.get("prefix"), parts.get("suffix")
-    ok = isinstance(prefix, list) and isinstance(suffix, list) and len(prefix) == len(suffix)
-    ok = ok and set(map(type, prefix)) <= {int} and set(map(type, suffix)) <= {str}
-    message = f"{name} must be a list of strings, front-coded as int prefixes and str suffixes"
-    require(ok, path, message)
-    before = ""
-    strings = [before := before[:k] + rest for k, rest in zip(prefix, suffix)]
+    ok = isinstance(suffix, list) and set(map(type, suffix)) <= {str}
+    require(ok, path, f"{name} must be a list of strings, stored as str suffixes")
+    count = len(suffix)
+    message = f"{name}.prefix must hold one prefix per suffix ({count})"
+    require(len(prefix) == count, path, message)
+    before, shared = "", prefix.tolist()
+    strings = [before := before[:k] + rest for k, rest in zip(shared, suffix)]
     # with no prefix negative, each string is as long as its prefix and
     # suffix together exactly when the prefix does not pass the string
     # before, which for the first string is "": its prefix must be 0
-    fits = len("".join(strings)) == sum(prefix) + len("".join(suffix))
-    ok = min(prefix, default=0) >= 0 and fits
+    fits = len("".join(strings)) == sum(shared) + len("".join(suffix))
+    ok = prefix.min(initial=0) >= 0 and fits
     require(ok, path, f"{name} prefixes must start at 0 and not pass the string before")
     return strings
 
@@ -236,9 +259,11 @@ def from_planes(path, name: str, planes, dtype) -> np.ndarray:
     width = planes.shape[0] if planes.ndim == 2 else 0
     ok = planes.dtype == np.uint8 and width in WIDTHS and width <= dtype.itemsize
     require(ok, path, f"{name} is not 1, 2, 4 or 8 uint8 byte planes of {dtype}")
-    bits = np.zeros((planes.shape[1], dtype.itemsize), dtype=np.uint8)
-    bits[:, :width] = planes.T
-    return bits.view(dtype.newbyteorder("<")).reshape(-1).astype(dtype, copy=False)
+    unsigned = np.dtype(f"u{dtype.itemsize}")
+    bits = planes[0].astype(unsigned)
+    for i in range(1, width):
+        bits |= planes[i].astype(unsigned) << 8 * i
+    return bits.view(dtype)
 
 
 def require(condition, path, message: str) -> None:
@@ -247,11 +272,21 @@ def require(condition, path, message: str) -> None:
         raise ValueError(f"{path}: {message}")
 
 
-def require_offsets(path, name: str, offsets, rows: int, total: int) -> None:
-    """``offsets`` splits ``total`` entries into ``rows`` non-empty runs."""
-    ok = offsets.shape == (rows + 1,) and offsets[0] == 0 and offsets[-1] == total
-    ok = ok and bool(np.all(np.diff(offsets) > 0))
-    require(ok, path, f"{name} must rise strictly from 0 to {total}")
+def pointers(path, name: str, counts, rows: int, total: int, least: int = 0) -> np.ndarray:
+    """The int64 running sums ``0, c[0], c[0] + c[1], ...`` of ``counts``,
+    the pointers into ``total`` entries that ``np.diff`` stored as counts.
+
+    Raises ``ValueError`` naming ``path`` and ``name`` unless there are
+    ``rows`` counts, each at least ``least`` (at least 0), adding up to
+    ``total``.
+    """
+    ok = counts.shape == (rows,) and counts.min(initial=least) >= least
+    require(ok, path, f"{name} must hold {rows} counts, each at least {least}")
+    ptr = np.zeros(rows + 1, dtype=np.int64)
+    np.cumsum(counts, out=ptr[1:])
+    # with no count negative, a sum that wraps is negative where it first wraps
+    require(ptr[-1] == total and ptr.min() >= 0, path, f"{name} must add up to {total}")
+    return ptr
 
 
 def gap_encode(ptr, ids) -> np.ndarray:

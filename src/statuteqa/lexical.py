@@ -59,24 +59,32 @@ __all__ = [
 FIELDS = ("title", "content")
 
 LEX_INDEX_FORMAT = "statuteqa.lexindex"
-LEX_INDEX_VERSION = 7
+LEX_INDEX_VERSION = 8
 
-# The FieldMatrix arrays an index file holds for each field, with their dtypes
-_SAVED = {"indptr": np.int64, "columns": np.int32, "tf": np.int32, "lengths": np.int64}
+# The string tables' prefixes, then each field's postings: its indptr as
+# per-term posting counts (df), its columns gap-coded, and its tf
+_TABLES = ("article_ids", "terms")
+_SAVED = {"df": np.int64, "columns": np.int32, "tf": np.int32}
 _LAYOUT = {
-    f"{field}.{name}": (dtype, 1) for field in FIELDS for name, dtype in _SAVED.items()
+    **{f"{table}.prefix": (np.int64, 1) for table in _TABLES},
+    **{f"{field}.{name}": (dtype, 1) for field in FIELDS for name, dtype in _SAVED.items()},
 }
 
 
 @dataclass(frozen=True, eq=False)
 class FieldMatrix:
-    """One field's postings and statistics over the index's terms and columns."""
+    """One field's postings and statistics over the index's terms and columns.
+
+    A file stores ``columns`` and ``tf``, and ``indptr`` as per-term
+    posting counts; load derives ``indptr``, ``lengths`` (the per-column
+    sum of ``tf``) and the rest as build does.
+    """
 
     indptr: np.ndarray  # int64, terms + 1; row r is entries indptr[r]:indptr[r+1]
     columns: np.ndarray  # int32 article column of each entry, ascending in a row
     tf: np.ndarray  # int32 term frequency of each entry
     impact: np.ndarray  # float64 idf·tf·(k1+1)/(tf+norm) of each entry
-    lengths: np.ndarray  # int64 tokens per article column; 0 = absent
+    lengths: np.ndarray  # int64 tokens per article column (its tf sum); 0 = absent
     distinct: np.ndarray  # int64 distinct terms per article column
     doc_count: int
     avgdl: float
@@ -95,7 +103,10 @@ class LexIndex:
     order from 0.0 (see ``score_query``), equals the per-article BM25 loop
     bit for bit. ``k1`` and ``b`` are the BM25 settings the impacts were
     computed with; ``tokenizer`` cut the fields and cuts questions read
-    against the index. Immutable after build; safe for concurrent readers.
+    against the index. A file stores the article ids and terms front-coded
+    and each field's counts, columns and ``tf`` (see ``FieldMatrix``);
+    everything else is derived on load. Immutable after build; safe for
+    concurrent readers.
     """
 
     article_ids: tuple[str, ...]  # sorted; position = matrix column
@@ -128,15 +139,19 @@ def _field_matrix(
     indptr: np.ndarray,
     columns: np.ndarray,
     tf: np.ndarray,
-    lengths: np.ndarray,
+    n_columns: int,
     k1: float,
     b: float,
 ) -> FieldMatrix:
-    """Impacts and per-column statistics of one field's CSR postings.
+    """Impacts and per-column statistics of one field's CSR postings over
+    ``n_columns`` article columns.
 
     Build and load both come through here, so they produce the same arrays.
+    A column's length is the sum of its ``tf``, summed in float64, which is
+    exact below 2**53.
     """
     df = np.diff(indptr)
+    lengths = np.bincount(columns, weights=tf, minlength=n_columns).astype(np.int64)
     big_n = int(np.count_nonzero(lengths))
     avgdl = int(lengths.sum()) / big_n if big_n else 0.0
     # few distinct document frequencies: math.log once for each
@@ -154,7 +169,7 @@ def _field_matrix(
         tf=tf,
         impact=impact,
         lengths=lengths,
-        distinct=np.bincount(columns, minlength=len(lengths)),
+        distinct=np.bincount(columns, minlength=n_columns),
         doc_count=big_n,
         avgdl=avgdl,
     )
@@ -189,13 +204,12 @@ def build_lex_index(
     terms = sorted(postings["title"].keys() | postings["content"].keys())
     matrices = {}
     for field in FIELDS:
-        lengths = np.array([len(tokens[field][i]) for i in kept], dtype=np.int64)
         lists = [postings[field].get(term, ()) for term in terms]
         indptr = np.cumsum([0, *map(len, lists)], dtype=np.int64)
         entries = chain.from_iterable(chain.from_iterable(lists))
         flat = np.fromiter(entries, np.int32, 2 * int(indptr[-1]))
         columns, tf = flat.reshape(-1, 2).T.copy()  # two contiguous rows
-        matrices[field] = _field_matrix(indptr, columns, tf, lengths, cfg.k1, cfg.b)
+        matrices[field] = _field_matrix(indptr, columns, tf, len(kept), cfg.k1, cfg.b)
     return LexIndex(
         article_ids=tuple(ordered[i].article_id for i in kept),
         terms=dict(zip(terms, range(len(terms)))),
@@ -280,28 +294,29 @@ def retrieve_topk(
 
 
 def save_lex_index(index: LexIndex, path: str | Path) -> None:
-    """Persist both fields' postings, their columns gap-coded, and lengths,
-    with the article ids and terms front-coded (see ``indexfile``).
+    """Persist what load cannot derive (see ``indexfile``): the article ids
+    and terms front-coded, their suffixes in the header and their prefixes
+    as arrays, and each field's per-term posting counts, columns (gap-coded)
+    and ``tf``.
 
-    Deterministic. Load recomputes the impacts and per-column statistics
-    with the function build uses, so they are equal bit for bit.
+    Deterministic. Load rebuilds ``indptr`` from the counts, and the
+    impacts and per-column statistics with the function build uses, so
+    they are equal bit for bit.
     """
     header = {
         "tokenizer_fingerprint": index.tokenizer.fingerprint(),
         "corpus_digest": index.corpus_digest,
         "k1": index.k1,
         "b": index.b,
-        "article_ids": indexfile.front_encode(index.article_ids),
-        "terms": indexfile.front_encode(index.terms),
     }
-    arrays = {
-        f"{field}.{name}": getattr(index.stats(field), name)
-        for field in FIELDS
-        for name in _SAVED
-    }
+    arrays = {}
+    for table, strings in zip(_TABLES, (index.article_ids, index.terms)):
+        arrays[f"{table}.prefix"], header[table] = indexfile.front_encode(strings)
     for field in FIELDS:
         matrix = index.stats(field)
+        arrays[f"{field}.df"] = np.diff(matrix.indptr)
         arrays[f"{field}.columns"] = indexfile.gap_encode(matrix.indptr, matrix.columns)
+        arrays[f"{field}.tf"] = matrix.tf
     indexfile.save(path, LEX_INDEX_FORMAT, LEX_INDEX_VERSION, header, arrays)
 
 
@@ -309,35 +324,36 @@ def load_lex_index(path: str | Path, tokenizer: TokenizerConfig) -> LexIndex:
     """Load a persisted index built with ``tokenizer``, which the loaded
     index keeps for its questions.
 
-    Raises ``ValueError`` naming ``path`` for a header whose
-    ``article_ids`` or ``terms`` are not front-coded lists of strings in
-    strictly ascending order, or whose ``k1`` and ``b`` are not finite
-    reals in their config ranges, and for a term with no posting in either
-    field.
+    Raises ``ValueError`` naming ``path`` for ``article_ids`` or ``terms``
+    that are not front-coded lists of strings in strictly ascending order,
+    a header whose ``k1`` and ``b`` are not finite reals in their config
+    ranges, a field's posting counts that are negative, not one per term or
+    not adding up to its ``tf``, an article column with no content
+    posting, and a term with no posting in either field.
     """
     header, arrays = indexfile.load(
         path, LEX_INDEX_FORMAT, LEX_INDEX_VERSION, _LAYOUT,
         {"tokenizer_fingerprint": tokenizer.fingerprint()},
     )
-    ids = indexfile.front_decode(path, "article_ids", header.get("article_ids"))
+    ids, terms = (
+        indexfile.front_decode(path, table, arrays[f"{table}.prefix"], header.get(table))
+        for table in _TABLES
+    )
     indexfile.require_ascending(path, "article ids", ids)
+    indexfile.require_ascending(path, "terms", terms)
     k1, b = header.get("k1"), header.get("b")
     in_range = finite_real(k1) is not None and k1 >= 0
     indexfile.require(in_range, path, "k1 must be a finite real >= 0")
     in_range = finite_real(b) is not None and 0 <= b <= 1
     indexfile.require(in_range, path, "b must be a finite real in [0, 1]")
-    terms = indexfile.front_decode(path, "terms", header.get("terms"))
-    indexfile.require_ascending(path, "terms", terms)
     matrices = {}
     for field in FIELDS:
-        indptr, gaps, tf, lengths = (arrays[f"{field}.{name}"] for name in _SAVED)
-        shaped = len(indptr) == len(terms) + 1 and indptr[-1] == len(tf)
-        message = f"{field} indptr must have {len(terms) + 1} entries and end at {len(tf)}"
-        indexfile.require(shaped, path, message)
+        df, gaps, tf = (arrays[f"{field}.{name}"] for name in _SAVED)
+        indptr = indexfile.pointers(path, f"{field}.df", df, len(terms), len(tf))
         columns = indexfile.gap_decode(path, f"{field} columns", indptr, gaps, len(ids))
-        agree = len(lengths) == len(ids)
-        indexfile.require(agree, path, f"{field} postings disagree with the header")
-        matrices[field] = _field_matrix(indptr, columns, tf, lengths, k1, b)
+        matrices[field] = _field_matrix(indptr, columns, tf, len(ids), k1, b)
+    posted = matrices["content"].distinct.all()
+    indexfile.require(posted, path, "every article column must have a content posting")
     used = np.diff(matrices["title"].indptr) + np.diff(matrices["content"].indptr)
     indexfile.require(used.all(), path, "every term must have a posting in a field")
     return LexIndex(

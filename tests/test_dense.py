@@ -307,10 +307,13 @@ def test_file_with_an_embedder_spec_header_still_loads(tiny_articles, tmp_path):
         header = json.loads(stream.readline())
     header.pop("embedder_spec", None)
     header["embedder_spec"] = {"kind": "hashed_projection", "dimension": 64, "seed": 0}
-    names = ("offsets", "sentence_vector", "colptr", "rows", "data")
-    arrays = {name: getattr(index, name) for name in names}
-    arrays["sentence_vector"] = indexfile.first_use_encode(index.sentence_vector)
-    arrays["rows"] = indexfile.gap_encode(index.colptr, index.rows)
+    arrays = {
+        "sentence_counts": np.diff(index.offsets),
+        "sentence_vector": indexfile.first_use_encode(index.sentence_vector),
+        "entry_counts": np.diff(index.colptr),
+        "rows": indexfile.gap_encode(index.colptr, index.rows),
+        "data": index.data,
+    }
     indexfile.save(path, header["format"], header["version"], header, arrays)
     loaded = load_dense_index(path, EMB, TOK, index.article_ids)
     assert loaded.embedder is EMB

@@ -6,12 +6,13 @@ import dataclasses
 import functools
 import gzip
 import json
+import os
 import re
 import unicodedata
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from statuteqa import dense, indexfile, lexical
 from statuteqa.corpus import Article, TokenizerConfig
@@ -101,6 +102,23 @@ def _write(path, header, arrays):
     indexfile.save(path, header["format"], header["version"], header, arrays)
 
 
+def _front_coded(header, arrays, table, strings):
+    """``header`` and ``arrays`` with the lexical ``table`` front-coded as
+    ``strings``: its suffixes in the header, its prefixes an array."""
+    prefix, suffix = indexfile.front_encode(strings)
+    return {**header, table: suffix}, {**arrays, f"{table}.prefix": prefix}
+
+
+def _decoded(path, header, arrays, table):
+    """The strings of the lexical ``table`` as a file stores them."""
+    return indexfile.front_decode(path, table, arrays[f"{table}.prefix"], header[table])
+
+
+def _ptr(counts):
+    """The list pointers that ``counts`` store: their running sums from 0."""
+    return np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_save_that_fails_midway_leaves_the_old_index(
     kind, indexes, tmp_path, monkeypatch
@@ -176,7 +194,7 @@ def test_article_ids_out_of_order_or_repeated_are_rejected(kind, order, indexes,
     ids = list(indexes["lex"][0].article_ids)
     ids = ids[::-1] if order == "out of order" else [ids[0], *ids[:-1]]
     if kind == "lex":
-        _write(path, {**header, "article_ids": indexfile.front_encode(ids)}, arrays)
+        _write(path, *_front_coded(header, arrays, "article_ids", ids))
     else:
         _write(path, {**header, "article_ids_sha256": indexfile.strings_digest(ids)}, arrays)
         load = functools.partial(load, article_ids=tuple(ids))
@@ -187,8 +205,7 @@ def test_article_ids_out_of_order_or_repeated_are_rejected(kind, order, indexes,
 # (index kinds, a header edit, the error after the file name)
 OTHER_ARTICLES = "built over other articles than the lexical index"
 HEADER_EDITS = [
-    (["lex"], {"article_ids": {"prefix": [0, 0], "suffix": ["a", 1]}},
-     "article_ids must be a list of strings"),
+    (["lex"], {"article_ids": ["a", 1]}, "article_ids must be a list of strings"),
     (["lex"], {"article_ids": None}, "article_ids must be a list of strings"),
     (["dense"], {"article_ids_sha256": None}, OTHER_ARTICLES),
     (["dense"], {"article_ids_sha256": "0" * 64}, OTHER_ARTICLES),
@@ -204,8 +221,7 @@ HEADER_EDITS = [
     (["lex"], {"b": "0.75"}, r"b must be a finite real in \[0, 1\]"),
     (["lex"], {"terms": None}, "terms must be a list of strings"),
     (["lex"], {"terms": {"title": [], "content": []}}, "terms must be a list of strings"),
-    (["lex"], {"terms": {"prefix": [0, 0], "suffix": ["a", 2]}},
-     "terms must be a list of strings"),
+    (["lex"], {"terms": ["a", 2]}, "terms must be a list of strings"),
 ]
 
 
@@ -247,11 +263,12 @@ SHARED_SENTENCE = [
     Article("b", "d", None, "Breach causes damages. Land registry records titles."),
 ]
 
-# case -> (array, edit of the stored codes or of the posting rows, message)
+# case -> (array, edit of the stored codes or of the posting rows, message);
+# the sentence counts add up to the 4 sentences, not to a map of 3 or 5
 MAP_EDITS = {
-    "map one short": ("sentence_vector", lambda a: a[:-1], "sentence_vector must have 4 entries"),
+    "map one short": ("sentence_vector", lambda a: a[:-1], "sentence_counts must add up to 3"),
     "map one long": (
-        "sentence_vector", lambda a: np.append(a, 0), "sentence_vector must have 4 entries"
+        "sentence_vector", lambda a: np.append(a, 0), "sentence_counts must add up to 5"
     ),
     "code names a later vector": (
         "sentence_vector", lambda a: np.array([0, 0, 3, 0]),
@@ -279,7 +296,7 @@ def test_a_malformed_sentence_map_is_rejected_naming_the_file(case, tmp_path):
     save_dense_index(index, path)
     header, arrays = _read(path)
     if name == "rows":
-        ptr = arrays["colptr"]
+        ptr = _ptr(arrays["entry_counts"])
         ids = np.concatenate([edit(ids) for ids in _lists(ptr, arrays["rows"])])
         arrays["rows"] = indexfile.gap_encode(ptr, ids.astype(np.int32))
     else:
@@ -296,7 +313,7 @@ def test_a_version_6_dense_file_says_to_rebuild_the_index(indexes, tmp_path):
     header, arrays = _read(path)
     arrays.pop("sentence_vector")
     _write(path, {**header, "version": 6}, arrays)
-    message = r"dense.bin: version mismatch \(index 6, expected 8\); rebuild it with `statuteqa index`"
+    message = r"dense.bin: version mismatch \(index 6, expected 9\); rebuild it with `statuteqa index`"
     with pytest.raises(ValueError, match=message):
         load(path)
 
@@ -305,9 +322,9 @@ def test_a_version_5_lex_file_says_to_rebuild_the_index(indexes, tmp_path):
     """Version 5 stored one term list per field."""
     path, load = _saved(indexes, "lex", tmp_path)
     header, arrays = _read(path)
-    terms = indexfile.front_decode(path, "terms", header["terms"])
+    terms = _decoded(path, header, arrays, "terms")
     _write(path, {**header, "version": 5, "terms": {"title": terms, "content": terms}}, arrays)
-    message = r"lex.bin: version mismatch \(index 5, expected 7\); rebuild it with `statuteqa index`"
+    message = r"lex.bin: version mismatch \(index 5, expected 8\); rebuild it with `statuteqa index`"
     with pytest.raises(ValueError, match=message):
         load(path)
 
@@ -319,7 +336,7 @@ def test_a_version_7_dense_file_says_to_rebuild_the_index(indexes, tmp_path):
     header.pop("article_ids_sha256")
     ids = list(indexes["dense"][0].article_ids)
     _write(path, {**header, "version": 7, "article_ids": ids}, arrays)
-    message = r"dense.bin: version mismatch \(index 7, expected 8\); rebuild it with `statuteqa index`"
+    message = r"dense.bin: version mismatch \(index 7, expected 9\); rebuild it with `statuteqa index`"
     with pytest.raises(ValueError, match=message):
         load(path)
 
@@ -329,9 +346,49 @@ def test_a_version_6_lex_file_says_to_rebuild_the_index(indexes, tmp_path):
     path, load = _saved(indexes, "lex", tmp_path)
     header, arrays = _read(path)
     keys = ("article_ids", "terms")
-    plain = {key: indexfile.front_decode(path, key, header[key]) for key in keys}
+    plain = {key: _decoded(path, header, arrays, key) for key in keys}
     _write(path, {**header, "version": 6, **plain}, arrays)
-    message = r"lex.bin: version mismatch \(index 6, expected 7\); rebuild it with `statuteqa index`"
+    message = r"lex.bin: version mismatch \(index 6, expected 8\); rebuild it with `statuteqa index`"
+    with pytest.raises(ValueError, match=message):
+        load(path)
+
+
+def test_a_version_7_lex_file_says_to_rebuild_the_index(indexes, tmp_path):
+    """Version 7 kept the front codes' prefixes in the header and stored
+    each field's indptr and lengths."""
+    path, load = _saved(indexes, "lex", tmp_path)
+    header, _ = _read(path)
+    index = indexes["lex"][0]
+    for key, strings in (("article_ids", index.article_ids), ("terms", index.terms)):
+        prefix, suffix = indexfile.front_encode(strings)
+        header[key] = {"prefix": prefix.tolist(), "suffix": suffix}
+    arrays = {}
+    for field in lexical.FIELDS:
+        matrix = index.stats(field)
+        arrays[f"{field}.indptr"] = matrix.indptr
+        arrays[f"{field}.columns"] = indexfile.gap_encode(matrix.indptr, matrix.columns)
+        arrays[f"{field}.tf"] = matrix.tf
+        arrays[f"{field}.lengths"] = matrix.lengths
+    _write(path, {**header, "version": 7}, arrays)
+    message = r"lex.bin: version mismatch \(index 7, expected 8\); rebuild it with `statuteqa index`"
+    with pytest.raises(ValueError, match=message):
+        load(path)
+
+
+def test_a_version_8_dense_file_says_to_rebuild_the_index(indexes, tmp_path):
+    """Version 8 stored offsets and colptr, not counts."""
+    path, load = _saved(indexes, "dense", tmp_path)
+    header, arrays = _read(path)
+    index = indexes["dense"][0]
+    arrays = {
+        "offsets": index.offsets,
+        "sentence_vector": arrays["sentence_vector"],
+        "colptr": index.colptr,
+        "rows": arrays["rows"],
+        "data": arrays["data"],
+    }
+    _write(path, {**header, "version": 8}, arrays)
+    message = r"dense.bin: version mismatch \(index 8, expected 9\); rebuild it with `statuteqa index`"
     with pytest.raises(ValueError, match=message):
         load(path)
 
@@ -353,7 +410,7 @@ def test_terms_repeated_or_out_of_order_are_rejected(terms, tmp_path):
     save_lex_index(index, path)
     assert lexical.bm25(load_lex_index(path, tok), "content", ["beta"], "a") > 0
     header, arrays = _read(path)
-    _write(path, {**header, "terms": indexfile.front_encode(terms)}, arrays)
+    _write(path, *_front_coded(header, arrays, "terms", terms))
     with pytest.raises(ValueError, match="lex.bin: terms out of order"):
         load_lex_index(path, tok)
 
@@ -362,14 +419,77 @@ def test_a_term_with_no_posting_in_either_field_is_rejected(indexes, tmp_path):
     """Both fields keep an empty row for a term added to the vocabulary."""
     path, load = _saved(indexes, "lex", tmp_path)
     header, arrays = _read(path)
-    terms = indexfile.front_decode(path, "terms", header["terms"])
+    terms = _decoded(path, header, arrays, "terms")
     assert terms[-1] < "zzz"
     for field in lexical.FIELDS:
-        ptr = arrays[f"{field}.indptr"]
-        arrays[f"{field}.indptr"] = np.append(ptr, ptr[-1])
-    _write(path, {**header, "terms": indexfile.front_encode([*terms, "zzz"])}, arrays)
+        arrays[f"{field}.df"] = np.append(arrays[f"{field}.df"], 0)
+    _write(path, *_front_coded(header, arrays, "terms", [*terms, "zzz"]))
     with pytest.raises(ValueError, match="lex.bin: every term must have a posting"):
         load(path)
+
+
+# Vietnamese words in NFC, some of them again in NFD, which clean alike; the
+# lexicon merges two phrases of them
+WORDS = ["người", "lao", "động", "hợp", "đồng", "bộ", "luật", "điều", "khoản", "2015"]
+WORDS += [unicodedata.normalize("NFD", word) for word in WORDS[:5]]
+LEXICON = ["bộ luật", "hợp đồng lao động"]
+# a sentence, or one of a few drawn again and again so that sentences repeat
+SENTENCES = st.lists(st.sampled_from(WORDS), max_size=5).map(" ".join) | st.sampled_from(
+    ["Người lao động", "hợp đồng lao động.", "— § —"]
+)
+# no title, one that cleans to nothing, or words
+TITLES = st.none() | st.sampled_from(["", "§ — !"]) | SENTENCES
+
+
+@st.composite
+def corpora(draw):
+    """Articles ``<law>/2015/QH13#<i>`` whose sentences may clean to nothing."""
+    count = draw(st.integers(1, 6))
+    return [
+        Article(
+            f"{draw(st.integers(1, 300))}/2015/QH13#{i}", "d", draw(TITLES),
+            ". ".join(draw(st.lists(SENTENCES, max_size=4))),
+        )
+        for i in range(count)
+    ]
+
+
+def _same_array(got, built):
+    assert (got.dtype, got.shape, got.tobytes()) == (built.dtype, built.shape, built.tobytes())
+
+
+@settings(deadline=None)
+@given(articles=corpora(), lexicon=st.booleans())
+def test_saved_indexes_load_to_the_built_arrays_and_save_again_to_equal_bytes(
+    articles, lexicon, tmp_path_factory
+):
+    """Every array a load derives (pointers from counts, lengths from tf,
+    strings from front codes) equals the built one bit for bit."""
+    cfg = PipelineConfig(phrase_lexicon=LEXICON if lexicon else [])
+    tok, embedder = cfg.tokenizer_config(), HashedProjectionEmbedder(16, 0)
+    lex = build_lex_index(articles, cfg)
+    dense, _ = build_dense_index(articles, embedder, tok)
+    directory = tmp_path_factory.getbasetemp()
+    paths = [directory / name for name in ("lex.bin", "dense.bin", "lex2.bin", "dense2.bin")]
+    save_lex_index(lex, paths[0])
+    save_dense_index(dense, paths[1])
+    lex_loaded = load_lex_index(paths[0], tok)
+    dense_loaded = load_dense_index(paths[1], embedder, tok, lex_loaded.article_ids)
+    assert lex_loaded.article_ids == lex.article_ids == dense.article_ids
+    assert list(lex_loaded.terms.items()) == list(lex.terms.items())
+    for field in lexical.FIELDS:
+        got, built = lex_loaded.stats(field), lex.stats(field)
+        for name in ("indptr", "columns", "tf", "impact", "lengths", "distinct"):
+            _same_array(getattr(got, name), getattr(built, name))
+        assert got.doc_count == built.doc_count
+        assert got.avgdl.hex() == float(built.avgdl).hex()
+    for name in ("offsets", "sentence_vector", "colptr", "rows", "data", "sentence_article"):
+        _same_array(getattr(dense_loaded, name), getattr(dense, name))
+    assert dense_loaded.vectors == dense.vectors
+    save_lex_index(lex_loaded, paths[2])
+    save_dense_index(dense_loaded, paths[3])
+    assert paths[0].read_bytes() == paths[2].read_bytes()
+    assert paths[1].read_bytes() == paths[3].read_bytes()
 
 
 def test_equal_indexes_compare_by_identity_without_raising(tiny_articles):
@@ -404,71 +524,108 @@ def test_gap_coding_round_trips_and_rejects_a_gap_that_wraps():
     assert nothing.size == 0
 
 
-# Vietnamese letters in NFC and NFD, ASCII, and a letter outside the BMP
-LETTERS = "aăâđeêoôơuưyàảãáạằẳẵắặầẩẫấậ" + unicodedata.normalize("NFD", "ầẩẫấậ") + "b#/𝔞"
+# Vietnamese letters in NFC and NFD, ASCII, NUL, and a letter outside the BMP
+LETTERS = "aăâđeêoôơuưyàảãáạằẳẵắặầẩẫấậ" + unicodedata.normalize("NFD", "ầẩẫấậ") + "b#/\0𝔞"
+# a stem before every string: none, or one longer than front_encode compares
+# in bulk, so that neighbours agree on all the characters compared at once
+STEMS = ["", "ầ" * (indexfile.FRONT_CHARS - 1), "a" * indexfile.FRONT_CHARS + "ă" * 9]
 
 
-@given(strings=st.lists(st.text(LETTERS, max_size=8), unique=True), extend=st.booleans())
-def test_front_coding_round_trips_sorted_unique_strings(strings, extend, tmp_path_factory):
+def _front_encode_one_by_one(strings):
+    """The prefixes and suffixes front coding stores, one string at a time."""
+    prefix, suffix, before = [], [], ""
+    for string in strings:
+        shared = len(os.path.commonprefix([before, string]))
+        prefix.append(shared)
+        suffix.append(string[shared:])
+        before = string
+    return prefix, suffix
+
+
+@given(
+    strings=st.lists(st.text(LETTERS, max_size=8), unique=True),
+    extend=st.booleans(),
+    stem=st.sampled_from(STEMS),
+)
+def test_front_coding_round_trips_sorted_unique_strings(
+    strings, extend, stem, tmp_path_factory
+):
     """Sorted and unique, one string or none among them, and with ``extend``
-    some that begin the next one."""
-    strings = sorted({*strings, *(s + "a" for s in strings[:2] if extend)})
-    coded = indexfile.front_encode(strings)
-    assert len(coded["prefix"]) == len(coded["suffix"]) == len(strings)
-    assert indexfile.front_decode("f", "x", coded) == strings
-    for before, string, shared in zip(["", *strings], strings, coded["prefix"]):
+    some that begin the next one. The prefixes are the ones a string by
+    string comparison finds."""
+    strings = sorted({stem + s for s in [*strings, *(s + "a" for s in strings[:2] if extend)]})
+    prefix, suffix = indexfile.front_encode(strings)
+    assert prefix.dtype == np.int64
+    assert (prefix.tolist(), suffix) == _front_encode_one_by_one(strings)
+    assert indexfile.front_decode("f", "x", prefix, suffix) == strings
+    for before, string, shared in zip(["", *strings], strings, prefix.tolist()):
         # the longest prefix shared with the string before, in characters
         assert string[:shared] == before[:shared]
         assert string[shared : shared + 1] != before[shared : shared + 1] or shared == len(string)
     directory = tmp_path_factory.getbasetemp()
     paths = [directory / "one.bin", directory / "two.bin"]
-    header = {"corpus_digest": "", "terms": coded}
-    indexfile.save(paths[0], "f", 1, header, {})
-    loaded, _ = indexfile.load(paths[0], "f", 1, {}, {})
-    again = indexfile.front_decode(paths[0], "terms", loaded["terms"])
-    indexfile.save(paths[1], "f", 1, {**header, "terms": indexfile.front_encode(again)}, {})
+    header, layout = {"corpus_digest": "", "terms": suffix}, {"terms.prefix": (np.int64, 1)}
+    indexfile.save(paths[0], "f", 1, header, {"terms.prefix": prefix})
+    loaded, arrays = indexfile.load(paths[0], "f", 1, layout, {})
+    again = indexfile.front_decode(paths[0], "terms", arrays["terms.prefix"], loaded["terms"])
+    prefix, suffix = indexfile.front_encode(again)
+    indexfile.save(paths[1], "f", 1, {**header, "terms": suffix}, {"terms.prefix": prefix})
     assert again == strings
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
-RANGE = "prefixes must start at 0 and not pass the string before"
-SHAPE = "must be a list of strings, front-coded as int prefixes and str suffixes"
+RANGE = "{name} prefixes must start at 0 and not pass the string before"
+SHAPE = "{name} must be a list of strings, stored as str suffixes"
+PLANES = r"{name}\.prefix is not 1, 2, 4 or 8 uint8 byte planes of int64"
 
-# case -> (a malformed front code, the error after the name)
+# case -> (malformed prefixes, suffixes, the error, ``name`` the table's);
+# prefixes that are not a list stand for an array of another dtype, which
+# only a file can hold
 MALFORMED_CODES = {
-    "prefix longer than the string before": ({"prefix": [0, 3], "suffix": ["ab", "c"]}, RANGE),
-    "negative prefix": ({"prefix": [0, -1], "suffix": ["ab", "c"]}, RANGE),
+    "prefix longer than the string before": ([0, 3], ["ab", "c"], RANGE),
+    "negative prefix": ([0, -1], ["ab", "c"], RANGE),
     # "ab"[:-1] has 2 characters more than -1 and "ac"[:4] 2 fewer than 4,
     # so the decoded lengths add up as if every prefix fitted
-    "negative prefix beside a long one": (
-        {"prefix": [0, -1, 4], "suffix": ["ab", "c", "d"]}, RANGE
+    "negative prefix beside a long one": ([0, -1, 4], ["ab", "c", "d"], RANGE),
+    "first prefix not 0": ([1, 1], ["ab", "c"], RANGE),
+    "bool prefix array": (np.array([False, True]), ["ab", "c"], PLANES),
+    "float prefix array": (np.array([0.0, 1.0]), ["ab", "c"], PLANES),
+    "prefix array one short": (
+        [0], ["ab", "c"], r"{name}\.prefix must hold one prefix per suffix \(2\)"
     ),
-    "first prefix not 0": ({"prefix": [1, 1], "suffix": ["ab", "c"]}, RANGE),
-    "bool prefix": ({"prefix": [0, True], "suffix": ["ab", "c"]}, SHAPE),
-    "float prefix": ({"prefix": [0, 1.0], "suffix": ["ab", "c"]}, SHAPE),
-    "prefixes one short": ({"prefix": [0], "suffix": ["ab", "c"]}, SHAPE),
-    "suffixes one short": ({"prefix": [0, 1], "suffix": ["ab"]}, SHAPE),
-    "suffix not a string": ({"prefix": [0, 1], "suffix": ["ab", 3]}, SHAPE),
-    "suffix null": ({"prefix": [0, 1], "suffix": ["ab", None]}, SHAPE),
-    "prefixes missing": ({"suffix": ["ab", "c"]}, SHAPE),
-    "a plain list": (["ab", "ac"], SHAPE),
+    "prefix array one long": (
+        [0, 1], ["ab"], r"{name}\.prefix must hold one prefix per suffix \(1\)"
+    ),
+    "suffix not a string": ([0, 1], ["ab", 3], SHAPE),
+    "suffix null": ([0, 1], ["ab", None], SHAPE),
+    "prefix array missing": (None, ["ab", "c"], "arrays mismatch"),
+    "a version 7 code in the header": (
+        [0, 1], {"prefix": [0, 1], "suffix": ["ab", "c"]}, SHAPE
+    ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_CODES))
 def test_malformed_front_codes_are_rejected_naming_the_file(case, tmp_path):
-    coded, message = MALFORMED_CODES[case]
-    good = {"prefix": [0, 1], "suffix": ["ab", "c"]}
-    assert indexfile.front_decode("f", "x", good) == ["ab", "ac"]
-    with pytest.raises(ValueError, match=f"^f: x {message}$"):
-        indexfile.front_decode("f", "x", coded)
+    prefix, suffix, message = MALFORMED_CODES[case]
+    good = np.array([0, 1], dtype=np.int64), ["ab", "c"]
+    assert indexfile.front_decode("f", "x", *good) == ["ab", "ac"]
+    if isinstance(prefix, list):  # as a file's int64 array
+        with pytest.raises(ValueError, match=f"^f: {message.format(name='x')}$"):
+            indexfile.front_decode("f", "x", np.array(prefix, dtype=np.int64), suffix)
     path = tmp_path / "lex.bin"
     index = build_lex_index(ALPHABET, PipelineConfig())
     for key in ("article_ids", "terms"):
         save_lex_index(index, path)
         header, arrays = _read(path)
-        _write(path, {**header, key: coded}, arrays)
-        with pytest.raises(ValueError, match=f"lex.bin: {key} {message}"):
+        name = f"{key}.prefix"
+        arrays = {  # in the file's order
+            n: np.asarray(prefix) if n == name else array
+            for n, array in arrays.items()
+            if n != name or prefix is not None
+        }
+        _write(path, {**header, key: suffix}, arrays)
+        with pytest.raises(ValueError, match=f"lex.bin: {message.format(name=key)}"):
             load_lex_index(path, TokenizerConfig())
 
 
@@ -480,7 +637,7 @@ def test_object_array_is_never_unpickled(indexes, tmp_path):
     trap = np.array([Trap()], dtype=object)
     with gzip.open(path, "wb") as out:
         out.write(json.dumps(header).encode("utf-8") + b"\n")
-        np.lib.format.write_array(out, arrays["offsets"])
+        np.lib.format.write_array(out, arrays["sentence_counts"])
         np.lib.format.write_array(out, trap, allow_pickle=True)
     with pytest.raises(ValueError, match="dense.bin: .*allow_pickle=False"):
         load(path)
@@ -495,20 +652,43 @@ def _falling(a):
     return np.concatenate([a[:1], a[-2:0:-1], a[-1:]])
 
 
-# Gap-coded arrays and their list pointers: a case edits each list's ids
-GAPPED = {"rows": "colptr", "title.columns": "title.indptr", "content.columns": "content.indptr"}
+def _negative_first(a):
+    """The first count made -1, the second raised to keep the total."""
+    return np.concatenate([[-1, a[1] + a[0] + 1], a[2:]])
+
+
+# Gap-coded arrays and the counts of their lists: a case edits each list's ids
+GAPPED = {"rows": "entry_counts", "title.columns": "title.df", "content.columns": "content.df"}
 
 # case -> (index kind, array, edit, expected message); the tiny fixture's
-# dense index has 5 sentence rows, its lexical index 3 article columns and
-# 22 terms
+# dense index has 3 articles of 2, 2 and 1 sentences (5 vector rows) and 64
+# coordinates, its lexical index 3 article columns and 22 terms with 20
+# content postings
 DISAGREEMENTS = {
-    "offsets not increasing": (
-        "dense", "offsets", lambda a: np.array([0, 3, 2, 5]), "offsets must rise"
+    "zero sentence count": (
+        "dense", "sentence_counts", lambda a: np.array([2, 0, 3]),
+        "sentence_counts must hold 3 counts, each at least 1",
     ),
-    "colptr falling": ("dense", "colptr", _falling, "rows lists must not fall"),
-    "colptr past the entries": ("dense", "colptr", _last_plus_one, "rows lists must not fall"),
-    "colptr one short of the coordinates": (
-        "dense", "colptr", lambda a: a[:-1], "colptr must have 65 entries"
+    "negative sentence count": (
+        "dense", "sentence_counts", lambda a: np.array([4, -1, 2]),
+        "sentence_counts must hold 3 counts, each at least 1",
+    ),
+    "sentence counts one short": (
+        "dense", "sentence_counts", lambda a: np.array([2, 3]),
+        "sentence_counts must hold 3 counts",
+    ),
+    "sentence counts past the sentences": (
+        "dense", "sentence_counts", _last_plus_one, "sentence_counts must add up to 5"
+    ),
+    "negative entry count": (
+        "dense", "entry_counts", _negative_first,
+        "entry_counts must hold 64 counts, each at least 0",
+    ),
+    "entry counts past the entries": (
+        "dense", "entry_counts", _last_plus_one, "entry_counts must add up to"
+    ),
+    "entry counts one short of the coordinates": (
+        "dense", "entry_counts", lambda a: a[:-1], "entry_counts must hold 64 counts"
     ),
     "row past the sentences": (
         "dense", "rows", lambda a: np.where(a == 4, 5, a), r"rows outside \[0, 5\)"
@@ -520,21 +700,22 @@ DISAGREEMENTS = {
     ),
     "data short": ("dense", "data", lambda a: a[:-1], "rows but"),
     "data not finite": ("dense", "data", lambda a: np.where(a == a[0], np.nan, a), "not finite"),
-    "offsets stored as float64": (
-        "dense", "offsets", lambda a: a.astype(np.float64), "offsets is not .* byte planes of int64"
+    "sentence counts stored as float64": (
+        "dense", "sentence_counts", lambda a: a.astype(np.float64),
+        "sentence_counts is not .* byte planes of int64",
     ),
     "column out of range": (
         "lex", "content.columns", lambda a: np.where(a == a.max(), 3, a),
         r"content columns outside \[0, 3\)",
     ),
     "negative column": ("lex", "title.columns", lambda a: a - 1, "title columns outside"),
-    "indptr past the postings": (
-        "lex", "content.indptr", _last_plus_one, "content indptr must have 23 entries and end at 20"
+    "negative df": (
+        "lex", "content.df", _negative_first, "content.df must hold 22 counts, each at least 0"
     ),
-    "indptr one entry short": (
-        "lex", "title.indptr", lambda a: a[:-1], "title indptr must have 23 entries"
+    "df past the postings": (
+        "lex", "content.df", _last_plus_one, "content.df must add up to 20"
     ),
-    "lengths short": ("lex", "content.lengths", lambda a: a[:-1], "content postings"),
+    "df one entry short": ("lex", "title.df", lambda a: a[:-1], "title.df must hold 22 counts"),
 }
 
 
@@ -549,7 +730,7 @@ def test_arrays_that_disagree_with_the_header_are_rejected(case, indexes, tmp_pa
     path, load = _saved(indexes, kind, tmp_path)
     header, arrays = _read(path)
     if name in GAPPED:
-        ptr = arrays[GAPPED[name]]
+        ptr = _ptr(arrays[GAPPED[name]])
         lists = _lists(ptr, arrays[name])
         ids = np.concatenate([edit(ids) if len(ids) else ids for ids in lists])
         arrays[name] = indexfile.gap_encode(ptr, ids.astype(np.int32))
@@ -557,6 +738,26 @@ def test_arrays_that_disagree_with_the_header_are_rejected(case, indexes, tmp_pa
         arrays[name] = edit(arrays[name])
     _write(path, header, arrays)
     with pytest.raises(ValueError, match=f"{kind}.bin: .*{message}"):
+        load(path)
+
+
+def test_an_article_column_with_no_content_posting_is_rejected(indexes, tmp_path):
+    """Stored lengths stood for this build rule: every column's content has
+    tokens. With the last column's content postings gone, its terms still
+    have a posting elsewhere."""
+    path, load = _saved(indexes, "lex", tmp_path)
+    header, arrays = _read(path)
+    ptr = _ptr(arrays["content.df"])
+    lists = _lists(ptr, arrays["content.columns"])
+    last = max(ids.max() for ids in lists if len(ids))
+    kept = np.concatenate([ids != last for ids in lists])
+    lists = [ids[ids != last] for ids in lists]
+    df = np.array([len(ids) for ids in lists], dtype=np.int64)
+    arrays["content.df"] = df
+    arrays["content.columns"] = indexfile.gap_encode(_ptr(df), np.concatenate(lists).astype(np.int32))
+    arrays["content.tf"] = arrays["content.tf"][kept]
+    _write(path, header, arrays)
+    with pytest.raises(ValueError, match="lex.bin: every article column must have a content posting"):
         load(path)
 
 
@@ -622,6 +823,33 @@ def test_width_is_the_fewest_bytes_of_the_largest_unsigned_value(dtype, value, w
     assert planes.shape == (width, 3)
     assert indexfile.from_planes("f", "a", planes, dtype).tolist() == [0, value, 1]
     assert indexfile.to_planes(np.zeros(0, dtype)).shape == (1, 0)
+
+
+def _from_planes_transposed(planes, dtype):
+    """The byte planes decoded through a zeroed ``(n, itemsize)`` byte
+    matrix that takes the transposed planes."""
+    dtype = np.dtype(dtype)
+    bits = np.zeros((planes.shape[1], dtype.itemsize), dtype=np.uint8)
+    bits[:, : planes.shape[0]] = planes.T
+    return bits.view(dtype.newbyteorder("<")).reshape(-1).astype(dtype, copy=False)
+
+
+@example(dtype=np.int32, width=4, values=b"\xff" * 4 + b"\0\0\0\x80")
+@example(dtype=np.int64, width=8, values=b"\xff" * 8)
+@example(dtype=np.intp, width=8, values=b"\0" * 7 + b"\x80")
+@given(
+    dtype=st.sampled_from([np.int32, np.int64, np.intp]),
+    width=st.sampled_from(indexfile.WIDTHS),
+    values=st.binary(max_size=64),
+)
+def test_shift_or_decode_equals_the_transposed_decode(dtype, width, values):
+    """Any bytes in any number of planes the dtype holds; in all of its
+    bytes, a set top bit is a negative value."""
+    width = min(width, np.dtype(dtype).itemsize)
+    count = len(values) // width
+    planes = np.frombuffer(values[: width * count], np.uint8).reshape(width, count)
+    decoded = indexfile.from_planes("f", "a", planes, dtype)
+    _same_array(decoded, _from_planes_transposed(planes, dtype))
 
 
 @pytest.mark.parametrize(

@@ -137,8 +137,14 @@ def test_index_sizes_names_every_part_of_each_index_file(scripts_dir, tmp_path, 
         )
         keys = sorted(header)
         assert "arrays" in keys
-        assert ("article_ids" in keys) == ("terms" in keys) == (path == paths[0])
-        assert ("article_ids_sha256" in keys) == (path == paths[1])
+        lexical = path == paths[0]
+        # a lexical file's string tables: suffix lists in the header, prefix arrays
+        for table in ("article_ids", "terms"):
+            assert (table in keys) == (f"{table}.prefix" in stored) == lexical
+            assert not lexical or isinstance(header[table], list)
+        assert ("article_ids_sha256" in keys) == (not lexical)
+        counts = ["title.df", "content.df"] if lexical else ["sentence_counts", "entry_counts"]
+        assert set(counts) <= set(stored)
         names = ["header", *(f"header.{key}" for key in keys), *stored]
         parts = [line.split() for line in lines[start + 1 : start + 1 + len(names)]]
         assert [part[0] for part in parts] == names
