@@ -680,6 +680,11 @@ DISAGREEMENTS = {
     "sentence counts past the sentences": (
         "dense", "sentence_counts", _last_plus_one, "sentence_counts must add up to 5"
     ),
+    # the int64 sum wraps: 2**63 - 1, then 2**64 - 2 read as -2, then 5
+    "sentence counts that wrap round to the total": (
+        "dense", "sentence_counts", lambda a: np.array([2**63 - 1, 2**63 - 1, 7]),
+        "sentence_counts must add up to 5",
+    ),
     "negative entry count": (
         "dense", "entry_counts", _negative_first,
         "entry_counts must hold 64 counts, each at least 0",
