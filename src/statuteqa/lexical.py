@@ -328,8 +328,8 @@ def load_lex_index(path: str | Path, tokenizer: TokenizerConfig) -> LexIndex:
     that are not front-coded lists of strings in strictly ascending order,
     a header whose ``k1`` and ``b`` are not finite reals in their config
     ranges, a field's posting counts that are negative, not one per term or
-    not adding up to its ``tf``, an article column with no content
-    posting, and a term with no posting in either field.
+    not adding up to its ``tf``, a ``tf`` below 1, an article column with
+    no content posting, and a term with no posting in either field.
     """
     header, arrays = indexfile.load(
         path, LEX_INDEX_FORMAT, LEX_INDEX_VERSION, _LAYOUT,
@@ -351,6 +351,8 @@ def load_lex_index(path: str | Path, tokenizer: TokenizerConfig) -> LexIndex:
         df, gaps, tf = (arrays[f"{field}.{name}"] for name in _SAVED)
         indptr = indexfile.pointers(path, f"{field}.df", df, len(terms), len(tf))
         columns = indexfile.gap_decode(path, f"{field} columns", indptr, gaps, len(ids))
+        # lengths are tf sums: a tf below 1 would shorten its article
+        indexfile.require(tf.min(initial=1) >= 1, path, f"{field}.tf must be at least 1")
         matrices[field] = _field_matrix(indptr, columns, tf, len(ids), k1, b)
     posted = matrices["content"].distinct.all()
     indexfile.require(posted, path, "every article column must have a content posting")

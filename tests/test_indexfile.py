@@ -721,6 +721,11 @@ DISAGREEMENTS = {
         "lex", "content.df", _last_plus_one, "content.df must add up to 20"
     ),
     "df one entry short": ("lex", "title.df", lambda a: a[:-1], "title.df must hold 22 counts"),
+    # a derived length is a tf sum: a tf of 0 or -2 shortened its article
+    "zero tf": ("lex", "title.tf", lambda a: a * 0, "title.tf must be at least 1"),
+    "negative tf": (
+        "lex", "content.tf", lambda a: np.where(a == a.max(), -2, a), "content.tf must be at least 1"
+    ),
 }
 
 
