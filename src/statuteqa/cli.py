@@ -341,7 +341,7 @@ def _cmd_eval(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     if do_end_to_end:
         pipeline = Pipeline.load(cfg)
     else:  # quickview recall needs no scorer
-        pipeline = Pipeline(cfg, None, *load_artifacts(cfg), scorer=None)
+        pipeline = Pipeline(cfg, *load_artifacts(cfg), scorer=None)
     # one quickview per question, deep enough for every cutoff and the answer
     depth = max([*ks, cfg.top_k] if do_end_to_end else ks)
     try:

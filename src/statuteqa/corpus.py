@@ -127,10 +127,10 @@ def _has_text(raw: str) -> bool:
     return any(ch.isalpha() or ch.isdecimal() for ch in text)
 
 
-def tokenize(text: str, cfg: TokenizerConfig | None = None) -> list[str]:
-    """Split cleaned text into tokens, merging lexicon phrases if configured."""
+def tokenize(text: str, cfg: TokenizerConfig) -> list[str]:
+    """Split cleaned text into tokens, merging ``cfg``'s lexicon phrases."""
     tokens = text.split()
-    if cfg is None or not cfg._phrases_by_first or not tokens:
+    if not cfg._phrases_by_first or not tokens:
         return tokens
 
     merged: list[str] = []

@@ -166,12 +166,6 @@ class ExternalEmbedder:
     def close(self) -> None:
         self._client.close()
 
-    def __enter__(self) -> "ExternalEmbedder":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
-
 
 def embed(embedder: Embedder, tokens: Sequence[str]) -> np.ndarray:
     """Embed a token sequence; an empty one is the zero vector, not embedded."""
@@ -345,7 +339,7 @@ def dense_retrieve_topk(
     ``sentence_article`` map. ``top_k_positions`` takes the best ``k`` in
     one partition with no floor; ties break by ascending position, which
     is ascending article id. The ranking carries the question's
-    tokens and vector cosines, which the reranker's features read. A
+    tokens, and its scores are the reranker's dense feature. A
     question that embeds to the zero vector (one that cleans to no tokens)
     has no cosine with anything and retrieves nothing.
     """
@@ -361,7 +355,7 @@ def dense_retrieve_topk(
     # a zero question vector ranks no article
     ranked = scores if np.any(question_vector) else scores[:0]
     top = top_k_positions(ranked, k, -np.inf)
-    return Ranking(index.article_ids, top, scores[top], tokens, cosines, None)
+    return Ranking(index.article_ids, top, scores[top], tokens, None)
 
 
 def save_dense_index(index: DenseIndex, path: str | Path) -> None:

@@ -66,12 +66,12 @@ class Ranking:
     Candidate ``i`` is ``article_ids[positions[i]]`` with quickview score
     ``scores[i]``. ``article_ids`` is the index's sorted id tuple, shared
     and not copied; both indexes number their articles by sorted id, so
-    ascending position is ascending id. The question view it was ranked
-    from goes with it: the question's ``tokens`` and, for a dense ranking,
-    ``cosines`` (the question's cosine with every dense-index vector row,
-    which each sentence reads through ``sentence_vector``) or,
-    for a lexical one, ``field_scores`` (the ``lexical.score_query`` pass);
-    the other is None.
+    ascending position is ascending id. The question's ``tokens`` go with
+    it, and a lexical ranking carries its ``field_scores`` (the
+    ``lexical.score_query`` pass). A ranking whose ``field_scores`` is None
+    came from ``dense.dense_retrieve_topk``: its ``scores`` are the
+    candidates' max sentence cosines, which are the reranker's dense
+    feature.
 
     It is a record, not a list: ``len`` counts the candidates, a slice gives
     a ``Ranking`` with the same question view, and an integer index raises
@@ -82,7 +82,6 @@ class Ranking:
     positions: np.ndarray  # int64 positions in article_ids
     scores: np.ndarray  # float64 quickview score of each position
     tokens: tuple[str, ...]  # cleaned question tokens
-    cosines: np.ndarray | None  # dense: float64 per dense-index vector row
     field_scores: Mapping[str, tuple[np.ndarray, np.ndarray]] | None  # lexical
 
     def __len__(self) -> int:

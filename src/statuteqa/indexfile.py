@@ -32,18 +32,10 @@ like bytes together, which deflate packs far better than interleaved
 values (the byte-shuffle filter of HDF5 and Blosc). Float arrays are
 stored as they are. ``load`` rebuilds each integer array in its layout
 dtype (``from_planes``, a shift and an or per plane) before it checks
-anything else. Lexical files before version 5 and dense files before
-version 6 stored plain arrays; lexical version 5 stored one term list per
-field where version 6 stores one for both; lexical version 6 stored its
-article ids and terms as plain JSON lists where version 7 front-codes
-them; dense version 6 stored a vector per sentence where version 7 stores
-each distinct vector once and a sentence map; dense version 7 stored its
-own copy of the article ids where version 8 stores only their
-``strings_digest`` and takes the ids from the lexical index; and lexical
-version 7 and dense version 8 stored pointers and lengths, and the front
-codes' prefixes in the header, where lexical version 8 and dense version 9
-store counts and prefix arrays. Older files fail with a version mismatch
-that says to rebuild them with ``statuteqa index``.
+anything else.
+
+Files of an older version fail with a version mismatch that says to
+rebuild them with ``statuteqa index``.
 
 Artifacts, the JSON-lines record files (corpus, gold questions, training
 examples) among them, are written through ``replacing``, so a reader sees

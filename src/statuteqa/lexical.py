@@ -73,11 +73,13 @@ _LAYOUT = {
 
 @dataclass(frozen=True, eq=False)
 class FieldMatrix:
-    """One field's postings and statistics over the index's terms and columns.
+    """One field's postings and per-column statistics over the index's
+    terms and columns.
 
     A file stores ``columns`` and ``tf``, and ``indptr`` as per-term
     posting counts; load derives ``indptr``, ``lengths`` (the per-column
-    sum of ``tf``) and the rest as build does.
+    sum of ``tf``) and the rest as build does. The field's document count
+    and average length enter the impacts only, so they are not kept.
     """
 
     indptr: np.ndarray  # int64, terms + 1; row r is entries indptr[r]:indptr[r+1]
@@ -86,8 +88,6 @@ class FieldMatrix:
     impact: np.ndarray  # float64 idf·tf·(k1+1)/(tf+norm) of each entry
     lengths: np.ndarray  # int64 tokens per article column (its tf sum); 0 = absent
     distinct: np.ndarray  # int64 distinct terms per article column
-    doc_count: int
-    avgdl: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,13 +122,6 @@ class LexIndex:
     def __post_init__(self) -> None:
         column = dict(zip(self.article_ids, range(len(self.article_ids))))
         object.__setattr__(self, "column", column)
-
-    def stats(self, field: str) -> FieldMatrix:
-        if field == "title":
-            return self.title
-        if field == "content":
-            return self.content
-        raise ValueError(f"unknown field: {field!r}")
 
 
 def _idf(big_n: int, n: int) -> float:
@@ -170,8 +163,6 @@ def _field_matrix(
         impact=impact,
         lengths=lengths,
         distinct=np.bincount(columns, minlength=n_columns),
-        doc_count=big_n,
-        avgdl=avgdl,
     )
 
 
@@ -239,7 +230,7 @@ def score_query(
     distinct = [row for row in rows.values() if row is not None]
     scores = {}
     for field in FIELDS:
-        matrix = index.stats(field)
+        matrix = getattr(index, field)
         # astype: with no occurrences bincount returns integer zeros
         bm25 = np.bincount(
             _concat(matrix.columns, matrix.indptr, occurrences),
@@ -261,7 +252,8 @@ def bm25(index: LexIndex, field: str, query: Sequence[str], article_id: str) -> 
     Repeated query tokens contribute once per occurrence. Articles unknown
     to the field score 0.
     """
-    index.stats(field)  # rejects an unknown field
+    if field not in FIELDS:
+        raise ValueError(f"unknown field: {field!r}")
     column = index.column.get(article_id)
     if column is None:
         return 0.0
@@ -290,7 +282,7 @@ def retrieve_topk(
     scores = cfg.alpha * field_scores["title"][0]
     scores += cfg.beta * field_scores["content"][0]
     top = top_k_positions(scores, k, math.ulp(0.0))
-    return Ranking(index.article_ids, top, scores[top], tuple(query), None, field_scores)
+    return Ranking(index.article_ids, top, scores[top], tuple(query), field_scores)
 
 
 def save_lex_index(index: LexIndex, path: str | Path) -> None:
@@ -313,7 +305,7 @@ def save_lex_index(index: LexIndex, path: str | Path) -> None:
     for table, strings in zip(_TABLES, (index.article_ids, index.terms)):
         arrays[f"{table}.prefix"], header[table] = indexfile.front_encode(strings)
     for field in FIELDS:
-        matrix = index.stats(field)
+        matrix = getattr(index, field)
         arrays[f"{field}.df"] = np.diff(matrix.indptr)
         arrays[f"{field}.columns"] = indexfile.gap_encode(matrix.indptr, matrix.columns)
         arrays[f"{field}.tf"] = matrix.tf

@@ -16,7 +16,6 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
 
 from .corpus import (
     Article,
@@ -261,33 +260,26 @@ def _require_corpus(
 class Pipeline:
     """Loaded indexes and scorer behind one answer() call.
 
-    Questions are cut with the indexes' tokenizer, not one built from ``cfg``.
-    Every scorer is handed the quickview's ``Ranking``: the in-process model
+    ``Pipeline(cfg, lex, dense, scorer)`` answers from parts already in
+    memory; ``load`` loads them from ``cfg``'s paths. Questions are cut
+    with the indexes' tokenizer, not one built from ``cfg``. Every scorer
+    is handed the quickview's ``Ranking``: the in-process model
     (``ModelScorer``) reads its features from the indexes, so answering with
     it never reads article text, and an ``ExternalScorer`` owns the
     articles whose text it sends, which ``load`` parses for it up front, so
     the parse never lands in the first answer.
 
     ``articles`` and ``by_id`` hold the corpus's articles for the
-    benchmark's checks (``perfbench/checks.py``), the only reader; when the
-    constructor is given None, they are parsed on first read, by
-    ``load_articles`` against the indexes' corpus digest.
+    benchmark's checks (``perfbench/checks.py``), the only reader; they are
+    parsed on first read, by ``load_articles`` against the indexes' corpus
+    digest.
 
     The pipeline owns ``scorer`` and ``dense.embedder`` and closes them in
     ``close``. ``scorer`` may be None for quickview-only use.
     """
 
-    def __init__(
-        self,
-        cfg: PipelineConfig,
-        articles: Sequence[Article] | None,
-        lex: LexIndex,
-        dense: DenseIndex,
-        scorer,
-    ) -> None:
+    def __init__(self, cfg: PipelineConfig, lex: LexIndex, dense: DenseIndex, scorer) -> None:
         self.cfg = cfg
-        if articles is not None:
-            self.articles = list(articles)
         self.lex = lex
         self.dense = dense
         self.scorer = scorer
@@ -317,14 +309,15 @@ class Pipeline:
         except BaseException:
             close_all(dense.embedder)
             raise
-        return cls(cfg, None, lex, dense, scorer)
+        return cls(cfg, lex, dense, scorer)
 
     def quickview_rank(self, question: str, k: int) -> Ranking:
         """The ``k`` best candidates of the configured quickview, as index
         positions and scores: fielded BM25 (``"lexical"``) or max sentence
         cosine (``"dense"``). The ranking carries the question's tokens and
-        its BM25 pass or sentence cosines, which the reranker's features
-        read, so an answer tokenizes its question once."""
+        a lexical ranking its BM25 pass, which the reranker's features read,
+        as they read a dense ranking's scores; so an answer tokenizes and
+        embeds its question once."""
         if self.cfg.quickview_source == "dense":
             return dense_retrieve_topk(self.dense, question, k)
         tokens = tokenize(clean_text(question), self.lex.tokenizer)

@@ -131,8 +131,8 @@ class FeatureExtractor:
     position), so a quickview ``Ranking`` over either index is read at its
     positions, and candidate ids are mapped to columns once per batch.
     Holds no per-question state: each call reads or computes the question's
-    tokens, BM25 pass and sentence cosines and drops them when done, so
-    memory does not grow with the questions asked.
+    tokens, BM25 pass and dense scores and drops them when done, so memory
+    does not grow with the questions asked.
     """
 
     def __init__(self, lex: LexIndex, dense: DenseIndex) -> None:
@@ -159,29 +159,34 @@ class FeatureExtractor:
         indexes, or article ids; raises for a ranking over other indexes
         and for an id outside these.
 
-        What a ranking carries (tokens, BM25 pass or sentence cosines) is
-        read, not computed again; only what it lacks comes from ``question``.
+        What a ranking carries is read, not computed again: its tokens, a
+        lexical ranking's BM25 pass, and a dense ranking's scores, which are
+        the candidates' max sentence cosines. Only what it lacks comes from
+        ``question``: the dense scores of a lexical ranking or of ids are
+        taken from the question's ``sentence_cosines``.
         """
-        columns, tokens, cosines, field_scores = self._view(question, candidates)
-        if cosines is None:
+        columns, tokens, dense_scores, field_scores = self._view(question, candidates)
+        if dense_scores is None:
             cosines = sentence_cosines(self.dense, embed(self.dense.embedder, tokens))
+            dense_scores = quickview_dense_score(self.dense, cosines, columns)
         if field_scores is None:
             field_scores = score_query(self.lex, tokens)
-        dense_scores = quickview_dense_score(self.dense, cosines, columns)
         return extract_features(
             tokens, columns, dense_scores, field_scores, self.lex, self.log_content_len
         )
 
     def _view(self, question: str, candidates: Ranking | Sequence[str]):
-        """The candidates' columns, and the question's tokens, sentence
-        cosines and BM25 pass as a ranking over these indexes carries them;
-        for ids, the tokens of ``question`` and None for the rest."""
+        """The candidates' columns, and the question's tokens, dense scores
+        and BM25 pass as a ranking over these indexes carries them: a
+        ranking without a BM25 pass is dense, so its scores are the dense
+        scores. For ids, the tokens of ``question`` and None for the rest."""
         if isinstance(candidates, Ranking):
             ids = candidates.article_ids
             if ids is not self.lex.article_ids and ids is not self.dense.article_ids:
                 raise ValueError("the ranking is over other indexes than the extractor's")
             c = candidates
-            return c.positions, c.tokens, c.cosines, c.field_scores
+            dense_scores = c.scores if c.field_scores is None else None
+            return c.positions, c.tokens, dense_scores, c.field_scores
         columns = np.fromiter(
             map(self.lex.column.get, candidates, repeat(-1)),
             dtype=np.int64, count=len(candidates),
@@ -421,12 +426,6 @@ class ExternalScorer:
 
     def close(self) -> None:
         self._client.close()
-
-    def __enter__(self) -> "ExternalScorer":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
 
 
 def save_model(model: LinearModel, path: str | Path) -> None:

@@ -2,15 +2,15 @@
 
 Weak labeling treats each titled article's cleaned title as a question
 that its own article answers. ``generate_weak_dataset`` builds those
-questions and labels them with the loop that labels gold
-question/article pairs (``generate_gold_examples``): one positive per
-gold article, then the config's ``weak_negative_ratio`` negatives per
-positive, sampled uniformly, without replacement, from the articles
-outside the question's gold set, seeded with ``weak_seed``. Only the
-examples' origin differs.
+questions and labels them as gold question/article pairs are labeled
+(``generate_gold_examples``): one positive per gold article, then the
+config's ``weak_negative_ratio`` negatives per positive, sampled
+uniformly, without replacement, from the articles outside the question's
+gold set, seeded with ``weak_seed``.
 
 Dataset file format: UTF-8 JSON lines
-    {"question": str, "article_id": str, "label": 0|1, "origin": "weak"|"gold"}
+    {"article_id": str, "label": 0|1, "question": str}
+Any other key, such as the ``"origin"`` of older files, is ignored.
 """
 
 from __future__ import annotations
@@ -42,21 +42,18 @@ class TrainingExample:
     question: str
     article_id: str
     label: int
-    origin: str  # "weak" or "gold"
 
     def __post_init__(self) -> None:
         if not isinstance(self.question, str) or not isinstance(self.article_id, str):
             raise ValueError("question and article_id must be strings")
         if type(self.label) is not int or self.label not in (0, 1):
             raise ValueError("label must be the integer 0 or 1")
-        if self.origin not in ("weak", "gold"):
-            raise ValueError("origin must be 'weak' or 'gold'")
 
 
 def generate_weak_dataset(
     articles: Sequence[Article], cfg: PipelineConfig
 ) -> list[TrainingExample]:
-    """The gold examples of the title questions, with origin ``"weak"``.
+    """The gold examples of the title questions.
 
     Each titled article asks its cleaned title of itself alone, in article
     order, so it yields one positive and ``cfg.weak_negative_ratio``
@@ -76,26 +73,17 @@ def generate_weak_dataset(
         for a in articles
         if a.title is not None and (question := clean_text(a.title))
     )
-    return _label(questions, articles, cfg, "weak")
+    return generate_gold_examples(questions, articles, cfg)
 
 
 def generate_gold_examples(
-    question_gold_pairs: Sequence[tuple[str, Sequence[str]]],
-    articles: Sequence[Article],
-    cfg: PipelineConfig,
-) -> list[TrainingExample]:
-    """Labeled examples from (question, gold article ids) pairs, with
-    origin ``"gold"``; see ``_label``."""
-    return _label(question_gold_pairs, articles, cfg, "gold")
-
-
-def _label(
     question_gold_pairs: Iterable[tuple[str, Sequence[str]]],
     articles: Sequence[Article],
     cfg: PipelineConfig,
-    origin: str,
 ) -> list[TrainingExample]:
-    """Per question, in order: one positive per gold article, then
+    """Labeled examples from (question, gold article ids) pairs.
+
+    Per question, in order: one positive per gold article, then
     ``cfg.weak_negative_ratio`` negatives per positive, sampled without
     replacement with one ``cfg.weak_seed`` stream from the corpus
     excluding every gold article of that question.
@@ -116,7 +104,7 @@ def _label(
         if not gold:
             raise ValueError(f"question {question!r} has an empty gold set")
         for article_id in gold:
-            examples.append(TrainingExample(question, article_id, 1, origin))
+            examples.append(TrainingExample(question, article_id, 1))
         if len(gold) == 1:  # every title question; its positions ascend already
             excluded = where.get(gold[0], ())
         else:
@@ -133,7 +121,7 @@ def _label(
                 if index < position:
                     break
                 index += 1
-            examples.append(TrainingExample(question, pool[index], 0, origin))
+            examples.append(TrainingExample(question, pool[index], 0))
     return examples
 
 
@@ -165,5 +153,5 @@ def write_dataset(examples: Iterable[TrainingExample], path: str | Path) -> None
 
 def read_dataset(path: str | Path) -> list[TrainingExample]:
     return indexfile.read_records(
-        path, lambda r: TrainingExample(r["question"], r["article_id"], r["label"], r["origin"])
+        path, lambda r: TrainingExample(r["question"], r["article_id"], r["label"])
     )

@@ -61,7 +61,7 @@ def ranking_of(articles):
     view are placeholders."""
     ids = tuple(sorted(a.article_id for a in articles))
     positions = np.array([ids.index(a.article_id) for a in articles], dtype=np.int64)
-    return Ranking(ids, positions, np.ones(len(articles)), (), None, None)
+    return Ranking(ids, positions, np.ones(len(articles)), (), None)
 
 
 @pytest.fixture(scope="session")

@@ -34,7 +34,7 @@ def whole_corpus_scores(lex, tokens):
     bm25 = {field: scores[0] for field, scores in score_query(lex, tokens).items()}
     matched = {}
     for field in ("title", "content"):
-        matrix = lex.stats(field)
+        matrix = getattr(lex, field)
         rows = [lex.terms.get(t) for t in set(tokens)]
         ptr = matrix.indptr
         columns = [matrix.columns[ptr[r] : ptr[r + 1]] for r in rows if r is not None]

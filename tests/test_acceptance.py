@@ -5,7 +5,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 
 import random
 import time
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 
 import numpy as np
 import pytest
@@ -371,7 +371,7 @@ def test_c11_protocol_conformance(scripts_dir):
         ]
         cmd = [_sys.executable, str(scripts_dir / "echo_scorer.py")]
         ids = [c.article_id for c in candidates]
-        with ExternalScorer(cmd, candidates) as scorer:
+        with closing(ExternalScorer(cmd, candidates)) as scorer:
             forward = list(zip(ids, scorer.score_batch("question", ranking_of(candidates))))
             backward = zip(
                 ids[::-1], scorer.score_batch("question", ranking_of(candidates[::-1]))
@@ -381,7 +381,7 @@ def test_c11_protocol_conformance(scripts_dir):
         assert len({s for _, s in forward}) == len(candidates)
 
         cmd = [_sys.executable, str(scripts_dir / "echo_embedder.py"), "--dim", "6"]
-        with ExternalEmbedder(cmd, dimension=6) as embedder:
+        with closing(ExternalEmbedder(cmd, dimension=6)) as embedder:
             texts = [f"text number {i}" for i in range(5)]
             vectors = embedder.embed_texts(texts)
             again = embedder.embed_texts(texts[::-1])

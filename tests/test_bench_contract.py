@@ -71,9 +71,7 @@ def test_score_batch_extracts_features_once_per_batch(synth, monkeypatch):
 
 
 def test_traced_answer_has_the_spans_the_benchmark_reads(synth, tracing):
-    pipeline = Pipeline(
-        PipelineConfig(top_k=10), synth.articles, synth.lex, synth.dense, synth.scorer
-    )
+    pipeline = Pipeline(PipelineConfig(top_k=10), synth.lex, synth.dense, synth.scorer)
     query = synth.queries[0]
     tracer = tracing.Tracer()
     tracer.install()

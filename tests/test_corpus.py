@@ -63,8 +63,8 @@ def test_clean_text_output_charset(raw):
 
 
 def test_tokenize_whitespace():
-    assert tokenize("a b c") == ["a", "b", "c"]
-    assert tokenize("") == []
+    assert tokenize("a b c", TokenizerConfig()) == ["a", "b", "c"]
+    assert tokenize("", TokenizerConfig()) == []
 
 
 def test_tokenize_phrase_merge():
@@ -157,7 +157,7 @@ def test_tokenizer_fingerprint_sensitivity():
 
 @given(st.text())
 def test_tokenize_cleaned_never_empty_token(raw):
-    for token in tokenize(clean_text(raw)):
+    for token in tokenize(clean_text(raw), TokenizerConfig()):
         assert token
 
 

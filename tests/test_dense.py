@@ -2,6 +2,7 @@ import dataclasses
 import gzip
 import json
 import sys
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -137,7 +138,7 @@ def test_quickview_dense_score_edge_cases(tiny_articles):
 def test_verbatim_sentence_scores_one(tiny_articles):
     index, _ = build_dense_index(tiny_articles, EMB, TOK)
     sentence = split_sentences(tiny_articles[0].content)[1]  # "Breach causes damages."
-    question_vector = embed(EMB, tokenize(clean_text(sentence)))
+    question_vector = embed(EMB, tokenize(clean_text(sentence), TokenizerConfig()))
     cosines = sentence_cosines(index, question_vector)
     assert quickview_dense_score(index, cosines, [0])[0] == pytest.approx(1.0, abs=1e-9)
 
@@ -175,7 +176,7 @@ def test_matrix_scan_equals_per_article_loop(synth):
     """One matvec and a segment max give the loop's scores and order exactly."""
     questions = [q.question for q in synth.queries[:40]] + ["of", "civil law code"]
     for question in questions:
-        vector = embed(synth.embedder, tokenize(clean_text(question)))
+        vector = embed(synth.embedder, tokenize(clean_text(question), TokenizerConfig()))
         want = per_article_topk(synth.dense, vector, 60)
         assert pairs(dense_retrieve_topk(synth.dense, question, 60)) == want
         for article_id, score in want:
@@ -190,7 +191,7 @@ def test_batched_score_matches_per_article_loop(synth):
     ids = list(synth.dense.article_ids)
     rng = np.random.default_rng(5)
     for query in synth.queries[:20]:
-        vector = embed(synth.embedder, tokenize(clean_text(query.question)))
+        vector = embed(synth.embedder, tokenize(clean_text(query.question), TokenizerConfig()))
         batch = [ids[i] for i in rng.integers(0, len(ids), 60)] + ids[:3] * 2
         got = quickview_dense_score(
             synth.dense, sentence_cosines(synth.dense, vector), positions(synth.dense, batch)
@@ -330,7 +331,7 @@ def test_equal_rows_score_equal_wherever_they_sit():
     embedder = HashedProjectionEmbedder()
     index, _ = build_dense_index(articles, embedder, TOK)
     question = "Regulation of basilsil corsilsil activities"
-    vector = embed(embedder, tokenize(clean_text(question)))
+    vector = embed(embedder, tokenize(clean_text(question), TokenizerConfig()))
     scores = quickview_dense_score(index, sentence_cosines(index, vector), range(5))
     assert len(set(scores.tolist())) == 1
     ranked = dense_retrieve_topk(index, question, 5)
@@ -349,7 +350,7 @@ def test_top_k_equals_the_stable_sort_around_a_tie_group():
     embedder = HashedProjectionEmbedder()
     index, _ = build_dense_index(articles, embedder, TOK)
     question = "Regulation of basilsil corsilsil activities"
-    vector = embed(embedder, tokenize(clean_text(question)))
+    vector = embed(embedder, tokenize(clean_text(question), TokenizerConfig()))
     scores = quickview_dense_score(index, sentence_cosines(index, vector), range(len(articles)))
     order = np.argsort(-scores, kind="stable")
     assert len(set(scores[order[2:6]].tolist())) == 1  # the tie group sits at ranks 3-6
@@ -472,7 +473,7 @@ def test_one_vector_per_distinct_sentence_answers_as_one_per_sentence(
 def test_an_external_embedder_is_sent_each_repeated_sentence_once(scripts_dir, monkeypatch):
     articles = pool_corpus([[0, 1, 0], [2, 0, 7], [1, 2, 3, 3], [7]])
     command = [sys.executable, str(scripts_dir / "echo_embedder.py"), "--dim", "8"]
-    with ExternalEmbedder(command, dimension=8) as emb:
+    with closing(ExternalEmbedder(command, dimension=8)) as emb:
         texts, call = [], emb._client.call
         monkeypatch.setattr(
             emb._client, "call", lambda reqs: texts.extend(r["text"] for r in reqs) or call(reqs)

@@ -9,7 +9,12 @@ from hypothesis import example, given, strategies as st
 import fusion_oracle
 from conftest import pairs
 from statuteqa.corpus import clean_text, tokenize
-from statuteqa.dense import dense_retrieve_topk
+from statuteqa.dense import (
+    dense_retrieve_topk,
+    embed,
+    quickview_dense_score,
+    sentence_cosines,
+)
 from statuteqa.lexical import score_query
 from statuteqa.pipeline import Pipeline, PipelineConfig
 from statuteqa.ensemble import (
@@ -254,7 +259,7 @@ def test_normalized_scores_in_unit_interval(synth):
 
 def test_dense_quickview_source(synth):
     cfg = PipelineConfig(gamma=1.0, top_k=5, threshold=1.1, quickview_source="dense")
-    pipeline = Pipeline(cfg, synth.articles, synth.lex, synth.dense, ConstantScorer())
+    pipeline = Pipeline(cfg, synth.lex, synth.dense, ConstantScorer())
     query = synth.queries[0]
     ranked = pipeline.quickview_rank(query.question, 5)
     assert pairs(ranked) == pairs(dense_retrieve_topk(synth.dense, query.question, 5, synth.tok))
@@ -263,7 +268,7 @@ def test_dense_quickview_source(synth):
 
 
 def test_pipeline_answer_rejects_top_k_below_one(synth):
-    pipeline = Pipeline(PipelineConfig(), synth.articles, synth.lex, synth.dense, ConstantScorer())
+    pipeline = Pipeline(PipelineConfig(), synth.lex, synth.dense, ConstantScorer())
     with pytest.raises(ValueError, match="top_k must be >= 1"):
         pipeline.answer("q", synth.queries[0].question, top_k=0)
 
@@ -386,14 +391,19 @@ def test_empty_ranking_has_no_candidates(synth):
         assert len(empty[:3]) == 0 and list(empty) == []
 
 
-def test_dense_ranking_carries_its_sentence_cosines(synth):
+def test_dense_ranking_scores_are_its_candidates_dense_feature(synth):
+    """A dense ranking carries no BM25 pass, which is how the reranker knows
+    it, and its scores are its candidates' max sentence cosines bit for bit,
+    the dense feature; a lexical ranking carries its pass."""
     question = synth.queries[2].question
     ranked = dense_retrieve_topk(synth.dense, question, 10, synth.tok)
-    assert ranked.cosines.shape == (synth.dense.vectors,)
-    assert ranked[:4].cosines is ranked.cosines
-    assert ranked.tokens == tuple(tokenize(clean_text(question), synth.tok))
-    assert ranked.field_scores is None
-    assert synth.ranked(question, 10).cosines is None
+    tokens = tokenize(clean_text(question), synth.tok)
+    assert ranked.tokens == tuple(tokens)
+    assert ranked.field_scores is None and ranked[:4].field_scores is None
+    cosines = sentence_cosines(synth.dense, embed(synth.embedder, tokens))
+    want = quickview_dense_score(synth.dense, cosines, ranked.positions)
+    assert ranked.scores.tobytes() == want.tobytes()
+    assert synth.ranked(question, 10).field_scores is not None
 
 
 def test_lexical_ranking_carries_its_bm25_pass(synth):

@@ -98,7 +98,7 @@ _FAKE_IDS = tuple(f"a{i}" for i in range(5))
 def _fake_quickview(question):
     n = int(question.split()[-1])
     positions = np.array([(n + offset) % 5 for offset in range(3)])
-    return Ranking(_FAKE_IDS, positions, np.array([1.0, 0.9, 0.8]), (), None, None)
+    return Ranking(_FAKE_IDS, positions, np.array([1.0, 0.9, 0.8]), (), None)
 
 
 def _fake_answer(question_id, question, ranked):

@@ -364,7 +364,7 @@ def test_a_version_7_lex_file_says_to_rebuild_the_index(indexes, tmp_path):
         header[key] = {"prefix": prefix.tolist(), "suffix": suffix}
     arrays = {}
     for field in lexical.FIELDS:
-        matrix = index.stats(field)
+        matrix = getattr(index, field)
         arrays[f"{field}.indptr"] = matrix.indptr
         arrays[f"{field}.columns"] = indexfile.gap_encode(matrix.indptr, matrix.columns)
         arrays[f"{field}.tf"] = matrix.tf
@@ -478,11 +478,9 @@ def test_saved_indexes_load_to_the_built_arrays_and_save_again_to_equal_bytes(
     assert lex_loaded.article_ids == lex.article_ids == dense.article_ids
     assert list(lex_loaded.terms.items()) == list(lex.terms.items())
     for field in lexical.FIELDS:
-        got, built = lex_loaded.stats(field), lex.stats(field)
+        got, built = getattr(lex_loaded, field), getattr(lex, field)
         for name in ("indptr", "columns", "tf", "impact", "lengths", "distinct"):
             _same_array(getattr(got, name), getattr(built, name))
-        assert got.doc_count == built.doc_count
-        assert got.avgdl.hex() == float(built.avgdl).hex()
     for name in ("offsets", "sentence_vector", "colptr", "rows", "data", "sentence_article"):
         _same_array(getattr(dense_loaded, name), getattr(dense, name))
     assert dense_loaded.vectors == dense.vectors

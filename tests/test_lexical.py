@@ -23,13 +23,9 @@ from statuteqa.pipeline import PipelineConfig
 
 
 def test_build_field_stats(tiny_lex):
-    assert tiny_lex.stats("content").doc_count == 3
-    assert tiny_lex.stats("content").avgdl == 7.0
     assert tiny_lex.article_ids == ("d1#1", "d1#2", "d2#1")
-    assert tiny_lex.stats("content").lengths.tolist() == [8, 8, 5]
-    assert tiny_lex.stats("title").doc_count == 2
-    assert tiny_lex.stats("title").avgdl == 2.5
-    assert tiny_lex.stats("title").lengths.tolist() == [3, 0, 2]  # d1#2 untitled
+    assert tiny_lex.content.lengths.tolist() == [8, 8, 5]
+    assert tiny_lex.title.lengths.tolist() == [3, 0, 2]  # d1#2 untitled
 
 
 def test_build_errors(tiny_articles):
@@ -183,7 +179,7 @@ def test_quickview_composition(tiny_articles, tiny_lex):
 
 
 def test_retrieve_title_match_ranks_first(tiny_lex):
-    query = tokenize(clean_text("Law of Contracts"))
+    query = tokenize(clean_text("Law of Contracts"), TokenizerConfig())
     ranked = retrieve_topk(tiny_lex, query, 3, PipelineConfig(alpha=1.5, beta=1.0))
     assert ranked.ids()[0] == "d1#1"
 
@@ -307,7 +303,7 @@ def test_untitled_corpus_builds_and_loads_without_warnings(tmp_path):
         index = build_lex_index(articles, PipelineConfig())
         save_lex_index(index, path)
         loaded = load_lex_index(path, tok)
-    assert loaded.title.avgdl == 0.0 and loaded.title.impact.size == 0
+    assert not loaded.title.lengths.any() and loaded.title.impact.size == 0
     assert retrieve_topk(loaded, ["rent"], 3, PipelineConfig()).ids() == ["a0", "a1", "a2"]
 
 

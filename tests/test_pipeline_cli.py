@@ -726,7 +726,7 @@ def test_train_names_the_file_of_an_id_outside_the_indexes(
     write_gold_file(gold, gold_path)
     weak = read_dataset(root / "weak_dataset.jsonl")
     if ghost_in == "weak":
-        weak.insert(7, TrainingExample("a question", "ghost#2", 0, "weak"))
+        weak.insert(7, TrainingExample("a question", "ghost#2", 0))
     write_dataset(weak, weak_path)
 
     def no_matrix(self, examples):
@@ -747,7 +747,7 @@ def test_train_names_the_file_of_an_id_outside_the_indexes(
 
 def test_dense_question_without_tokens_has_no_candidates(synth):
     cfg = PipelineConfig(quickview_source="dense", top_k=10)
-    pipeline = Pipeline(cfg, synth.articles, synth.lex, synth.dense, synth.scorer)
+    pipeline = Pipeline(cfg, synth.lex, synth.dense, synth.scorer)
     answer = pipeline.answer("q-empty", "???")
     assert answer.no_candidates
     assert answer.returned == ()
@@ -770,22 +770,42 @@ def _counting(monkeypatch, module, name):
 
 
 def test_dense_answer_embeds_its_question_once(synth, monkeypatch):
-    """The reranker's features read the tokens and sentence cosines of the
-    dense quickview's scan instead of tokenizing and embedding the question
-    again."""
+    """The reranker's features read the tokens of the dense quickview's scan
+    instead of tokenizing and embedding the question again, and its scores
+    as the dense feature instead of taking the candidates' max sentence
+    cosines again. A lexical answer takes the cosines and maxima once."""
     calls = _counting(monkeypatch, dense, "embed")
     tokenized = _counting(monkeypatch, corpus_mod, "tokenize")
+    cosines = _counting(monkeypatch, dense, "sentence_cosines")
+    maxima = _counting(monkeypatch, dense, "quickview_dense_score")
+    matrices = []
+    extract = reranker.extract_features
+
+    def recording(*args):
+        matrices.append(extract(*args))
+        return matrices[-1]
+
+    monkeypatch.setattr(reranker, "extract_features", recording)
     cfg = PipelineConfig(quickview_source="dense", top_k=10)
-    pipeline = Pipeline(cfg, synth.articles, synth.lex, synth.dense, synth.scorer)
+    pipeline = Pipeline(cfg, synth.lex, synth.dense, synth.scorer)
     query = synth.queries[0]
     answer = pipeline.answer(query.question_id, query.question)
     assert answer.returned and len(calls) == 1 and len(tokenized) == 1
-    # scoring the candidates' articles embeds afresh and ranks alike
+    assert (len(cosines), len(maxima)) == (1, 0)
     ranked = pipeline.quickview_rank(query.question, cfg.top_k)
+    [x] = matrices
+    assert x[:, 2].tobytes() == ranked.scores.tobytes()
+    # scoring the candidates' articles embeds afresh and ranks alike
     assert answer == fusion_oracle.rank_and_select(
         query.question_id, query.question, ranked, synth.scorer, synth.by_id,
         pipeline.cfg,
     )
+    cosines.clear()
+    maxima.clear()
+    lexical_cfg = dataclasses.replace(cfg, quickview_source="lexical")
+    pipeline = Pipeline(lexical_cfg, synth.lex, synth.dense, synth.scorer)
+    assert pipeline.answer(query.question_id, query.question).returned
+    assert (len(cosines), len(maxima)) == (1, 1)
 
 
 def test_lexical_answer_tokenizes_and_scores_bm25_once(synth, monkeypatch):
@@ -794,7 +814,7 @@ def test_lexical_answer_tokenizes_and_scores_bm25_once(synth, monkeypatch):
     tokenized = _counting(monkeypatch, corpus_mod, "tokenize")
     scored = _counting(monkeypatch, lexical, "score_query")
     cfg = PipelineConfig(top_k=10)
-    pipeline = Pipeline(cfg, synth.articles, synth.lex, synth.dense, synth.scorer)
+    pipeline = Pipeline(cfg, synth.lex, synth.dense, synth.scorer)
     query = synth.queries[0]
     answer = pipeline.answer(query.question_id, query.question)
     assert answer.returned
@@ -1146,7 +1166,7 @@ def test_a_decomposed_question_answers_like_its_composed_form(source):
     model = reranker.LinearModel(np.ones(reranker.NUM_FEATURES))
     scorer = reranker.ModelScorer(model, reranker.FeatureExtractor(lex, built))
     cfg = PipelineConfig(quickview_source=source, top_k=5)
-    pipeline = Pipeline(cfg, articles, lex, built, scorer)
+    pipeline = Pipeline(cfg, lex, built, scorer)
     question = "Người thừa kế có quyền nhận di sản không?"
     decomposed = unicodedata.normalize("NFD", question)
     ranked, again = (pipeline.quickview_rank(q, 5) for q in (question, decomposed))
@@ -1182,7 +1202,7 @@ def test_dense_quickview_cuts_the_question_with_the_index_tokenizer():
     )
     lex = lexical.build_lex_index(articles, cfg)
     built, _ = dense.build_dense_index(articles, cfg.make_embedder(), cfg.tokenizer_config())
-    pipeline = Pipeline(cfg, articles, lex, built, None)
+    pipeline = Pipeline(cfg, lex, built, None)
     for query in title_gold_queries(docs):
         want = pipeline.quickview_rank(query.question, 10)
         got = dense.dense_retrieve_topk(built, query.question, 10)

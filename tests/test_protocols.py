@@ -5,6 +5,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -50,7 +51,8 @@ def embedder_cmd(scripts_dir, *extra):
 
 
 def test_constant_external_scorer(scripts_dir):
-    with ExternalScorer(scorer_cmd(scripts_dir, "--constant", "0.42"), CANDIDATES) as scorer:
+    scorer = ExternalScorer(scorer_cmd(scripts_dir, "--constant", "0.42"), CANDIDATES)
+    with closing(scorer):
         scores = scorer.score_batch("any question", ranking_of(CANDIDATES))
     assert scored(scores, CANDIDATES) == [("a1", 0.42), ("a2", 0.42), ("a3", 0.42)]
 
@@ -58,7 +60,7 @@ def test_constant_external_scorer(scripts_dir):
 def test_external_scorer_order_preserved(scripts_dir):
     """Hash-based echo scores are a function of the request, so shuffling
     the batch must permute the scores identically."""
-    with ExternalScorer(scorer_cmd(scripts_dir), CANDIDATES) as scorer:
+    with closing(ExternalScorer(scorer_cmd(scripts_dir), CANDIDATES)) as scorer:
         forward = dict(scored(scorer.score_batch("q", ranking_of(CANDIDATES)), CANDIDATES))
         backward = dict(
             scored(scorer.score_batch("q", ranking_of(CANDIDATES[::-1])), CANDIDATES[::-1])
@@ -69,7 +71,7 @@ def test_external_scorer_order_preserved(scripts_dir):
 
 
 def test_external_scorer_multiple_batches_one_process(scripts_dir):
-    with ExternalScorer(scorer_cmd(scripts_dir), CANDIDATES) as scorer:
+    with closing(ExternalScorer(scorer_cmd(scripts_dir), CANDIDATES)) as scorer:
         first = scorer.score_batch("question one", ranking_of(CANDIDATES[:2]))
         second = scorer.score_batch("question two", ranking_of(CANDIDATES[2:]))
     assert len(first) == 2 and len(second) == 1
@@ -77,20 +79,21 @@ def test_external_scorer_multiple_batches_one_process(scripts_dir):
 
 def test_external_scorer_timeout_names_batch(scripts_dir):
     silent = [sys.executable, "-c", "import time; time.sleep(30)"]
-    with ExternalScorer(silent, CANDIDATES, timeout=0.3) as scorer:
+    with closing(ExternalScorer(silent, CANDIDATES, timeout=0.3)) as scorer:
         with pytest.raises(ProtocolError, match=r"a1.*timed out|timed out.*a1"):
             scorer.score_batch("q", ranking_of(CANDIDATES[:1]))
 
 
 def test_external_scorer_rejects_out_of_range_scores(scripts_dir):
-    with ExternalScorer(scorer_cmd(scripts_dir, "--constant", "1.5"), CANDIDATES) as scorer:
+    scorer = ExternalScorer(scorer_cmd(scripts_dir, "--constant", "1.5"), CANDIDATES)
+    with closing(scorer):
         with pytest.raises(ProtocolError, match="malformed score"):
             scorer.score_batch("q", ranking_of(CANDIDATES))
 
 
 def test_external_scorer_rejects_garbage_output():
     garbage = [sys.executable, "-c", "import sys; [print('not json') for _ in sys.stdin]"]
-    with ExternalScorer(garbage, CANDIDATES, timeout=5) as scorer:
+    with closing(ExternalScorer(garbage, CANDIDATES, timeout=5)) as scorer:
         with pytest.raises(ProtocolError):
             scorer.score_batch("q", ranking_of(CANDIDATES[:1]))
 
@@ -101,7 +104,7 @@ def test_external_scorer_unreachable_command():
 
 
 def test_external_embedder_round_trip(scripts_dir):
-    with ExternalEmbedder(embedder_cmd(scripts_dir, "--dim", "8"), dimension=8) as emb:
+    with closing(ExternalEmbedder(embedder_cmd(scripts_dir, "--dim", "8"), dimension=8)) as emb:
         vectors = emb.embed_texts(["alpha", "beta", "alpha"])
         assert len(vectors) == 3
         assert np.array_equal(vectors[0], vectors[2])  # same text, same vector
@@ -111,15 +114,16 @@ def test_external_embedder_round_trip(scripts_dir):
 
 
 def test_external_embedder_dimension_checked(scripts_dir):
-    with ExternalEmbedder(embedder_cmd(scripts_dir, "--dim", "4"), dimension=8) as emb:
+    with closing(ExternalEmbedder(embedder_cmd(scripts_dir, "--dim", "4"), dimension=8)) as emb:
         with pytest.raises(ProtocolError, match="malformed vector"):
             emb.embed_texts(["text"])
 
 
 def test_external_embedder_fingerprint_depends_on_command(scripts_dir):
     cmd = embedder_cmd(scripts_dir, "--dim", "8")
-    with ExternalEmbedder(cmd, dimension=8) as a, ExternalEmbedder(cmd, dimension=8) as b:
-        with ExternalEmbedder(cmd + ["--dim", "8"], dimension=8) as c:
+    a, b = ExternalEmbedder(cmd, dimension=8), ExternalEmbedder(cmd, dimension=8)
+    with closing(a), closing(b):
+        with closing(ExternalEmbedder(cmd + ["--dim", "8"], dimension=8)) as c:
             assert a.fingerprint() == b.fingerprint() != c.fingerprint()
 
 
@@ -127,7 +131,7 @@ def test_a_question_without_tokens_embeds_to_zero_without_asking(scripts_dir, mo
     """The echo embedder turns "" into a nonzero vector, which used to rank
     every article for a question that cleans to no tokens."""
     articles = list(iter_articles(synthetic_corpus(20, seed=0)))
-    with ExternalEmbedder(embedder_cmd(scripts_dir, "--dim", "16"), dimension=16) as emb:
+    with closing(ExternalEmbedder(embedder_cmd(scripts_dir, "--dim", "16"), dimension=16)) as emb:
         index, _ = build_dense_index(articles, emb, TokenizerConfig())
         asked, call = [], emb._client.call
         monkeypatch.setattr(emb._client, "call", lambda reqs: asked.append(reqs) or call(reqs))
@@ -135,7 +139,7 @@ def test_a_question_without_tokens_embeds_to_zero_without_asking(scripts_dir, mo
         lex = build_lex_index(articles, PipelineConfig())
         scorer = ModelScorer(zero_model(), FeatureExtractor(lex, index))
         cfg = PipelineConfig(quickview_source="dense", top_k=5)
-        answer = Pipeline(cfg, articles, lex, index, scorer).answer("q", "??? !!!")
+        answer = Pipeline(cfg, lex, index, scorer).answer("q", "??? !!!")
         assert answer.no_candidates and answer.returned == ()
         assert asked == []
 
@@ -198,14 +202,14 @@ NOT_FINITE_REALS = {
 @pytest.mark.parametrize("value", NOT_FINITE_REALS.values(), ids=NOT_FINITE_REALS.keys())
 def test_external_embedder_rejects_values_that_are_not_finite_reals(value):
     command = replying('{"vector": [' + value + ", 0.5]}")
-    with ExternalEmbedder(command, dimension=2, timeout=5) as emb:
+    with closing(ExternalEmbedder(command, dimension=2, timeout=5)) as emb:
         with pytest.raises(ProtocolError, match="external embedder .+ malformed vector"):
             emb.embed_texts(["text"])
 
 
 def test_external_embedder_accepts_integer_components():
     command = replying('{"vector": [1, -0.25]}')
-    with ExternalEmbedder(command, dimension=2, timeout=5) as emb:
+    with closing(ExternalEmbedder(command, dimension=2, timeout=5)) as emb:
         [vector] = emb.embed_texts(["text"])
     assert vector.dtype == np.float64 and vector.tolist() == [1.0, -0.25]
 
@@ -213,13 +217,13 @@ def test_external_embedder_accepts_integer_components():
 @pytest.mark.parametrize("value", NOT_FINITE_REALS.values(), ids=NOT_FINITE_REALS.keys())
 def test_external_scorer_rejects_scores_that_are_not_finite_reals(value):
     command = replying('{"score": ' + value + "}")
-    with ExternalScorer(command, CANDIDATES, timeout=5) as scorer:
+    with closing(ExternalScorer(command, CANDIDATES, timeout=5)) as scorer:
         with pytest.raises(ProtocolError, match="external scorer .+ malformed score"):
             scorer.score_batch("q", ranking_of(CANDIDATES[:1]))
 
 
 def test_external_scorer_accepts_integer_scores():
-    with ExternalScorer(replying('{"score": 1}'), CANDIDATES, timeout=5) as scorer:
+    with closing(ExternalScorer(replying('{"score": 1}'), CANDIDATES, timeout=5)) as scorer:
         assert scorer.score_batch("q", ranking_of(CANDIDATES[:2])) == [1.0, 1.0]
 
 
@@ -404,7 +408,8 @@ def test_a_large_external_build_is_chunked_and_scored_in_bounded_memory(
         Article(f"a{i:04d}", "d", None, " ".join(f"Clause {i} part {j}." for j in range(5)))
         for i in range(1000)
     ]
-    with ExternalEmbedder(embedder_cmd(scripts_dir, "--dim", str(dimension)), dimension) as emb:
+    emb = ExternalEmbedder(embedder_cmd(scripts_dir, "--dim", str(dimension)), dimension)
+    with closing(emb):
         sizes, call = [], emb._client.call
         monkeypatch.setattr(emb._client, "call", lambda reqs: sizes.append(len(reqs)) or call(reqs))
         built = {}

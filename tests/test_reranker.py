@@ -222,7 +222,7 @@ def test_unknown_article_rejected(tiny_setup):
     with pytest.raises(ValueError, match="'ghost' not in the indexes"):
         extractor.rows("anything", ["d1#1", "ghost"])
     with pytest.raises(ValueError, match="'ghost' not in the indexes"):
-        extractor.matrix([TrainingExample("anything", "ghost", 1, "weak")])
+        extractor.matrix([TrainingExample("anything", "ghost", 1)])
 
 
 # Letters (with a capital and a final sigma, which lowercase by context),
@@ -246,7 +246,8 @@ def test_both_indexes_number_the_same_articles(articles):
     dense, excluded = build_dense_index(articles, EMB, TokenizerConfig())
     assert lex.article_ids == dense.article_ids
     assert len(articles) - excluded == len(lex.article_ids)
-    with_content = [a.article_id for a in articles if tokenize(clean_text(a.content))]
+    tok = TokenizerConfig()
+    with_content = [a.article_id for a in articles if tokenize(clean_text(a.content), tok)]
     assert list(lex.article_ids) == sorted(with_content)
 
 
@@ -262,7 +263,8 @@ def test_title_only_article_is_in_neither_index():
     dense, _ = build_dense_index(articles, EMB, TokenizerConfig())
     assert lex.article_ids == dense.article_ids == ("a", "c")
     scorer = ModelScorer(zero_model(), FeatureExtractor(lex, dense))
-    ranked = retrieve_topk(lex, tokenize(clean_text("tenancy deposits")), 10, PipelineConfig())
+    tokens = tokenize(clean_text("tenancy deposits"), TokenizerConfig())
+    ranked = retrieve_topk(lex, tokens, 10, PipelineConfig())
     answer = rank_and_select(
         "q", "tenancy deposits", ranked, scorer, PipelineConfig(top_k=10)
     )
@@ -347,7 +349,7 @@ class ToyExtractor:
 
 def _toy_examples(n=40):
     return [
-        TrainingExample(f"q{i}", f"a{i}", i % 2, "weak") for i in range(n)
+        TrainingExample(f"q{i}", f"a{i}", i % 2) for i in range(n)
     ]
 
 
@@ -388,8 +390,8 @@ def test_training_reports_divergence():
 
 def _two_stage_matrices():
     toy = ToyExtractor()
-    gold = [TrainingExample(f"g{i}", f"a{i}", i % 2, "gold") for i in range(20)]
-    valid = [TrainingExample(f"v{i}", f"a{i}", i % 2, "gold") for i in range(10)]
+    gold = [TrainingExample(f"g{i}", f"a{i}", i % 2) for i in range(20)]
+    valid = [TrainingExample(f"v{i}", f"a{i}", i % 2) for i in range(10)]
     return _toy_matrix(40), toy.matrix(gold), toy.matrix(valid)
 
 

@@ -88,7 +88,6 @@ def test_weak_positive_question_is_cleaned_title():
     for ex in generate_weak_dataset(articles, PipelineConfig(weak_seed=0)):
         if ex.label == 1:
             assert ex.question == clean_text(by_id[ex.article_id].title)
-        assert ex.origin == "weak"
 
 
 def test_negative_sampling_close_to_uniform():
@@ -123,8 +122,8 @@ def test_dataset_stats_edge_cases():
     assert (empty.total, empty.positives, empty.negatives, empty.ratio) == (0, 0, 0, 0.0)
     dup = dataset_stats(
         [
-            TrainingExample("q", "a", 1, "weak"),
-            TrainingExample("q", "a", 1, "weak"),
+            TrainingExample("q", "a", 1),
+            TrainingExample("q", "a", 1),
         ]
     )
     assert dup.duplicate_pairs == 1
@@ -132,9 +131,7 @@ def test_dataset_stats_edge_cases():
 
 def test_training_example_validation():
     with pytest.raises(ValueError):
-        TrainingExample("q", "a", 2, "weak")
-    with pytest.raises(ValueError):
-        TrainingExample("q", "a", 1, "silver")
+        TrainingExample("q", "a", 2)
 
 
 def test_gold_examples_structure():
@@ -144,7 +141,6 @@ def test_gold_examples_structure():
     stats = dataset_stats(examples)
     assert stats.positives == 3
     assert stats.negatives == 12
-    assert all(ex.origin == "gold" for ex in examples)
     first = [ex for ex in examples if ex.question == pairs[0][0]]
     gold_ids = {"a03", "a04"}
     assert {ex.article_id for ex in first if ex.label == 1} == gold_ids
@@ -179,7 +175,23 @@ def test_dataset_write_that_fails_midway_leaves_the_old_file(tmp_path):
     assert list(tmp_path.iterdir()) == [path]  # the partial file is removed
 
 
-GOOD_RECORD = {"question": "q", "article_id": "a", "label": 1, "origin": "weak"}
+def test_a_dataset_file_with_origin_keys_reads_to_the_same_examples(tmp_path):
+    """Lines hold a question, an article id and a label. Older files also
+    carried each example's "origin"; that key is read past."""
+    examples = generate_weak_dataset(_titled_articles(8), PipelineConfig(weak_seed=2))
+    path = tmp_path / "weak.jsonl"
+    write_dataset(examples, path)
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    assert all(record.keys() == {"question", "article_id", "label"} for record in records)
+    old = tmp_path / "old.jsonl"
+    old.write_text("".join(
+        json.dumps({**record, "origin": origin}, sort_keys=True) + "\n"
+        for record, origin in zip(records, ["weak", "gold"] * len(records))
+    ))
+    assert read_dataset(old) == read_dataset(path) == examples
+
+
+GOOD_RECORD = {"question": "q", "article_id": "a", "label": 1}
 
 
 @pytest.mark.parametrize(
@@ -191,14 +203,11 @@ GOOD_RECORD = {"question": "q", "article_id": "a", "label": 1, "origin": "weak"}
         (json.dumps({**GOOD_RECORD, "label": 2}), "label must be"),
         (json.dumps({**GOOD_RECORD, "question": 3}), "question and article_id"),
         (json.dumps({**GOOD_RECORD, "article_id": None}), "question and article_id"),
-        (json.dumps({**GOOD_RECORD, "origin": "web"}), "origin must be"),
         ("[1, 2]", "record must be a JSON object"),
         ('{"question": "q",', "invalid JSON: "),
-        (json.dumps({k: v for k, v in GOOD_RECORD.items() if k != "origin"}),
-         "missing key 'origin'"),
     ],
     ids=["label-true", "label-string", "label-float", "label-two", "question-number",
-         "article-null", "origin-unknown", "list-record", "invalid-json", "no-origin"],
+         "article-null", "list-record", "invalid-json"],
 )
 def test_dataset_file_malformed_record_names_the_line(tmp_path, line, message):
     """Line 3, after a good record and a blank line, which still counts."""
@@ -208,13 +217,13 @@ def test_dataset_file_malformed_record_names_the_line(tmp_path, line, message):
         read_dataset(path)
 
 
-def _filtered_list_negatives(question, exclude, pool, count, rng, origin):
+def _filtered_list_negatives(question, exclude, pool, count, rng):
     """The sampler as first written: O(N) per call, rebuilding the pool."""
     candidates = [article_id for article_id in pool if article_id not in exclude]
     if len(candidates) < count:
         raise ValueError("corpus too small")
     return [
-        TrainingExample(question, article_id, 0, origin)
+        TrainingExample(question, article_id, 0)
         for article_id in rng.sample(candidates, count)
     ]
 
@@ -226,9 +235,9 @@ def _reference_weak(articles, cfg):
     for article in articles:
         question = clean_text(article.title or "")
         if question:
-            examples.append(TrainingExample(question, article.article_id, 1, "weak"))
+            examples.append(TrainingExample(question, article.article_id, 1))
             examples += _filtered_list_negatives(
-                question, {article.article_id}, pool, cfg.weak_negative_ratio, rng, "weak"
+                question, {article.article_id}, pool, cfg.weak_negative_ratio, rng
             )
     return examples
 
@@ -238,9 +247,9 @@ def _reference_gold(pairs, articles, cfg):
     rng = random.Random(cfg.weak_seed)
     examples = []
     for question, gold in pairs:
-        examples += [TrainingExample(question, a, 1, "gold") for a in gold]
+        examples += [TrainingExample(question, a, 1) for a in gold]
         examples += _filtered_list_negatives(
-            question, set(gold), pool, cfg.weak_negative_ratio * len(gold), rng, "gold"
+            question, set(gold), pool, cfg.weak_negative_ratio * len(gold), rng
         )
     return examples
 
