@@ -271,7 +271,7 @@ def _cmd_train(cfg: PipelineConfig, mode: str) -> int:
     finally:
         close_all(dense.embedder)
 
-    best = model.metadata.get("best_val_loss")
+    best = model.metadata.get("stages", [model.metadata])[-1].get("best_val_loss")
     best_text = f"{best:.4f}" if isinstance(best, float) else "n/a"
     trained_on = {
         "gold-only": f"{len(gold_train)} gold",

@@ -35,6 +35,7 @@ __all__ = [
 
 PHRASE_JOINER = "_"
 NORMAL_FORM = "NFC"  # the Unicode normal form clean_text cuts tokens from
+DIGEST_CHUNK = 1 << 20  # bytes file_digest reads at a time
 
 _SENTENCE_DELIMS = re.compile(r"[.;?!\n]")
 # UTF-8 cannot encode a lone surrogate, which JSON can escape ("\ud800")
@@ -266,8 +267,13 @@ def load_corpus_file(path: str | Path) -> tuple[list[LegalDocument], ParseStats]
 
 
 def file_digest(path: str | Path) -> str:
-    """sha256 of a file's bytes; for a corpus file, the digest indexes record."""
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    """sha256 of a file's bytes, read in ``DIGEST_CHUNK`` pieces; for a
+    corpus file, the digest indexes record."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        for chunk in iter(lambda: handle.read(DIGEST_CHUNK), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def write_corpus_file(docs: Iterable[LegalDocument], path: str | Path) -> None:

@@ -48,13 +48,14 @@ __all__ = [
 ]
 
 DENSE_INDEX_FORMAT = "statuteqa.denseindex"
-DENSE_INDEX_VERSION = 9
+DENSE_INDEX_VERSION = 10
 _LAYOUT = {
     "sentence_counts": (np.int64, 1),  # offsets, as each article's sentence count
     "sentence_vector": (np.intp, 1),  # first-use coded in the file
     "entry_counts": (np.int64, 1),  # colptr, as each coordinate's entry count
     "rows": (np.int32, 1),  # gap-coded in the file
-    "data": (np.float64, 1),
+    "values": (np.float64, 1),  # data's distinct values, in first-use order
+    "data": (np.intp, 1),  # first-use codes into values
 }
 
 DEFAULT_DIMENSION = 300
@@ -358,13 +359,27 @@ def dense_retrieve_topk(
     return Ranking(index.article_ids, top, scores[top], tokens, None)
 
 
+def _value_table(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(values, ids): the distinct float64 values of ``data`` in first-use
+    order, told apart by their bits (so -0.0 and 0.0 are two values), and
+    each entry's position in them, so that ``values[ids]`` is ``data``."""
+    _, first, inverse = np.unique(data.view(np.uint64), return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return data[first[order]], rank[inverse]
+
+
 def save_dense_index(index: DenseIndex, path: str | Path) -> None:
     """Persist what load cannot derive (see ``indexfile``): each article's
     sentence count (``offsets`` as counts), the sentence map in first-use
     code, and the coordinate postings as each coordinate's entry count
-    (``colptr`` as counts), rows gap-coded, and data. The article ids are
-    not stored, only their ``indexfile.strings_digest``: the lexical index
-    of the same build stores them.
+    (``colptr`` as counts), rows gap-coded, and data as a table of its
+    distinct values with first-use codes into it (a hashed projection's
+    row is small counts over one norm, so its rows share a few values).
+    The article ids are not stored, only their
+    ``indexfile.strings_digest``: the lexical index of the same build
+    stores them.
 
     Deterministic: equal indexes save to equal bytes.
     """
@@ -375,12 +390,14 @@ def save_dense_index(index: DenseIndex, path: str | Path) -> None:
         "dimension": index.dimension,
         "article_ids_sha256": indexfile.strings_digest(index.article_ids),
     }
+    values, ids = _value_table(index.data)
     arrays = {
         "sentence_counts": np.diff(index.offsets),
         "sentence_vector": indexfile.first_use_encode(index.sentence_vector),
         "entry_counts": np.diff(index.colptr),
         "rows": indexfile.gap_encode(index.colptr, index.rows),
-        "data": index.data,
+        "values": values,
+        "data": indexfile.first_use_encode(ids),
     }
     indexfile.save(path, DENSE_INDEX_FORMAT, DENSE_INDEX_VERSION, header, arrays)
 
@@ -400,7 +417,9 @@ def load_dense_index(
     with ``tokenizer`` and ``embedder``. ``offsets`` and ``colptr`` are the
     running sums of the stored counts: one count of at least 1 sentence
     per article, adding up to the sentence map's length, and one count of
-    entries per coordinate, adding up to the posting rows.
+    entries per coordinate, adding up to the posting rows. ``data`` is
+    ``values[ids]``: one first-use code per posting row, using every
+    stored value, each finite.
     """
     fingerprint, dimension = embedder.fingerprint(), embedder.dimension
     header, arrays = indexfile.load(
@@ -415,16 +434,19 @@ def load_dense_index(
     rebuild = "rebuild both files with `statuteqa index`"
     indexfile.require(same, path, f"built over other articles than the lexical index; {rebuild}")
     indexfile.require_ascending(path, "article ids", article_ids)
-    sentences, codes, entries, gaps, data = (arrays[name] for name in _LAYOUT)
+    sentences, codes, entries, gaps, values, data_codes = (arrays[name] for name in _LAYOUT)
     offsets = indexfile.pointers(
         path, "sentence_counts", sentences, len(article_ids), len(codes), least=1
     )
     sentence_vector, vectors = indexfile.first_use_decode(path, "sentence_vector", codes)
     colptr = indexfile.pointers(path, "entry_counts", entries, dimension, len(gaps))
     rows = indexfile.gap_decode(path, "rows", colptr, gaps, vectors)
-    same = len(data) == len(rows)
-    indexfile.require(same, path, f"{len(rows)} rows but {len(data)} data")
-    indexfile.require(bool(np.all(np.isfinite(data))), path, "data not finite")
+    same = len(data_codes) == len(rows)
+    indexfile.require(same, path, f"{len(rows)} rows but {len(data_codes)} data")
+    ids, used = indexfile.first_use_decode(path, "data", data_codes)
+    same = used == len(values)
+    indexfile.require(same, path, f"data uses {used} values but {len(values)} are stored")
+    indexfile.require(bool(np.all(np.isfinite(values))), path, "values not finite")
     return DenseIndex(
         embedder_fingerprint=fingerprint,
         tokenizer=tokenizer,
@@ -434,7 +456,7 @@ def load_dense_index(
         sentence_vector=sentence_vector,
         colptr=colptr,
         rows=rows,
-        data=data,
+        data=values[ids],
         corpus_digest=header["corpus_digest"],
         embedder=embedder,
     )

@@ -7,7 +7,9 @@ JSON header line (``format``, ``version``, the index's metadata, and
 ``.npy`` format. Arrays are never pickled. Posting lists of ids are
 stored gap-coded (``gap_encode``) and checked as they are decoded
 (``gap_decode``). A map onto rows numbered in first-use order is stored in
-first-use code (``first_use_encode``, ``first_use_decode``). A sorted
+first-use code (``first_use_encode``, ``first_use_decode``): the dense
+sentence map onto vector rows, and the dense ``data`` as codes into a
+table of its distinct values, which few values fill. A sorted
 string list (article ids, terms) is stored front-coded (``front_encode``,
 ``front_decode``): each string as the number of leading characters it
 shares with the string before it, then the rest (Witten, Moffat & Bell,

@@ -156,8 +156,9 @@ class FeatureExtractor:
 
     def rows(self, question: str, candidates: Ranking | Sequence[str]) -> np.ndarray:
         """Feature rows of the candidates, in order: a ``Ranking`` over these
-        indexes, or article ids; raises for a ranking over other indexes
-        and for an id outside these.
+        indexes, or article ids; raises for a ranking over other indexes,
+        for one with candidates but neither a BM25 pass nor question tokens
+        (no quickview builds one), and for an id outside these.
 
         What a ranking carries is read, not computed again: its tokens, a
         lexical ranking's BM25 pass, and a dense ranking's scores, which are
@@ -185,6 +186,9 @@ class FeatureExtractor:
             if ids is not self.lex.article_ids and ids is not self.dense.article_ids:
                 raise ValueError("the ranking is over other indexes than the extractor's")
             c = candidates
+            if len(c) and c.field_scores is None and not c.tokens:
+                # a question with no tokens ranks nothing in either quickview
+                raise ValueError("the ranking carries neither a BM25 pass nor question tokens")
             dense_scores = c.scores if c.field_scores is None else None
             return c.positions, c.tokens, dense_scores, c.field_scores
         columns = np.fromiter(
@@ -352,12 +356,11 @@ def train_two_stage(
     cfg: PipelineConfig,
 ) -> LinearModel:
     """Weak pretraining from zero weights, then gold fine-tuning from the
-    best pretrained weights; both stages early-stop on ``valid``."""
+    best pretrained weights; both stages early-stop on ``valid``. The
+    model's metadata holds each stage's record once, under ``stages``."""
     pretrained = train_stage(zero_model(), weak, valid, cfg, "weak_pretrain")
     tuned = train_stage(pretrained, gold, valid, cfg, "gold_finetune")
-    metadata = dict(tuned.metadata)
-    metadata["stage"] = "two_stage"
-    metadata["stages"] = [pretrained.metadata, tuned.metadata]
+    metadata = {"stage": "two_stage", "stages": [pretrained.metadata, tuned.metadata]}
     return LinearModel(tuned.weights, metadata)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import unicodedata
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from statuteqa.corpus import (
+    DIGEST_CHUNK,
     CorpusFormatError,
     TokenizerConfig,
     _has_text,
@@ -15,6 +17,7 @@ from statuteqa.corpus import (
     tokenize,
     write_corpus_file,
     load_corpus_file,
+    file_digest,
 )
 
 PHRASE_CFG = TokenizerConfig(frozenset({"bộ luật"}))
@@ -326,3 +329,14 @@ def test_corpus_file_that_is_not_utf8_names_the_file_and_line(tmp_path):
     path.write_bytes(first + b"\n" + latin1.encode("latin-1") + b"\n")
     with pytest.raises(CorpusFormatError, match=f"{path}: line 2: not UTF-8"):
         load_corpus_file(path)
+
+
+@pytest.mark.parametrize(
+    "size", [0, DIGEST_CHUNK, DIGEST_CHUNK + 1], ids=["empty", "one chunk", "one byte over"]
+)
+def test_file_digest_is_the_sha256_of_the_file_bytes(size, tmp_path):
+    """The file is hashed a chunk at a time, to the digest of its bytes."""
+    data = bytes(i % 251 for i in range(size))
+    path = tmp_path / "corpus.jsonl"
+    path.write_bytes(data)
+    assert file_digest(path) == hashlib.sha256(data).hexdigest()

@@ -6,7 +6,7 @@ from contextlib import closing
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from dense_oracle import (
     OneAtATime,
@@ -308,12 +308,14 @@ def test_file_with_an_embedder_spec_header_still_loads(tiny_articles, tmp_path):
         header = json.loads(stream.readline())
     header.pop("embedder_spec", None)
     header["embedder_spec"] = {"kind": "hashed_projection", "dimension": 64, "seed": 0}
+    values, ids = dense._value_table(index.data)
     arrays = {
         "sentence_counts": np.diff(index.offsets),
         "sentence_vector": indexfile.first_use_encode(index.sentence_vector),
         "entry_counts": np.diff(index.colptr),
         "rows": indexfile.gap_encode(index.colptr, index.rows),
-        "data": index.data,
+        "values": values,
+        "data": indexfile.first_use_encode(ids),
     }
     indexfile.save(path, header["format"], header["version"], header, arrays)
     loaded = load_dense_index(path, EMB, TOK, index.article_ids)
@@ -402,12 +404,17 @@ def pool_corpus(drawn):
     ]
 
 
-def stored_sentence_vector(path):
-    """The sentence map as the file stores it, in first-use code."""
+def stored_arrays(path):
+    """A dense file's arrays as it stores them, integer arrays as ints."""
     _, arrays = indexfile.load(
         path, dense.DENSE_INDEX_FORMAT, DENSE_INDEX_VERSION, dense._LAYOUT, {}
     )
-    return arrays["sentence_vector"]
+    return arrays
+
+
+def stored_sentence_vector(path):
+    """The sentence map as the file stores it, in first-use code."""
+    return stored_arrays(path)["sentence_vector"]
 
 
 @given(
@@ -484,3 +491,53 @@ def test_an_external_embedder_is_sent_each_repeated_sentence_once(scripts_dir, m
     assert excluded == 1 and index.vectors == 4
     assert index.sentence_vector.tolist() == [0, 1, 0, 2, 0, 1, 2, 3, 3]
     assert np.array_equal(index.data, single.data) and np.array_equal(index.rows, single.rows)
+
+
+# signed zeros, the least subnormal and a larger one, and values a hashed
+# projection stores: a count over a norm
+FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1.0, -1.0, 1 / 3**0.5, -2 / 7**0.5]
+
+
+@given(st.lists(st.one_of(st.sampled_from(FLOATS), st.floats(allow_nan=False)), max_size=40))
+@example([])
+@example([0.0, -0.0, -0.0, 0.0])
+@example([float(i) for i in range(-20, 20)])
+def test_the_value_table_round_trips_every_bit(values):
+    """``data`` is stored as its distinct values (by bits, so -0.0 and 0.0
+    are two) in first-use order and first-use codes into them; decoding
+    gives back every bit. With no value repeated, the codes are all zeros
+    and the table is ``data`` itself."""
+    data = np.array(values, dtype=np.float64)
+    table, ids = dense._value_table(data)
+    bits = data.view(np.uint64)
+    first = sorted(np.unique(bits, return_index=True)[1].tolist())
+    assert table.view(np.uint64).tolist() == bits[first].tolist()
+    codes = indexfile.first_use_encode(ids)
+    decoded, used = indexfile.first_use_decode("f", "data", codes)
+    assert used == len(table)
+    assert table[decoded].view(np.uint64).tolist() == bits.tolist()
+    if len(first) == len(data):
+        assert not codes.any() and table.tobytes() == data.tobytes()
+
+
+def test_an_external_embedder_build_answers_from_its_file_as_built(scripts_dir, tmp_path):
+    """Every value the echo embedder gives is distinct, so the file stores
+    them in entry order with all-zero codes, and the loaded index answers
+    bit for bit as the one built."""
+    articles = pool_corpus([[0, 1, 0], [2, 0, 7], [1, 2, 3, 3], [4, 5], [6, 2]])
+    command = [sys.executable, str(scripts_dir / "echo_embedder.py"), "--dim", "8"]
+    path = tmp_path / "dense.bin"
+    with closing(ExternalEmbedder(command, dimension=8)) as emb:
+        index, _ = build_dense_index(articles, emb, TOK)
+        save_dense_index(index, path)
+        loaded = load_dense_index(path, emb, TOK, index.article_ids)
+        questions = [" ".join(POOL_WORDS[i : i + 3]) for i in range(len(POOL_WORDS))]
+        for question in questions:
+            built, read = (dense_retrieve_topk(x, question, 4) for x in (index, loaded))
+            assert read.positions.tolist() == built.positions.tolist()
+            assert read.scores.tobytes() == built.scores.tobytes()
+    stored = stored_arrays(path)
+    assert len(np.unique(index.data)) == len(index.data)
+    assert stored["values"].tobytes() == index.data.tobytes()
+    assert not stored["data"].any()
+    assert loaded.data.tobytes() == index.data.tobytes()

@@ -313,7 +313,7 @@ def test_a_version_6_dense_file_says_to_rebuild_the_index(indexes, tmp_path):
     header, arrays = _read(path)
     arrays.pop("sentence_vector")
     _write(path, {**header, "version": 6}, arrays)
-    message = r"dense.bin: version mismatch \(index 6, expected 9\); rebuild it with `statuteqa index`"
+    message = r"dense.bin: version mismatch \(index 6, expected 10\); rebuild it with `statuteqa index`"
     with pytest.raises(ValueError, match=message):
         load(path)
 
@@ -336,7 +336,7 @@ def test_a_version_7_dense_file_says_to_rebuild_the_index(indexes, tmp_path):
     header.pop("article_ids_sha256")
     ids = list(indexes["dense"][0].article_ids)
     _write(path, {**header, "version": 7, "article_ids": ids}, arrays)
-    message = r"dense.bin: version mismatch \(index 7, expected 9\); rebuild it with `statuteqa index`"
+    message = r"dense.bin: version mismatch \(index 7, expected 10\); rebuild it with `statuteqa index`"
     with pytest.raises(ValueError, match=message):
         load(path)
 
@@ -385,10 +385,22 @@ def test_a_version_8_dense_file_says_to_rebuild_the_index(indexes, tmp_path):
         "sentence_vector": arrays["sentence_vector"],
         "colptr": index.colptr,
         "rows": arrays["rows"],
-        "data": arrays["data"],
+        "data": index.data,
     }
     _write(path, {**header, "version": 8}, arrays)
-    message = r"dense.bin: version mismatch \(index 8, expected 9\); rebuild it with `statuteqa index`"
+    message = r"dense.bin: version mismatch \(index 8, expected 10\); rebuild it with `statuteqa index`"
+    with pytest.raises(ValueError, match=message):
+        load(path)
+
+
+def test_a_version_9_dense_file_says_to_rebuild_the_index(indexes, tmp_path):
+    """Version 9 stored every float64 value of data, not a value table."""
+    path, load = _saved(indexes, "dense", tmp_path)
+    header, arrays = _read(path)
+    arrays.pop("values")
+    arrays["data"] = indexes["dense"][0].data
+    _write(path, {**header, "version": 9}, arrays)
+    message = r"dense.bin: version mismatch \(index 9, expected 10\); rebuild it with `statuteqa index`"
     with pytest.raises(ValueError, match=message):
         load(path)
 
@@ -702,7 +714,27 @@ DISAGREEMENTS = {
         "dense", "rows", lambda a: np.repeat(a[:1], len(a)), "rows not strictly ascending"
     ),
     "data short": ("dense", "data", lambda a: a[:-1], "rows but"),
-    "data not finite": ("dense", "data", lambda a: np.where(a == a[0], np.nan, a), "not finite"),
+    "data one long": ("dense", "data", lambda a: np.append(a, 0), "rows but"),
+    "data code names a value not yet used": (
+        "dense", "data", lambda a: np.append(a[:-1], a.size + 1),
+        "data must name rows in first-use order",
+    ),
+    "negative data code": (
+        "dense", "data", lambda a: np.where(a == a.max(), -1, a),
+        "data must name rows in first-use order",
+    ),
+    "a stored value no code uses": (
+        "dense", "values", lambda a: np.append(a, 0.25), "data uses .* values but .* are stored"
+    ),
+    "values one short": (
+        "dense", "values", lambda a: a[:-1], "data uses .* values but .* are stored"
+    ),
+    "data not finite": (
+        "dense", "values", lambda a: np.where(a == a[0], np.nan, a), "values not finite"
+    ),
+    "infinite value": (
+        "dense", "values", lambda a: np.where(a == a[-1], -np.inf, a), "values not finite"
+    ),
     "sentence counts stored as float64": (
         "dense", "sentence_counts", lambda a: a.astype(np.float64),
         "sentence_counts is not .* byte planes of int64",

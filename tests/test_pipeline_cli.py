@@ -706,7 +706,15 @@ def test_train_reports_the_examples_each_mode_trained_on(workspace, tmp_path, ca
     for mode, examples in expected.items():
         out = tmp_path / f"{mode}.json"
         assert main(base + ["train", "--mode", mode, "--model-path", str(out)]) == 0
-        assert f"trained {mode} model on {examples} examples " in capsys.readouterr().out
+        printed = capsys.readouterr().out
+        assert f"trained {mode} model on {examples} examples " in printed
+        # the validation loss is the last stage's; a two-stage model
+        # records each stage once, under "stages"
+        metadata = json.loads(out.read_text())["metadata"]
+        if mode == "two-stage":
+            assert sorted(metadata) == ["stage", "stages"]
+            metadata = metadata["stages"][-1]
+        assert f"(validation loss {metadata['best_val_loss']:.4f})" in printed
 
 
 @pytest.mark.parametrize(

@@ -19,7 +19,7 @@ from statuteqa.dense import (
     dense_retrieve_topk,
     embed,
 )
-from statuteqa.ensemble import rank_and_select
+from statuteqa.ensemble import Ranking, rank_and_select
 from statuteqa.lexical import build_lex_index, retrieve_topk
 from statuteqa.pipeline import PipelineConfig
 from statuteqa.reranker import (
@@ -406,7 +406,9 @@ def test_two_stage_metadata_and_continuity():
     assert stage2["initial_weights"] == pretrained.weights.tolist()
     tuned = train_stage(pretrained, gold, valid, cfg, stage="gold_finetune")
     assert np.array_equal(model.weights, tuned.weights)
-    assert model.metadata["stages"] == [pretrained.metadata, tuned.metadata]
+    assert model.metadata == {
+        "stage": "two_stage", "stages": [pretrained.metadata, tuned.metadata]
+    }
 
 
 def test_two_stage_rejects_empty_datasets():
@@ -510,3 +512,20 @@ def test_score_batch_is_bit_identical_for_a_ranking_ids_and_articles(synth):
         tokens = tokenize(clean_text(question), synth.tok)
         with pytest.raises(ValueError, match="ranking is over other indexes"):
             synth.scorer.score_batch(question, retrieve_topk(rebuilt, tokens, 30, PipelineConfig()))
+
+
+def test_a_hand_built_ranking_with_no_question_view_is_refused(synth):
+    """Over the extractor's own ids, a ranking with placeholder scores, no
+    tokens and no BM25 pass was scored from no question tokens, with its
+    placeholder scores as the dense feature. No quickview builds one: a
+    question with no tokens ranks nothing. An empty one is still read."""
+    ids = synth.lex.article_ids
+    positions = np.arange(5, dtype=np.int64)
+    placeholder = Ranking(ids, positions, np.ones(5), (), None)
+    with pytest.raises(ValueError, match="neither a BM25 pass nor question tokens"):
+        synth.extractor.rows("any question", placeholder)
+    with pytest.raises(ValueError, match="neither a BM25 pass nor question tokens"):
+        synth.scorer.score_batch("any question", placeholder)
+    assert synth.extractor.rows("any question", placeholder[:0]).shape == (0, NUM_FEATURES)
+    nothing = dense_retrieve_topk(synth.dense, "--- ,,,", 5, synth.tok)
+    assert len(nothing) == 0 and synth.extractor.rows("--- ,,,", nothing).shape[0] == 0
