@@ -364,10 +364,8 @@ def _value_table(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     order, told apart by their bits (so -0.0 and 0.0 are two values), and
     each entry's position in them, so that ``values[ids]`` is ``data``."""
     _, first, inverse = np.unique(data.view(np.uint64), return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return data[first[order]], rank[inverse]
+    order = np.argsort(first)  # the distinct values in first-use order
+    return data[first[order]], np.argsort(order)[inverse]
 
 
 def save_dense_index(index: DenseIndex, path: str | Path) -> None:

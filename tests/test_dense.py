@@ -405,16 +405,12 @@ def pool_corpus(drawn):
 
 
 def stored_arrays(path):
-    """A dense file's arrays as it stores them, integer arrays as ints."""
+    """A dense file's arrays as it stores them (the sentence map and data
+    in first-use code), integer arrays rebuilt from their byte planes."""
     _, arrays = indexfile.load(
         path, dense.DENSE_INDEX_FORMAT, DENSE_INDEX_VERSION, dense._LAYOUT, {}
     )
     return arrays
-
-
-def stored_sentence_vector(path):
-    """The sentence map as the file stores it, in first-use code."""
-    return stored_arrays(path)["sentence_vector"]
 
 
 @given(
@@ -474,7 +470,7 @@ def test_one_vector_per_distinct_sentence_answers_as_one_per_sentence(
     single, _ = build_dense_index(pool_corpus(distinct), embedder, TOK)
     assert single.sentence_vector.tolist() == list(range(single.vectors))
     save_dense_index(single, path)
-    assert not stored_sentence_vector(path).any()
+    assert not stored_arrays(path)["sentence_vector"].any()
 
 
 def test_an_external_embedder_is_sent_each_repeated_sentence_once(scripts_dir, monkeypatch):
