@@ -331,7 +331,9 @@ def first_use_encode(ids) -> np.ndarray:
 
 
 def first_use_decode(path, name: str, codes) -> tuple[np.ndarray, int]:
-    """(ids, distinct count) of the codes ``first_use_encode`` stored.
+    """(ids, distinct count) of the codes ``first_use_encode`` stored,
+    decoded in place (a load reads ``codes`` for this alone), so a load
+    holds no more than the codes and their running count of first uses.
 
     Raises ``ValueError`` naming ``path`` and ``name`` for a code that is
     negative or names an id not yet used.
@@ -340,4 +342,7 @@ def first_use_decode(path, name: str, codes) -> tuple[np.ndarray, int]:
     seen = np.cumsum(first)  # ids used up to and including each entry
     ok = codes.min(initial=0) >= 0 and bool(np.all(codes <= seen))
     require(ok, path, f"{name} must name rows in first-use order")
-    return np.where(first, seen - 1, codes - 1), int(np.count_nonzero(first))
+    codes -= 1
+    seen -= 1
+    np.copyto(codes, seen, where=first)
+    return codes, int(np.count_nonzero(first))

@@ -509,11 +509,11 @@ def test_the_value_table_round_trips_every_bit(values):
     first = sorted(np.unique(bits, return_index=True)[1].tolist())
     assert table.view(np.uint64).tolist() == bits[first].tolist()
     codes = indexfile.first_use_encode(ids)
+    if len(first) == len(data):
+        assert not codes.any() and table.tobytes() == data.tobytes()
     decoded, used = indexfile.first_use_decode("f", "data", codes)
     assert used == len(table)
     assert table[decoded].view(np.uint64).tolist() == bits.tolist()
-    if len(first) == len(data):
-        assert not codes.any() and table.tobytes() == data.tobytes()
 
 
 def test_an_external_embedder_build_answers_from_its_file_as_built(scripts_dir, tmp_path):
