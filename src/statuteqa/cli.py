@@ -208,7 +208,7 @@ def _cmd_index(cfg: PipelineConfig) -> int:
     )
     print(
         f"dense index: {cfg.dense_index_path} ({dense_bytes} bytes, "
-        f"embedder {dense.embedder_fingerprint}, {dense.offsets[-1]} sentences as "
+        f"embedder {dense.embedder.fingerprint()}, {dense.offsets[-1]} sentences as "
         f"{dense.vectors} distinct vectors, {excluded} articles without sentences)"
     )
     return 0
@@ -271,7 +271,7 @@ def _cmd_train(cfg: PipelineConfig, mode: str) -> int:
     finally:
         close_all(dense.embedder)
 
-    best = model.metadata.get("stages", [model.metadata])[-1].get("best_val_loss")
+    best = model.metadata["stages"][-1]["best_val_loss"]
     best_text = f"{best:.4f}" if isinstance(best, float) else "n/a"
     trained_on = {
         "gold-only": f"{len(gold_train)} gold",

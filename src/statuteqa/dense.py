@@ -190,7 +190,8 @@ class DenseIndex:
     equal tokens share a row. Coordinate ``c`` holds the value ``data[e]`` of vector row
     ``rows[e]`` (strictly ascending) for ``e`` in ``colptr[c]:colptr[c + 1]``;
     every other value is 0. Rows are unit or zero vectors.
-    ``embedder`` embeds questions; its fingerprint is the index's.
+    ``embedder`` embeds questions; its fingerprint and dimension are the
+    index's, and the index keeps no copy of them.
     ``tokenizer`` tokenized the sentences and cuts every question read
     against the index. ``sentence_article`` is each sentence's article
     position (int32) and ``vectors`` the number of vector rows, derived
@@ -201,9 +202,7 @@ class DenseIndex:
     Immutable after build; safe for concurrent readers.
     """
 
-    embedder_fingerprint: str
     tokenizer: TokenizerConfig
-    dimension: int
     article_ids: tuple[str, ...]
     offsets: np.ndarray  # int64, articles + 1, into the sentences
     sentence_vector: np.ndarray  # intp vector row of each sentence
@@ -264,9 +263,7 @@ def build_dense_index(
     colptr = np.searchsorted(coords[by_coord], np.arange(embedder.dimension + 1))
 
     index = DenseIndex(
-        embedder_fingerprint=embedder.fingerprint(),
         tokenizer=tok,
-        dimension=embedder.dimension,
         article_ids=tuple(article_ids),
         offsets=offsets,
         sentence_vector=np.array(sentence_vector, dtype=np.intp),
@@ -292,8 +289,8 @@ def sentence_cosines(index: DenseIndex, vector: np.ndarray) -> np.ndarray:
     ``np.add.at`` adds as ``cosines[rows] += ...`` would, in half the time.
     """
     vector = np.asarray(vector, dtype=np.float64)
-    if vector.shape != (index.dimension,):
-        raise ValueError(f"dimension mismatch: {vector.shape} vs ({index.dimension},)")
+    if vector.shape != (index.embedder.dimension,):
+        raise ValueError(f"dimension mismatch: {vector.shape} vs ({index.embedder.dimension},)")
     cosines = np.zeros(index.vectors)
     qnorm = float(np.linalg.norm(vector))
     if qnorm == 0.0:
@@ -382,10 +379,10 @@ def save_dense_index(index: DenseIndex, path: str | Path) -> None:
     Deterministic: equal indexes save to equal bytes.
     """
     header = {
-        "embedder_fingerprint": index.embedder_fingerprint,
+        "embedder_fingerprint": index.embedder.fingerprint(),
         "tokenizer_fingerprint": index.tokenizer.fingerprint(),
         "corpus_digest": index.corpus_digest,
-        "dimension": index.dimension,
+        "dimension": index.embedder.dimension,
         "article_ids_sha256": indexfile.strings_digest(index.article_ids),
     }
     values, ids = _value_table(index.data)
@@ -419,13 +416,12 @@ def load_dense_index(
     ``values[ids]``: one first-use code per posting row, using every
     stored value, each finite.
     """
-    fingerprint, dimension = embedder.fingerprint(), embedder.dimension
     header, arrays = indexfile.load(
         path, DENSE_INDEX_FORMAT, DENSE_INDEX_VERSION, _LAYOUT,
         {
-            "embedder_fingerprint": fingerprint,
+            "embedder_fingerprint": embedder.fingerprint(),
             "tokenizer_fingerprint": tokenizer.fingerprint(),
-            "dimension": dimension,
+            "dimension": embedder.dimension,
         },
     )
     same = header.get("article_ids_sha256") == indexfile.strings_digest(article_ids)
@@ -437,7 +433,7 @@ def load_dense_index(
         path, "sentence_counts", sentences, len(article_ids), len(codes), least=1
     )
     sentence_vector, vectors = indexfile.first_use_decode(path, "sentence_vector", codes)
-    colptr = indexfile.pointers(path, "entry_counts", entries, dimension, len(gaps))
+    colptr = indexfile.pointers(path, "entry_counts", entries, embedder.dimension, len(gaps))
     rows = indexfile.gap_decode(path, "rows", colptr, gaps, vectors)
     same = len(data_codes) == len(rows)
     indexfile.require(same, path, f"{len(rows)} rows but {len(data_codes)} data")
@@ -446,9 +442,7 @@ def load_dense_index(
     indexfile.require(same, path, f"data uses {used} values but {len(values)} are stored")
     indexfile.require(bool(np.all(np.isfinite(values))), path, "values not finite")
     return DenseIndex(
-        embedder_fingerprint=fingerprint,
         tokenizer=tokenizer,
-        dimension=dimension,
         article_ids=tuple(article_ids),
         offsets=offsets,
         sentence_vector=sentence_vector,

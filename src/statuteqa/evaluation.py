@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -107,16 +107,9 @@ class EvalReport:
     per_query: list[dict] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "recall_at_k": {str(k): v for k, v in sorted(self.recall_at_k.items())},
-            "mean_precision": self.mean_precision,
-            "mean_recall": self.mean_recall,
-            "f2": self.f2,
-            "mean_latency_ms": self.mean_latency_ms,
-            "queries": self.queries,
-            "failures": self.failures,
-            "per_query": self.per_query,
-        }
+        """The report's fields, with the recall table keyed by cutoff strings."""
+        recall = {str(k): v for k, v in sorted(self.recall_at_k.items())}
+        return {**asdict(self), "recall_at_k": recall}
 
 
 def run_eval(
@@ -131,19 +124,14 @@ def run_eval(
     (over the ranking's ids) and ``answer(question_id, question, ranking)``
     both read that ranking.
     A query whose pipeline call raises is marked failed and skipped from
-    the aggregates; evaluation continues. Aggregates stay None when every
-    query failed.
+    the aggregates; evaluation continues. Each mean is taken from the
+    ``per_query`` rows that did not fail, summed in their order; means stay
+    None when every query failed.
     """
     if not ks and answer is None:
         raise ValueError("nothing to evaluate: no recall cutoffs, no answerer")
 
     report = EvalReport(queries=len(queries))
-    recall_sums = {k: 0.0 for k in ks}
-    precision_sum = 0.0
-    recall_sum = 0.0
-    latency_sum = 0.0
-    evaluated = 0
-
     for query in queries:
         row: dict = {"question_id": query.question_id}
         started = time.perf_counter()
@@ -165,26 +153,20 @@ def run_eval(
             row["failed"] = True
             row["error"] = f"{type(exc).__name__}: {exc}"
             report.failures += 1
-            report.per_query.append(row)
-            continue
-        latency_ms = (time.perf_counter() - started) * 1000.0
-        row["latency_ms"] = latency_ms
+        else:
+            row["latency_ms"] = (time.perf_counter() - started) * 1000.0
         report.per_query.append(row)
 
-        evaluated += 1
-        latency_sum += latency_ms
-        for k in ks:
-            recall_sums[k] += row["recall_at_k"][str(k)]
-        if answer is not None:
-            precision_sum += row["precision"]
-            recall_sum += row["recall"]
+    rows = [row for row in report.per_query if not row.get("failed")]
+    if rows:
+        def mean(values) -> float:
+            return sum(values) / len(rows)
 
-    if evaluated:
-        report.mean_latency_ms = latency_sum / evaluated
-        report.recall_at_k = {k: recall_sums[k] / evaluated for k in ks}
+        report.mean_latency_ms = mean(row["latency_ms"] for row in rows)
+        report.recall_at_k = {k: mean(row["recall_at_k"][str(k)] for row in rows) for k in ks}
         if answer is not None:
-            report.mean_precision = precision_sum / evaluated
-            report.mean_recall = recall_sum / evaluated
+            report.mean_precision = mean(row["precision"] for row in rows)
+            report.mean_recall = mean(row["recall"] for row in rows)
             report.f2 = f2(report.mean_precision, report.mean_recall)
     return report
 

@@ -138,7 +138,9 @@ def load(path, fmt: str, version: int, layout: dict, expected: dict):
 
     Raises ``ValueError`` naming ``path`` for a file that is not gzip or is
     truncated; that has another format, version or set of arrays, or a
-    header value other than one in ``expected``; or whose arrays or corpus
+    header value other than one in ``expected`` (``<key> mismatch (index
+    <found>, expected <value>)``, before any array is read; a boolean never
+    matches a number, nor a number a boolean); or whose arrays or corpus
     digest (a string) are malformed.
     """
     wanted = {"format": fmt, "version": version, "arrays": list(layout), **expected}
@@ -148,11 +150,12 @@ def load(path, fmt: str, version: int, layout: dict, expected: dict):
             if not isinstance(header, dict):
                 raise ValueError("no header line")
             for key, value in wanted.items():
-                if header.get(key) != value:
-                    name, found = key.replace("_", " "), header.get(key)
+                found = header.get(key)
+                if found != value or isinstance(found, bool) != isinstance(value, bool):
+                    name = key.replace("_", " ")
                     rebuild = "; rebuild it with `statuteqa index`" if key == "version" else ""
                     raise ValueError(
-                        f"{name} mismatch (index {found}, expected {value}){rebuild}"
+                        f"{name} mismatch (index {found!r}, expected {value!r}){rebuild}"
                     )
             read = np.lib.format.read_array
             arrays = {name: read(stream, allow_pickle=False) for name in layout}

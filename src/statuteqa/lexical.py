@@ -40,7 +40,6 @@ import numpy as np
 from . import indexfile
 from .corpus import Article, TokenizerConfig, clean_text, sorted_articles, tokenize
 from .ensemble import Ranking, top_k_positions
-from .lineproto import finite_real
 
 if TYPE_CHECKING:
     from .pipeline import PipelineConfig
@@ -103,7 +102,8 @@ class LexIndex:
     order from 0.0 (see ``score_query``), equals the per-article BM25 loop
     bit for bit. ``k1`` and ``b`` are the BM25 settings the impacts were
     computed with; ``tokenizer`` cut the fields and cuts questions read
-    against the index. A file stores the article ids and terms front-coded
+    against the index. Build and load take all three from the config. A
+    file stores them for load to check, the article ids and terms front-coded,
     and each field's counts, columns and ``tf`` (see ``FieldMatrix``);
     everything else is derived on load. Immutable after build; safe for
     concurrent readers.
@@ -312,20 +312,21 @@ def save_lex_index(index: LexIndex, path: str | Path) -> None:
     indexfile.save(path, LEX_INDEX_FORMAT, LEX_INDEX_VERSION, header, arrays)
 
 
-def load_lex_index(path: str | Path, tokenizer: TokenizerConfig) -> LexIndex:
-    """Load a persisted index built with ``tokenizer``, which the loaded
-    index keeps for its questions.
+def load_lex_index(path: str | Path, cfg: PipelineConfig) -> LexIndex:
+    """Load what ``build_lex_index(articles, cfg, digest)`` saved; the header
+    must record ``cfg``'s tokenizer, ``k1`` and ``b``, checked before any
+    array is decoded (``<path>: k1 mismatch (index 2.0, expected 1.2)``).
 
     Raises ``ValueError`` naming ``path`` for ``article_ids`` or ``terms``
     that are not front-coded lists of strings in strictly ascending order,
-    a header whose ``k1`` and ``b`` are not finite reals in their config
-    ranges, a field's posting counts that are negative, not one per term or
-    not adding up to its ``tf``, a ``tf`` below 1, an article column with
-    no content posting, and a term with no posting in either field.
+    a field's posting counts that are negative, not one per term or not
+    adding up to its ``tf``, a ``tf`` below 1, an article column with no
+    content posting, and a term with no posting in either field.
     """
+    tok = cfg.tokenizer_config()
     header, arrays = indexfile.load(
         path, LEX_INDEX_FORMAT, LEX_INDEX_VERSION, _LAYOUT,
-        {"tokenizer_fingerprint": tokenizer.fingerprint()},
+        {"tokenizer_fingerprint": tok.fingerprint(), "k1": cfg.k1, "b": cfg.b},
     )
     ids, terms = (
         indexfile.front_decode(path, table, arrays[f"{table}.prefix"], header.get(table))
@@ -333,11 +334,6 @@ def load_lex_index(path: str | Path, tokenizer: TokenizerConfig) -> LexIndex:
     )
     indexfile.require_ascending(path, "article ids", ids)
     indexfile.require_ascending(path, "terms", terms)
-    k1, b = header.get("k1"), header.get("b")
-    in_range = finite_real(k1) is not None and k1 >= 0
-    indexfile.require(in_range, path, "k1 must be a finite real >= 0")
-    in_range = finite_real(b) is not None and 0 <= b <= 1
-    indexfile.require(in_range, path, "b must be a finite real in [0, 1]")
     matrices = {}
     for field in FIELDS:
         df, gaps, tf = (arrays[f"{field}.{name}"] for name in _SAVED)
@@ -345,7 +341,7 @@ def load_lex_index(path: str | Path, tokenizer: TokenizerConfig) -> LexIndex:
         columns = indexfile.gap_decode(path, f"{field} columns", indptr, gaps, len(ids))
         # lengths are tf sums: a tf below 1 would shorten its article
         indexfile.require(tf.min(initial=1) >= 1, path, f"{field}.tf must be at least 1")
-        matrices[field] = _field_matrix(indptr, columns, tf, len(ids), k1, b)
+        matrices[field] = _field_matrix(indptr, columns, tf, len(ids), cfg.k1, cfg.b)
     posted = matrices["content"].distinct.all()
     indexfile.require(posted, path, "every article column must have a content posting")
     used = np.diff(matrices["title"].indptr) + np.diff(matrices["content"].indptr)
@@ -355,8 +351,8 @@ def load_lex_index(path: str | Path, tokenizer: TokenizerConfig) -> LexIndex:
         terms=dict(zip(terms, range(len(terms)))),
         title=matrices["title"],
         content=matrices["content"],
-        k1=k1,
-        b=b,
-        tokenizer=tokenizer,
+        k1=cfg.k1,
+        b=cfg.b,
+        tokenizer=tok,
         corpus_digest=header["corpus_digest"],
     )

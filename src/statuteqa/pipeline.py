@@ -220,16 +220,10 @@ def load_artifacts(cfg: PipelineConfig) -> tuple[LexIndex, DenseIndex]:
     caller owns ``dense.embedder`` and closes it; when loading fails it is
     closed here.
     """
-    tokenizer = cfg.tokenizer_config()
-    lex = load_lex_index(cfg.lex_index_path, tokenizer)
-    if (lex.k1, lex.b) != (cfg.k1, cfg.b):
-        raise ValueError(
-            f"{cfg.lex_index_path}: index built with BM25 k1={lex.k1}, "
-            f"b={lex.b}, but the config has k1={cfg.k1}, b={cfg.b}"
-        )
+    lex = load_lex_index(cfg.lex_index_path, cfg)
     embedder = cfg.make_embedder()
     try:
-        dense = load_dense_index(cfg.dense_index_path, embedder, tokenizer, lex.article_ids)
+        dense = load_dense_index(cfg.dense_index_path, embedder, lex.tokenizer, lex.article_ids)
         digest = file_digest(cfg.corpus_path)
         for path, index in ((cfg.lex_index_path, lex), (cfg.dense_index_path, dense)):
             _require_corpus(cfg, path, index.corpus_digest, digest)
@@ -349,7 +343,7 @@ class Pipeline:
     def fingerprints(self) -> dict[str, str]:
         info = {
             "tokenizer": self.lex.tokenizer.fingerprint(),
-            "embedder": self.dense.embedder_fingerprint,
+            "embedder": self.dense.embedder.fingerprint(),
             "corpus": self.lex.corpus_digest,
         }
         if hasattr(self.scorer, "fingerprint"):

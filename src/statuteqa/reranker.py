@@ -281,7 +281,8 @@ def train_stage(
     Keeps the weights with the best loss on the ``valid`` matrix; None
     disables early stopping and returns the final weights. Training is
     deterministic given the seed. Empty training data raises an error that
-    names ``stage``.
+    names ``stage``. The model's metadata lists the stages that trained it,
+    ``{"stages": [*model's stages, this stage's record]}``.
     """
     x, y = train
     if not len(y):
@@ -335,7 +336,7 @@ def train_stage(
         else:
             best_weights = weights
 
-    metadata = {
+    record = {
         "stage": stage,
         "epochs_run": epochs_run,
         "seed": cfg.train_seed,
@@ -346,7 +347,8 @@ def train_stage(
         "val_loss_curve": val_curve,
         "best_val_loss": None if valid is None else best_val,
     }
-    return LinearModel(best_weights.copy(), metadata)
+    stages = [*model.metadata.get("stages", ()), record]
+    return LinearModel(best_weights.copy(), {"stages": stages})
 
 
 def train_two_stage(
@@ -356,12 +358,10 @@ def train_two_stage(
     cfg: PipelineConfig,
 ) -> LinearModel:
     """Weak pretraining from zero weights, then gold fine-tuning from the
-    best pretrained weights; both stages early-stop on ``valid``. The
-    model's metadata holds each stage's record once, under ``stages``."""
+    best pretrained weights; both stages early-stop on ``valid``, and the
+    model's ``stages`` are theirs, in that order."""
     pretrained = train_stage(zero_model(), weak, valid, cfg, "weak_pretrain")
-    tuned = train_stage(pretrained, gold, valid, cfg, "gold_finetune")
-    metadata = {"stage": "two_stage", "stages": [pretrained.metadata, tuned.metadata]}
-    return LinearModel(tuned.weights, metadata)
+    return train_stage(pretrained, gold, valid, cfg, "gold_finetune")
 
 
 class ModelScorer:

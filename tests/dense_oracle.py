@@ -21,8 +21,8 @@ def densify(index, start: int = 0, stop: int | None = None) -> np.ndarray:
     ``(sentences, dimension)`` matrix: the vector rows, written one
     coordinate's postings at a time, read through ``sentence_vector``."""
     stop = int(index.offsets[-1]) if stop is None else stop
-    vectors = np.zeros((index.vectors, index.dimension))
-    for c in range(index.dimension):
+    vectors = np.zeros((index.vectors, index.embedder.dimension))
+    for c in range(index.embedder.dimension):
         low, high = index.colptr[c], index.colptr[c + 1]
         vectors[index.rows[low:high], c] = index.data[low:high]
     return vectors[index.sentence_vector[start:stop]]

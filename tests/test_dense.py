@@ -199,9 +199,8 @@ def test_batched_score_matches_per_article_loop(synth):
         assert got.shape == (len(batch),)
         want = per_article_max_cosine(synth.dense, vector, batch)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-    zero = quickview_dense_score(
-        synth.dense, sentence_cosines(synth.dense, np.zeros(synth.dense.dimension)), range(4)
-    )
+    zero_vector = np.zeros(synth.dense.embedder.dimension)
+    zero = quickview_dense_score(synth.dense, sentence_cosines(synth.dense, zero_vector), range(4))
     assert np.array_equal(zero, np.zeros(4))
     empty = quickview_dense_score(synth.dense, sentence_cosines(synth.dense, vector), [])
     assert empty.shape == (0,)
@@ -267,7 +266,7 @@ def test_save_load_round_trip(tiny_articles, tmp_path):
     path = tmp_path / "dense.bin"
     save_dense_index(index, path)
     loaded = load_dense_index(path, EMB, TOK, index.article_ids)
-    assert loaded.embedder_fingerprint == index.embedder_fingerprint
+    assert loaded.embedder is index.embedder
     assert loaded.article_ids == index.article_ids
     assert loaded.corpus_digest == index.corpus_digest
     assert np.array_equal(loaded.offsets, index.offsets)

@@ -166,6 +166,30 @@ def test_run_eval_marks_failures_and_continues():
     assert len(failed) == 1 and "boom" in failed[0]["error"]
     assert report.mean_precision is not None  # other queries still aggregated
 
+    # answered and failed questions mixed, with uneven values: each mean is
+    # summed over the answered rows, in their order, bit for bit
+    def uneven_answer(question_id, question, ranked):
+        n = int(question.split()[-1])
+        if n % 3 == 2:
+            raise RuntimeError("boom")
+        return _answer(question_id, ranked[: 1 + n % 4].ids())
+
+    report = run_eval(_queries(10), _fake_quickview, ks=(1, 2), answer=uneven_answer)
+    rows = [row for row in report.per_query if not row.get("failed")]
+    assert report.failures == 3 and len(rows) == 7
+    assert {row["precision"] for row in rows} >= {1.0, 1 / 2, 1 / 3, 0.0}
+
+    def mean(values):
+        return sum(values) / len(rows)
+
+    assert report.mean_precision == mean(row["precision"] for row in rows)
+    assert report.mean_recall == mean(row["recall"] for row in rows)
+    assert report.f2 == f2(report.mean_precision, report.mean_recall)
+    assert report.mean_latency_ms == mean(row["latency_ms"] for row in rows)
+    assert report.recall_at_k == {
+        k: mean(row["recall_at_k"][str(k)] for row in rows) for k in (1, 2)
+    }
+
 
 def test_run_eval_deterministic_apart_from_latency():
     queries = _queries(5)

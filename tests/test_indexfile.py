@@ -54,9 +54,7 @@ def indexes(tiny_articles):
     lex = build_lex_index(tiny_articles, PipelineConfig())
     dense, _ = build_dense_index(tiny_articles, embedder, tok)
     return {
-        "lex": (lex, save_lex_index, functools.partial(
-            load_lex_index, tokenizer=tok
-        )),
+        "lex": (lex, save_lex_index, functools.partial(load_lex_index, cfg=PipelineConfig())),
         "dense": (dense, save_dense_index, functools.partial(
             load_dense_index, embedder=embedder, tokenizer=tok, article_ids=lex.article_ids
         )),
@@ -186,6 +184,43 @@ def test_dense_header_dimension_must_be_the_embedders(indexes, tmp_path):
 
 
 @pytest.mark.parametrize("kind", KINDS)
+def test_a_boolean_header_value_never_matches_a_number(kind, tiny_articles, tmp_path):
+    """``True == 1`` in Python, so a dense header's ``"dimension": true``
+    loaded under a 1-dimension embedder."""
+    cfg, embedder = PipelineConfig(k1=1.0), HashedProjectionEmbedder(1, 0)
+    lex = build_lex_index(tiny_articles, cfg)
+    path = tmp_path / f"{kind}.bin"
+    if kind == "lex":
+        save_lex_index(lex, path)
+        load, key = functools.partial(load_lex_index, cfg=cfg), "k1"
+    else:
+        dense_index, _ = build_dense_index(tiny_articles, embedder, lex.tokenizer)
+        save_dense_index(dense_index, path)
+        load = functools.partial(
+            load_dense_index, embedder=embedder, tokenizer=lex.tokenizer,
+            article_ids=lex.article_ids,
+        )
+        key = "dimension"
+    load(path)
+    header, arrays = _read(path)
+    _write(path, {**header, key: True}, arrays)
+    expected = header[key]
+    assert expected == 1
+    with pytest.raises(
+        ValueError, match=rf"{kind}.bin: {key} mismatch \(index True, expected {expected}\)"
+    ):
+        load(path)
+
+
+def test_a_number_never_matches_an_expected_boolean(tmp_path):
+    path = tmp_path / "flag.bin"
+    indexfile.save(path, "f", 1, {"corpus_digest": "", "flag": 1}, {})
+    assert indexfile.load(path, "f", 1, {}, {"flag": 1})[0]["flag"] == 1
+    with pytest.raises(ValueError, match=r"flag.bin: flag mismatch \(index 1, expected True\)"):
+        indexfile.load(path, "f", 1, {}, {"flag": True})
+
+
+@pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("order", ["out of order", "repeated"])
 def test_article_ids_out_of_order_or_repeated_are_rejected(kind, order, indexes, tmp_path):
     """The dense file stores only the digest of the lexical index's ids."""
@@ -211,14 +246,14 @@ HEADER_EDITS = [
     (["dense"], {"article_ids_sha256": "0" * 64}, OTHER_ARTICLES),
     (KINDS, {"corpus_digest": 5}, "corpus_digest must be a string"),
     (KINDS, {"corpus_digest": None}, "corpus_digest must be a string"),
-    (["lex"], {"k1": "x"}, "k1 must be a finite real >= 0"),
-    (["lex"], {"k1": None}, "k1 must be a finite real >= 0"),
-    (["lex"], {"k1": [1]}, "k1 must be a finite real >= 0"),
-    (["lex"], {"k1": True}, "k1 must be a finite real >= 0"),
-    (["lex"], {"k1": float("nan")}, "k1 must be a finite real >= 0"),
-    (["lex"], {"k1": -1.0}, "k1 must be a finite real >= 0"),
-    (["lex"], {"b": 1.5}, r"b must be a finite real in \[0, 1\]"),
-    (["lex"], {"b": "0.75"}, r"b must be a finite real in \[0, 1\]"),
+    (["lex"], {"k1": "x"}, r"k1 mismatch \(index 'x', expected 1.2\)"),
+    (["lex"], {"k1": None}, r"k1 mismatch \(index None, expected 1.2\)"),
+    (["lex"], {"k1": [1]}, r"k1 mismatch \(index \[1\], expected 1.2\)"),
+    (["lex"], {"k1": True}, r"k1 mismatch \(index True, expected 1.2\)"),
+    (["lex"], {"k1": float("nan")}, r"k1 mismatch \(index nan, expected 1.2\)"),
+    (["lex"], {"k1": -1.0}, r"k1 mismatch \(index -1.0, expected 1.2\)"),
+    (["lex"], {"b": 1.5}, r"b mismatch \(index 1.5, expected 0.75\)"),
+    (["lex"], {"b": "0.75"}, r"b mismatch \(index '0.75', expected 0.75\)"),
     (["lex"], {"terms": None}, "terms must be a list of strings"),
     (["lex"], {"terms": {"title": [], "content": []}}, "terms must be a list of strings"),
     (["lex"], {"terms": ["a", 2]}, "terms must be a list of strings"),
@@ -243,7 +278,6 @@ def test_malformed_header_values_are_rejected_naming_the_file(
 
 def test_lex_columns_swapped_within_a_row_are_rejected(tmp_path):
     articles = [Article(f"a{i}", "d", None, f"Shared clause number {i}.") for i in range(3)]
-    tok = TokenizerConfig()
     index = build_lex_index(articles, PipelineConfig())
     start, columns = index.content.indptr[index.terms["shared"]], index.content.columns.copy()
     columns[[start, start + 1]] = columns[[start + 1, start]]
@@ -253,7 +287,7 @@ def test_lex_columns_swapped_within_a_row_are_rejected(tmp_path):
     path = tmp_path / "lex.bin"
     save_lex_index(swapped, path)
     with pytest.raises(ValueError, match="lex.bin: content columns not strictly ascending"):
-        load_lex_index(path, tok)
+        load_lex_index(path, PipelineConfig())
 
 
 # Two articles share a sentence: 4 sentences, 3 vectors, map [0, 1, 0, 2],
@@ -415,16 +449,16 @@ ALPHABET = [Article("a", "d", None, "Alpha beta."), Article("b", "d", None, "Gam
 )
 def test_terms_repeated_or_out_of_order_are_rejected(terms, tmp_path):
     """Terms were checked only for being strings, so these loaded."""
-    tok = TokenizerConfig()
-    index = build_lex_index(ALPHABET, PipelineConfig())
+    cfg = PipelineConfig()
+    index = build_lex_index(ALPHABET, cfg)
     assert list(index.terms) == ["alpha", "beta", "gamma"]
     path = tmp_path / "lex.bin"
     save_lex_index(index, path)
-    assert lexical.bm25(load_lex_index(path, tok), "content", ["beta"], "a") > 0
+    assert lexical.bm25(load_lex_index(path, cfg), "content", ["beta"], "a") > 0
     header, arrays = _read(path)
     _write(path, *_front_coded(header, arrays, "terms", terms))
     with pytest.raises(ValueError, match="lex.bin: terms out of order"):
-        load_lex_index(path, tok)
+        load_lex_index(path, cfg)
 
 
 def test_a_term_with_no_posting_in_either_field_is_rejected(indexes, tmp_path):
@@ -485,7 +519,7 @@ def test_saved_indexes_load_to_the_built_arrays_and_save_again_to_equal_bytes(
     paths = [directory / name for name in ("lex.bin", "dense.bin", "lex2.bin", "dense2.bin")]
     save_lex_index(lex, paths[0])
     save_dense_index(dense, paths[1])
-    lex_loaded = load_lex_index(paths[0], tok)
+    lex_loaded = load_lex_index(paths[0], cfg)
     dense_loaded = load_dense_index(paths[1], embedder, tok, lex_loaded.article_ids)
     assert lex_loaded.article_ids == lex.article_ids == dense.article_ids
     assert list(lex_loaded.terms.items()) == list(lex.terms.items())
@@ -636,7 +670,7 @@ def test_malformed_front_codes_are_rejected_naming_the_file(case, tmp_path):
         }
         _write(path, {**header, key: suffix}, arrays)
         with pytest.raises(ValueError, match=f"lex.bin: {message.format(name=key)}"):
-            load_lex_index(path, TokenizerConfig())
+            load_lex_index(path, PipelineConfig())
 
 
 def test_object_array_is_never_unpickled(indexes, tmp_path):

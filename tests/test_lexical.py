@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -151,7 +152,7 @@ def test_score_query_counts_matched_distinct_query_terms(case):
     with tempfile.TemporaryDirectory() as directory:
         path, again = Path(directory, "lex.bin"), Path(directory, "again.bin")
         save_lex_index(index, path)
-        loaded = load_lex_index(path, TokenizerConfig())
+        loaded = load_lex_index(path, PipelineConfig())
         save_lex_index(loaded, again)
         assert again.read_bytes() == path.read_bytes()
     for field, (bm25_scores, matched) in score_query(loaded, query).items():
@@ -277,7 +278,7 @@ def test_content_monotonic_in_term_frequency(tiny_articles):
 def test_save_load_round_trip(tiny_articles, tiny_lex, tmp_path):
     path = tmp_path / "lex.bin"
     save_lex_index(tiny_lex, path)
-    loaded = load_lex_index(path, TokenizerConfig())
+    loaded = load_lex_index(path, PipelineConfig())
     query, cfg = ["civil", "law", "contracts"], PipelineConfig()
     for article in tiny_articles:
         for field in ("title", "content"):
@@ -296,13 +297,12 @@ def test_untitled_corpus_builds_and_loads_without_warnings(tmp_path):
     """No title has tokens, so the title field's avgdl is 0; its per-column
     BM25 norm must not divide by it (0 / 0 warns)."""
     articles = [Article(f"a{i}", "d", None, f"Rent deposit {i}.") for i in range(3)]
-    tok = TokenizerConfig()
     path = tmp_path / "lex.bin"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         index = build_lex_index(articles, PipelineConfig())
         save_lex_index(index, path)
-        loaded = load_lex_index(path, tok)
+        loaded = load_lex_index(path, PipelineConfig())
     assert not loaded.title.lengths.any() and loaded.title.impact.size == 0
     assert retrieve_topk(loaded, ["rent"], 3, PipelineConfig()).ids() == ["a0", "a1", "a2"]
 
@@ -314,11 +314,31 @@ def test_save_deterministic_bytes(tiny_lex, tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_an_index_loads_with_the_bm25_settings_it_was_built_with(tiny_articles, tmp_path):
+    """The load takes ``k1`` and ``b`` from the config, as the build does,
+    once the header's values match it."""
+    cfg = PipelineConfig(k1=2.0, b=0.3)
+    index = build_lex_index(tiny_articles, cfg)
+    path = tmp_path / "lex.bin"
+    save_lex_index(index, path)
+    loaded = load_lex_index(path, cfg)
+    assert (loaded.k1, loaded.b) == (2.0, 0.3)
+    for field in ("title", "content"):
+        for name in ("impact", "lengths", "distinct"):
+            got, built = getattr(getattr(loaded, field), name), getattr(getattr(index, field), name)
+            assert (got.dtype, got.tobytes()) == (built.dtype, built.tobytes())
+    message = f"{re.escape(str(path))}: k1 mismatch \\(index 2.0, expected 1.2\\)"
+    with pytest.raises(ValueError, match=message):
+        load_lex_index(path, PipelineConfig())
+    with pytest.raises(ValueError, match=r"b mismatch \(index 0.3, expected 0.75\)"):
+        load_lex_index(path, PipelineConfig(k1=2.0))
+
+
 def test_load_fingerprint_mismatch(tiny_lex, tmp_path):
     path = tmp_path / "lex.bin"
     save_lex_index(tiny_lex, path)
     with pytest.raises(ValueError, match="fingerprint mismatch"):
-        load_lex_index(path, TokenizerConfig(frozenset({"civil code"})))
+        load_lex_index(path, PipelineConfig(phrase_lexicon=["civil code"]))
 
 
 def test_idf_positive_and_decreasing_in_df():

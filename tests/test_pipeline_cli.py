@@ -658,7 +658,7 @@ def test_train_gold_only_mode(workspace):
     out = root / "model_gold_only.json"
     assert main(base + ["train", "--mode", "gold-only", "--model-path", str(out)]) == 0
     record = json.loads(out.read_text())
-    assert record["metadata"]["stage"] == "gold_only"
+    assert [stage["stage"] for stage in record["metadata"]["stages"]] == ["gold_only"]
 
 
 @pytest.mark.parametrize(
@@ -708,13 +708,13 @@ def test_train_reports_the_examples_each_mode_trained_on(workspace, tmp_path, ca
         assert main(base + ["train", "--mode", mode, "--model-path", str(out)]) == 0
         printed = capsys.readouterr().out
         assert f"trained {mode} model on {examples} examples " in printed
-        # the validation loss is the last stage's; a two-stage model
-        # records each stage once, under "stages"
+        # the validation loss is the last stage's; every model records
+        # each stage once, under "stages"
         metadata = json.loads(out.read_text())["metadata"]
-        if mode == "two-stage":
-            assert sorted(metadata) == ["stage", "stages"]
-            metadata = metadata["stages"][-1]
-        assert f"(validation loss {metadata['best_val_loss']:.4f})" in printed
+        assert sorted(metadata) == ["stages"]
+        assert len(metadata["stages"]) == (2 if mode == "two-stage" else 1)
+        last = metadata["stages"][-1]
+        assert f"(validation loss {last['best_val_loss']:.4f})" in printed
 
 
 @pytest.mark.parametrize(
@@ -851,7 +851,7 @@ def test_query_rejects_an_index_built_with_other_bm25_parameters(
     capsys.readouterr()
     assert main(base + ["query", "--question", queries[0].question]) == 1
     err = capsys.readouterr().err
-    assert str(tmp_path / "lex_index.bin") in err and "k1=2.0" in err
+    assert f"{tmp_path / 'lex_index.bin'}: k1 mismatch (index 2.0, expected 1.2)" in err
     (tmp_path / "config.json").write_text(json.dumps({**config, "k1": 2.0}))
     assert main(base + ["query", "--question", queries[0].question]) == 0
 

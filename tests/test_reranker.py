@@ -360,7 +360,7 @@ def _toy_matrix(n=40):
 def test_training_converges_on_separable_toy_set():
     cfg = PipelineConfig(learning_rate=0.1, epochs=300, batch_size=8, train_seed=0, patience=1000)
     model = train_stage(zero_model(), _toy_matrix(), None, cfg)
-    curve = model.metadata["loss_curve"]
+    curve = model.metadata["stages"][-1]["loss_curve"]
     assert curve[-1] < 0.1
     assert curve[1] < curve[0]  # loss drops within the first epoch
 
@@ -370,7 +370,7 @@ def test_training_deterministic_given_seed():
     a = train_stage(zero_model(), _toy_matrix(), None, cfg)
     b = train_stage(zero_model(), _toy_matrix(), None, cfg)
     assert np.array_equal(a.weights, b.weights)
-    assert a.metadata["loss_curve"] == b.metadata["loss_curve"]
+    assert a.metadata == b.metadata
     c = train_stage(zero_model(), _toy_matrix(), None, PipelineConfig(epochs=20, train_seed=6))
     assert not np.array_equal(a.weights, c.weights)
 
@@ -406,9 +406,8 @@ def test_two_stage_metadata_and_continuity():
     assert stage2["initial_weights"] == pretrained.weights.tolist()
     tuned = train_stage(pretrained, gold, valid, cfg, stage="gold_finetune")
     assert np.array_equal(model.weights, tuned.weights)
-    assert model.metadata == {
-        "stage": "two_stage", "stages": [pretrained.metadata, tuned.metadata]
-    }
+    assert pretrained.metadata == {"stages": [stage1]}
+    assert model.metadata == tuned.metadata == {"stages": [stage1, stage2]}
 
 
 def test_two_stage_rejects_empty_datasets():
@@ -446,7 +445,9 @@ def test_model_save_load_round_trip(synth, tmp_path):
     save_model(synth.model, path)
     loaded = load_model(path)
     assert np.array_equal(loaded.weights, synth.model.weights)
-    assert loaded.metadata["stage"] == "two_stage"
+    assert loaded.metadata == synth.model.metadata
+    stages = [stage["stage"] for stage in loaded.metadata["stages"]]
+    assert stages == ["weak_pretrain", "gold_finetune"]
     with pytest.raises(ValueError, match="not a model file"):
         path2 = tmp_path / "bogus.json"
         path2.write_text('{"format": "other"}')

@@ -120,7 +120,7 @@ def test_index_sizes_names_every_part_of_each_index_file(scripts_dir, tmp_path, 
         "index", "--corpus-path", str(tmp_path / "corpus.jsonl"),
         "--lex-index-path", str(paths[0]), "--dense-index-path", str(paths[1]),
     ]) == 0
-    ids = load_lex_index(paths[0], TokenizerConfig()).article_ids
+    ids = load_lex_index(paths[0], PipelineConfig()).article_ids
     dense = load_dense_index(paths[1], HashedProjectionEmbedder(), TokenizerConfig(), ids)
     said = f"{dense.offsets[-1]} sentences as {dense.vectors} distinct vectors"
     assert said in capsys.readouterr().out
@@ -154,3 +154,35 @@ def test_index_sizes_names_every_part_of_each_index_file(scripts_dir, tmp_path, 
         for part, array in zip(parts[1 + len(keys) :], stored.values()):
             assert part[1:3] == [str(array.dtype), "x".join(map(str, array.shape))]
             assert 0 < int(part[4]) <= int(part[3])
+
+
+def test_src_delta_counts_lines_and_code_lines_per_file(scripts_dir, tmp_path):
+    def git(*args):
+        subprocess.run(
+            ["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+            cwd=tmp_path, check=True, capture_output=True,
+        )
+
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text('"""A module."""\n\nX = 1\nY = 2\n\n\ndef f():\n    return X\n')
+    (package / "gone.py").write_text("Z = 3\n")
+    (tmp_path / "notes.py").write_text("outside src\n")
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "base")
+    # a docstring line and a comment added, one statement removed
+    (package / "a.py").write_text(
+        '"""A module.\nMore words."""\n\nX = 1\n\n\ndef f():\n    # X only\n    return X\n'
+    )
+    (package / "gone.py").unlink()
+    (package / "new.py").write_text('def g():\n    """Doc."""\n    return 1  # one\n')
+    result = run_script(scripts_dir / "src_delta.py", "HEAD", cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    rows = {line.split()[0]: line.split()[1:] for line in result.stdout.splitlines()}
+    assert rows["file"] == ["before", "after", "delta", "code", "after", "delta"]
+    assert rows["src/pkg/a.py"] == ["8", "9", "+1", "4", "3", "-1"]
+    assert rows["src/pkg/gone.py"] == ["1", "0", "-1", "1", "0", "-1"]
+    assert rows["src/pkg/new.py"] == ["0", "3", "+3", "0", "2", "+2"]
+    assert rows["total"] == ["9", "12", "+3", "5", "5", "0"]
+    assert list(rows) == ["file", "src/pkg/a.py", "src/pkg/gone.py", "src/pkg/new.py", "total"]

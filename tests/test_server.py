@@ -89,7 +89,7 @@ def test_healthz(service):
     assert status == 200
     assert payload["status"] == "ok"
     assert payload["tokenizer"] == pipeline.lex.tokenizer.fingerprint()
-    assert payload["embedder"] == pipeline.dense.embedder_fingerprint
+    assert payload["embedder"] == pipeline.dense.embedder.fingerprint()
     assert payload["corpus"] == file_digest(pipeline.cfg.corpus_path)
 
 
