@@ -64,7 +64,7 @@ def main() -> int:
     print("== query ==")
     sample = queries[0]
     print(f"question: {sample.question!r} (gold {sorted(sample.gold_article_ids)})")
-    run(base + ["query", "--question", sample.question, "--k", "20"])
+    run(base + ["query", "--question", sample.question, "--top-k", "20"])
     return 0
 
 

@@ -33,13 +33,7 @@ from .pipeline import (
     load_artifacts,
     question_id_for,
 )
-from .reranker import (
-    FeatureExtractor,
-    save_model,
-    train_stage,
-    train_two_stage,
-    zero_model,
-)
+from .reranker import FeatureExtractor, save_model, train_stage, zero_model
 from .weak_label import (
     dataset_stats,
     generate_gold_examples,
@@ -49,6 +43,12 @@ from .weak_label import (
 )
 
 LOCK_FILE_NAME = ".statuteqa.lock"
+# each ``train --mode``'s stages, in order: (stage name, the examples it trains on)
+TRAIN_MODES = {
+    "two-stage": (("weak_pretrain", "weak"), ("gold_finetune", "gold")),
+    "gold-only": (("gold_only", "gold"),),
+    "weak-only": (("weak_only", "weak"),),
+}
 
 
 @contextlib.contextmanager
@@ -101,16 +101,6 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, not {value}")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="statuteqa",
@@ -141,22 +131,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--seed", dest="train_seed", type=int, default=None)
     p_train.add_argument("--weak-seed", dest="weak_seed", type=int, default=None)
     p_train.add_argument("--split-seed", dest="split_seed", type=int, default=None)
-    p_train.add_argument(
-        "--mode",
-        choices=("two-stage", "gold-only", "weak-only"),
-        default="two-stage",
-    )
+    p_train.add_argument("--mode", choices=tuple(TRAIN_MODES), default="two-stage")
 
     p_query = sub.add_parser("query", help="answer one question or run a REPL")
     _add_override(
         p_query,
         "corpus_path", "lex_index_path", "dense_index_path", "model_path",
-        "alpha", "beta", "gamma", "threshold",
+        "alpha", "beta", "gamma", "threshold", "top_k",
     )
     p_query.add_argument("--question", help="one-shot question (otherwise interactive)")
-    p_query.add_argument(
-        "--k", type=_positive_int, default=None, help="candidate list size (>= 1)"
-    )
     p_query.add_argument("--json", action="store_true", help="print result JSON lines")
 
     p_eval = sub.add_parser("eval", help="evaluate quickview and/or end-to-end")
@@ -229,12 +212,14 @@ def _cmd_weaklabel(cfg: PipelineConfig) -> int:
 
 
 def _cmd_train(cfg: PipelineConfig, mode: str) -> int:
+    stages = TRAIN_MODES[mode]
+    uses = dict.fromkeys(examples for _, examples in stages)  # in stage order
     lex, dense = load_artifacts(cfg)
     try:
         articles = load_articles(cfg, lex.corpus_digest)
         extractor = FeatureExtractor(lex, dense)
         gold_queries = load_gold_file(cfg.gold_path)
-        weak_examples = [] if mode == "gold-only" else read_dataset(cfg.weak_dataset_path)
+        weak_examples = read_dataset(cfg.weak_dataset_path) if "weak" in uses else []
         # every id, before any feature matrix is built
         for query in gold_queries:
             where = f"{cfg.gold_path}: question {query.question_id!r}"
@@ -253,31 +238,22 @@ def _cmd_train(cfg: PipelineConfig, mode: str) -> int:
             articles,
             dataclasses.replace(cfg, weak_seed=cfg.weak_seed + 1),
         )
+        datasets = {"weak": weak_examples, "gold": gold_train}
 
         with _exclusive_lock(Path(cfg.model_path).resolve().parent):
             # each dataset's features once; every stage shares the validation set's
             valid = extractor.matrix(gold_valid) if gold_valid else None
-            if mode == "gold-only":
-                gold = extractor.matrix(gold_train)
-                model = train_stage(zero_model(), gold, valid, cfg, "gold_only")
-            else:
-                weak = extractor.matrix(weak_examples)
-                if mode == "two-stage":
-                    gold = extractor.matrix(gold_train)
-                    model = train_two_stage(weak, gold, valid, cfg)
-                else:
-                    model = train_stage(zero_model(), weak, valid, cfg, "weak_only")
+            matrices = {name: extractor.matrix(datasets[name]) for name in uses}
+            model = zero_model()
+            for stage, name in stages:
+                model = train_stage(model, matrices[name], valid, cfg, stage)
             save_model(model, cfg.model_path)
     finally:
         close_all(dense.embedder)
 
     best = model.metadata["stages"][-1]["best_val_loss"]
     best_text = f"{best:.4f}" if isinstance(best, float) else "n/a"
-    trained_on = {
-        "gold-only": f"{len(gold_train)} gold",
-        "weak-only": f"{len(weak_examples)} weak",
-        "two-stage": f"{len(weak_examples)} weak and {len(gold_train)} gold",
-    }[mode]
+    trained_on = " and ".join(f"{len(datasets[name])} {name}" for name in uses)
     print(
         f"trained {mode} model on {trained_on} examples "
         f"(validation loss {best_text}); saved to {cfg.model_path}"
@@ -296,22 +272,20 @@ def _cmd_query(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     pipeline = Pipeline.load(cfg)
     try:
         if args.question is not None:
-            _answer_one(pipeline, args.question, args.k, args.json)
+            _answer_one(pipeline, args.question, args.json)
             return 0
         for line in sys.stdin:
             question = line.strip()
             if not question:
                 continue
-            _answer_one(pipeline, question, args.k, args.json)
+            _answer_one(pipeline, question, args.json)
         return 0
     finally:
         pipeline.close()
 
 
-def _answer_one(
-    pipeline: Pipeline, question: str, top_k: int | None, as_json: bool
-) -> None:
-    answer = pipeline.answer(question_id_for(question), question, top_k=top_k)
+def _answer_one(pipeline: Pipeline, question: str, as_json: bool) -> None:
+    answer = pipeline.answer(question_id_for(question), question)
     if as_json:
         print(answer_set_to_json(answer))
         return

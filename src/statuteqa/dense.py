@@ -402,31 +402,33 @@ def load_dense_index(
     embedder: Embedder,
     tokenizer: TokenizerConfig,
     article_ids: tuple[str, ...],
+    corpus_digest: str,
 ) -> DenseIndex:
     """Load a persisted dense index built with ``embedder`` and ``tokenizer``
-    over ``article_ids``, the lexical index's ids, which it shares.
+    over ``article_ids``, the lexical index's ids, which it shares, from the
+    corpus whose digest is ``corpus_digest``.
 
-    The file must record ``embedder``'s fingerprint and dimension,
-    ``tokenizer``'s fingerprint and the digest of ``article_ids``, which
-    must be strictly ascending; the loaded index cuts and embeds questions
-    with ``tokenizer`` and ``embedder``. ``offsets`` and ``colptr`` are the
+    The header must record ``embedder``'s fingerprint and dimension,
+    ``tokenizer``'s fingerprint, ``corpus_digest`` and the digest of
+    ``article_ids``, checked by ``indexfile.check_header`` before any array
+    is decoded (other ids: ``<path>: article ids sha256 mismatch (...);
+    rebuild both files with `statuteqa index```); ``article_ids`` must be
+    strictly ascending. The loaded index cuts and embeds questions with
+    ``tokenizer`` and ``embedder``. ``offsets`` and ``colptr`` are the
     running sums of the stored counts: one count of at least 1 sentence
     per article, adding up to the sentence map's length, and one count of
     entries per coordinate, adding up to the posting rows. ``data`` is
     ``values[ids]``: one first-use code per posting row, using every
     stored value, each finite.
     """
-    header, arrays = indexfile.load(
-        path, DENSE_INDEX_FORMAT, DENSE_INDEX_VERSION, _LAYOUT,
-        {
-            "embedder_fingerprint": embedder.fingerprint(),
-            "tokenizer_fingerprint": tokenizer.fingerprint(),
-            "dimension": embedder.dimension,
-        },
-    )
-    same = header.get("article_ids_sha256") == indexfile.strings_digest(article_ids)
-    rebuild = "rebuild both files with `statuteqa index`"
-    indexfile.require(same, path, f"built over other articles than the lexical index; {rebuild}")
+    expected = {
+        "embedder_fingerprint": embedder.fingerprint(),
+        "tokenizer_fingerprint": tokenizer.fingerprint(),
+        "dimension": embedder.dimension,
+        "corpus_digest": corpus_digest,
+        "article_ids_sha256": indexfile.strings_digest(article_ids),
+    }
+    _, arrays = indexfile.load(path, DENSE_INDEX_FORMAT, DENSE_INDEX_VERSION, _LAYOUT, expected)
     indexfile.require_ascending(path, "article ids", article_ids)
     sentences, codes, entries, gaps, values, data_codes = (arrays[name] for name in _LAYOUT)
     offsets = indexfile.pointers(
@@ -449,6 +451,6 @@ def load_dense_index(
         colptr=colptr,
         rows=rows,
         data=values[ids],
-        corpus_digest=header["corpus_digest"],
+        corpus_digest=corpus_digest,
         embedder=embedder,
     )

@@ -36,8 +36,15 @@ stored as they are. ``load`` rebuilds each integer array in its layout
 dtype (``from_planes``, a shift and an or per plane) before it checks
 anything else.
 
-Files of an older version fail with a version mismatch that says to
-rebuild them with ``statuteqa index``.
+Every artifact a command loads is checked by one rule, ``check_header``:
+each expected header value must be equal, a boolean never matching a
+number, or the load fails with ``<path>: <key> mismatch (<kind> <found>,
+expected <value>)`` before anything else is read. ``load`` checks an
+index's format, version, array names and the values its loader expects
+(the config's settings, the corpus file's digest); ``reranker.load_model``
+checks the model's format, version and feature names. A file of another
+version is told to be rebuilt with ``statuteqa index`` or ``statuteqa
+train``.
 
 Artifacts, the JSON-lines record files (corpus, gold questions, training
 examples) among them, are written through ``replacing``, so a reader sees
@@ -63,6 +70,14 @@ import numpy as np
 COMPRESS_LEVEL = 6
 WIDTHS = (1, 2, 4, 8)  # bytes per value an integer array may be stored in
 FRONT_CHARS = 32  # leading characters front_encode compares in bulk
+# the command that writes an artifact of each kind anew, and what a
+# mismatch of a header key asks for, with that command
+REBUILD = {"index": "statuteqa index", "model": "statuteqa train"}
+HINTS = {
+    "version": "rebuild it with `{}`",
+    "feature_names": "rebuild it with `{}`",
+    "article_ids_sha256": "rebuild both files with `{}`",
+}
 
 
 @contextlib.contextmanager
@@ -136,41 +151,61 @@ def save(path, fmt: str, version: int, header: dict, arrays: dict) -> None:
 def load(path, fmt: str, version: int, layout: dict, expected: dict):
     """(header, arrays) of a saved file; ``layout`` is name -> (dtype, ndim).
 
-    Raises ``ValueError`` naming ``path`` for a file that is not gzip or is
-    truncated; that has another format, version or set of arrays, or a
-    header value other than one in ``expected`` (``<key> mismatch (index
-    <found>, expected <value>)``, before any array is read; a boolean never
-    matches a number, nor a number a boolean); or whose arrays or corpus
-    digest (a string) are malformed.
+    The header must hold ``fmt``, ``version``, ``layout``'s array names and
+    each of ``expected``'s values, checked by ``check_header`` before any
+    array is read. Raises ``ValueError`` naming ``path`` for a file that is
+    not gzip or is truncated, a header that fails that check, or arrays
+    that are malformed.
     """
     wanted = {"format": fmt, "version": version, "arrays": list(layout), **expected}
-    try:
-        with gzip.open(path, "rb") as stream:
+    with gzip.open(path, "rb") as stream:
+        with _naming(path):
             header = json.loads(stream.readline())
             if not isinstance(header, dict):
                 raise ValueError("no header line")
-            for key, value in wanted.items():
-                found = header.get(key)
-                if found != value or isinstance(found, bool) != isinstance(value, bool):
-                    name = key.replace("_", " ")
-                    rebuild = "; rebuild it with `statuteqa index`" if key == "version" else ""
-                    raise ValueError(
-                        f"{name} mismatch (index {found!r}, expected {value!r}){rebuild}"
-                    )
+        check_header(path, "index", header, wanted)
+        with _naming(path):
             read = np.lib.format.read_array
             arrays = {name: read(stream, allow_pickle=False) for name in layout}
             if stream.read(1):
                 raise ValueError("data after the last array")
-    except (ValueError, EOFError, zlib.error, gzip.BadGzipFile) as exc:
-        raise ValueError(f"{path}: {exc}") from exc
     for name, (dtype, ndim) in layout.items():
         if np.dtype(dtype).kind in "iu":
             arrays[name] = from_planes(path, name, arrays[name], dtype)
         ok = arrays[name].dtype == dtype and arrays[name].ndim == ndim
         require(ok, path, f"{name} is not {ndim}-d {np.dtype(dtype)}")
-    digest = isinstance(header.get("corpus_digest"), str)
-    require(digest, path, "corpus_digest must be a string")
     return header, arrays
+
+
+@contextlib.contextmanager
+def _naming(path):
+    """A read or decode error of the block, raised as ``ValueError`` naming ``path``."""
+    try:
+        yield
+    except (ValueError, EOFError, zlib.error, gzip.BadGzipFile) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def check_header(path, kind: str, header, wanted: dict) -> None:
+    """The one rule every artifact's header is checked by: ``header`` must
+    hold each of ``wanted``'s keys with its value, in ``wanted``'s order,
+    and a boolean never matches a number, nor a number a boolean, though
+    ``True == 1`` in Python. A header that is not a dict holds no key.
+
+    Raises ``ValueError``: ``<path>: <key> mismatch (<kind> <found>,
+    expected <value>)``, the key with spaces for underscores and ``<found>``
+    None for a missing key; a key in ``HINTS`` adds what to do, with the
+    command that rebuilds a file of ``kind`` (``REBUILD``).
+    """
+    held = header if isinstance(header, dict) else {}
+    for key, value in wanted.items():
+        found = held.get(key)
+        if found != value or isinstance(found, bool) != isinstance(value, bool):
+            hint = f"; {HINTS[key].format(REBUILD[kind])}" if key in HINTS else ""
+            name = key.replace("_", " ")
+            raise ValueError(
+                f"{path}: {name} mismatch ({kind} {found!r}, expected {value!r}){hint}"
+            )
 
 
 def front_encode(strings) -> tuple[np.ndarray, list[str]]:

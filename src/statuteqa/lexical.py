@@ -312,9 +312,10 @@ def save_lex_index(index: LexIndex, path: str | Path) -> None:
     indexfile.save(path, LEX_INDEX_FORMAT, LEX_INDEX_VERSION, header, arrays)
 
 
-def load_lex_index(path: str | Path, cfg: PipelineConfig) -> LexIndex:
-    """Load what ``build_lex_index(articles, cfg, digest)`` saved; the header
-    must record ``cfg``'s tokenizer, ``k1`` and ``b``, checked before any
+def load_lex_index(path: str | Path, cfg: PipelineConfig, corpus_digest: str) -> LexIndex:
+    """Load what ``build_lex_index(articles, cfg, corpus_digest)`` saved; the
+    header must record ``cfg``'s tokenizer, ``k1`` and ``b`` and
+    ``corpus_digest``, checked by ``indexfile.check_header`` before any
     array is decoded (``<path>: k1 mismatch (index 2.0, expected 1.2)``).
 
     Raises ``ValueError`` naming ``path`` for ``article_ids`` or ``terms``
@@ -324,10 +325,13 @@ def load_lex_index(path: str | Path, cfg: PipelineConfig) -> LexIndex:
     content posting, and a term with no posting in either field.
     """
     tok = cfg.tokenizer_config()
-    header, arrays = indexfile.load(
-        path, LEX_INDEX_FORMAT, LEX_INDEX_VERSION, _LAYOUT,
-        {"tokenizer_fingerprint": tok.fingerprint(), "k1": cfg.k1, "b": cfg.b},
-    )
+    expected = {
+        "tokenizer_fingerprint": tok.fingerprint(),
+        "k1": cfg.k1,
+        "b": cfg.b,
+        "corpus_digest": corpus_digest,
+    }
+    header, arrays = indexfile.load(path, LEX_INDEX_FORMAT, LEX_INDEX_VERSION, _LAYOUT, expected)
     ids, terms = (
         indexfile.front_decode(path, table, arrays[f"{table}.prefix"], header.get(table))
         for table in _TABLES
@@ -354,5 +358,5 @@ def load_lex_index(path: str | Path, cfg: PipelineConfig) -> LexIndex:
         k1=cfg.k1,
         b=cfg.b,
         tokenizer=tok,
-        corpus_digest=header["corpus_digest"],
+        corpus_digest=corpus_digest,
     )

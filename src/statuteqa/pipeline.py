@@ -17,6 +17,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from . import indexfile
 from .corpus import (
     Article,
     TokenizerConfig,
@@ -211,22 +212,23 @@ def close_all(*resources) -> None:
 def load_artifacts(cfg: PipelineConfig) -> tuple[LexIndex, DenseIndex]:
     """Both indexes, checked against the config, each other and the corpus.
 
-    Every command that reads the indexes loads them here. Both indexes
-    must record the configured tokenizer, the lexical index BM25 ``k1`` and
-    ``b``, the dense index the configured embedder (which it then uses for
-    questions) and the lexical index's article ids (which it then shares),
-    and both the sha256 of the corpus file's bytes: the corpus
-    is checked with one hash and is not parsed (see ``load_articles``). The
-    caller owns ``dense.embedder`` and closes it; when loading fails it is
-    closed here.
+    Every command that reads the indexes loads them here. The corpus file
+    is hashed first, and not parsed (see ``load_articles``); each loader
+    then checks its file's header by ``indexfile.check_header`` before it
+    decodes any array. Both indexes must record the configured tokenizer
+    and the corpus file's sha256, the lexical index BM25 ``k1`` and ``b``,
+    and the dense index the configured embedder (which it then uses for
+    questions) and the lexical index's article ids (which it then shares).
+    The caller owns ``dense.embedder`` and closes it; when loading fails it
+    is closed here.
     """
-    lex = load_lex_index(cfg.lex_index_path, cfg)
+    digest = file_digest(cfg.corpus_path)
+    lex = load_lex_index(cfg.lex_index_path, cfg, digest)
     embedder = cfg.make_embedder()
     try:
-        dense = load_dense_index(cfg.dense_index_path, embedder, lex.tokenizer, lex.article_ids)
-        digest = file_digest(cfg.corpus_path)
-        for path, index in ((cfg.lex_index_path, lex), (cfg.dense_index_path, dense)):
-            _require_corpus(cfg, path, index.corpus_digest, digest)
+        dense = load_dense_index(
+            cfg.dense_index_path, embedder, lex.tokenizer, lex.article_ids, digest
+        )
     except BaseException:
         close_all(embedder)
         raise
@@ -235,20 +237,12 @@ def load_artifacts(cfg: PipelineConfig) -> tuple[LexIndex, DenseIndex]:
 
 def load_articles(cfg: PipelineConfig, digest: str) -> list[Article]:
     """The corpus's articles, parsed from bytes whose sha256 must be ``digest``,
-    the corpus digest of the indexes (``cfg.lex_index_path``) loaded with it."""
+    the corpus digest of the indexes (``cfg.lex_index_path``) loaded with it,
+    checked as a load checks it."""
     docs, stats = load_corpus_file(cfg.corpus_path)
-    _require_corpus(cfg, cfg.lex_index_path, digest, stats.digest)
+    wanted = {"corpus_digest": stats.digest}
+    indexfile.check_header(cfg.lex_index_path, "index", {"corpus_digest": digest}, wanted)
     return list(iter_articles(docs))
-
-
-def _require_corpus(
-    cfg: PipelineConfig, index_path: str, recorded: str, found: str
-) -> None:
-    if recorded != found:
-        raise ValueError(
-            f"{index_path}: index built from a different corpus "
-            f"(index {recorded[:16]}, {cfg.corpus_path} {found[:16]})"
-        )
 
 
 class Pipeline:

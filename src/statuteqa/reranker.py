@@ -2,10 +2,11 @@
 
 The baseline scorer is a logistic model over eight pipeline features
 (saturated field BM25 scores, dense max-cosine, token overlaps, length
-terms, bias), trained with mini-batch Adam on binary cross-entropy. The
-training protocol is two-stage: pretrain on the weak-label dataset, then
-fine-tune from the best pretrained weights on gold data, keeping the
-weights with the lowest validation loss at each stage.
+terms, bias), trained with mini-batch Adam on binary cross-entropy, one
+``train_stage`` call per stage. The default training protocol is
+two-stage: pretrain on the weak-label dataset, then fine-tune from the
+best pretrained weights on gold data, keeping the weights with the lowest
+validation loss at each stage.
 
 Scoring can also be delegated to an external model through a child
 process line protocol: requests ``{"question", "title", "content"}``,
@@ -44,7 +45,6 @@ __all__ = [
     "mean_cross_entropy",
     "cross_entropy_gradient",
     "train_stage",
-    "train_two_stage",
     "ModelScorer",
     "ExternalScorer",
     "zero_model",
@@ -351,19 +351,6 @@ def train_stage(
     return LinearModel(best_weights.copy(), {"stages": stages})
 
 
-def train_two_stage(
-    weak: tuple[np.ndarray, np.ndarray],
-    gold: tuple[np.ndarray, np.ndarray],
-    valid: tuple[np.ndarray, np.ndarray] | None,
-    cfg: PipelineConfig,
-) -> LinearModel:
-    """Weak pretraining from zero weights, then gold fine-tuning from the
-    best pretrained weights; both stages early-stop on ``valid``, and the
-    model's ``stages`` are theirs, in that order."""
-    pretrained = train_stage(zero_model(), weak, valid, cfg, "weak_pretrain")
-    return train_stage(pretrained, gold, valid, cfg, "gold_finetune")
-
-
 class ModelScorer:
     """Scores candidates with a trained linear model over extracted features."""
 
@@ -445,15 +432,19 @@ def save_model(model: LinearModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> LinearModel:
+    """The model ``save_model`` wrote to ``path``. Its ``format``, ``version``
+    and ``feature_names`` are checked by ``indexfile.check_header``, as an
+    index header is (``<path>: version mismatch (model True, expected 1);
+    rebuild it with `statuteqa train```); ``weights`` must be a list of
+    ``NUM_FEATURES`` finite numbers."""
     with open(path, encoding="utf-8") as handle:
         payload = json.load(handle)
-    if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
-        raise ValueError(f"{path}: not a model file")
-    version = payload.get("version")
-    if type(version) is not int or version != MODEL_VERSION:  # JSON true equals 1 in Python
-        raise ValueError(f"{path}: model version {version!r}, expected {MODEL_VERSION}")
-    if payload.get("feature_names") != list(FEATURE_NAMES):
-        raise ValueError(f"{path}: model features differ from {list(FEATURE_NAMES)}")
+    wanted = {
+        "format": MODEL_FORMAT,
+        "version": MODEL_VERSION,
+        "feature_names": list(FEATURE_NAMES),
+    }
+    indexfile.check_header(path, "model", payload, wanted)
     weights = payload.get("weights")
     values = list(map(finite_real, weights)) if isinstance(weights, list) else []
     if len(values) != NUM_FEATURES or None in values:

@@ -9,7 +9,7 @@ from statuteqa.dense import HashedProjectionEmbedder, build_dense_index
 from statuteqa.ensemble import Ranking
 from statuteqa.lexical import build_lex_index, retrieve_topk
 from statuteqa.pipeline import PipelineConfig
-from statuteqa.reranker import FeatureExtractor, ModelScorer, train_two_stage
+from statuteqa.reranker import FeatureExtractor, ModelScorer, train_stage, zero_model
 from statuteqa.synth import synthetic_corpus, title_gold_queries
 from statuteqa.weak_label import generate_gold_examples, generate_weak_dataset
 
@@ -47,6 +47,15 @@ def field_token_lists(articles, field):
         text = a.title if field == "title" else a.content
         out[a.article_id] = tokenize(clean_text(text), tok) if text else []
     return out
+
+
+def train_two_stage(weak, gold, valid, cfg):
+    """Weak pretraining from zero weights, then gold fine-tuning from the
+    best pretrained weights, as ``train --mode two-stage`` runs them; both
+    stages early-stop on ``valid``, and the model's ``stages`` are theirs,
+    in that order."""
+    pretrained = train_stage(zero_model(), weak, valid, cfg, "weak_pretrain")
+    return train_stage(pretrained, gold, valid, cfg, "gold_finetune")
 
 
 def pairs(ranked):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from bm25_oracle import BruteForceBm25, oracle_topk
-from conftest import field_token_lists, pairs, ranking_of
+from conftest import field_token_lists, pairs, ranking_of, train_two_stage
 from statuteqa.corpus import Article, TokenizerConfig, clean_text, iter_articles, tokenize
 from statuteqa.dense import HashedProjectionEmbedder, build_dense_index
 from statuteqa.ensemble import (
@@ -34,7 +34,6 @@ from statuteqa.reranker import (
     cross_entropy_gradient,
     mean_cross_entropy,
     train_stage,
-    train_two_stage,
     zero_model,
 )
 from statuteqa.synth import (

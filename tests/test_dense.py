@@ -248,7 +248,7 @@ def test_stored_vectors_satisfy_norm_invariant(synth):
 def test_sentence_article_map_after_build_and_load(tiny_articles, synth, tmp_path):
     built, _ = build_dense_index(tiny_articles, EMB, TOK)
     save_dense_index(built, tmp_path / "dense.bin")
-    loaded = load_dense_index(tmp_path / "dense.bin", EMB, TOK, built.article_ids)
+    loaded = load_dense_index(tmp_path / "dense.bin", EMB, TOK, built.article_ids, "")
     for index in (built, loaded, synth.dense):
         counts = np.diff(index.offsets)
         assert index.sentence_article.dtype == np.int32
@@ -265,7 +265,7 @@ def test_save_load_round_trip(tiny_articles, tmp_path):
     index, _ = build_dense_index(tiny_articles, EMB, TOK)
     path = tmp_path / "dense.bin"
     save_dense_index(index, path)
-    loaded = load_dense_index(path, EMB, TOK, index.article_ids)
+    loaded = load_dense_index(path, EMB, TOK, index.article_ids, "")
     assert loaded.embedder is index.embedder
     assert loaded.article_ids == index.article_ids
     assert loaded.corpus_digest == index.corpus_digest
@@ -293,9 +293,9 @@ def test_load_fingerprint_mismatch(tiny_articles, tmp_path):
     path = tmp_path / "dense.bin"
     save_dense_index(index, path)
     with pytest.raises(ValueError, match="fingerprint mismatch"):
-        load_dense_index(path, HashedProjectionEmbedder(32, seed=0), TOK, index.article_ids)
+        load_dense_index(path, HashedProjectionEmbedder(32, seed=0), TOK, index.article_ids, "")
     with pytest.raises(ValueError, match="fingerprint mismatch"):
-        load_dense_index(path, HashedProjectionEmbedder(64, seed=9), TOK, index.article_ids)
+        load_dense_index(path, HashedProjectionEmbedder(64, seed=9), TOK, index.article_ids, "")
 
 
 def test_file_with_an_embedder_spec_header_still_loads(tiny_articles, tmp_path):
@@ -317,7 +317,7 @@ def test_file_with_an_embedder_spec_header_still_loads(tiny_articles, tmp_path):
         "data": indexfile.first_use_encode(ids),
     }
     indexfile.save(path, header["format"], header["version"], header, arrays)
-    loaded = load_dense_index(path, EMB, TOK, index.article_ids)
+    loaded = load_dense_index(path, EMB, TOK, index.article_ids, "")
     assert loaded.embedder is EMB
     assert np.array_equal(loaded.data, index.data)
     assert dense_retrieve_topk(loaded, "Breach causes damages", 1).ids() == ["d1#1"]
@@ -454,7 +454,7 @@ def test_one_vector_per_distinct_sentence_answers_as_one_per_sentence(
     directory = tmp_path_factory.mktemp("dedupe")
     path, again = directory / "dense.bin", directory / "again.bin"
     save_dense_index(index, path)
-    loaded = load_dense_index(path, embedder, TOK, index.article_ids)
+    loaded = load_dense_index(path, embedder, TOK, index.article_ids, "")
     assert np.array_equal(loaded.sentence_vector, index.sentence_vector)
     assert loaded.sentence_vector.dtype == np.intp and loaded.vectors == index.vectors
     save_dense_index(loaded, again)
@@ -525,7 +525,7 @@ def test_an_external_embedder_build_answers_from_its_file_as_built(scripts_dir, 
     with closing(ExternalEmbedder(command, dimension=8)) as emb:
         index, _ = build_dense_index(articles, emb, TOK)
         save_dense_index(index, path)
-        loaded = load_dense_index(path, emb, TOK, index.article_ids)
+        loaded = load_dense_index(path, emb, TOK, index.article_ids, "")
         questions = [" ".join(POOL_WORDS[i : i + 3]) for i in range(len(POOL_WORDS))]
         for question in questions:
             built, read = (dense_retrieve_topk(x, question, 4) for x in (index, loaded))

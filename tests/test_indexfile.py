@@ -54,9 +54,12 @@ def indexes(tiny_articles):
     lex = build_lex_index(tiny_articles, PipelineConfig())
     dense, _ = build_dense_index(tiny_articles, embedder, tok)
     return {
-        "lex": (lex, save_lex_index, functools.partial(load_lex_index, cfg=PipelineConfig())),
+        "lex": (lex, save_lex_index, functools.partial(
+            load_lex_index, cfg=PipelineConfig(), corpus_digest=""
+        )),
         "dense": (dense, save_dense_index, functools.partial(
-            load_dense_index, embedder=embedder, tokenizer=tok, article_ids=lex.article_ids
+            load_dense_index, embedder=embedder, tokenizer=tok, article_ids=lex.article_ids,
+            corpus_digest="",
         )),
     }
 
@@ -192,13 +195,13 @@ def test_a_boolean_header_value_never_matches_a_number(kind, tiny_articles, tmp_
     path = tmp_path / f"{kind}.bin"
     if kind == "lex":
         save_lex_index(lex, path)
-        load, key = functools.partial(load_lex_index, cfg=cfg), "k1"
+        load, key = functools.partial(load_lex_index, cfg=cfg, corpus_digest=""), "k1"
     else:
         dense_index, _ = build_dense_index(tiny_articles, embedder, lex.tokenizer)
         save_dense_index(dense_index, path)
         load = functools.partial(
             load_dense_index, embedder=embedder, tokenizer=lex.tokenizer,
-            article_ids=lex.article_ids,
+            article_ids=lex.article_ids, corpus_digest="",
         )
         key = "dimension"
     load(path)
@@ -210,6 +213,50 @@ def test_a_boolean_header_value_never_matches_a_number(kind, tiny_articles, tmp_
         ValueError, match=rf"{kind}.bin: {key} mismatch \(index True, expected {expected}\)"
     ):
         load(path)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_file_of_another_corpus_is_refused_before_an_array_is_decoded(
+    kind, indexes, tmp_path
+):
+    """The corpus digest is an expected header value: a file of another
+    corpus fails on its header, though an array it holds is undecodable."""
+    path, load = _saved(indexes, kind, tmp_path)
+    header, stored = _read_stored(path)
+    name = next(name for name, array in stored.items() if array.dtype == np.uint8)
+    _write_stored(path, header, {**stored, name: np.zeros((3, 1), np.uint8)})
+    with pytest.raises(ValueError, match=f"{name} is not 1, 2, 4 or 8 uint8 byte planes"):
+        load(path)
+    other = "ab" * 32
+    message = rf"{kind}.bin: corpus digest mismatch \(index '', expected '{other}'\)$"
+    with pytest.raises(ValueError, match=message):
+        load(path, corpus_digest=other)
+
+
+# (a header, the kind of file it heads, the message check_header raises)
+HEADER_CHECKS = [
+    (
+        {"format": "f", "version": 1, "flag": True}, "index",
+        "a: version mismatch (index 1, expected 2); rebuild it with `statuteqa index`",
+    ),
+    ({"format": "f", "version": 2, "flag": 1}, "index", "a: flag mismatch (index 1, expected True)"),
+    ({"format": "f", "version": True, "flag": True}, "model", (
+        "a: version mismatch (model True, expected 2); rebuild it with `statuteqa train`"
+    )),
+    ([], "model", "a: format mismatch (model None, expected 'f')"),
+    ({}, "index", "a: format mismatch (index None, expected 'f')"),
+]
+
+
+@pytest.mark.parametrize("header, kind, message", HEADER_CHECKS)
+def test_check_header_is_one_rule_for_every_artifact(header, kind, message):
+    """Keys are checked in the wanted order; a boolean never matches a
+    number; a version mismatch names the command that rebuilds the file."""
+    wanted = {"format": "f", "version": 2, "flag": True}
+    indexfile.check_header("a", kind, {**wanted, "extra": 0}, wanted)
+    with pytest.raises(ValueError) as raised:
+        indexfile.check_header("a", kind, header, wanted)
+    assert str(raised.value) == message
 
 
 def test_a_number_never_matches_an_expected_boolean(tmp_path):
@@ -238,14 +285,17 @@ def test_article_ids_out_of_order_or_repeated_are_rejected(kind, order, indexes,
 
 
 # (index kinds, a header edit, the error after the file name)
-OTHER_ARTICLES = "built over other articles than the lexical index"
+OTHER_ARTICLES = (
+    r"article ids sha256 mismatch \(index {}, expected '[0-9a-f]{{64}}'\); "
+    "rebuild both files with `statuteqa index`"
+)
 HEADER_EDITS = [
     (["lex"], {"article_ids": ["a", 1]}, "article_ids must be a list of strings"),
     (["lex"], {"article_ids": None}, "article_ids must be a list of strings"),
-    (["dense"], {"article_ids_sha256": None}, OTHER_ARTICLES),
-    (["dense"], {"article_ids_sha256": "0" * 64}, OTHER_ARTICLES),
-    (KINDS, {"corpus_digest": 5}, "corpus_digest must be a string"),
-    (KINDS, {"corpus_digest": None}, "corpus_digest must be a string"),
+    (["dense"], {"article_ids_sha256": None}, OTHER_ARTICLES.format("None")),
+    (["dense"], {"article_ids_sha256": "0" * 64}, OTHER_ARTICLES.format("'0{64}'")),
+    (KINDS, {"corpus_digest": 5}, r"corpus digest mismatch \(index 5, expected ''\)"),
+    (KINDS, {"corpus_digest": None}, r"corpus digest mismatch \(index None, expected ''\)"),
     (["lex"], {"k1": "x"}, r"k1 mismatch \(index 'x', expected 1.2\)"),
     (["lex"], {"k1": None}, r"k1 mismatch \(index None, expected 1.2\)"),
     (["lex"], {"k1": [1]}, r"k1 mismatch \(index \[1\], expected 1.2\)"),
@@ -287,7 +337,7 @@ def test_lex_columns_swapped_within_a_row_are_rejected(tmp_path):
     path = tmp_path / "lex.bin"
     save_lex_index(swapped, path)
     with pytest.raises(ValueError, match="lex.bin: content columns not strictly ascending"):
-        load_lex_index(path, PipelineConfig())
+        load_lex_index(path, PipelineConfig(), "")
 
 
 # Two articles share a sentence: 4 sentences, 3 vectors, map [0, 1, 0, 2],
@@ -338,7 +388,7 @@ def test_a_malformed_sentence_map_is_rejected_naming_the_file(case, tmp_path):
         arrays[name] = edit(arrays[name])
     _write(path, header, arrays)
     with pytest.raises(ValueError, match=f"dense.bin: {message}"):
-        load_dense_index(path, embedder, tok, index.article_ids)
+        load_dense_index(path, embedder, tok, index.article_ids, "")
 
 
 def test_a_version_6_dense_file_says_to_rebuild_the_index(indexes, tmp_path):
@@ -454,11 +504,11 @@ def test_terms_repeated_or_out_of_order_are_rejected(terms, tmp_path):
     assert list(index.terms) == ["alpha", "beta", "gamma"]
     path = tmp_path / "lex.bin"
     save_lex_index(index, path)
-    assert lexical.bm25(load_lex_index(path, cfg), "content", ["beta"], "a") > 0
+    assert lexical.bm25(load_lex_index(path, cfg, ""), "content", ["beta"], "a") > 0
     header, arrays = _read(path)
     _write(path, *_front_coded(header, arrays, "terms", terms))
     with pytest.raises(ValueError, match="lex.bin: terms out of order"):
-        load_lex_index(path, cfg)
+        load_lex_index(path, cfg, "")
 
 
 def test_a_term_with_no_posting_in_either_field_is_rejected(indexes, tmp_path):
@@ -519,8 +569,8 @@ def test_saved_indexes_load_to_the_built_arrays_and_save_again_to_equal_bytes(
     paths = [directory / name for name in ("lex.bin", "dense.bin", "lex2.bin", "dense2.bin")]
     save_lex_index(lex, paths[0])
     save_dense_index(dense, paths[1])
-    lex_loaded = load_lex_index(paths[0], cfg)
-    dense_loaded = load_dense_index(paths[1], embedder, tok, lex_loaded.article_ids)
+    lex_loaded = load_lex_index(paths[0], cfg, "")
+    dense_loaded = load_dense_index(paths[1], embedder, tok, lex_loaded.article_ids, "")
     assert lex_loaded.article_ids == lex.article_ids == dense.article_ids
     assert list(lex_loaded.terms.items()) == list(lex.terms.items())
     for field in lexical.FIELDS:
@@ -670,7 +720,7 @@ def test_malformed_front_codes_are_rejected_naming_the_file(case, tmp_path):
         }
         _write(path, {**header, key: suffix}, arrays)
         with pytest.raises(ValueError, match=f"lex.bin: {message.format(name=key)}"):
-            load_lex_index(path, PipelineConfig())
+            load_lex_index(path, PipelineConfig(), "")
 
 
 def test_object_array_is_never_unpickled(indexes, tmp_path):

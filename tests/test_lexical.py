@@ -152,7 +152,7 @@ def test_score_query_counts_matched_distinct_query_terms(case):
     with tempfile.TemporaryDirectory() as directory:
         path, again = Path(directory, "lex.bin"), Path(directory, "again.bin")
         save_lex_index(index, path)
-        loaded = load_lex_index(path, PipelineConfig())
+        loaded = load_lex_index(path, PipelineConfig(), "")
         save_lex_index(loaded, again)
         assert again.read_bytes() == path.read_bytes()
     for field, (bm25_scores, matched) in score_query(loaded, query).items():
@@ -278,7 +278,7 @@ def test_content_monotonic_in_term_frequency(tiny_articles):
 def test_save_load_round_trip(tiny_articles, tiny_lex, tmp_path):
     path = tmp_path / "lex.bin"
     save_lex_index(tiny_lex, path)
-    loaded = load_lex_index(path, PipelineConfig())
+    loaded = load_lex_index(path, PipelineConfig(), "")
     query, cfg = ["civil", "law", "contracts"], PipelineConfig()
     for article in tiny_articles:
         for field in ("title", "content"):
@@ -302,7 +302,7 @@ def test_untitled_corpus_builds_and_loads_without_warnings(tmp_path):
         warnings.simplefilter("error")
         index = build_lex_index(articles, PipelineConfig())
         save_lex_index(index, path)
-        loaded = load_lex_index(path, PipelineConfig())
+        loaded = load_lex_index(path, PipelineConfig(), "")
     assert not loaded.title.lengths.any() and loaded.title.impact.size == 0
     assert retrieve_topk(loaded, ["rent"], 3, PipelineConfig()).ids() == ["a0", "a1", "a2"]
 
@@ -321,7 +321,7 @@ def test_an_index_loads_with_the_bm25_settings_it_was_built_with(tiny_articles, 
     index = build_lex_index(tiny_articles, cfg)
     path = tmp_path / "lex.bin"
     save_lex_index(index, path)
-    loaded = load_lex_index(path, cfg)
+    loaded = load_lex_index(path, cfg, "")
     assert (loaded.k1, loaded.b) == (2.0, 0.3)
     for field in ("title", "content"):
         for name in ("impact", "lengths", "distinct"):
@@ -329,16 +329,16 @@ def test_an_index_loads_with_the_bm25_settings_it_was_built_with(tiny_articles, 
             assert (got.dtype, got.tobytes()) == (built.dtype, built.tobytes())
     message = f"{re.escape(str(path))}: k1 mismatch \\(index 2.0, expected 1.2\\)"
     with pytest.raises(ValueError, match=message):
-        load_lex_index(path, PipelineConfig())
+        load_lex_index(path, PipelineConfig(), "")
     with pytest.raises(ValueError, match=r"b mismatch \(index 0.3, expected 0.75\)"):
-        load_lex_index(path, PipelineConfig(k1=2.0))
+        load_lex_index(path, PipelineConfig(k1=2.0), "")
 
 
 def test_load_fingerprint_mismatch(tiny_lex, tmp_path):
     path = tmp_path / "lex.bin"
     save_lex_index(tiny_lex, path)
     with pytest.raises(ValueError, match="fingerprint mismatch"):
-        load_lex_index(path, PipelineConfig(phrase_lexicon=["civil code"]))
+        load_lex_index(path, PipelineConfig(phrase_lexicon=["civil code"]), "")
 
 
 def test_idf_positive_and_decreasing_in_df():

@@ -17,7 +17,7 @@ import pytest
 
 import feature_oracle
 import fusion_oracle
-from statuteqa import cli, dense, lexical, lineproto, reranker
+from statuteqa import cli, dense, indexfile, lexical, lineproto, reranker
 from statuteqa import corpus as corpus_mod
 from statuteqa import pipeline as pipeline_mod
 from statuteqa.cli import main
@@ -80,13 +80,24 @@ def test_unknown_flag_exits_2():
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("k", ["0", "-2", "ten"])
-def test_query_k_below_one_is_a_usage_error(tmp_path, capsys, k):
+@pytest.mark.parametrize("k", ["0", "-2"])
+def test_query_top_k_below_one_is_refused_by_the_config_range(tmp_path, capsys, k):
+    """``query`` takes the candidate depth as the ``--top-k`` override that
+    ``eval`` has, so both refuse a depth below 1 by the config's range."""
+    missing = ["--corpus-path", str(tmp_path / "none.jsonl")]
+    for command in ("query", "eval"):
+        assert main([command, *missing, "--top-k", k]) == 1
+        assert f"top_k must be >= 1, not {k}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["--top-k", "ten"], ["--k", "10"]])
+def test_query_top_k_not_an_integer_or_k_is_a_usage_error(tmp_path, capsys, flags):
+    """``--k`` means only ``eval``'s recall cutoffs."""
     missing = ["--corpus-path", str(tmp_path / "none.jsonl")]
     with pytest.raises(SystemExit) as exc:
-        main(["query", *missing, "--question", "x", "--k", k])
+        main(["query", *missing, "--question", "x", *flags])
     assert exc.value.code == 2
-    assert "--k" in capsys.readouterr().err
+    assert flags[0] in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -244,7 +255,7 @@ def test_run_that_raises_inside_the_lock_releases_it(workspace, capsys, monkeypa
 def test_query_prints_gold_first(workspace, capsys):
     root, base, queries = workspace
     query = queries[0]
-    assert main(base + ["query", "--question", query.question, "--k", "10"]) == 0
+    assert main(base + ["query", "--question", query.question, "--top-k", "10"]) == 0
     first_line = capsys.readouterr().out.strip().splitlines()[0]
     gold_id = next(iter(query.gold_article_ids))
     assert first_line.split("\t")[0] == gold_id
@@ -506,7 +517,8 @@ def test_load_model_error_is_reported_not_raised(workspace, tmp_path, capsys):
     model.write_text("[]")
     flags = ["--model-path", str(model), "--question", queries[0].question]
     assert main(base + ["query", *flags]) == 1
-    assert f"{model}: not a model file" in capsys.readouterr().err
+    message = f"{model}: format mismatch (model None, expected 'statuteqa.model')"
+    assert message in capsys.readouterr().err
 
 
 def test_pipeline_answer_matches_cli_query(workspace, capsys):
@@ -539,17 +551,17 @@ def test_index_of_an_edited_corpus_is_rejected(workspace, tmp_path, capsys):
     corpus = tmp_path / "corpus.jsonl"
     write_corpus_file(docs, corpus)
     cfg = PipelineConfig.from_file(root / "config.json")
-    with pytest.raises(ValueError, match="different corpus"):
+    with pytest.raises(ValueError, match="corpus digest mismatch"):
         Pipeline.load(dataclasses.replace(cfg, corpus_path=str(corpus)))
     model = tmp_path / "model.json"
     flags = ["--corpus-path", str(corpus), "--model-path", str(model)]
     assert main(base + ["train", *flags]) == 1
-    assert "different corpus" in capsys.readouterr().err
+    assert "corpus digest mismatch" in capsys.readouterr().err
     assert not model.exists()
     report = tmp_path / "report.json"
     flags = ["--corpus-path", str(corpus), "--report-path", str(report)]
     assert main(base + ["eval", "--quickview", *flags]) == 1
-    assert "different corpus" in capsys.readouterr().err
+    assert "corpus digest mismatch" in capsys.readouterr().err
     assert not report.exists()
 
 
@@ -568,8 +580,31 @@ def test_corpus_that_differs_only_in_bytes_is_rejected(workspace, tmp_path):
     cfg, corpus = _copied_corpus(workspace, tmp_path)
     Pipeline.load(cfg).close()
     corpus.write_bytes(corpus.read_bytes() + b"\n")
-    with pytest.raises(ValueError, match="different corpus"):
+    with pytest.raises(ValueError, match="corpus digest mismatch"):
         Pipeline.load(cfg)
+
+
+def test_an_index_of_another_corpus_is_refused_before_any_array_is_decoded(
+    workspace, tmp_path, monkeypatch
+):
+    """The corpus is hashed before either index is read, and its digest is
+    an expected header value, so the lexical file fails on its header: no
+    array of either file is decoded."""
+    cfg, corpus = _copied_corpus(workspace, tmp_path)
+    corpus.write_bytes(corpus.read_bytes() + b"\n")
+    decoded = []
+    from_planes = indexfile.from_planes
+
+    def counting(path, name, planes, dtype):
+        decoded.append((path, name))
+        return from_planes(path, name, planes, dtype)
+
+    monkeypatch.setattr(indexfile, "from_planes", counting)
+    with pytest.raises(ValueError) as raised:
+        pipeline_mod.load_artifacts(cfg)
+    assert decoded == []
+    message = rf"{re.escape(cfg.lex_index_path)}: corpus digest mismatch \(index '[0-9a-f]{{64}}'"
+    assert re.match(message, str(raised.value))
 
 
 def test_corpus_replaced_after_load_is_rejected_on_first_read(workspace, tmp_path):
@@ -580,7 +615,7 @@ def test_corpus_replaced_after_load_is_rejected_on_first_read(workspace, tmp_pat
     edited = dataclasses.replace(first, content=first.content + " Amended.")
     docs[0] = LegalDocument(docs[0].doc_id, (edited, *rest))
     write_corpus_file(docs, corpus)
-    with pytest.raises(ValueError, match="different corpus"):
+    with pytest.raises(ValueError, match="corpus digest mismatch"):
         pipeline.articles
     pipeline.close()
 
@@ -1050,7 +1085,6 @@ def test_rejected_load_closes_the_embedder_child(external_ws, children, tmp_path
     )
     write_corpus_file(docs, tmp_path / "corpus.jsonl")
     rejected = {
-        "different corpus": {"corpus_path": str(tmp_path / "corpus.jsonl")},
         "cannot start": {"external_scorer_cmd": [str(tmp_path / "no-such-scorer")]},
         "model.json": {
             "external_scorer_cmd": None, "model_path": str(tmp_path / "model.json")
@@ -1061,10 +1095,14 @@ def test_rejected_load_closes_the_embedder_child(external_ws, children, tmp_path
             Pipeline.load(dataclasses.replace(cfg, **change))
         assert _running(children) == [], message
     assert len(children) >= 1 + len(rejected)
-    # an out-of-range setting never reaches a load, so it starts no child
+    # an out-of-range setting never reaches a load, and a corpus of other
+    # bytes fails on the lexical header before the embedder is made, so
+    # neither starts a child
     started = len(children)
     with pytest.raises(ValueError, match="gamma must be in"):
         Pipeline.load(dataclasses.replace(cfg, gamma=2.0))
+    with pytest.raises(ValueError, match="corpus digest mismatch"):
+        Pipeline.load(dataclasses.replace(cfg, corpus_path=str(tmp_path / "corpus.jsonl")))
     assert len(children) == started
 
 
@@ -1122,8 +1160,9 @@ def test_a_dense_index_of_other_articles_is_rejected(tmp_path):
     built, _ = dense.build_dense_index(articles, cfg.make_embedder(), cfg.tokenizer_config(), digest)
     dense.save_dense_index(built, cfg.dense_index_path)
     message = (
-        f"{re.escape(cfg.dense_index_path)}: built over other articles than the lexical "
-        "index; rebuild both files with `statuteqa index`"
+        f"{re.escape(cfg.dense_index_path)}: article ids sha256 mismatch "
+        r"\(index '[0-9a-f]{64}', expected '[0-9a-f]{64}'\); "
+        "rebuild both files with `statuteqa index`"
     )
     with pytest.raises(ValueError, match=message):
         pipeline_mod.load_artifacts(cfg)

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import feature_oracle
 from bm25_oracle import BruteForceBm25
-from conftest import field_token_lists
+from conftest import field_token_lists, train_two_stage
 from feature_oracle import predict
 from statuteqa.corpus import Article, TokenizerConfig, clean_text, tokenize
 from dense_oracle import cosine, per_article_max_cosine, sentence_rows
@@ -33,7 +33,6 @@ from statuteqa.reranker import (
     mean_cross_entropy,
     save_model,
     train_stage,
-    train_two_stage,
     zero_model,
 )
 from statuteqa.weak_label import TrainingExample
@@ -448,7 +447,7 @@ def test_model_save_load_round_trip(synth, tmp_path):
     assert loaded.metadata == synth.model.metadata
     stages = [stage["stage"] for stage in loaded.metadata["stages"]]
     assert stages == ["weak_pretrain", "gold_finetune"]
-    with pytest.raises(ValueError, match="not a model file"):
+    with pytest.raises(ValueError, match=r"format mismatch \(model 'other', expected "):
         path2 = tmp_path / "bogus.json"
         path2.write_text('{"format": "other"}')
         load_model(path2)
@@ -466,15 +465,16 @@ def test_model_save_that_fails_leaves_the_old_file(synth, tmp_path):
 
 
 MISSING = object()
+RETRAIN = "rebuild it with `statuteqa train`"
 
 
 @pytest.mark.parametrize(
     "payload, message",
     [
-        ([1, 2, 3], "not a model file"),
-        ({"version": 99}, "model version 99"),
-        ({"version": True}, "model version True"),
-        ({"feature_names": ["bias"] * NUM_FEATURES}, "model features differ"),
+        ([1, 2, 3], r"format mismatch \(model None, expected 'statuteqa.model'\)"),
+        ({"version": 99}, rf"version mismatch \(model 99, expected 1\); {RETRAIN}"),
+        ({"version": True}, rf"version mismatch \(model True, expected 1\); {RETRAIN}"),
+        ({"feature_names": ["bias"] * NUM_FEATURES}, rf"feature names mismatch .*; {RETRAIN}"),
         ({"weights": MISSING}, "weights must be a list of 8 finite"),
         ({"weights": [0.5] * (NUM_FEATURES - 1)}, "weights must be a list of 8 finite"),
         ({"weights": [True] * NUM_FEATURES}, "weights must be a list of 8 finite"),

@@ -10,11 +10,9 @@ from pathlib import Path
 import numpy as np
 
 from statuteqa.cli import main
-from statuteqa.corpus import TokenizerConfig, write_corpus_file
-from statuteqa.dense import HashedProjectionEmbedder, load_dense_index
+from statuteqa.corpus import write_corpus_file
 from statuteqa.evaluation import write_gold_file
-from statuteqa.lexical import load_lex_index
-from statuteqa.pipeline import Pipeline, PipelineConfig
+from statuteqa.pipeline import Pipeline, PipelineConfig, load_artifacts
 from statuteqa.reranker import save_model, zero_model
 from statuteqa.synth import synthetic_corpus, title_gold_queries
 
@@ -120,8 +118,12 @@ def test_index_sizes_names_every_part_of_each_index_file(scripts_dir, tmp_path, 
         "index", "--corpus-path", str(tmp_path / "corpus.jsonl"),
         "--lex-index-path", str(paths[0]), "--dense-index-path", str(paths[1]),
     ]) == 0
-    ids = load_lex_index(paths[0], PipelineConfig()).article_ids
-    dense = load_dense_index(paths[1], HashedProjectionEmbedder(), TokenizerConfig(), ids)
+    cfg = PipelineConfig(
+        corpus_path=str(tmp_path / "corpus.jsonl"),
+        lex_index_path=str(paths[0]),
+        dense_index_path=str(paths[1]),
+    )
+    _, dense = load_artifacts(cfg)
     said = f"{dense.offsets[-1]} sentences as {dense.vectors} distinct vectors"
     assert said in capsys.readouterr().out
     assert dense.vectors < dense.offsets[-1]  # the corpus repeats sentences
