@@ -14,6 +14,7 @@ through the external embedder line protocol.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -61,6 +62,8 @@ _LAYOUT = {
 DEFAULT_DIMENSION = 300
 # Vector values an external embedder returns per build request
 _CHUNK_ENTRIES = 1 << 14
+# Tokens whose hashed coordinate and sign are kept across embed_batch calls
+_HASH_CACHE = 1024
 
 
 class Embedder(Protocol):
@@ -79,6 +82,15 @@ def _token_hash(token: str, seed: int, purpose: str) -> int:
     key = f"{purpose}:{seed}".encode("utf-8")
     digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8, key=key)
     return int.from_bytes(digest.digest(), "big")
+
+
+@functools.lru_cache(maxsize=_HASH_CACHE)
+def _coordinate(token: str, seed: int, dimension: int) -> tuple[int, float]:
+    """A token's hashed coordinate and sign; the last ``_HASH_CACHE`` asked
+    for are kept, so a question's common tokens are not hashed again."""
+    coord = _token_hash(token, seed, "coord") % dimension
+    sign = 1.0 if _token_hash(token, seed, "sign") % 2 == 0 else -1.0
+    return coord, sign
 
 
 @dataclass(frozen=True)
@@ -100,16 +112,15 @@ class HashedProjectionEmbedder:
         return next(self.embed_batch([tokens]))
 
     def embed_batch(self, token_lists: Sequence[Sequence[str]]) -> Iterator[np.ndarray]:
-        """``embed_tokens`` of each token list, in order, hashing each distinct
-        token once. The token map lives only as long as the iteration."""
+        """``embed_tokens`` of each token list, in order, looking each
+        distinct token up once in ``_coordinate``'s bounded cache. The token
+        map lives only as long as the iteration."""
         hashed: dict[str, tuple[int, float]] = {}  # token -> (coordinate, sign)
         for tokens in token_lists:
             vec = np.zeros(self.dimension, dtype=np.float64)
             for token in tokens:
                 if token not in hashed:
-                    coord = _token_hash(token, self.seed, "coord") % self.dimension
-                    sign = 1.0 if _token_hash(token, self.seed, "sign") % 2 == 0 else -1.0
-                    hashed[token] = (coord, sign)
+                    hashed[token] = _coordinate(token, self.seed, self.dimension)
                 coord, sign = hashed[token]
                 vec[coord] += sign
             if tokens:

@@ -24,6 +24,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 if TYPE_CHECKING:
+    from .lexical import QueryScores
     from .pipeline import PipelineConfig
 
 __all__ = [
@@ -82,7 +83,7 @@ class Ranking:
     positions: np.ndarray  # int64 positions in article_ids
     scores: np.ndarray  # float64 quickview score of each position
     tokens: tuple[str, ...]  # cleaned question tokens
-    field_scores: Mapping[str, tuple[np.ndarray, np.ndarray]] | None  # lexical
+    field_scores: QueryScores | None  # lexical
 
     def __len__(self) -> int:
         return len(self.positions)

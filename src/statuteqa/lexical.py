@@ -16,13 +16,16 @@ are arrays over the same columns; an untitled article has title length 0.
 
 Query-time BM25 is a sum of impacts taken in query order, once per token
 occurrence, into float64 accumulators that start at 0.0. ``score_query``
-takes it for every article in one pass, with each field's count of
-matched distinct query terms; the quickview ranks by the pass and the
-reranker's features read it at the candidates' columns. Each article
-thus receives the same additions, in the same order, as a per-article
-loop over the query tokens, and each impact is computed with the same
-operations in the same order as the scalar formula (idf with
-``math.log``), so the pass equals that loop bit for bit.
+takes it for every article in one pass; the quickview ranks by the pass
+and the reranker's features read it, and count matched distinct query
+terms, at the candidates' columns only. Each article thus receives the
+same additions, in the same order, as a per-article loop over the query
+tokens, and each impact is computed with the same operations in the same
+order as the scalar formula (idf with ``math.log``), so the pass equals
+that loop bit for bit. A common term, posted in at least
+``1/DENSE_ROW_SHARE`` of the columns, also has its impacts as one dense
+row over the columns, which the pass adds whole: the columns it does
+not post in receive +0.0, which changes no sum.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ if TYPE_CHECKING:
 __all__ = [
     "FieldMatrix",
     "LexIndex",
+    "QueryScores",
     "build_lex_index",
     "score_query",
     "bm25",
@@ -56,6 +60,10 @@ __all__ = [
 ]
 
 FIELDS = ("title", "content")
+
+# A term posted in at least 1/DENSE_ROW_SHARE of a field's columns gets a
+# dense impact row (at 10k: 2 title and 19 content rows, 1.7 MB)
+DENSE_ROW_SHARE = 2
 
 LEX_INDEX_FORMAT = "statuteqa.lexindex"
 LEX_INDEX_VERSION = 8
@@ -79,6 +87,10 @@ class FieldMatrix:
     posting counts; load derives ``indptr``, ``lengths`` (the per-column
     sum of ``tf``) and the rest as build does. The field's document count
     and average length enter the impacts only, so they are not kept.
+    ``dense`` maps each term row with ``DENSE_ROW_SHARE·df >= columns`` to
+    its impacts over every column, 0.0 where it has no posting; every
+    posting's impact is positive, so a column has the term where its
+    value is above 0.
     """
 
     indptr: np.ndarray  # int64, terms + 1; row r is entries indptr[r]:indptr[r+1]
@@ -87,6 +99,7 @@ class FieldMatrix:
     impact: np.ndarray  # float64 idf·tf·(k1+1)/(tf+norm) of each entry
     lengths: np.ndarray  # int64 tokens per article column (its tf sum); 0 = absent
     distinct: np.ndarray  # int64 distinct terms per article column
+    dense: Mapping[int, np.ndarray]  # common term row -> float64 impact per column
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,8 +149,8 @@ def _field_matrix(
     k1: float,
     b: float,
 ) -> FieldMatrix:
-    """Impacts and per-column statistics of one field's CSR postings over
-    ``n_columns`` article columns.
+    """Impacts, common terms' dense rows and per-column statistics of one
+    field's CSR postings over ``n_columns`` article columns.
 
     Build and load both come through here, so they produce the same arrays.
     A column's length is the sum of its ``tf``, summed in float64, which is
@@ -145,6 +158,27 @@ def _field_matrix(
     """
     df = np.diff(indptr)
     lengths = np.bincount(columns, weights=tf, minlength=n_columns).astype(np.int64)
+    impact = _impacts(df, columns, tf, lengths, k1, b)
+    common = np.flatnonzero(DENSE_ROW_SHARE * df >= n_columns).tolist()
+    dense = np.zeros((len(common), n_columns))
+    for row, r in zip(dense, common):
+        span = slice(indptr[r], indptr[r + 1])
+        row[columns[span]] = impact[span]
+    return FieldMatrix(
+        indptr=indptr,
+        columns=columns,
+        tf=tf,
+        impact=impact,
+        lengths=lengths,
+        distinct=np.bincount(columns, minlength=n_columns),
+        dense=dict(zip(common, dense)),
+    )
+
+
+def _impacts(
+    df: np.ndarray, columns: np.ndarray, tf: np.ndarray, lengths: np.ndarray, k1: float, b: float
+) -> np.ndarray:
+    """Each posting's ``idf·tf·(k1+1)/(tf+norm)``, its temporaries freed on return."""
     big_n = int(np.count_nonzero(lengths))
     avgdl = int(lengths.sum()) / big_n if big_n else 0.0
     # few distinct document frequencies: math.log once for each
@@ -155,15 +189,7 @@ def _field_matrix(
     # per column, then gathered; avgdl is 0 only when no column has tokens
     # (no postings), so the stand-in divisor is never read
     norm = k1 * (1.0 - b + b * lengths / (avgdl or 1.0))
-    impact = np.repeat(idf_rows, df) * tf_f * (k1 + 1.0) / (tf_f + norm[columns])
-    return FieldMatrix(
-        indptr=indptr,
-        columns=columns,
-        tf=tf,
-        impact=impact,
-        lengths=lengths,
-        distinct=np.bincount(columns, minlength=n_columns),
-    )
+    return np.repeat(idf_rows, df) * tf_f * (k1 + 1.0) / (tf_f + norm[columns])
 
 
 def _field_tokens(article: Article, field: str, tok: TokenizerConfig) -> list[str]:
@@ -213,33 +239,58 @@ def build_lex_index(
     )
 
 
-def score_query(
-    index: LexIndex, query: Sequence[str]
-) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Per field, the BM25 and the matched distinct query terms of every
-    article column, in one pass over the query's rows.
+@dataclass(frozen=True, eq=False)
+class QueryScores:
+    """One question's ``score_query`` pass: each field's BM25 of every
+    article column, and the rows of its distinct tokens in ``index``, from
+    which ``matched`` counts them at the columns asked for."""
 
-    Each distinct token is looked up once; per field, its row is taken once
-    per occurrence, in query order, and ``np.bincount`` adds the entries
-    into zeroed float64 accumulators in that order; a second
-    ``np.bincount`` counts the rows of the distinct tokens.
+    index: LexIndex
+    bm25: Mapping[str, np.ndarray]  # field -> float64 BM25 of every column
+    rows: tuple[int, ...]  # the distinct query tokens' term rows
+
+    def matched(self, field: str, columns: np.ndarray) -> np.ndarray:
+        """The int64 number of distinct query terms that ``field`` of the
+        article at each of ``columns`` has: one ``np.bincount`` over the
+        rare rows' postings, read at ``columns``, plus one for each dense
+        row above 0 there."""
+        matrix = getattr(self.index, field)
+        rare = [r for r in self.rows if r not in matrix.dense]
+        posted = _concat(matrix.columns, matrix.indptr, rare)
+        counts = np.bincount(posted, minlength=len(self.index.article_ids))[columns]
+        for r in self.rows:
+            if r in matrix.dense:
+                counts += matrix.dense[r][columns] > 0.0
+        return counts
+
+
+def score_query(index: LexIndex, query: Sequence[str]) -> QueryScores:
+    """Per field, the BM25 of every article column, in one pass over the
+    query's rows.
+
+    Each distinct token is looked up once. Per field, each occurrence in
+    query order adds its row into a zeroed float64 accumulator: a dense
+    row whole, or a sparse row's impacts at its columns by ``np.add.at``,
+    one addition per posting in posting order. A row's columns are
+    distinct, so each column receives one addition per occurrence whose
+    row posts in it, in query order.
     """
-    n_cols = len(index.article_ids)
     rows = {token: index.terms.get(token) for token in dict.fromkeys(query)}
     occurrences = [rows[token] for token in query if rows[token] is not None]
-    distinct = [row for row in rows.values() if row is not None]
-    scores = {}
+    bm25 = {}
     for field in FIELDS:
         matrix = getattr(index, field)
-        # astype: with no occurrences bincount returns integer zeros
-        bm25 = np.bincount(
-            _concat(matrix.columns, matrix.indptr, occurrences),
-            weights=_concat(matrix.impact, matrix.indptr, occurrences),
-            minlength=n_cols,
-        ).astype(np.float64, copy=False)
-        matched = np.bincount(_concat(matrix.columns, matrix.indptr, distinct), minlength=n_cols)
-        scores[field] = bm25, matched
-    return scores
+        acc = np.zeros(len(index.article_ids))
+        for r in occurrences:
+            if r in matrix.dense:
+                acc += matrix.dense[r]
+                continue
+            start, stop = matrix.indptr[r : r + 2].tolist()
+            if start < stop:  # a term of the other field only has no posting here
+                np.add.at(acc, matrix.columns[start:stop], matrix.impact[start:stop])
+        bm25[field] = acc
+    distinct = tuple(row for row in rows.values() if row is not None)
+    return QueryScores(index, bm25, distinct)
 
 
 def _concat(values: np.ndarray, indptr: np.ndarray, rows: Sequence[int]) -> np.ndarray:
@@ -257,7 +308,7 @@ def bm25(index: LexIndex, field: str, query: Sequence[str], article_id: str) -> 
     column = index.column.get(article_id)
     if column is None:
         return 0.0
-    return float(score_query(index, query)[field][0][column])
+    return float(score_query(index, query).bm25[field][column])
 
 
 def retrieve_topk(
@@ -279,8 +330,8 @@ def retrieve_topk(
     if k < 1:
         raise ValueError("k must be >= 1")
     field_scores = score_query(index, query)
-    scores = cfg.alpha * field_scores["title"][0]
-    scores += cfg.beta * field_scores["content"][0]
+    scores = cfg.alpha * field_scores.bm25["title"]
+    scores += cfg.beta * field_scores.bm25["content"]
     top = top_k_positions(scores, k, math.ulp(0.0))
     return Ranking(index.article_ids, top, scores[top], tuple(query), field_scores)
 

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 from itertools import groupby, repeat
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from . import indexfile
 from .corpus import Article, clean_text, tokenize
 from .dense import DenseIndex, embed, quickview_dense_score, sentence_cosines
 from .ensemble import Ranking
-from .lexical import LexIndex, score_query
+from .lexical import LexIndex, QueryScores, score_query
 from .lineproto import LineProtocolClient, ProtocolError, finite_real
 from .weak_label import TrainingExample
 
@@ -91,7 +91,7 @@ def extract_features(
     tokens: Sequence[str],
     columns: np.ndarray,
     dense_scores: np.ndarray,
-    field_scores: Mapping[str, tuple[np.ndarray, np.ndarray]],
+    field_scores: QueryScores,
     lex: LexIndex,
     log_content_len: np.ndarray,
 ) -> np.ndarray:
@@ -99,7 +99,8 @@ def extract_features(
 
     ``tokens`` are the cleaned question tokens in order, ``dense_scores``
     the articles' max sentence cosines with the question, ``field_scores``
-    the tokens' ``score_query`` pass, read at ``columns``, and
+    the tokens' ``score_query`` pass, whose BM25 and matched distinct terms
+    are read at ``columns`` only, and
     ``log_content_len`` is ``math.log1p`` of every lexical column's
     content length. No article text is tokenized. Each feature is one
     column, computed elementwise with the scalar formula's operations in
@@ -109,14 +110,13 @@ def extract_features(
     contiguous.
     """
     distinct = len(set(tokens))
-    title_bm25, title_matched = (scores[columns] for scores in field_scores["title"])
-    content_bm25, content_matched = (scores[columns] for scores in field_scores["content"])
     x = np.empty((len(columns), NUM_FEATURES), dtype=np.float64, order="F")
-    x[:, 0] = _saturate(title_bm25)
-    x[:, 1] = _saturate(content_bm25)
+    x[:, 0] = _saturate(field_scores.bm25["title"][columns])
+    x[:, 1] = _saturate(field_scores.bm25["content"][columns])
     x[:, 2] = dense_scores
-    x[:, 3] = _jaccard(title_matched, distinct, lex.title.distinct[columns])
-    x[:, 4] = _jaccard(content_matched, distinct, lex.content.distinct[columns])
+    for j, field in ((3, "title"), (4, "content")):
+        matched = field_scores.matched(field, columns)
+        x[:, j] = _jaccard(matched, distinct, getattr(lex, field).distinct[columns])
     x[:, 5] = math.log1p(len(tokens))
     x[:, 6] = log_content_len[columns]
     x[:, 7] = 1.0
@@ -364,15 +364,15 @@ class ModelScorer:
 
     def score_batch(
         self, question: str, candidates: Ranking | Sequence[Article | str]
-    ) -> list[float]:
+    ) -> np.ndarray:
         """Relevance probability sigmoid(w . f) of each candidate of a
         quickview ``Ranking``, read at its positions, clamped to the open unit
-        interval. The features come from the indexes, so no article text is
+        interval, as a float64 array. The features come from the indexes, so no article text is
         read. Articles or ids are taken only for ``perfbench/checks.py``."""
         if not isinstance(candidates, Ranking):
             candidates = [getattr(c, "article_id", c) for c in candidates]
         z = _logits(self.model.weights, self.extractor.rows(question, candidates))
-        return np.clip(_sigmoid(z), _PROB_EPS, 1.0 - _PROB_EPS).tolist()
+        return np.clip(_sigmoid(z), _PROB_EPS, 1.0 - _PROB_EPS)
 
 
 class ExternalScorer:
@@ -438,7 +438,10 @@ def load_model(path: str | Path) -> LinearModel:
     rebuild it with `statuteqa train```); ``weights`` must be a list of
     ``NUM_FEATURES`` finite numbers."""
     with open(path, encoding="utf-8") as handle:
-        payload = json.load(handle)
+        try:
+            payload = json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: invalid JSON: {exc}") from exc
     wanted = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,

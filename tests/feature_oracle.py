@@ -31,7 +31,7 @@ def _jaccard(matched, question_terms, article_terms):
 def whole_corpus_scores(lex, tokens):
     """Per-field BM25 and matched distinct query terms of every column; the
     counts are taken here, not from ``score_query``'s pass."""
-    bm25 = {field: scores[0] for field, scores in score_query(lex, tokens).items()}
+    bm25 = score_query(lex, tokens).bm25
     matched = {}
     for field in ("title", "content"):
         matrix = getattr(lex, field)

@@ -412,8 +412,11 @@ def test_lexical_ranking_carries_its_bm25_pass(synth):
     ranked = synth.ranked(question, 10)
     assert ranked.tokens == tuple(tokens)
     want = score_query(synth.lex, tokens)
+    every = np.arange(len(synth.lex.article_ids))
+    carried = ranked.field_scores
     for field in ("title", "content"):
-        for got, expected in zip(ranked.field_scores[field], want[field]):
-            assert got.tobytes() == expected.tobytes()
+        assert carried.bm25[field].tobytes() == want.bm25[field].tobytes()
+        got, expected = carried.matched(field, every), want.matched(field, every)
+        assert got.tobytes() == expected.tobytes()
     head = ranked[:4]
     assert head.field_scores is ranked.field_scores and head.tokens is ranked.tokens

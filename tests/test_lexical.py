@@ -6,6 +6,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -49,7 +50,7 @@ def test_idf_frozen_values():
         index = build_lex_index(articles, PipelineConfig())
         titles = field_token_lists(articles, "title")
         want = [oracle_bm25(titles, ["shared"], i) for i in index.article_ids]
-        got = score_query(index, ["shared"])["title"][0].tolist()
+        got = score_query(index, ["shared"]).bm25["title"].tolist()
         assert got == pytest.approx(want, abs=1e-12)
 
 
@@ -138,14 +139,17 @@ def test_score_query_counts_matched_distinct_query_terms(case):
 
     Titles and contents draw from one small pool, so many terms have a row
     in one field only; the shared rows score like per-field ones and
-    survive a save and load."""
+    survive a save and load. With at most 8 articles, many terms are posted
+    in half of the columns and have dense rows."""
     articles, query, columns = case
     index = build_lex_index(articles, PipelineConfig())
     scores = score_query(index, query)
+    every = np.arange(len(index.article_ids))
     for field in ("title", "content"):
         tokens = field_token_lists(articles, field)
-        bm25_scores, matched = scores[field]
+        bm25_scores, matched = scores.bm25[field], scores.matched(field, every)
         want = [len(set(query) & set(tokens[index.article_ids[c]])) for c in columns]
+        assert scores.matched(field, columns).tolist() == want
         assert matched[columns].tolist() == want
         oracle = [oracle_bm25(tokens, query, article_id) for article_id in index.article_ids]
         assert bm25_scores.tolist() == oracle
@@ -155,9 +159,11 @@ def test_score_query_counts_matched_distinct_query_terms(case):
         loaded = load_lex_index(path, PipelineConfig(), "")
         save_lex_index(loaded, again)
         assert again.read_bytes() == path.read_bytes()
-    for field, (bm25_scores, matched) in score_query(loaded, query).items():
-        assert bm25_scores.tobytes() == scores[field][0].tobytes()
-        assert matched.tobytes() == scores[field][1].tobytes()
+    again_scores = score_query(loaded, query)
+    for field in ("title", "content"):
+        bm25_scores, matched = again_scores.bm25[field], again_scores.matched(field, every)
+        assert bm25_scores.tobytes() == scores.bm25[field].tobytes()
+        assert matched.tobytes() == scores.matched(field, every).tobytes()
 
 
 def test_quickview_composition(tiny_articles, tiny_lex):
@@ -352,6 +358,6 @@ def test_idf_positive_and_decreasing_in_df():
     assert math.isclose(oracle_idf(contents, "never-seen"), math.log(1 + 10.5 / 0.5))
     # equal lengths and term frequencies: the index's BM25 orders terms by idf
     index = build_lex_index(articles, PipelineConfig())
-    common = score_query(index, ["common"])["content"][0][3]
-    rare = score_query(index, ["rare3"])["content"][0][3]
+    common = score_query(index, ["common"]).bm25["content"][3]
+    rare = score_query(index, ["rare3"]).bm25["content"][3]
     assert 0.0 < common < rare

@@ -521,6 +521,16 @@ def test_load_model_error_is_reported_not_raised(workspace, tmp_path, capsys):
     assert message in capsys.readouterr().err
 
 
+def test_a_model_file_that_is_not_json_is_named(workspace, tmp_path, capsys):
+    """``json.load``'s own message named no file."""
+    root, base, queries = workspace
+    model = tmp_path / "model.json"
+    model.write_text("not json")
+    flags = ["--model-path", str(model), "--question", queries[0].question]
+    assert main(base + ["query", *flags]) == 1
+    assert f"{model}: invalid JSON: " in capsys.readouterr().err
+
+
 def test_pipeline_answer_matches_cli_query(workspace, capsys):
     root, base, queries = workspace
     cfg = PipelineConfig.from_file(root / "config.json")

@@ -427,7 +427,7 @@ def test_score_batch_order_and_permutation(synth):
     assert dict(scored) == dict(reversed_scored)
     single = synth.scorer.score_batch(question, candidates[:1])
     assert len(single) == 1
-    assert synth.scorer.score_batch(question, []) == []
+    assert synth.scorer.score_batch(question, []).tolist() == []
 
 
 def test_model_scorer_matches_predict(synth):
