@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import kernel_oracle
 from statuteqa import dense
-from statuteqa.corpus import Article, clean_text, tokenize
+from statuteqa.corpus import Article, clean_text
 from statuteqa.dense import HashedProjectionEmbedder
 from statuteqa.lexical import DENSE_ROW_SHARE, FIELDS, build_lex_index, score_query
 from statuteqa.pipeline import PipelineConfig
@@ -96,23 +96,6 @@ def test_dense_rows_are_the_common_terms_impacts():
     # c0 is in every content and half of the titles; r1 is in 2 of 12 contents
     assert index.terms["c0"] in index.content.dense and index.terms["c0"] in index.title.dense
     assert index.terms["r1"] not in index.content.dense
-
-
-def test_matched_counts_at_arbitrary_columns_are_set_intersections(synth):
-    rng = np.random.default_rng(5)
-    tokens = {a.article_id: {f: set() for f in FIELDS} for a in synth.articles}
-    for a in synth.articles:
-        tokens[a.article_id]["title"] = set(tokenize(clean_text(a.title or ""), synth.tok))
-        tokens[a.article_id]["content"] = set(tokenize(clean_text(a.content), synth.tok))
-    for query in synth.queries[:20]:
-        words = tokenize(clean_text(query.question), synth.tok) + ["of", "unseen"]
-        scores = score_query(synth.lex, words)
-        columns = rng.integers(0, len(synth.lex.article_ids), 40)
-        for field in FIELDS:
-            want = [
-                len(set(words) & tokens[synth.lex.article_ids[c]][field]) for c in columns
-            ]
-            assert scores.matched(field, columns).tolist() == want
 
 
 @given(st.text(alphabet=st.characters(max_codepoint=127)))
