@@ -38,8 +38,6 @@ NORMAL_FORM = "NFC"  # the Unicode normal form clean_text cuts tokens from
 DIGEST_CHUNK = 1 << 20  # bytes file_digest reads at a time
 
 _SENTENCE_DELIMS = re.compile(r"[.;?!\n]")
-# the letters and decimal digits of lowercased ASCII text
-_ASCII_WORD = re.compile("[a-z0-9]+")
 # UTF-8 cannot encode a lone surrogate, which JSON can escape ("\ud800")
 _SURROGATE = re.compile("[\ud800-\udfff]")
 
@@ -109,11 +107,8 @@ def clean_text(raw: str) -> str:
     decomposed letter whole: NFD "người" has combining marks, which are
     not letters, but cleans to the same "người" as its NFC form. A mark
     that NFC does not compose (such as the dot of ``"İ".lower()``) still
-    breaks the word. ASCII text, which NFC leaves as it is, is cut with one
-    regular expression instead of the loop.
+    breaks the word.
     """
-    if raw.isascii():
-        return " ".join(_ASCII_WORD.findall(raw.lower()))
     out: list[str] = []
     space_pending = False
     for ch in unicodedata.normalize(NORMAL_FORM, raw).lower():

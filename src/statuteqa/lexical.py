@@ -18,7 +18,7 @@ Query-time BM25 is a sum of impacts taken in query order, once per token
 occurrence, into float64 accumulators that start at 0.0. ``score_query``
 takes it for every article in one pass; the quickview ranks by the pass
 and the reranker's features read it, and count matched distinct query
-terms, at the candidates' columns only. Each article thus receives the
+terms, at the candidates' columns. Each article thus receives the
 same additions, in the same order, as a per-article loop over the query
 tokens, and each impact is computed with the same operations in the same
 order as the scalar formula (idf with ``math.log``), so the pass equals
@@ -64,6 +64,9 @@ FIELDS = ("title", "content")
 # A term posted in at least 1/DENSE_ROW_SHARE of a field's columns gets a
 # dense impact row (at 10k: 2 title and 19 content rows, 1.7 MB)
 DENSE_ROW_SHARE = 2
+# From this many article columns on, matched counts read the dense rows at
+# the columns asked for; below it one whole-corpus np.bincount is cheaper
+DENSE_MATCH_COLUMNS = 2048
 
 LEX_INDEX_FORMAT = "statuteqa.lexindex"
 LEX_INDEX_VERSION = 8
@@ -252,15 +255,19 @@ class QueryScores:
     def matched(self, field: str, columns: np.ndarray) -> np.ndarray:
         """The int64 number of distinct query terms that ``field`` of the
         article at each of ``columns`` has: one ``np.bincount`` over the
-        rare rows' postings, read at ``columns``, plus one for each dense
-        row above 0 there."""
+        rows' postings, read at ``columns``. From ``DENSE_MATCH_COLUMNS``
+        article columns on, the dense rows are left out of it and read at
+        ``columns`` instead, each adding one where it is above 0."""
         matrix = getattr(self.index, field)
-        rare = [r for r in self.rows if r not in matrix.dense]
-        posted = _concat(matrix.columns, matrix.indptr, rare)
-        counts = np.bincount(posted, minlength=len(self.index.article_ids))[columns]
-        for r in self.rows:
-            if r in matrix.dense:
-                counts += matrix.dense[r][columns] > 0.0
+        n_cols = len(self.index.article_ids)
+        rows, dense = self.rows, []
+        if n_cols >= DENSE_MATCH_COLUMNS:
+            rows = [r for r in self.rows if r not in matrix.dense]
+            dense = [matrix.dense[r] for r in self.rows if r in matrix.dense]
+        counts = np.bincount(_concat(matrix.columns, matrix.indptr, rows), minlength=n_cols)
+        counts = counts[columns]
+        for row in dense:
+            counts += row[columns] > 0.0
         return counts
 
 

@@ -5,8 +5,6 @@ rewritten; the kernel must still equal it bit for bit (see
 ``test_kernels.py``).
 """
 
-import unicodedata
-
 import numpy as np
 
 from statuteqa.dense import _token_hash
@@ -36,22 +34,6 @@ def bincount_pass(index, query):
         matched = np.bincount(_concat(matrix.columns, matrix.indptr, distinct), minlength=n_cols)
         scores[field] = bm25, matched
     return scores
-
-
-def loop_clean_text(raw):
-    """NFC, lowercase, then one character at a time: letters and decimal
-    digits kept, every run of anything else one space between words."""
-    out = []
-    space_pending = False
-    for ch in unicodedata.normalize("NFC", raw).lower():
-        if ch.isalpha() or ch.isdecimal():
-            if space_pending and out:
-                out.append(" ")
-            space_pending = False
-            out.append(ch)
-        else:
-            space_pending = True
-    return "".join(out)
 
 
 def hashed_coordinate(token, seed, dimension):

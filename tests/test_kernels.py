@@ -1,19 +1,19 @@
 """Rewritten kernels against their earlier formulations, bit for bit.
 
 ``kernel_oracle`` keeps each kernel as it was computed before: BM25 and
-matched counts by whole-corpus ``np.bincount``, ``clean_text`` by its
-character loop, and hashed coordinates hashed afresh.
+matched counts by whole-corpus ``np.bincount``, and hashed coordinates
+hashed afresh.
 """
 
 import string
-import unicodedata
+from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 import kernel_oracle
-from statuteqa import dense
-from statuteqa.corpus import Article, clean_text
+from statuteqa import dense, lexical
+from statuteqa.corpus import Article
 from statuteqa.dense import HashedProjectionEmbedder
 from statuteqa.lexical import DENSE_ROW_SHARE, FIELDS, build_lex_index, score_query
 from statuteqa.pipeline import PipelineConfig
@@ -49,6 +49,9 @@ def _all_common_corpus():
 
 
 def _check_pass(articles, query, columns):
+    """BM25 bits, and matched counts both ways: with the dense rows read at
+    the columns (a threshold of 0 columns) and with every row counted over
+    all columns (a threshold no corpus reaches)."""
     index = build_lex_index(articles, PipelineConfig())
     got = score_query(index, query)
     want = kernel_oracle.bincount_pass(index, query)
@@ -56,8 +59,11 @@ def _check_pass(articles, query, columns):
         bm25, matched = want[field]
         assert got.bm25[field].dtype == np.float64
         assert got.bm25[field].tobytes() == bm25.tobytes()
-        counted = got.matched(field, np.array(columns, dtype=np.int64))
-        assert counted.dtype == matched.dtype and counted.tobytes() == matched[columns].tobytes()
+        for at_least in (0, 2**62):
+            with mock.patch.object(lexical, "DENSE_MATCH_COLUMNS", at_least):
+                counted = got.matched(field, np.array(columns, dtype=np.int64))
+            assert counted.dtype == matched.dtype
+            assert counted.tobytes() == matched[columns].tobytes()
     return index
 
 
@@ -96,24 +102,6 @@ def test_dense_rows_are_the_common_terms_impacts():
     # c0 is in every content and half of the titles; r1 is in 2 of 12 contents
     assert index.terms["c0"] in index.content.dense and index.terms["c0"] in index.title.dense
     assert index.terms["r1"] not in index.content.dense
-
-
-@given(st.text(alphabet=st.characters(max_codepoint=127)))
-def test_clean_text_of_ascii_text_equals_the_loop(raw):
-    assert clean_text(raw) == kernel_oracle.loop_clean_text(raw)
-
-
-def test_clean_text_of_every_ascii_character_equals_the_loop():
-    for ch in map(chr, range(128)):
-        for raw in (ch, ch * 2, f"a{ch}b", f"Z{ch}{ch}9"):
-            assert clean_text(raw) == kernel_oracle.loop_clean_text(raw), repr(raw)
-
-
-def test_decomposed_vietnamese_still_cleans_through_the_loop():
-    nfd = unicodedata.normalize("NFD", "Bộ Luật Dân sự, điều 5")
-    assert not nfd.isascii()
-    assert clean_text(nfd) == kernel_oracle.loop_clean_text(nfd) == "bộ luật dân sự điều 5"
-    assert clean_text(nfd) == unicodedata.normalize("NFC", "bộ luật dân sự điều 5")
 
 
 _TOKENS = st.text(string.ascii_lowercase + "đươ", min_size=1, max_size=6)
