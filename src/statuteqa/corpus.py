@@ -255,11 +255,9 @@ def load_corpus_file(path: str | Path) -> tuple[list[LegalDocument], ParseStats]
     bytes that are not UTF-8.
     """
     data = Path(path).read_bytes()
+    text = indexfile.utf8_text(path, data, CorpusFormatError)
     try:
-        docs, stats = parse_corpus(io.StringIO(data.decode("utf-8"), newline=None))
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise CorpusFormatError(f"{path}: line {line}: not UTF-8: {exc.reason}") from exc
+        docs, stats = parse_corpus(io.StringIO(text, newline=None))
     except CorpusFormatError as exc:
         raise CorpusFormatError(f"{path}: {exc}") from exc
     stats.digest = hashlib.sha256(data).hexdigest()

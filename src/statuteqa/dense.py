@@ -112,16 +112,12 @@ class HashedProjectionEmbedder:
         return next(self.embed_batch([tokens]))
 
     def embed_batch(self, token_lists: Sequence[Sequence[str]]) -> Iterator[np.ndarray]:
-        """``embed_tokens`` of each token list, in order, looking each
-        distinct token up once in ``_coordinate``'s bounded cache. The token
-        map lives only as long as the iteration."""
-        hashed: dict[str, tuple[int, float]] = {}  # token -> (coordinate, sign)
+        """``embed_tokens`` of each token list, in order, each token's
+        coordinate and sign looked up in ``_coordinate``'s bounded cache."""
         for tokens in token_lists:
             vec = np.zeros(self.dimension, dtype=np.float64)
             for token in tokens:
-                if token not in hashed:
-                    hashed[token] = _coordinate(token, self.seed, self.dimension)
-                coord, sign = hashed[token]
+                coord, sign = _coordinate(token, self.seed, self.dimension)
                 vec[coord] += sign
             if tokens:
                 vec /= len(tokens)

@@ -50,7 +50,11 @@ Artifacts, the JSON-lines record files (corpus, gold questions, training
 examples) among them, are written through ``replacing``, so a reader sees
 the old file or the new one, never a half-written one. Gold questions and
 training examples are read back with ``read_records``, which names
-``path:line`` for any record it cannot turn into its object.
+``path:line`` for any record it cannot turn into its object. Every text
+file a command reads (corpus, records, config, model) is decoded by
+``utf8_text``, which names ``<path>: line <n>`` for bytes that are not
+UTF-8, and a whole-file JSON value (config, model) is parsed by
+``read_json``, which names the path for text that is not JSON.
 """
 
 from __future__ import annotations
@@ -58,6 +62,7 @@ from __future__ import annotations
 import contextlib
 import gzip
 import hashlib
+import io
 import json
 import operator
 import os
@@ -110,27 +115,48 @@ def write_json_lines(path, records) -> None:
             handle.write(line.encode("utf-8"))
 
 
+def utf8_text(path, data: bytes, error: type[ValueError] = ValueError) -> str:
+    """``data``, the bytes of ``path``, decoded as UTF-8. Raises ``error``:
+    ``<path>: line <n>: not UTF-8: <reason>``, the line counted from 1."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}: line {line}: not UTF-8: {exc.reason}") from exc
+
+
+def read_json(path):
+    """The JSON value of a whole UTF-8 file. Raises ``ValueError`` naming
+    ``path`` for bytes that are not UTF-8 and for text that is not JSON."""
+    text = utf8_text(path, Path(path).read_bytes())
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: invalid JSON: {exc}") from exc
+
+
 def read_records(path, parse) -> list:
     """``parse(record)`` for each non-blank line of a JSON-lines file, in
-    order. Raises ``ValueError`` naming ``path`` and the line, counted from
-    1, for a line that is not a JSON object, or whose record lacks a key
-    ``parse`` reads (``KeyError``) or holds a value it rejects."""
+    order. Raises ``ValueError`` naming ``path`` for bytes that are not
+    UTF-8, and naming it and the line, counted from 1, for a line that is
+    not a JSON object, or whose record lacks a key ``parse`` reads
+    (``KeyError``) or holds a value it rejects."""
+    text = utf8_text(path, Path(path).read_bytes())
     items = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-                if not isinstance(record, dict):
-                    raise ValueError("record must be a JSON object")
-                items.append(parse(record))
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            except KeyError as exc:
-                raise ValueError(f"{path}:{lineno}: missing key {exc}") from None
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
+    for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+            if not isinstance(record, dict):
+                raise ValueError("record must be a JSON object")
+            items.append(parse(record))
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+        except KeyError as exc:
+            raise ValueError(f"{path}:{lineno}: missing key {exc}") from None
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
     return items
 
 

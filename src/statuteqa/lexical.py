@@ -17,15 +17,17 @@ are arrays over the same columns; an untitled article has title length 0.
 Query-time BM25 is a sum of impacts taken in query order, once per token
 occurrence, into float64 accumulators that start at 0.0. ``score_query``
 takes it for every article in one pass; the quickview ranks by the pass
-and the reranker's features read it, and count matched distinct query
-terms, at the candidates' columns. Each article thus receives the
-same additions, in the same order, as a per-article loop over the query
-tokens, and each impact is computed with the same operations in the same
-order as the scalar formula (idf with ``math.log``), so the pass equals
-that loop bit for bit. A common term, posted in at least
-``1/DENSE_ROW_SHARE`` of the columns, also has its impacts as one dense
-row over the columns, which the pass adds whole: the columns it does
-not post in receive +0.0, which changes no sum.
+and the reranker's features read it at the candidates' columns. Each
+article thus receives the same additions, in the same order, as a
+per-article loop over the query tokens, and each impact is computed with
+the same operations in the same order as the scalar formula (idf with
+``math.log``), so the pass equals that loop bit for bit. A common term,
+posted in at least ``1/DENSE_ROW_SHARE`` of the columns, also has its
+impacts as one dense row over the columns, which the pass adds whole:
+the columns it does not post in receive +0.0, which changes no sum.
+The features' matched distinct query terms are counted by one rule: the
+rare terms' postings by one ``np.bincount``, the common terms' dense rows
+at the candidates' columns only.
 """
 
 from __future__ import annotations
@@ -64,9 +66,6 @@ FIELDS = ("title", "content")
 # A term posted in at least 1/DENSE_ROW_SHARE of a field's columns gets a
 # dense impact row (at 10k: 2 title and 19 content rows, 1.7 MB)
 DENSE_ROW_SHARE = 2
-# From this many article columns on, matched counts read the dense rows at
-# the columns asked for; below it one whole-corpus np.bincount is cheaper
-DENSE_MATCH_COLUMNS = 2048
 
 LEX_INDEX_FORMAT = "statuteqa.lexindex"
 LEX_INDEX_VERSION = 8
@@ -255,19 +254,15 @@ class QueryScores:
     def matched(self, field: str, columns: np.ndarray) -> np.ndarray:
         """The int64 number of distinct query terms that ``field`` of the
         article at each of ``columns`` has: one ``np.bincount`` over the
-        rows' postings, read at ``columns``. From ``DENSE_MATCH_COLUMNS``
-        article columns on, the dense rows are left out of it and read at
-        ``columns`` instead, each adding one where it is above 0."""
+        rare rows' postings, read at ``columns``, and each dense row read
+        at ``columns``, adding one where it is above 0."""
         matrix = getattr(self.index, field)
-        n_cols = len(self.index.article_ids)
-        rows, dense = self.rows, []
-        if n_cols >= DENSE_MATCH_COLUMNS:
-            rows = [r for r in self.rows if r not in matrix.dense]
-            dense = [matrix.dense[r] for r in self.rows if r in matrix.dense]
-        counts = np.bincount(_concat(matrix.columns, matrix.indptr, rows), minlength=n_cols)
-        counts = counts[columns]
-        for row in dense:
-            counts += row[columns] > 0.0
+        rare = [r for r in self.rows if r not in matrix.dense]
+        found = _concat(matrix.columns, matrix.indptr, rare)
+        counts = np.bincount(found, minlength=len(self.index.article_ids))[columns]
+        for r in self.rows:
+            if r in matrix.dense:
+                counts += matrix.dense[r][columns] > 0.0
         return counts
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import hashlib
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -136,8 +135,7 @@ class PipelineConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":
-        with open(path, encoding="utf-8") as handle:
-            raw = json.load(handle)
+        raw = indexfile.read_json(path)
         if not isinstance(raw, dict):
             raise ValueError(f"{path}: config must be a JSON object")
         types = {f.name: f.type for f in dataclasses.fields(cls)}

@@ -92,16 +92,15 @@ def extract_features(
     columns: np.ndarray,
     dense_scores: np.ndarray,
     field_scores: QueryScores,
-    lex: LexIndex,
     log_content_len: np.ndarray,
 ) -> np.ndarray:
     """The (k, NUM_FEATURES) feature matrix of the articles at lexical ``columns``.
 
     ``tokens`` are the cleaned question tokens in order, ``dense_scores``
     the articles' max sentence cosines with the question, ``field_scores``
-    the tokens' ``score_query`` pass, whose BM25 and matched distinct terms
-    are read at ``columns`` only, and
-    ``log_content_len`` is ``math.log1p`` of every lexical column's
+    the tokens' ``score_query`` pass, whose BM25, matched distinct terms
+    and its index's per-article distinct terms are read at ``columns``
+    only, and ``log_content_len`` is ``math.log1p`` of every lexical column's
     content length. No article text is tokenized. Each feature is one
     column, computed elementwise with the scalar formula's operations in
     its order, so a row does not depend on the other articles in the
@@ -116,7 +115,8 @@ def extract_features(
     x[:, 2] = dense_scores
     for j, field in ((3, "title"), (4, "content")):
         matched = field_scores.matched(field, columns)
-        x[:, j] = _jaccard(matched, distinct, getattr(lex, field).distinct[columns])
+        article_terms = getattr(field_scores.index, field).distinct[columns]
+        x[:, j] = _jaccard(matched, distinct, article_terms)
     x[:, 5] = math.log1p(len(tokens))
     x[:, 6] = log_content_len[columns]
     x[:, 7] = 1.0
@@ -172,9 +172,7 @@ class FeatureExtractor:
             dense_scores = quickview_dense_score(self.dense, cosines, columns)
         if field_scores is None:
             field_scores = score_query(self.lex, tokens)
-        return extract_features(
-            tokens, columns, dense_scores, field_scores, self.lex, self.log_content_len
-        )
+        return extract_features(tokens, columns, dense_scores, field_scores, self.log_content_len)
 
     def _view(self, question: str, candidates: Ranking | Sequence[str]):
         """The candidates' columns, and the question's tokens, dense scores
@@ -437,11 +435,7 @@ def load_model(path: str | Path) -> LinearModel:
     index header is (``<path>: version mismatch (model True, expected 1);
     rebuild it with `statuteqa train```); ``weights`` must be a list of
     ``NUM_FEATURES`` finite numbers."""
-    with open(path, encoding="utf-8") as handle:
-        try:
-            payload = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: invalid JSON: {exc}") from exc
+    payload = indexfile.read_json(path)
     wanted = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,

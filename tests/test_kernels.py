@@ -6,13 +6,12 @@ hashed afresh.
 """
 
 import string
-from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 import kernel_oracle
-from statuteqa import dense, lexical
+from statuteqa import dense
 from statuteqa.corpus import Article
 from statuteqa.dense import HashedProjectionEmbedder
 from statuteqa.lexical import DENSE_ROW_SHARE, FIELDS, build_lex_index, score_query
@@ -49,9 +48,8 @@ def _all_common_corpus():
 
 
 def _check_pass(articles, query, columns):
-    """BM25 bits, and matched counts both ways: with the dense rows read at
-    the columns (a threshold of 0 columns) and with every row counted over
-    all columns (a threshold no corpus reaches)."""
+    """BM25 bits, and matched counts, the dense rows read at the columns,
+    against every row counted over all columns."""
     index = build_lex_index(articles, PipelineConfig())
     got = score_query(index, query)
     want = kernel_oracle.bincount_pass(index, query)
@@ -59,11 +57,9 @@ def _check_pass(articles, query, columns):
         bm25, matched = want[field]
         assert got.bm25[field].dtype == np.float64
         assert got.bm25[field].tobytes() == bm25.tobytes()
-        for at_least in (0, 2**62):
-            with mock.patch.object(lexical, "DENSE_MATCH_COLUMNS", at_least):
-                counted = got.matched(field, np.array(columns, dtype=np.int64))
-            assert counted.dtype == matched.dtype
-            assert counted.tobytes() == matched[columns].tobytes()
+        counted = got.matched(field, np.array(columns, dtype=np.int64))
+        assert counted.dtype == matched.dtype
+        assert counted.tobytes() == matched[columns].tobytes()
     return index
 
 
@@ -121,7 +117,12 @@ def test_the_coordinate_cache_equals_hashing_afresh(tokens, seed, dimension):
 
 
 def test_the_coordinate_cache_is_bounded():
+    """Tokens evicted in the middle of a batch are hashed again, alike."""
+    tokens = [f"t{i}" for i in range(3000)]
     dense._coordinate.cache_clear()
-    HashedProjectionEmbedder(dimension=16).embed_tokens([f"t{i}" for i in range(3000)])
+    first, second = HashedProjectionEmbedder(dimension=16).embed_batch([tokens, tokens])
     info = dense._coordinate.cache_info()
     assert info.maxsize == dense._HASH_CACHE and info.currsize <= dense._HASH_CACHE
+    assert info.misses == 2 * len(tokens)  # each evicted before it is asked again
+    want = kernel_oracle.hashed_embedding(tokens, 0, 16)
+    assert first.tobytes() == second.tobytes() == want.tobytes()

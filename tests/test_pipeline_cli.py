@@ -531,6 +531,33 @@ def test_a_model_file_that_is_not_json_is_named(workspace, tmp_path, capsys):
     assert f"{model}: invalid JSON: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, flag, data, message",
+    [
+        ("eval", "--gold-path", b'{"question_id": "q",\n"q": "\xe9"}\n', "line 2: not UTF-8"),
+        ("train", "--weak-dataset-path", b'\n\n{"question": "\xe9"}\n', "line 3: not UTF-8"),
+        ("query", "--model-path", b'{\n\n"format": "\xe9"}\n', "line 3: not UTF-8"),
+        ("query", "--config", b'{"top_k": 5,\n"gold_path": "\xe9"}', "line 2: not UTF-8"),
+        ("query", "--config", b"top_k = 5\n", "invalid JSON"),
+    ],
+)
+def test_a_json_file_that_cannot_be_read_is_named(
+    workspace, tmp_path, capsys, command, flag, data, message
+):
+    """The decoder's and ``json.load``'s own messages named no file."""
+    root, base, queries = workspace
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(data)
+    if flag == "--config":
+        argv = [flag, str(bad), command]
+    else:
+        argv = [*base, command, flag, str(bad)]
+    if command == "query":
+        argv += ["--question", queries[0].question]
+    assert main(argv) == 1
+    assert f"error: {bad}: {message}" in capsys.readouterr().err
+
+
 def test_pipeline_answer_matches_cli_query(workspace, capsys):
     root, base, queries = workspace
     cfg = PipelineConfig.from_file(root / "config.json")
