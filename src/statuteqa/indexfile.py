@@ -51,10 +51,7 @@ examples) among them, are written through ``replacing``, so a reader sees
 the old file or the new one, never a half-written one. Gold questions and
 training examples are read back with ``read_records``, which names
 ``path:line`` for any record it cannot turn into its object. Every text
-file a command reads (corpus, records, config, model) is decoded by
-``utf8_text``, which names ``<path>: line <n>`` for bytes that are not
-UTF-8, and a whole-file JSON value (config, model) is parsed by
-``read_json``, which names the path for text that is not JSON.
+file a command reads is decoded by ``utf8_text``, which names the path.
 """
 
 from __future__ import annotations
@@ -116,8 +113,8 @@ def write_json_lines(path, records) -> None:
 
 
 def utf8_text(path, data: bytes, error: type[ValueError] = ValueError) -> str:
-    """``data``, the bytes of ``path``, decoded as UTF-8. Raises ``error``:
-    ``<path>: line <n>: not UTF-8: <reason>``, the line counted from 1."""
+    """``data``, the bytes of ``path``, as UTF-8, or raises ``error``:
+    ``<path>: line <n>: not UTF-8: <reason>``."""
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -126,8 +123,7 @@ def utf8_text(path, data: bytes, error: type[ValueError] = ValueError) -> str:
 
 
 def read_json(path):
-    """The JSON value of a whole UTF-8 file. Raises ``ValueError`` naming
-    ``path`` for bytes that are not UTF-8 and for text that is not JSON."""
+    """The JSON value of a whole file; raises ``ValueError`` naming ``path``."""
     text = utf8_text(path, Path(path).read_bytes())
     try:
         return json.loads(text)
@@ -137,10 +133,9 @@ def read_json(path):
 
 def read_records(path, parse) -> list:
     """``parse(record)`` for each non-blank line of a JSON-lines file, in
-    order. Raises ``ValueError`` naming ``path`` for bytes that are not
-    UTF-8, and naming it and the line, counted from 1, for a line that is
-    not a JSON object, or whose record lacks a key ``parse`` reads
-    (``KeyError``) or holds a value it rejects."""
+    order. Raises ``ValueError`` naming ``path`` and the line, counted from
+    1, for bytes that are not UTF-8, a line that is not a JSON object, or
+    a record that lacks a key ``parse`` reads or holds a value it rejects."""
     text = utf8_text(path, Path(path).read_bytes())
     items = []
     for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):

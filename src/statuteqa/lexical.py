@@ -257,8 +257,8 @@ class QueryScores:
         rare rows' postings, read at ``columns``, and each dense row read
         at ``columns``, adding one where it is above 0."""
         matrix = getattr(self.index, field)
-        rare = [r for r in self.rows if r not in matrix.dense]
-        found = _concat(matrix.columns, matrix.indptr, rare)
+        spans = [slice(*matrix.indptr[r : r + 2]) for r in self.rows if r not in matrix.dense]
+        found = np.concatenate([matrix.columns[span] for span in spans] or [matrix.columns[:0]])
         counts = np.bincount(found, minlength=len(self.index.article_ids))[columns]
         for r in self.rows:
             if r in matrix.dense:
@@ -293,10 +293,6 @@ def score_query(index: LexIndex, query: Sequence[str]) -> QueryScores:
         bm25[field] = acc
     distinct = tuple(row for row in rows.values() if row is not None)
     return QueryScores(index, bm25, distinct)
-
-
-def _concat(values: np.ndarray, indptr: np.ndarray, rows: Sequence[int]) -> np.ndarray:
-    return np.concatenate([values[indptr[r] : indptr[r + 1]] for r in rows] or [values[:0]])
 
 
 def bm25(index: LexIndex, field: str, query: Sequence[str], article_id: str) -> float:

@@ -115,8 +115,7 @@ def extract_features(
     x[:, 2] = dense_scores
     for j, field in ((3, "title"), (4, "content")):
         matched = field_scores.matched(field, columns)
-        article_terms = getattr(field_scores.index, field).distinct[columns]
-        x[:, j] = _jaccard(matched, distinct, article_terms)
+        x[:, j] = _jaccard(matched, distinct, getattr(field_scores.index, field).distinct[columns])
     x[:, 5] = math.log1p(len(tokens))
     x[:, 6] = log_content_len[columns]
     x[:, 7] = 1.0
