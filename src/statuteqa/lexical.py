@@ -257,12 +257,13 @@ class QueryScores:
         rare rows' postings, read at ``columns``, and each dense row read
         at ``columns``, adding one where it is above 0."""
         matrix = getattr(self.index, field)
-        spans = [slice(*matrix.indptr[r : r + 2]) for r in self.rows if r not in matrix.dense]
-        found = np.concatenate([matrix.columns[span] for span in spans] or [matrix.columns[:0]])
+        ptr, dense = matrix.indptr, matrix.dense
+        rare = [matrix.columns[ptr[r] : ptr[r + 1]] for r in self.rows if r not in dense]
+        found = np.concatenate(rare or [matrix.columns[:0]])
         counts = np.bincount(found, minlength=len(self.index.article_ids))[columns]
         for r in self.rows:
-            if r in matrix.dense:
-                counts += matrix.dense[r][columns] > 0.0
+            if r in dense:
+                counts += dense[r][columns] > 0.0
         return counts
 
 
