@@ -11,7 +11,10 @@ them the suffix lists of a lexical file's front-coded string tables,
 as byte planes), in file order, with its dtype, shape, raw bytes and
 deflated bytes. The string tables' prefixes are the arrays
 ``article_ids.prefix`` and ``terms.prefix``; the lists' pointers are
-stored as counts (``title.df``, ``sentence_counts``, ...). A part's deflated
+stored as counts (``title.df``, ``sentence_counts``, ...). For a lexical
+file of the current version it then prints, per field, how many term rows
+are complement-coded: posted in more than half the article columns, so
+stored as the columns they lack. A part's deflated
 bytes are its bytes compressed alone at the files' level, so a size
 change can be traced to the entries and arrays that make it; they need
 not sum to the file's size, which is one deflate stream over all of
@@ -28,7 +31,8 @@ import zlib
 
 import numpy as np
 
-from statuteqa.indexfile import COMPRESS_LEVEL
+from statuteqa.indexfile import COMPRESS_LEVEL, from_planes
+from statuteqa.lexical import FIELDS, LEX_INDEX_FORMAT, LEX_INDEX_VERSION, stored_lists
 
 
 def deflated(raw: bytes) -> int:
@@ -60,6 +64,15 @@ def report(path: str) -> list[str]:
         np.lib.format.write_array(buffer, array, allow_pickle=False)
         shape = "x".join(map(str, array.shape))
         lines.append(row(name, buffer.getvalue(), str(array.dtype), shape))
+    if (header["format"], header["version"]) == (LEX_INDEX_FORMAT, LEX_INDEX_VERSION):
+        columns = len(header["article_ids"])
+        for field in FIELDS:
+            df = from_planes(path, f"{field}.df", arrays[f"{field}.df"], np.int64)
+            complemented, _ = stored_lists(df, columns)
+            lines.append(
+                f"  {field}: {np.count_nonzero(complemented)} of {len(df)} term rows "
+                f"complement-coded (posted in more than half of {columns} columns)"
+            )
     return lines
 
 

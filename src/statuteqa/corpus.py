@@ -8,7 +8,6 @@ Article order within a document is preserved.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import re
 import unicodedata
@@ -91,10 +90,8 @@ class TokenizerConfig:
         object.__setattr__(self, "_phrases_by_first", by_first)
 
     def fingerprint(self) -> str:
-        # the normal form tag: tokens are cut from NFC text (see clean_text);
-        # the mode tag keeps the fingerprints of indexes built when it was a setting
-        mode = "whitespace_with_phrase_merge" if self.phrase_lexicon else "whitespace"
-        payload = f"{NORMAL_FORM}|{mode}|" + ",".join(sorted(self.phrase_lexicon))
+        # the normal form tag: tokens are cut from NFC text (see clean_text)
+        payload = f"{NORMAL_FORM}|" + ",".join(sorted(self.phrase_lexicon))
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
@@ -257,7 +254,7 @@ def load_corpus_file(path: str | Path) -> tuple[list[LegalDocument], ParseStats]
     data = Path(path).read_bytes()
     text = indexfile.utf8_text(path, data, CorpusFormatError)
     try:
-        docs, stats = parse_corpus(io.StringIO(text, newline=None))
+        docs, stats = parse_corpus(indexfile.text_lines(text))
     except CorpusFormatError as exc:
         raise CorpusFormatError(f"{path}: {exc}") from exc
     stats.digest = hashlib.sha256(data).hexdigest()

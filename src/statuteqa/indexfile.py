@@ -6,7 +6,9 @@ JSON header line (``format``, ``version``, the index's metadata, and
 ``arrays``, the names of the arrays that follow), then each array in
 ``.npy`` format. Arrays are never pickled. Posting lists of ids are
 stored gap-coded (``gap_encode``) and checked as they are decoded
-(``gap_decode``). A map onto rows numbered in first-use order is stored in
+(``gap_decode``); a lexical term posted in more than half the columns is
+stored as the columns it lacks, a list decoded and checked the same way
+(see ``lexical``). A map onto rows numbered in first-use order is stored in
 first-use code (``first_use_encode``, ``first_use_decode``): the dense
 sentence map onto vector rows, and the dense ``data`` as codes into a
 table of its distinct values, which few values fill. A sorted
@@ -112,13 +114,19 @@ def write_json_lines(path, records) -> None:
             handle.write(line.encode("utf-8"))
 
 
+def text_lines(text: str) -> io.StringIO:
+    """The lines of ``text`` as every reader numbers them: split at
+    universal newlines (``\\r\\n``, ``\\r`` or ``\\n``), each ending in ``\\n``."""
+    return io.StringIO(text, newline=None)
+
+
 def utf8_text(path, data: bytes, error: type[ValueError] = ValueError) -> str:
     """``data``, the bytes of ``path``, as UTF-8, or raises ``error``:
-    ``<path>: line <n>: not UTF-8: <reason>``."""
+    ``<path>: line <n>: not UTF-8: <reason>``, lines as ``text_lines`` counts them."""
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
+        line = text_lines(data[: exc.start].decode("utf-8")).read().count("\n") + 1
         raise error(f"{path}: line {line}: not UTF-8: {exc.reason}") from exc
 
 
@@ -138,7 +146,7 @@ def read_records(path, parse) -> list:
     a record that lacks a key ``parse`` reads or holds a value it rejects."""
     text = utf8_text(path, Path(path).read_bytes())
     items = []
-    for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
+    for lineno, line in enumerate(text_lines(text), start=1):
         if not line.strip():
             continue
         try:

@@ -8,13 +8,17 @@ The accepting thread puts each connection on a queue of ``QUEUE_SLOTS``;
 queue full is answered 503 at once. A connection carries one GET request:
 its request line is read, its header lines are read up to the blank line
 and dropped, and the response goes out in one write with
-``Connection: close``. A client that sends nothing for ``READ_TIMEOUT_S``
-is dropped unanswered. The pipeline's indexes and model are immutable, so
-the workers share it without further coordination.
+``Connection: close``. The request line and every header line must
+arrive within ``READ_TIMEOUT_S`` of the worker taking the connection,
+counted once for the whole head: each read waits only for the time left.
+A client that has not sent its head by then, silent or sending a byte at
+a time, is dropped unanswered. The pipeline's indexes and model are
+immutable, so the workers share it without further coordination.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import queue
 import re
@@ -106,20 +110,40 @@ def _response(status: int, body: str) -> bytes:
     return head.encode("ascii") + data
 
 
+class _Deadline(io.RawIOBase):
+    """A connection's reads, each allowed only the time left before
+    ``deadline`` (``time.monotonic``), so that no read extends it."""
+
+    def __init__(self, connection, deadline: float) -> None:
+        self._connection, self._deadline = connection, deadline
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        left = self._deadline - time.monotonic()
+        if left <= 0:
+            raise TimeoutError("request head not read in time")
+        self._connection.settimeout(left)
+        return self._connection.recv_into(buffer)
+
+
 class _Handler(socketserver.StreamRequestHandler):
-    timeout = READ_TIMEOUT_S
+    timeout = READ_TIMEOUT_S  # the request head's deadline; also each write's timeout
 
     def handle(self) -> None:
+        head = io.BufferedReader(_Deadline(self.connection, time.monotonic() + self.timeout))
         try:
-            reply = self._read()
+            reply = self._read(head)
             if reply is not None:
+                self.connection.settimeout(self.timeout)
                 self.wfile.write(_response(*reply))
         except OSError:
-            pass  # the client went silent or away: there is no one to answer
+            pass  # the client went silent, slow or away: there is no one to answer
 
-    def _read(self) -> tuple[int, str] | None:
-        """The reply to the request on ``rfile``, or None for an empty one."""
-        line = self.rfile.readline(MAX_LINE + 1)
+    def _read(self, head: io.BufferedReader) -> tuple[int, str] | None:
+        """The reply to the request ``head`` reads, or None for an empty one."""
+        line = head.readline(MAX_LINE + 1)
         if len(line) > MAX_LINE:
             return 414, _error("request line too long")
         words = line.decode("iso-8859-1").split()
@@ -128,7 +152,7 @@ class _Handler(socketserver.StreamRequestHandler):
         if len(words) != 3 or not _VERSION.fullmatch(words[2]):
             return 400, _error("bad request line")
         for _ in range(MAX_HEADERS):
-            line = self.rfile.readline(MAX_LINE + 1)
+            line = head.readline(MAX_LINE + 1)
             if len(line) > MAX_LINE:
                 return 431, _error("header line too long")
             if line in (b"\r\n", b"\n", b""):

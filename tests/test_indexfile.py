@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from statuteqa import dense, indexfile, lexical
-from statuteqa.corpus import Article, TokenizerConfig
+from statuteqa.corpus import Article, CorpusFormatError, TokenizerConfig, load_corpus_file
 from statuteqa.dense import (
     DENSE_INDEX_VERSION,
     HashedProjectionEmbedder,
@@ -118,6 +118,53 @@ def _decoded(path, header, arrays, table):
 def _ptr(counts):
     """The list pointers that ``counts`` store: their running sums from 0."""
     return np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+
+
+def _list_counts(header, arrays, name):
+    """The length of each list the gap-coded array ``name`` stores: per dense
+    coordinate its entries; per lexical term its postings, or, where it is
+    posted in more than half the article columns, the columns it lacks."""
+    if name == "rows":
+        return arrays["entry_counts"]
+    df, n = arrays[name.replace("columns", "df")], len(header["article_ids"])
+    return np.where(2 * df > n, n - df, df)
+
+
+def _stored_lists(header, arrays, field):
+    """The id lists a lexical file stores for ``field``, one per term."""
+    ptr = _ptr(_list_counts(header, arrays, f"{field}.columns"))
+    return _lists(ptr, arrays[f"{field}.columns"])
+
+
+def _store_lists(arrays, field, lists):
+    """``arrays`` with ``field``'s stored lists replaced by ``lists``."""
+    ids = np.concatenate([np.zeros(0, np.int32), *lists]).astype(np.int32)
+    arrays[f"{field}.columns"] = indexfile.gap_encode(_ptr(list(map(len, lists))), ids)
+    return arrays
+
+
+def _postings(header, arrays, field):
+    """Each term's ascending article columns in a lexical file's ``field``."""
+    n, df = len(header["article_ids"]), arrays[f"{field}.df"].tolist()
+    stored = _stored_lists(header, arrays, field)
+    return [np.setdiff1d(np.arange(n), ids) if 2 * d > n else ids for d, ids in zip(df, stored)]
+
+
+def _store_postings(header, arrays, field, postings):
+    """``arrays`` with ``field``'s postings replaced by ``postings`` as a
+    version-9 file stores them."""
+    n = len(header["article_ids"])
+    arrays[f"{field}.df"] = np.array(list(map(len, postings)), dtype=np.int64)
+    lists = [np.setdiff1d(np.arange(n), ids) if 2 * len(ids) > n else ids for ids in postings]
+    return _store_lists(arrays, field, lists)
+
+
+def _rebuild_lex(version):
+    """The message a lexical file of ``version`` is refused with."""
+    return (
+        rf"lex.bin: version mismatch \(index {version}, expected {LEX_INDEX_VERSION}\); "
+        "rebuild it with `statuteqa index`"
+    )
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -326,17 +373,63 @@ def test_malformed_header_values_are_rejected_naming_the_file(
         load(path)
 
 
-def test_lex_columns_swapped_within_a_row_are_rejected(tmp_path):
-    articles = [Article(f"a{i}", "d", None, f"Shared clause number {i}.") for i in range(3)]
-    index = build_lex_index(articles, PipelineConfig())
-    start, columns = index.content.indptr[index.terms["shared"]], index.content.columns.copy()
-    columns[[start, start + 1]] = columns[[start + 1, start]]
-    swapped = dataclasses.replace(
-        index, content=dataclasses.replace(index.content, columns=columns)
-    )
+# Five articles: "clause" is in all of them, so its file stores no column;
+# "shared" in three, stored as the two it lacks, [3, 4]; "pair" in two,
+# stored as its postings, [0, 1]
+FIVE = [
+    Article(f"a{i}", "d", None, " ".join(["Clause", *words]))
+    for i, words in enumerate([["shared", "pair"], ["shared", "pair"], ["shared"], [], []])
+]
+
+
+def _five_saved(tmp_path):
+    """The ``FIVE`` index saved: (path, header, arrays, the content lists
+    stored per term, the row of each term)."""
+    index = build_lex_index(FIVE, PipelineConfig())
     path = tmp_path / "lex.bin"
-    save_lex_index(swapped, path)
-    with pytest.raises(ValueError, match="lex.bin: content columns not strictly ascending"):
+    save_lex_index(index, path)
+    header, arrays = _read(path)
+    return path, header, arrays, _stored_lists(header, arrays, "content"), index.terms
+
+
+def test_lex_columns_swapped_within_a_row_are_rejected(tmp_path):
+    """Postings and the columns a term lacks are checked by one rule."""
+    for term, stored in [("pair", [0, 1]), ("shared", [3, 4])]:
+        path, header, arrays, lists, rows = _five_saved(tmp_path)
+        assert lists[rows[term]].tolist() == stored and lists[rows["clause"]].size == 0
+        lists[rows[term]] = lists[rows[term]][::-1]
+        _write(path, header, _store_lists(arrays, "content", lists))
+        with pytest.raises(ValueError, match="lex.bin: content columns not strictly ascending"):
+            load_lex_index(path, PipelineConfig(), "")
+
+
+# case -> (what is stored for the columns "shared" lacks, [3, 4], the error)
+COMPLEMENT_EDITS = {
+    "repeated": ([3, 3], "content columns not strictly ascending"),
+    "falling": ([4, 3], "content columns not strictly ascending"),
+    "past the columns": ([3, 5], r"content columns outside \[0, 5\)"),
+    "negative": ([-1, 3], r"content columns outside \[0, 5\)"),
+    "one long": ([2, 3, 4], "content column lists must add up to"),
+    "one short": ([3], "content column lists must add up to"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COMPLEMENT_EDITS))
+def test_malformed_complement_lists_are_rejected_naming_the_file(case, tmp_path):
+    stored, message = COMPLEMENT_EDITS[case]
+    path, header, arrays, lists, rows = _five_saved(tmp_path)
+    lists[rows["shared"]] = np.array(stored, dtype=np.int32)
+    _write(path, header, _store_lists(arrays, "content", lists))
+    with pytest.raises(ValueError, match=f"lex.bin: {message}"):
+        load_lex_index(path, PipelineConfig(), "")
+
+
+def test_a_term_posted_more_often_than_there_are_columns_is_rejected(tmp_path):
+    path, header, arrays, _, rows = _five_saved(tmp_path)
+    arrays["content.df"][rows["clause"]] += 1
+    arrays["content.tf"] = np.append(arrays["content.tf"], 1).astype(np.int32)
+    _write(path, header, arrays)
+    with pytest.raises(ValueError, match="lex.bin: content.df past 5 columns"):
         load_lex_index(path, PipelineConfig(), "")
 
 
@@ -408,8 +501,7 @@ def test_a_version_5_lex_file_says_to_rebuild_the_index(indexes, tmp_path):
     header, arrays = _read(path)
     terms = _decoded(path, header, arrays, "terms")
     _write(path, {**header, "version": 5, "terms": {"title": terms, "content": terms}}, arrays)
-    message = r"lex.bin: version mismatch \(index 5, expected 8\); rebuild it with `statuteqa index`"
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=_rebuild_lex(5)):
         load(path)
 
 
@@ -432,8 +524,7 @@ def test_a_version_6_lex_file_says_to_rebuild_the_index(indexes, tmp_path):
     keys = ("article_ids", "terms")
     plain = {key: _decoded(path, header, arrays, key) for key in keys}
     _write(path, {**header, "version": 6, **plain}, arrays)
-    message = r"lex.bin: version mismatch \(index 6, expected 8\); rebuild it with `statuteqa index`"
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=_rebuild_lex(6)):
         load(path)
 
 
@@ -454,8 +545,20 @@ def test_a_version_7_lex_file_says_to_rebuild_the_index(indexes, tmp_path):
         arrays[f"{field}.tf"] = matrix.tf
         arrays[f"{field}.lengths"] = matrix.lengths
     _write(path, {**header, "version": 7}, arrays)
-    message = r"lex.bin: version mismatch \(index 7, expected 8\); rebuild it with `statuteqa index`"
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=_rebuild_lex(7)):
+        load(path)
+
+
+def test_a_version_8_lex_file_says_to_rebuild_the_index(indexes, tmp_path):
+    """Version 8 stored every term's postings, however common the term."""
+    path, load = _saved(indexes, "lex", tmp_path)
+    header, arrays = _read(path)
+    for field in lexical.FIELDS:
+        matrix = getattr(indexes["lex"][0], field)
+        arrays[f"{field}.columns"] = indexfile.gap_encode(matrix.indptr, matrix.columns)
+    _write(path, {**header, "version": 8}, arrays)
+    assert LEX_INDEX_VERSION == 9
+    with pytest.raises(ValueError, match=_rebuild_lex(8)):
         load(path)
 
 
@@ -584,6 +687,74 @@ def test_saved_indexes_load_to_the_built_arrays_and_save_again_to_equal_bytes(
     save_dense_index(dense_loaded, paths[3])
     assert paths[0].read_bytes() == paths[2].read_bytes()
     assert paths[1].read_bytes() == paths[3].read_bytes()
+
+
+# how many of a field's columns a drawn term row posts in
+SHARES = ("all", "half", "over half", "none", "any")
+
+
+@st.composite
+def random_postings(draw):
+    """(columns, each field's posting lists per term): rows posted in every
+    column, in half (rounded down), in just over half, in none or in any
+    number of them. Every column has a content posting and every term a
+    posting, as build makes them; a column without a title posting is an
+    untitled article."""
+    n = draw(st.sampled_from([1, 2]) | st.integers(1, 9))
+    terms = draw(st.integers(1, 6))
+    sizes = {"all": n, "half": n // 2, "over half": n // 2 + 1, "none": 0}
+    fields = {}
+    for field in lexical.FIELDS:
+        rows = []
+        for _ in range(terms):
+            share = draw(st.sampled_from(SHARES))
+            size = sizes[share] if share in sizes else draw(st.integers(0, n))
+            rows.append(sorted(draw(st.permutations(range(n)))[:size]))
+        fields[field] = rows
+    for column in set(range(n)) - {c for row in fields["content"] for c in row}:
+        fields["content"][0] = sorted([*fields["content"][0], column])
+    for t in range(terms):
+        if not fields["title"][t] and not fields["content"][t]:
+            fields["content"][t] = [0]
+    return n, fields
+
+
+@settings(deadline=None)
+@given(drawn=random_postings(), seed=st.integers(0, 2**32 - 1))
+def test_random_postings_load_to_the_saved_arrays(drawn, seed, tmp_path_factory):
+    """Each row is stored as its postings or, posted in more than half the
+    columns, as the columns it lacks; either way it loads bit for bit."""
+    n, fields = drawn
+    cfg, rng = PipelineConfig(), np.random.default_rng(seed)
+    matrices = {}
+    for field, rows in fields.items():
+        columns = np.array([c for row in rows for c in row], dtype=np.int32)
+        tf = rng.integers(1, 4, size=len(columns)).astype(np.int32)
+        indptr = _ptr(list(map(len, rows)))
+        matrices[field] = lexical._field_matrix(indptr, columns, tf, n, cfg.k1, cfg.b)
+    index = lexical.LexIndex(
+        article_ids=tuple(f"a{c}" for c in range(n)),
+        terms={f"t{t}": t for t in range(len(fields["title"]))},
+        **matrices, k1=cfg.k1, b=cfg.b, tokenizer=cfg.tokenizer_config(), corpus_digest="",
+    )
+    directory = tmp_path_factory.getbasetemp()
+    paths = [directory / "lex.bin", directory / "lex2.bin"]
+    save_lex_index(index, paths[0])
+    header, arrays = _read(paths[0])
+    loaded = load_lex_index(paths[0], cfg, "")
+    for field, rows in fields.items():
+        stored = [
+            sorted(set(range(n)) - set(row)) if 2 * len(row) > n else row for row in rows
+        ]
+        assert [ids.tolist() for ids in _stored_lists(header, arrays, field)] == stored
+        got, built = getattr(loaded, field), getattr(index, field)
+        for name in ("indptr", "columns", "tf", "impact", "lengths", "distinct"):
+            _same_array(getattr(got, name), getattr(built, name))
+        assert got.dense.keys() == built.dense.keys()
+        for r, row in built.dense.items():
+            _same_array(got.dense[r], row)
+    save_lex_index(loaded, paths[1])
+    assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 def test_equal_indexes_compare_by_identity_without_raising(tiny_articles):
@@ -751,8 +922,8 @@ def _negative_first(a):
     return np.concatenate([[-1, a[1] + a[0] + 1], a[2:]])
 
 
-# Gap-coded arrays and the counts of their lists: a case edits each list's ids
-GAPPED = {"rows": "entry_counts", "title.columns": "title.df", "content.columns": "content.df"}
+# Gap-coded arrays: a case edits each list's ids
+GAPPED = ("rows", "title.columns", "content.columns")
 
 # case -> (index kind, array, edit, expected message); the tiny fixture's
 # dense index has 3 articles of 2, 2 and 1 sentences (5 vector rows) and 64
@@ -854,7 +1025,7 @@ def test_arrays_that_disagree_with_the_header_are_rejected(case, indexes, tmp_pa
     path, load = _saved(indexes, kind, tmp_path)
     header, arrays = _read(path)
     if name in GAPPED:
-        ptr = _ptr(arrays[GAPPED[name]])
+        ptr = _ptr(_list_counts(header, arrays, name))
         lists = _lists(ptr, arrays[name])
         ids = np.concatenate([edit(ids) if len(ids) else ids for ids in lists])
         arrays[name] = indexfile.gap_encode(ptr, ids.astype(np.int32))
@@ -871,15 +1042,11 @@ def test_an_article_column_with_no_content_posting_is_rejected(indexes, tmp_path
     have a posting elsewhere."""
     path, load = _saved(indexes, "lex", tmp_path)
     header, arrays = _read(path)
-    ptr = _ptr(arrays["content.df"])
-    lists = _lists(ptr, arrays["content.columns"])
-    last = max(ids.max() for ids in lists if len(ids))
-    kept = np.concatenate([ids != last for ids in lists])
-    lists = [ids[ids != last] for ids in lists]
-    df = np.array([len(ids) for ids in lists], dtype=np.int64)
-    arrays["content.df"] = df
-    arrays["content.columns"] = indexfile.gap_encode(_ptr(df), np.concatenate(lists).astype(np.int32))
+    postings = _postings(header, arrays, "content")
+    last = max(ids.max() for ids in postings if len(ids))
+    kept = np.concatenate([ids != last for ids in postings])
     arrays["content.tf"] = arrays["content.tf"][kept]
+    _store_postings(header, arrays, "content", [ids[ids != last] for ids in postings])
     _write(path, header, arrays)
     with pytest.raises(ValueError, match="lex.bin: every article column must have a content posting"):
         load(path)
@@ -1033,3 +1200,25 @@ def test_records_reader_names_the_file_and_line(tmp_path, line, message):
         indexfile.read_records(path, _positive)
     path.write_text('{"n": 1}\n\n{"n": 2}\n')
     assert indexfile.read_records(path, _positive) == [1, 2]
+
+
+# a bad third line, and how the records and the corpus readers name it
+BAD_THIRD_LINE = [
+    (b'{"n": "\xe9"}', "{}: line 3: not UTF-8", "{}: line 3: not UTF-8"),
+    (b'{"n": ', "{}:3: invalid JSON", "{}: line 3: invalid JSON"),
+]
+
+
+@pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+def test_every_reader_numbers_lines_by_one_rule(end, tmp_path):
+    """A byte that is not UTF-8 and a record that is not JSON, each on line
+    3, are named line 3 by the records and corpus readers alike. With
+    ``\\r`` line ends the byte was named line 1."""
+    path = tmp_path / "records.jsonl"
+    good = [b'{"doc_id": "d1", "articles": []}', b'{"doc_id": "d2", "articles": []}']
+    for bad, records_message, corpus_message in BAD_THIRD_LINE:
+        path.write_bytes(end.join([*good, bad, b""]))
+        with pytest.raises(ValueError, match=re.escape(records_message.format(path))):
+            indexfile.read_records(path, lambda record: record)
+        with pytest.raises(CorpusFormatError, match=re.escape(corpus_message.format(path))):
+            load_corpus_file(path)

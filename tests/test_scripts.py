@@ -12,6 +12,7 @@ import numpy as np
 from statuteqa.cli import main
 from statuteqa.corpus import write_corpus_file
 from statuteqa.evaluation import write_gold_file
+from statuteqa.lexical import FIELDS
 from statuteqa.pipeline import Pipeline, PipelineConfig, load_artifacts
 from statuteqa.reranker import save_model, zero_model
 from statuteqa.synth import synthetic_corpus, title_gold_queries
@@ -123,7 +124,7 @@ def test_index_sizes_names_every_part_of_each_index_file(scripts_dir, tmp_path, 
         lex_index_path=str(paths[0]),
         dense_index_path=str(paths[1]),
     )
-    _, dense = load_artifacts(cfg)
+    lex, dense = load_artifacts(cfg)
     said = f"{dense.offsets[-1]} sentences as {dense.vectors} distinct vectors"
     assert said in capsys.readouterr().out
     assert dense.vectors < dense.offsets[-1]  # the corpus repeats sentences
@@ -156,6 +157,17 @@ def test_index_sizes_names_every_part_of_each_index_file(scripts_dir, tmp_path, 
         for part, array in zip(parts[1 + len(keys) :], stored.values()):
             assert part[1:3] == [str(array.dtype), "x".join(map(str, array.shape))]
             assert 0 < int(part[4]) <= int(part[3])
+        # then, for a lexical file, each field's complement-coded term rows
+        said = lines[start + 1 + len(names) : start + 1 + len(names) + 2 * lexical]
+        n = len(lex.article_ids)
+        common = {field: (2 * np.diff(getattr(lex, field).indptr) > n).sum() for field in FIELDS}
+        assert said == [
+            f"  {field}: {common[field]} of {len(lex.terms)} term rows complement-coded "
+            f"(posted in more than half of {n} columns)"
+            for field in FIELDS
+            if lexical
+        ]
+        assert not lexical or common["content"] > 0  # every content has "of", "the", ...
 
 
 def test_src_delta_counts_lines_and_code_lines_per_file(scripts_dir, tmp_path):

@@ -297,6 +297,48 @@ def test_silent_client_frees_its_worker(service, monkeypatch):
             assert idle.recv(1) == b""  # dropped unanswered
 
 
+def _trickle(port, data, stop):
+    """Send ``data`` one byte per 0.3 s until it is sent, the server drops
+    the connection or ``stop`` is set."""
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        for i in range(len(data)):
+            try:
+                sock.sendall(data[i : i + 1])
+            except OSError:
+                return
+            if stop.wait(0.3):
+                return
+
+
+def test_clients_that_trickle_their_request_line_do_not_hold_the_workers(service, monkeypatch):
+    """The head's deadline is counted once: a client sending a byte every
+    0.3 s, well within each read's wait, is still dropped at 0.5 s."""
+    _, pipeline, _ = service
+    monkeypatch.setattr(server_mod._Handler, "timeout", 0.5)
+    taken = _count_taken(monkeypatch)
+    stop = threading.Event()
+    with _serving(pipeline) as port:
+        threads = [
+            threading.Thread(target=_trickle, args=(port, HEALTHZ + b"\r\n", stop))
+            for _ in range(server_mod.WORKERS)
+        ]
+        for thread in threads:
+            thread.start()
+        try:
+            for _ in threads:
+                assert taken.acquire(timeout=5)  # every worker holds a trickling client
+            start = time.monotonic()
+            with socket.create_connection(("127.0.0.1", port), timeout=2) as sock:
+                sock.sendall(HEALTHZ + b"\r\n")
+                assert _read_response(sock)[0] == "HTTP/1.0 200 OK"
+            assert time.monotonic() - start < 2
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=10)
+    assert not any(thread.is_alive() for thread in threads)
+
+
 def test_teardown_closes_queued_connections_and_stops_every_thread(service, monkeypatch):
     _, pipeline, _ = service
     monkeypatch.setattr(server_mod, "WORKERS", 1)
