@@ -14,7 +14,8 @@ deflated bytes. The string tables' prefixes are the arrays
 stored as counts (``title.df``, ``sentence_counts``, ...). For a lexical
 file of the current version it then prints, per field, how many term rows
 are complement-coded: posted in more than half the article columns, so
-stored as the columns they lack. A part's deflated
+stored as the columns they lack; these are also the rows the loaded index
+holds as dense rows. A part's deflated
 bytes are its bytes compressed alone at the files' level, so a size
 change can be traced to the entries and arrays that make it; they need
 not sum to the file's size, which is one deflate stream over all of
@@ -71,7 +72,8 @@ def report(path: str) -> list[str]:
             complemented, _ = stored_lists(df, columns)
             lines.append(
                 f"  {field}: {np.count_nonzero(complemented)} of {len(df)} term rows "
-                f"complement-coded (posted in more than half of {columns} columns)"
+                f"complement-coded (posted in more than half of {columns} columns), "
+                "the loaded index's dense rows"
             )
     return lines
 

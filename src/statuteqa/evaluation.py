@@ -10,7 +10,6 @@ Gold query file format: UTF-8 JSON lines
 
 from __future__ import annotations
 
-import json
 import random
 import time
 from dataclasses import asdict, dataclass, field
@@ -195,7 +194,5 @@ def write_gold_file(queries: Iterable[GoldQuery], path: str | Path) -> None:
 
 
 def save_report(report: EvalReport, path: str | Path) -> None:
-    """Write the report as indented JSON through ``indexfile.replacing``."""
-    with indexfile.replacing(path) as handle:
-        text = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
-        handle.write(text.encode("utf-8"))
+    """Write the report as indented JSON through ``indexfile.write_json``."""
+    indexfile.write_json(path, report.to_dict())

@@ -139,6 +139,14 @@ def read_json(path):
         raise ValueError(f"{path}: invalid JSON: {exc}") from exc
 
 
+def write_json(path, value) -> None:
+    """``value`` as one indented, sorted-keys JSON document ending in a
+    newline, written through ``replacing``."""
+    text = json.dumps(value, indent=2, sort_keys=True) + "\n"
+    with replacing(path) as handle:
+        handle.write(text.encode("utf-8"))
+
+
 def read_records(path, parse) -> list:
     """``parse(record)`` for each non-blank line of a JSON-lines file, in
     order. Raises ``ValueError`` naming ``path`` and the line, counted from

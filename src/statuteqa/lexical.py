@@ -22,21 +22,14 @@ article thus receives the same additions, in the same order, as a
 per-article loop over the query tokens, and each impact is computed with
 the same operations in the same order as the scalar formula (idf with
 ``math.log``), so the pass equals that loop bit for bit. A common term,
-posted in at least ``1/DENSE_ROW_SHARE`` of the columns, also has its
-impacts as one dense row over the columns, which the pass adds whole:
-the columns it does not post in receive +0.0, which changes no sum.
-The features' matched distinct query terms are counted by one rule: the
-rare terms' postings by one ``np.bincount``, the common terms' dense rows
-at the candidates' columns only.
+one posted in more than half of a field's columns (``stored_lists``),
+also has its impacts as one dense row over the columns, which the pass
+adds whole: the columns it does not post in receive +0.0, which changes
+no sum. The features' matched distinct query terms are counted by one
+rule: the rare terms' postings by one ``np.bincount``, the common terms'
+dense rows at the candidates' columns only.
 
-A file (version 9) stores a term row posted in more than half of a
-field's columns (``2·df > n``) as the ascending columns it lacks, gap-coded
-like the other rows' postings. Load tells those rows by ``df`` and ``n``
-alone and expands them straight into ``columns``, so every loaded array is
-the built one. Function words, such as the Vietnamese "của", "và" and
-"các", are in most articles: on the 10k synthetic bench corpus 2 title and
-19 content rows are stored this way and the file fell from 61,103 to
-47,454 bytes; on the family build (2 and 29 rows) from 6,621 to 6,201.
+``save_lex_index`` describes what a file stores.
 """
 
 from __future__ import annotations
@@ -72,16 +65,11 @@ __all__ = [
 
 FIELDS = ("title", "content")
 
-# A term posted in at least 1/DENSE_ROW_SHARE of a field's columns gets a
-# dense impact row (at 10k: 2 title and 19 content rows, 1.7 MB)
-DENSE_ROW_SHARE = 2
-
 LEX_INDEX_FORMAT = "statuteqa.lexindex"
 LEX_INDEX_VERSION = 9
 
-# The string tables' prefixes, then each field's postings: its indptr as
-# per-term posting counts (df), its columns gap-coded (a term posted in
-# more than half the columns as the columns it lacks), and its tf
+# The string tables' prefixes, then each field's stored postings (see
+# save_lex_index)
 _TABLES = ("article_ids", "terms")
 _SAVED = {"df": np.int64, "columns": np.int32, "tf": np.int32}
 _LAYOUT = {
@@ -95,14 +83,10 @@ class FieldMatrix:
     """One field's postings and per-column statistics over the index's
     terms and columns.
 
-    A file stores ``tf``, ``indptr`` as per-term posting counts, and
-    ``columns``, each row as its postings or, for a row posted in more
-    than half the columns, as the columns it lacks; load derives
-    ``indptr``, ``lengths`` (the per-column sum of ``tf``) and the rest as
-    build does. The field's document count and average length enter the
-    impacts only, so they are not kept.
-    ``dense`` maps each term row with ``DENSE_ROW_SHARE·df >= columns`` to
-    its impacts over every column, 0.0 where it has no posting; every
+    ``lengths`` is the per-column sum of ``tf``. The field's document
+    count and average length enter the impacts only, so they are not kept.
+    ``dense`` maps each common term's row (``stored_lists``) to its
+    impacts over every column, 0.0 where it has no posting; every
     posting's impact is positive, so a column has the term where its
     value is above 0.
     """
@@ -129,11 +113,9 @@ class LexIndex:
     order from 0.0 (see ``score_query``), equals the per-article BM25 loop
     bit for bit. ``k1`` and ``b`` are the BM25 settings the impacts were
     computed with; ``tokenizer`` cut the fields and cuts questions read
-    against the index. Build and load take all three from the config. A
-    file stores them for load to check, the article ids and terms front-coded,
-    and each field's counts, columns (or a common term's absences) and
-    ``tf`` (see ``FieldMatrix``); everything else is derived on load.
-    Immutable after build; safe for concurrent readers.
+    against the index. Build and load take all three from the config; see
+    ``save_lex_index`` for what a file stores. Immutable after build; safe
+    for concurrent readers.
     """
 
     article_ids: tuple[str, ...]  # sorted; position = matrix column
@@ -166,14 +148,13 @@ def _field_matrix(
     """Impacts, common terms' dense rows and per-column statistics of one
     field's CSR postings over ``n_columns`` article columns.
 
-    Build and load both come through here, so they produce the same arrays.
     A column's length is the sum of its ``tf``, summed in float64, which is
     exact below 2**53.
     """
     df = np.diff(indptr)
     lengths = np.bincount(columns, weights=tf, minlength=n_columns).astype(np.int64)
     impact = _impacts(df, columns, tf, lengths, k1, b)
-    common = np.flatnonzero(DENSE_ROW_SHARE * df >= n_columns).tolist()
+    common = np.flatnonzero(stored_lists(df, n_columns)[0]).tolist()
     dense = np.zeros((len(common), n_columns))
     for row, r in zip(dense, common):
         span = slice(indptr[r], indptr[r + 1])
@@ -207,9 +188,12 @@ def _impacts(
 
 
 def stored_lists(df: np.ndarray, n_columns: int) -> tuple[np.ndarray, np.ndarray]:
-    """(complemented, counts): which term rows a file stores as the columns
-    they lack, those posted in more than half the columns, and the length
-    of each row's stored list. A fixed rule of the file's version."""
+    """(complemented, counts): the common term rows, those posted in more
+    than half the columns, and the length of each row's stored list.
+
+    This is the one rule for a common term: a file stores its row as the
+    columns it lacks, and the index holds its impacts as a dense row. It
+    is a fixed rule of the file's version."""
     complemented = 2 * df > n_columns
     return complemented, np.where(complemented, n_columns - df, df)
 
@@ -238,6 +222,22 @@ def _swap_lists(
     return out
 
 
+def _lex_index(ids, terms, postings, cfg: PipelineConfig, corpus_digest: str) -> LexIndex:
+    """The index of ``postings``, each field's CSR ``(indptr, columns, tf)``
+    over the sorted ``terms`` and the article columns ``ids``, with
+    ``cfg``'s tokenizer and BM25 ``k1`` and ``b``. Build and load both come
+    through here, so they produce the same arrays."""
+    return LexIndex(
+        article_ids=tuple(ids),
+        terms=dict(zip(terms, range(len(terms)))),
+        **{f: _field_matrix(*postings[f], len(ids), cfg.k1, cfg.b) for f in FIELDS},
+        k1=cfg.k1,
+        b=cfg.b,
+        tokenizer=cfg.tokenizer_config(),
+        corpus_digest=corpus_digest,
+    )
+
+
 def _field_tokens(article: Article, field: str, tok: TokenizerConfig) -> list[str]:
     if field == "title":
         return tokenize(clean_text(article.title), tok) if article.title else []
@@ -259,30 +259,21 @@ def build_lex_index(
     tok = cfg.tokenizer_config()
     tokens = {f: [_field_tokens(a, f, tok) for a in ordered] for f in FIELDS}
     kept = [i for i, content in enumerate(tokens["content"]) if content]
-    postings: dict[str, dict[str, list[tuple[int, int]]]] = {field: {} for field in FIELDS}
+    posted: dict[str, dict[str, list[tuple[int, int]]]] = {field: {} for field in FIELDS}
     for field in FIELDS:
         for column, i in enumerate(kept):
             for token, count in Counter(tokens[field][i]).items():
-                postings[field].setdefault(token, []).append((column, count))
-    terms = sorted(postings["title"].keys() | postings["content"].keys())
-    matrices = {}
+                posted[field].setdefault(token, []).append((column, count))
+    terms = sorted(posted["title"].keys() | posted["content"].keys())
+    postings = {}
     for field in FIELDS:
-        lists = [postings[field].get(term, ()) for term in terms]
+        lists = [posted[field].get(term, ()) for term in terms]
         indptr = np.cumsum([0, *map(len, lists)], dtype=np.int64)
         entries = chain.from_iterable(chain.from_iterable(lists))
         flat = np.fromiter(entries, np.int32, 2 * int(indptr[-1]))
         columns, tf = flat.reshape(-1, 2).T.copy()  # two contiguous rows
-        matrices[field] = _field_matrix(indptr, columns, tf, len(kept), cfg.k1, cfg.b)
-    return LexIndex(
-        article_ids=tuple(ordered[i].article_id for i in kept),
-        terms=dict(zip(terms, range(len(terms)))),
-        title=matrices["title"],
-        content=matrices["content"],
-        k1=cfg.k1,
-        b=cfg.b,
-        tokenizer=tok,
-        corpus_digest=corpus_digest,
-    )
+        postings[field] = indptr, columns, tf
+    return _lex_index([ordered[i].article_id for i in kept], terms, postings, cfg, corpus_digest)
 
 
 @dataclass(frozen=True, eq=False)
@@ -380,17 +371,26 @@ def retrieve_topk(
 
 
 def save_lex_index(index: LexIndex, path: str | Path) -> None:
-    """Persist what load cannot derive (see ``indexfile``): the article ids
-    and terms front-coded, their suffixes in the header and their prefixes
-    as arrays, and each field's per-term posting counts, columns (gap-coded)
-    and ``tf``. A term posted in more than half the columns (``2·df > n``)
-    has its columns stored as the ascending columns it lacks, gap-coded
-    like any list: a fixed rule of version 9, which load reads back from
-    ``df`` and the column count, so no array records it.
+    """Persist what load cannot derive, as file version 9 (see
+    ``indexfile``).
+
+    The header records the tokenizer's fingerprint, ``k1``, ``b`` and the
+    corpus digest for load to check. The article ids and terms are
+    front-coded: their suffixes are in the header and their prefixes are
+    arrays. Each field stores its per-term posting counts (``df``), its
+    column lists gap-coded, and ``tf``. A common term's list
+    (``stored_lists``: posted in more than half of the ``n`` columns, so
+    ``2·df > n``) is the ascending columns it lacks, gap-coded like any
+    list. Load tells those rows by ``df`` and ``n`` alone, so no array
+    records them, and expands each straight into ``columns``. Function
+    words, such as the Vietnamese "của", "và" and "các", are in most
+    articles: on the 10k synthetic bench corpus 2 title and 19 content
+    rows are stored this way and the file fell from 61,103 to 47,454
+    bytes; on the family build (2 and 29 rows) from 6,621 to 6,201.
 
     Deterministic. Load rebuilds ``indptr`` from the counts, and the
-    impacts and per-column statistics with the function build uses, so
-    they are equal bit for bit.
+    impacts and per-column statistics through the constructor build uses,
+    so every loaded array is the built one, bit for bit.
     """
     header = {
         "tokenizer_fingerprint": index.tokenizer.fingerprint(),
@@ -454,7 +454,7 @@ def load_lex_index(path: str | Path, cfg: PipelineConfig, corpus_digest: str) ->
     )
     indexfile.require_ascending(path, "article ids", ids)
     indexfile.require_ascending(path, "terms", terms)
-    matrices = {}
+    postings = {}
     for field in FIELDS:
         df, tf = arrays[f"{field}.df"], arrays[f"{field}.tf"]
         indptr = indexfile.pointers(path, f"{field}.df", df, len(terms), len(tf))
@@ -462,18 +462,10 @@ def load_lex_index(path: str | Path, cfg: PipelineConfig, corpus_digest: str) ->
         columns = _load_columns(path, field, df, indptr, arrays.pop(f"{field}.columns"), len(ids))
         # lengths are tf sums: a tf below 1 would shorten its article
         indexfile.require(tf.min(initial=1) >= 1, path, f"{field}.tf must be at least 1")
-        matrices[field] = _field_matrix(indptr, columns, tf, len(ids), cfg.k1, cfg.b)
-    posted = matrices["content"].distinct.all()
+        postings[field] = indptr, columns, tf
+    index = _lex_index(ids, terms, postings, cfg, corpus_digest)
+    posted = index.content.distinct.all()
     indexfile.require(posted, path, "every article column must have a content posting")
-    used = np.diff(matrices["title"].indptr) + np.diff(matrices["content"].indptr)
+    used = np.diff(index.title.indptr) + np.diff(index.content.indptr)
     indexfile.require(used.all(), path, "every term must have a posting in a field")
-    return LexIndex(
-        article_ids=tuple(ids),
-        terms=dict(zip(terms, range(len(terms)))),
-        title=matrices["title"],
-        content=matrices["content"],
-        k1=cfg.k1,
-        b=cfg.b,
-        tokenizer=tok,
-        corpus_digest=corpus_digest,
-    )
+    return index

@@ -16,7 +16,6 @@ responses ``{"score": float in [0, 1]}`` in order.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import dataclass, field
 from itertools import groupby, repeat
@@ -423,9 +422,7 @@ def save_model(model: LinearModel, path: str | Path) -> None:
         "feature_names": list(FEATURE_NAMES),
         "metadata": model.metadata,
     }
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    with indexfile.replacing(path) as handle:
-        handle.write(text.encode("utf-8"))
+    indexfile.write_json(path, payload)
 
 
 def load_model(path: str | Path) -> LinearModel:

@@ -105,10 +105,7 @@ def generate_gold_examples(
             raise ValueError(f"question {question!r} has an empty gold set")
         for article_id in gold:
             examples.append(TrainingExample(question, article_id, 1))
-        if len(gold) == 1:  # every title question; its positions ascend already
-            excluded = where.get(gold[0], ())
-        else:
-            excluded = sorted(i for a in set(gold) for i in where.get(a, ()))
+        excluded = sorted({i for a in gold for i in where.get(a, ())})
         count = ratio * len(gold)
         available = len(pool) - len(excluded)
         if available < count:

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import kernel_oracle
 from statuteqa import dense, indexfile, lexical
 from statuteqa.corpus import Article, CorpusFormatError, TokenizerConfig, load_corpus_file
 from statuteqa.dense import (
@@ -726,17 +727,13 @@ def test_random_postings_load_to_the_saved_arrays(drawn, seed, tmp_path_factory)
     columns, as the columns it lacks; either way it loads bit for bit."""
     n, fields = drawn
     cfg, rng = PipelineConfig(), np.random.default_rng(seed)
-    matrices = {}
+    postings = {}
     for field, rows in fields.items():
         columns = np.array([c for row in rows for c in row], dtype=np.int32)
         tf = rng.integers(1, 4, size=len(columns)).astype(np.int32)
-        indptr = _ptr(list(map(len, rows)))
-        matrices[field] = lexical._field_matrix(indptr, columns, tf, n, cfg.k1, cfg.b)
-    index = lexical.LexIndex(
-        article_ids=tuple(f"a{c}" for c in range(n)),
-        terms={f"t{t}": t for t in range(len(fields["title"]))},
-        **matrices, k1=cfg.k1, b=cfg.b, tokenizer=cfg.tokenizer_config(), corpus_digest="",
-    )
+        postings[field] = _ptr(list(map(len, rows))), columns, tf
+    ids, terms = [f"a{c}" for c in range(n)], [f"t{t}" for t in range(len(fields["title"]))]
+    index = lexical._lex_index(ids, terms, postings, cfg, "")
     directory = tmp_path_factory.getbasetemp()
     paths = [directory / "lex.bin", directory / "lex2.bin"]
     save_lex_index(index, paths[0])
@@ -750,11 +747,41 @@ def test_random_postings_load_to_the_saved_arrays(drawn, seed, tmp_path_factory)
         got, built = getattr(loaded, field), getattr(index, field)
         for name in ("indptr", "columns", "tf", "impact", "lengths", "distinct"):
             _same_array(getattr(got, name), getattr(built, name))
+        # the loaded dense rows are the rows the file stores by their absences
+        complemented, _ = lexical.stored_lists(arrays[f"{field}.df"], n)
+        assert sorted(got.dense) == np.flatnonzero(complemented).tolist()
         assert got.dense.keys() == built.dense.keys()
         for r, row in built.dense.items():
             _same_array(got.dense[r], row)
     save_lex_index(loaded, paths[1])
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_a_term_in_exactly_half_the_columns_is_not_a_common_term(tmp_path):
+    """``2·df = n`` is not common: the row is neither a dense row nor stored
+    by its absences, and BM25 and matched counts read its postings alike."""
+    articles = [
+        Article(f"a{i:02d}", "d", "h t" if i % 2 else "t", "c0 h" if i < 6 else "c0 r")
+        for i in range(12)
+    ]
+    index = build_lex_index(articles, PipelineConfig())
+    h, n = index.terms["h"], len(index.article_ids)
+    path = tmp_path / "lex.bin"
+    save_lex_index(index, path)
+    header, arrays = _read(path)
+    for field in lexical.FIELDS:
+        matrix = getattr(index, field)
+        postings = matrix.columns[matrix.indptr[h] : matrix.indptr[h + 1]]
+        assert 2 * len(postings) == n
+        assert h not in matrix.dense
+        assert _stored_lists(header, arrays, field)[h].tolist() == postings.tolist()
+    query = ["h", "c0", "h", "t", "oov"]
+    got, want = lexical.score_query(index, query), kernel_oracle.bincount_pass(index, query)
+    columns = np.arange(n)[::-1]
+    for field in lexical.FIELDS:
+        bm25, matched = want[field]
+        assert got.bm25[field].tobytes() == bm25.tobytes()
+        assert got.matched(field, columns).tobytes() == matched[columns].tobytes()
 
 
 def test_equal_indexes_compare_by_identity_without_raising(tiny_articles):

@@ -14,7 +14,7 @@ import kernel_oracle
 from statuteqa import dense
 from statuteqa.corpus import Article
 from statuteqa.dense import HashedProjectionEmbedder
-from statuteqa.lexical import DENSE_ROW_SHARE, FIELDS, build_lex_index, score_query
+from statuteqa.lexical import FIELDS, build_lex_index, score_query, stored_lists
 from statuteqa.pipeline import PipelineConfig
 
 # three words most articles have, so most of their rows are dense, and
@@ -80,7 +80,7 @@ def test_a_corpus_of_common_terms_has_only_dense_rows():
 
 def test_dense_rows_are_the_common_terms_impacts():
     articles = [
-        Article(f"a{i}", "d", "c0 r1" if i < 6 else None, " ".join(["c0", f"r{i % 6}"] * (i + 1)))
+        Article(f"a{i}", "d", "c0 r1" if i < 7 else None, " ".join(["c0", f"r{i % 6}"] * (i + 1)))
         for i in range(12)
     ]
     index = build_lex_index(articles, PipelineConfig())
@@ -88,14 +88,15 @@ def test_dense_rows_are_the_common_terms_impacts():
     for field in FIELDS:
         matrix = getattr(index, field)
         df = np.diff(matrix.indptr)
-        assert sorted(matrix.dense) == np.flatnonzero(DENSE_ROW_SHARE * df >= n).tolist()
+        # the one rule for a common term: the rows a file stores by their absences
+        assert sorted(matrix.dense) == np.flatnonzero(stored_lists(df, n)[0]).tolist()
         for r, row in matrix.dense.items():
             want = np.zeros(n)
             span = slice(matrix.indptr[r], matrix.indptr[r + 1])
             want[matrix.columns[span]] = matrix.impact[span]
             assert row.tobytes() == want.tobytes()
             assert (row > 0.0).sum() == df[r]
-    # c0 is in every content and half of the titles; r1 is in 2 of 12 contents
+    # c0 is in every content and 7 of the 12 titles; r1 is in 2 of 12 contents
     assert index.terms["c0"] in index.content.dense and index.terms["c0"] in index.title.dense
     assert index.terms["r1"] not in index.content.dense
 

@@ -161,9 +161,10 @@ def test_index_sizes_names_every_part_of_each_index_file(scripts_dir, tmp_path, 
         said = lines[start + 1 + len(names) : start + 1 + len(names) + 2 * lexical]
         n = len(lex.article_ids)
         common = {field: (2 * np.diff(getattr(lex, field).indptr) > n).sum() for field in FIELDS}
+        assert all(common[field] == len(getattr(lex, field).dense) for field in FIELDS)
         assert said == [
             f"  {field}: {common[field]} of {len(lex.terms)} term rows complement-coded "
-            f"(posted in more than half of {n} columns)"
+            f"(posted in more than half of {n} columns), the loaded index's dense rows"
             for field in FIELDS
             if lexical
         ]

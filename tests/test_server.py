@@ -6,12 +6,15 @@ import time
 import urllib.error
 import urllib.parse
 import urllib.request
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from statuteqa import server as server_mod
 from statuteqa.corpus import file_digest, write_corpus_file
 from statuteqa.dense import HashedProjectionEmbedder, build_dense_index, save_dense_index
+from statuteqa.ensemble import AnswerSet
 from statuteqa.evaluation import write_gold_file
 from statuteqa.lexical import build_lex_index, save_lex_index
 from statuteqa.pipeline import Pipeline, PipelineConfig, question_id_for
@@ -357,3 +360,81 @@ def test_teardown_closes_queued_connections_and_stops_every_thread(service, monk
             assert "503" in _raw(port, HEALTHZ + b"\r\n")[0]  # so ``queued`` is queued
         assert threading.active_count() == before
         assert _read_response(queued) == ("", {}, b"")  # closed unanswered
+
+
+class _StubPipeline:
+    """What ``_route`` reads of a pipeline; a question with "boom" in it fails."""
+
+    cfg = PipelineConfig(max_question_chars=12)
+
+    def fingerprints(self):
+        return {"tokenizer": "t", "embedder": "e", "corpus": "c"}
+
+    def answer(self, question_id, question, top_k=None):
+        if "boom" in question:
+            raise RuntimeError("stub failure")
+        return AnswerSet(question_id, ())
+
+
+_TARGETS = st.sampled_from([
+    "/healthz", "//healthz", "/answer?q=law", "/answer?q=boom", "/answer?q=law&k=0",
+    "/answer?q=law&k=x", "/answer?q=%20", "/answer?q=" + "a" * 13, "/answer", "/nope",
+    "http://[::1/", "*",
+])
+_GET = st.builds(
+    lambda target, minor: f"GET {target} HTTP/1.{minor}".encode("latin-1"),
+    _TARGETS, st.sampled_from("01"),
+)
+_REQUEST_LINE = st.builds(
+    lambda method, target, version: f"{method} {target} {version}".encode("latin-1"),
+    st.sampled_from(["GET", "POST", "get", ""]),
+    _TARGETS | st.text(st.characters(max_codepoint=255), max_size=20),
+    st.sampled_from(["HTTP/1.0", "HTTP/2", "HTTP/1.x", ""]),
+)
+_HEADER = st.sampled_from([b"Host: x", b"X-Long: " + b"a" * 60, b"", b" "]) | st.binary(max_size=40)
+_END = st.sampled_from([b"\r\n", b"\n", b"\r", b""])
+_REQUEST = st.one_of(
+    st.binary(max_size=300),
+    st.builds(
+        lambda first, rest: b"".join(line + end for line, end in [first, *rest]),
+        st.tuples(_GET | _REQUEST_LINE | st.binary(max_size=40), _END),
+        st.lists(st.tuples(_HEADER, _END), max_size=6),
+    ),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_REQUEST)
+def test_any_request_bytes_get_nothing_or_one_well_formed_response(request_bytes):
+    """``_Handler`` over one socketpair connection, its client's write side
+    shut after the request, with lines and head bounds small enough for
+    drawn requests to reach every reply."""
+    with contextlib.ExitStack() as stack:
+        patch = stack.enter_context(pytest.MonkeyPatch.context())
+        patch.setattr(server_mod, "MAX_LINE", 48)
+        patch.setattr(server_mod, "MAX_HEADERS", 4)
+        patch.setattr(server_mod._Handler, "timeout", 0.2)
+        ours, theirs = (stack.enter_context(s) for s in socket.socketpair())
+        theirs.sendall(request_bytes)
+        theirs.shutdown(socket.SHUT_WR)
+        server_mod._Handler(ours, ("stub", 0), SimpleNamespace(pipeline=_StubPipeline()))
+        ours.close()
+        theirs.settimeout(5)
+        chunks = []
+        try:
+            while chunk := theirs.recv(65536):
+                chunks.append(chunk)
+        except ConnectionResetError:  # closed with request bytes left unread
+            pass
+    reply = b"".join(chunks)
+    if not reply:
+        return
+    head, _, body = reply.partition(b"\r\n\r\n")
+    status_line, *lines = head.decode("ascii").split("\r\n")
+    version, status, reason = status_line.split(" ", 2)
+    assert version == "HTTP/1.0" and int(status) in server_mod._REASONS
+    assert reason == server_mod._REASONS[int(status)]
+    headers = dict(line.split(": ", 1) for line in lines)
+    assert len(headers) == len(lines)
+    assert int(headers["Content-Length"]) == len(body)  # nothing after the one body
+    json.loads(body.decode("utf-8"))
