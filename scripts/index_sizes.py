@@ -9,49 +9,52 @@ them the suffix lists of a lexical file's front-coded string tables,
 ``header.article_ids`` and ``header.terms``, and a dense file's
 ``header.article_ids_sha256``); and each array as stored (integer arrays
 as byte planes), in file order, with its dtype, shape, raw bytes and
-deflated bytes. The string tables' prefixes are the arrays
+xz bytes. The string tables' prefixes are the arrays
 ``article_ids.prefix`` and ``terms.prefix``; the lists' pointers are
 stored as counts (``title.df``, ``sentence_counts``, ...). For a lexical
 file of the current version it then prints, per field, how many term rows
 are complement-coded: posted in more than half the article columns, so
 stored as the columns they lack; these are also the rows the loaded index
-holds as dense rows. A part's deflated
-bytes are its bytes compressed alone at the files' level, so a size
-change can be traced to the entries and arrays that make it; they need
-not sum to the file's size, which is one deflate stream over all of
-them.
+holds as dense rows. A part's xz bytes are its bytes compressed alone as
+a raw LZMA2 stream with the files' default preset, without the xz
+container's header, index and check, which would swamp a small part; so
+a size change can be traced to the entries and arrays that make it. They
+need not sum to the file's size, which is one xz stream over all of them.
 """
 
 import argparse
-import gzip
 import io
 import json
+import lzma
 import os
 import sys
-import zlib
 
 import numpy as np
 
-from statuteqa.indexfile import COMPRESS_LEVEL, from_planes
+from statuteqa.indexfile import from_planes
 from statuteqa.lexical import FIELDS, LEX_INDEX_FORMAT, LEX_INDEX_VERSION, stored_lists
 
 
-def deflated(raw: bytes) -> int:
-    return len(zlib.compress(raw, COMPRESS_LEVEL))
+LZMA2 = [{"id": lzma.FILTER_LZMA2, "preset": lzma.PRESET_DEFAULT}]
+
+
+def xz(raw: bytes) -> int:
+    return len(lzma.compress(raw, format=lzma.FORMAT_RAW, filters=LZMA2))
 
 
 def row(name: str, raw: bytes, dtype: str = "", shape: str = "") -> str:
-    return f"  {name:<28} {dtype:<7} {shape:<16} {len(raw):>10} {deflated(raw):>10}"
+    return f"  {name:<28} {dtype:<7} {shape:<16} {len(raw):>10} {xz(raw):>10}"
 
 
 def report(path: str) -> list[str]:
-    with gzip.open(path, "rb") as stream:
-        line = stream.readline()
-        header = json.loads(line)
-        arrays = {
-            name: np.lib.format.read_array(stream, allow_pickle=False)
-            for name in header["arrays"]
-        }
+    with open(path, "rb") as raw:
+        stream = io.BytesIO(lzma.decompress(raw.read(), format=lzma.FORMAT_XZ))
+    line = stream.readline()
+    header = json.loads(line)
+    arrays = {
+        name: np.lib.format.read_array(stream, allow_pickle=False)
+        for name in header["arrays"]
+    }
     lines = [
         f"{path}: {os.path.getsize(path)} bytes "
         f"({header['format']}, version {header['version']})",
@@ -82,7 +85,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description="bytes per header and array of index files")
     parser.add_argument("files", nargs="+", help="lexical or dense index files")
     args = parser.parse_args()
-    print(f"  {'part':<28} {'dtype':<7} {'shape':<16} {'bytes':>10} {'deflated':>10}")
+    print(f"  {'part':<28} {'dtype':<7} {'shape':<16} {'bytes':>10} {'xz':>10}")
     for path in args.files:
         print("\n".join(report(path)))
     return 0

@@ -49,7 +49,7 @@ __all__ = [
 ]
 
 DENSE_INDEX_FORMAT = "statuteqa.denseindex"
-DENSE_INDEX_VERSION = 10
+DENSE_INDEX_VERSION = 11
 _LAYOUT = {
     "sentence_counts": (np.int64, 1),  # offsets, as each article's sentence count
     "sentence_vector": (np.intp, 1),  # first-use coded in the file

@@ -1,22 +1,31 @@
 """The on-disk format of the lexical and dense indexes.
 
-An index file is one gzip stream, written with ``mtime=0`` and no file
-name so that equal indexes save to equal bytes. It holds a sorted-keys
-JSON header line (``format``, ``version``, the index's metadata, and
-``arrays``, the names of the arrays that follow), then each array in
-``.npy`` format. Arrays are never pickled. Posting lists of ids are
-stored gap-coded (``gap_encode``) and checked as they are decoded
-(``gap_decode``); a lexical term posted in more than half the columns is
-stored as the columns it lacks, a list decoded and checked the same way
-(see ``lexical``). A map onto rows numbered in first-use order is stored in
-first-use code (``first_use_encode``, ``first_use_decode``): the dense
-sentence map onto vector rows, and the dense ``data`` as codes into a
-table of its distinct values, which few values fill. A sorted
-string list (article ids, terms) is stored front-coded (``front_encode``,
-``front_decode``): each string as the number of leading characters it
-shares with the string before it, then the rest (Witten, Moffat & Bell,
-*Managing Gigabytes*, 1999, section 4.1); the rests are a list in the
-header and the prefixes an array named ``<list>.prefix``.
+An index file is one xz stream (LZMA2, with a CRC64 of its payload;
+https://tukaani.org/xz/xz-file-format.txt) that Python's standard
+``lzma`` module writes with its default preset, so statuteqa needs a
+Python built with ``lzma``, and equal indexes save to equal bytes under
+one liblzma. The payload is a sorted-keys JSON header line (``format``,
+``version``, the index's metadata, and ``arrays``, the names of the arrays
+that follow), then each array in ``.npy`` format. Arrays are never
+pickled. ``load`` reads the file in one piece and decodes it in memory.
+It refuses, naming the path, a file that is not exactly one whole xz
+stream or that fails the stream's CRCs, sizes or check, which catches any
+one changed byte. A gzip file, as every index before lexical version 10
+and dense version 11 was, is told to be rebuilt.
+
+Posting lists of ids are stored gap-coded (``gap_encode``) and checked as
+they are decoded (``gap_decode``); a lexical term posted in more than half
+the columns is stored as the columns it lacks, a list decoded and checked
+the same way (see ``lexical``). A map onto rows numbered in first-use
+order is stored in first-use code (``first_use_encode``,
+``first_use_decode``): the dense sentence map onto vector rows, and the
+dense ``data`` as codes into a table of its distinct values, which few
+values fill. A sorted string list (article ids, terms) is stored
+front-coded (``front_encode``, ``front_decode``): each string as the
+number of leading characters it shares with the string before it, then
+the rest (Witten, Moffat & Bell, *Managing Gigabytes*, 1999, section
+4.1); the rests are a list in the header and the prefixes an array named
+``<list>.prefix``.
 
 A file stores nothing that load can derive. List pointers (a lexical
 field's ``indptr``, the dense ``offsets`` and ``colptr``) are stored as
@@ -32,7 +41,7 @@ value's little-endian bits. ``width`` is the fewest of 1, 2, 4 or 8 bytes
 that holds the largest value read as unsigned, so an array with a
 negative value keeps its full width. Gaps, counts and prefixes mostly fit
 in one or two bytes; their zero high bytes vanish, and each plane puts
-like bytes together, which deflate packs far better than interleaved
+like bytes together, which LZMA2 packs far better than interleaved
 values (the byte-shuffle filter of HDF5 and Blosc). Float arrays are
 stored as they are. ``load`` rebuilds each integer array in its layout
 dtype (``from_planes``, a shift and an or per plane) before it checks
@@ -59,19 +68,18 @@ file a command reads is decoded by ``utf8_text``, which names the path.
 from __future__ import annotations
 
 import contextlib
-import gzip
 import hashlib
 import io
 import json
+import lzma
 import operator
 import os
 import secrets
-import zlib
 from pathlib import Path
 
 import numpy as np
 
-COMPRESS_LEVEL = 6
+GZIP_MAGIC = b"\x1f\x8b"  # how every index file before xz began
 WIDTHS = (1, 2, 4, 8)  # bytes per value an integer array may be stored in
 FRONT_CHARS = 32  # leading characters front_encode compares in bulk
 # the command that writes an artifact of each kind anew, and what a
@@ -172,17 +180,17 @@ def read_records(path, parse) -> list:
 
 
 def save(path, fmt: str, version: int, header: dict, arrays: dict) -> None:
-    """Write ``header`` and then ``arrays``, in their order, to ``path``;
-    integer arrays as their byte planes."""
+    """Write ``header`` and then ``arrays``, in their order, to ``path`` as
+    one xz stream; integer arrays as their byte planes."""
     head = {**header, "format": fmt, "version": version, "arrays": list(arrays)}
     line = json.dumps(head, sort_keys=True, ensure_ascii=False) + "\n"
-    with replacing(path) as raw, gzip.GzipFile(
-        filename="", mode="wb", compresslevel=COMPRESS_LEVEL, fileobj=raw, mtime=0
-    ) as out:
-        out.write(line.encode("utf-8"))
-        for array in arrays.values():
-            stored = to_planes(array) if array.dtype.kind in "iu" else array
-            np.lib.format.write_array(out, stored, allow_pickle=False)
+    payload = io.BytesIO()
+    payload.write(line.encode("utf-8"))
+    for array in arrays.values():
+        stored = to_planes(array) if array.dtype.kind in "iu" else array
+        np.lib.format.write_array(payload, stored, allow_pickle=False)
+    with replacing(path) as out:
+        out.write(lzma.compress(payload.getbuffer(), check=lzma.CHECK_CRC64))
 
 
 def load(path, fmt: str, version: int, layout: dict, expected: dict):
@@ -190,22 +198,22 @@ def load(path, fmt: str, version: int, layout: dict, expected: dict):
 
     The header must hold ``fmt``, ``version``, ``layout``'s array names and
     each of ``expected``'s values, checked by ``check_header`` before any
-    array is read. Raises ``ValueError`` naming ``path`` for a file that is
-    not gzip or is truncated, a header that fails that check, or arrays
-    that are malformed.
+    array is read. Raises ``ValueError`` naming ``path`` for a gzip file
+    (of an earlier version), a file that is not one whole xz stream, a
+    header that fails that check, or arrays that are malformed.
     """
     wanted = {"format": fmt, "version": version, "arrays": list(layout), **expected}
-    with gzip.open(path, "rb") as stream:
-        with _naming(path):
-            header = json.loads(stream.readline())
-            if not isinstance(header, dict):
-                raise ValueError("no header line")
-        check_header(path, "index", header, wanted)
-        with _naming(path):
-            read = np.lib.format.read_array
-            arrays = {name: read(stream, allow_pickle=False) for name in layout}
-            if stream.read(1):
-                raise ValueError("data after the last array")
+    stream = io.BytesIO(_payload(path))
+    with _naming(path):
+        header = json.loads(stream.readline())
+        if not isinstance(header, dict):
+            raise ValueError("no header line")
+    check_header(path, "index", header, wanted)
+    with _naming(path):
+        read = np.lib.format.read_array
+        arrays = {name: read(stream, allow_pickle=False) for name in layout}
+        if stream.read(1):
+            raise ValueError("data after the last array")
     for name, (dtype, ndim) in layout.items():
         if np.dtype(dtype).kind in "iu":
             arrays[name] = from_planes(path, name, arrays[name], dtype)
@@ -214,12 +222,26 @@ def load(path, fmt: str, version: int, layout: dict, expected: dict):
     return header, arrays
 
 
+def _payload(path) -> bytes:
+    """The payload of the one xz stream that is the file ``path``; the
+    decoder and its dictionary are freed before any array is read."""
+    data = Path(path).read_bytes()
+    hint = HINTS["version"].format(REBUILD["index"])
+    require(not data.startswith(GZIP_MAGIC), path, f"a gzip file of an earlier version; {hint}")
+    with _naming(path):
+        decoder = lzma.LZMADecompressor(lzma.FORMAT_XZ)
+        payload = decoder.decompress(data)
+        if not decoder.eof or decoder.unused_data:
+            raise ValueError("not one whole xz stream")
+    return payload
+
+
 @contextlib.contextmanager
 def _naming(path):
     """A read or decode error of the block, raised as ``ValueError`` naming ``path``."""
     try:
         yield
-    except (ValueError, EOFError, zlib.error, gzip.BadGzipFile) as exc:
+    except (ValueError, lzma.LZMAError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
 
@@ -279,8 +301,12 @@ def front_decode(path, name: str, prefix, suffix) -> list[str]:
     of strings with one prefix each, the first prefix is 0, and no prefix
     is negative or longer than the string before it.
     """
-    ok = isinstance(suffix, list) and set(map(type, suffix)) <= {str}
-    require(ok, path, f"{name} must be a list of strings, stored as str suffixes")
+    shape = f"{name} must be a list of strings, stored as str suffixes"
+    require(isinstance(suffix, list), path, shape)
+    try:
+        rests = len("".join(suffix))
+    except TypeError:  # a suffix that is not a string
+        raise ValueError(f"{path}: {shape}") from None
     count = len(suffix)
     message = f"{name}.prefix must hold one prefix per suffix ({count})"
     require(len(prefix) == count, path, message)
@@ -289,7 +315,7 @@ def front_decode(path, name: str, prefix, suffix) -> list[str]:
     # with no prefix negative, each string is as long as its prefix and
     # suffix together exactly when the prefix does not pass the string
     # before, which for the first string is "": its prefix must be 0
-    fits = len("".join(strings)) == sum(shared) + len("".join(suffix))
+    fits = len("".join(strings)) == sum(shared) + rests
     ok = prefix.min(initial=0) >= 0 and fits
     require(ok, path, f"{name} prefixes must start at 0 and not pass the string before")
     return strings

@@ -34,7 +34,7 @@ dense rows at the candidates' columns only.
 
 from __future__ import annotations
 
-import dataclasses
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -66,7 +66,7 @@ __all__ = [
 FIELDS = ("title", "content")
 
 LEX_INDEX_FORMAT = "statuteqa.lexindex"
-LEX_INDEX_VERSION = 9
+LEX_INDEX_VERSION = 10
 
 # The string tables' prefixes, then each field's stored postings (see
 # save_lex_index)
@@ -126,11 +126,11 @@ class LexIndex:
     b: float
     tokenizer: TokenizerConfig
     corpus_digest: str  # sha256 of the corpus file's bytes; "" if built in memory
-    column: Mapping[str, int] = dataclasses.field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        column = dict(zip(self.article_ids, range(len(self.article_ids))))
-        object.__setattr__(self, "column", column)
+    @functools.cached_property
+    def column(self) -> Mapping[str, int]:
+        """Article id -> column, built on first read: no answer reads it."""
+        return dict(zip(self.article_ids, range(len(self.article_ids))))
 
 
 def _idf(big_n: int, n: int) -> float:
@@ -371,7 +371,7 @@ def retrieve_topk(
 
 
 def save_lex_index(index: LexIndex, path: str | Path) -> None:
-    """Persist what load cannot derive, as file version 9 (see
+    """Persist what load cannot derive, as file version 10 (see
     ``indexfile``).
 
     The header records the tokenizer's fingerprint, ``k1``, ``b`` and the

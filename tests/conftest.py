@@ -1,3 +1,6 @@
+import io
+import json
+import lzma
 import sys
 from pathlib import Path
 
@@ -71,6 +74,24 @@ def ranking_of(articles):
     ids = tuple(sorted(a.article_id for a in articles))
     positions = np.array([ids.index(a.article_id) for a in articles], dtype=np.int64)
     return Ranking(ids, positions, np.ones(len(articles)), (), None)
+
+
+def read_stored(path):
+    """An index file's header and its arrays as stored (integer arrays as
+    byte planes), in file order."""
+    stream = io.BytesIO(lzma.decompress(Path(path).read_bytes(), format=lzma.FORMAT_XZ))
+    header = json.loads(stream.readline())
+    return header, {name: np.lib.format.read_array(stream) for name in header["arrays"]}
+
+
+def write_stored(path, header, stored):
+    """An index file of ``header`` and the ``stored`` arrays, written as
+    they are (an object array pickled), as ``indexfile.save`` writes one."""
+    payload = io.BytesIO()
+    payload.write(json.dumps(header).encode("utf-8") + b"\n")
+    for array in stored.values():
+        np.lib.format.write_array(payload, array)
+    Path(path).write_bytes(lzma.compress(payload.getbuffer()))
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,4 @@
 import dataclasses
-import gzip
-import json
 import sys
 from contextlib import closing
 
@@ -17,7 +15,7 @@ from dense_oracle import (
     per_article_topk,
     sentence_rows,
 )
-from conftest import pairs
+from conftest import pairs, read_stored
 from statuteqa import dense, indexfile
 from statuteqa.corpus import Article, TokenizerConfig, clean_text, split_sentences, tokenize
 from statuteqa.dense import (
@@ -303,8 +301,7 @@ def test_file_with_an_embedder_spec_header_still_loads(tiny_articles, tmp_path):
     index, _ = build_dense_index(tiny_articles, EMB, TOK)
     path = tmp_path / "dense.bin"
     save_dense_index(index, path)
-    with gzip.open(path, "rb") as stream:
-        header = json.loads(stream.readline())
+    header, _ = read_stored(path)
     header.pop("embedder_spec", None)
     header["embedder_spec"] = {"kind": "hashed_projection", "dimension": 64, "seed": 0}
     values, ids = dense._value_table(index.data)

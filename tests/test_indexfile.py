@@ -6,6 +6,7 @@ import dataclasses
 import functools
 import gzip
 import json
+import lzma
 import os
 import re
 import unicodedata
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import kernel_oracle
+from conftest import read_stored, write_stored
 from statuteqa import dense, indexfile, lexical
 from statuteqa.corpus import Article, CorpusFormatError, TokenizerConfig, load_corpus_file
 from statuteqa.dense import (
@@ -75,29 +77,13 @@ def _saved(indexes, kind, tmp_path):
 def _read(path):
     """A saved file's header and arrays, integer arrays rebuilt from their
     byte planes; ``_write`` stores them as planes again."""
-    header, stored = _read_stored(path)
+    header, stored = read_stored(path)
     arrays = {
         name: indexfile.from_planes(path, name, array, LAYOUT[name][0])
         if array.dtype == np.uint8 else array
         for name, array in stored.items()
     }
     return header, arrays
-
-
-def _read_stored(path):
-    """A saved file's header and arrays as stored."""
-    with gzip.open(path, "rb") as stream:
-        header = json.loads(stream.readline())
-        stored = {name: np.lib.format.read_array(stream) for name in header["arrays"]}
-    return header, stored
-
-
-def _write_stored(path, header, stored):
-    """A file of ``header`` and ``stored`` arrays, written as they are."""
-    with gzip.open(path, "wb") as out:
-        out.write(json.dumps(header).encode("utf-8") + b"\n")
-        for array in stored.values():
-            np.lib.format.write_array(out, array)
 
 
 def _write(path, header, arrays):
@@ -198,7 +184,46 @@ def test_parent_json_lines_index_is_rejected(kind, indexes, tmp_path):
     path = tmp_path / f"{kind}.jsonl"
     header = {"format": f"statuteqa.{kind}index", "version": 1}
     path.write_text(json.dumps(header) + "\n" + json.dumps({"field": "title"}) + "\n")
-    with pytest.raises(ValueError, match=f"{kind}.jsonl: Not a gzipped file"):
+    with pytest.raises(ValueError, match=f"{kind}.jsonl: Input format not supported by decoder"):
+        load(path)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_gzip_index_of_an_earlier_version_is_told_to_rebuild(kind, indexes, tmp_path):
+    """Every index file written before the xz stream was one gzip stream."""
+    path, load = _saved(indexes, kind, tmp_path)
+    payload = lzma.decompress(path.read_bytes(), format=lzma.FORMAT_XZ)
+    path.write_bytes(gzip.compress(payload, mtime=0))
+    message = "a gzip file of an earlier version; rebuild it with `statuteqa index`"
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
+        load(path)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_every_single_bit_flip_is_refused_naming_the_file(kind, indexes, tmp_path):
+    """Bits 0 and 7 of each byte in turn: the xz stream's CRCs, sizes and
+    CRC64 check leave no byte uncovered, as gzip's flags and time were."""
+    path, load = _saved(indexes, kind, tmp_path)
+    whole = path.read_bytes()
+    for i in range(len(whole)):
+        for bit in (0x01, 0x80):
+            flipped = bytearray(whole)
+            flipped[i] ^= bit
+            path.write_bytes(flipped)
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+                load(path)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("tail", ["stream padding", "junk", "a second stream"])
+def test_bytes_after_the_stream_are_refused(kind, tail, indexes, tmp_path):
+    """``lzma.decompress`` would skip the padding, ignore junk after a
+    stream and join a second stream to the first."""
+    path, load = _saved(indexes, kind, tmp_path)
+    whole = path.read_bytes()
+    after = {"stream padding": b"\0" * 4, "junk": b"junk" * 8, "a second stream": whole}
+    path.write_bytes(whole + after[tail])
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: not one whole xz stream$"):
         load(path)
 
 
@@ -270,9 +295,9 @@ def test_a_file_of_another_corpus_is_refused_before_an_array_is_decoded(
     """The corpus digest is an expected header value: a file of another
     corpus fails on its header, though an array it holds is undecodable."""
     path, load = _saved(indexes, kind, tmp_path)
-    header, stored = _read_stored(path)
+    header, stored = read_stored(path)
     name = next(name for name, array in stored.items() if array.dtype == np.uint8)
-    _write_stored(path, header, {**stored, name: np.zeros((3, 1), np.uint8)})
+    write_stored(path, header, {**stored, name: np.zeros((3, 1), np.uint8)})
     with pytest.raises(ValueError, match=f"{name} is not 1, 2, 4 or 8 uint8 byte planes"):
         load(path)
     other = "ab" * 32
@@ -491,7 +516,7 @@ def test_a_version_6_dense_file_says_to_rebuild_the_index(indexes, tmp_path):
     header, arrays = _read(path)
     arrays.pop("sentence_vector")
     _write(path, {**header, "version": 6}, arrays)
-    message = r"dense.bin: version mismatch \(index 6, expected 10\); rebuild it with `statuteqa index`"
+    message = r"dense.bin: version mismatch \(index 6, expected 11\); rebuild it with `statuteqa index`"
     with pytest.raises(ValueError, match=message):
         load(path)
 
@@ -513,7 +538,7 @@ def test_a_version_7_dense_file_says_to_rebuild_the_index(indexes, tmp_path):
     header.pop("article_ids_sha256")
     ids = list(indexes["dense"][0].article_ids)
     _write(path, {**header, "version": 7, "article_ids": ids}, arrays)
-    message = r"dense.bin: version mismatch \(index 7, expected 10\); rebuild it with `statuteqa index`"
+    message = r"dense.bin: version mismatch \(index 7, expected 11\); rebuild it with `statuteqa index`"
     with pytest.raises(ValueError, match=message):
         load(path)
 
@@ -558,7 +583,7 @@ def test_a_version_8_lex_file_says_to_rebuild_the_index(indexes, tmp_path):
         matrix = getattr(indexes["lex"][0], field)
         arrays[f"{field}.columns"] = indexfile.gap_encode(matrix.indptr, matrix.columns)
     _write(path, {**header, "version": 8}, arrays)
-    assert LEX_INDEX_VERSION == 9
+    assert LEX_INDEX_VERSION == 10
     with pytest.raises(ValueError, match=_rebuild_lex(8)):
         load(path)
 
@@ -576,7 +601,7 @@ def test_a_version_8_dense_file_says_to_rebuild_the_index(indexes, tmp_path):
         "data": index.data,
     }
     _write(path, {**header, "version": 8}, arrays)
-    message = r"dense.bin: version mismatch \(index 8, expected 10\); rebuild it with `statuteqa index`"
+    message = r"dense.bin: version mismatch \(index 8, expected 11\); rebuild it with `statuteqa index`"
     with pytest.raises(ValueError, match=message):
         load(path)
 
@@ -588,7 +613,7 @@ def test_a_version_9_dense_file_says_to_rebuild_the_index(indexes, tmp_path):
     arrays.pop("values")
     arrays["data"] = indexes["dense"][0].data
     _write(path, {**header, "version": 9}, arrays)
-    message = r"dense.bin: version mismatch \(index 9, expected 10\); rebuild it with `statuteqa index`"
+    message = r"dense.bin: version mismatch \(index 9, expected 11\); rebuild it with `statuteqa index`"
     with pytest.raises(ValueError, match=message):
         load(path)
 
@@ -927,10 +952,7 @@ def test_object_array_is_never_unpickled(indexes, tmp_path):
     with pytest.raises(ValueError, match="allow_pickle"):
         _write(path, header, {**arrays, "data": np.array([Trap()], dtype=object)})
     trap = np.array([Trap()], dtype=object)
-    with gzip.open(path, "wb") as out:
-        out.write(json.dumps(header).encode("utf-8") + b"\n")
-        np.lib.format.write_array(out, arrays["sentence_counts"])
-        np.lib.format.write_array(out, trap, allow_pickle=True)
+    write_stored(path, header, {"sentence_counts": arrays["sentence_counts"], "trap": trap})
     with pytest.raises(ValueError, match="dense.bin: .*allow_pickle=False"):
         load(path)
     assert SPRUNG == []
@@ -1080,12 +1102,16 @@ def test_an_article_column_with_no_content_posting_is_rejected(indexes, tmp_path
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_saved_file_is_one_gzip_stream_without_name_or_time(kind, indexes, tmp_path):
+def test_saved_file_is_one_xz_stream_with_a_crc64_check(kind, indexes, tmp_path):
+    index, save, _ = indexes[kind]
     path, _ = _saved(indexes, kind, tmp_path)
     raw = path.read_bytes()
-    assert raw[:2] == b"\x1f\x8b"
-    assert raw[3] == 0  # no FNAME (or other optional) header field
-    assert raw[4:8] == b"\0\0\0\0"  # mtime 0
+    assert raw[:6] == b"\xfd7zXZ\x00"  # the xz header magic
+    assert raw[6:8] == b"\x00\x04"  # stream flags: check type 4, CRC64
+    assert raw[-4:] == b"\x00\x04YZ"  # the footer repeats them
+    again = tmp_path / "again.bin"
+    save(index, again)
+    assert again.read_bytes() == raw
 
 
 def _width(values, dtype):
@@ -1187,9 +1213,9 @@ def test_planes_of_another_shape_dtype_or_width_are_rejected(planes, dtype):
 
 def test_dense_rows_stored_in_eight_planes_are_rejected(indexes, tmp_path):
     path, load = _saved(indexes, "dense", tmp_path)
-    header, stored = _read_stored(path)
+    header, stored = read_stored(path)
     stored["rows"] = np.zeros((8, stored["rows"].shape[1]), np.uint8)
-    _write_stored(path, header, stored)
+    write_stored(path, header, stored)
     with pytest.raises(ValueError, match="dense.bin: rows is not .* byte planes of int32"):
         load(path)
 

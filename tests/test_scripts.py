@@ -1,6 +1,5 @@
 """Smoke tests: the bundled scripts run to completion on small inputs."""
 
-import gzip
 import json
 import os
 import subprocess
@@ -9,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
+from conftest import read_stored
 from statuteqa.cli import main
 from statuteqa.corpus import write_corpus_file
 from statuteqa.evaluation import write_gold_file
@@ -18,13 +18,6 @@ from statuteqa.reranker import save_model, zero_model
 from statuteqa.synth import synthetic_corpus, title_gold_queries
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
-
-
-def _read_stored(path):
-    """An index file's header and its arrays as stored, in file order."""
-    with gzip.open(path, "rb") as stream:
-        header = json.loads(stream.readline())
-        return header, {n: np.lib.format.read_array(stream) for n in header["arrays"]}
 
 
 def run_script(script, *args, cwd):
@@ -132,9 +125,9 @@ def test_index_sizes_names_every_part_of_each_index_file(scripts_dir, tmp_path, 
     result = run_script(scripts_dir / "index_sizes.py", *map(str, paths), cwd=tmp_path)
     assert result.returncode == 0, result.stderr
     lines = result.stdout.splitlines()
-    assert lines[0].split() == ["part", "dtype", "shape", "bytes", "deflated"]
+    assert lines[0].split() == ["part", "dtype", "shape", "bytes", "xz"]
     for path in paths:
-        header, stored = _read_stored(path)
+        header, stored = read_stored(path)
         start = lines.index(
             f"{path}: {path.stat().st_size} bytes ({header['format']}, version {header['version']})"
         )
