@@ -11,15 +11,12 @@ them the suffix lists of a lexical file's front-coded string tables,
 as byte planes), in file order, with its dtype, shape, raw bytes and
 xz bytes. The string tables' prefixes are the arrays
 ``article_ids.prefix`` and ``terms.prefix``; the lists' pointers are
-stored as counts (``title.df``, ``sentence_counts``, ...). For a lexical
-file of the current version it then prints, per field, how many term rows
-are complement-coded: posted in more than half the article columns, so
-stored as the columns they lack; these are also the rows the loaded index
-holds as dense rows. A part's xz bytes are its bytes compressed alone as
-a raw LZMA2 stream with the files' default preset, without the xz
-container's header, index and check, which would swamp a small part; so
-a size change can be traced to the entries and arrays that make it. They
-need not sum to the file's size, which is one xz stream over all of them.
+stored as counts (``title.df``, ``sentence_counts``, ...). A part's xz
+bytes are its bytes compressed alone as a raw LZMA2 stream with the
+files' default preset, without the xz container's header, index and
+check, which would swamp a small part; so a size change can be traced to
+the entries and arrays that make it. They need not sum to the file's
+size, which is one xz stream over all of them.
 """
 
 import argparse
@@ -30,9 +27,6 @@ import os
 import sys
 
 import numpy as np
-
-from statuteqa.indexfile import from_planes
-from statuteqa.lexical import FIELDS, LEX_INDEX_FORMAT, LEX_INDEX_VERSION, stored_lists
 
 
 LZMA2 = [{"id": lzma.FILTER_LZMA2, "preset": lzma.PRESET_DEFAULT}]
@@ -68,16 +62,6 @@ def report(path: str) -> list[str]:
         np.lib.format.write_array(buffer, array, allow_pickle=False)
         shape = "x".join(map(str, array.shape))
         lines.append(row(name, buffer.getvalue(), str(array.dtype), shape))
-    if (header["format"], header["version"]) == (LEX_INDEX_FORMAT, LEX_INDEX_VERSION):
-        columns = len(header["article_ids"])
-        for field in FIELDS:
-            df = from_planes(path, f"{field}.df", arrays[f"{field}.df"], np.int64)
-            complemented, _ = stored_lists(df, columns)
-            lines.append(
-                f"  {field}: {np.count_nonzero(complemented)} of {len(df)} term rows "
-                f"complement-coded (posted in more than half of {columns} columns), "
-                "the loaded index's dense rows"
-            )
     return lines
 
 

@@ -4,19 +4,19 @@ An index file is one xz stream (LZMA2, with a CRC64 of its payload;
 https://tukaani.org/xz/xz-file-format.txt) that Python's standard
 ``lzma`` module writes with its default preset, so statuteqa needs a
 Python built with ``lzma``, and equal indexes save to equal bytes under
-one liblzma. The payload is a sorted-keys JSON header line (``format``,
-``version``, the index's metadata, and ``arrays``, the names of the arrays
-that follow), then each array in ``.npy`` format. Arrays are never
-pickled. ``load`` reads the file in one piece and decodes it in memory.
-It refuses, naming the path, a file that is not exactly one whole xz
-stream or that fails the stream's CRCs, sizes or check, which catches any
-one changed byte. A gzip file, as every index before lexical version 10
-and dense version 11 was, is told to be rebuilt.
+one liblzma. The LZMA2 dictionary is sized to the payload (``save``), so
+a small file is written and read with a small dictionary. The payload is
+a sorted-keys JSON header line (``format``, ``version``, the index's
+metadata, and ``arrays``, the names of the arrays that follow), then
+each array in ``.npy`` format. Arrays are never pickled. ``load`` reads
+the file in one piece and decodes it in memory. It refuses, naming the
+path, a file that is not exactly one whole xz stream or that fails the
+stream's CRCs, sizes or check, which catches any one changed byte. A
+gzip file, as every index before lexical version 10 and dense version
+11 was, is told to be rebuilt.
 
 Posting lists of ids are stored gap-coded (``gap_encode``) and checked as
-they are decoded (``gap_decode``); a lexical term posted in more than half
-the columns is stored as the columns it lacks, a list decoded and checked
-the same way (see ``lexical``). A map onto rows numbered in first-use
+they are decoded (``gap_decode``). A map onto rows numbered in first-use
 order is stored in first-use code (``first_use_encode``,
 ``first_use_decode``): the dense sentence map onto vector rows, and the
 dense ``data`` as codes into a table of its distinct values, which few
@@ -82,6 +82,8 @@ import numpy as np
 GZIP_MAGIC = b"\x1f\x8b"  # how every index file before xz began
 WIDTHS = (1, 2, 4, 8)  # bytes per value an integer array may be stored in
 FRONT_CHARS = 32  # leading characters front_encode compares in bulk
+# the least LZMA2 dictionary liblzma takes, and the default preset's
+DICT_MIN, DICT_MAX = 1 << 12, 1 << 23
 # the command that writes an artifact of each kind anew, and what a
 # mismatch of a header key asks for, with that command
 REBUILD = {"index": "statuteqa index", "model": "statuteqa train"}
@@ -181,7 +183,14 @@ def read_records(path, parse) -> list:
 
 def save(path, fmt: str, version: int, header: dict, arrays: dict) -> None:
     """Write ``header`` and then ``arrays``, in their order, to ``path`` as
-    one xz stream; integer arrays as their byte planes."""
+    one xz stream; integer arrays as their byte planes.
+
+    The LZMA2 dictionary is the payload's size rounded up to a power of
+    two, at least 4 KiB (liblzma's least) and at most the default preset's
+    8 MiB, so a small file is compressed and decoded with a dictionary
+    that fits it, not 8 MiB. No match reaches back past the payload's
+    start, so a larger dictionary would find no more.
+    """
     head = {**header, "format": fmt, "version": version, "arrays": list(arrays)}
     line = json.dumps(head, sort_keys=True, ensure_ascii=False) + "\n"
     payload = io.BytesIO()
@@ -189,8 +198,11 @@ def save(path, fmt: str, version: int, header: dict, arrays: dict) -> None:
     for array in arrays.values():
         stored = to_planes(array) if array.dtype.kind in "iu" else array
         np.lib.format.write_array(payload, stored, allow_pickle=False)
+    size = min(max(payload.tell(), DICT_MIN), DICT_MAX)
+    dict_size = 1 << (size - 1).bit_length()  # a power of two that holds the payload
+    lzma2 = {"id": lzma.FILTER_LZMA2, "preset": lzma.PRESET_DEFAULT, "dict_size": dict_size}
     with replacing(path) as out:
-        out.write(lzma.compress(payload.getbuffer(), check=lzma.CHECK_CRC64))
+        out.write(lzma.compress(payload.getbuffer(), check=lzma.CHECK_CRC64, filters=[lzma2]))
 
 
 def load(path, fmt: str, version: int, layout: dict, expected: dict):

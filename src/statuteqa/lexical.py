@@ -22,7 +22,7 @@ article thus receives the same additions, in the same order, as a
 per-article loop over the query tokens, and each impact is computed with
 the same operations in the same order as the scalar formula (idf with
 ``math.log``), so the pass equals that loop bit for bit. A common term,
-one posted in more than half of a field's columns (``stored_lists``),
+one posted in more than half of a field's columns (``common_rows``),
 also has its impacts as one dense row over the columns, which the pass
 adds whole: the columns it does not post in receive +0.0, which changes
 no sum. The features' matched distinct query terms are counted by one
@@ -66,10 +66,9 @@ __all__ = [
 FIELDS = ("title", "content")
 
 LEX_INDEX_FORMAT = "statuteqa.lexindex"
-LEX_INDEX_VERSION = 10
+LEX_INDEX_VERSION = 11
 
-# The string tables' prefixes, then each field's stored postings (see
-# save_lex_index)
+# The string tables' prefixes, then each field's postings (see save_lex_index)
 _TABLES = ("article_ids", "terms")
 _SAVED = {"df": np.int64, "columns": np.int32, "tf": np.int32}
 _LAYOUT = {
@@ -85,7 +84,7 @@ class FieldMatrix:
 
     ``lengths`` is the per-column sum of ``tf``. The field's document
     count and average length enter the impacts only, so they are not kept.
-    ``dense`` maps each common term's row (``stored_lists``) to its
+    ``dense`` maps each common term's row (``common_rows``) to its
     impacts over every column, 0.0 where it has no posting; every
     posting's impact is positive, so a column has the term where its
     value is above 0.
@@ -154,7 +153,7 @@ def _field_matrix(
     df = np.diff(indptr)
     lengths = np.bincount(columns, weights=tf, minlength=n_columns).astype(np.int64)
     impact = _impacts(df, columns, tf, lengths, k1, b)
-    common = np.flatnonzero(stored_lists(df, n_columns)[0]).tolist()
+    common = np.flatnonzero(common_rows(df, n_columns)).tolist()
     dense = np.zeros((len(common), n_columns))
     for row, r in zip(dense, common):
         span = slice(indptr[r], indptr[r + 1])
@@ -187,39 +186,11 @@ def _impacts(
     return np.repeat(idf_rows, df) * tf_f * (k1 + 1.0) / (tf_f + norm[columns])
 
 
-def stored_lists(df: np.ndarray, n_columns: int) -> tuple[np.ndarray, np.ndarray]:
-    """(complemented, counts): the common term rows, those posted in more
-    than half the columns, and the length of each row's stored list.
-
-    This is the one rule for a common term: a file stores its row as the
-    columns it lacks, and the index holds its impacts as a dense row. It
-    is a fixed rule of the file's version."""
-    complemented = 2 * df > n_columns
-    return complemented, np.where(complemented, n_columns - df, df)
-
-
-def _swap_lists(
-    n_columns: int, ptr: np.ndarray, lists: np.ndarray, out_ptr: np.ndarray, swapped: np.ndarray
-) -> np.ndarray:
-    """The int32 lists over ``out_ptr``: list ``r`` of ``lists`` (over
-    ``ptr``) as it is, or where ``swapped[r]``, the ascending columns of
-    ``[0, n_columns)`` that it lacks, by a keep-mask. That is its own
-    inverse: save turns postings into absences and load turns them back."""
-    out = np.empty(out_ptr[-1], dtype=np.int32)
-    rows = np.flatnonzero(swapped).tolist()
-    # the runs of rows between swapped ones are copied whole, a slice each
-    for start, stop in zip([0, *(r + 1 for r in rows)], [*rows, len(swapped)]):
-        out[out_ptr[start] : out_ptr[stop]] = lists[ptr[start] : ptr[stop]]
-    columns = np.arange(n_columns, dtype=np.int32)
-    for r in rows:
-        listed = lists[ptr[r] : ptr[r + 1]]
-        if listed.size:
-            keep = np.ones(n_columns, dtype=bool)
-            keep[listed] = False
-            out[out_ptr[r] : out_ptr[r + 1]] = columns[keep]
-        else:  # a term in every column, the common case: the mask would keep all
-            out[out_ptr[r] : out_ptr[r + 1]] = columns
-    return out
+def common_rows(df: np.ndarray, n_columns: int) -> np.ndarray:
+    """The mask of a field's common term rows, those posted in more than
+    half of its ``n_columns`` columns (``2·df > n``): the one rule for a
+    common term, whose impacts the index holds as a dense row."""
+    return 2 * df > n_columns
 
 
 def _lex_index(ids, terms, postings, cfg: PipelineConfig, corpus_digest: str) -> LexIndex:
@@ -371,26 +342,18 @@ def retrieve_topk(
 
 
 def save_lex_index(index: LexIndex, path: str | Path) -> None:
-    """Persist what load cannot derive, as file version 10 (see
+    """Persist what load cannot derive, as file version 11 (see
     ``indexfile``).
 
     The header records the tokenizer's fingerprint, ``k1``, ``b`` and the
     corpus digest for load to check. The article ids and terms are
     front-coded: their suffixes are in the header and their prefixes are
-    arrays. Each field stores its per-term posting counts (``df``), its
-    column lists gap-coded, and ``tf``. A common term's list
-    (``stored_lists``: posted in more than half of the ``n`` columns, so
-    ``2·df > n``) is the ascending columns it lacks, gap-coded like any
-    list. Load tells those rows by ``df`` and ``n`` alone, so no array
-    records them, and expands each straight into ``columns``. Function
-    words, such as the Vietnamese "của", "và" and "các", are in most
-    articles: on the 10k synthetic bench corpus 2 title and 19 content
-    rows are stored this way and the file fell from 61,103 to 47,454
-    bytes; on the family build (2 and 29 rows) from 6,621 to 6,201.
+    arrays. Each field stores its per-term posting counts (``df``), each
+    term's ascending posting columns gap-coded, and ``tf``.
 
     Deterministic. Load rebuilds ``indptr`` from the counts, and the
-    impacts and per-column statistics through the constructor build uses,
-    so every loaded array is the built one, bit for bit.
+    impacts, dense rows and per-column statistics through the constructor
+    build uses, so every loaded array is the built one, bit for bit.
     """
     header = {
         "tokenizer_fingerprint": index.tokenizer.fingerprint(),
@@ -401,28 +364,12 @@ def save_lex_index(index: LexIndex, path: str | Path) -> None:
     arrays = {}
     for table, strings in zip(_TABLES, (index.article_ids, index.terms)):
         arrays[f"{table}.prefix"], header[table] = indexfile.front_encode(strings)
-    n_columns = len(index.article_ids)
     for field in FIELDS:
         matrix = getattr(index, field)
-        df = arrays[f"{field}.df"] = np.diff(matrix.indptr)
-        swapped, counts = stored_lists(df, n_columns)
-        ptr = np.concatenate([matrix.indptr[:1], np.cumsum(counts)])
-        lists = _swap_lists(n_columns, matrix.indptr, matrix.columns, ptr, swapped)
-        arrays[f"{field}.columns"] = indexfile.gap_encode(ptr, lists)
+        arrays[f"{field}.df"] = np.diff(matrix.indptr)
+        arrays[f"{field}.columns"] = indexfile.gap_encode(matrix.indptr, matrix.columns)
         arrays[f"{field}.tf"] = matrix.tf
     indexfile.save(path, LEX_INDEX_FORMAT, LEX_INDEX_VERSION, header, arrays)
-
-
-def _load_columns(path, field: str, df, indptr, gaps: np.ndarray, n_columns: int) -> np.ndarray:
-    """A field's ``columns`` from the ``gaps`` a file stores them as (see
-    ``save_lex_index``): every stored list checked by one
-    ``indexfile.gap_decode``, then each complemented row's absences
-    expanded into its postings. ``gaps`` is decoded in place."""
-    indexfile.require(df.max(initial=0) <= n_columns, path, f"{field}.df past {n_columns} columns")
-    swapped, counts = stored_lists(df, n_columns)
-    ptr = indexfile.pointers(path, f"{field} column lists", counts, len(df), len(gaps))
-    lists = indexfile.gap_decode(path, f"{field} columns", ptr, gaps, n_columns)
-    return _swap_lists(n_columns, ptr, lists, indptr, swapped)
 
 
 def load_lex_index(path: str | Path, cfg: PipelineConfig, corpus_digest: str) -> LexIndex:
@@ -434,11 +381,10 @@ def load_lex_index(path: str | Path, cfg: PipelineConfig, corpus_digest: str) ->
     Raises ``ValueError`` naming ``path`` for ``article_ids`` or ``terms``
     that are not front-coded lists of strings in strictly ascending order,
     a field's posting counts that are negative, not one per term, above the
-    column count or not adding up to its ``tf``, stored column lists (a
-    term's postings or the columns it lacks) that do not add up to the
-    file's entries, rise strictly or lie in ``[0, columns)``, a ``tf``
-    below 1, an article column with no content posting, and a term with no
-    posting in either field.
+    column count or not adding up to its ``tf``, column lists that do not
+    add up to the same entries, rise strictly or lie in ``[0, columns)``,
+    a ``tf`` below 1, an article column with no content posting, and a
+    term with no posting in either field.
     """
     tok = cfg.tokenizer_config()
     expected = {
@@ -458,8 +404,10 @@ def load_lex_index(path: str | Path, cfg: PipelineConfig, corpus_digest: str) ->
     for field in FIELDS:
         df, tf = arrays[f"{field}.df"], arrays[f"{field}.tf"]
         indptr = indexfile.pointers(path, f"{field}.df", df, len(terms), len(tf))
-        # popped, so the stored lists are freed before the impacts are computed
-        columns = _load_columns(path, field, df, indptr, arrays.pop(f"{field}.columns"), len(ids))
+        ok = df.max(initial=0) <= len(ids)
+        indexfile.require(ok, path, f"{field}.df past {len(ids)} columns")
+        gaps = arrays[f"{field}.columns"]  # decoded in place
+        columns = indexfile.gap_decode(path, f"{field} columns", indptr, gaps, len(ids))
         # lengths are tf sums: a tf below 1 would shorten its article
         indexfile.require(tf.min(initial=1) >= 1, path, f"{field}.tf must be at least 1")
         postings[field] = indptr, columns, tf

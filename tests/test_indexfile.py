@@ -107,43 +107,28 @@ def _ptr(counts):
     return np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
 
 
-def _list_counts(header, arrays, name):
+def _list_counts(arrays, name):
     """The length of each list the gap-coded array ``name`` stores: per dense
-    coordinate its entries; per lexical term its postings, or, where it is
-    posted in more than half the article columns, the columns it lacks."""
-    if name == "rows":
-        return arrays["entry_counts"]
-    df, n = arrays[name.replace("columns", "df")], len(header["article_ids"])
-    return np.where(2 * df > n, n - df, df)
+    coordinate its entries, per lexical term its postings."""
+    return arrays["entry_counts" if name == "rows" else name.replace("columns", "df")]
 
 
-def _stored_lists(header, arrays, field):
-    """The id lists a lexical file stores for ``field``, one per term."""
-    ptr = _ptr(_list_counts(header, arrays, f"{field}.columns"))
-    return _lists(ptr, arrays[f"{field}.columns"])
+def _postings(arrays, field):
+    """Each term's ascending article columns in a lexical file's ``field``."""
+    return _lists(_ptr(arrays[f"{field}.df"]), arrays[f"{field}.columns"])
 
 
 def _store_lists(arrays, field, lists):
-    """``arrays`` with ``field``'s stored lists replaced by ``lists``."""
+    """``arrays`` with ``field``'s stored column lists replaced by ``lists``."""
     ids = np.concatenate([np.zeros(0, np.int32), *lists]).astype(np.int32)
     arrays[f"{field}.columns"] = indexfile.gap_encode(_ptr(list(map(len, lists))), ids)
     return arrays
 
 
-def _postings(header, arrays, field):
-    """Each term's ascending article columns in a lexical file's ``field``."""
-    n, df = len(header["article_ids"]), arrays[f"{field}.df"].tolist()
-    stored = _stored_lists(header, arrays, field)
-    return [np.setdiff1d(np.arange(n), ids) if 2 * d > n else ids for d, ids in zip(df, stored)]
-
-
-def _store_postings(header, arrays, field, postings):
-    """``arrays`` with ``field``'s postings replaced by ``postings`` as a
-    version-9 file stores them."""
-    n = len(header["article_ids"])
+def _store_postings(arrays, field, postings):
+    """``arrays`` with ``field``'s postings, and so its ``df``, replaced by ``postings``."""
     arrays[f"{field}.df"] = np.array(list(map(len, postings)), dtype=np.int64)
-    lists = [np.setdiff1d(np.arange(n), ids) if 2 * len(ids) > n else ids for ids in postings]
-    return _store_lists(arrays, field, lists)
+    return _store_lists(arrays, field, postings)
 
 
 def _rebuild_lex(version):
@@ -399,9 +384,8 @@ def test_malformed_header_values_are_rejected_naming_the_file(
         load(path)
 
 
-# Five articles: "clause" is in all of them, so its file stores no column;
-# "shared" in three, stored as the two it lacks, [3, 4]; "pair" in two,
-# stored as its postings, [0, 1]
+# Five articles: "clause" is in all of them, "shared" in three, [0, 1, 2],
+# and "pair" in two, [0, 1]; each is stored as its postings
 FIVE = [
     Article(f"a{i}", "d", None, " ".join(["Clause", *words]))
     for i, words in enumerate([["shared", "pair"], ["shared", "pair"], ["shared"], [], []])
@@ -409,40 +393,43 @@ FIVE = [
 
 
 def _five_saved(tmp_path):
-    """The ``FIVE`` index saved: (path, header, arrays, the content lists
-    stored per term, the row of each term)."""
+    """The ``FIVE`` index saved: (path, header, arrays, the content postings
+    per term, the row of each term)."""
     index = build_lex_index(FIVE, PipelineConfig())
     path = tmp_path / "lex.bin"
     save_lex_index(index, path)
     header, arrays = _read(path)
-    return path, header, arrays, _stored_lists(header, arrays, "content"), index.terms
+    return path, header, arrays, _postings(arrays, "content"), index.terms
 
 
 def test_lex_columns_swapped_within_a_row_are_rejected(tmp_path):
-    """Postings and the columns a term lacks are checked by one rule."""
-    for term, stored in [("pair", [0, 1]), ("shared", [3, 4])]:
+    """A common term's postings and a rare term's are checked by one rule."""
+    for term, stored in [("pair", [0, 1]), ("shared", [0, 1, 2])]:
         path, header, arrays, lists, rows = _five_saved(tmp_path)
-        assert lists[rows[term]].tolist() == stored and lists[rows["clause"]].size == 0
+        assert lists[rows[term]].tolist() == stored
+        assert lists[rows["clause"]].tolist() == [0, 1, 2, 3, 4]
         lists[rows[term]] = lists[rows[term]][::-1]
         _write(path, header, _store_lists(arrays, "content", lists))
         with pytest.raises(ValueError, match="lex.bin: content columns not strictly ascending"):
             load_lex_index(path, PipelineConfig(), "")
 
 
-# case -> (what is stored for the columns "shared" lacks, [3, 4], the error)
-COMPLEMENT_EDITS = {
-    "repeated": ([3, 3], "content columns not strictly ascending"),
-    "falling": ([4, 3], "content columns not strictly ascending"),
-    "past the columns": ([3, 5], r"content columns outside \[0, 5\)"),
-    "negative": ([-1, 3], r"content columns outside \[0, 5\)"),
-    "one long": ([2, 3, 4], "content column lists must add up to"),
-    "one short": ([3], "content column lists must add up to"),
+# case -> (what is stored for the postings of "shared", [0, 1, 2], the error)
+POSTING_EDITS = {
+    "repeated": ([0, 0, 2], "content columns not strictly ascending"),
+    "falling": ([0, 2, 1], "content columns not strictly ascending"),
+    "past the columns": ([0, 1, 5], r"content columns outside \[0, 5\)"),
+    "negative": ([-1, 0, 1], r"content columns outside \[0, 5\)"),
+    "one long": ([0, 1, 2, 3], "content columns lists must not fall from 0 to 11"),
+    "one short": ([0, 1], "content columns lists must not fall from 0 to 9"),
 }
 
 
-@pytest.mark.parametrize("case", sorted(COMPLEMENT_EDITS))
-def test_malformed_complement_lists_are_rejected_naming_the_file(case, tmp_path):
-    stored, message = COMPLEMENT_EDITS[case]
+@pytest.mark.parametrize("case", sorted(POSTING_EDITS))
+def test_malformed_posting_lists_are_rejected_naming_the_file(case, tmp_path):
+    """``gap_decode`` refuses a list whose columns do not rise strictly
+    within ``[0, n)``, or one of another length than its ``df``."""
+    stored, message = POSTING_EDITS[case]
     path, header, arrays, lists, rows = _five_saved(tmp_path)
     lists[rows["shared"]] = np.array(stored, dtype=np.int32)
     _write(path, header, _store_lists(arrays, "content", lists))
@@ -576,16 +563,26 @@ def test_a_version_7_lex_file_says_to_rebuild_the_index(indexes, tmp_path):
 
 
 def test_a_version_8_lex_file_says_to_rebuild_the_index(indexes, tmp_path):
-    """Version 8 stored every term's postings, however common the term."""
+    """Version 8 stored every term's postings, however common the term, as
+    version 11 does: only the version number tells them apart."""
     path, load = _saved(indexes, "lex", tmp_path)
     header, arrays = _read(path)
-    for field in lexical.FIELDS:
-        matrix = getattr(indexes["lex"][0], field)
-        arrays[f"{field}.columns"] = indexfile.gap_encode(matrix.indptr, matrix.columns)
     _write(path, {**header, "version": 8}, arrays)
-    assert LEX_INDEX_VERSION == 10
+    assert LEX_INDEX_VERSION == 11
     with pytest.raises(ValueError, match=_rebuild_lex(8)):
         load(path)
+
+
+def test_a_version_10_lex_file_says_to_rebuild_the_index(tmp_path):
+    """Versions 9 and 10 stored a term posted in more than half the columns
+    as the columns it lacks: in ``FIVE``, "clause" as none and "shared" as
+    [3, 4]."""
+    path, header, arrays, lists, rows = _five_saved(tmp_path)
+    lists[rows["clause"]] = np.zeros(0, np.int32)
+    lists[rows["shared"]] = np.array([3, 4], np.int32)
+    _write(path, {**header, "version": 10}, _store_lists(arrays, "content", lists))
+    with pytest.raises(ValueError, match=_rebuild_lex(10)):
+        load_lex_index(path, PipelineConfig(), "")
 
 
 def test_a_version_8_dense_file_says_to_rebuild_the_index(indexes, tmp_path):
@@ -748,8 +745,8 @@ def random_postings(draw):
 @settings(deadline=None)
 @given(drawn=random_postings(), seed=st.integers(0, 2**32 - 1))
 def test_random_postings_load_to_the_saved_arrays(drawn, seed, tmp_path_factory):
-    """Each row is stored as its postings or, posted in more than half the
-    columns, as the columns it lacks; either way it loads bit for bit."""
+    """Each row is stored as its postings and loads bit for bit; the loaded
+    dense rows are the rows the common-term rule picks."""
     n, fields = drawn
     cfg, rng = PipelineConfig(), np.random.default_rng(seed)
     postings = {}
@@ -762,19 +759,15 @@ def test_random_postings_load_to_the_saved_arrays(drawn, seed, tmp_path_factory)
     directory = tmp_path_factory.getbasetemp()
     paths = [directory / "lex.bin", directory / "lex2.bin"]
     save_lex_index(index, paths[0])
-    header, arrays = _read(paths[0])
+    _, arrays = _read(paths[0])
     loaded = load_lex_index(paths[0], cfg, "")
     for field, rows in fields.items():
-        stored = [
-            sorted(set(range(n)) - set(row)) if 2 * len(row) > n else row for row in rows
-        ]
-        assert [ids.tolist() for ids in _stored_lists(header, arrays, field)] == stored
+        assert [ids.tolist() for ids in _postings(arrays, field)] == rows
         got, built = getattr(loaded, field), getattr(index, field)
         for name in ("indptr", "columns", "tf", "impact", "lengths", "distinct"):
             _same_array(getattr(got, name), getattr(built, name))
-        # the loaded dense rows are the rows the file stores by their absences
-        complemented, _ = lexical.stored_lists(arrays[f"{field}.df"], n)
-        assert sorted(got.dense) == np.flatnonzero(complemented).tolist()
+        common = lexical.common_rows(arrays[f"{field}.df"], n)
+        assert sorted(got.dense) == np.flatnonzero(common).tolist()
         assert got.dense.keys() == built.dense.keys()
         for r, row in built.dense.items():
             _same_array(got.dense[r], row)
@@ -782,24 +775,19 @@ def test_random_postings_load_to_the_saved_arrays(drawn, seed, tmp_path_factory)
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
-def test_a_term_in_exactly_half_the_columns_is_not_a_common_term(tmp_path):
-    """``2·df = n`` is not common: the row is neither a dense row nor stored
-    by its absences, and BM25 and matched counts read its postings alike."""
+def test_a_term_in_exactly_half_the_columns_is_not_a_common_term():
+    """``2·df = n`` is not common: the row is not a dense row, and BM25 and
+    matched counts read its postings alike."""
     articles = [
         Article(f"a{i:02d}", "d", "h t" if i % 2 else "t", "c0 h" if i < 6 else "c0 r")
         for i in range(12)
     ]
     index = build_lex_index(articles, PipelineConfig())
     h, n = index.terms["h"], len(index.article_ids)
-    path = tmp_path / "lex.bin"
-    save_lex_index(index, path)
-    header, arrays = _read(path)
     for field in lexical.FIELDS:
         matrix = getattr(index, field)
-        postings = matrix.columns[matrix.indptr[h] : matrix.indptr[h + 1]]
-        assert 2 * len(postings) == n
+        assert 2 * (matrix.indptr[h + 1] - matrix.indptr[h]) == n
         assert h not in matrix.dense
-        assert _stored_lists(header, arrays, field)[h].tolist() == postings.tolist()
     query = ["h", "c0", "h", "t", "oov"]
     got, want = lexical.score_query(index, query), kernel_oracle.bincount_pass(index, query)
     columns = np.arange(n)[::-1]
@@ -1074,7 +1062,7 @@ def test_arrays_that_disagree_with_the_header_are_rejected(case, indexes, tmp_pa
     path, load = _saved(indexes, kind, tmp_path)
     header, arrays = _read(path)
     if name in GAPPED:
-        ptr = _ptr(_list_counts(header, arrays, name))
+        ptr = _ptr(_list_counts(arrays, name))
         lists = _lists(ptr, arrays[name])
         ids = np.concatenate([edit(ids) if len(ids) else ids for ids in lists])
         arrays[name] = indexfile.gap_encode(ptr, ids.astype(np.int32))
@@ -1091,11 +1079,11 @@ def test_an_article_column_with_no_content_posting_is_rejected(indexes, tmp_path
     have a posting elsewhere."""
     path, load = _saved(indexes, "lex", tmp_path)
     header, arrays = _read(path)
-    postings = _postings(header, arrays, "content")
+    postings = _postings(arrays, "content")
     last = max(ids.max() for ids in postings if len(ids))
     kept = np.concatenate([ids != last for ids in postings])
     arrays["content.tf"] = arrays["content.tf"][kept]
-    _store_postings(header, arrays, "content", [ids[ids != last] for ids in postings])
+    _store_postings(arrays, "content", [ids[ids != last] for ids in postings])
     _write(path, header, arrays)
     with pytest.raises(ValueError, match="lex.bin: every article column must have a content posting"):
         load(path)
@@ -1112,6 +1100,15 @@ def test_saved_file_is_one_xz_stream_with_a_crc64_check(kind, indexes, tmp_path)
     again = tmp_path / "again.bin"
     save(index, again)
     assert again.read_bytes() == raw
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_small_file_decodes_with_a_dictionary_sized_to_it(kind, indexes, tmp_path):
+    """The preset's 8 MiB dictionary would need more than 1 MiB to decode."""
+    path, _ = _saved(indexes, kind, tmp_path)
+    raw = path.read_bytes()
+    decoder = lzma.LZMADecompressor(lzma.FORMAT_XZ, memlimit=1 << 20)
+    assert decoder.decompress(raw) == lzma.decompress(raw) and decoder.eof
 
 
 def _width(values, dtype):

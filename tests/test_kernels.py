@@ -14,7 +14,7 @@ import kernel_oracle
 from statuteqa import dense
 from statuteqa.corpus import Article
 from statuteqa.dense import HashedProjectionEmbedder
-from statuteqa.lexical import FIELDS, build_lex_index, score_query, stored_lists
+from statuteqa.lexical import FIELDS, build_lex_index, common_rows, score_query
 from statuteqa.pipeline import PipelineConfig
 
 # three words most articles have, so most of their rows are dense, and
@@ -88,8 +88,8 @@ def test_dense_rows_are_the_common_terms_impacts():
     for field in FIELDS:
         matrix = getattr(index, field)
         df = np.diff(matrix.indptr)
-        # the one rule for a common term: the rows a file stores by their absences
-        assert sorted(matrix.dense) == np.flatnonzero(stored_lists(df, n)[0]).tolist()
+        # the one rule for a common term
+        assert sorted(matrix.dense) == np.flatnonzero(common_rows(df, n)).tolist()
         for r, row in matrix.dense.items():
             want = np.zeros(n)
             span = slice(matrix.indptr[r], matrix.indptr[r + 1])
